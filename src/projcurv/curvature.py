@@ -31,61 +31,29 @@ import numpy as np
 from . import diffops
 from .charts import ComplexChart, RealChart
 from .errors import ValidationError
-from .fields import HermitianMetricField, RiemannianMetricField, ScalarField
+from .fields import HermitianMetricField, RiemannianMetricField
 
 
 # ---------------------------------------------------------------------------
 # metric entry jets
 
-def _hermitian_entry_jets(metric: HermitianMetricField, z, backend="fd"):
-    """Value, holomorphic first derivatives and mixed second derivatives.
-
-    Returns (H, dz, mixed) with
-    dz[g, a, b]       = d h_{a bbar} / dz^g
-    mixed[k, l, a, b] = d^2 h_{a bbar} / dz^k dzbar^l
-    """
-    m = metric.dim
-    H = metric.matrix(z)
-    dz = np.empty((m, m, m), complex)
-    mixed = np.empty((m, m, m, m), complex)
-    for a in range(m):
-        for b in range(m):
-            entry = ScalarField(metric.chart,
-                                lambda zs, a=a, b=b: metric.matrix_generic(zs)[a][b],
-                                backend=metric.backend)
-            _, grad, _, mix, _ = diffops.complex_jet2(entry, z, backend=backend)
-            dz[:, a, b] = grad
-            mixed[:, :, a, b] = mix
-    return H, dz, mixed
-
-
 def _riemannian_entry_jets(metric: RiemannianMetricField, x, backend="fd", order=2):
-    """Value, first and (optionally) second coordinate derivatives of g_{ij}."""
-    n = metric.dim
+    """Value, first and (optionally) second coordinate derivatives of g_{ij}.
+
+    Entries below the diagonal are copied from those above it, so the
+    derivative arrays are exactly symmetric in (i, j) whatever the rounding
+    of the rule's two expressions for g_{ij} and g_{ji}.
+    """
     x = np.asarray(x, float)
     G = metric.matrix(x)
-    d1 = np.empty((n, n, n))
-    d2 = np.empty((n, n, n, n)) if order >= 2 else None
-    s = diffops.step_for(metric.chart)
-    for i in range(n):
-        for j in range(i, n):
-            def entry(p, i=i, j=j):
-                return metric.matrix_generic(tuple(p))[i][j]
+    d1, d2 = diffops.matrix_jet(metric, x, backend=backend, order=order)
+    idx = np.arange(metric.dim)
+    upper = idx[:, None] <= idx
 
-            if backend == "fd":
-                if order >= 2:
-                    _, grad, hess = diffops._real_jet2_fd(entry, x, s)
-                else:
-                    grad = diffops._real_grad_fd(entry, x, s)
-            else:
-                if order >= 2:
-                    _, grad, hess = diffops._real_jet2_dual(entry, x)
-                else:
-                    grad = diffops._real_grad_dual(entry, x)
-            d1[:, i, j] = d1[:, j, i] = np.real(grad)
-            if order >= 2:
-                d2[:, :, i, j] = d2[:, :, j, i] = np.real(hess)
-    return G, d1, d2
+    def mirrored(d):
+        return np.where(upper, d.real, np.swapaxes(d.real, -1, -2))
+
+    return G, mirrored(d1), None if d2 is None else mirrored(d2)
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +91,9 @@ def chern_curvature(metric: HermitianMetricField, z, backend: str = "fd",
     """Chern curvature tensor of a Hermitian metric at a point."""
     z = np.asarray(z, complex)
     metric.check_at(z)
-    H, dz, mixed = _hermitian_entry_jets(metric, z, backend=backend)
+    H = metric.matrix(z)
+    # dz[g, a, b] = d h_{a bbar}/dz^g, mixed[k, l, a, b] = d^2 h_{a bbar}/dz^k dzbar^l
+    dz, mixed = diffops.matrix_jet(metric, z, backend=backend)
     Hinv = np.linalg.inv(H)
     # g^{p qbar} = Hinv[q, p]
     second = np.einsum("qp,kiq,ljp->klij", Hinv, dz, dz.conj())
@@ -393,12 +363,9 @@ def hermitian_normal_coordinates(metric: HermitianMetricField, p,
                  for b in range(m)] for a in range(m)]
 
     # exact first derivatives of the stage-1 metric at 0
-    chart1 = ComplexChart(dim=m, radius=np.full(m, 1.0))
-    c = np.empty((m, m, m), complex)
-    for a in range(m):
-        for b in range(m):
-            entry = ScalarField(chart1, lambda zs, a=a, b=b: stage1_rule(zs)[a][b])
-            c[:, a, b] = diffops.wirtinger_gradient(entry, np.zeros(m), backend="dual")
+    stage1 = HermitianMetricField(ComplexChart(dim=m, radius=np.full(m, 1.0)),
+                                  stage1_rule, validate_on_init=False)
+    c, _ = diffops.matrix_jet(stage1, np.zeros(m), backend="dual", order=1)
 
     b_arr = np.empty((m, m, m), complex)
     for d in range(m):
@@ -434,13 +401,7 @@ def hermitian_normal_coordinates(metric: HermitianMetricField, p,
     H_new = new_metric.matrix(np.zeros(m))
     if float(np.max(np.abs(H_new - np.eye(m)))) > post_tol:
         raise ValidationError("normal coordinates: metric not identity at center")
-    d_new = np.empty((m, m, m), complex)
-    for a in range(m):
-        for b in range(m):
-            entry = ScalarField(new_chart,
-                                lambda zs, a=a, b=b: rule(zs)[a][b])
-            d_new[:, a, b] = diffops.wirtinger_gradient(entry, np.zeros(m),
-                                                        backend="dual")
+    d_new, _ = diffops.matrix_jet(new_metric, np.zeros(m), backend="dual", order=1)
     defect = float(np.max(np.abs(d_new + d_new.transpose(1, 0, 2))))
     if defect > post_tol:
         raise ValidationError(
@@ -482,12 +443,9 @@ def riemannian_normal_coordinates(metric: RiemannianMetricField, x0,
                      for r in range(n) for s in range(n))
                  for j in range(n)] for i in range(n)]
 
-    d1 = np.empty((n, n, n))
-    for i in range(n):
-        for j in range(n):
-            def entry(p, i=i, j=j):
-                return stage1_rule(tuple(p))[i][j]
-            d1[:, i, j] = np.real(diffops._real_grad_dual(entry, np.zeros(n)))
+    stage1 = RiemannianMetricField(RealChart(dim=n, radius=np.ones(n)), stage1_rule,
+                                   validate_on_init=False)
+    d1 = np.real(diffops.matrix_jet(stage1, np.zeros(n), backend="dual", order=1)[0])
     bracket = np.empty((n, n, n))
     for l in range(n):
         for j in range(n):
@@ -520,14 +478,9 @@ def riemannian_normal_coordinates(metric: RiemannianMetricField, x0,
     G_new = new_metric.matrix(np.zeros(n))
     if float(np.max(np.abs(G_new - np.eye(n)))) > post_tol:
         raise ValidationError("normal coordinates: metric not identity at center")
-    for i in range(n):
-        for j in range(n):
-            def entry(p, i=i, j=j):
-                return rule(tuple(p))[i][j]
-            g = np.real(diffops._real_grad_dual(entry, np.zeros(n)))
-            if float(np.max(np.abs(g))) > post_tol:
-                raise ValidationError(
-                    "normal coordinates: first derivatives do not vanish")
+    g, _ = diffops.matrix_jet(new_metric, np.zeros(n), backend="dual", order=1)
+    if float(np.max(np.abs(np.real(g)))) > post_tol:
+        raise ValidationError("normal coordinates: first derivatives do not vanish")
     return frame
 
 

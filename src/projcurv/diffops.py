@@ -27,8 +27,11 @@ symmetrizes it into a :class:`~projcurv.fields.Form11`.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
+from .charts import ComplexChart
 from .dual import HyperDual
 from .errors import BackendMismatchError
 from .fields import Form11, ScalarField
@@ -44,52 +47,101 @@ def step_for(chart) -> float:
 
 
 # real-jet primitives ------------------------------------------------------
+#
+# ``F`` maps a sequence of n real coordinates to a rule output of shape
+# ``shape``: a scalar, or nested sequences for vector and matrix rules.  It
+# only indexes or iterates over its argument.  The fd primitives pass an
+# (n, N) array whose columns are the N points of a Richardson stencil, and
+# the dual primitives pass n HyperDuals whose derivative slots hold one
+# entry per seeded direction, so every jet costs a single rule call.
+# Derivative arrays put the direction axes first: grad[a, ...] and
+# hess[a, b, ...].
 
-def _real_grad_fd(F, p, s):
-    n = p.size
-    grad = np.empty(n, complex)
-    for a in range(n):
-        e = np.zeros(n)
-        e[a] = 1.0
-        d1 = (F(p + s * e) - F(p - s * e)) / (2 * s)
-        d2 = (F(p + 0.5 * s * e) - F(p - 0.5 * s * e)) / s
-        grad[a] = (4.0 * d2 - d1) / 3.0
+def _stencil_values(out, shape, N):
+    """Rule output over N stencil points as a complex array ``shape + (N,)``.
+
+    Entries that do not depend on the coordinates come back as plain
+    numbers and are broadcast along the stencil.
+    """
+    try:
+        arr = np.asarray(out, complex)
+    except ValueError:          # ragged: constant entries beside arrays
+        return np.stack([_stencil_values(o, shape[1:], N) for o in out])
+    if arr.shape == shape + (N,):
+        return arr
+    if arr.shape == shape:
+        arr = arr[..., None]
+    return np.broadcast_to(arr, shape + (N,))
+
+
+def _eval_stencil(F, P, shape):
+    """Values of F at the columns of P, stencil axis first."""
+    vals = _stencil_values(F(P), shape, P.shape[1])
+    return np.moveaxis(vals, -1, 0) if shape else vals
+
+
+@functools.lru_cache(maxsize=None)
+def _unit_stencils(n):
+    """Stencil offsets for step 1 in n real directions, read-only.
+
+    Returns (axis, full, A, B).  ``axis`` (n, 4n) holds +1, -1, +1/2, -1/2
+    along each axis in turn: the gradient stencil.  ``full`` prepends the
+    centre and appends, for each pair a < b in (A, B) and h = 1 then 1/2,
+    h(+a+b), h(+a-b), h(-a+b), h(-a-b): the Hessian stencil.  Scaling by
+    the step s is exact, so the points are those of the scalar formulas.
+    """
+    diag = np.arange(n)
+    axis = np.zeros((n, n, 4))
+    axis[diag, diag] = (1.0, -1.0, 0.5, -0.5)
+    axis = axis.reshape(n, -1)
+    A, B = np.triu_indices(n, 1)
+    pairs = np.arange(A.size)
+    cross = np.zeros((n, A.size, 2, 4))
+    for k, h in enumerate((1.0, 0.5)):
+        for j, (sa, sb) in enumerate(((1, 1), (1, -1), (-1, 1), (-1, -1))):
+            cross[A, pairs, k, j] = sa * h
+            cross[B, pairs, k, j] = sb * h
+    full = np.concatenate([np.zeros((n, 1)), axis, cross.reshape(n, -1)], axis=1)
+    for arr in (axis, full, A, B):
+        arr.setflags(write=False)
+    return axis, full, A, B
+
+
+def _axis_grad(V, s):
+    """Richardson gradient from the axis block of stencil values (4n, ...)."""
+    n = V.shape[0] // 4
+    Vs = V.reshape((n, 4) + V.shape[1:])
+    vps, vms, vph, vmh = Vs[:, 0], Vs[:, 1], Vs[:, 2], Vs[:, 3]
+    d1 = (vps - vms) / (2 * s)
+    d2 = (vph - vmh) / s
+    return (4.0 * d2 - d1) / 3.0, (vps, vms, vph, vmh)
+
+
+def _real_grad_fd(F, p, s, shape=()):
+    axis, _, _, _ = _unit_stencils(p.size)
+    grad, _ = _axis_grad(_eval_stencil(F, p[:, None] + s * axis, shape), s)
     return grad
 
 
-def _real_jet2_fd(F, p, s):
+def _real_jet2_fd(F, p, s, shape=()):
     n = p.size
-    f0 = F(p)
-    ax = {}
-    for a in range(n):
-        e = np.zeros(n)
-        e[a] = 1.0
-        for h in (s, 0.5 * s):
-            ax[(a, h, +1)] = F(p + h * e)
-            ax[(a, h, -1)] = F(p - h * e)
-    grad = np.empty(n, complex)
-    hess = np.empty((n, n), complex)
-    for a in range(n):
-        d1 = (ax[(a, s, 1)] - ax[(a, s, -1)]) / (2 * s)
-        d2 = (ax[(a, 0.5 * s, 1)] - ax[(a, 0.5 * s, -1)]) / s
-        grad[a] = (4.0 * d2 - d1) / 3.0
-        h1 = (ax[(a, s, 1)] - 2 * f0 + ax[(a, s, -1)]) / (s * s)
-        h2 = (ax[(a, 0.5 * s, 1)] - 2 * f0 + ax[(a, 0.5 * s, -1)]) / (0.25 * s * s)
-        hess[a, a] = (4.0 * h2 - h1) / 3.0
-    for a in range(n):
-        ea = np.zeros(n)
-        ea[a] = 1.0
-        for b in range(a + 1, n):
-            eb = np.zeros(n)
-            eb[b] = 1.0
+    _, full, A, B = _unit_stencils(n)
+    V = _eval_stencil(F, p[:, None] + s * full, shape)
+    f0 = V[0]
+    grad, (vps, vms, vph, vmh) = _axis_grad(V[1:1 + 4 * n], s)
+    hess = np.empty((n, n) + shape, complex)
+    h1 = (vps - 2 * f0 + vms) / (s * s)
+    h2 = (vph - 2 * f0 + vmh) / (0.25 * s * s)
+    diag = np.arange(n)
+    hess[diag, diag] = (4.0 * h2 - h1) / 3.0
+    Vc = V[1 + 4 * n:].reshape((A.size, 2, 4) + shape)
 
-            def cross(h):
-                return (F(p + h * (ea + eb)) - F(p + h * (ea - eb))
-                        - F(p - h * (ea - eb)) + F(p - h * (ea + eb))) / (4 * h * h)
+    def cross_diff(k, h):
+        return (Vc[:, k, 0] - Vc[:, k, 1] - Vc[:, k, 2] + Vc[:, k, 3]) / (4 * h * h)
 
-            c1 = cross(s)
-            c2 = cross(0.5 * s)
-            hess[a, b] = hess[b, a] = (4.0 * c2 - c1) / 3.0
+    mixed = (4.0 * cross_diff(1, 0.5 * s) - cross_diff(0, s)) / 3.0
+    hess[A, B] = mixed
+    hess[B, A] = mixed
     return f0, grad, hess
 
 
@@ -97,54 +149,71 @@ def _dual_value(v):
     return v.f0 if isinstance(v, HyperDual) else v
 
 
-def _real_jet2_dual(F, p):
-    """Full real jet via one hyper-dual evaluation per direction pair."""
-    n = p.size
-    grad = np.empty(n, complex)
-    hess = np.empty((n, n), complex)
-    f0 = None
-    for a in range(n):
-        for b in range(a, n):
-            q = list(p)
-            if a == b:
-                q[a] = HyperDual(p[a], 1.0, 1.0, 0.0)
-            else:
-                q[a] = HyperDual(p[a], 1.0, 0.0, 0.0)
-                q[b] = HyperDual(p[b], 0.0, 1.0, 0.0)
-            out = F(np.asarray(q, object))
-            f0 = _dual_value(out.f0) if isinstance(out, HyperDual) else out
-            if isinstance(out, HyperDual):
-                if b == a:
-                    grad[a] = _dual_value(out.f1)
-                hess[a, b] = hess[b, a] = _dual_value(out.f12)
-            else:  # rule ignored the seeds: constant along these directions
-                if b == a:
-                    grad[a] = 0.0
-                hess[a, b] = hess[b, a] = 0.0
-    return f0, grad, hess
+def _dual_slots(out, shape, K):
+    """Value, first and mixed slots of a rule output over K seeded directions,
+    as complex arrays of shape ``shape``, ``(K,) + shape``, ``(K,) + shape``."""
+    f0 = np.empty(shape, complex)
+    f1 = np.zeros((K,) + shape, complex)
+    f12 = np.zeros((K,) + shape, complex)
+    for idx in np.ndindex(*shape):
+        v = out
+        for i in idx:
+            v = v[i]
+        if isinstance(v, HyperDual):
+            f0[idx] = _dual_value(v.f0)
+            f1[(slice(None),) + idx] = _dual_value(v.f1)
+            f12[(slice(None),) + idx] = _dual_value(v.f12)
+        else:       # the rule ignored the seeds: constant along every direction
+            f0[idx] = v
+    return f0, f1, f12
 
 
-def _real_grad_dual(F, p):
+@functools.lru_cache(maxsize=None)
+def _pair_seeds(n):
+    """Direction pairs a <= b of n real directions and the seeds that
+    evaluate all of them at once, read-only: (A, B, diag, first, second)
+    with first[c, k] = [A[k] == c], second[c, k] = [B[k] == c] and diag
+    the positions of the pairs a == b."""
+    A, B = np.triu_indices(n)
+    coords = np.arange(n)[:, None]
+    out = (A, B, np.flatnonzero(A == B),
+           (A == coords).astype(float), (B == coords).astype(float))
+    for arr in out:
+        arr.setflags(write=False)
+    return out
+
+
+def _real_jet2_dual(F, p, shape=()):
+    """Full real jet from one hyper-dual evaluation seeded with every
+    direction pair a <= b at once."""
     n = p.size
-    grad = np.empty(n, complex)
-    for a in range(n):
-        q = list(p)
-        q[a] = HyperDual(p[a], 1.0, 0.0, 0.0)
-        out = F(np.asarray(q, object))
-        grad[a] = _dual_value(out.f1) if isinstance(out, HyperDual) else 0.0
-    return grad
+    A, B, diag, first, second = _pair_seeds(n)
+    coords = [HyperDual(p[c], first[c], second[c], 0.0) for c in range(n)]
+    f0, f1, f12 = _dual_slots(F(coords), shape, A.size)
+    hess = np.empty((n, n) + shape, complex)
+    hess[A, B] = f12
+    hess[B, A] = f12
+    return f0[()], f1[diag], hess
+
+
+def _real_grad_dual(F, p, shape=()):
+    n = p.size
+    eye = np.eye(n)
+    coords = [HyperDual(p[c], eye[c], 0.0, 0.0) for c in range(n)]
+    _, f1, _ = _dual_slots(F(coords), shape, n)
+    return f1
 
 
 # complex-point wrappers ---------------------------------------------------
 
+def _complex_coords(p, d: int) -> tuple:
+    """Complex chart coordinates from real ones ordered (x^0.., y^0..)."""
+    return tuple(p[a] + 1j * p[a + d] for a in range(d))
+
+
 def _as_real_fn(field: ScalarField):
     d = field.chart.dim
-
-    def Fr(p):
-        zs = tuple(p[a] + 1j * p[a + d] for a in range(d))
-        return field.value_generic(zs)
-
-    return Fr
+    return lambda p: field.value_generic(_complex_coords(p, d))
 
 
 def _split_real(z) -> np.ndarray:
@@ -176,7 +245,7 @@ def _wirt_holo2_from_real(H: np.ndarray, d: int) -> np.ndarray:
     return 0.25 * ((xx - yy) - 1j * (xy + yx))
 
 
-def _require_backend(field: ScalarField, backend: str):
+def _require_backend(field, backend: str):
     if backend == "dual" and field.backend == "fd":
         raise ValueError(
             f"field {field.name or ''!r} is tagged fd-only and cannot be "
@@ -207,8 +276,7 @@ def _grad(field: ScalarField, z, backend: str):
 
 # public operations --------------------------------------------------------
 
-def wirtinger_gradient(field: ScalarField, z, backend: str = "fd",
-                       check: bool = False) -> np.ndarray:
+def wirtinger_gradient(field: ScalarField, z, backend: str = "fd") -> np.ndarray:
     """Holomorphic Wirtinger gradient (dF/dzeta^a).
 
     Antiholomorphic derivatives follow from the conjugate rule
@@ -216,13 +284,7 @@ def wirtinger_gradient(field: ScalarField, z, backend: str = "fd",
     :func:`wirtinger_gradient_bar`.
     """
     field.chart.require_margin(z, GRADIENT_MARGIN_STEPS * step_for(field.chart))
-    d = field.chart.dim
-    g = _grad(field, z, backend)
-    if check:
-        other = "dual" if backend == "fd" else "fd"
-        g2 = _grad(field, z, other)
-        _assert_close(g, g2, f"gradient of {field.name or 'field'} at {z}")
-    return _wirt_grad_from_real(g, d)
+    return _wirt_grad_from_real(_grad(field, z, backend), field.chart.dim)
 
 
 def wirtinger_gradient_bar(field: ScalarField, z, backend: str = "fd") -> np.ndarray:
@@ -231,21 +293,15 @@ def wirtinger_gradient_bar(field: ScalarField, z, backend: str = "fd") -> np.nda
     return _wirt_gradbar_from_real(g, field.chart.dim)
 
 
-def wirtinger_hessian(field: ScalarField, z, backend: str = "fd",
-                      check: bool = False) -> Form11:
+def wirtinger_hessian(field: ScalarField, z, backend: str = "fd") -> Form11:
     """Mixed complex Hessian (d^2 F / dzeta^a dzetabar^b) as a Form11.
 
     Intended for real-valued fields, whose mixed Hessian is Hermitian; the
     Form11 constructor symmetrizes away the numerical skew part.
     """
     field.chart.require_margin(z, HESSIAN_MARGIN_STEPS * step_for(field.chart))
-    d = field.chart.dim
     _, _, H = _jet2(field, z, backend)
-    if check:
-        other = "dual" if backend == "fd" else "fd"
-        _, _, H2 = _jet2(field, z, other)
-        _assert_close(H, H2, f"hessian of {field.name or 'field'} at {z}")
-    return Form11(_wirt_mixed_from_real(H, d))
+    return Form11(_wirt_mixed_from_real(H, field.chart.dim))
 
 
 def complex_jet2(field: ScalarField, z, backend: str = "fd"):
@@ -276,12 +332,48 @@ def cross_check(field: ScalarField, z, rtol: float = CROSS_CHECK_RTOL) -> float:
     return defect
 
 
-def _assert_close(a, b, what: str, rtol: float = CROSS_CHECK_RTOL):
-    scale = max(1.0, float(np.max(np.abs(b))))
-    defect = float(np.max(np.abs(np.asarray(a) - np.asarray(b)))) / scale
-    if defect > rtol:
-        raise BackendMismatchError(
-            f"backends disagree on {what}: relative defect {defect:.3e} > {rtol:.1e}")
+# metric-matrix jets -------------------------------------------------------
+
+def matrix_jet(metric, z, backend: str = "fd", order: int = 2):
+    """Derivatives of every entry of a metric field's matrix at z.
+
+    One rule evaluation per stencil (fd) or per seed batch (dual) yields all
+    entries at once.  On a complex chart the result is Wirtinger:
+    (dz, mixed) with dz[g, a, b] = d M_ab / dz^g and
+    mixed[k, l, a, b] = d^2 M_ab / dz^k dzbar^l, and the chart margin is
+    enforced as for scalar fields.  On a real chart it is (d1, d2) with
+    d1[i, a, b] = d M_ab / dx^i and d2[i, j, a, b] = d^2 M_ab / dx^i dx^j.
+    The second-order part is None when ``order`` is 1.
+    """
+    if backend not in ("fd", "dual"):
+        raise ValueError(f"unknown backend {backend!r}")
+    _require_backend(metric, backend)
+    chart = metric.chart
+    shape = (metric.dim, metric.dim)
+    s = step_for(chart)
+    complex_chart = isinstance(chart, ComplexChart)
+    if complex_chart:
+        steps = HESSIAN_MARGIN_STEPS if order >= 2 else GRADIENT_MARGIN_STEPS
+        chart.require_margin(z, steps * s)
+        d = chart.dim
+        p = _split_real(z)
+
+        def F(q):
+            return metric.matrix_generic(_complex_coords(q, d))
+    else:
+        p = np.asarray(z, float)
+        F = metric.matrix_generic
+    if order >= 2:
+        _, grad, hess = (_real_jet2_fd(F, p, s, shape) if backend == "fd"
+                         else _real_jet2_dual(F, p, shape))
+    else:
+        grad = (_real_grad_fd(F, p, s, shape) if backend == "fd"
+                else _real_grad_dual(F, p, shape))
+        hess = None
+    if not complex_chart:
+        return grad, hess
+    return (_wirt_grad_from_real(grad, d),
+            None if hess is None else _wirt_mixed_from_real(hess, d))
 
 
 # map-component jets (vector-valued rules) ---------------------------------

@@ -11,9 +11,12 @@ D_u D_v f (up to rounding).  Components may be complex, and may themselves be
 HyperDual, which nests the construction for higher derivative orders.
 
 The module also provides generic elementary functions (``exp``, ``log``,
-``conj``, ``abs2``, ...) that dispatch on plain numbers and HyperDuals alike.
-Field and map rules written with these primitives evaluate unchanged under
-either differentiation backend.
+``conj``, ``abs2``, ...) that dispatch on plain numbers, NumPy arrays and
+HyperDuals alike.  Field and map rules written with these primitives
+evaluate unchanged under either differentiation backend: the
+finite-difference backend passes each coordinate as an array over the points
+of a stencil, and the dual backend passes HyperDuals whose derivative slots
+are arrays over the seeded directions.
 
 The perturbation directions are always *real* chart directions, so complex
 conjugation acts componentwise, which is what makes Wirtinger calculus on
@@ -25,11 +28,17 @@ from __future__ import annotations
 import cmath
 import math
 
+import numpy as np
+
 __all__ = ["HyperDual", "exp", "log", "sqrt", "conj", "real", "imag", "abs2"]
 
 
 class HyperDual:
     __slots__ = ("f0", "f1", "f2", "f12")
+
+    # NumPy defers its binary operators to the reflected methods below;
+    # otherwise ``ndarray + HyperDual`` becomes an object array of jets
+    __array_ufunc__ = None
 
     def __init__(self, f0, f1=0.0, f2=0.0, f12=0.0):
         self.f0 = f0
@@ -143,6 +152,8 @@ class HyperDual:
 def exp(x):
     if isinstance(x, HyperDual):
         return x.exp()
+    if isinstance(x, np.ndarray):
+        return np.exp(x)
     if isinstance(x, complex):
         return cmath.exp(x)
     return math.exp(x)
@@ -151,6 +162,12 @@ def exp(x):
 def log(x):
     if isinstance(x, HyperDual):
         return x.log()
+    if isinstance(x, np.ndarray):
+        # the scalar functions raise on these arguments; so do arrays
+        bad = (x == 0) if np.iscomplexobj(x) else (x <= 0)
+        if np.any(bad):
+            raise ValueError("math domain error")
+        return np.log(x)
     if isinstance(x, complex):
         return cmath.log(x)
     return math.log(x)
@@ -159,27 +176,31 @@ def log(x):
 def sqrt(x):
     if isinstance(x, HyperDual):
         return x.sqrt()
+    if isinstance(x, np.ndarray):
+        if not np.iscomplexobj(x) and np.any(x < 0):
+            return np.sqrt(x.astype(complex))
+        return np.sqrt(x)
     if isinstance(x, complex):
         return cmath.sqrt(x)
     return math.sqrt(x) if x >= 0 else cmath.sqrt(x)
 
 
 def conj(x):
-    if isinstance(x, HyperDual):
+    if isinstance(x, (HyperDual, complex, np.ndarray)):
         return x.conjugate()
-    return x.conjugate() if isinstance(x, complex) else x
+    return x
 
 
 def real(x):
-    if isinstance(x, HyperDual):
+    if isinstance(x, (HyperDual, complex, np.ndarray)):
         return x.real
-    return x.real if isinstance(x, complex) else x
+    return x
 
 
 def imag(x):
-    if isinstance(x, HyperDual):
+    if isinstance(x, (HyperDual, complex, np.ndarray)):
         return x.imag
-    return x.imag if isinstance(x, complex) else 0.0 * x
+    return 0.0 * x
 
 
 def abs2(x):

@@ -291,7 +291,7 @@ def covector_metric_field(f: ChartedMap, g: HermitianMetricField) -> HermitianMe
 
     return HermitianMetricField(f.source, rule, backend=f.backend,
                                 name=f"inverse-{g.name or 'target'}-pullback",
-                                validate_on_init=False)
+                                validate_on_init=False, matrix_dim=n)
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +434,9 @@ def _generic_inverse_up(M, n: int):
     """Raised-index inverse metric entries M^{a bbar} = conj(inv(M))[a][b].
 
     Adjugate formulas up to n = 3 keep the arithmetic generic so dual
-    backends can flow through; larger sizes fall back to numpy (numeric only).
+    backends can flow through; larger sizes fall back to numpy (numeric
+    only), inverting one matrix per stencil point when the entries are
+    arrays.
     """
     if n == 1:
         return [[gm.conj(1.0 / M[0][0])]]
@@ -456,7 +458,9 @@ def _generic_inverse_up(M, n: int):
                 -(M[0][0] * M[2][1] - M[0][1] * M[2][0]) / det,
                 (M[0][0] * M[1][1] - M[0][1] * M[1][0]) / det]]
     else:
-        inv = np.linalg.inv(np.asarray(M, complex)).tolist()
+        entries = np.broadcast_arrays(*[np.asarray(v, complex) for row in M for v in row])
+        stacked = np.stack(entries, axis=-1).reshape(entries[0].shape + (n, n))
+        inv = np.moveaxis(np.linalg.inv(stacked), (-2, -1), (0, 1))
     return [[gm.conj(inv[a][b]) for b in range(n)] for a in range(n)]
 
 
@@ -484,14 +488,8 @@ def pluriharmonic_residual(f: ChartedMap, g, z) -> np.ndarray:
 
 def _chern_christoffels(g: HermitianMetricField, z) -> np.ndarray:
     """Gamma^i_{jk} = g^{i lbar} d g_{k lbar} / dz^j of the Chern connection."""
-    n = g.dim
-    dz = np.empty((n, n, n), complex)
-    for a in range(n):
-        for b in range(n):
-            entry = ScalarField(g.chart, lambda zs, a=a, b=b: g.matrix_generic(zs)[a][b],
-                                backend=g.backend)
-            dz[:, a, b] = diffops.wirtinger_gradient(entry, z, backend="dual"
-                                                     if g.backend != "fd" else "fd")
+    dz, _ = diffops.matrix_jet(g, z, backend="fd" if g.backend == "fd" else "dual",
+                               order=1)
     gup = g.inverse_up(z)   # g^{i lbar} = conj(inv)[i, l]
     return np.einsum("il,jkl->ijk", gup, dz)
 

@@ -534,8 +534,9 @@ class VerificationReport:
 
     def to_dict(self) -> dict:
         hist = {}
-        if self.residuals:
-            counts, edges = np.histogram(np.asarray(self.residuals), bins=10)
+        finite = [r for r in self.residuals if math.isfinite(r)]
+        if finite:
+            counts, edges = np.histogram(np.asarray(finite), bins=10)
             hist = {"counts": counts.tolist(), "edges": [float(e) for e in edges]}
         return {
             "suite": self.suite,
@@ -661,6 +662,27 @@ def _map_points(fn, pts, workers: int):
     return [fn(pt) for pt in pts]
 
 
+def _record_sample(rep, k: int, pt, value: float, violated: bool) -> bool:
+    """Append one sample's residual and apply its verdict; returns whether
+    the residual is finite.
+
+    A non-finite residual makes the suite an error naming the sample: no
+    comparison with a band means anything for it, and NaN compares False
+    with every band.  An error is never downgraded by a later sample.
+    """
+    rep.residuals.append(value)
+    rep.points.append(_point_coords(pt))
+    if not math.isfinite(value):
+        if rep.status != "error":
+            rep.status = "error"
+            rep.message = (f"non-finite residual {value} at sample {k}, "
+                           f"point {rep.points[-1]}")
+        return False
+    if violated and rep.status == "pass":
+        rep.status = "fail"
+    return True
+
+
 def _run_one_suite(rep, suite, pair, rng, samples, tol_relative, tol_exact,
                    probe_grid_size, phi, workers=1):
     f, h, g = pair.f, pair.h, pair.g
@@ -673,16 +695,13 @@ def _run_one_suite(rep, suite, pair, rng, samples, tol_relative, tol_exact,
                 suite, f, h, g, pt, phi=weight if suite == "S03" else None),
             pts, workers)
         worst = None
-        for pt, out in zip(pts, outs):
-            band = -tol_relative * out["scale"]
-            rep.residuals.append(out["min_eigenvalue"])
-            rep.points.append(_point_coords(pt))
-            if out["min_eigenvalue"] < band:
-                rep.status = "fail"
-            if worst is None or out["min_eigenvalue"] < worst[0]:
+        for k, (pt, out) in enumerate(zip(pts, outs)):
+            value = out["min_eigenvalue"]
+            finite = _record_sample(rep, k, pt, value,
+                                    value < -tol_relative * out["scale"])
+            if finite and (worst is None or value < worst[0]):
                 eigvals, eigvecs = np.linalg.eigh(out["residual_form"].matrix)
-                worst = (out["min_eigenvalue"], _point_coords(pt),
-                         _c2l(eigvecs[:, 0]))
+                worst = (value, _point_coords(pt), _c2l(eigvecs[:, 0]))
         if worst:
             rep.worst = {"residual": worst[0], "point": worst[1],
                          "eigenvector": worst[2]}
@@ -692,14 +711,12 @@ def _run_one_suite(rep, suite, pair, rng, samples, tol_relative, tol_exact,
         outs = _map_points(lambda z: verify_trace_inequality(suite, f, h, g, z),
                            pts, workers)
         worst = None
-        for z, out in zip(pts, outs):
-            band = -tol_relative * out["scale"]
-            rep.residuals.append(out["residual"])
-            rep.points.append(_point_coords(z))
-            if out["residual"] < band:
-                rep.status = "fail"
-            if worst is None or out["residual"] < worst[0]:
-                worst = (out["residual"], _point_coords(z))
+        for k, (z, out) in enumerate(zip(pts, outs)):
+            value = out["residual"]
+            finite = _record_sample(rep, k, z, value,
+                                    value < -tol_relative * out["scale"])
+            if finite and (worst is None or value < worst[0]):
+                worst = (value, _point_coords(z))
         if worst:
             rep.worst = {"residual": worst[0], "point": worst[1]}
 
@@ -708,13 +725,11 @@ def _run_one_suite(rep, suite, pair, rng, samples, tol_relative, tol_exact,
         outs = _map_points(lambda P: verify_exact_identity(suite, f, h, g, P),
                            pts, workers)
         worst = None
-        for P, out in zip(pts, outs):
-            rep.residuals.append(out["residual"])
-            rep.points.append(_point_coords(P))
-            if out["residual"] > tol_exact:
-                rep.status = "fail"
-            if worst is None or out["residual"] > worst[0]:
-                worst = (out["residual"], _point_coords(P))
+        for k, (P, out) in enumerate(zip(pts, outs)):
+            value = out["residual"]
+            finite = _record_sample(rep, k, P, value, value > tol_exact)
+            if finite and (worst is None or value > worst[0]):
+                worst = (value, _point_coords(P))
         if worst:
             rep.worst = {"residual": worst[0], "point": worst[1]}
 
@@ -723,12 +738,9 @@ def _run_one_suite(rep, suite, pair, rng, samples, tol_relative, tol_exact,
         outs = _map_points(lambda P: assemble_W_form(f, h, g, P).min_eigenvalue(),
                            pts, workers)
         worst = None
-        for P, mineig in zip(pts, outs):
-            rep.residuals.append(mineig)
-            rep.points.append(_point_coords(P))
-            if mineig < -W_PSD_TOL:
-                rep.status = "fail"
-            if worst is None or mineig < worst[0]:
+        for k, (P, mineig) in enumerate(zip(pts, outs)):
+            finite = _record_sample(rep, k, P, mineig, mineig < -W_PSD_TOL)
+            if finite and (worst is None or mineig < worst[0]):
                 worst = (mineig, _point_coords(P))
         if worst:
             rep.worst = {"residual": worst[0], "point": worst[1]}

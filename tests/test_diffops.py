@@ -1,11 +1,17 @@
+import cmath
+import math
+
 import numpy as np
 import pytest
 
 from projcurv import dual as gm
-from projcurv import diffops
-from projcurv.charts import ComplexChart
+from projcurv import diffops, zoo
+from projcurv.bundle import BundlePoint
+from projcurv.charts import ComplexChart, RealChart
+from projcurv.dual import HyperDual
 from projcurv.errors import BackendMismatchError, ChartDomainError
-from projcurv.fields import ScalarField
+from projcurv.fields import HermitianMetricField, RiemannianMetricField, ScalarField
+from projcurv.maps import ChartedMap, Y_field, _generic_inverse_up
 
 
 def field(rule, dim=1, radius=2.0):
@@ -142,3 +148,193 @@ class TestJacobianPair:
         rule = lambda z: (gm.real(z[0] ** 2), gm.imag(z[0]))
         holo, anti = diffops.jacobian_pair(rule, [0.4 - 0.3j], 1, 2)
         assert np.allclose(anti, np.conj(holo), atol=1e-12)
+
+
+def fs3_to_ball3():
+    """Fubini-Study (dim 3) to the Poincare ball (dim 3) by z -> 0.4 z."""
+    h = zoo.build_entry("fubini-study", {"dim": 3, "radius": 0.9}).obj
+    g = zoo.build_entry("poincare-ball", {"dim": 3, "radius": 0.38}).obj
+    f = zoo.build_map("linear", {"matrix": (0.4 * np.eye(3)).tolist()},
+                      h.chart, g.chart)
+    return f, h, g
+
+
+def m3_bundle_point(h, seed):
+    rng = np.random.default_rng(seed)
+    return BundlePoint.make(h.chart.sample(rng, 0.5),
+                            rng.standard_normal(3) + 1j * rng.standard_normal(3))
+
+
+class TestArrayAwareDual:
+    def test_ndarray_operand_defers_to_hyperdual(self):
+        x = HyperDual(0.5, 1.0, 0.0, 0.0)
+        arr = np.array([1.0, 2.0])
+        for out in (arr + x, arr - x, arr * x, arr / x,
+                    np.float64(2.0) * x, np.complex128(1j) + x):
+            assert isinstance(out, HyperDual)
+        # d/dx (arr * x) = arr, d/dx (arr / x) = -arr / x^2
+        np.testing.assert_array_equal((arr * x).f1, arr)
+        np.testing.assert_allclose((arr / x).f1, -arr / 0.25, rtol=1e-15)
+
+    def test_conj_real_imag_on_arrays(self):
+        a = np.array([1 + 2j, -0.5 - 0.25j])
+        np.testing.assert_array_equal(gm.conj(a), [1 - 2j, -0.5 + 0.25j])
+        np.testing.assert_array_equal(gm.real(a), [1.0, -0.5])
+        np.testing.assert_array_equal(gm.imag(a), [2.0, -0.25])
+        r = np.array([0.3, -0.7])
+        np.testing.assert_array_equal(gm.conj(r), r)
+        np.testing.assert_array_equal(gm.real(r), r)
+        np.testing.assert_array_equal(gm.imag(r), [0.0, 0.0])
+
+    def test_conj_of_array_valued_jet(self):
+        x = HyperDual(np.array([1j, 2.0]), np.array([1j, 1.0 - 1j]))
+        c = gm.conj(x)
+        np.testing.assert_array_equal(c.f0, [-1j, 2.0])
+        np.testing.assert_array_equal(c.f1, [-1j, 1.0 + 1j])
+
+    def test_log_sqrt_exp_match_scalar_functions(self):
+        r = np.array([0.5, 2.0, 7.25])
+        c = np.array([0.5 - 1j, -2.0 + 0.1j, 3j])
+        np.testing.assert_allclose(gm.log(r), [math.log(v) for v in r], rtol=1e-15)
+        np.testing.assert_allclose(gm.log(c), [cmath.log(v) for v in c], rtol=1e-15)
+        np.testing.assert_allclose(gm.sqrt(r), [math.sqrt(v) for v in r], rtol=1e-15)
+        np.testing.assert_allclose(gm.sqrt(c), [cmath.sqrt(v) for v in c], rtol=1e-15)
+        np.testing.assert_allclose(gm.exp(c), [cmath.exp(v) for v in c], rtol=1e-15)
+        # a negative real argument gives the principal complex root, as on scalars
+        np.testing.assert_allclose(gm.sqrt(np.array([4.0, -4.0])),
+                                   [gm.sqrt(4.0), gm.sqrt(-4.0)], rtol=1e-15)
+
+    def test_log_domain_errors_raise_like_scalars(self):
+        for bad in (0.0, -2.0, 0j):
+            with pytest.raises(ValueError):
+                gm.log(bad)
+        for bad in (np.array([1.0, 0.0]), np.array([1.0, -2.0]), np.array([1j, 0j])):
+            with pytest.raises(ValueError):
+                gm.log(bad)
+
+
+class TestBatchedEngine:
+    def test_batched_rule_values_match_pointwise(self):
+        # one call over many points equals the point-by-point values
+        f, h, g = fs3_to_ball3()
+        P = m3_bundle_point(h, 1)
+        field = Y_field(f, h, g, P.chart_index)
+        F = diffops._as_real_fn(field)
+        rng = np.random.default_rng(2)
+        pts = diffops._split_real(P.combined())[:, None] \
+            + 0.05 * rng.uniform(-1, 1, (10, 25))
+        batched = np.asarray(F(pts))
+        pointwise = np.array([complex(F(pts[:, k])) for k in range(pts.shape[1])])
+        np.testing.assert_allclose(batched, pointwise, rtol=1e-14, atol=0)
+        zs = diffops._complex_coords(pts[:6], 3)
+        Hb = np.asarray(h.matrix_generic(zs))
+        for k in range(pts.shape[1]):
+            np.testing.assert_allclose(Hb[:, :, k], h.matrix(pts[:3, k] + 1j * pts[3:6, k]),
+                                       rtol=1e-14, atol=1e-15)
+
+    def test_constant_rules_broadcast(self):
+        F = field(lambda z: 2.5)
+        assert np.max(np.abs(diffops.wirtinger_hessian(F, [0.1]).matrix)) == 0
+        assert np.max(np.abs(diffops.wirtinger_gradient(F, [0.1]))) == 0
+        chart = ComplexChart(dim=2, radius=[1.0, 1.0])
+        metric = HermitianMetricField(
+            chart, lambda z: [[1.0, 0], [0, 1 + gm.abs2(z[0])]], name="mixed")
+        for backend in ("fd", "dual"):
+            dz, mixed = diffops.matrix_jet(metric, [0.2 - 0.1j, 0.3], backend=backend)
+            expected_dz = np.zeros((2, 2, 2), complex)
+            expected_dz[0, 1, 1] = 0.2 + 0.1j           # conj(z0)
+            expected_mixed = np.zeros((2, 2, 2, 2), complex)
+            expected_mixed[0, 0, 1, 1] = 1.0
+            np.testing.assert_allclose(dz, expected_dz, atol=1e-9)
+            np.testing.assert_allclose(mixed, expected_mixed, atol=1e-8)
+
+    def test_matrix_jet_matches_entry_loop(self, fs2):
+        # the matrix helper against one differentiation per entry
+        z = np.array([0.25 + 0.1j, -0.2j])
+        for backend in ("fd", "dual"):
+            dz, mixed = diffops.matrix_jet(fs2, z, backend=backend)
+            for a in range(2):
+                for b in range(2):
+                    entry = ScalarField(fs2.chart,
+                                        lambda zs, a=a, b=b: fs2.matrix_generic(zs)[a][b])
+                    _, grad, _, mix, _ = diffops.complex_jet2(entry, z, backend=backend)
+                    np.testing.assert_allclose(dz[:, a, b], grad, rtol=1e-12, atol=1e-14)
+                    np.testing.assert_allclose(mixed[:, :, a, b], mix, rtol=1e-12, atol=1e-14)
+
+    def test_riemannian_matrix_jet_matches_entry_loop(self, sphere2):
+        x = np.array([0.2, -0.1])
+        s = diffops.step_for(sphere2.chart)
+        d1, d2 = diffops.matrix_jet(sphere2, x)
+        for i in range(2):
+            for j in range(2):
+                def entry(p, i=i, j=j):
+                    return sphere2.matrix_generic(tuple(p))[i][j]
+                _, grad, hess = diffops._real_jet2_fd(entry, x, s)
+                np.testing.assert_allclose(d1[:, i, j], grad, rtol=1e-12, atol=1e-14)
+                np.testing.assert_allclose(d2[:, :, i, j], hess, rtol=1e-12, atol=1e-14)
+        g1, none = diffops.matrix_jet(sphere2, x, backend="dual", order=1)
+        assert none is None
+        np.testing.assert_allclose(g1, d1, atol=1e-9)
+
+    def test_batched_dual_seeds_match_per_pair_seeding(self):
+        def F(p):
+            return gm.exp(p[0] * p[1]) + p[2] ** 3 * p[0] / (1 + p[1] * p[1])
+
+        p = np.array([0.3, -0.7, 1.1])
+        _, grad, hess = diffops._real_jet2_dual(F, p)
+        for a in range(3):
+            for b in range(a, 3):
+                q = list(p)
+                q[a] = HyperDual(p[a], 1.0, 1.0 if a == b else 0.0, 0.0)
+                if b != a:
+                    q[b] = HyperDual(p[b], 0.0, 1.0, 0.0)
+                out = F(q)
+                assert hess[a, b] == pytest.approx(out.f12, rel=1e-14)
+                assert hess[b, a] == hess[a, b]
+                if a == b:
+                    assert grad[a] == pytest.approx(out.f1, rel=1e-14)
+
+    def test_generic_inverse_stacked_beyond_adjugates(self):
+        rng = np.random.default_rng(4)
+        n, N = 4, 6
+        X = rng.standard_normal((N, n, n)) + 1j * rng.standard_normal((N, n, n))
+        mats = X @ X.conj().transpose(0, 2, 1) + n * np.eye(n)
+        M = [[mats[:, a, b] for b in range(n)] for a in range(n)]
+        M[0][3] = M[3][0] = 0.0                     # constant entries broadcast
+        mats[:, 0, 3] = mats[:, 3, 0] = 0.0
+        up = _generic_inverse_up(M, n)
+        for k in range(N):
+            got = np.array([[up[a][b][k] for b in range(n)] for a in range(n)])
+            np.testing.assert_allclose(got, np.linalg.inv(mats[k]).conj(), rtol=1e-12)
+        single = _generic_inverse_up(mats[0].tolist(), n)
+        np.testing.assert_allclose(np.array(single, complex),
+                                   np.linalg.inv(mats[0]).conj(), rtol=1e-12)
+
+
+class TestBackendAgreementM3:
+    def test_y_field_m3(self):
+        f, h, g = fs3_to_ball3()
+        for seed in (1, 2):
+            P = m3_bundle_point(h, seed)
+            field = Y_field(f, h, g, P.chart_index)
+            assert diffops.cross_check(field, P.combined()) <= diffops.CROSS_CHECK_RTOL
+
+    def test_chern_entry_jets_fs3(self):
+        _, h, _ = fs3_to_ball3()
+        z = h.chart.sample(np.random.default_rng(3), 0.5)
+        for a in range(3):
+            for b in range(3):
+                entry = ScalarField(h.chart,
+                                    lambda zs, a=a, b=b: h.matrix_generic(zs)[a][b])
+                assert diffops.cross_check(entry, z) <= diffops.CROSS_CHECK_RTOL
+        dz_fd, mixed_fd = diffops.matrix_jet(h, z, backend="fd")
+        dz_dual, mixed_dual = diffops.matrix_jet(h, z, backend="dual")
+        assert np.max(np.abs(dz_fd - dz_dual)) <= diffops.CROSS_CHECK_RTOL
+        assert np.max(np.abs(mixed_fd - mixed_dual)) <= diffops.CROSS_CHECK_RTOL
+
+    def test_matrix_jet_rejects_dual_on_fd_only_metric(self):
+        chart = RealChart(dim=1, radius=[1.0])
+        metric = RiemannianMetricField(chart, lambda x: [[1 + x[0] * x[0]]],
+                                       backend="fd", name="fd-only")
+        with pytest.raises(ValueError):
+            diffops.matrix_jet(metric, [0.1], backend="dual")

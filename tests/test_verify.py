@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -6,9 +8,10 @@ from projcurv import verify as V
 from projcurv import zoo
 from projcurv.bundle import BundlePoint, TautologicalMetric
 from projcurv.charts import ComplexChart
+from projcurv.dual import HyperDual
 from projcurv.errors import NotApplicable, ValidationError
 from projcurv.fields import HermitianMetricField
-from projcurv.maps import ChartedMap, generalized_Y
+from projcurv.maps import ChartedMap, covector_metric_field, generalized_Y
 
 from conftest import fs_rule, identity_map
 
@@ -339,3 +342,58 @@ class TestRunSuite:
         a = V.run_suite(p, ["S1"], samples=4, seed=11, workers=1)
         b = V.run_suite(p, ["S1"], samples=4, seed=11, workers=3)
         assert a[0].residuals == b[0].residuals
+
+
+def _nan_on_right_half(x):
+    """1 where Re x < 0 and NaN elsewhere, elementwise on numbers, arrays and jets."""
+    while isinstance(x, HyperDual):
+        x = x.f0
+    return np.where(np.real(x) < 0, 1.0, np.nan)
+
+
+class TestFailClosed:
+    def test_nan_residuals_are_errors(self):
+        # NaN compares False with every band, so a map that is NaN on half
+        # the chart used to pass S1, S01, exact_holo and W_psd
+        base = pair("fs-to-poincare")
+        f = ChartedMap(base.h.chart, base.g.chart,
+                       lambda z: (0.4 * z[0] * _nan_on_right_half(z[0]),),
+                       holomorphic=True, name="half-nan")
+        p = V.PairContext(f=f, h=base.h, g=base.g, name="half-nan")
+        suites = ["S1", "S01", "S02", "S2", "S3", "S03", "exact_holo", "W_psd"]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            reports = V.run_suite(p, suites, samples=6, seed=3)
+        for rep in reports:
+            assert rep.status == "error", (rep.suite, rep.status)
+            bad = [k for k, r in enumerate(rep.residuals) if not np.isfinite(r)]
+            assert bad, rep.suite
+            assert f"sample {bad[0]}" in rep.message
+            json.dumps(rep.to_dict())            # the report still serializes
+
+    def test_error_is_not_downgraded_by_later_samples(self):
+        rep = V.VerificationReport(suite="S1", pair="p", status="pass", seed=0,
+                                   samples=3, tolerances={})
+        pt = BundlePoint.make([0.1], [1.0])
+        assert V._record_sample(rep, 0, pt, float("nan"), False) is False
+        assert V._record_sample(rep, 1, pt, -1.0, True) is True
+        assert V._record_sample(rep, 2, pt, float("inf"), False) is False
+        assert rep.status == "error"
+        assert "sample 0" in rep.message
+
+
+class TestCovectorBundle:
+    def test_pairing_matrix_sized_by_target(self):
+        p = pair("fs-line-in-plane")
+        field = covector_metric_field(p.f, p.g)
+        assert field.dim == p.f.n == 2
+        tm = TautologicalMetric(field)
+        assert tm.combined_chart(0).dim == p.f.m + p.f.n - 1
+
+    def test_s2_s3_on_line_in_plane(self):
+        # m = 1 source, n = 2 target: sizing the covector pairing by the base
+        # dimension made S2 and S3 raise IndexError or ValueError
+        p = pair("fs-line-in-plane")
+        for seed in range(4):
+            for rep in V.run_suite(p, ["S2", "S3"], samples=2, seed=seed):
+                assert rep.status == "pass", (seed, rep.suite, rep.message)
+                assert np.all(np.isfinite(rep.residuals))
