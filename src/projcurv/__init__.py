@@ -4,7 +4,7 @@ estimates for generalized energy densities on projectivized tangent bundles.
 
 from .charts import ComplexChart, RealChart
 from .fields import (Form11, HermitianMetricField, RiemannianMetricField,
-                     ScalarField, evaluate_form11, min_eigenvalue)
+                     ScalarField)
 from .diffops import (cross_check, wirtinger_gradient, wirtinger_gradient_bar,
                       wirtinger_hessian)
 from .curvature import (ChernCurvatureTensor, RiemannCurvatureTensor,
@@ -29,8 +29,8 @@ from .verify import (PairContext, VerificationReport, assemble_W_form,
                      maximum_principle_probe, run_suite, verify_exact_identity,
                      verify_form_inequality, verify_trace_inequality)
 from .zoo import ZooEntry, build_entry, catalog_facts, catalog_names
-from .errors import (AssemblyError, BackendMismatchError, ChartDomainError,
-                     ConfigError, GeometryError, NotApplicable,
-                     QuadratureError, ValidationError)
+from .errors import (BackendMismatchError, ChartDomainError, ConfigError,
+                     GeometryError, NotApplicable, QuadratureError,
+                     ValidationError)
 
 __version__ = "0.1.0"

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import diffops
+from . import diffops, dual
 from .charts import ComplexChart, fiber_chart
 from .errors import QuadratureError, ValidationError
 from .fields import Form11, HermitianMetricField, ScalarField
@@ -135,27 +135,13 @@ class TautologicalMetric:
         def rule(zs, _m=m, _d=base_d, _idx=chart_index):
             z = zs[:_d]
             W = reconstruct_W(zs[_d:], _idx, _m)
-            Hm = h.matrix_generic(z)
-            acc = 0.0
-            for g in range(_m):
-                for d in range(_m):
-                    acc = acc + Hm[g][d] * W[g] * _gconj(W[d])
-            out = _glog(acc)
+            out = dual.log(dual.pairing(h.matrix_generic(z), W, W))
             if weight is not None:
                 out = out - weight(z, tuple(W))
             return out
 
         return ScalarField(self.combined_chart(chart_index), rule,
                            backend=h.backend, name="log_tautological_metric")
-
-
-def _gconj(x):
-    return x.conjugate() if hasattr(x, "conjugate") else x
-
-
-def _glog(x):
-    from . import dual
-    return dual.log(x)
 
 
 def tautological_H(tm: TautologicalMetric, P: BundlePoint) -> float:

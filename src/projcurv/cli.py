@@ -1,20 +1,19 @@
 """Configuration-driven verification runner.
 
 Exit codes: 0 when every requested suite passes or is routed not-applicable,
-1 when any suite fails its tolerance band, 2 on configuration or evaluation
-errors (including unwritable report paths).
+1 when any suite fails its tolerance band and nothing else, 2 on
+configuration or evaluation errors (including unwritable report paths and
+unexpected exceptions, which the report's "error" names by type).
 
 The machine-readable report is JSON with a schema_version field; reruns with
-the same plan and seed are byte-identical apart from the timestamp.  The
-worker count for the sample pool defaults to the PROJCURV_WORKERS
-environment variable.
+the same plan and seed are byte-identical apart from the timestamp.  Schema
+version 2 dropped ``tolerances.quadrature_order`` from every suite report.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -22,7 +21,7 @@ from . import config as config_mod
 from .errors import GeometryError
 from .verify import SUITE_TAGS, run_suite
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -39,48 +38,35 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--samples", type=int, default=None,
                    help="override the sample count")
     v.add_argument("--seed", type=int, default=None, help="override the seed")
-    v.add_argument("--quadrature-order", type=int, default=None,
-                   help="override the fiber quadrature order")
     v.add_argument("--tol-relative", type=float, default=None,
                    help="override the relative tolerance band")
     v.add_argument("--report", default=None, help="override the report path")
     v.add_argument("--format", choices=("text", "structured"), default=None,
                    help="report file format")
-    v.add_argument("--workers", type=int, default=None,
-                   help="worker count (default: PROJCURV_WORKERS or 1)")
     return parser
 
 
 def execute(cfg: config_mod.RunConfig) -> tuple[int, dict]:
     """Run a resolved plan; returns (exit_code, report_document)."""
-    doc = {"schema_version": SCHEMA_VERSION, "timestamp": None, "reports": [],
-           "verdict": "pass"}
+    doc = {"schema_version": SCHEMA_VERSION, "reports": []}
     try:
         pair = cfg.resolved_pair()
-        workers = cfg.workers or int(os.environ.get("PROJCURV_WORKERS", "1"))
         reports = run_suite(pair, cfg.suites, samples=cfg.samples, seed=cfg.seed,
-                            quadrature_order=cfg.quadrature_order,
-                            tol_relative=cfg.tol_relative, tol_exact=cfg.tol_exact,
-                            workers=workers)
+                            tol_relative=cfg.tol_relative, tol_exact=cfg.tol_exact)
+        doc["reports"] = [rep.to_dict() for rep in reports]
     except GeometryError as exc:
-        doc["verdict"] = "error"
         doc["error"] = str(exc)
-        doc["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S")
-        return 2, doc
-
-    any_fail = False
-    for rep in reports:
-        doc["reports"].append(rep.to_dict())
-        if rep.status == "fail":
-            any_fail = True
-        if rep.status == "error":
-            doc["verdict"] = "error"
-    if doc["verdict"] == "error":
-        doc["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S")
-        return 2, doc
-    doc["verdict"] = "fail" if any_fail else "pass"
+    except Exception as exc:       # exit 1 must mean "a band was violated"
+        doc["error"] = f"{type(exc).__name__}: {exc}"
+    statuses = {rep["status"] for rep in doc["reports"]}
+    if "error" in doc or "error" in statuses:
+        code, doc["verdict"] = 2, "error"
+    elif "fail" in statuses:
+        code, doc["verdict"] = 1, "fail"
+    else:
+        code, doc["verdict"] = 0, "pass"
     doc["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S")
-    return (1 if any_fail else 0), doc
+    return code, doc
 
 
 def _human_summary(doc: dict) -> str:
@@ -138,18 +124,12 @@ def main(argv=None) -> int:
         cfg.samples = args.samples
     if args.seed is not None:
         cfg.seed = args.seed
-    if args.quadrature_order is not None:
-        cfg.quadrature_order = args.quadrature_order
     if args.tol_relative is not None:
         cfg.tol_relative = args.tol_relative
     if args.report is not None:
         cfg.report = args.report
     if args.format is not None:
         cfg.format = args.format
-    if args.workers is not None:
-        cfg.workers = args.workers
-    if cfg.workers is None:
-        cfg.workers = int(os.environ.get("PROJCURV_WORKERS", "1"))
 
     code, doc = execute(cfg)
 

@@ -4,7 +4,6 @@ A plan is a YAML key/value tree.  Example:
 
     seed: 7
     samples: 25
-    quadrature_order: 8
     suites: [S1, S01, exact_holo, W_psd]
     pair: fs-to-poincare            # a zoo pair name, or an inline table:
     # pair:
@@ -39,13 +38,11 @@ class RunConfig:
     suites: list
     samples: int = 50
     seed: int = 7
-    quadrature_order: int = 8
     tol_relative: float = 1e-6
     tol_exact: float = 1e-4
     phi: str | None = None
     report: str | None = None
     format: str = "structured"
-    workers: int | None = None
 
     def resolved_pair(self) -> PairContext:
         return _resolve_pair(self.pair_spec, self.phi)
@@ -60,8 +57,8 @@ def parse_config(text: str) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config must be a key/value tree")
 
-    known = {"pair", "suites", "samples", "seed", "quadrature_order",
-             "tol_relative", "tol_exact", "phi", "report", "format", "workers"}
+    known = {"pair", "suites", "samples", "seed", "tol_relative", "tol_exact",
+             "phi", "report", "format"}
     for key in raw:
         if key not in known:
             raise ConfigError(f"{key}: unknown configuration key")
@@ -82,9 +79,6 @@ def parse_config(text: str) -> RunConfig:
     tol_exact = float(raw.get("tol_exact", 1e-4))
     if tol_relative <= 0 or tol_exact <= 0:
         raise ConfigError("tol_relative/tol_exact: tolerances must be positive")
-    qorder = int(raw.get("quadrature_order", 8))
-    if qorder < 2:
-        raise ConfigError("quadrature_order: must be >= 2")
     fmt = raw.get("format", "structured")
     if fmt not in ("structured", "text"):
         raise ConfigError(f"format: must be 'structured' or 'text', got {fmt!r}")
@@ -93,10 +87,9 @@ def parse_config(text: str) -> RunConfig:
     _validate_pair_spec(pair_spec)
 
     return RunConfig(pair_spec=pair_spec, suites=list(suites), samples=samples,
-                     seed=int(raw.get("seed", 7)), quadrature_order=qorder,
-                     tol_relative=tol_relative, tol_exact=tol_exact,
-                     phi=raw.get("phi"), report=raw.get("report"),
-                     format=fmt, workers=raw.get("workers"))
+                     seed=int(raw.get("seed", 7)), tol_relative=tol_relative,
+                     tol_exact=tol_exact, phi=raw.get("phi"),
+                     report=raw.get("report"), format=fmt)
 
 
 def _validate_pair_spec(spec):

@@ -136,15 +136,16 @@ def holomorphic_bisectional_curvature(metric: HermitianMetricField, z, u, v) -> 
 # ---------------------------------------------------------------------------
 # Riemannian side
 
-def _christoffels_from_jets(G, Ginv, d1):
+def _bracket(d):
+    """b[..., l, j, k] = d[..., j, l, k] + d[..., k, l, j] - d[..., l, j, k]
+    on the last three axes, where d[..., a, i, j] = d_a g_{ij}: the bracket
+    d_j g_{lk} + d_k g_{lj} - d_l g_{jk} of the Christoffel symbols."""
+    return np.swapaxes(d, -3, -2) + np.moveaxis(d, -3, -1) - d
+
+
+def _christoffels_from_jets(Ginv, d1):
     # Gamma^i_{jk} = 1/2 g^{il} (d_j g_{lk} + d_k g_{lj} - d_l g_{jk})
-    n = G.shape[0]
-    bracket = np.empty((n, n, n))
-    for l in range(n):
-        for j in range(n):
-            for k in range(n):
-                bracket[l, j, k] = d1[j, l, k] + d1[k, l, j] - d1[l, j, k]
-    return 0.5 * np.einsum("il,ljk->ijk", Ginv, bracket)
+    return 0.5 * np.einsum("il,ljk->ijk", Ginv, _bracket(d1))
 
 
 def levi_civita_christoffels(metric: RiemannianMetricField, x,
@@ -155,7 +156,7 @@ def levi_civita_christoffels(metric: RiemannianMetricField, x,
     metric.check_at(x)
     G, d1, _ = _riemannian_entry_jets(metric, x, backend=backend, order=1)
     Ginv = np.linalg.inv(G)
-    Gamma = _christoffels_from_jets(G, Ginv, d1)
+    Gamma = _christoffels_from_jets(Ginv, d1)
     if check_compatibility:
         # nabla_k g_{ij} = d_k g_{ij} - Gamma^s_{ki} g_{sj} - Gamma^s_{kj} g_{is}
         nabla = (d1 - np.einsum("ski,sj->kij", Gamma, G)
@@ -170,20 +171,10 @@ def _christoffel_jets(metric: RiemannianMetricField, x, backend="fd"):
     """Gamma and its first coordinate derivatives, assembled from metric jets."""
     G, d1, d2 = _riemannian_entry_jets(metric, x, backend=backend, order=2)
     Ginv = np.linalg.inv(G)
-    Gamma = _christoffels_from_jets(G, Ginv, d1)
-    n = G.shape[0]
+    Gamma = _christoffels_from_jets(Ginv, d1)
     dGinv = -np.einsum("ip,apq,ql->ail", Ginv, d1, Ginv)
-    bracket = np.empty((n, n, n))
-    dbracket = np.empty((n, n, n, n))
-    for l in range(n):
-        for j in range(n):
-            for k in range(n):
-                bracket[l, j, k] = d1[j, l, k] + d1[k, l, j] - d1[l, j, k]
-                for a in range(n):
-                    dbracket[a, l, j, k] = (d2[a, j, l, k] + d2[a, k, l, j]
-                                            - d2[a, l, j, k])
-    dGamma = 0.5 * (np.einsum("ail,ljk->aijk", dGinv, bracket)
-                    + np.einsum("il,aljk->aijk", Ginv, dbracket))
+    dGamma = 0.5 * (np.einsum("ail,ljk->aijk", dGinv, _bracket(d1))
+                    + np.einsum("il,aljk->aijk", Ginv, _bracket(d2)))
     return G, Ginv, d1, d2, Gamma, dGamma
 
 
@@ -446,12 +437,7 @@ def riemannian_normal_coordinates(metric: RiemannianMetricField, x0,
     stage1 = RiemannianMetricField(RealChart(dim=n, radius=np.ones(n)), stage1_rule,
                                    validate_on_init=False)
     d1 = np.real(diffops.matrix_jet(stage1, np.zeros(n), backend="dual", order=1)[0])
-    bracket = np.empty((n, n, n))
-    for l in range(n):
-        for j in range(n):
-            for k in range(n):
-                bracket[l, j, k] = d1[j, l, k] + d1[k, l, j] - d1[l, j, k]
-    Gamma = 0.5 * bracket  # stage-1 metric is delta at 0
+    Gamma = 0.5 * _bracket(d1)  # stage-1 metric is delta at 0
 
     opnorm = float(np.linalg.norm(A, 2))
     margin = metric.chart.margin(x0)

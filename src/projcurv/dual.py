@@ -30,7 +30,8 @@ import math
 
 import numpy as np
 
-__all__ = ["HyperDual", "exp", "log", "sqrt", "conj", "real", "imag", "abs2"]
+__all__ = ["HyperDual", "exp", "log", "sqrt", "conj", "real", "imag", "abs2",
+           "pairing"]
 
 
 class HyperDual:
@@ -206,3 +207,13 @@ def imag(x):
 def abs2(x):
     """Squared modulus x * conj(x); differentiable, unlike abs."""
     return x * conj(x)
+
+
+def pairing(M, u, v):
+    """Hermitian pairing sum_ij M[i][j] u[i] conj(v[j]), accumulated row by row
+    from 0.0 in that order, so every backend rounds it the same way."""
+    acc = 0.0
+    for i in range(len(u)):
+        for j in range(len(v)):
+            acc = acc + M[i][j] * u[i] * conj(v[j])
+    return acc

@@ -17,10 +17,6 @@ class BackendMismatchError(GeometryError):
     """Finite-difference and dual-number backends disagree beyond tolerance."""
 
 
-class AssemblyError(GeometryError):
-    """An assembled tensor failed an internal symmetry check."""
-
-
 class QuadratureError(GeometryError):
     """Fiber quadrature did not converge under order doubling."""
 

@@ -44,8 +44,34 @@ class ScalarField:
 
 
 class _MetricBase:
-    def probe_points(self, rng, count):
-        return [self.chart.sample(rng) for _ in range(count)]
+    """What the Hermitian and Riemannian metric fields share: generic
+    evaluation, inversion and the probe-point validation, which checks the
+    shape, the subclass's symmetry condition and positive definiteness."""
+
+    def matrix_generic(self, scalars):
+        return self.rule(tuple(scalars))
+
+    def inverse(self, z) -> np.ndarray:
+        return np.linalg.inv(self.matrix(z))
+
+    def _raw_matrix(self, z) -> np.ndarray:
+        return np.asarray(self.rule(tuple(np.asarray(z, self._coordinate_type))), complex)
+
+    def check_at(self, z):
+        M = self._raw_matrix(z)
+        if M.shape != (self.dim, self.dim):
+            raise ValidationError(
+                f"metric {self.name!r}: rule returned shape {M.shape}, "
+                f"expected ({self.dim}, {self.dim})")
+        lam = np.linalg.eigvalsh(self._check_symmetry(M, z))
+        if lam[0] <= 0:
+            raise ValidationError(
+                f"metric {self.name!r} not positive definite at {z}: "
+                f"min eigenvalue {lam[0]:.3e}")
+
+    def validate(self, rng, count: int = 100):
+        for _ in range(count):
+            self.check_at(self.chart.sample(rng))
 
 
 @dataclass(frozen=True)
@@ -68,6 +94,8 @@ class HermitianMetricField(_MetricBase):
     validate_on_init: bool = True
     matrix_dim: int = None
 
+    _coordinate_type = complex
+
     def __post_init__(self):
         if self.matrix_dim is None:
             object.__setattr__(self, "matrix_dim", self.chart.dim)
@@ -79,37 +107,18 @@ class HermitianMetricField(_MetricBase):
         return self.matrix_dim
 
     def matrix(self, z) -> np.ndarray:
-        return np.asarray(self.rule(tuple(np.asarray(z, complex))), complex)
-
-    def matrix_generic(self, scalars):
-        return self.rule(tuple(scalars))
-
-    def inverse(self, z) -> np.ndarray:
-        return np.linalg.inv(self.matrix(z))
+        return self._raw_matrix(z)
 
     def inverse_up(self, z) -> np.ndarray:
         """Inverse metric with raised indices: h^{a bbar} = conj(inv(H))[a, b]."""
         return np.linalg.inv(self.matrix(z)).conj()
 
-    def check_at(self, z):
-        H = self.matrix(z)
-        if H.shape != (self.dim, self.dim):
-            raise ValidationError(
-                f"metric {self.name!r}: rule returned shape {H.shape}, "
-                f"expected ({self.dim}, {self.dim})")
+    def _check_symmetry(self, H, z):
         defect = float(np.max(np.abs(H - H.conj().T)))
         if defect > HERMITIAN_DEFECT_TOL:
             raise ValidationError(
                 f"metric {self.name!r} not Hermitian at {z}: defect {defect:.3e}")
-        lam = np.linalg.eigvalsh(H)
-        if lam[0] <= 0:
-            raise ValidationError(
-                f"metric {self.name!r} not positive definite at {z}: "
-                f"min eigenvalue {lam[0]:.3e}")
-
-    def validate(self, rng, count: int = 100):
-        for z in self.probe_points(rng, count):
-            self.check_at(z)
+        return H
 
 
 @dataclass(frozen=True)
@@ -122,6 +131,8 @@ class RiemannianMetricField(_MetricBase):
     name: str = ""
     validate_on_init: bool = True
 
+    _coordinate_type = float
+
     def __post_init__(self):
         if self.validate_on_init:
             self.check_at(self.chart.center)
@@ -131,36 +142,16 @@ class RiemannianMetricField(_MetricBase):
         return self.chart.dim
 
     def matrix(self, x) -> np.ndarray:
-        G = np.asarray(self.rule(tuple(np.asarray(x, float))), complex)
-        return G.real
+        return self._raw_matrix(x).real
 
-    def matrix_generic(self, scalars):
-        return self.rule(tuple(scalars))
-
-    def inverse(self, x) -> np.ndarray:
-        return np.linalg.inv(self.matrix(x))
-
-    def check_at(self, x):
-        G = np.asarray(self.rule(tuple(np.asarray(x, float))), complex)
-        if G.shape != (self.dim, self.dim):
-            raise ValidationError(
-                f"metric {self.name!r}: rule returned shape {G.shape}, "
-                f"expected ({self.dim}, {self.dim})")
+    def _check_symmetry(self, G, x):
         if float(np.max(np.abs(G.imag))) > HERMITIAN_DEFECT_TOL:
             raise ValidationError(f"metric {self.name!r} has complex entries at {x}")
         defect = float(np.max(np.abs(G.real - G.real.T)))
         if defect > HERMITIAN_DEFECT_TOL:
             raise ValidationError(
                 f"metric {self.name!r} not symmetric at {x}: defect {defect:.3e}")
-        lam = np.linalg.eigvalsh(G.real)
-        if lam[0] <= 0:
-            raise ValidationError(
-                f"metric {self.name!r} not positive definite at {x}: "
-                f"min eigenvalue {lam[0]:.3e}")
-
-    def validate(self, rng, count: int = 100):
-        for x in self.probe_points(rng, count):
-            self.check_at(x)
+        return G.real
 
 
 class Form11:
@@ -220,13 +211,3 @@ class Form11:
 
     def __repr__(self):
         return f"Form11(dim={self.dim}, min_eig={self.min_eigenvalue():.3e})"
-
-
-def evaluate_form11(form: Form11, u) -> float:
-    """Evaluate the form on a tangent vector: real number u^dagger A u."""
-    return form.evaluate(u)
-
-
-def min_eigenvalue(form: Form11) -> float:
-    """Smallest eigenvalue of the Hermitian coefficient matrix."""
-    return form.min_eigenvalue()

@@ -57,7 +57,7 @@ class ChartedMap:
             for z in pts:
                 _, anti = self.jacobians(z)
                 defect = float(np.max(np.abs(anti)))
-                if defect > HOLO_FLAG_TOL:
+                if not defect <= HOLO_FLAG_TOL:    # a NaN defect fails too
                     raise ValidationError(
                         f"map {self.name!r} flagged holomorphic but "
                         f"max |df/dzbar| = {defect:.3e} at {z}")
@@ -108,18 +108,13 @@ class ChartedMap:
         return out
 
 
-def _target_matrix(g, fz):
-    """Target metric matrix at a target point, complex or real."""
-    return g.matrix(np.asarray(fz))
-
-
 # ---------------------------------------------------------------------------
 # densities, numeric entry points
 
 def classical_energy_density(f: ChartedMap, h: HermitianMetricField, g, z) -> float:
     """u = g_{ij} h^{a bbar} f^i_a conj(f^j_b); zero exactly when df vanishes."""
     holo, _ = f.jacobians(z)
-    G = _target_matrix(g, f.value(z))
+    G = g.matrix(f.value(z))
     hup = h.inverse_up(z)
     u = np.einsum("ij,ab,ia,jb->", G, hup, holo, holo.conj())
     return float(np.real(u))
@@ -130,7 +125,7 @@ def generalized_Y(f: ChartedMap, h: HermitianMetricField, g, P: BundlePoint) -> 
     holo, _ = f.jacobians(P.z)
     W = P.W_affine
     F = holo @ W
-    G = _target_matrix(g, f.value(P.z))
+    G = g.matrix(f.value(P.z))
     num = np.einsum("ij,i,j->", G, F, F.conj())
     H = np.einsum("gd,g,d->", h.matrix(P.z), W, W.conj())
     return float(np.real(num) / np.real(H))
@@ -144,7 +139,7 @@ def generalized_Y1(f: ChartedMap, h: HermitianMetricField,
     holo, _ = f.jacobians(Q.z)
     X = Q.W_affine
     hup = h.inverse_up(Q.z)
-    G = _target_matrix(g, f.value(Q.z))
+    G = g.matrix(f.value(Q.z))
     gup = np.linalg.inv(G).conj()       # g^{k lbar}
     num = np.einsum("ab,ia,jb,i,j->", hup, holo, holo.conj(), X, X.conj())
     H1 = np.einsum("kl,k,l->", gup, X, X.conj())
@@ -190,7 +185,7 @@ def generalized_Y2(f: ChartedMap, h: HermitianMetricField,
     F = holo @ W
     num = np.einsum("i,j,i,j->", F, F.conj(), X, X.conj())
     H = np.einsum("gd,g,d->", h.matrix(R.P.z), W, W.conj())
-    G = _target_matrix(g, f.value(R.P.z))
+    G = g.matrix(f.value(R.P.z))
     gup = np.linalg.inv(G).conj()
     H1 = np.einsum("kl,k,l->", gup, X, X.conj())
     return float(np.real(num) / (np.real(H) * np.real(H1)))
@@ -214,7 +209,7 @@ def generalized_Y_k(f: ChartedMap, h: HermitianMetricField, g, P: BundlePoint,
     JW = holo @ W
     vec = sympow.sym_power_vector(JW, f.n, k)
     fz = f.value(P.z)
-    Gk = (sympow.induced_metric(_target_matrix(g, fz), k)
+    Gk = (sympow.induced_metric(g.matrix(fz), k)
           if g_k is None else np.asarray(g_k(fz), complex))
     num = np.einsum("IJ,I,J->", Gk, vec, vec.conj())
     H = np.einsum("gd,g,d->", h.matrix(P.z), W, W.conj())
@@ -310,15 +305,8 @@ def Y_field(f: ChartedMap, h: HermitianMetricField, g,
         fz = f.rule(z)
         G = g.matrix_generic(fz)
         F = [sum(holo[i][a] * W[a] for a in range(m)) for i in range(n)]
-        num = 0.0
-        for i in range(n):
-            for j in range(n):
-                num = num + G[i][j] * F[i] * gm.conj(F[j])
-        Hm = h.matrix_generic(z)
-        H = 0.0
-        for a in range(m):
-            for b in range(m):
-                H = H + Hm[a][b] * W[a] * gm.conj(W[b])
+        num = gm.pairing(G, F, F)
+        H = gm.pairing(h.matrix_generic(z), W, W)
         return gm.real(num) / gm.real(H)
 
     return ScalarField(tm.combined_chart(chart_index), rule,
@@ -359,11 +347,7 @@ def Y1_field(f: ChartedMap, h: HermitianMetricField, g: HermitianMetricField,
                     for j in range(n):
                         num = num + hup[a][b] * holo[i][a] * gm.conj(holo[j][b]) \
                             * X[i] * gm.conj(X[j])
-        H1 = 0.0
-        for k in range(n):
-            for l in range(n):
-                H1 = H1 + gup[k][l] * X[k] * gm.conj(X[l])
-        return gm.real(num) / gm.real(H1)
+        return gm.real(num) / gm.real(gm.pairing(gup, X, X))
 
     if n == 1:
         chart = f.source
@@ -388,17 +372,9 @@ def Y2_field(f: ChartedMap, h: HermitianMetricField, g: HermitianMetricField,
         for i in range(n):
             for j in range(n):
                 num = num + F[i] * gm.conj(F[j]) * X[i] * gm.conj(X[j])
-        Hm = h.matrix_generic(z)
-        H = 0.0
-        for a in range(m):
-            for b in range(m):
-                H = H + Hm[a][b] * W[a] * gm.conj(W[b])
-        G = g.matrix_generic(f.rule(z))
-        gup = _generic_inverse_up(G, n)
-        H1 = 0.0
-        for k in range(n):
-            for l in range(n):
-                H1 = H1 + gup[k][l] * X[k] * gm.conj(X[l])
+        H = gm.pairing(h.matrix_generic(z), W, W)
+        gup = _generic_inverse_up(g.matrix_generic(f.rule(z)), n)
+        H1 = gm.pairing(gup, X, X)
         return gm.real(num) / (gm.real(H) * gm.real(H1))
 
     chart = f.source

@@ -39,8 +39,8 @@ from . import diffops, maps as maps_mod
 from .bundle import (BundlePoint, TautologicalMetric, horizontal_curvature_value,
                      tautological_H)
 from .curvature import chern_curvature, hermitian_normal_coordinates, riemann_curvature
-from .errors import NotApplicable, ValidationError
-from .fields import Form11, HermitianMetricField, RiemannianMetricField, ScalarField
+from .errors import GeometryError, NotApplicable, ValidationError
+from .fields import Form11, HermitianMetricField, RiemannianMetricField
 from .maps import ChartedMap, NestedBundlePoint
 
 SUITE_TAGS = ("S1", "S_minus1", "S01", "S02", "S2", "S3", "S03", "S11",
@@ -118,13 +118,29 @@ def suite_applicable(suite: str, pair: PairContext, rng=None) -> tuple[bool, str
 def _combined_dim(m: int) -> int:
     return m + max(m - 1, 0)
 
-def _grad_backend(field_backend: str) -> str:
-    return "fd" if field_backend == "fd" else "dual"
-
 
 def _log_H_hessian(tm: TautologicalMetric, P: BundlePoint) -> Form11:
     field = tm.log_H_field(P.chart_index)
     return diffops.wirtinger_hessian(field, P.combined(), backend="fd")
+
+
+def _density_hessian_sides(f: ChartedMap, h: HermitianMetricField, g,
+                           P: BundlePoint, weight=None):
+    """(ddbar Y, (ddbar log H^{-1}) Y, tautological metric) at P.
+
+    Y is the generalized density, or Y_phi = e^phi Y when ``weight`` is given;
+    the second entry is the tautological term both sides of the S1 family and
+    of the exact identities start from.
+    """
+    tm = TautologicalMetric(h, weight=weight)
+    if weight is None:
+        y_field = maps_mod.Y_field(f, h, g, P.chart_index)
+    else:
+        y_field = maps_mod.Y_phi_field(f, h, g, P.chart_index, weight)
+    lhs = diffops.wirtinger_hessian(y_field, P.combined(), backend="fd")
+    y_val = float(np.real(y_field(P.combined())))
+    taut = Form11(-_log_H_hessian(tm, P).matrix)
+    return lhs, taut.scaled(y_val), tm
 
 
 def _embed_base_block(C: np.ndarray, m: int, dim: int) -> Form11:
@@ -234,7 +250,7 @@ def assemble_W_form(f: ChartedMap, h: HermitianMetricField, g, P: BundlePoint,
     tm = TautologicalMetric(h, weight=weight)
     logH = tm.log_H_field(P.chart_index)
     dlogH = diffops.wirtinger_gradient(logH, P.combined(),
-                                       backend=_grad_backend(h.backend))
+                                       backend="fd" if h.backend == "fd" else "dual")
 
     fiber_idx = [a for a in range(m) if a != P.chart_index]
     V = np.zeros((n, dim), complex)
@@ -266,31 +282,15 @@ def verify_exact_identity(variant: str, f: ChartedMap, h: HermitianMetricField,
     if variant == "exact_pluri" and isinstance(g, HermitianMetricField):
         raise NotApplicable("exact_pluri needs a Riemannian target")
 
-    m = f.m
-    dim = _combined_dim(m)
-    tm = TautologicalMetric(h, weight=weight)
-
-    if weight is None:
-        y_field = maps_mod.Y_field(f, h, g, P.chart_index)
-    else:
-        y_field = maps_mod.Y_phi_field(f, h, g, P.chart_index, weight)
-    lhs = diffops.wirtinger_hessian(y_field, P.combined(), backend="fd")
-
+    lhs, taut, tm = _density_hessian_sides(f, h, g, P, weight)
     H_val = tm.H_value(P)
-    y_val = float(np.real(y_field(P.combined())))
-    log_hess = _log_H_hessian(tm, P)
-    taut = Form11(-log_hess.matrix)
-
     Wform = assemble_W_form(f, h, g, P, weight=weight,
                             variant="holomorphic" if variant == "exact_holo"
                             else "pluriharmonic")
-    if variant == "exact_holo":
-        C = _chern_curvature_term(f, g, P)
-    else:
-        C = _riemann_curvature_term(f, g, P)
-    curv = _embed_base_block(C, m, dim)
+    term = _chern_curvature_term if variant == "exact_holo" else _riemann_curvature_term
+    curv = _embed_base_block(term(f, g, P), f.m, _combined_dim(f.m))
 
-    rhs = taut.scaled(y_val) + Wform.scaled(1.0 / H_val) + curv.scaled(-1.0 / H_val)
+    rhs = taut + Wform.scaled(1.0 / H_val) + curv.scaled(-1.0 / H_val)
     scale = max(1.0, lhs.max_abs())
     resid = float(np.max(np.abs(lhs.matrix - rhs.matrix))) / scale
     return {
@@ -342,25 +342,14 @@ def verify_form_inequality(suite: str, f: ChartedMap, h: HermitianMetricField,
 
     if suite in ("S1", "S_minus1", "S03", "S11"):
         P: BundlePoint = point
-        m = f.m
-        dim = _combined_dim(m)
-        weight = phi if suite == "S03" else None
-        g_eff = _flat_scalar_target() if suite == "S_minus1" else g
-        tm = TautologicalMetric(h, weight=weight)
-        if weight is None:
-            y_field = maps_mod.Y_field(f, h, g_eff, P.chart_index)
+        if suite == "S_minus1":
+            lhs, rhs, _ = _density_hessian_sides(f, h, _flat_scalar_target(), P)
         else:
-            y_field = maps_mod.Y_phi_field(f, h, g_eff, P.chart_index, weight)
-        lhs = diffops.wirtinger_hessian(y_field, P.combined(), backend="fd")
-        y_val = float(np.real(y_field(P.combined())))
-        taut = Form11(-_log_H_hessian(tm, P).matrix)
-        rhs = taut.scaled(y_val)
-        if suite in ("S1", "S03"):
-            C = _chern_curvature_term(f, g_eff, P)
-            rhs = rhs + _embed_base_block(C, m, dim).scaled(-1.0 / tm.H_value(P))
-        elif suite == "S11":
-            C = _riemann_curvature_term(f, g_eff, P)
-            rhs = rhs + _embed_base_block(C, m, dim).scaled(-1.0 / tm.H_value(P))
+            lhs, rhs, tm = _density_hessian_sides(f, h, g, P,
+                                                  phi if suite == "S03" else None)
+            term = _riemann_curvature_term if suite == "S11" else _chern_curvature_term
+            C = _embed_base_block(term(f, g, P), f.m, _combined_dim(f.m))
+            rhs = rhs + C.scaled(-1.0 / tm.H_value(P))
         residual = lhs - rhs
 
     elif suite in ("S01", "hessian"):
@@ -379,7 +368,8 @@ def verify_form_inequality(suite: str, f: ChartedMap, h: HermitianMetricField,
         coords = np.concatenate([Q.z, Q.w]) if n > 1 else Q.z
         lhs = diffops.wirtinger_hessian(y1_field, coords, backend="fd")
         y1_val = float(np.real(y1_field(coords)))
-        logH1 = _log_H1_field(f, h, g, x_idx)
+        tm1 = _covector_tautological(f, g)
+        logH1 = tm1.log_H_field(x_idx)
         taut1 = Form11(-diffops.wirtinger_hessian(logH1, coords, backend="fd").matrix)
         holo, _ = f.jacobians(Q.z)
         X = Q.W_affine
@@ -388,7 +378,7 @@ def verify_form_inequality(suite: str, f: ChartedMap, h: HermitianMetricField,
         C = np.einsum("abgd,gn,md,km,ln,k,l->ab", Rh, hup, hup,
                       holo, holo.conj(), X, X.conj())
         _require_hermitian(C, "source curvature term")
-        H1_val = _H1_value(f, g, Q)
+        H1_val = tm1.H_raw(Q)
         dim = f.m + max(n - 1, 0)
         rhs = taut1.scaled(y1_val) + _embed_base_block(C, f.m, dim).scaled(1.0 / H1_val)
         residual = lhs - rhs
@@ -402,7 +392,7 @@ def verify_form_inequality(suite: str, f: ChartedMap, h: HermitianMetricField,
         y2_val = float(np.real(y2_field(coords)))
         tm = TautologicalMetric(h)
         logH_hess = _log_H_hessian(tm, R.P)
-        logH1 = _log_H1_field(f, h, g, R.x_chart_index)
+        logH1 = _covector_tautological(f, g).log_H_field(R.x_chart_index)
         x_coords = np.concatenate([R.P.z, R.x]) if n > 1 else R.P.z
         logH1_hess = diffops.wirtinger_hessian(logH1, x_coords, backend="fd")
         dim = m + max(m - 1, 0) + max(n - 1, 0)
@@ -429,15 +419,6 @@ def verify_form_inequality(suite: str, f: ChartedMap, h: HermitianMetricField,
 def _covector_tautological(f: ChartedMap, g: HermitianMetricField) -> TautologicalMetric:
     """H1 through the same machinery as H, with g^{k lbar}(f(z)) as the input."""
     return TautologicalMetric(maps_mod.covector_metric_field(f, g))
-
-
-def _H1_value(f: ChartedMap, g: HermitianMetricField, Q: BundlePoint) -> float:
-    return _covector_tautological(f, g).H_raw(Q)
-
-
-def _log_H1_field(f: ChartedMap, h: HermitianMetricField,
-                  g: HermitianMetricField, x_chart_index: int) -> ScalarField:
-    return _covector_tautological(f, g).log_H_field(x_chart_index)
 
 
 # ---------------------------------------------------------------------------
@@ -553,33 +534,6 @@ class VerificationReport:
         }
 
 
-def _sample_bundle_point(pair: PairContext, rng, frac=0.5) -> BundlePoint:
-    z = pair.f.source.sample(rng, frac)
-    m = pair.f.m
-    W = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-    while np.linalg.norm(W) < 0.3:
-        W = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-    return BundlePoint.make(z, W)
-
-
-def _sample_covector_point(pair: PairContext, rng, frac=0.5) -> BundlePoint:
-    z = pair.f.source.sample(rng, frac)
-    n = pair.f.n
-    X = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    while np.linalg.norm(X) < 0.3:
-        X = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    return BundlePoint.make(z, X)
-
-
-def _sample_nested_point(pair: PairContext, rng, frac=0.5) -> NestedBundlePoint:
-    P = _sample_bundle_point(pair, rng, frac)
-    n = pair.f.n
-    X = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    while np.linalg.norm(X) < 0.3:
-        X = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    return NestedBundlePoint.make(P.z, P.W, X)
-
-
 def _point_coords(pt) -> list:
     if isinstance(pt, BundlePoint):
         return {"z": _c2l(pt.z), "W": _c2l(pt.W)}
@@ -598,15 +552,19 @@ def _default_phi(zs, Ws):
 
 
 def run_suite(pair: PairContext, suites, samples: int = 50, seed: int = 7,
-              quadrature_order: int = 8, tol_relative: float = DEFAULT_TOL_RELATIVE,
+              tol_relative: float = DEFAULT_TOL_RELATIVE,
               tol_exact: float = DEFAULT_TOL_EXACT, probe_grid_size: int = 5,
               phi=None, workers: int = 1) -> list[VerificationReport]:
     """Run the requested suites on one pair; deterministic given (plan, seed).
 
-    Sample points are drawn up front in a fixed order and may be evaluated by
-    a worker pool; results are merged by sample index, so the worker count
-    cannot change any reported number.
+    Sample points are drawn up front in a fixed order and evaluated in that
+    order.  A ``GeometryError`` raised while a suite is routed or run makes
+    that suite an error naming the exception type; the other suites still
+    run.
+    ``workers`` is accepted for compatibility and must be 1.
     """
+    if workers != 1:
+        raise ValidationError(f"workers must be 1, got {workers!r}")
     if samples < 1:
         raise ValidationError("sample count must be >= 1")
     reports = []
@@ -614,52 +572,54 @@ def run_suite(pair: PairContext, suites, samples: int = 50, seed: int = 7,
         if suite not in SUITE_TAGS:
             raise ValidationError(f"unknown suite {suite!r}")
         t0 = time.perf_counter()
-        ord_idx = SUITE_TAGS.index(suite)
-        rng = np.random.default_rng([seed, ord_idx])
-        ok, why = suite_applicable(suite, pair, rng=np.random.default_rng([seed, 99]))
+        rng = np.random.default_rng([seed, SUITE_TAGS.index(suite)])
         tolerances = {"tol_relative": tol_relative, "tol_exact": tol_exact,
-                      "w_psd_tol": W_PSD_TOL,
-                      "quadrature_order": quadrature_order}
+                      "w_psd_tol": W_PSD_TOL}
         rep = VerificationReport(suite=suite, pair=pair.name, status="pass",
                                  seed=seed, samples=samples, tolerances=tolerances)
-        if not ok:
-            rep.status = "not_applicable"
-            rep.message = why
-            rep.runtime_s = time.perf_counter() - t0
-            reports.append(rep)
-            continue
         try:
-            _run_one_suite(rep, suite, pair, rng, samples, tol_relative,
-                           tol_exact, probe_grid_size, phi, workers)
-        except (ValidationError, NotApplicable) as exc:
+            ok, why = suite_applicable(suite, pair,
+                                       rng=np.random.default_rng([seed, 99]))
+            if ok:
+                _run_one_suite(rep, suite, pair, rng, samples, tol_relative,
+                               tol_exact, probe_grid_size, phi)
+            else:
+                rep.status = "not_applicable"
+                rep.message = why
+        except GeometryError as exc:
             rep.status = "error"
-            rep.message = str(exc)
+            rep.message = f"{type(exc).__name__}: {exc}"
         rep.runtime_s = time.perf_counter() - t0
         reports.append(rep)
     return reports
 
 
+def _fiber_direction(rng, k: int) -> np.ndarray:
+    """Gaussian complex k-vector, redrawn until its norm is at least 0.3."""
+    V = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+    while np.linalg.norm(V) < 0.3:
+        V = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+    return V
+
+
 def _draw_points(suite, pair, rng, samples):
+    """Sample points of the kind the suite evaluates: a base point, a
+    bundle point (z, [W]), a covector point (z, [X]) for S2 or a nested
+    point (z, [W], [X]) for S3.  Draw order per sample: z, then W, then X."""
+    f = pair.f
     pts = []
     for _ in range(samples):
-        if suite == "S2":
-            pts.append(_sample_covector_point(pair, rng))
+        z = f.source.sample(rng, 0.5)
+        if suite in ("S01", "hessian") or suite in TRACE_SUITES:
+            pts.append(z)
+        elif suite == "S2":
+            pts.append(BundlePoint.make(z, _fiber_direction(rng, f.n)))
         elif suite == "S3":
-            pts.append(_sample_nested_point(pair, rng))
-        elif suite in ("S01", "hessian") or suite in TRACE_SUITES:
-            pts.append(pair.f.source.sample(rng, 0.5))
+            W = _fiber_direction(rng, f.m)
+            pts.append(NestedBundlePoint.make(z, W, _fiber_direction(rng, f.n)))
         else:
-            pts.append(_sample_bundle_point(pair, rng))
+            pts.append(BundlePoint.make(z, _fiber_direction(rng, f.m)))
     return pts
-
-
-def _map_points(fn, pts, workers: int):
-    """Order-preserving map over sample points, optionally via a thread pool."""
-    if workers and workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, pts))
-    return [fn(pt) for pt in pts]
 
 
 def _record_sample(rep, k: int, pt, value: float, violated: bool) -> bool:
@@ -683,79 +643,57 @@ def _record_sample(rep, k: int, pt, value: float, violated: bool) -> bool:
     return True
 
 
-def _run_one_suite(rep, suite, pair, rng, samples, tol_relative, tol_exact,
-                   probe_grid_size, phi, workers=1):
+def _evaluate(suite, pair, pt, weight, tol_relative, tol_exact):
+    """One sample of a sampled suite: (residual, band violated, residual form
+    or None)."""
     f, h, g = pair.f, pair.h, pair.g
-    weight = phi if phi is not None else (pair.phi or _default_phi)
-
     if suite in FORM_SUITES:
-        pts = _draw_points(suite, pair, rng, samples)
-        outs = _map_points(
-            lambda pt: verify_form_inequality(
-                suite, f, h, g, pt, phi=weight if suite == "S03" else None),
-            pts, workers)
-        worst = None
-        for k, (pt, out) in enumerate(zip(pts, outs)):
-            value = out["min_eigenvalue"]
-            finite = _record_sample(rep, k, pt, value,
-                                    value < -tol_relative * out["scale"])
-            if finite and (worst is None or value < worst[0]):
-                eigvals, eigvecs = np.linalg.eigh(out["residual_form"].matrix)
-                worst = (value, _point_coords(pt), _c2l(eigvecs[:, 0]))
-        if worst:
-            rep.worst = {"residual": worst[0], "point": worst[1],
-                         "eigenvector": worst[2]}
+        out = verify_form_inequality(suite, f, h, g, pt,
+                                     phi=weight if suite == "S03" else None)
+        value = out["min_eigenvalue"]
+        return value, value < -tol_relative * out["scale"], out["residual_form"]
+    if suite in TRACE_SUITES:
+        out = verify_trace_inequality(suite, f, h, g, pt)
+        value = out["residual"]
+        return value, value < -tol_relative * out["scale"], None
+    if suite in EXACT_VARIANTS:
+        value = verify_exact_identity(suite, f, h, g, pt)["residual"]
+        return value, value > tol_exact, None
+    value = assemble_W_form(f, h, g, pt).min_eigenvalue()      # W_psd
+    return value, value < -W_PSD_TOL, None
 
-    elif suite in TRACE_SUITES:
-        pts = _draw_points(suite, pair, rng, samples)
-        outs = _map_points(lambda z: verify_trace_inequality(suite, f, h, g, z),
-                           pts, workers)
-        worst = None
-        for k, (z, out) in enumerate(zip(pts, outs)):
-            value = out["residual"]
-            finite = _record_sample(rep, k, z, value,
-                                    value < -tol_relative * out["scale"])
-            if finite and (worst is None or value < worst[0]):
-                worst = (value, _point_coords(z))
-        if worst:
-            rep.worst = {"residual": worst[0], "point": worst[1]}
 
-    elif suite in EXACT_VARIANTS:
-        pts = _draw_points(suite, pair, rng, samples)
-        outs = _map_points(lambda P: verify_exact_identity(suite, f, h, g, P),
-                           pts, workers)
-        worst = None
-        for k, (P, out) in enumerate(zip(pts, outs)):
-            value = out["residual"]
-            finite = _record_sample(rep, k, P, value, value > tol_exact)
-            if finite and (worst is None or value > worst[0]):
-                worst = (value, _point_coords(P))
-        if worst:
-            rep.worst = {"residual": worst[0], "point": worst[1]}
-
-    elif suite == "W_psd":
-        pts = _draw_points(suite, pair, rng, samples)
-        outs = _map_points(lambda P: assemble_W_form(f, h, g, P).min_eigenvalue(),
-                           pts, workers)
-        worst = None
-        for k, (P, mineig) in enumerate(zip(pts, outs)):
-            finite = _record_sample(rep, k, P, mineig, mineig < -W_PSD_TOL)
-            if finite and (worst is None or mineig < worst[0]):
-                worst = (mineig, _point_coords(P))
-        if worst:
-            rep.worst = {"residual": worst[0], "point": worst[1]}
-
-    elif suite == "S5_probe":
+def _run_one_suite(rep, suite, pair, rng, samples, tol_relative, tol_exact,
+                   probe_grid_size, phi):
+    if suite == "S5_probe":
         grid = _probe_grid(pair, probe_grid_size)
-        out = maximum_principle_probe(f, h, g, grid, compact=pair.compact)
+        out = maximum_principle_probe(pair.f, pair.h, pair.g, grid,
+                                      compact=pair.compact)
         rep.residuals = [out.get("term1", 0.0), out.get("term2", 0.0)]
         rep.message = f"pattern={out['pattern']}"
         rep.worst = {k: v for k, v in out.items()
                      if k in ("pattern", "y_max", "term1", "term2", "conclusion",
                               "status")}
+        return
 
-    else:
-        raise ValidationError(f"unhandled suite {suite!r}")
+    weight = phi if phi is not None else (pair.phi or _default_phi)
+    pts = _draw_points(suite, pair, rng, samples)
+    # every sample is evaluated before any is recorded, so a suite that
+    # raises reports no partial residuals
+    outs = [_evaluate(suite, pair, pt, weight, tol_relative, tol_exact) for pt in pts]
+    # the worst sample has the largest residual for the exact identities and
+    # the smallest for every lower-bound suite
+    sign = 1.0 if suite in EXACT_VARIANTS else -1.0
+    worst = None
+    for k, (value, violated, form) in enumerate(outs):
+        finite = _record_sample(rep, k, pts[k], value, violated)
+        if finite and (worst is None or sign * value > sign * worst[0]):
+            worst = (value, k, form)
+    if worst:
+        value, k, form = worst
+        rep.worst = {"residual": value, "point": rep.points[k]}
+        if form is not None:
+            rep.worst["eigenvector"] = _c2l(np.linalg.eigh(form.matrix)[1][:, 0])
 
 
 def _probe_grid(pair: PairContext, size: int) -> list:

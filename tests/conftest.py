@@ -1,7 +1,9 @@
+import numpy as np
 import pytest
 
 from projcurv import dual as gm
 from projcurv.charts import ComplexChart, RealChart
+from projcurv.dual import HyperDual
 from projcurv.fields import HermitianMetricField, RiemannianMetricField
 from projcurv.maps import ChartedMap
 
@@ -84,3 +86,10 @@ def hyperbolic2():
 def identity_map(h, g):
     return ChartedMap(h.chart, g.chart, lambda z: tuple(z), holomorphic=True,
                       name="identity")
+
+
+def nan_on_right_half(x):
+    """1 where Re x < 0 and NaN elsewhere, elementwise on numbers, arrays and jets."""
+    while isinstance(x, HyperDual):
+        x = x.f0
+    return np.where(np.real(x) < 0, 1.0, np.nan)

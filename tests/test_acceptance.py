@@ -28,8 +28,7 @@ def _pair(name):
 
 
 def _bundle_points(pair, seed, count):
-    rng = np.random.default_rng(seed)
-    return [V._sample_bundle_point(pair, rng) for _ in range(count)]
+    return V._draw_points("S1", pair, np.random.default_rng(seed), count)
 
 
 def test_criterion_01_flat_baselines():

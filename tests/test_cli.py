@@ -38,6 +38,11 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="frobnicate"):
             config.parse_config("pair: flat-identity\nsuites: []\nfrobnicate: 1\n")
 
+    @pytest.mark.parametrize("key", ["workers", "quadrature_order"])
+    def test_removed_keys_rejected(self, key):
+        with pytest.raises(ConfigError, match=f"{key}: unknown configuration key"):
+            config.parse_config(MINIMAL + f"{key}: 2\n")
+
     def test_malformed_yaml(self):
         with pytest.raises(ConfigError, match="well-formed"):
             config.parse_config("pair: [unclosed\n")
@@ -79,6 +84,8 @@ class TestCliScenarios:
         doc = json.loads(report.read_text())
         assert doc["verdict"] == "pass"
         assert all(r["status"] == "pass" for r in doc["reports"])
+        assert doc["schema_version"] == 2
+        assert "quadrature_order" not in doc["reports"][0]["tolerances"]
 
     def test_not_applicable_warns_exit_zero(self, tmp_path, capsys):
         plan = tmp_path / "plan.yaml"
@@ -117,6 +124,34 @@ tol_exact: 1.0e-30
 """)
         code = cli.main(["verify", "--config", str(plan)])
         assert code == 1
+
+    def test_unexpected_exception_exit_two(self, tmp_path):
+        # log of a negative real raises ValueError outside GeometryError; it
+        # used to escape as a traceback with exit code 1, the code of a
+        # violated band
+        plan = tmp_path / "plan.yaml"
+        report = tmp_path / "report.json"
+        plan.write_text(f"""
+suites: [S11]
+samples: 2
+pair:
+  source: {{zoo: flat, dim: 1}}
+  target: {{zoo: euclidean, dim: 1}}
+  map: {{components: ["log(re(z1) - 1)"]}}
+report: {report}
+""")
+        assert cli.main(["verify", "--config", str(plan)]) == 2
+        doc = json.loads(report.read_text())
+        assert doc["verdict"] == "error"
+        assert doc["error"].startswith("ValueError: ")
+
+    @pytest.mark.parametrize("flag", ["--workers", "--quadrature-order"])
+    def test_removed_flags_rejected(self, tmp_path, flag):
+        plan = tmp_path / "plan.yaml"
+        plan.write_text(MINIMAL)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--config", str(plan), flag, "2"])
+        assert exc.value.code == 2
 
     def test_unknown_config_path(self, tmp_path):
         code = cli.main(["verify", "--config", str(tmp_path / "missing.yaml")])

@@ -4,19 +4,18 @@ import pytest
 from projcurv import dual as gm
 from projcurv.charts import ComplexChart, RealChart
 from projcurv.errors import ValidationError
-from projcurv.fields import (Form11, HermitianMetricField, RiemannianMetricField,
-                             evaluate_form11, min_eigenvalue)
+from projcurv.fields import Form11, HermitianMetricField, RiemannianMetricField
 
 
 class TestForm11:
     def test_evaluate_identity(self):
         form = Form11(np.eye(2))
-        assert evaluate_form11(form, [1, 0]) == pytest.approx(1.0)
+        assert form.evaluate([1, 0]) == pytest.approx(1.0)
 
     def test_signature_cancellation(self):
         form = Form11(np.diag([1.0, -1.0]))
         u = np.array([1, 1]) / np.sqrt(2)
-        assert evaluate_form11(form, u) == pytest.approx(0.0, abs=1e-14)
+        assert form.evaluate(u) == pytest.approx(0.0, abs=1e-14)
 
     def test_fs_potential_hessian_direction(self):
         from projcurv import diffops
@@ -24,7 +23,7 @@ class TestForm11:
         chart = ComplexChart(dim=2, radius=[1.0, 1.0])
         F = ScalarField(chart, lambda z: gm.log(1 + gm.abs2(z[0]) + gm.abs2(z[1])))
         form = diffops.wirtinger_hessian(F, [0.0, 0.0])
-        assert evaluate_form11(form, [1, 0]) == pytest.approx(1.0, abs=1e-9)
+        assert form.evaluate([1, 0]) == pytest.approx(1.0, abs=1e-9)
 
     def test_evaluate_always_real(self):
         rng = np.random.default_rng(3)
@@ -32,20 +31,20 @@ class TestForm11:
             A = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
             form = Form11(A)   # symmetrized on construction
             u = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-            val = evaluate_form11(form, u)
+            val = form.evaluate(u)
             assert isinstance(val, float)
             # against the raw quadratic form of the symmetrized matrix
             direct = u.conj() @ form.matrix @ u
             assert abs(direct.imag) < 1e-12
 
     def test_min_eigenvalue_examples(self):
-        assert min_eigenvalue(Form11(np.eye(3))) == pytest.approx(1.0)
-        assert min_eigenvalue(Form11(np.zeros((2, 2)))) == pytest.approx(0.0)
-        assert min_eigenvalue(Form11(np.diag([2.0, -3.0]))) == pytest.approx(-3.0)
+        assert Form11(np.eye(3)).min_eigenvalue() == pytest.approx(1.0)
+        assert Form11(np.zeros((2, 2))).min_eigenvalue() == pytest.approx(0.0)
+        assert Form11(np.diag([2.0, -3.0])).min_eigenvalue() == pytest.approx(-3.0)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValidationError):
-            evaluate_form11(Form11(np.eye(2)), [1, 0, 0])
+            Form11(np.eye(2)).evaluate([1, 0, 0])
 
     def test_embed(self):
         sub = np.array([[2.0]])

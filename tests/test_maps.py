@@ -9,7 +9,7 @@ from projcurv.charts import RealChart
 from projcurv.errors import ValidationError
 from projcurv.fields import RiemannianMetricField
 
-from conftest import conformal_real_rule, identity_map
+from conftest import conformal_real_rule, identity_map, nan_on_right_half
 
 
 def square_map(flat1):
@@ -22,6 +22,14 @@ class TestChartedMap:
         with pytest.raises(ValidationError):
             mp.ChartedMap(flat1.chart, flat1.chart, lambda z: (gm.conj(z[0]),),
                           holomorphic=True, name="conj")
+
+    def test_nan_jacobian_is_constructor_error(self, fs1):
+        # NaN compares False with the flag tolerance, so a map that is NaN on
+        # half the chart (the center included) used to pass as holomorphic
+        with np.errstate(invalid="ignore"), pytest.raises(ValidationError, match="nan"):
+            mp.ChartedMap(fs1.chart, fs1.chart,
+                          lambda z: (0.4 * z[0] * nan_on_right_half(z[0]),),
+                          holomorphic=True, name="half-nan")
 
     def test_anti_derivatives_vanish_for_holomorphic(self, flat1):
         f = square_map(flat1)

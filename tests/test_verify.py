@@ -8,12 +8,11 @@ from projcurv import verify as V
 from projcurv import zoo
 from projcurv.bundle import BundlePoint, TautologicalMetric
 from projcurv.charts import ComplexChart
-from projcurv.dual import HyperDual
-from projcurv.errors import NotApplicable, ValidationError
+from projcurv.errors import ChartDomainError, NotApplicable, ValidationError
 from projcurv.fields import HermitianMetricField
 from projcurv.maps import ChartedMap, covector_metric_field, generalized_Y
 
-from conftest import fs_rule, identity_map
+from conftest import fs_rule, identity_map, nan_on_right_half
 
 
 def pair(name):
@@ -21,8 +20,7 @@ def pair(name):
 
 
 def sample_points(p, seed, count):
-    rng = np.random.default_rng(seed)
-    return [V._sample_bundle_point(p, rng) for _ in range(count)]
+    return V._draw_points("S1", p, np.random.default_rng(seed), count)
 
 
 class TestWForm:
@@ -221,7 +219,7 @@ class TestBackendsOnDensityFields:
         from projcurv.maps import Y1_field, u_field
         p = pair("fs2-to-ball")
         rng = np.random.default_rng(62)
-        Q = V._sample_covector_point(p, rng)
+        Q = V._draw_points("S2", p, rng, 1)[0]
         f1 = Y1_field(p.f, p.h, p.g, Q.chart_index)
         assert diffops.cross_check(f1, np.concatenate([Q.z, Q.w])) <= 1e-5
         fu = u_field(p.f, p.h, p.g)
@@ -340,15 +338,69 @@ class TestRunSuite:
     def test_workers_do_not_change_results(self):
         p = pair("fs-to-poincare")
         a = V.run_suite(p, ["S1"], samples=4, seed=11, workers=1)
-        b = V.run_suite(p, ["S1"], samples=4, seed=11, workers=3)
+        b = V.run_suite(p, ["S1"], samples=4, seed=11)
         assert a[0].residuals == b[0].residuals
+        for workers in (2, 3):
+            with pytest.raises(ValidationError, match="workers"):
+                V.run_suite(p, ["S1"], samples=4, seed=11, workers=workers)
 
+    @pytest.mark.parametrize("suite", ["S1", "S2", "S3", "S02", "exact_holo", "W_psd"])
+    def test_residuals_equal_direct_evaluation(self, suite):
+        # one suite per family: the runner's residuals, worst sample and worst
+        # eigenvector are those of the public evaluator on the same points
+        p = pair("fs2-to-ball")
+        rep = V.run_suite(p, [suite], samples=3, seed=4)[0]
+        rng = np.random.default_rng([4, V.SUITE_TAGS.index(suite)])
+        forms = {}
+        direct = []
+        for k, pt in enumerate(V._draw_points(suite, p, rng, 3)):
+            if suite in V.FORM_SUITES:
+                out = V.verify_form_inequality(suite, p.f, p.h, p.g, pt)
+                forms[k] = out["residual_form"]
+                direct.append(out["min_eigenvalue"])
+            elif suite in V.TRACE_SUITES:
+                direct.append(V.verify_trace_inequality(suite, p.f, p.h, p.g, pt)["residual"])
+            elif suite in V.EXACT_VARIANTS:
+                direct.append(V.verify_exact_identity(suite, p.f, p.h, p.g, pt)["residual"])
+            else:
+                direct.append(V.assemble_W_form(p.f, p.h, p.g, pt).min_eigenvalue())
+        assert rep.status == "pass"
+        assert rep.residuals == direct
+        worst = (max if suite in V.EXACT_VARIANTS else min)(range(3), key=direct.__getitem__)
+        assert rep.worst["residual"] == direct[worst]
+        assert rep.worst["point"] == rep.points[worst]
+        if forms:
+            vec = np.linalg.eigh(forms[worst].matrix)[1][:, 0]
+            assert rep.worst["eigenvector"] == V._c2l(vec)
+        else:
+            assert "eigenvector" not in rep.worst
 
-def _nan_on_right_half(x):
-    """1 where Re x < 0 and NaN elsewhere, elementwise on numbers, arrays and jets."""
-    while isinstance(x, HyperDual):
-        x = x.f0
-    return np.where(np.real(x) < 0, 1.0, np.nan)
+    def test_suite_error_does_not_erase_other_suites(self):
+        # 3 z leaves the target chart: a ChartDomainError used to abort the
+        # whole run and lose every report
+        base = pair("fs-to-poincare")
+        f = ChartedMap(base.h.chart, base.g.chart, lambda z: (3 * z[0],),
+                       holomorphic=True, name="triple")
+        p = V.PairContext(f=f, h=base.h, g=base.g, name="triple")
+        reports = V.run_suite(p, ["S1", "S11", "W_psd"], samples=3, seed=0)
+        assert [r.status for r in reports] == ["error", "not_applicable", "error"]
+        for rep in (reports[0], reports[2]):
+            assert rep.message.startswith("ChartDomainError: "), rep.message
+            json.dumps(rep.to_dict())
+
+    def test_routing_error_is_a_suite_error(self):
+        # routing a pluri-harmonic suite evaluates the map; a geometry error
+        # raised there belongs to that suite alone
+        base = pair("pluri-poincare")
+
+        def rule(z):
+            raise ChartDomainError("outside the chart")
+
+        f = ChartedMap(base.h.chart, base.g.chart, rule, name="raises")
+        p = V.PairContext(f=f, h=base.h, g=base.g, name="raises")
+        reports = V.run_suite(p, ["S11", "S1"], samples=2, seed=0)
+        assert [r.status for r in reports] == ["error", "not_applicable"]
+        assert reports[0].message == "ChartDomainError: outside the chart"
 
 
 class TestFailClosed:
@@ -357,8 +409,8 @@ class TestFailClosed:
         # the chart used to pass S1, S01, exact_holo and W_psd
         base = pair("fs-to-poincare")
         f = ChartedMap(base.h.chart, base.g.chart,
-                       lambda z: (0.4 * z[0] * _nan_on_right_half(z[0]),),
-                       holomorphic=True, name="half-nan")
+                       lambda z: (0.4 * z[0] * nan_on_right_half(z[0]),),
+                       holomorphic=True, name="half-nan", validate_on_init=False)
         p = V.PairContext(f=f, h=base.h, g=base.g, name="half-nan")
         suites = ["S1", "S01", "S02", "S2", "S3", "S03", "exact_holo", "W_psd"]
         with np.errstate(invalid="ignore", divide="ignore"):
