@@ -18,6 +18,7 @@ results at the 1e-12 level.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -248,8 +249,9 @@ def _sphere_nodes(m: int, order: int):
     return nodes, thetas
 
 
+@functools.lru_cache(maxsize=None)
 def _fiber_nodes(m: int, order: int):
-    """Flattened (V, weight) list over radial times angular grids."""
+    """Flattened (V, weight) arrays over radial times angular grids, read-only."""
     radial_nodes, thetas = _sphere_nodes(m, order)
     out_V = []
     out_w = []
@@ -262,7 +264,10 @@ def _fiber_nodes(m: int, order: int):
                 V[j + 1] = root_t[j + 1] * np.exp(1j * thetas[aidx])
             out_V.append(V)
             out_w.append(wt / order ** (m - 1))
-    return np.asarray(out_V), np.asarray(out_w)
+    Vs, ws = np.asarray(out_V), np.asarray(out_w)
+    for arr in (Vs, ws):
+        arr.setflags(write=False)
+    return Vs, ws
 
 
 def _fiber_integral_once(h: HermitianMetricField, density, z, order: int) -> float:
@@ -272,11 +277,18 @@ def _fiber_integral_once(h: HermitianMetricField, density, z, order: int) -> flo
     S_inv = U @ np.diag(lam ** -0.5) @ U.conj().T   # H(S^{-1} V) = |V|^2
     Vs, ws = _fiber_nodes(m, order)
     Ws = Vs @ S_inv.T
-    terms = []
-    for Wk, wk in zip(Ws, ws):
-        P = BundlePoint.make(z, Wk)
-        terms.append(wk * float(density(P)))
-    return math.fsum(terms)
+    # affine representatives: each row scaled so that its largest-modulus
+    # coordinate is one, as BundlePoint.W_affine does
+    rows = np.arange(len(Ws))
+    Ws = Ws / Ws[rows, np.argmax(np.abs(Ws), axis=1)][:, None]
+    vals = np.asarray(density(Ws), float)
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if bad.size:
+        k = int(bad[0])
+        raise QuadratureError(
+            f"fiber density is not finite at z = {np.asarray(z).tolist()}, "
+            f"order {order}, node {k} (W = {Ws[k].tolist()}): {vals[k]}")
+    return math.fsum(ws * vals)
 
 
 def fiber_integrate(h: HermitianMetricField, density, z, order: int = 8,
@@ -284,16 +296,14 @@ def fiber_integrate(h: HermitianMetricField, density, z, order: int = 8,
     """Integral of a fiber density over P(T_zM) against the normalized
     Fubini-Study volume of h(z); constants integrate to themselves.
 
-    The density is a callable on BundlePoint, invariant under W -> lambda W.
-    Convergence is certified by order doubling; disagreement beyond ``tol``
-    raises QuadratureError.
+    ``density`` maps an (N, m) array of fiber directions over z, each row an
+    affine representative whose largest-modulus coordinate is one, to N real
+    values; it must be invariant under W -> lambda W.  A non-finite value at
+    any node raises QuadratureError.  Convergence is certified by order
+    doubling; disagreement beyond ``tol`` raises QuadratureError.
     """
     if order < 2:
         raise ValidationError("quadrature order must be at least 2")
-    m = h.dim
-    if m == 1:
-        val = float(density(BundlePoint.make(z, np.array([1.0 + 0j]))))
-        return (val, val, val) if return_orders else val
     i1 = _fiber_integral_once(h, density, z, order)
     i2 = _fiber_integral_once(h, density, z, 2 * order)
     if abs(i2 - i1) > tol * max(1.0, abs(i2)):
@@ -312,11 +322,7 @@ def pushforward_energy_check(f, h: HermitianMetricField, g, z,
     """
     from . import maps as maps_mod
 
-    m = h.dim
-
-    def density(P: BundlePoint) -> float:
-        return maps_mod.generalized_Y(f, h, g, P)
-
-    pushed = m * fiber_integrate(h, density, z, order=order, tol=tol)
+    density = maps_mod.Y_on_fiber(f, h, g, z)
+    pushed = h.dim * fiber_integrate(h, density, z, order=order, tol=tol)
     u = maps_mod.classical_energy_density(f, h, g, z)
     return pushed, u, abs(pushed - u)

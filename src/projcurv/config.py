@@ -19,6 +19,7 @@ Semantic errors name the offending key, e.g. "suites[2]: unknown suite 'S99'".
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,13 +73,14 @@ def parse_config(text: str) -> RunConfig:
         if s not in SUITE_TAGS:
             raise ConfigError(f"suites[{k}]: unknown suite {s!r}")
 
-    samples = int(raw.get("samples", 50))
+    samples = _number(raw, "samples", 50, int)
     if samples < 1:
         raise ConfigError("samples: must be >= 1")
-    tol_relative = float(raw.get("tol_relative", 1e-6))
-    tol_exact = float(raw.get("tol_exact", 1e-4))
-    if tol_relative <= 0 or tol_exact <= 0:
-        raise ConfigError("tol_relative/tol_exact: tolerances must be positive")
+    seed = _number(raw, "seed", 7, int)
+    tol_relative = _number(raw, "tol_relative", 1e-6, float)
+    tol_exact = _number(raw, "tol_exact", 1e-4, float)
+    if not (0 < tol_relative < math.inf and 0 < tol_exact < math.inf):
+        raise ConfigError("tol_relative/tol_exact: tolerances must be positive and finite")
     fmt = raw.get("format", "structured")
     if fmt not in ("structured", "text"):
         raise ConfigError(f"format: must be 'structured' or 'text', got {fmt!r}")
@@ -87,9 +89,19 @@ def parse_config(text: str) -> RunConfig:
     _validate_pair_spec(pair_spec)
 
     return RunConfig(pair_spec=pair_spec, suites=list(suites), samples=samples,
-                     seed=int(raw.get("seed", 7)), tol_relative=tol_relative,
+                     seed=seed, tol_relative=tol_relative,
                      tol_exact=tol_exact, phi=raw.get("phi"),
                      report=raw.get("report"), format=fmt)
+
+
+def _number(raw: dict, key: str, default, kind):
+    """``kind(raw[key])``, or of the default; a value that does not convert
+    is a ConfigError naming the key and the value."""
+    value = raw.get(key, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{key}: expected a number, got {value!r}") from None
 
 
 def _validate_pair_spec(spec):

@@ -120,15 +120,29 @@ def classical_energy_density(f: ChartedMap, h: HermitianMetricField, g, z) -> fl
     return float(np.real(u))
 
 
+def Y_on_fiber(f: ChartedMap, h: HermitianMetricField, g, z):
+    """The density Y on the fiber P(T_zM) over one base point.
+
+    df(z), f(z), g(f(z)) and h(z) are evaluated once.  The returned function
+    maps an (N, m) stack of affine fiber representatives W to the N values
+    g(df W, df W) / h(W, W).
+    """
+    holo, _ = f.jacobians(z)
+    G = g.matrix(f.value(z))
+    Hm = h.matrix(z)
+
+    def density(Ws: np.ndarray) -> np.ndarray:
+        F = (holo @ Ws[:, :, None])[:, :, 0]     # each row rounds as holo @ W does
+        num = np.einsum("ij,ni,nj->n", G, F, F.conj())
+        H = np.einsum("gd,ng,nd->n", Hm, Ws, Ws.conj())
+        return np.real(num) / np.real(H)
+
+    return density
+
+
 def generalized_Y(f: ChartedMap, h: HermitianMetricField, g, P: BundlePoint) -> float:
     """Fiberwise Rayleigh quotient g(df W, df W) / H at a bundle point."""
-    holo, _ = f.jacobians(P.z)
-    W = P.W_affine
-    F = holo @ W
-    G = g.matrix(f.value(P.z))
-    num = np.einsum("ij,i,j->", G, F, F.conj())
-    H = np.einsum("gd,g,d->", h.matrix(P.z), W, W.conj())
-    return float(np.real(num) / np.real(H))
+    return float(Y_on_fiber(f, h, g, P.z)(P.W_affine[None])[0])
 
 
 def generalized_Y1(f: ChartedMap, h: HermitianMetricField,

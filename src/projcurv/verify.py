@@ -458,11 +458,23 @@ def maximum_principle_probe(f: ChartedMap, h: HermitianMetricField,
     grid = list(grid)
     if not grid:
         raise ValidationError("probe needs a nonempty grid")
-    best, best_val = None, -math.inf
-    for P in grid:
-        val = maps_mod.generalized_Y(f, h, g, P)
-        if val > best_val:
-            best, best_val = P, val
+    # one evaluator per base point, the grid's points grouped by z in grid order
+    groups = {}
+    for k, P in enumerate(grid):
+        groups.setdefault(P.z.tobytes(), []).append(k)
+    vals = np.empty(len(grid))
+    for ks in groups.values():
+        density = maps_mod.Y_on_fiber(f, h, g, grid[ks[0]].z)
+        vals[ks] = density(np.array([grid[k].W_affine for k in ks]))
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if bad.size:
+        P = grid[int(bad[0])]
+        raise ValidationError(
+            f"Y is not finite at probe point z = {P.z.tolist()}, "
+            f"W = {P.W.tolist()}: {vals[bad[0]]}")
+    # the first of equal maxima wins, as in a strict-max scan in grid order
+    k = int(np.argmax(vals))
+    best, best_val = grid[k], float(vals[k])
     if best_val <= vanish_tol:
         return {"status": "vacuous", "y_max": best_val, "compact": compact,
                 "pattern": "vacuous", "conclusion": "density vanishes on the grid"}

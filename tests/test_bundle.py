@@ -3,6 +3,7 @@ import pytest
 
 from projcurv import dual as gm
 from projcurv import bundle as bd
+from projcurv import zoo
 from projcurv.charts import ComplexChart
 from projcurv.curvature import (chern_curvature, hermitian_normal_coordinates,
                                 holomorphic_sectional_curvature)
@@ -224,14 +225,16 @@ class TestRCPositiveLineBundle:
 class TestFiberIntegration:
     def test_constant_density(self, flat2, fs2):
         for h in (flat2, fs2):
-            val = bd.fiber_integrate(h, lambda P: 3.25, [0.1, 0.05j], order=4)
+            val = bd.fiber_integrate(h, lambda W: np.full(len(W), 3.25), [0.1, 0.05j],
+                                     order=4)
             assert val == pytest.approx(3.25, abs=1e-12)
 
     def test_constant_m1_and_m3(self, flat1):
-        assert bd.fiber_integrate(flat1, lambda P: 2.0, [0.1], order=4) == 2.0
+        assert bd.fiber_integrate(flat1, lambda W: np.full(len(W), 2.0), [0.1],
+                                  order=4) == 2.0
         chart3 = ComplexChart(dim=3, radius=[1.0] * 3)
         flat3 = HermitianMetricField(chart3, lambda z: np.eye(3).tolist(), name="f3")
-        val = bd.fiber_integrate(flat3, lambda P: 1.0, [0, 0, 0], order=4)
+        val = bd.fiber_integrate(flat3, lambda W: np.ones(len(W)), [0, 0, 0], order=4)
         assert val == pytest.approx(1.0, abs=1e-8)
 
     @pytest.mark.parametrize("m", [2, 3])
@@ -240,9 +243,8 @@ class TestFiberIntegration:
         flat = HermitianMetricField(chart, lambda z: np.eye(m).tolist(), name="flat")
         for a in range(m):
             for b in range(m):
-                def density(P, a=a, b=b):
-                    W = P.W
-                    return (W[a] * np.conj(W[b])).real / np.linalg.norm(W) ** 2
+                def density(W, a=a, b=b):
+                    return (W[:, a] * np.conj(W[:, b])).real / np.linalg.norm(W, axis=1) ** 2
 
                 val = bd.fiber_integrate(flat, density, np.zeros(m), order=6)
                 expected = (1.0 / m) if a == b else 0.0
@@ -250,17 +252,40 @@ class TestFiberIntegration:
 
     def test_twisted_metric_volume(self, fs2):
         # total fiber volume stays 1 for a non-flat h
-        val = bd.fiber_integrate(fs2, lambda P: 1.0, [0.3 + 0.2j, -0.1j], order=8)
+        val = bd.fiber_integrate(fs2, lambda W: np.ones(len(W)), [0.3 + 0.2j, -0.1j],
+                                 order=8)
         assert val == pytest.approx(1.0, abs=1e-8)
 
     def test_nonconvergence_raises(self, flat2):
         # a sharp angular ridge that a 2-point rule cannot see
-        def needle(P):
-            w = P.W[1] / P.W[0] if abs(P.W[0]) > abs(P.W[1]) else P.W[0] / P.W[1]
-            return float(np.exp(3 * np.cos(7 * np.angle(w + 1e-12))))
+        def needle(W):
+            # affine rows: the smaller coordinate is the ratio of the two
+            w = np.where(abs(W[:, 0]) > abs(W[:, 1]), W[:, 1], W[:, 0])
+            return np.exp(3 * np.cos(7 * np.angle(w + 1e-12)))
 
         with pytest.raises(QuadratureError):
             bd.fiber_integrate(flat2, needle, [0.0, 0.0], order=2, tol=1e-10)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_density_raises(self, flat2, bad):
+        # a NaN integral compares False with the order-doubling tolerance, so
+        # an all-NaN density used to integrate to NaN without an error
+        with pytest.raises(QuadratureError, match=r"order 4, node 0 "):
+            bd.fiber_integrate(flat2, lambda W: np.full(len(W), bad), [0.1, 0.2],
+                               order=4)
+
+    def test_single_non_finite_node_raises(self, flat1, flat2):
+        # one NaN node at the first order used to return the second order's
+        # finite value
+        def one_nan(W):
+            vals = np.ones(len(W))
+            vals[5 % len(W)] = np.nan
+            return vals
+
+        with pytest.raises(QuadratureError, match=r"z = \[0\.1, 0\.2\], order 4, node 5 "):
+            bd.fiber_integrate(flat2, one_nan, [0.1, 0.2], order=4)
+        with pytest.raises(QuadratureError, match=r"order 4, node 0 "):
+            bd.fiber_integrate(flat1, one_nan, [0.1], order=4)
 
 
 class TestPushforward:
@@ -283,3 +308,21 @@ class TestPushforward:
         pushed, u, resid = bd.pushforward_energy_check(f, flat1, flat1, [0.5])
         assert pushed == pytest.approx(1.0, abs=1e-10)  # |2z|^2 at z = 0.5
         assert u == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("order", [4, 8])
+    def test_one_jacobian_per_base_point(self, monkeypatch, order):
+        # df(z) is shared by every fiber node and both quadrature orders: one
+        # call for the density, one for the classical energy u
+        p = zoo.build_entry("fs2-to-ball").obj
+        calls = []
+        jacobians = ChartedMap.jacobians
+
+        def counted(self, z):
+            calls.append(z)
+            return jacobians(self, z)
+
+        monkeypatch.setattr(ChartedMap, "jacobians", counted)
+        _, _, resid = bd.pushforward_energy_check(p.f, p.h, p.g, [0.1, 0.05j],
+                                                  order=order)
+        assert len(calls) <= 2
+        assert resid <= 1e-6

@@ -53,6 +53,20 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="tolerances"):
             config.parse_config("pair: flat-identity\nsuites: []\ntol_relative: -1\n")
 
+    @pytest.mark.parametrize("key, value", [
+        ("samples", "abc"), ("seed", "abc"), ("tol_relative", "abc"),
+        ("tol_exact", "[1]"), ("samples", ".inf")])
+    def test_non_numeric_values(self, key, value):
+        # bare int()/float() used to raise ValueError, TypeError or OverflowError
+        with pytest.raises(ConfigError, match=f"{key}: expected a number, got "):
+            config.parse_config(f"pair: flat-identity\nsuites: []\n{key}: {value}\n")
+
+    @pytest.mark.parametrize("value", [".nan", ".inf"])
+    def test_non_finite_tolerance(self, value):
+        # a NaN band compares False with every residual, so nothing could fail
+        with pytest.raises(ConfigError, match="tolerances"):
+            config.parse_config(f"pair: flat-identity\nsuites: []\ntol_exact: {value}\n")
+
     def test_inline_pair(self):
         text = """
 pair:
@@ -144,6 +158,13 @@ report: {report}
         doc = json.loads(report.read_text())
         assert doc["verdict"] == "error"
         assert doc["error"].startswith("ValueError: ")
+
+    def test_non_numeric_plan_value_exit_two(self, tmp_path, capsys):
+        # used to escape main as a ValueError traceback, exit code 1
+        plan = tmp_path / "plan.yaml"
+        plan.write_text(MINIMAL.replace("samples: 3", "samples: abc"))
+        assert cli.main(["verify", "--config", str(plan)]) == 2
+        assert "samples: expected a number, got 'abc'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", ["--workers", "--quadrature-order"])
     def test_removed_flags_rejected(self, tmp_path, flag):

@@ -298,6 +298,20 @@ class TestProbe:
         assert abs(out["term1"]) < 1e-8
         assert abs(out["term2"]) < 1e-8
 
+    def test_grouped_argmax_matches_strict_scan(self):
+        # Y is constant on flat-identity, so every grid point ties: the first
+        # one must win, as in a per-point strict-max scan
+        p = pair("flat-identity")
+        grid = V._probe_grid(p, 5)
+        best, best_val = None, -np.inf
+        for P in grid:
+            val = generalized_Y(p.f, p.h, p.g, P)
+            if val > best_val:
+                best, best_val = P, val
+        out = V.maximum_principle_probe(p.f, p.h, p.g, grid, compact=p.compact)
+        assert out["argmax"] is best is grid[0]
+        assert out["y_max"] == best_val
+
 
 class TestRunSuite:
     def test_empty_suite_list(self):
@@ -421,6 +435,24 @@ class TestFailClosed:
             assert bad, rep.suite
             assert f"sample {bad[0]}" in rep.message
             json.dumps(rep.to_dict())            # the report still serializes
+
+    @pytest.mark.parametrize("scale", [
+        lambda z: np.nan * z,          # NaN everywhere: used to pass as "vacuous"
+        nan_on_right_half,             # NaN points used to be skipped by the argmax
+    ])
+    def test_nan_density_probe_is_error(self, scale):
+        base = pair("fs-to-poincare")
+        f = ChartedMap(base.h.chart, base.g.chart,
+                       lambda z: (0.4 * z[0] * scale(z[0]),),
+                       holomorphic=True, name="nan-map", validate_on_init=False)
+        p = V.PairContext(f=f, h=base.h, g=base.g, name="nan-map")
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(ValidationError, match="not finite at probe point"):
+                V.maximum_principle_probe(f, p.h, p.g, V._probe_grid(p, 5))
+            rep = V.run_suite(p, ["S5_probe"], samples=1, seed=0)[0]
+        assert rep.status == "error"
+        assert "not finite at probe point z = " in rep.message
+        json.dumps(rep.to_dict())
 
     def test_error_is_not_downgraded_by_later_samples(self):
         rep = V.VerificationReport(suite="S1", pair="p", status="pass", seed=0,
