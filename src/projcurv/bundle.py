@@ -142,7 +142,7 @@ class TautologicalMetric:
             return out
 
         return ScalarField(self.combined_chart(chart_index), rule,
-                           backend=h.backend, name="log_tautological_metric")
+                           name="log_tautological_metric")
 
 
 def tautological_H(tm: TautologicalMetric, P: BundlePoint) -> float:
@@ -153,11 +153,10 @@ def tautological_H(tm: TautologicalMetric, P: BundlePoint) -> float:
     return v
 
 
-def tautological_curvature(tm: TautologicalMetric, P: BundlePoint,
-                           backend: str = "fd") -> Form11:
+def tautological_curvature(tm: TautologicalMetric, P: BundlePoint) -> Form11:
     """Curvature -ddbar log(H e^{-phi}) on the combined (z, w) chart at P."""
     field = tm.log_H_field(P.chart_index)
-    hess = diffops.wirtinger_hessian(field, P.combined(), backend=backend)
+    hess = diffops.wirtinger_hessian(field, P.combined(), backend="fd")
     return Form11(-hess.matrix)
 
 
@@ -292,7 +291,7 @@ def _fiber_integral_once(h: HermitianMetricField, density, z, order: int) -> flo
 
 
 def fiber_integrate(h: HermitianMetricField, density, z, order: int = 8,
-                    tol: float = 1e-6, return_orders: bool = False):
+                    tol: float = 1e-6):
     """Integral of a fiber density over P(T_zM) against the normalized
     Fubini-Study volume of h(z); constants integrate to themselves.
 
@@ -310,7 +309,7 @@ def fiber_integrate(h: HermitianMetricField, density, z, order: int = 8,
         raise QuadratureError(
             f"fiber quadrature did not converge: order {order} gives {i1!r}, "
             f"order {2 * order} gives {i2!r}")
-    return (i2, i1, i2) if return_orders else i2
+    return i2
 
 
 def pushforward_energy_check(f, h: HermitianMetricField, g, z,

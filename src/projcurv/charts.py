@@ -1,4 +1,4 @@
-"""Coordinate charts: boxes and balls in C^m and R^n.
+"""Coordinate charts: boxes in C^m and R^n.
 
 Charts are immutable. They carry the domain geometry needed for two things:
 drawing interior sample points, and enforcing the boundary margin that all
@@ -16,12 +16,11 @@ from .errors import ChartDomainError
 
 @dataclass(frozen=True)
 class ComplexChart:
-    """Chart on C^m: a per-coordinate box (|Re|, |Im| <= r) or a ball."""
+    """Chart on C^m: a per-coordinate box |Re|, |Im| <= r about the center."""
 
     dim: int
     center: np.ndarray = None
     radius: np.ndarray = None
-    kind: str = "box"
     name: str = ""
 
     def __post_init__(self):
@@ -33,8 +32,6 @@ class ComplexChart:
             else np.broadcast_to(np.asarray(self.radius, float), (self.dim,)).copy()
         if np.any(r <= 0):
             raise ValueError("chart radii must be positive")
-        if self.kind not in ("box", "ball"):
-            raise ValueError(f"unknown chart kind {self.kind!r}")
         object.__setattr__(self, "center", c)
         object.__setattr__(self, "radius", r)
 
@@ -45,8 +42,6 @@ class ComplexChart:
     def margin(self, z) -> float:
         """Distance from z to the chart boundary (negative when outside)."""
         d = np.asarray(z, complex) - self.center
-        if self.kind == "ball":
-            return float(self.radius[0] - np.linalg.norm(d))
         gaps = np.concatenate([self.radius - np.abs(d.real),
                                self.radius - np.abs(d.imag)])
         return float(np.min(gaps))
@@ -56,28 +51,20 @@ class ComplexChart:
         if m < needed:
             raise ChartDomainError(
                 f"point {np.asarray(z)} too close to boundary of chart "
-                f"{self.name or self.kind}: margin {m:.3e} < required {needed:.3e}")
+                f"{self.name or 'box'}: margin {m:.3e} < required {needed:.3e}")
 
     def sample(self, rng, frac: float = 0.5) -> np.ndarray:
         """Draw a point uniformly from the chart shrunk by ``frac``."""
-        if self.kind == "ball":
-            v = rng.standard_normal(self.dim) + 1j * rng.standard_normal(self.dim)
-            v /= max(np.linalg.norm(v), 1e-300)
-            rho = self.radius[0] * frac * rng.random() ** (1.0 / (2 * self.dim))
-            return self.center + rho * v
         re = rng.uniform(-1, 1, self.dim) * self.radius * frac
         im = rng.uniform(-1, 1, self.dim) * self.radius * frac
         return self.center + re + 1j * im
 
     def product(self, other: "ComplexChart") -> "ComplexChart":
-        """Chart on the product of the two coordinate domains (boxes only)."""
-        rad_s = self.radius if self.kind == "box" else np.full(self.dim, self.radius[0])
-        rad_o = other.radius if other.kind == "box" else np.full(other.dim, other.radius[0])
+        """Chart on the product of the two coordinate domains."""
         return ComplexChart(
             dim=self.dim + other.dim,
             center=np.concatenate([self.center, other.center]),
-            radius=np.concatenate([rad_s, rad_o]),
-            kind="box",
+            radius=np.concatenate([self.radius, other.radius]),
             name=f"{self.name or 'chart'}*{other.name or 'chart'}",
         )
 
@@ -124,5 +111,4 @@ class RealChart:
 def fiber_chart(fiber_dim: int) -> ComplexChart:
     # affine fiber coordinates chosen by the largest-modulus rule are bounded
     # by 1; radius 1.1 leaves stencil margin at the |w|=1 corner
-    return ComplexChart(dim=fiber_dim, radius=np.full(fiber_dim, 1.1),
-                        kind="box", name="fiber")
+    return ComplexChart(dim=fiber_dim, radius=np.full(fiber_dim, 1.1), name="fiber")

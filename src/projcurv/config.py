@@ -95,9 +95,15 @@ def parse_config(text: str) -> RunConfig:
 
 
 def _number(raw: dict, key: str, default, kind):
-    """``kind(raw[key])``, or of the default; a value that does not convert
-    is a ConfigError naming the key and the value."""
+    """``kind(raw[key])``, or of the default.  A value that does not convert,
+    a boolean, and for ``int`` a finite float with a fractional part (which
+    ``int`` would truncate) are ConfigErrors naming the key and the value."""
     value = raw.get(key, default)
+    if isinstance(value, bool):
+        raise ConfigError(f"{key}: expected a number, got {value!r}")
+    if kind is int and isinstance(value, float) and math.isfinite(value) \
+            and not value.is_integer():
+        raise ConfigError(f"{key}: expected an integer, got {value!r}")
     try:
         return kind(value)
     except (TypeError, ValueError, OverflowError):

@@ -33,11 +33,14 @@ from .charts import ComplexChart, RealChart
 from .errors import ValidationError
 from .fields import HermitianMetricField, RiemannianMetricField
 
+KEY3_PRECONDITION_TOL = 1e-8
+NORMAL_POST_TOL = 1e-10
+
 
 # ---------------------------------------------------------------------------
 # metric entry jets
 
-def _riemannian_entry_jets(metric: RiemannianMetricField, x, backend="fd", order=2):
+def _riemannian_entry_jets(metric: RiemannianMetricField, x, order=2):
     """Value, first and (optionally) second coordinate derivatives of g_{ij}.
 
     Entries below the diagonal are copied from those above it, so the
@@ -46,7 +49,7 @@ def _riemannian_entry_jets(metric: RiemannianMetricField, x, backend="fd", order
     """
     x = np.asarray(x, float)
     G = metric.matrix(x)
-    d1, d2 = diffops.matrix_jet(metric, x, backend=backend, order=order)
+    d1, d2 = diffops.matrix_jet(metric, x, backend="fd", order=order)
     idx = np.arange(metric.dim)
     upper = idx[:, None] <= idx
 
@@ -86,25 +89,23 @@ class ChernCurvatureTensor:
                          np.asarray(v1, complex), np.conj(v2))
 
 
-def chern_curvature(metric: HermitianMetricField, z, backend: str = "fd",
-                    check_hermitian: bool = True) -> ChernCurvatureTensor:
+def chern_curvature(metric: HermitianMetricField, z) -> ChernCurvatureTensor:
     """Chern curvature tensor of a Hermitian metric at a point."""
     z = np.asarray(z, complex)
     metric.check_at(z)
     H = metric.matrix(z)
     # dz[g, a, b] = d h_{a bbar}/dz^g, mixed[k, l, a, b] = d^2 h_{a bbar}/dz^k dzbar^l
-    dz, mixed = diffops.matrix_jet(metric, z, backend=backend)
+    dz, mixed = diffops.matrix_jet(metric, z, backend="fd")
     Hinv = np.linalg.inv(H)
     # g^{p qbar} = Hinv[q, p]
     second = np.einsum("qp,kiq,ljp->klij", Hinv, dz, dz.conj())
     R = -mixed + second
     tensor = ChernCurvatureTensor(array=R, metric_value=H, point=z)
-    if check_hermitian:
-        scale = max(1.0, float(np.max(np.abs(R))))
-        if tensor.hermitian_defect() > 1e-6 * scale:
-            raise ValidationError(
-                f"Chern curvature Hermitian-symmetry defect "
-                f"{tensor.hermitian_defect():.3e} at {z}")
+    scale = max(1.0, float(np.max(np.abs(R))))
+    if tensor.hermitian_defect() > 1e-6 * scale:
+        raise ValidationError(
+            f"Chern curvature Hermitian-symmetry defect "
+            f"{tensor.hermitian_defect():.3e} at {z}")
     return tensor
 
 
@@ -149,12 +150,11 @@ def _christoffels_from_jets(Ginv, d1):
 
 
 def levi_civita_christoffels(metric: RiemannianMetricField, x,
-                             backend: str = "fd",
                              check_compatibility: bool = False) -> np.ndarray:
     """Christoffel symbols Gamma[i, j, k] = Gamma^i_{jk} of the Levi-Civita connection."""
     x = np.asarray(x, float)
     metric.check_at(x)
-    G, d1, _ = _riemannian_entry_jets(metric, x, backend=backend, order=1)
+    G, d1, _ = _riemannian_entry_jets(metric, x, order=1)
     Ginv = np.linalg.inv(G)
     Gamma = _christoffels_from_jets(Ginv, d1)
     if check_compatibility:
@@ -167,9 +167,9 @@ def levi_civita_christoffels(metric: RiemannianMetricField, x,
     return Gamma
 
 
-def _christoffel_jets(metric: RiemannianMetricField, x, backend="fd"):
+def _christoffel_jets(metric: RiemannianMetricField, x):
     """Gamma and its first coordinate derivatives, assembled from metric jets."""
-    G, d1, d2 = _riemannian_entry_jets(metric, x, backend=backend, order=2)
+    G, d1, d2 = _riemannian_entry_jets(metric, x, order=2)
     Ginv = np.linalg.inv(G)
     Gamma = _christoffels_from_jets(Ginv, d1)
     dGinv = -np.einsum("ip,apq,ql->ail", Ginv, d1, Ginv)
@@ -210,13 +210,11 @@ class RiemannCurvatureTensor:
                          np.asarray(Z, complex), np.asarray(W, complex))
 
 
-def riemann_curvature(metric: RiemannianMetricField, x,
-                      backend: str = "fd") -> RiemannCurvatureTensor:
+def riemann_curvature(metric: RiemannianMetricField, x) -> RiemannCurvatureTensor:
     """Riemann curvature tensor (all indices down) at a point."""
     x = np.asarray(x, float)
     metric.check_at(x)
-    G, Ginv, d1, d2, Gamma, dGamma = _christoffel_jets(metric, x, backend=backend)
-    n = metric.dim
+    G, Ginv, d1, d2, Gamma, dGamma = _christoffel_jets(metric, x)
     # R^l_{ijk} = d_i Gamma^l_{kj} - d_j Gamma^l_{ki}
     #             + Gamma^p_{kj} Gamma^l_{pi} - Gamma^p_{ki} Gamma^l_{pj}
     R_up = (np.einsum("ilkj->lijk", dGamma)
@@ -254,8 +252,7 @@ def complex_sectional_curvature(metric: RiemannianMetricField, x, Z, W) -> float
     return float(val.real)
 
 
-def key3_check(metric: RiemannianMetricField, x, backend: str = "fd",
-               precondition_tol: float = 1e-8) -> float:
+def key3_check(metric: RiemannianMetricField, x) -> float:
     """Residual of the normal-coordinate identity linking metric second
     derivatives, Christoffel derivatives and the curvature tensor:
 
@@ -263,18 +260,18 @@ def key3_check(metric: RiemannianMetricField, x, backend: str = "fd",
             = -(R_{ilkj} + R_{iklj})
 
     Valid at points where g = delta and dg = 0; the preconditions are
-    enforced, not assumed.
+    enforced to KEY3_PRECONDITION_TOL, not assumed.
     """
     x = np.asarray(x, float)
-    G, Ginv, d1, d2, Gamma, dGamma = _christoffel_jets(metric, x, backend=backend)
+    G, Ginv, d1, d2, Gamma, dGamma = _christoffel_jets(metric, x)
     n = metric.dim
-    if float(np.max(np.abs(G - np.eye(n)))) > precondition_tol:
+    if float(np.max(np.abs(G - np.eye(n)))) > KEY3_PRECONDITION_TOL:
         raise ValidationError(
             f"key3 preconditions: metric is not the identity at {x}")
-    if float(np.max(np.abs(d1))) > precondition_tol:
+    if float(np.max(np.abs(d1))) > KEY3_PRECONDITION_TOL:
         raise ValidationError(
             f"key3 preconditions: first metric derivatives do not vanish at {x}")
-    R = riemann_curvature(metric, x, backend=backend).array
+    R = riemann_curvature(metric, x).array
     lhs = np.empty((n, n, n, n))
     rhs = np.empty((n, n, n, n))
     for i in range(n):
@@ -328,17 +325,14 @@ class HermitianNormalFrame:
         return self.linear @ np.asarray(v, complex)
 
 
-def hermitian_normal_coordinates(metric: HermitianMetricField, p,
-                                 post_tol: float = 1e-10) -> HermitianNormalFrame:
+def hermitian_normal_coordinates(metric: HermitianMetricField,
+                                 p) -> HermitianNormalFrame:
     """Linear plus quadratic holomorphic change of chart normalizing ``metric`` at p.
 
-    Requires a dual-capable metric rule: the construction consumes exact first
-    derivatives, and the stated post-condition tolerance is far below what
-    stencils deliver.
+    The construction consumes exact first derivatives from the dual backend;
+    its post-condition tolerance NORMAL_POST_TOL is far below what stencils
+    deliver.
     """
-    if metric.backend == "fd":
-        raise ValidationError(
-            "normal coordinates need a dual-capable metric rule")
     p = np.asarray(p, complex)
     m = metric.dim
     H0 = metric.matrix(p)
@@ -382,7 +376,7 @@ def hermitian_normal_coordinates(metric: HermitianMetricField, p,
                      for r in range(m) for s in range(m))
                  for b in range(m)] for a in range(m)]
 
-    new_metric = HermitianMetricField(new_chart, rule, backend=metric.backend,
+    new_metric = HermitianMetricField(new_chart, rule,
                                       name=f"{metric.name or 'metric'}@normal",
                                       validate_on_init=False)
     frame = HermitianNormalFrame(center=p, linear=A, quadratic=b_arr,
@@ -390,13 +384,14 @@ def hermitian_normal_coordinates(metric: HermitianMetricField, p,
 
     # post-conditions, checked with exact derivatives
     H_new = new_metric.matrix(np.zeros(m))
-    if float(np.max(np.abs(H_new - np.eye(m)))) > post_tol:
+    if float(np.max(np.abs(H_new - np.eye(m)))) > NORMAL_POST_TOL:
         raise ValidationError("normal coordinates: metric not identity at center")
     d_new, _ = diffops.matrix_jet(new_metric, np.zeros(m), backend="dual", order=1)
     defect = float(np.max(np.abs(d_new + d_new.transpose(1, 0, 2))))
-    if defect > post_tol:
+    if defect > NORMAL_POST_TOL:
         raise ValidationError(
-            f"normal coordinates: antisymmetry defect {defect:.3e} > {post_tol:.1e}")
+            f"normal coordinates: antisymmetry defect {defect:.3e} "
+            f"> {NORMAL_POST_TOL:.1e}")
     return frame
 
 
@@ -416,11 +411,9 @@ class RiemannianNormalFrame:
         return np.linalg.solve(self.linear, np.asarray(v, float))
 
 
-def riemannian_normal_coordinates(metric: RiemannianMetricField, x0,
-                                  post_tol: float = 1e-10) -> RiemannianNormalFrame:
+def riemannian_normal_coordinates(metric: RiemannianMetricField,
+                                  x0) -> RiemannianNormalFrame:
     """Coordinate change making g = delta and dg = 0 at the image of ``x0``."""
-    if metric.backend == "fd":
-        raise ValidationError("normal coordinates need a dual-capable metric rule")
     x0 = np.asarray(x0, float)
     n = metric.dim
     G0 = metric.matrix(x0)
@@ -456,16 +449,16 @@ def riemannian_normal_coordinates(metric: RiemannianMetricField, x0,
                      for r in range(n) for s in range(n))
                  for j in range(n)] for i in range(n)]
 
-    new_metric = RiemannianMetricField(new_chart, rule, backend=metric.backend,
+    new_metric = RiemannianMetricField(new_chart, rule,
                                        name=f"{metric.name or 'metric'}@normal",
                                        validate_on_init=False)
     frame = RiemannianNormalFrame(center=x0, linear=A, quadratic=Gamma,
                                   metric=new_metric)
     G_new = new_metric.matrix(np.zeros(n))
-    if float(np.max(np.abs(G_new - np.eye(n)))) > post_tol:
+    if float(np.max(np.abs(G_new - np.eye(n)))) > NORMAL_POST_TOL:
         raise ValidationError("normal coordinates: metric not identity at center")
     g, _ = diffops.matrix_jet(new_metric, np.zeros(n), backend="dual", order=1)
-    if float(np.max(np.abs(np.real(g)))) > post_tol:
+    if float(np.max(np.abs(np.real(g)))) > NORMAL_POST_TOL:
         raise ValidationError("normal coordinates: first derivatives do not vanish")
     return frame
 

@@ -4,10 +4,17 @@ Every first and second derivative in the package flows through this module.
 Two independent backends are provided:
 
 * ``fd``   -- Richardson-extrapolated central differences, base step
-  ``REL_STEP`` times the chart scale.  Primary backend.
+  ``REL_STEP`` times the chart scale.
 * ``dual`` -- second-order forward mode (hyper-dual numbers), exact up to
-  rounding.  Cross-check backend, and the default for map Jacobians where
-  the exactness keeps nested differentiation honest.
+  rounding.
+
+The backend is fixed at each call site, never by a tag on a field.  The fd
+backend takes the density and log-H Hessians and the Chern and Riemann
+tensors; the dual backend takes map Jacobians and second derivatives, the
+Chern Christoffels, the W-form's dlog H and the normal-coordinate
+constructions, where exactness keeps nested differentiation honest.
+``cross_check`` compares the two on any field.  Every jet goes through
+``_real_jet``, which also enforces the chart margin its stencil needs.
 
 Conventions.  On a complex chart with coordinates zeta^a = x^a + i y^a the
 real directions are ordered (x^0..x^{d-1}, y^0..y^{d-1}) and
@@ -211,11 +218,6 @@ def _complex_coords(p, d: int) -> tuple:
     return tuple(p[a] + 1j * p[a + d] for a in range(d))
 
 
-def _as_real_fn(field: ScalarField):
-    d = field.chart.dim
-    return lambda p: field.value_generic(_complex_coords(p, d))
-
-
 def _split_real(z) -> np.ndarray:
     z = np.asarray(z, complex)
     return np.concatenate([z.real, z.imag])
@@ -245,33 +247,38 @@ def _wirt_holo2_from_real(H: np.ndarray, d: int) -> np.ndarray:
     return 0.25 * ((xx - yy) - 1j * (xy + yx))
 
 
-def _require_backend(field, backend: str):
-    if backend == "dual" and field.backend == "fd":
-        raise ValueError(
-            f"field {field.name or ''!r} is tagged fd-only and cannot be "
-            "differentiated by the dual backend")
+def _real_jet(rule, chart, z, backend: str, order: int = 2, shape=()):
+    """Real jet of a rule at z: (value, grad, hess) for order 2 and
+    (None, grad, None) for order 1, derivative axes first.
 
+    The one dispatch point of the engine.  It enforces the chart margin the
+    order's stencil needs, on complex and real charts alike, splits a complex
+    point into real coordinates ordered (x^0.., y^0..), and runs the fd or
+    dual primitive.  ``rule`` takes a tuple of chart coordinates and returns
+    an output of shape ``shape``.
+    """
+    if backend not in ("fd", "dual"):
+        raise ValueError(f"unknown backend {backend!r}")
+    s = step_for(chart)
+    steps = HESSIAN_MARGIN_STEPS if order >= 2 else GRADIENT_MARGIN_STEPS
+    chart.require_margin(z, steps * s)
+    if isinstance(chart, ComplexChart):
+        p = _split_real(z)
+        d = chart.dim
 
-def _jet2(field: ScalarField, z, backend: str):
-    _require_backend(field, backend)
-    p = _split_real(z)
-    F = _as_real_fn(field)
-    if backend == "fd":
-        return _real_jet2_fd(F, p, step_for(field.chart))
-    if backend == "dual":
-        return _real_jet2_dual(F, p)
-    raise ValueError(f"unknown backend {backend!r}")
+        def F(q):
+            return rule(_complex_coords(q, d))
+    else:
+        p = np.asarray(z, float)
 
-
-def _grad(field: ScalarField, z, backend: str):
-    _require_backend(field, backend)
-    p = _split_real(z)
-    F = _as_real_fn(field)
-    if backend == "fd":
-        return _real_grad_fd(F, p, step_for(field.chart))
-    if backend == "dual":
-        return _real_grad_dual(F, p)
-    raise ValueError(f"unknown backend {backend!r}")
+        def F(q):
+            return rule(tuple(q))
+    if order >= 2:
+        return (_real_jet2_fd(F, p, s, shape) if backend == "fd"
+                else _real_jet2_dual(F, p, shape))
+    grad = (_real_grad_fd(F, p, s, shape) if backend == "fd"
+            else _real_grad_dual(F, p, shape))
+    return None, grad, None
 
 
 # public operations --------------------------------------------------------
@@ -283,13 +290,12 @@ def wirtinger_gradient(field: ScalarField, z, backend: str = "fd") -> np.ndarray
     dbar F = conj(d conj(F)); for convenience use
     :func:`wirtinger_gradient_bar`.
     """
-    field.chart.require_margin(z, GRADIENT_MARGIN_STEPS * step_for(field.chart))
-    return _wirt_grad_from_real(_grad(field, z, backend), field.chart.dim)
+    _, g, _ = _real_jet(field.rule, field.chart, z, backend, order=1)
+    return _wirt_grad_from_real(g, field.chart.dim)
 
 
 def wirtinger_gradient_bar(field: ScalarField, z, backend: str = "fd") -> np.ndarray:
-    field.chart.require_margin(z, GRADIENT_MARGIN_STEPS * step_for(field.chart))
-    g = _grad(field, z, backend)
+    _, g, _ = _real_jet(field.rule, field.chart, z, backend, order=1)
     return _wirt_gradbar_from_real(g, field.chart.dim)
 
 
@@ -299,16 +305,14 @@ def wirtinger_hessian(field: ScalarField, z, backend: str = "fd") -> Form11:
     Intended for real-valued fields, whose mixed Hessian is Hermitian; the
     Form11 constructor symmetrizes away the numerical skew part.
     """
-    field.chart.require_margin(z, HESSIAN_MARGIN_STEPS * step_for(field.chart))
-    _, _, H = _jet2(field, z, backend)
+    _, _, H = _real_jet(field.rule, field.chart, z, backend)
     return Form11(_wirt_mixed_from_real(H, field.chart.dim))
 
 
 def complex_jet2(field: ScalarField, z, backend: str = "fd"):
     """Value, d-gradient, dbar-gradient, mixed and pure-holomorphic Hessians."""
-    field.chart.require_margin(z, HESSIAN_MARGIN_STEPS * step_for(field.chart))
     d = field.chart.dim
-    f0, g, H = _jet2(field, z, backend)
+    f0, g, H = _real_jet(field.rule, field.chart, z, backend)
     return (f0,
             _wirt_grad_from_real(g, d),
             _wirt_gradbar_from_real(g, d),
@@ -321,8 +325,8 @@ def cross_check(field: ScalarField, z, rtol: float = CROSS_CHECK_RTOL) -> float:
 
     Raises BackendMismatchError beyond ``rtol``; returns the observed defect.
     """
-    _, gf, Hf = _jet2(field, z, "fd")
-    _, gd, Hd = _jet2(field, z, "dual")
+    _, gf, Hf = _real_jet(field.rule, field.chart, z, "fd")
+    _, gd, Hd = _real_jet(field.rule, field.chart, z, "dual")
     scale = max(1.0, float(np.max(np.abs(gd))), float(np.max(np.abs(Hd))))
     defect = max(float(np.max(np.abs(gf - gd))), float(np.max(np.abs(Hf - Hd)))) / scale
     if defect > rtol:
@@ -338,40 +342,19 @@ def matrix_jet(metric, z, backend: str = "fd", order: int = 2):
     """Derivatives of every entry of a metric field's matrix at z.
 
     One rule evaluation per stencil (fd) or per seed batch (dual) yields all
-    entries at once.  On a complex chart the result is Wirtinger:
-    (dz, mixed) with dz[g, a, b] = d M_ab / dz^g and
-    mixed[k, l, a, b] = d^2 M_ab / dz^k dzbar^l, and the chart margin is
-    enforced as for scalar fields.  On a real chart it is (d1, d2) with
-    d1[i, a, b] = d M_ab / dx^i and d2[i, j, a, b] = d^2 M_ab / dx^i dx^j.
-    The second-order part is None when ``order`` is 1.
+    entries at once, and the chart margin is enforced as for scalar fields.
+    On a complex chart the result is Wirtinger: (dz, mixed) with
+    dz[g, a, b] = d M_ab / dz^g and mixed[k, l, a, b] = d^2 M_ab / dz^k dzbar^l.
+    On a real chart it is (d1, d2) with d1[i, a, b] = d M_ab / dx^i and
+    d2[i, j, a, b] = d^2 M_ab / dx^i dx^j.  The second-order part is None
+    when ``order`` is 1.
     """
-    if backend not in ("fd", "dual"):
-        raise ValueError(f"unknown backend {backend!r}")
-    _require_backend(metric, backend)
     chart = metric.chart
-    shape = (metric.dim, metric.dim)
-    s = step_for(chart)
-    complex_chart = isinstance(chart, ComplexChart)
-    if complex_chart:
-        steps = HESSIAN_MARGIN_STEPS if order >= 2 else GRADIENT_MARGIN_STEPS
-        chart.require_margin(z, steps * s)
-        d = chart.dim
-        p = _split_real(z)
-
-        def F(q):
-            return metric.matrix_generic(_complex_coords(q, d))
-    else:
-        p = np.asarray(z, float)
-        F = metric.matrix_generic
-    if order >= 2:
-        _, grad, hess = (_real_jet2_fd(F, p, s, shape) if backend == "fd"
-                         else _real_jet2_dual(F, p, shape))
-    else:
-        grad = (_real_grad_fd(F, p, s, shape) if backend == "fd"
-                else _real_grad_dual(F, p, shape))
-        hess = None
-    if not complex_chart:
+    _, grad, hess = _real_jet(metric.rule, chart, z, backend, order,
+                              (metric.dim, metric.dim))
+    if not isinstance(chart, ComplexChart):
         return grad, hess
+    d = chart.dim
     return (_wirt_grad_from_real(grad, d),
             None if hess is None else _wirt_mixed_from_real(hess, d))
 
@@ -412,8 +395,7 @@ def jacobian_pair_generic(rule, z, dim: int, n_out: int):
     return holo, anti
 
 
-def jacobian_pair(rule, z, dim: int, n_out: int, backend: str = "dual",
-                  step: float = 1e-3):
+def jacobian_pair(rule, z, dim: int, n_out: int):
     """First Wirtinger derivatives of a vector-valued rule.
 
     Returns (holo, anti) with holo[i, a] = df^i/dz^a and
@@ -421,31 +403,15 @@ def jacobian_pair(rule, z, dim: int, n_out: int, backend: str = "dual",
     source coordinate with paired (x, y) seeds, which is exact and keeps
     inner derivatives noiseless when the result feeds an outer stencil.
     """
-    z = list(z)
-    holo = np.empty((n_out, dim), complex)
-    anti = np.empty((n_out, dim), complex)
-    if backend == "dual":
-        hg, ag = jacobian_pair_generic(rule, z, dim, n_out)
-        for i in range(n_out):
-            for a in range(dim):
-                holo[i, a] = complex(hg[i][a])
-                anti[i, a] = complex(ag[i][a])
-        return holo, anti
-    if backend == "fd":
-        def central(a, mul, h):
-            qp = list(z)
-            qm = list(z)
-            qp[a] = qp[a] + mul * h
-            qm[a] = qm[a] - mul * h
-            vp = rule(tuple(qp))
-            vm = rule(tuple(qm))
-            return np.asarray([(vp[i] - vm[i]) / (2 * h) for i in range(n_out)],
-                              complex)
+    holo, anti = jacobian_pair_generic(rule, z, dim, n_out)
+    return np.array(holo, complex), np.array(anti, complex)
 
-        for a in range(dim):
-            dx = (4.0 * central(a, 1.0, step / 2) - central(a, 1.0, step)) / 3.0
-            dy = (4.0 * central(a, 1j, step / 2) - central(a, 1j, step)) / 3.0
-            holo[:, a] = 0.5 * (dx - 1j * dy)
-            anti[:, a] = 0.5 * (dx + 1j * dy)
-        return holo, anti
-    raise ValueError(f"unknown backend {backend!r}")
+
+def map_jet2(rule, chart, z, n_out: int):
+    """Second Wirtinger derivatives of a vector-valued rule from one dual
+    evaluation: (mixed, holo2) with mixed[i, a, b] = d^2 f^i / dz^a dzbar^b
+    and holo2[i, a, b] = d^2 f^i / dz^a dz^b."""
+    _, _, H = _real_jet(rule, chart, z, "dual", shape=(n_out,))
+    d = chart.dim
+    return tuple(np.ascontiguousarray(np.moveaxis(wirt(H, d), -1, 0))
+                 for wirt in (_wirt_mixed_from_real, _wirt_holo2_from_real))

@@ -2,8 +2,8 @@
 
 Field rules are plain callables written against the generic scalar math in
 :mod:`projcurv.dual` (operators plus ``exp``/``log``/``conj``/``abs2``), so a
-single rule serves the finite-difference backend (plain complex points), the
-dual-number backend (HyperDual points), and direct evaluation.
+single rule serves the finite-difference backend (arrays over stencil
+points), the dual-number backend (HyperDual points), and direct evaluation.
 
 All fields are immutable after construction and all methods are pure, so
 concurrent evaluation needs no synchronization.
@@ -25,22 +25,17 @@ HERMITIAN_DEFECT_TOL = 1e-12
 class ScalarField:
     """A scalar-valued field on a chart.
 
-    ``rule`` maps a sequence of generic scalars (one per chart coordinate) to
-    a generic scalar.  ``backend`` records which differentiation backends the
-    rule supports: "fd", "dual", or "both".
+    ``rule`` maps a tuple of generic scalars (one per chart coordinate) to
+    a generic scalar; it must serve both differentiation backends.
     """
 
     chart: ComplexChart
     rule: object
-    backend: str = "both"
     name: str = ""
 
     def __call__(self, z):
         v = self.rule(tuple(np.asarray(z, complex)))
         return complex(v)
-
-    def value_generic(self, scalars):
-        return self.rule(tuple(scalars))
 
 
 class _MetricBase:
@@ -89,7 +84,6 @@ class HermitianMetricField(_MetricBase):
 
     chart: ComplexChart
     rule: object
-    backend: str = "both"
     name: str = ""
     validate_on_init: bool = True
     matrix_dim: int = None
@@ -127,7 +121,6 @@ class RiemannianMetricField(_MetricBase):
 
     chart: RealChart
     rule: object
-    backend: str = "both"
     name: str = ""
     validate_on_init: bool = True
 

@@ -46,7 +46,6 @@ class ChartedMap:
     target: object                  # ComplexChart or RealChart
     rule: object
     holomorphic: bool = False
-    backend: str = "dual"
     name: str = ""
     validate_on_init: bool = True
 
@@ -81,31 +80,15 @@ class ChartedMap:
     def jacobians(self, z):
         """(holo, anti): holo[i, a] = df^i/dz^a, anti[i, a] = df^i/dzbar^a."""
         self.source.require_margin(z, 2 * diffops.step_for(self.source))
-        return diffops.jacobian_pair(self.rule, np.asarray(z, complex),
-                                     self.m, self.n, backend=self.backend,
-                                     step=diffops.step_for(self.source))
-
-    def _component_field(self, i: int) -> ScalarField:
-        return ScalarField(self.source, lambda zs, i=i: self.rule(zs)[i],
-                           backend=self.backend, name=f"{self.name}[{i}]")
+        return diffops.jacobian_pair(self.rule, np.asarray(z, complex), self.m, self.n)
 
     def second_mixed(self, z) -> np.ndarray:
         """f^i_{a bbar} = d^2 f^i / dz^a dzbar^b, shape (n, m, m)."""
-        out = np.empty((self.n, self.m, self.m), complex)
-        for i in range(self.n):
-            _, _, _, mixed, _ = diffops.complex_jet2(
-                self._component_field(i), z, backend=self.backend)
-            out[i] = mixed
-        return out
+        return diffops.map_jet2(self.rule, self.source, z, self.n)[0]
 
     def second_holo(self, z) -> np.ndarray:
         """f^i_{ab} = d^2 f^i / dz^a dz^b, shape (n, m, m)."""
-        out = np.empty((self.n, self.m, self.m), complex)
-        for i in range(self.n):
-            _, _, _, _, holo2 = diffops.complex_jet2(
-                self._component_field(i), z, backend=self.backend)
-            out[i] = holo2
-        return out
+        return diffops.map_jet2(self.rule, self.source, z, self.n)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +281,7 @@ def covector_metric_field(f: ChartedMap, g: HermitianMetricField) -> HermitianMe
         G = g.matrix_generic(f.rule(zs))
         return _generic_inverse_up(G, n)
 
-    return HermitianMetricField(f.source, rule, backend=f.backend,
+    return HermitianMetricField(f.source, rule,
                                 name=f"inverse-{g.name or 'target'}-pullback",
                                 validate_on_init=False, matrix_dim=n)
 
@@ -324,7 +307,7 @@ def Y_field(f: ChartedMap, h: HermitianMetricField, g,
         return gm.real(num) / gm.real(H)
 
     return ScalarField(tm.combined_chart(chart_index), rule,
-                       backend=f.backend, name="generalized_density")
+                       name="generalized_density")
 
 
 def Y_phi_field(f: ChartedMap, h: HermitianMetricField, g, chart_index: int,
@@ -336,8 +319,7 @@ def Y_phi_field(f: ChartedMap, h: HermitianMetricField, g, chart_index: int,
         W = reconstruct_W(zs[m:], chart_index, m)
         return gm.exp(gm.real(phi(zs[:m], tuple(W)))) * base.rule(zs)
 
-    return ScalarField(base.chart, rule, backend=f.backend,
-                       name="weighted_generalized_density")
+    return ScalarField(base.chart, rule, name="weighted_generalized_density")
 
 
 def Y1_field(f: ChartedMap, h: HermitianMetricField, g: HermitianMetricField,
@@ -368,7 +350,7 @@ def Y1_field(f: ChartedMap, h: HermitianMetricField, g: HermitianMetricField,
     else:
         from .charts import fiber_chart
         chart = f.source.product(fiber_chart(n - 1))
-    return ScalarField(chart, rule, backend=f.backend, name="covector_density")
+    return ScalarField(chart, rule, name="covector_density")
 
 
 def Y2_field(f: ChartedMap, h: HermitianMetricField, g: HermitianMetricField,
@@ -397,7 +379,7 @@ def Y2_field(f: ChartedMap, h: HermitianMetricField, g: HermitianMetricField,
         chart = chart.product(fiber_chart(m - 1))
     if n > 1:
         chart = chart.product(fiber_chart(n - 1))
-    return ScalarField(chart, rule, backend=f.backend, name="nested_density")
+    return ScalarField(chart, rule, name="nested_density")
 
 
 def u_field(f: ChartedMap, h: HermitianMetricField, g) -> ScalarField:
@@ -417,7 +399,7 @@ def u_field(f: ChartedMap, h: HermitianMetricField, g) -> ScalarField:
                         u = u + G[i][j] * hup[a][b] * holo[i][a] * gm.conj(holo[j][b])
         return gm.real(u)
 
-    return ScalarField(f.source, rule, backend=f.backend, name="classical_density")
+    return ScalarField(f.source, rule, name="classical_density")
 
 
 def _generic_inverse_up(M, n: int):
@@ -478,8 +460,7 @@ def pluriharmonic_residual(f: ChartedMap, g, z) -> np.ndarray:
 
 def _chern_christoffels(g: HermitianMetricField, z) -> np.ndarray:
     """Gamma^i_{jk} = g^{i lbar} d g_{k lbar} / dz^j of the Chern connection."""
-    dz, _ = diffops.matrix_jet(g, z, backend="fd" if g.backend == "fd" else "dual",
-                               order=1)
+    dz, _ = diffops.matrix_jet(g, z, backend="dual", order=1)
     gup = g.inverse_up(z)   # g^{i lbar} = conj(inv)[i, l]
     return np.einsum("il,jkl->ijk", gup, dz)
 

@@ -37,7 +37,7 @@ import numpy as np
 
 from . import diffops, maps as maps_mod
 from .bundle import (BundlePoint, TautologicalMetric, horizontal_curvature_value,
-                     tautological_H)
+                     tautological_H, tautological_curvature)
 from .curvature import chern_curvature, hermitian_normal_coordinates, riemann_curvature
 from .errors import GeometryError, NotApplicable, ValidationError
 from .fields import Form11, HermitianMetricField, RiemannianMetricField
@@ -54,6 +54,7 @@ EXACT_VARIANTS = ("exact_holo", "exact_pluri")
 DEFAULT_TOL_RELATIVE = 1e-6
 DEFAULT_TOL_EXACT = 1e-4
 W_PSD_TOL = 1e-8
+PROBE_VANISH_TOL = 1e-14        # a grid maximum of Y at or below this is "vacuous"
 
 
 @dataclass(frozen=True)
@@ -119,11 +120,6 @@ def _combined_dim(m: int) -> int:
     return m + max(m - 1, 0)
 
 
-def _log_H_hessian(tm: TautologicalMetric, P: BundlePoint) -> Form11:
-    field = tm.log_H_field(P.chart_index)
-    return diffops.wirtinger_hessian(field, P.combined(), backend="fd")
-
-
 def _density_hessian_sides(f: ChartedMap, h: HermitianMetricField, g,
                            P: BundlePoint, weight=None):
     """(ddbar Y, (ddbar log H^{-1}) Y, tautological metric) at P.
@@ -139,8 +135,7 @@ def _density_hessian_sides(f: ChartedMap, h: HermitianMetricField, g,
         y_field = maps_mod.Y_phi_field(f, h, g, P.chart_index, weight)
     lhs = diffops.wirtinger_hessian(y_field, P.combined(), backend="fd")
     y_val = float(np.real(y_field(P.combined())))
-    taut = Form11(-_log_H_hessian(tm, P).matrix)
-    return lhs, taut.scaled(y_val), tm
+    return lhs, tautological_curvature(tm, P).scaled(y_val), tm
 
 
 def _embed_base_block(C: np.ndarray, m: int, dim: int) -> Form11:
@@ -249,8 +244,7 @@ def assemble_W_form(f: ChartedMap, h: HermitianMetricField, g, P: BundlePoint,
 
     tm = TautologicalMetric(h, weight=weight)
     logH = tm.log_H_field(P.chart_index)
-    dlogH = diffops.wirtinger_gradient(logH, P.combined(),
-                                       backend="fd" if h.backend == "fd" else "dual")
+    dlogH = diffops.wirtinger_gradient(logH, P.combined(), backend="dual")
 
     fiber_idx = [a for a in range(m) if a != P.chart_index]
     V = np.zeros((n, dim), complex)
@@ -369,8 +363,7 @@ def verify_form_inequality(suite: str, f: ChartedMap, h: HermitianMetricField,
         lhs = diffops.wirtinger_hessian(y1_field, coords, backend="fd")
         y1_val = float(np.real(y1_field(coords)))
         tm1 = _covector_tautological(f, g)
-        logH1 = tm1.log_H_field(x_idx)
-        taut1 = Form11(-diffops.wirtinger_hessian(logH1, coords, backend="fd").matrix)
+        taut1 = tautological_curvature(tm1, Q)
         holo, _ = f.jacobians(Q.z)
         X = Q.W_affine
         hup = h.inverse_up(Q.z)
@@ -390,16 +383,14 @@ def verify_form_inequality(suite: str, f: ChartedMap, h: HermitianMetricField,
         coords = R.combined()
         lhs = diffops.wirtinger_hessian(y2_field, coords, backend="fd")
         y2_val = float(np.real(y2_field(coords)))
-        tm = TautologicalMetric(h)
-        logH_hess = _log_H_hessian(tm, R.P)
-        logH1 = _covector_tautological(f, g).log_H_field(R.x_chart_index)
-        x_coords = np.concatenate([R.P.z, R.x]) if n > 1 else R.P.z
-        logH1_hess = diffops.wirtinger_hessian(logH1, x_coords, backend="fd")
+        curv = tautological_curvature(TautologicalMetric(h), R.P)
+        Q = BundlePoint.make(R.P.z, R.X, R.x_chart_index)     # (z, [X])
+        curv1 = tautological_curvature(_covector_tautological(f, g), Q)
         dim = m + max(m - 1, 0) + max(n - 1, 0)
         zw_idx = list(range(m + max(m - 1, 0)))
         zx_idx = list(range(m)) + list(range(m + max(m - 1, 0), dim))
-        taut = Form11.embed(-logH_hess.matrix, zw_idx, dim) \
-            + Form11.embed(-logH1_hess.matrix, zx_idx, dim)
+        taut = Form11.embed(curv.matrix, zw_idx, dim) \
+            + Form11.embed(curv1.matrix, zx_idx, dim)
         rhs = taut.scaled(y2_val)
         residual = lhs - rhs
 
@@ -445,8 +436,8 @@ def verify_trace_inequality(suite: str, f: ChartedMap, h: HermitianMetricField,
 # maximum-principle probe
 
 def maximum_principle_probe(f: ChartedMap, h: HermitianMetricField,
-                            g: HermitianMetricField, grid, compact: bool = False,
-                            vanish_tol: float = 1e-14) -> dict:
+                            g: HermitianMetricField, grid,
+                            compact: bool = False) -> dict:
     """Locate the grid argmax of Y and evaluate the two terms of the pointwise
     estimate there, in base-normal coordinates.
 
@@ -475,7 +466,7 @@ def maximum_principle_probe(f: ChartedMap, h: HermitianMetricField,
     # the first of equal maxima wins, as in a strict-max scan in grid order
     k = int(np.argmax(vals))
     best, best_val = grid[k], float(vals[k])
-    if best_val <= vanish_tol:
+    if best_val <= PROBE_VANISH_TOL:
         return {"status": "vacuous", "y_max": best_val, "compact": compact,
                 "pattern": "vacuous", "conclusion": "density vanishes on the grid"}
 

@@ -61,6 +61,29 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=f"{key}: expected a number, got "):
             config.parse_config(f"pair: flat-identity\nsuites: []\n{key}: {value}\n")
 
+    @pytest.mark.parametrize("key, value", [
+        ("samples", "true"), ("seed", "true"), ("seed", "false"),
+        ("tol_relative", "true"), ("tol_exact", "true")])
+    def test_boolean_values_rejected(self, key, value):
+        # int(True) is 1 and float(True) is 1.0: tol_relative: true widened
+        # the band to 100%, seed: true ran seed 1
+        message = f"{key}: expected a number, got {value.title()}"
+        with pytest.raises(ConfigError, match=message):
+            config.parse_config(f"pair: flat-identity\nsuites: []\n{key}: {value}\n")
+
+    @pytest.mark.parametrize("key, value", [
+        ("samples", "2.7"), ("seed", "0.5"), ("samples", "1.5")])
+    def test_non_integral_counts_rejected(self, key, value):
+        # int(2.7) is 2: the plan used to run fewer samples than it asked for
+        with pytest.raises(ConfigError, match=f"{key}: expected an integer, got "):
+            config.parse_config(f"pair: flat-identity\nsuites: []\n{key}: {value}\n")
+
+    def test_integral_values_accepted(self):
+        cfg = config.parse_config("pair: flat-identity\nsuites: []\n"
+                                  "samples: 3.0\nseed: 4\ntol_exact: 1\n")
+        assert (cfg.samples, cfg.seed, cfg.tol_exact) == (3, 4, 1.0)
+        assert type(cfg.samples) is int and type(cfg.tol_exact) is float
+
     @pytest.mark.parametrize("value", [".nan", ".inf"])
     def test_non_finite_tolerance(self, value):
         # a NaN band compares False with every residual, so nothing could fail
@@ -165,6 +188,13 @@ report: {report}
         plan.write_text(MINIMAL.replace("samples: 3", "samples: abc"))
         assert cli.main(["verify", "--config", str(plan)]) == 2
         assert "samples: expected a number, got 'abc'" in capsys.readouterr().err
+
+    def test_non_integral_samples_exit_two(self, tmp_path, capsys):
+        # used to run 2 samples without a word
+        plan = tmp_path / "plan.yaml"
+        plan.write_text(MINIMAL.replace("samples: 3", "samples: 2.7"))
+        assert cli.main(["verify", "--config", str(plan)]) == 2
+        assert "samples: expected an integer, got 2.7" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", ["--workers", "--quadrature-order"])
     def test_removed_flags_rejected(self, tmp_path, flag):

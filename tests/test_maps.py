@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
+from projcurv import diffops, zoo
 from projcurv import dual as gm
 from projcurv import maps as mp
 from projcurv import sympow
 from projcurv.bundle import BundlePoint
 from projcurv.charts import RealChart
 from projcurv.errors import ValidationError
-from projcurv.fields import RiemannianMetricField
+from projcurv.fields import RiemannianMetricField, ScalarField
 
 from conftest import conformal_real_rule, identity_map, nan_on_right_half
 
@@ -52,6 +53,58 @@ class TestChartedMap:
                           name="abs2")
         sec = f.second_mixed([0.5 - 0.2j])
         assert sec[0, 0, 0] == pytest.approx(1.0, abs=1e-9)
+
+
+def zoo_maps():
+    """Every zoo map, on the charts of the zoo pairs that use it; the
+    constant map (which no pair uses) on both kinds of target."""
+    maps = {}
+    for name in zoo.catalog_names()["map-pair"]:
+        p = zoo.build_entry(name).obj
+        maps[p.f.name] = p.f
+    disc = zoo.build_entry("fubini-study", {"dim": 2}).obj.chart
+    for target in ("poincare-disc", "euclidean"):
+        chart = zoo.build_entry(target).obj.chart
+        maps[f"constant-{target}"] = zoo.build_map("constant", {}, disc, chart)
+    return maps
+
+
+class TestSecondDerivatives:
+    @pytest.mark.parametrize("name", sorted(zoo_maps()))
+    def test_one_jet_equals_per_component_jets(self, name):
+        # the reference is the old route: one scalar dual jet per component
+        f = zoo_maps()[name]
+        rng = np.random.default_rng(8)
+        for z in (f.source.center, f.source.sample(rng, 0.5)):
+            mixed = np.empty((f.n, f.m, f.m), complex)
+            holo2 = np.empty((f.n, f.m, f.m), complex)
+            for i in range(f.n):
+                field = ScalarField(f.source, lambda zs, i=i: f.rule(zs)[i])
+                _, _, _, mixed[i], holo2[i] = diffops.complex_jet2(field, z, "dual")
+            np.testing.assert_array_equal(f.second_mixed(z), mixed)
+            np.testing.assert_array_equal(f.second_holo(z), holo2)
+
+    def test_every_zoo_map_is_covered(self):
+        # constant, line-inclusion (zero padding) and realify-slice (a
+        # constant offset) return components that ignore the seeds
+        assert {f.name for f in zoo_maps().values()} == set(zoo.MAPS)
+
+    def test_second_holo_is_one_rule_call(self):
+        h = zoo.build_entry("fubini-study", {"dim": 3, "radius": 0.9}).obj
+        g = zoo.build_entry("poincare-ball", {"dim": 3, "radius": 0.38}).obj
+        f = zoo.build_map("linear", {"matrix": (0.4 * np.eye(3)).tolist()},
+                          h.chart, g.chart)
+        calls = []
+
+        def counted(zs):
+            calls.append(zs)
+            return f.rule(zs)
+
+        counted_f = mp.ChartedMap(h.chart, g.chart, counted, holomorphic=True,
+                                  validate_on_init=False)
+        sec = counted_f.second_holo(h.chart.sample(np.random.default_rng(2), 0.5))
+        assert len(calls) == 1
+        assert sec.shape == (3, 3, 3) and np.max(np.abs(sec)) == 0
 
 
 class TestClassicalDensity:

@@ -402,6 +402,23 @@ class TestRunSuite:
             assert rep.message.startswith("ChartDomainError: "), rep.message
             json.dumps(rep.to_dict())
 
+    RIEMANNIAN_SUITES = ["S11", "hessian", "hessian2", "exact_pluri", "W_psd"]
+
+    def test_map_leaving_a_real_target_chart_is_an_error(self):
+        # z -> 5 z (realified) sends the source chart far outside the 0.55
+        # target box; the Riemannian curvature used to be evaluated there
+        # anyway and every suite reported pass
+        base = pair("pluri-poincare")
+        f = ChartedMap(base.h.chart, base.g.chart,
+                       lambda z: (5 * gm.real(z[0]), 5 * gm.imag(z[0])), name="five")
+        p = V.PairContext(f=f, h=base.h, g=base.g, name="five")
+        reports = V.run_suite(p, self.RIEMANNIAN_SUITES, samples=2, seed=0)
+        assert [r.status for r in reports] == ["error"] * 5
+        for rep in reports:
+            assert rep.message.startswith("ChartDomainError: "), rep.message
+        reports = V.run_suite(base, self.RIEMANNIAN_SUITES, samples=2, seed=0)
+        assert [r.status for r in reports] == ["pass"] * 5
+
     def test_routing_error_is_a_suite_error(self):
         # routing a pluri-harmonic suite evaluates the map; a geometry error
         # raised there belongs to that suite alone
