@@ -19,9 +19,8 @@ from .bundle import (BundlePoint, TautologicalMetric, fiber_integrate,
                      horizontal_curvature_value, pushforward_energy_check,
                      rc_positive_line_bundle, tautological_H,
                      tautological_curvature)
-from .maps import (ChartedMap, EnergyDensityKind, NestedBundlePoint,
-                   classical_energy_density, conformal_Y,
-                   constraint_D_check, density_value, generalized_Y,
+from .maps import (ChartedMap, NestedBundlePoint, classical_energy_density,
+                   conformal_Y, constraint_D_check, generalized_Y,
                    generalized_Y1, generalized_Y2, generalized_Y_k,
                    hatC_value, hermitian_harmonic_residual,
                    pluriharmonic_residual)

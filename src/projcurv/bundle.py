@@ -67,8 +67,11 @@ class BundlePoint:
     def combined(self) -> np.ndarray:
         return np.concatenate([self.z, self.w])
 
-    def rechart(self, chart_index: int) -> "BundlePoint":
-        return BundlePoint.make(self.z, self.W, chart_index)
+
+def affine_rows(Ws: np.ndarray) -> np.ndarray:
+    """Each row of an (N, m) stack of fiber directions scaled so that its
+    largest-modulus coordinate is one, as BundlePoint.W_affine does."""
+    return Ws / Ws[np.arange(len(Ws)), np.argmax(np.abs(Ws), axis=1)][:, None]
 
 
 def reconstruct_W(w_scalars, chart_index: int, m: int) -> list:
@@ -275,11 +278,7 @@ def _fiber_integral_once(h: HermitianMetricField, density, z, order: int) -> flo
     lam, U = np.linalg.eigh(H.conj())
     S_inv = U @ np.diag(lam ** -0.5) @ U.conj().T   # H(S^{-1} V) = |V|^2
     Vs, ws = _fiber_nodes(m, order)
-    Ws = Vs @ S_inv.T
-    # affine representatives: each row scaled so that its largest-modulus
-    # coordinate is one, as BundlePoint.W_affine does
-    rows = np.arange(len(Ws))
-    Ws = Ws / Ws[rows, np.argmax(np.abs(Ws), axis=1)][:, None]
+    Ws = affine_rows(Vs @ S_inv.T)
     vals = np.asarray(density(Ws), float)
     bad = np.flatnonzero(~np.isfinite(vals))
     if bad.size:

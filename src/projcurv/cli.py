@@ -104,32 +104,19 @@ def _render_text_report(doc: dict) -> str:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    overrides = {key: value for key, value in (
+        ("suites", args.suite), ("samples", args.samples), ("seed", args.seed),
+        ("tol_relative", args.tol_relative), ("report", args.report),
+        ("format", args.format)) if value is not None}
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
-            cfg = config_mod.parse_config(fh.read())
+            cfg = config_mod.parse_config(fh.read(), overrides)
     except OSError as exc:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return 2
     except GeometryError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-
-    if args.suite is not None:
-        unknown = [s for s in args.suite if s not in SUITE_TAGS]
-        if unknown:
-            print(f"unknown suite(s): {', '.join(unknown)}", file=sys.stderr)
-            return 2
-        cfg.suites = list(args.suite)
-    if args.samples is not None:
-        cfg.samples = args.samples
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.tol_relative is not None:
-        cfg.tol_relative = args.tol_relative
-    if args.report is not None:
-        cfg.report = args.report
-    if args.format is not None:
-        cfg.format = args.format
 
     code, doc = execute(cfg)
 

@@ -49,14 +49,19 @@ class RunConfig:
         return _resolve_pair(self.pair_spec, self.phi)
 
 
-def parse_config(text: str) -> RunConfig:
-    """Parse and validate a YAML plan; malformed input and unknown names raise."""
+def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
+    """Parse and validate a YAML plan; malformed input and unknown names raise.
+
+    ``overrides`` (plan key -> value, e.g. from command-line flags) replace
+    the plan's values before validation, so they pass the same checks.
+    """
     try:
         raw = yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise ConfigError(f"config is not well-formed YAML: {exc}")
     if not isinstance(raw, dict):
         raise ConfigError("config must be a key/value tree")
+    raw.update(overrides or {})
 
     known = {"pair", "suites", "samples", "seed", "tol_relative", "tol_exact",
              "phi", "report", "format"}
@@ -77,6 +82,8 @@ def parse_config(text: str) -> RunConfig:
     if samples < 1:
         raise ConfigError("samples: must be >= 1")
     seed = _number(raw, "seed", 7, int)
+    if seed < 0:
+        raise ConfigError(f"seed: must be >= 0, got {seed}")
     tol_relative = _number(raw, "tol_relative", 1e-6, float)
     tol_exact = _number(raw, "tol_exact", 1e-4, float)
     if not (0 < tol_relative < math.inf and 0 < tol_exact < math.inf):

@@ -68,7 +68,6 @@ class ChernCurvatureTensor:
 
     array: np.ndarray
     metric_value: np.ndarray
-    point: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -100,7 +99,7 @@ def chern_curvature(metric: HermitianMetricField, z) -> ChernCurvatureTensor:
     # g^{p qbar} = Hinv[q, p]
     second = np.einsum("qp,kiq,ljp->klij", Hinv, dz, dz.conj())
     R = -mixed + second
-    tensor = ChernCurvatureTensor(array=R, metric_value=H, point=z)
+    tensor = ChernCurvatureTensor(array=R, metric_value=H)
     scale = max(1.0, float(np.max(np.abs(R))))
     if tensor.hermitian_defect() > 1e-6 * scale:
         raise ValidationError(
@@ -185,7 +184,6 @@ class RiemannCurvatureTensor:
     array: np.ndarray
     christoffels: np.ndarray
     metric_value: np.ndarray
-    point: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -222,8 +220,7 @@ def riemann_curvature(metric: RiemannianMetricField, x) -> RiemannCurvatureTenso
             + np.einsum("pkj,lpi->lijk", Gamma, Gamma)
             - np.einsum("pki,lpj->lijk", Gamma, Gamma))
     R_dn = np.einsum("sl,sijk->ijkl", G, R_up)
-    return RiemannCurvatureTensor(array=R_dn, christoffels=Gamma,
-                                  metric_value=G, point=x)
+    return RiemannCurvatureTensor(array=R_dn, christoffels=Gamma, metric_value=G)
 
 
 def riemannian_sectional_curvature(metric: RiemannianMetricField, x, X, Y) -> float:
@@ -320,9 +317,6 @@ class HermitianNormalFrame:
 
     def to_new_vector(self, v):
         return np.linalg.solve(self.linear, np.asarray(v, complex))
-
-    def to_old_vector(self, v):
-        return self.linear @ np.asarray(v, complex)
 
 
 def hermitian_normal_coordinates(metric: HermitianMetricField,

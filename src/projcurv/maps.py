@@ -220,53 +220,6 @@ def conformal_Y(f: ChartedMap, h: HermitianMetricField, g, P: BundlePoint,
     return float(np.exp(w)) * generalized_Y(f, h, g, P)
 
 
-DENSITY_TAGS = ("classical_u", "Y", "Y1", "Y2", "Y_phi", "Y_k")
-
-
-@dataclass(frozen=True)
-class EnergyDensityKind:
-    """Selector for one of the density variants, with its parameters.
-
-    ``phi`` is the conformal weight for the Y_phi variant; ``k`` and ``g_k``
-    parametrize the symmetric-power variant (g_k defaults to the metric
-    induced by the target metric).
-    """
-
-    tag: str
-    phi: object = None
-    k: int = 1
-    g_k: object = None
-
-    def __post_init__(self):
-        if self.tag not in DENSITY_TAGS:
-            raise ValidationError(
-                f"unknown density tag {self.tag!r}; known: {', '.join(DENSITY_TAGS)}")
-        if self.k < 1:
-            raise ValidationError("symmetric power degree k must be >= 1")
-        if self.tag == "Y_phi" and self.phi is None:
-            raise ValidationError("Y_phi needs a weight phi")
-
-
-def density_value(kind: EnergyDensityKind, f: ChartedMap,
-                  h: HermitianMetricField, g, point) -> float:
-    """Evaluate the selected density variant at the matching point kind.
-
-    ``point`` is a base point for classical_u, a BundlePoint for Y / Y_phi /
-    Y_k, a covector BundlePoint for Y1 and a NestedBundlePoint for Y2.
-    """
-    if kind.tag == "classical_u":
-        return classical_energy_density(f, h, g, point)
-    if kind.tag == "Y":
-        return generalized_Y(f, h, g, point)
-    if kind.tag == "Y1":
-        return generalized_Y1(f, h, g, point)
-    if kind.tag == "Y2":
-        return generalized_Y2(f, h, g, point)
-    if kind.tag == "Y_phi":
-        return conformal_Y(f, h, g, point, kind.phi)
-    return generalized_Y_k(f, h, g, point, kind.k, g_k=kind.g_k)
-
-
 def covector_metric_field(f: ChartedMap, g: HermitianMetricField) -> HermitianMetricField:
     """The pairing matrix g^{k lbar}(f(z)) as a metric field on the source chart.
 
@@ -405,10 +358,10 @@ def u_field(f: ChartedMap, h: HermitianMetricField, g) -> ScalarField:
 def _generic_inverse_up(M, n: int):
     """Raised-index inverse metric entries M^{a bbar} = conj(inv(M))[a][b].
 
-    Adjugate formulas up to n = 3 keep the arithmetic generic so dual
-    backends can flow through; larger sizes fall back to numpy (numeric
-    only), inverting one matrix per stencil point when the entries are
-    arrays.
+    Only generic arithmetic is used, so the entries may be numbers, arrays
+    over a stencil or hyper-duals: adjugate formulas up to n = 3, Gauss-Jordan
+    elimination beyond.  A Hermitian positive-definite M has nonzero leading
+    minors, so the elimination needs no pivoting.
     """
     if n == 1:
         return [[gm.conj(1.0 / M[0][0])]]
@@ -430,9 +383,17 @@ def _generic_inverse_up(M, n: int):
                 -(M[0][0] * M[2][1] - M[0][1] * M[2][0]) / det,
                 (M[0][0] * M[1][1] - M[0][1] * M[1][0]) / det]]
     else:
-        entries = np.broadcast_arrays(*[np.asarray(v, complex) for row in M for v in row])
-        stacked = np.stack(entries, axis=-1).reshape(entries[0].shape + (n, n))
-        inv = np.moveaxis(np.linalg.inv(stacked), (-2, -1), (0, 1))
+        M = [list(row) for row in M]
+        inv = [[1.0 if a == b else 0.0 for b in range(n)] for a in range(n)]
+        for p in range(n):
+            pivot = M[p][p]
+            M[p] = [v / pivot for v in M[p]]
+            inv[p] = [v / pivot for v in inv[p]]
+            for r in range(n):
+                if r != p:
+                    c = M[r][p]
+                    M[r] = [x - c * y for x, y in zip(M[r], M[p])]
+                    inv[r] = [x - c * y for x, y in zip(inv[r], inv[p])]
     return [[gm.conj(inv[a][b]) for b in range(n)] for a in range(n)]
 
 

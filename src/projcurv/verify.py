@@ -29,6 +29,7 @@ singular matrices: their null directions are genuine, not numerical.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -36,8 +37,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import diffops, maps as maps_mod
-from .bundle import (BundlePoint, TautologicalMetric, horizontal_curvature_value,
-                     tautological_H, tautological_curvature)
+from .bundle import (BundlePoint, TautologicalMetric, affine_rows,
+                     horizontal_curvature_value, tautological_H,
+                     tautological_curvature)
 from .curvature import chern_curvature, hermitian_normal_coordinates, riemann_curvature
 from .errors import GeometryError, NotApplicable, ValidationError
 from .fields import Form11, HermitianMetricField, RiemannianMetricField
@@ -55,6 +57,7 @@ DEFAULT_TOL_RELATIVE = 1e-6
 DEFAULT_TOL_EXACT = 1e-4
 W_PSD_TOL = 1e-8
 PROBE_VANISH_TOL = 1e-14        # a grid maximum of Y at or below this is "vacuous"
+PROBE_GRID_SIZE = 5             # lattice points per real coordinate of the probe
 
 
 @dataclass(frozen=True)
@@ -142,23 +145,22 @@ def _embed_base_block(C: np.ndarray, m: int, dim: int) -> Form11:
     return Form11.embed(C, list(range(m)), dim)
 
 
-def _chern_curvature_term(f: ChartedMap, g: HermitianMetricField, P: BundlePoint):
-    """C_{a bbar} = R_{k lbar i jbar} f^k_a conj(f^l_b) F^i conj(F^j)."""
-    holo, _ = f.jacobians(P.z)
-    F = holo @ P.W_affine
-    R = chern_curvature(g, f.value(P.z)).array
-    C = np.einsum("klij,ka,lb,i,j->ab", R, holo, holo.conj(), F, F.conj())
-    _require_hermitian(C, "target curvature term")
-    return C
+def _target_curvature_term(f: ChartedMap, g, P: BundlePoint):
+    """The target curvature contracted with df and F = df W:
 
-
-def _riemann_curvature_term(f: ChartedMap, g: RiemannianMetricField, P: BundlePoint):
-    """C_{a bbar} = R_{ilkj} f^i_a f^j_{bbar} F^k conj(F^l) for real targets."""
+        C_{a bbar} = R_{k lbar i jbar} f^k_a conj(f^l_b) F^i conj(F^j)   (complex g)
+        C_{a bbar} = R_{ilkj} f^i_a f^j_{bbar} F^k conj(F^l)            (real g)
+    """
     holo, anti = f.jacobians(P.z)
     F = holo @ P.W_affine
-    R = riemann_curvature(g, f.value(P.z)).array
-    C = np.einsum("ilkj,ia,jb,k,l->ab", R, holo, anti, F, F.conj())
-    _require_hermitian(C, "Riemannian curvature term")
+    if isinstance(g, HermitianMetricField):
+        R = chern_curvature(g, f.value(P.z)).array
+        C = np.einsum("klij,ka,lb,i,j->ab", R, holo, holo.conj(), F, F.conj())
+        _require_hermitian(C, "target curvature term")
+    else:
+        R = riemann_curvature(g, f.value(P.z)).array
+        C = np.einsum("ilkj,ia,jb,k,l->ab", R, holo, anti, F, F.conj())
+        _require_hermitian(C, "Riemannian curvature term")
     return C
 
 
@@ -203,28 +205,21 @@ def _flat_scalar_target():
 # the W form
 
 def assemble_W_form(f: ChartedMap, h: HermitianMetricField, g, P: BundlePoint,
-                    variant: str = "auto", weight=None) -> Form11:
+                    weight=None) -> Form11:
     """The semi-positive (1,1)-form W on P(T_M),
 
         W = g_{ij} (dF^i + F^i dlog H^{-1} + T^i) wedge conj( ... )
 
     with F^i = f^i_a W^a and the connection correction T^i built from the
-    Chern connection of a complex target (holomorphic variant) or the
-    Levi-Civita connection of a Riemannian target (pluri-harmonic variant).
+    Chern connection of a complex target (holomorphic assembly, which needs
+    a holomorphic map) or the Levi-Civita connection of a Riemannian target
+    (pluri-harmonic assembly).  The type of ``g`` picks the assembly.
     Positive semidefinite by construction; certified spectrally by callers.
     """
-    if variant == "auto":
-        variant = "holomorphic" if isinstance(g, HermitianMetricField) else "pluriharmonic"
-    if variant == "holomorphic":
-        if not (f.holomorphic and isinstance(g, HermitianMetricField)):
-            raise ValidationError("holomorphic W-form variant needs a holomorphic "
-                                  "map into a complex target")
-    elif variant == "pluriharmonic":
-        if not isinstance(g, RiemannianMetricField):
-            raise ValidationError("pluri-harmonic W-form variant needs a "
-                                  "Riemannian target")
-    else:
-        raise ValidationError(f"unknown W-form variant {variant!r}")
+    complex_target = isinstance(g, HermitianMetricField)
+    if complex_target and not f.holomorphic:
+        raise ValidationError("the W form into a complex target needs a "
+                              "holomorphic map")
 
     m, n = f.m, f.n
     dim = _combined_dim(m)
@@ -235,7 +230,7 @@ def assemble_W_form(f: ChartedMap, h: HermitianMetricField, g, P: BundlePoint,
     fz = f.value(P.z)
     G = g.matrix(fz)
 
-    if variant == "holomorphic":
+    if complex_target:
         Gamma = maps_mod._chern_christoffels(g, fz)
     else:
         from .curvature import levi_civita_christoffels
@@ -271,18 +266,16 @@ def verify_exact_identity(variant: str, f: ChartedMap, h: HermitianMetricField,
     """
     if variant not in EXACT_VARIANTS:
         raise ValidationError(f"unknown exact-identity variant {variant!r}")
-    if variant == "exact_holo" and not f.holomorphic:
-        raise NotApplicable("exact_holo needs a holomorphic map")
-    if variant == "exact_pluri" and isinstance(g, HermitianMetricField):
+    complex_target = isinstance(g, HermitianMetricField)
+    if variant == "exact_holo" and not (f.holomorphic and complex_target):
+        raise NotApplicable("exact_holo needs a holomorphic map into a complex target")
+    if variant == "exact_pluri" and complex_target:
         raise NotApplicable("exact_pluri needs a Riemannian target")
 
     lhs, taut, tm = _density_hessian_sides(f, h, g, P, weight)
     H_val = tm.H_value(P)
-    Wform = assemble_W_form(f, h, g, P, weight=weight,
-                            variant="holomorphic" if variant == "exact_holo"
-                            else "pluriharmonic")
-    term = _chern_curvature_term if variant == "exact_holo" else _riemann_curvature_term
-    curv = _embed_base_block(term(f, g, P), f.m, _combined_dim(f.m))
+    Wform = assemble_W_form(f, h, g, P, weight=weight)
+    curv = _embed_base_block(_target_curvature_term(f, g, P), f.m, _combined_dim(f.m))
 
     rhs = taut + Wform.scaled(1.0 / H_val) + curv.scaled(-1.0 / H_val)
     scale = max(1.0, lhs.max_abs())
@@ -299,15 +292,15 @@ def verify_exact_identity(variant: str, f: ChartedMap, h: HermitianMetricField,
 # ---------------------------------------------------------------------------
 # form inequalities
 
-def _s01_rhs_matrix(f: ChartedMap, h: HermitianMetricField, g, z,
-                    target_kind: str) -> np.ndarray:
-    """RHS of the base-chart Hessian estimates (S01 and its pluri analogue)."""
+def _s01_rhs_matrix(f: ChartedMap, h: HermitianMetricField, g, z) -> np.ndarray:
+    """RHS of the base-chart Hessian estimates: S01 for a complex target, its
+    pluri-harmonic analogue for a Riemannian one."""
     holo, anti = f.jacobians(z)
     fz = f.value(z)
     G = g.matrix(fz)
     hup = h.inverse_up(z)
     Rh = chern_curvature(h, z).array
-    if target_kind == "holomorphic":
+    if isinstance(g, HermitianMetricField):
         P_mat = np.einsum("ij,im,jn->mn", G, holo, holo.conj())
         E = np.einsum("mn,km,ln->kl", hup, holo, holo.conj())
         Rg = chern_curvature(g, fz).array
@@ -341,8 +334,8 @@ def verify_form_inequality(suite: str, f: ChartedMap, h: HermitianMetricField,
         else:
             lhs, rhs, tm = _density_hessian_sides(f, h, g, P,
                                                   phi if suite == "S03" else None)
-            term = _riemann_curvature_term if suite == "S11" else _chern_curvature_term
-            C = _embed_base_block(term(f, g, P), f.m, _combined_dim(f.m))
+            C = _embed_base_block(_target_curvature_term(f, g, P), f.m,
+                                  _combined_dim(f.m))
             rhs = rhs + C.scaled(-1.0 / tm.H_value(P))
         residual = lhs - rhs
 
@@ -350,8 +343,7 @@ def verify_form_inequality(suite: str, f: ChartedMap, h: HermitianMetricField,
         z = np.asarray(point.z if isinstance(point, BundlePoint) else point, complex)
         u_fld = maps_mod.u_field(f, h, g)
         lhs = diffops.wirtinger_hessian(u_fld, z, backend="fd")
-        kind = "holomorphic" if suite == "S01" else "pluriharmonic"
-        rhs = Form11(_s01_rhs_matrix(f, h, g, z, kind))
+        rhs = Form11(_s01_rhs_matrix(f, h, g, z))
         residual = lhs - rhs
 
     elif suite == "S2":
@@ -423,8 +415,7 @@ def verify_trace_inequality(suite: str, f: ChartedMap, h: HermitianMetricField,
     z = np.asarray(z, complex)
     u_fld = maps_mod.u_field(f, h, g)
     lhs_form = diffops.wirtinger_hessian(u_fld, z, backend="fd")
-    kind = "holomorphic" if suite == "S02" else "pluriharmonic"
-    rhs_mat = _s01_rhs_matrix(f, h, g, z, kind)
+    rhs_mat = _s01_rhs_matrix(f, h, g, z)
     hup = h.inverse_up(z)
     lhs = float(np.real(np.einsum("ab,ab->", hup, lhs_form.matrix)))
     rhs = float(np.real(np.einsum("ab,ab->", hup, rhs_mat)))
@@ -436,41 +427,42 @@ def verify_trace_inequality(suite: str, f: ChartedMap, h: HermitianMetricField,
 # maximum-principle probe
 
 def maximum_principle_probe(f: ChartedMap, h: HermitianMetricField,
-                            g: HermitianMetricField, grid,
+                            g: HermitianMetricField, zs, Ws,
                             compact: bool = False) -> dict:
-    """Locate the grid argmax of Y and evaluate the two terms of the pointwise
-    estimate there, in base-normal coordinates.
+    """Locate the argmax of Y on the grid of base points ``zs`` (N, m) times
+    fiber directions ``Ws`` (K, m) and evaluate the two terms of the
+    pointwise estimate there, in base-normal coordinates.
 
     Reports the sign pattern only; a rigidity conclusion would need a compact
     manifold, and the probe says so rather than overclaiming.
     """
     if not f.holomorphic:
         raise NotApplicable("the probe needs a holomorphic map")
-    grid = list(grid)
-    if not grid:
-        raise ValidationError("probe needs a nonempty grid")
-    # one evaluator per base point, the grid's points grouped by z in grid order
-    groups = {}
-    for k, P in enumerate(grid):
-        groups.setdefault(P.z.tobytes(), []).append(k)
-    vals = np.empty(len(grid))
-    for ks in groups.values():
-        density = maps_mod.Y_on_fiber(f, h, g, grid[ks[0]].z)
-        vals[ks] = density(np.array([grid[k].W_affine for k in ks]))
-    bad = np.flatnonzero(~np.isfinite(vals))
+    zs = np.asarray(zs, complex)
+    Ws = np.asarray(Ws, complex)
+    if zs.ndim != 2 or Ws.ndim != 2 or zs.shape[1] != f.m or Ws.shape[1] != f.m \
+            or not (len(zs) and len(Ws)):
+        raise ValidationError(f"probe needs nonempty stacks of base points and "
+                              f"fiber directions of dimension {f.m}")
+    if not np.all(np.max(np.abs(Ws), axis=1) > 0):
+        raise ValidationError("probe fiber directions must be nonzero vectors")
+    # one evaluator per base point, all on the same stack of affine rows
+    rows = affine_rows(Ws)
+    vals = np.array([maps_mod.Y_on_fiber(f, h, g, z)(rows) for z in zs])
+    bad = np.argwhere(~np.isfinite(vals))
     if bad.size:
-        P = grid[int(bad[0])]
+        i, j = bad[0]
         raise ValidationError(
-            f"Y is not finite at probe point z = {P.z.tolist()}, "
-            f"W = {P.W.tolist()}: {vals[bad[0]]}")
-    # the first of equal maxima wins, as in a strict-max scan in grid order
-    k = int(np.argmax(vals))
-    best, best_val = grid[k], float(vals[k])
+            f"Y is not finite at probe point z = {zs[i].tolist()}, "
+            f"W = {Ws[j].tolist()}: {vals[i, j]}")
+    # the first of equal maxima in z-major order wins
+    i, j = np.unravel_index(int(np.argmax(vals)), vals.shape)
+    best_val = float(vals[i, j])
     if best_val <= PROBE_VANISH_TOL:
         return {"status": "vacuous", "y_max": best_val, "compact": compact,
                 "pattern": "vacuous", "conclusion": "density vanishes on the grid"}
 
-    q = best
+    q = BundlePoint.make(zs[i], Ws[j])
     frame = hermitian_normal_coordinates(h, q.z)
     W_new = frame.to_new_vector(q.W_affine)
     P_new = BundlePoint.make(np.zeros(f.m, complex), W_new)
@@ -556,8 +548,8 @@ def _default_phi(zs, Ws):
 
 def run_suite(pair: PairContext, suites, samples: int = 50, seed: int = 7,
               tol_relative: float = DEFAULT_TOL_RELATIVE,
-              tol_exact: float = DEFAULT_TOL_EXACT, probe_grid_size: int = 5,
-              phi=None, workers: int = 1) -> list[VerificationReport]:
+              tol_exact: float = DEFAULT_TOL_EXACT,
+              workers: int = 1) -> list[VerificationReport]:
     """Run the requested suites on one pair; deterministic given (plan, seed).
 
     Sample points are drawn up front in a fixed order and evaluated in that
@@ -585,7 +577,7 @@ def run_suite(pair: PairContext, suites, samples: int = 50, seed: int = 7,
                                        rng=np.random.default_rng([seed, 99]))
             if ok:
                 _run_one_suite(rep, suite, pair, rng, samples, tol_relative,
-                               tol_exact, probe_grid_size, phi)
+                               tol_exact)
             else:
                 rep.status = "not_applicable"
                 rep.message = why
@@ -666,11 +658,9 @@ def _evaluate(suite, pair, pt, weight, tol_relative, tol_exact):
     return value, value < -W_PSD_TOL, None
 
 
-def _run_one_suite(rep, suite, pair, rng, samples, tol_relative, tol_exact,
-                   probe_grid_size, phi):
+def _run_one_suite(rep, suite, pair, rng, samples, tol_relative, tol_exact):
     if suite == "S5_probe":
-        grid = _probe_grid(pair, probe_grid_size)
-        out = maximum_principle_probe(pair.f, pair.h, pair.g, grid,
+        out = maximum_principle_probe(pair.f, pair.h, pair.g, *_probe_grid(pair),
                                       compact=pair.compact)
         rep.residuals = [out.get("term1", 0.0), out.get("term2", 0.0)]
         rep.message = f"pattern={out['pattern']}"
@@ -679,7 +669,7 @@ def _run_one_suite(rep, suite, pair, rng, samples, tol_relative, tol_exact,
                               "status")}
         return
 
-    weight = phi if phi is not None else (pair.phi or _default_phi)
+    weight = pair.phi or _default_phi
     pts = _draw_points(suite, pair, rng, samples)
     # every sample is evaluated before any is recorded, so a suite that
     # raises reports no partial residuals
@@ -699,28 +689,19 @@ def _run_one_suite(rep, suite, pair, rng, samples, tol_relative, tol_exact,
             rep.worst["eigenvector"] = _c2l(np.linalg.eigh(form.matrix)[1][:, 0])
 
 
-def _probe_grid(pair: PairContext, size: int) -> list:
-    f = pair.f
-    m = f.m
-    chart = f.source
-    axes = []
-    for a in range(m):
-        r = chart.radius[a] * 0.55
-        axes.append(np.linspace(-r, r, size))
-    pts = []
-    Ws = [np.ones(1, complex)] if m == 1 else _w_directions(m)
-    import itertools as it
-    for combo in it.product(*([ax for ax in axes] * 2)):
-        re = np.array(combo[:m])
-        im = np.array(combo[m:])
-        z = chart.center + re + 1j * im
-        for W in Ws:
-            pts.append(BundlePoint.make(z, W))
-    return pts
-
-
-def _w_directions(m: int) -> list:
-    dirs = [np.eye(m, dtype=complex)[a] for a in range(m)]
-    dirs.append(np.ones(m, complex) / math.sqrt(m))
-    dirs.append((np.arange(1, m + 1) + 1j) / np.linalg.norm(np.arange(1, m + 1) + 1j))
-    return dirs
+def _probe_grid(pair: PairContext) -> tuple[np.ndarray, np.ndarray]:
+    """(zs, Ws): the base points of a lattice of PROBE_GRID_SIZE points per
+    real coordinate over 0.55 of the source chart's box, and the fiber
+    directions probed over each (the coordinate axes, the diagonal and one
+    generic direction; the single direction when m = 1)."""
+    chart = pair.f.source
+    m = chart.dim
+    axes = [np.linspace(-r, r, PROBE_GRID_SIZE) for r in chart.radius * 0.55]
+    zs = np.array([chart.center + np.array(c[:m]) + 1j * np.array(c[m:])
+                   for c in itertools.product(*axes * 2)])
+    if m == 1:
+        return zs, np.ones((1, 1), complex)
+    generic = np.arange(1, m + 1) + 1j
+    Ws = np.vstack([np.eye(m, dtype=complex), np.ones(m, complex) / math.sqrt(m),
+                    generic / np.linalg.norm(generic)])
+    return zs, Ws

@@ -145,15 +145,13 @@ def test_criterion_07_w_form_semipositivity():
                  "disc-square-to-poincare"):
         p = _pair(name)
         for P in _bundle_points(p, 7, 25):
-            mineig = V.assemble_W_form(p.f, p.h, p.g, P,
-                                       variant="holomorphic").min_eigenvalue()
+            mineig = V.assemble_W_form(p.f, p.h, p.g, P).min_eigenvalue()
             worst = min(worst, mineig)
             assert mineig >= -1e-8
     for name in ("pluri-flat3", "pluri-poincare", "pluri-m2-flat"):
         p = _pair(name)
         for P in _bundle_points(p, 7, 25):
-            mineig = V.assemble_W_form(p.f, p.h, p.g, P,
-                                       variant="pluriharmonic").min_eigenvalue()
+            mineig = V.assemble_W_form(p.f, p.h, p.g, P).min_eigenvalue()
             worst = min(worst, mineig)
             assert mineig >= -1e-8
     _report(7, f"assembled form semi-positive to -1e-8 in both variants "
@@ -289,13 +287,13 @@ def test_criterion_12_rc_positivity_sampling():
 
 def test_criterion_13_maximum_principle_probe():
     p = _pair("fs-to-poincare")
-    out = V.maximum_principle_probe(p.f, p.h, p.g, V._probe_grid(p, 5),
+    out = V.maximum_principle_probe(p.f, p.h, p.g, *V._probe_grid(p),
                                     compact=p.compact)
     assert out["pattern"] == "contradiction-shaped"
     assert out["term1"] > 0 and out["term2"] < 0
 
     p = _pair("flat-torus-identity")
-    out = V.maximum_principle_probe(p.f, p.h, p.g, V._probe_grid(p, 5),
+    out = V.maximum_principle_probe(p.f, p.h, p.g, *V._probe_grid(p),
                                     compact=p.compact)
     assert abs(out["term1"]) <= 1e-8 and abs(out["term2"]) <= 1e-8
     _report(13, "probe shows term1 > 0 > term2 at the argmax for FS -> Poincare "

@@ -84,6 +84,20 @@ class TestParseConfig:
         assert (cfg.samples, cfg.seed, cfg.tol_exact) == (3, 4, 1.0)
         assert type(cfg.samples) is int and type(cfg.tol_exact) is float
 
+    @pytest.mark.parametrize("text", ["seed: -1", "seed: -1.0"])
+    def test_negative_seed_rejected(self, text):
+        # np.random.default_rng raised on it mid-run, naming no key
+        with pytest.raises(ConfigError, match="seed: must be >= 0, got -1"):
+            config.parse_config(f"pair: flat-identity\nsuites: []\n{text}\n")
+
+    def test_overrides_pass_the_plan_checks(self):
+        cfg = config.parse_config(MINIMAL, {"seed": 0, "suites": ["W_psd"]})
+        assert (cfg.seed, cfg.suites, cfg.samples) == (0, ["W_psd"], 3)
+        with pytest.raises(ConfigError, match="tolerances"):
+            config.parse_config(MINIMAL, {"tol_relative": float("nan")})
+        with pytest.raises(ConfigError, match=r"suites\[0\]"):
+            config.parse_config(MINIMAL, {"suites": ["S99"]})
+
     @pytest.mark.parametrize("value", [".nan", ".inf"])
     def test_non_finite_tolerance(self, value):
         # a NaN band compares False with every residual, so nothing could fail
@@ -204,6 +218,29 @@ report: {report}
             cli.main(["verify", "--config", str(plan), flag, "2"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--tol-relative", "nan", "tolerances must be positive and finite"),
+        ("--tol-relative", "inf", "tolerances must be positive and finite"),
+        ("--tol-relative", "0", "tolerances must be positive and finite"),
+        ("--tol-relative", "-1", "tolerances must be positive and finite"),
+        ("--seed", "-1", "seed: must be >= 0"),
+        ("--samples", "0", "samples: must be >= 1"),
+    ])
+    def test_flag_values_pass_the_plan_checks(self, tmp_path, capsys, flag, value,
+                                              message):
+        # flags used to bypass the plan's validation: --tol-relative nan
+        # compared False with every residual and reported PASS with exit 0
+        plan = tmp_path / "plan.yaml"
+        plan.write_text(MINIMAL)
+        assert cli.main(["verify", "--config", str(plan), flag, value]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_tiny_tolerance_flag_fails(self, tmp_path):
+        plan = tmp_path / "plan.yaml"
+        plan.write_text("seed: 0\nsamples: 5\nsuites: [S1]\npair: fs-line-in-plane\n")
+        assert cli.main(["verify", "--config", str(plan),
+                         "--tol-relative", "1e-30"]) == 1
+
     def test_unknown_config_path(self, tmp_path):
         code = cli.main(["verify", "--config", str(tmp_path / "missing.yaml")])
         assert code == 2
@@ -220,10 +257,11 @@ report: {report}
         assert doc["reports"][0]["seed"] == 3
         assert doc["reports"][0]["samples"] == 2
 
-    def test_unknown_suite_flag(self, tmp_path):
+    def test_unknown_suite_flag(self, tmp_path, capsys):
         plan = tmp_path / "plan.yaml"
         plan.write_text(MINIMAL)
         assert cli.main(["verify", "--config", str(plan), "--suite", "S99"]) == 2
+        assert "suites[0]: unknown suite 'S99'" in capsys.readouterr().err
 
     def test_text_format_report(self, tmp_path):
         plan = tmp_path / "plan.yaml"

@@ -46,11 +46,12 @@ class TestWForm:
         form = V.assemble_W_form(f, flat1, flat1, P)
         assert form.min_eigenvalue() >= -1e-8
 
-    def test_wrong_variant_rejected(self, fs1, poincare1):
-        f = identity_map(fs1, poincare1)
+    def test_nonholomorphic_map_into_complex_target_rejected(self, fs1, poincare1):
+        f = ChartedMap(fs1.chart, poincare1.chart,
+                       lambda z: (0.5 * gm.conj(z[0]),), name="conj")
         P = BundlePoint.make([0.1], [1.0])
-        with pytest.raises(ValidationError):
-            V.assemble_W_form(f, fs1, poincare1, P, variant="pluriharmonic")
+        with pytest.raises(ValidationError, match="needs a holomorphic map"):
+            V.assemble_W_form(f, fs1, poincare1, P)
 
     def test_psd_on_zoo_pairs(self):
         for name in ("fs-to-poincare", "fs2-to-ball", "pluri-poincare",
@@ -118,6 +119,17 @@ class TestExactIdentity:
         P = sample_points(p, 29, 1)[0]
         with pytest.raises(NotApplicable):
             V.verify_exact_identity("exact_holo", p.f, p.h, p.g, P)
+
+    def test_exact_holo_on_riemannian_target_not_applicable(self):
+        # a constant map is holomorphic; the Riemannian target alone rules
+        # exact_holo out, before any Hessian is taken (it used to raise
+        # ValidationError from the W form after computing the LHS)
+        p = pair("pluri-poincare")
+        f = ChartedMap(p.h.chart, p.g.chart, lambda z: (0.1, 0.2),
+                       holomorphic=True, name="const")
+        P = sample_points(p, 29, 1)[0]
+        with pytest.raises(NotApplicable, match="complex target"):
+            V.verify_exact_identity("exact_holo", f, p.h, p.g, P)
 
 
 class TestFormInequalities:
@@ -277,14 +289,24 @@ class TestProbe:
     def test_constant_map_vacuous(self, fs1, poincare1):
         f = ChartedMap(fs1.chart, poincare1.chart, lambda z: (0.1 + 0j,),
                        holomorphic=True)
-        grid = [BundlePoint.make([0.1 * k - 0.2], [1.0]) for k in range(5)]
-        out = V.maximum_principle_probe(f, fs1, poincare1, grid)
+        zs = [[0.1 * k - 0.2] for k in range(5)]
+        out = V.maximum_principle_probe(f, fs1, poincare1, zs, [[1.0]])
         assert out["status"] == "vacuous"
+
+    @pytest.mark.parametrize("zs, Ws, match", [
+        ([], [[1.0, 0.0]], "nonempty"),
+        ([[0.1, 0.2]], [], "nonempty"),
+        ([[0.1, 0.2]], [[1.0, 0.0], [0.0, 0.0]], "nonzero"),
+    ])
+    def test_empty_or_zero_fiber_rejected(self, zs, Ws, match):
+        p = pair("fs2-to-ball")
+        with pytest.raises(ValidationError, match=match):
+            V.maximum_principle_probe(p.f, p.h, p.g, zs, Ws)
 
     def test_fs_to_poincare_contradiction_shape(self):
         p = pair("fs-to-poincare")
-        grid = V._probe_grid(p, 5)
-        out = V.maximum_principle_probe(p.f, p.h, p.g, grid, compact=p.compact)
+        out = V.maximum_principle_probe(p.f, p.h, p.g, *V._probe_grid(p),
+                                        compact=p.compact)
         assert out["pattern"] == "contradiction-shaped"
         assert out["term1"] > 0
         assert out["term2"] < 0
@@ -292,24 +314,28 @@ class TestProbe:
 
     def test_flat_torus_degenerate(self):
         p = pair("flat-torus-identity")
-        grid = V._probe_grid(p, 5)
-        out = V.maximum_principle_probe(p.f, p.h, p.g, grid, compact=p.compact)
+        out = V.maximum_principle_probe(p.f, p.h, p.g, *V._probe_grid(p),
+                                        compact=p.compact)
         assert out["pattern"] == "degenerate"
         assert abs(out["term1"]) < 1e-8
         assert abs(out["term2"]) < 1e-8
 
     def test_grouped_argmax_matches_strict_scan(self):
         # Y is constant on flat-identity, so every grid point ties: the first
-        # one must win, as in a per-point strict-max scan
+        # one must win, as in a strict-max scan over z-major x W order
         p = pair("flat-identity")
-        grid = V._probe_grid(p, 5)
+        zs, Ws = V._probe_grid(p)
         best, best_val = None, -np.inf
-        for P in grid:
-            val = generalized_Y(p.f, p.h, p.g, P)
-            if val > best_val:
-                best, best_val = P, val
-        out = V.maximum_principle_probe(p.f, p.h, p.g, grid, compact=p.compact)
-        assert out["argmax"] is best is grid[0]
+        for z in zs:
+            for W in Ws:
+                P = BundlePoint.make(z, W)
+                val = generalized_Y(p.f, p.h, p.g, P)
+                if val > best_val:
+                    best, best_val = P, val
+        out = V.maximum_principle_probe(p.f, p.h, p.g, zs, Ws, compact=p.compact)
+        assert np.array_equal(out["argmax"].z, best.z)
+        assert np.array_equal(out["argmax"].W, best.W)
+        assert np.array_equal(best.z, zs[0]) and np.array_equal(best.W, Ws[0])
         assert out["y_max"] == best_val
 
 
@@ -465,7 +491,7 @@ class TestFailClosed:
         p = V.PairContext(f=f, h=base.h, g=base.g, name="nan-map")
         with np.errstate(invalid="ignore"):
             with pytest.raises(ValidationError, match="not finite at probe point"):
-                V.maximum_principle_probe(f, p.h, p.g, V._probe_grid(p, 5))
+                V.maximum_principle_probe(f, p.h, p.g, *V._probe_grid(p))
             rep = V.run_suite(p, ["S5_probe"], samples=1, seed=0)[0]
         assert rep.status == "error"
         assert "not finite at probe point z = " in rep.message
