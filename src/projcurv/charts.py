@@ -53,10 +53,16 @@ class ComplexChart:
                 f"point {np.asarray(z)} too close to boundary of chart "
                 f"{self.name or 'box'}: margin {m:.3e} < required {needed:.3e}")
 
-    def sample(self, rng, frac: float = 0.5) -> np.ndarray:
-        """Draw a point uniformly from the chart shrunk by ``frac``."""
-        re = rng.uniform(-1, 1, self.dim) * self.radius * frac
-        im = rng.uniform(-1, 1, self.dim) * self.radius * frac
+    def sample(self, rng, frac: float = 0.5, count: int | None = None) -> np.ndarray:
+        """Draw a point uniformly from the chart shrunk by ``frac``.
+
+        With ``count``, draw a (count, dim) stack in one call: its rows, and
+        the rng state after the draw, are bit for bit those of ``count``
+        calls without it.
+        """
+        u = rng.uniform(-1, 1, (2, self.dim) if count is None else (count, 2, self.dim))
+        re = u[..., 0, :] * self.radius * frac
+        im = u[..., 1, :] * self.radius * frac
         return self.center + re + 1j * im
 
     def product(self, other: "ComplexChart") -> "ComplexChart":
@@ -104,8 +110,10 @@ class RealChart:
                 f"point {np.asarray(x)} too close to boundary of chart "
                 f"{self.name or 'box'}: margin {m:.3e} < required {needed:.3e}")
 
-    def sample(self, rng, frac: float = 0.5) -> np.ndarray:
-        return self.center + rng.uniform(-1, 1, self.dim) * self.radius * frac
+    def sample(self, rng, frac: float = 0.5, count: int | None = None) -> np.ndarray:
+        """As :meth:`ComplexChart.sample`, on the real box."""
+        shape = self.dim if count is None else (count, self.dim)
+        return self.center + rng.uniform(-1, 1, shape) * self.radius * frac
 
 
 def fiber_chart(fiber_dim: int) -> ComplexChart:

@@ -41,14 +41,15 @@ NORMAL_POST_TOL = 1e-10
 # metric entry jets
 
 def _riemannian_entry_jets(metric: RiemannianMetricField, x, order=2):
-    """Value, first and (optionally) second coordinate derivatives of g_{ij}.
+    """Value, first and (optionally) second coordinate derivatives of g_{ij};
+    the value is the one ``check_at`` validated.
 
     Entries below the diagonal are copied from those above it, so the
     derivative arrays are exactly symmetric in (i, j) whatever the rounding
     of the rule's two expressions for g_{ij} and g_{ji}.
     """
     x = np.asarray(x, float)
-    G = metric.matrix(x)
+    G = metric.check_at(x)
     d1, d2 = diffops.matrix_jet(metric, x, backend="fd", order=order)
     idx = np.arange(metric.dim)
     upper = idx[:, None] <= idx
@@ -91,8 +92,7 @@ class ChernCurvatureTensor:
 def chern_curvature(metric: HermitianMetricField, z) -> ChernCurvatureTensor:
     """Chern curvature tensor of a Hermitian metric at a point."""
     z = np.asarray(z, complex)
-    metric.check_at(z)
-    H = metric.matrix(z)
+    H = metric.check_at(z)
     # dz[g, a, b] = d h_{a bbar}/dz^g, mixed[k, l, a, b] = d^2 h_{a bbar}/dz^k dzbar^l
     dz, mixed = diffops.matrix_jet(metric, z, backend="fd")
     Hinv = np.linalg.inv(H)
@@ -152,7 +152,6 @@ def levi_civita_christoffels(metric: RiemannianMetricField, x,
                              check_compatibility: bool = False) -> np.ndarray:
     """Christoffel symbols Gamma[i, j, k] = Gamma^i_{jk} of the Levi-Civita connection."""
     x = np.asarray(x, float)
-    metric.check_at(x)
     G, d1, _ = _riemannian_entry_jets(metric, x, order=1)
     Ginv = np.linalg.inv(G)
     Gamma = _christoffels_from_jets(Ginv, d1)
@@ -210,8 +209,6 @@ class RiemannCurvatureTensor:
 
 def riemann_curvature(metric: RiemannianMetricField, x) -> RiemannCurvatureTensor:
     """Riemann curvature tensor (all indices down) at a point."""
-    x = np.asarray(x, float)
-    metric.check_at(x)
     G, Ginv, d1, d2, Gamma, dGamma = _christoffel_jets(metric, x)
     # R^l_{ijk} = d_i Gamma^l_{kj} - d_j Gamma^l_{ki}
     #             + Gamma^p_{kj} Gamma^l_{pi} - Gamma^p_{ki} Gamma^l_{pj}

@@ -41,7 +41,7 @@ import numpy as np
 from .charts import ComplexChart
 from .dual import HyperDual
 from .errors import BackendMismatchError
-from .fields import Form11, ScalarField
+from .fields import Form11, ScalarField, rule_values
 
 REL_STEP = 1e-3
 CROSS_CHECK_RTOL = 1e-5
@@ -64,26 +64,9 @@ def step_for(chart) -> float:
 # Derivative arrays put the direction axes first: grad[a, ...] and
 # hess[a, b, ...].
 
-def _stencil_values(out, shape, N):
-    """Rule output over N stencil points as a complex array ``shape + (N,)``.
-
-    Entries that do not depend on the coordinates come back as plain
-    numbers and are broadcast along the stencil.
-    """
-    try:
-        arr = np.asarray(out, complex)
-    except ValueError:          # ragged: constant entries beside arrays
-        return np.stack([_stencil_values(o, shape[1:], N) for o in out])
-    if arr.shape == shape + (N,):
-        return arr
-    if arr.shape == shape:
-        arr = arr[..., None]
-    return np.broadcast_to(arr, shape + (N,))
-
-
 def _eval_stencil(F, P, shape):
     """Values of F at the columns of P, stencil axis first."""
-    vals = _stencil_values(F(P), shape, P.shape[1])
+    vals = rule_values(F(P), shape, P.shape[1])
     return np.moveaxis(vals, -1, 0) if shape else vals
 
 

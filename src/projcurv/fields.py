@@ -38,10 +38,42 @@ class ScalarField:
         return complex(v)
 
 
+def rule_values(out, shape, N):
+    """Rule output over N points as a complex array ``shape + (N,)``.
+
+    The points are those of coordinate arrays of length N.  Entries that do
+    not depend on the coordinates come back as plain numbers and are
+    broadcast along the points.  Any other shape is a ``ValueError``.
+    """
+    try:
+        arr = np.asarray(out, complex)
+    except ValueError:          # ragged: constant entries beside arrays
+        if not shape or len(out) != shape[0]:
+            raise ValueError(f"rule output does not have shape {shape}") from None
+        return np.stack([rule_values(o, shape[1:], N) for o in out])
+    if arr.shape == shape + (N,):
+        return arr
+    if arr.shape != shape:
+        raise ValueError(f"rule output of shape {arr.shape}, expected {shape} "
+                         f"or {shape + (N,)}")
+    return np.broadcast_to(arr[..., None], shape + (N,))
+
+
+def _point_shape(out, N):
+    """Shape of one point's value in a rule output over N points, for
+    error messages; a ragged output is measured along its first entries."""
+    try:
+        shape = np.shape(out)
+    except ValueError:          # ragged: constant entries beside arrays
+        return (len(out),) + _point_shape(out[0], N)
+    return shape[:-1] if shape[-1:] == (N,) else shape
+
+
 class _MetricBase:
     """What the Hermitian and Riemannian metric fields share: generic
     evaluation, inversion and the probe-point validation, which checks the
-    shape, the subclass's symmetry condition and positive definiteness."""
+    shape, finiteness, the subclass's symmetry condition and positive
+    definiteness of a whole stack of values at once."""
 
     def matrix_generic(self, scalars):
         return self.rule(tuple(scalars))
@@ -52,21 +84,54 @@ class _MetricBase:
     def _raw_matrix(self, z) -> np.ndarray:
         return np.asarray(self.rule(tuple(np.asarray(z, self._coordinate_type))), complex)
 
-    def check_at(self, z):
-        M = self._raw_matrix(z)
-        if M.shape != (self.dim, self.dim):
-            raise ValidationError(
-                f"metric {self.name!r}: rule returned shape {M.shape}, "
-                f"expected ({self.dim}, {self.dim})")
-        lam = np.linalg.eigvalsh(self._check_symmetry(M, z))
-        if lam[0] <= 0:
-            raise ValidationError(
-                f"metric {self.name!r} not positive definite at {z}: "
-                f"min eigenvalue {lam[0]:.3e}")
+    def _shape_error(self, shape):
+        return ValidationError(
+            f"metric {self.name!r}: rule returned shape {shape}, "
+            f"expected ({self.dim}, {self.dim})")
+
+    def _check_stack(self, M, points):
+        """Check the (count, d, d) stack M of rule values at ``points``.
+
+        Raises for the first failing point, with the first check it fails,
+        exactly as checking the points one by one would.  Returns the
+        checked stack as the subclass's ``matrix`` gives it.
+        """
+        if M.shape[1:] != (self.dim, self.dim):
+            raise self._shape_error(M.shape[1:])
+        A, defects = self._symmetry_defects(M)
+        # a NaN or inf entry makes its defect NaN or inf, so the first test
+        # also keeps non-finite stacks away from eigvalsh
+        if (all(defect.max(initial=0.0) <= HERMITIAN_DEFECT_TOL for _, defect in defects)
+                and np.linalg.eigvalsh(A)[:, 0].min(initial=np.inf) > 0):
+            return A
+        finite = np.isfinite(M).all(axis=(1, 2))
+        lam = np.linalg.eigvalsh(np.where(finite[:, None, None], A, np.eye(self.dim)))[:, 0]
+        checks = [("has non-finite entries at {point}", ~finite, None)]
+        for text, defect in defects:
+            defect = defect.max(axis=(1, 2))
+            checks.append((text, defect > HERMITIAN_DEFECT_TOL, defect))
+        checks.append(("not positive definite at {point}: min eigenvalue {value:.3e}",
+                       lam <= 0, lam))
+        k = int(np.argmax(np.logical_or.reduce([failed for _, failed, _ in checks])))
+        text, _, value = next(c for c in checks if c[1][k])
+        raise ValidationError(f"metric {self.name!r} " + text.format(
+            point=points[k], value=None if value is None else value[k]))
+
+    def check_at(self, z) -> np.ndarray:
+        """Validate the metric at one point; returns ``matrix(z)``."""
+        return self._check_stack(self._raw_matrix(z)[None], [z])[0]
 
     def validate(self, rng, count: int = 100):
-        for _ in range(count):
-            self.check_at(self.chart.sample(rng))
+        """Validate at ``count`` chart points drawn as ``count`` calls to
+        ``chart.sample(rng)`` would draw them, with one rule evaluation."""
+        points = self.chart.sample(rng, count=count)
+        d = self.dim
+        out = self.rule(tuple(np.ascontiguousarray(points.T)))
+        try:
+            vals = rule_values(out, (d, d), count)
+        except ValueError:
+            raise self._shape_error(_point_shape(out, count)) from None
+        self._check_stack(np.moveaxis(vals, -1, 0), points)
 
 
 @dataclass(frozen=True)
@@ -107,12 +172,9 @@ class HermitianMetricField(_MetricBase):
         """Inverse metric with raised indices: h^{a bbar} = conj(inv(H))[a, b]."""
         return np.linalg.inv(self.matrix(z)).conj()
 
-    def _check_symmetry(self, H, z):
-        defect = float(np.max(np.abs(H - H.conj().T)))
-        if defect > HERMITIAN_DEFECT_TOL:
-            raise ValidationError(
-                f"metric {self.name!r} not Hermitian at {z}: defect {defect:.3e}")
-        return H
+    def _symmetry_defects(self, H):
+        return H, [("not Hermitian at {point}: defect {value:.3e}",
+                    np.abs(H - np.swapaxes(H, 1, 2).conj()))]
 
 
 @dataclass(frozen=True)
@@ -137,14 +199,11 @@ class RiemannianMetricField(_MetricBase):
     def matrix(self, x) -> np.ndarray:
         return self._raw_matrix(x).real
 
-    def _check_symmetry(self, G, x):
-        if float(np.max(np.abs(G.imag))) > HERMITIAN_DEFECT_TOL:
-            raise ValidationError(f"metric {self.name!r} has complex entries at {x}")
-        defect = float(np.max(np.abs(G.real - G.real.T)))
-        if defect > HERMITIAN_DEFECT_TOL:
-            raise ValidationError(
-                f"metric {self.name!r} not symmetric at {x}: defect {defect:.3e}")
-        return G.real
+    def _symmetry_defects(self, G):
+        imag, G = np.abs(G.imag), G.real
+        return G, [("has complex entries at {point}", imag),
+                   ("not symmetric at {point}: defect {value:.3e}",
+                    np.abs(G - np.swapaxes(G, 1, 2)))]
 
 
 class Form11:

@@ -29,7 +29,6 @@ singular matrices: their null directions are genuine, not numerical.
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -555,7 +554,8 @@ def run_suite(pair: PairContext, suites, samples: int = 50, seed: int = 7,
     Sample points are drawn up front in a fixed order and evaluated in that
     order.  A ``GeometryError`` raised while a suite is routed or run makes
     that suite an error naming the exception type; the other suites still
-    run.
+    run.  Raised while one sample is evaluated, it is that sample's error:
+    the sample gets a NaN residual and the others keep theirs.
     ``workers`` is accepted for compatibility and must be 1.
     """
     if workers != 1:
@@ -617,21 +617,25 @@ def _draw_points(suite, pair, rng, samples):
     return pts
 
 
-def _record_sample(rep, k: int, pt, value: float, violated: bool) -> bool:
+def _record_sample(rep, k: int, pt, value: float, violated: bool,
+                   error: GeometryError | None = None) -> bool:
     """Append one sample's residual and apply its verdict; returns whether
     the residual is finite.
 
     A non-finite residual makes the suite an error naming the sample: no
     comparison with a band means anything for it, and NaN compares False
-    with every band.  An error is never downgraded by a later sample.
+    with every band.  A sample whose evaluation raised ``error`` has a NaN
+    residual and the message names the error.  An error is never
+    downgraded by a later sample.
     """
     rep.residuals.append(value)
     rep.points.append(_point_coords(pt))
     if not math.isfinite(value):
         if rep.status != "error":
             rep.status = "error"
-            rep.message = (f"non-finite residual {value} at sample {k}, "
-                           f"point {rep.points[-1]}")
+            why = (f"{type(error).__name__}: {error}" if error is not None
+                   else f"non-finite residual {value}")
+            rep.message = f"{why} at sample {k}, point {rep.points[-1]}"
         return False
     if violated and rep.status == "pass":
         rep.status = "fail"
@@ -671,15 +675,21 @@ def _run_one_suite(rep, suite, pair, rng, samples, tol_relative, tol_exact):
 
     weight = pair.phi or _default_phi
     pts = _draw_points(suite, pair, rng, samples)
-    # every sample is evaluated before any is recorded, so a suite that
-    # raises reports no partial residuals
-    outs = [_evaluate(suite, pair, pt, weight, tol_relative, tol_exact) for pt in pts]
+    # a GeometryError is the error of its sample: it is recorded as a NaN
+    # residual and the other samples keep theirs
+    outs = []
+    for pt in pts:
+        try:
+            outs.append(_evaluate(suite, pair, pt, weight, tol_relative, tol_exact)
+                        + (None,))
+        except GeometryError as exc:
+            outs.append((math.nan, False, None, exc))
     # the worst sample has the largest residual for the exact identities and
     # the smallest for every lower-bound suite
     sign = 1.0 if suite in EXACT_VARIANTS else -1.0
     worst = None
-    for k, (value, violated, form) in enumerate(outs):
-        finite = _record_sample(rep, k, pts[k], value, violated)
+    for k, (value, violated, form, error) in enumerate(outs):
+        finite = _record_sample(rep, k, pts[k], value, violated, error)
         if finite and (worst is None or sign * value > sign * worst[0]):
             worst = (value, k, form)
     if worst:
@@ -697,8 +707,9 @@ def _probe_grid(pair: PairContext) -> tuple[np.ndarray, np.ndarray]:
     chart = pair.f.source
     m = chart.dim
     axes = [np.linspace(-r, r, PROBE_GRID_SIZE) for r in chart.radius * 0.55]
-    zs = np.array([chart.center + np.array(c[:m]) + 1j * np.array(c[m:])
-                   for c in itertools.product(*axes * 2)])
+    # row-major over (re_1..re_m, im_1..im_m), the last coordinate fastest
+    lattice = np.stack(np.meshgrid(*axes * 2, indexing="ij"), axis=-1).reshape(-1, 2 * m)
+    zs = chart.center + lattice[:, :m] + 1j * lattice[:, m:]
     if m == 1:
         return zs, np.ones((1, 1), complex)
     generic = np.arange(1, m + 1) + 1j

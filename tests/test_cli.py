@@ -1,6 +1,7 @@
 import json
 import re
 
+import numpy as np
 import pytest
 
 from projcurv import cli, config
@@ -163,6 +164,24 @@ report: {report}
         doc = json.loads(report.read_text())
         assert doc["verdict"] == "error"
         assert "Hermitian" in doc["error"]
+
+    def test_nan_inline_metric_exit_two(self, tmp_path, capsys):
+        # 0/0 everywhere: the metric used to resolve and only surface as
+        # per-sample NaN errors
+        plan = tmp_path / "plan.yaml"
+        plan.write_text("""
+suites: [S1]
+samples: 2
+pair:
+  source: {dim: 1, radius: 0.9, metric: [["(re(z1)-re(z1))/(re(z1)-re(z1))"]]}
+  target: {zoo: flat, dim: 1}
+  map: {zoo: identity}
+""")
+        with np.errstate(invalid="ignore"):
+            code = cli.main(["verify", "--config", str(plan)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "'inline-source' has non-finite entries" in captured.out + captured.err
 
     def test_failing_suite_exit_one(self, tmp_path):
         # an impossible tolerance turns numerical noise into a failure

@@ -7,7 +7,7 @@ from projcurv.charts import ComplexChart, RealChart
 from projcurv.errors import ValidationError
 from projcurv.fields import HermitianMetricField, RiemannianMetricField
 
-from conftest import conformal_real_rule
+from conftest import conformal_real_rule, fs_rule
 
 
 class TestChernCurvature:
@@ -320,3 +320,38 @@ class TestRCPositiveRiemannian:
     def test_empty_grid_rejected(self, sphere2):
         with pytest.raises(ValidationError):
             cv.rc_positive_riemannian(sphere2, [[0.0, 0.0]], np.empty((0, 2)))
+
+
+class TestMetricEvaluatedOnce:
+    """Each curvature call evaluates the metric at the point once, through
+    ``check_at``, and reuses the matrix it validated; the jets evaluate it
+    on stencil arrays."""
+
+    @staticmethod
+    def _counted(metric):
+        calls = []
+
+        def rule(z):
+            calls.append(np.ndim(z[0]))
+            return metric.rule(z)
+
+        cls = type(metric)
+        return cls(metric.chart, rule, name=metric.name, validate_on_init=False), calls
+
+    def test_chern(self):
+        chart = ComplexChart(dim=1, radius=[0.9])
+        metric, calls = self._counted(HermitianMetricField(chart, fs_rule(1)))
+        cv.chern_curvature(metric, [0.2 + 0.1j])
+        assert calls.count(0) == 1
+
+    @pytest.mark.parametrize("call", [
+        lambda g, x: cv.riemann_curvature(g, x),
+        lambda g, x: cv.levi_civita_christoffels(g, x, check_compatibility=True),
+    ], ids=["riemann", "levi_civita"])
+    def test_riemannian(self, call):
+        chart = RealChart(dim=2, radius=[0.9, 0.9])
+        sphere = RiemannianMetricField(
+            chart, conformal_real_rule(2, lambda r2: 4 / (1 + r2) ** 2))
+        metric, calls = self._counted(sphere)
+        call(metric, [0.2, -0.1])
+        assert calls.count(0) == 1

@@ -1,4 +1,6 @@
+import itertools
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -338,6 +340,24 @@ class TestProbe:
         assert np.array_equal(best.z, zs[0]) and np.array_equal(best.W, Ws[0])
         assert out["y_max"] == best_val
 
+    @pytest.mark.parametrize("name", zoo.catalog_names()["map-pair"] + ("m3",))
+    def test_grid_is_the_product_lattice(self, name):
+        # the lattice as itertools.product over (re_1..re_m, im_1..im_m) built it
+        if name == "m3":
+            chart = ComplexChart(dim=3, center=[0.1, -0.2j, 0.3 + 0.1j],
+                                 radius=[0.4, 0.7, 0.25])
+            p = SimpleNamespace(f=SimpleNamespace(source=chart))
+        else:
+            p = pair(name)
+            chart = p.f.source
+        m = chart.dim
+        axes = [np.linspace(-r, r, V.PROBE_GRID_SIZE) for r in chart.radius * 0.55]
+        expected = np.array([chart.center + np.array(c[:m]) + 1j * np.array(c[m:])
+                             for c in itertools.product(*axes * 2)])
+        zs, _ = V._probe_grid(p)
+        assert zs.dtype == expected.dtype and zs.shape == expected.shape
+        assert zs.tobytes() == expected.tobytes()
+
 
 class TestRunSuite:
     def test_empty_suite_list(self):
@@ -506,6 +526,26 @@ class TestFailClosed:
         assert V._record_sample(rep, 2, pt, float("inf"), False) is False
         assert rep.status == "error"
         assert "sample 0" in rep.message
+
+    def test_raising_sample_keeps_the_others(self):
+        # the target metric is NaN at f(z) = NaN; its ValidationError belongs
+        # to that sample, and the finite samples keep their residuals
+        base = pair("fs-to-poincare")
+        f = ChartedMap(base.h.chart, base.g.chart,
+                       lambda z: (0.4 * z[0] * nan_on_right_half(z[0]),),
+                       holomorphic=True, name="half-nan", validate_on_init=False)
+        p = V.PairContext(f=f, h=base.h, g=base.g, name="half-nan")
+        with np.errstate(invalid="ignore"):
+            rep = V.run_suite(p, ["S1"], samples=6, seed=3)[0]
+        clean = V.run_suite(base, ["S1"], samples=6, seed=3)[0]
+        assert rep.status == "error" and len(rep.residuals) == 6
+        bad = [k for k, r in enumerate(rep.residuals) if not np.isfinite(r)]
+        assert bad and len(bad) < 6
+        assert rep.message.startswith(
+            "ValidationError: metric 'poincare-disc' has non-finite entries at ")
+        assert f"at sample {bad[0]}, point {rep.points[bad[0]]}" in rep.message
+        assert rep.points == clean.points
+        assert rep.worst["residual"] in rep.residuals
 
 
 class TestCovectorBundle:
