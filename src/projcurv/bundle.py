@@ -111,7 +111,7 @@ class TautologicalMetric:
     def base_dim(self) -> int:
         return self.h.chart.dim
 
-    def combined_chart(self, chart_index: int) -> ComplexChart:
+    def combined_chart(self) -> ComplexChart:
         if self.m == 1:
             return self.h.chart
         return self.h.chart.product(fiber_chart(self.m - 1))
@@ -144,7 +144,7 @@ class TautologicalMetric:
                 out = out - weight(z, tuple(W))
             return out
 
-        return ScalarField(self.combined_chart(chart_index), rule,
+        return ScalarField(self.combined_chart(), rule,
                            name="log_tautological_metric")
 
 
@@ -163,10 +163,10 @@ def tautological_curvature(tm: TautologicalMetric, P: BundlePoint) -> Form11:
     return Form11(-hess.matrix)
 
 
-def _check_base_normal(tm: TautologicalMetric, z, tol: float = 1e-6):
+def _check_base_normal(tm: TautologicalMetric, z):
     H = tm.h.matrix(z)
     m = tm.m
-    if float(np.max(np.abs(H - np.eye(m)))) > tol:
+    if float(np.max(np.abs(H - np.eye(m)))) > 1e-6:
         raise ValidationError(
             "horizontal curvature value needs base-normal coordinates "
             "(metric must be the identity at the base point); "

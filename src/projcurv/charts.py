@@ -15,8 +15,10 @@ from .errors import ChartDomainError
 
 
 @dataclass(frozen=True)
-class ComplexChart:
-    """Chart on C^m: a per-coordinate box |Re|, |Im| <= r about the center."""
+class _Box:
+    """What the complex and real charts share: a per-coordinate box about
+    the center, its normalization and its boundary margin.  Subclasses set
+    the coordinate ``_dtype`` and draw their own samples."""
 
     dim: int
     center: np.ndarray = None
@@ -26,14 +28,18 @@ class ComplexChart:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("chart dimension must be >= 1")
-        c = np.zeros(self.dim, complex) if self.center is None \
-            else np.asarray(self.center, complex)
+        c = np.zeros(self.dim, self._dtype) if self.center is None \
+            else np.asarray(self.center, self._dtype)
         r = np.ones(self.dim) if self.radius is None \
             else np.broadcast_to(np.asarray(self.radius, float), (self.dim,)).copy()
         if np.any(r <= 0):
             raise ValueError("chart radii must be positive")
         object.__setattr__(self, "center", c)
         object.__setattr__(self, "radius", r)
+        # the radius of each float of a point's float view: (r_i, r_i) for
+        # the (Re, Im) of a complex coordinate, r_i for a real one
+        object.__setattr__(self, "_view_radius",
+                           np.repeat(r, 2 if self._dtype is complex else 1))
 
     @property
     def scale(self) -> float:
@@ -41,10 +47,8 @@ class ComplexChart:
 
     def margin(self, z) -> float:
         """Distance from z to the chart boundary (negative when outside)."""
-        d = np.asarray(z, complex) - self.center
-        gaps = np.concatenate([self.radius - np.abs(d.real),
-                               self.radius - np.abs(d.imag)])
-        return float(np.min(gaps))
+        d = np.asarray(z, self._dtype) - self.center
+        return float((self._view_radius - np.abs(d.view(float))).min())
 
     def require_margin(self, z, needed: float):
         m = self.margin(z)
@@ -52,6 +56,12 @@ class ComplexChart:
             raise ChartDomainError(
                 f"point {np.asarray(z)} too close to boundary of chart "
                 f"{self.name or 'box'}: margin {m:.3e} < required {needed:.3e}")
+
+
+class ComplexChart(_Box):
+    """Chart on C^m: a per-coordinate box |Re|, |Im| <= r about the center."""
+
+    _dtype = complex
 
     def sample(self, rng, frac: float = 0.5, count: int | None = None) -> np.ndarray:
         """Draw a point uniformly from the chart shrunk by ``frac``.
@@ -75,40 +85,10 @@ class ComplexChart:
         )
 
 
-@dataclass(frozen=True)
-class RealChart:
+class RealChart(_Box):
     """Chart on R^n: a per-coordinate box |x_i - c_i| <= r_i."""
 
-    dim: int
-    center: np.ndarray = None
-    radius: np.ndarray = None
-    name: str = ""
-
-    def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("chart dimension must be >= 1")
-        c = np.zeros(self.dim) if self.center is None else np.asarray(self.center, float)
-        r = np.ones(self.dim) if self.radius is None \
-            else np.broadcast_to(np.asarray(self.radius, float), (self.dim,)).copy()
-        if np.any(r <= 0):
-            raise ValueError("chart radii must be positive")
-        object.__setattr__(self, "center", c)
-        object.__setattr__(self, "radius", r)
-
-    @property
-    def scale(self) -> float:
-        return float(np.max(self.radius))
-
-    def margin(self, x) -> float:
-        d = np.asarray(x, float) - self.center
-        return float(np.min(self.radius - np.abs(d)))
-
-    def require_margin(self, x, needed: float):
-        m = self.margin(x)
-        if m < needed:
-            raise ChartDomainError(
-                f"point {np.asarray(x)} too close to boundary of chart "
-                f"{self.name or 'box'}: margin {m:.3e} < required {needed:.3e}")
+    _dtype = float
 
     def sample(self, rng, frac: float = 0.5, count: int | None = None) -> np.ndarray:
         """As :meth:`ComplexChart.sample`, on the real box."""

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import diffops
-from .charts import ComplexChart, RealChart
+from . import dual as gm
 from .errors import ValidationError
 from .fields import HermitianMetricField, RiemannianMetricField
 
@@ -166,22 +166,22 @@ def levi_civita_christoffels(metric: RiemannianMetricField, x,
 
 
 def _christoffel_jets(metric: RiemannianMetricField, x):
-    """Gamma and its first coordinate derivatives, assembled from metric jets."""
+    """(G, dG, d2G, Gamma, dGamma): the metric jets, and Gamma and its first
+    coordinate derivatives assembled from them."""
     G, d1, d2 = _riemannian_entry_jets(metric, x, order=2)
     Ginv = np.linalg.inv(G)
     Gamma = _christoffels_from_jets(Ginv, d1)
     dGinv = -np.einsum("ip,apq,ql->ail", Ginv, d1, Ginv)
     dGamma = 0.5 * (np.einsum("ail,ljk->aijk", dGinv, _bracket(d1))
                     + np.einsum("il,aljk->aijk", Ginv, _bracket(d2)))
-    return G, Ginv, d1, d2, Gamma, dGamma
+    return G, d1, d2, Gamma, dGamma
 
 
 @dataclass(frozen=True)
 class RiemannCurvatureTensor:
-    """R[i, j, k, l] = R_{ijkl}; also carries the Christoffel symbols."""
+    """R[i, j, k, l] = R_{ijkl}."""
 
     array: np.ndarray
-    christoffels: np.ndarray
     metric_value: np.ndarray
 
     @property
@@ -207,17 +207,22 @@ class RiemannCurvatureTensor:
                          np.asarray(Z, complex), np.asarray(W, complex))
 
 
-def riemann_curvature(metric: RiemannianMetricField, x) -> RiemannCurvatureTensor:
-    """Riemann curvature tensor (all indices down) at a point."""
-    G, Ginv, d1, d2, Gamma, dGamma = _christoffel_jets(metric, x)
+def _riemann_from_jets(G, Gamma, dGamma):
+    """R_{ijkl} from the metric, Gamma and its first derivatives."""
     # R^l_{ijk} = d_i Gamma^l_{kj} - d_j Gamma^l_{ki}
     #             + Gamma^p_{kj} Gamma^l_{pi} - Gamma^p_{ki} Gamma^l_{pj}
     R_up = (np.einsum("ilkj->lijk", dGamma)
             - np.einsum("jlki->lijk", dGamma)
             + np.einsum("pkj,lpi->lijk", Gamma, Gamma)
             - np.einsum("pki,lpj->lijk", Gamma, Gamma))
-    R_dn = np.einsum("sl,sijk->ijkl", G, R_up)
-    return RiemannCurvatureTensor(array=R_dn, christoffels=Gamma, metric_value=G)
+    return np.einsum("sl,sijk->ijkl", G, R_up)
+
+
+def riemann_curvature(metric: RiemannianMetricField, x) -> RiemannCurvatureTensor:
+    """Riemann curvature tensor (all indices down) at a point."""
+    G, _, _, Gamma, dGamma = _christoffel_jets(metric, x)
+    return RiemannCurvatureTensor(array=_riemann_from_jets(G, Gamma, dGamma),
+                                  metric_value=G)
 
 
 def riemannian_sectional_curvature(metric: RiemannianMetricField, x, X, Y) -> float:
@@ -257,7 +262,7 @@ def key3_check(metric: RiemannianMetricField, x) -> float:
     enforced to KEY3_PRECONDITION_TOL, not assumed.
     """
     x = np.asarray(x, float)
-    G, Ginv, d1, d2, Gamma, dGamma = _christoffel_jets(metric, x)
+    G, d1, d2, Gamma, dGamma = _christoffel_jets(metric, x)
     n = metric.dim
     if float(np.max(np.abs(G - np.eye(n)))) > KEY3_PRECONDITION_TOL:
         raise ValidationError(
@@ -265,59 +270,104 @@ def key3_check(metric: RiemannianMetricField, x) -> float:
     if float(np.max(np.abs(d1))) > KEY3_PRECONDITION_TOL:
         raise ValidationError(
             f"key3 preconditions: first metric derivatives do not vanish at {x}")
-    R = riemann_curvature(metric, x).array
-    lhs = np.empty((n, n, n, n))
-    rhs = np.empty((n, n, n, n))
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    lhs[i, j, k, l] = (d2[i, j, k, l] - dGamma[k, l, i, j]
-                                       - dGamma[l, k, i, j])
-                    rhs[i, j, k, l] = -(R[i, l, k, j] + R[i, k, l, j])
+    R = _riemann_from_jets(G, Gamma, dGamma)
+    lhs = d2 - dGamma.transpose(2, 3, 0, 1) - dGamma.transpose(2, 3, 1, 0)
+    rhs = -(R.transpose(0, 3, 2, 1) + R.transpose(0, 3, 1, 2))
     return float(np.max(np.abs(lhs - rhs)))
 
 
 # ---------------------------------------------------------------------------
 # normal coordinates
 
-def _generic_affine(p, A, zs, q=None):
-    """p + A @ (zs + q(zs)) with generic scalars (lists, no dtype coercion)."""
-    n = len(zs)
-    vec = list(zs) if q is None else [zs[i] + q[i] for i in range(n)]
-    out = []
-    for r in range(A.shape[0]):
-        acc = p[r]
-        for c in range(n):
-            acc = acc + A[r, c] * vec[c]
-        out.append(acc)
-    return out
+def _pullback_rule(metric, p, A, b=None):
+    """Rule of ``metric`` in the coordinates old = p + A (new + q(new)),
+    q^d = b[d, a, g] new^a new^g / 2, in generic arithmetic: the matrix
+    J^T M(old) conj(J) with J = A (I + b new).  The linear stage passes no
+    ``b`` (J = A): b = 0 through the quadratic sums would add exact zeros in
+    another order and move the Hermitian frame's ``quadratic`` by 5e-20."""
+    idx = range(metric.dim)
+
+    def rule(zs):
+        if b is None:
+            vec, J = zs, A
+        else:
+            q = [0.5 * sum(b[d, a, g] * zs[a] * zs[g] for a in idx for g in idx)
+                 for d in idx]
+            vec = [zs[d] + q[d] for d in idx]
+            J = [[sum(A[r, d] * ((1.0 if d == a else 0.0)
+                                 + sum(b[d, a, g] * zs[g] for g in idx))
+                      for d in idx) for a in idx] for r in idx]
+        old = []                # p + A vec, summed left to right
+        for r in idx:
+            acc = p[r]
+            for c in idx:
+                acc = acc + A[r, c] * vec[c]
+            old.append(acc)
+        M = metric.matrix_generic(old)
+        return [[sum(J[r][a] * M[r][s] * gm.conj(J[s][c]) for r in idx for s in idx)
+                 for c in idx] for a in idx]
+
+    return rule
 
 
 @dataclass(frozen=True)
-class HermitianNormalFrame:
-    """Holomorphic coordinate change making a Hermitian metric normal at a point.
+class NormalFrame:
+    """Coordinate change old = center + linear (new + q(new)) with
+    q^d = quadratic[d, a, g] new^a new^g / 2, making a metric normal at
+    the center; ``metric`` is the metric in the new coordinates.
 
-    In the new coordinates the metric is the identity at 0 and its first
-    holomorphic derivatives satisfy d_g h_{a bbar} = -d_a h_{g bbar} there.
+    Hermitian frames are holomorphic: the new metric is the identity at 0
+    and d_g h_{a bbar} = -d_a h_{g bbar} there.  Riemannian frames give
+    g = delta and dg = 0 at 0; their ``quadratic`` is -Gamma, the
+    Christoffel symbols at 0 of the metric after the linear change alone.
     """
 
     center: np.ndarray
-    linear: np.ndarray          # A; old = center + A (new + quadratic)
-    quadratic: np.ndarray       # b[d, a, g], symmetric in (a, g)
-    metric: HermitianMetricField
+    linear: np.ndarray
+    quadratic: np.ndarray       # symmetric in its last two indices
+    metric: HermitianMetricField | RiemannianMetricField
 
-    def to_old_point(self, zeta):
-        zeta = np.asarray(zeta, complex)
-        q = 0.5 * np.einsum("dag,a,g->d", self.quadratic, zeta, zeta)
-        return self.center + self.linear @ (zeta + q)
+    def to_old_point(self, new):
+        new = np.asarray(new, self.center.dtype)
+        q = 0.5 * np.einsum("dag,a,g->d", self.quadratic, new, new)
+        return self.center + self.linear @ (new + q)
 
     def to_new_vector(self, v):
-        return np.linalg.solve(self.linear, np.asarray(v, complex))
+        return np.linalg.solve(self.linear, np.asarray(v, self.center.dtype))
 
 
-def hermitian_normal_coordinates(metric: HermitianMetricField,
-                                 p) -> HermitianNormalFrame:
+def _linear_stage(metric, p):
+    """A = conj(M(p)^{-1/2}), which makes the metric the identity, and the
+    exact first jet at 0 of the metric in the coordinates p + A new."""
+    n = metric.dim
+    lam, U = np.linalg.eigh(metric.matrix(p))
+    A = (U @ np.diag(lam ** -0.5) @ U.conj().T).conj()
+    stage = type(metric)(type(metric.chart)(dim=n), _pullback_rule(metric, p, A),
+                         validate_on_init=False)
+    return A, diffops.matrix_jet(stage, np.zeros(n), backend="dual", order=1)[0]
+
+
+def _normal_frame(metric, p, A, b):
+    """The frame with linear part A and quadratic part b at p, its metric
+    checked to be the identity at 0, and that metric's exact first jet
+    at 0.  The new chart's radius is 0.45 times the old chart's margin at p
+    over the norm of A, at most the old chart's scale and at least 1e-3."""
+    n = metric.dim
+    opnorm = float(np.linalg.norm(A, 2))
+    margin = metric.chart.margin(p)
+    radius = max(min(0.45 * margin / max(opnorm, 1e-12), metric.chart.scale), 1e-3)
+    chart = type(metric.chart)(dim=n, radius=np.full(n, radius), name="normal")
+    new_metric = type(metric)(chart, _pullback_rule(metric, p, A, b),
+                              name=f"{metric.name or 'metric'}@normal",
+                              validate_on_init=False)
+    identity_defect = np.max(np.abs(new_metric.matrix(np.zeros(n)) - np.eye(n)))
+    if float(identity_defect) > NORMAL_POST_TOL:
+        raise ValidationError("normal coordinates: metric not identity at center")
+    jet, _ = diffops.matrix_jet(new_metric, np.zeros(n), backend="dual", order=1)
+    return NormalFrame(center=p, linear=A, quadratic=b, metric=new_metric), jet
+
+
+def hermitian_normal_coordinates(metric: HermitianMetricField, p) -> NormalFrame:
     """Linear plus quadratic holomorphic change of chart normalizing ``metric`` at p.
 
     The construction consumes exact first derivatives from the dual backend;
@@ -325,59 +375,10 @@ def hermitian_normal_coordinates(metric: HermitianMetricField,
     deliver.
     """
     p = np.asarray(p, complex)
-    m = metric.dim
-    H0 = metric.matrix(p)
-    lam, U = np.linalg.eigh(H0)
-    B = U @ np.diag(lam ** -0.5) @ U.conj().T   # Hermitian, B^dagger H0 B = I
-    A = B.conj()
-
-    def stage1_rule(zs, _A=A, _p=p):
-        zold = _generic_affine(_p, _A, zs)
-        Hm = metric.matrix_generic(zold)
-        return [[sum(_A[r, a] * Hm[r][s] * _A[s, b].conjugate()
-                     for r in range(m) for s in range(m))
-                 for b in range(m)] for a in range(m)]
-
-    # exact first derivatives of the stage-1 metric at 0
-    stage1 = HermitianMetricField(ComplexChart(dim=m, radius=np.full(m, 1.0)),
-                                  stage1_rule, validate_on_init=False)
-    c, _ = diffops.matrix_jet(stage1, np.zeros(m), backend="dual", order=1)
-
-    b_arr = np.empty((m, m, m), complex)
-    for d in range(m):
-        for a in range(m):
-            for g in range(m):
-                b_arr[d, a, g] = -0.5 * (c[g, a, d] + c[a, g, d])
-
-    opnorm = float(np.linalg.norm(A, 2))
-    margin = metric.chart.margin(p)
-    radius = max(min(0.45 * margin / max(opnorm, 1e-12), metric.chart.scale), 1e-3)
-    new_chart = ComplexChart(dim=m, radius=np.full(m, radius), name="normal")
-
-    def rule(zs, _A=A, _b=b_arr, _p=p):
-        q = [0.5 * sum(_b[d, a, g] * zs[a] * zs[g]
-                       for a in range(m) for g in range(m)) for d in range(m)]
-        zold = _generic_affine(_p, _A, zs, q)
-        Hm = metric.matrix_generic(zold)
-        # J[r, a] = A @ (I + Dq), Dq[d, a] = b[d, a, g] zs[g]
-        J = [[sum(_A[r, d] * ((1.0 if d == a else 0.0)
-                              + sum(_b[d, a, g] * zs[g] for g in range(m)))
-                  for d in range(m)) for a in range(m)] for r in range(m)]
-        return [[sum(J[r][a] * Hm[r][s] * (J[s][b]).conjugate()
-                     for r in range(m) for s in range(m))
-                 for b in range(m)] for a in range(m)]
-
-    new_metric = HermitianMetricField(new_chart, rule,
-                                      name=f"{metric.name or 'metric'}@normal",
-                                      validate_on_init=False)
-    frame = HermitianNormalFrame(center=p, linear=A, quadratic=b_arr,
-                                 metric=new_metric)
-
-    # post-conditions, checked with exact derivatives
-    H_new = new_metric.matrix(np.zeros(m))
-    if float(np.max(np.abs(H_new - np.eye(m)))) > NORMAL_POST_TOL:
-        raise ValidationError("normal coordinates: metric not identity at center")
-    d_new, _ = diffops.matrix_jet(new_metric, np.zeros(m), backend="dual", order=1)
+    A, c = _linear_stage(metric, p)
+    # b[d, a, g] = -(c[g, a, d] + c[a, g, d]) / 2
+    b = -0.5 * (c.transpose(2, 1, 0) + c.transpose(2, 0, 1))
+    frame, d_new = _normal_frame(metric, p, A, b)
     defect = float(np.max(np.abs(d_new + d_new.transpose(1, 0, 2))))
     if defect > NORMAL_POST_TOL:
         raise ValidationError(
@@ -386,70 +387,13 @@ def hermitian_normal_coordinates(metric: HermitianMetricField,
     return frame
 
 
-@dataclass(frozen=True)
-class RiemannianNormalFrame:
-    center: np.ndarray
-    linear: np.ndarray
-    quadratic: np.ndarray       # Gamma^i_{jk} of the stage-1 metric at 0
-    metric: RiemannianMetricField
-
-    def to_old_point(self, xi):
-        xi = np.asarray(xi, float)
-        q = -0.5 * np.einsum("ijk,j,k->i", self.quadratic, xi, xi)
-        return self.center + self.linear @ (xi + q)
-
-    def to_new_vector(self, v):
-        return np.linalg.solve(self.linear, np.asarray(v, float))
-
-
-def riemannian_normal_coordinates(metric: RiemannianMetricField,
-                                  x0) -> RiemannianNormalFrame:
+def riemannian_normal_coordinates(metric: RiemannianMetricField, x0) -> NormalFrame:
     """Coordinate change making g = delta and dg = 0 at the image of ``x0``."""
     x0 = np.asarray(x0, float)
-    n = metric.dim
-    G0 = metric.matrix(x0)
-    lam, U = np.linalg.eigh(G0)
-    A = U @ np.diag(lam ** -0.5) @ U.T
-
-    def stage1_rule(xs, _A=A, _x0=x0):
-        xold = _generic_affine(_x0, _A, xs)
-        Gm = metric.matrix_generic(xold)
-        return [[sum(_A[r, i] * Gm[r][s] * _A[s, j]
-                     for r in range(n) for s in range(n))
-                 for j in range(n)] for i in range(n)]
-
-    stage1 = RiemannianMetricField(RealChart(dim=n, radius=np.ones(n)), stage1_rule,
-                                   validate_on_init=False)
-    d1 = np.real(diffops.matrix_jet(stage1, np.zeros(n), backend="dual", order=1)[0])
-    Gamma = 0.5 * _bracket(d1)  # stage-1 metric is delta at 0
-
-    opnorm = float(np.linalg.norm(A, 2))
-    margin = metric.chart.margin(x0)
-    radius = max(min(0.45 * margin / max(opnorm, 1e-12), metric.chart.scale), 1e-3)
-    new_chart = RealChart(dim=n, radius=np.full(n, radius), name="normal")
-
-    def rule(xs, _A=A, _G=Gamma, _x0=x0):
-        q = [-0.5 * sum(_G[i, j, k] * xs[j] * xs[k]
-                        for j in range(n) for k in range(n)) for i in range(n)]
-        xold = _generic_affine(_x0, _A, xs, q)
-        Gm = metric.matrix_generic(xold)
-        J = [[sum(_A[r, d] * ((1.0 if d == i else 0.0)
-                              - sum(_G[d, i, k] * xs[k] for k in range(n)))
-                  for d in range(n)) for i in range(n)] for r in range(n)]
-        return [[sum(J[r][i] * Gm[r][s] * J[s][j]
-                     for r in range(n) for s in range(n))
-                 for j in range(n)] for i in range(n)]
-
-    new_metric = RiemannianMetricField(new_chart, rule,
-                                       name=f"{metric.name or 'metric'}@normal",
-                                       validate_on_init=False)
-    frame = RiemannianNormalFrame(center=x0, linear=A, quadratic=Gamma,
-                                  metric=new_metric)
-    G_new = new_metric.matrix(np.zeros(n))
-    if float(np.max(np.abs(G_new - np.eye(n)))) > NORMAL_POST_TOL:
-        raise ValidationError("normal coordinates: metric not identity at center")
-    g, _ = diffops.matrix_jet(new_metric, np.zeros(n), backend="dual", order=1)
-    if float(np.max(np.abs(np.real(g)))) > NORMAL_POST_TOL:
+    A, d1 = _linear_stage(metric, x0)
+    # the linear stage makes the metric delta at 0, so Gamma = bracket / 2
+    frame, d_new = _normal_frame(metric, x0, A, -0.5 * _bracket(np.real(d1)))
+    if float(np.max(np.abs(np.real(d_new)))) > NORMAL_POST_TOL:
         raise ValidationError("normal coordinates: first derivatives do not vanish")
     return frame
 

@@ -69,17 +69,25 @@ def _point_shape(out, N):
     return shape[:-1] if shape[-1:] == (N,) else shape
 
 
+@dataclass(frozen=True)
 class _MetricBase:
-    """What the Hermitian and Riemannian metric fields share: generic
-    evaluation, inversion and the probe-point validation, which checks the
-    shape, finiteness, the subclass's symmetry condition and positive
-    definiteness of a whole stack of values at once."""
+    """What the Hermitian and Riemannian metric fields share: the fields,
+    the check at the chart center on construction, generic evaluation and
+    the probe-point validation, which checks the shape, finiteness, the
+    subclass's symmetry condition and positive definiteness of a whole
+    stack of values at once."""
+
+    chart: ComplexChart | RealChart
+    rule: object
+    name: str = ""
+    validate_on_init: bool = True
+
+    def __post_init__(self):
+        if self.validate_on_init:
+            self.check_at(self.chart.center)
 
     def matrix_generic(self, scalars):
         return self.rule(tuple(scalars))
-
-    def inverse(self, z) -> np.ndarray:
-        return np.linalg.inv(self.matrix(z))
 
     def _raw_matrix(self, z) -> np.ndarray:
         return np.asarray(self.rule(tuple(np.asarray(z, self._coordinate_type))), complex)
@@ -147,10 +155,6 @@ class HermitianMetricField(_MetricBase):
     covector bundle) set it explicitly.
     """
 
-    chart: ComplexChart
-    rule: object
-    name: str = ""
-    validate_on_init: bool = True
     matrix_dim: int = None
 
     _coordinate_type = complex
@@ -158,8 +162,7 @@ class HermitianMetricField(_MetricBase):
     def __post_init__(self):
         if self.matrix_dim is None:
             object.__setattr__(self, "matrix_dim", self.chart.dim)
-        if self.validate_on_init:
-            self.check_at(self.chart.center)
+        super().__post_init__()
 
     @property
     def dim(self) -> int:
@@ -177,20 +180,10 @@ class HermitianMetricField(_MetricBase):
                     np.abs(H - np.swapaxes(H, 1, 2).conj()))]
 
 
-@dataclass(frozen=True)
 class RiemannianMetricField(_MetricBase):
     """Matrix field x -> g_{ij}(x), symmetric positive definite."""
 
-    chart: RealChart
-    rule: object
-    name: str = ""
-    validate_on_init: bool = True
-
     _coordinate_type = float
-
-    def __post_init__(self):
-        if self.validate_on_init:
-            self.check_at(self.chart.center)
 
     @property
     def dim(self) -> int:

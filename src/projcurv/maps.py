@@ -259,7 +259,7 @@ def Y_field(f: ChartedMap, h: HermitianMetricField, g,
         H = gm.pairing(h.matrix_generic(z), W, W)
         return gm.real(num) / gm.real(H)
 
-    return ScalarField(tm.combined_chart(chart_index), rule,
+    return ScalarField(tm.combined_chart(), rule,
                        name="generalized_density")
 
 

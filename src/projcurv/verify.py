@@ -75,10 +75,10 @@ class PairContext:
         return isinstance(self.g, HermitianMetricField)
 
 
-def _pluriharmonic_on_samples(pair: PairContext, rng, tol=1e-6, count=3) -> bool:
-    for _ in range(count):
+def _pluriharmonic_on_samples(pair: PairContext, rng) -> bool:
+    for _ in range(3):
         z = pair.f.source.sample(rng, 0.5)
-        if not maps_mod.is_pluriharmonic(pair.f, pair.g, z, tol=tol):
+        if not maps_mod.is_pluriharmonic(pair.f, pair.g, z):
             return False
     return True
 
@@ -186,10 +186,10 @@ def riemann_curvature_term_variants(f: ChartedMap, g: RiemannianMetricField,
     }
 
 
-def _require_hermitian(C: np.ndarray, what: str, tol: float = 1e-8):
+def _require_hermitian(C: np.ndarray, what: str):
     scale = max(1.0, float(np.max(np.abs(C))))
     defect = float(np.max(np.abs(C - C.conj().T)))
-    if defect > tol * scale:
+    if defect > 1e-8 * scale:
         raise ValidationError(f"{what} is not Hermitian: defect {defect:.3e}")
 
 

@@ -62,9 +62,9 @@ def _poincare_rule(m):
     return rule
 
 
-def _delta_rule(m, scale=1.0):
+def _delta_rule(m):
     def rule(z):
-        return [[scale if a == b else 0.0 for b in range(m)] for a in range(m)]
+        return [[1.0 if a == b else 0.0 for b in range(m)] for a in range(m)]
     return rule
 
 

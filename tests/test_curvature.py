@@ -1,8 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from projcurv import dual as gm
 from projcurv import curvature as cv
+from projcurv import zoo
 from projcurv.charts import ComplexChart, RealChart
 from projcurv.errors import ValidationError
 from projcurv.fields import HermitianMetricField, RiemannianMetricField
@@ -249,6 +252,30 @@ class TestKey3:
         with pytest.raises(ValidationError):
             cv.key3_check(sphere2, [0.0, 0.0])
 
+    def test_metric_jets_taken_once(self):
+        # key3 builds R from the jets it has: one point evaluation and one
+        # Hessian stencil, where taking the jets again made it 2 and 2
+        g = zoo.build_entry("round-sphere-normal").obj
+        metric, calls = TestMetricEvaluatedOnce._counted(g)
+        assert cv.key3_check(metric, np.zeros(g.dim)) == cv.key3_check(g, np.zeros(g.dim))
+        assert calls.count(0) == 1 and len(calls) == 2
+
+    @pytest.mark.parametrize("name", ["round-sphere-normal", "hyperbolic-normal",
+                                      "euclidean"])
+    def test_matches_the_index_loop(self, name):
+        # the transposes pick the entries the four-index loop picked
+        g = zoo.build_entry(name).obj
+        x = np.zeros(g.dim)
+        _, _, d2, _, dGamma = cv._christoffel_jets(g, x)
+        R = cv.riemann_curvature(g, x).array
+        n = g.dim
+        worst = 0.0
+        for i, j, k, l in itertools.product(range(n), repeat=4):
+            lhs = d2[i, j, k, l] - dGamma[k, l, i, j] - dGamma[l, k, i, j]
+            rhs = -(R[i, l, k, j] + R[i, k, l, j])
+            worst = max(worst, abs(lhs - rhs))
+        assert cv.key3_check(g, x) == worst
+
 
 class TestNormalCoordinates:
     def test_flat_identity_transformation(self, flat2):
@@ -276,6 +303,16 @@ class TestNormalCoordinates:
         H0 = frame.metric.matrix(np.zeros(2))
         assert np.allclose(H0, np.eye(2), atol=1e-10)
 
+    def test_quadratic_is_the_symmetrized_jet(self, fs2):
+        # b[d, a, g] = -(c[g, a, d] + c[a, g, d]) / 2 entry by entry, c the
+        # exact first jet after the linear change
+        p = np.array([0.2 + 0.1j, -0.3j])
+        frame = cv.hermitian_normal_coordinates(fs2, p)
+        A, c = cv._linear_stage(fs2, p)
+        np.testing.assert_array_equal(A, frame.linear)
+        for d, a, g in itertools.product(range(2), repeat=3):
+            assert frame.quadratic[d, a, g] == -0.5 * (c[g, a, d] + c[a, g, d])
+
     def test_point_roundtrip(self, fs2):
         frame = cv.hermitian_normal_coordinates(fs2, [0.2 + 0.1j, -0.3j])
         assert np.allclose(frame.to_old_point(np.zeros(2)),
@@ -287,6 +324,34 @@ class TestNormalCoordinates:
         assert np.allclose(G0, np.eye(2), atol=1e-10)
         # key3 now holds at the image point
         assert cv.key3_check(frame.metric, np.zeros(2)) < 1e-6
+
+    @pytest.mark.parametrize("x0", [[0.2, -0.1], [-0.35, 0.3]])
+    def test_riemannian_frame_maps(self, sphere2, x0):
+        frame = cv.riemannian_normal_coordinates(sphere2, x0)
+        assert isinstance(frame, cv.NormalFrame)
+        old = frame.to_old_point(np.zeros(2))
+        assert old.dtype == float
+        np.testing.assert_array_equal(old, x0)
+        v = np.array([0.7, -1.3])
+        new = frame.to_new_vector(frame.linear @ v)
+        assert new.dtype == float
+        np.testing.assert_allclose(new, v, rtol=1e-13)
+        # quadratic holds -Gamma, symmetric in its lower indices
+        np.testing.assert_array_equal(frame.quadratic,
+                                      frame.quadratic.transpose(0, 2, 1))
+        Gamma = cv.levi_civita_christoffels(sphere2, x0)
+        A = frame.linear
+        # Gamma of the linear stage is A^{-1} Gamma(A., A.) at the center
+        expected = np.einsum("ip,pjk,ja,kb->iab", np.linalg.inv(A), Gamma, A, A)
+        np.testing.assert_allclose(-frame.quadratic, expected, atol=1e-6)
+
+    def test_one_frame_type(self, fs2, sphere2):
+        h = cv.hermitian_normal_coordinates(fs2, [0.1, 0.2j])
+        r = cv.riemannian_normal_coordinates(sphere2, [0.1, 0.2])
+        assert type(h) is type(r) is cv.NormalFrame
+        assert type(h.metric.chart) is ComplexChart
+        assert type(r.metric.chart) is RealChart
+        assert h.to_old_point(np.zeros(2)).dtype == complex
 
 
 class TestRCPositiveRiemannian:

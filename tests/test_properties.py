@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from projcurv import maps as mp  # noqa: E402
 from projcurv.bundle import BundlePoint  # noqa: E402
-from projcurv.charts import ComplexChart  # noqa: E402
+from projcurv.charts import ComplexChart, RealChart  # noqa: E402
 from projcurv.fields import HermitianMetricField  # noqa: E402
 
 from conftest import fs_rule  # noqa: E402
@@ -69,3 +69,81 @@ def test_fiber_evaluator_equals_generalized_Y_row_by_row(case):
     # projective invariance: the scaled rows give the same density
     half = len(Ws)
     np.testing.assert_allclose(single[half:], single[:half], rtol=1e-12, atol=1e-15)
+
+
+@st.composite
+def chart_cases(draw):
+    """(m, A, z, W): a well-conditioned map z -> 0.3 A z + 0.1 z^2 with
+    A = I + B / (4m), a base point and a nonzero fiber direction."""
+    m = draw(st.integers(1, 3))
+    B = np.array(draw(st.lists(_complex(1.0), min_size=m * m, max_size=m * m)))
+    z = np.array(draw(st.lists(_complex(0.3), min_size=m, max_size=m)))
+    W = np.array(draw(st.lists(_complex(1.0), min_size=m, max_size=m).filter(
+        lambda w: max(abs(x) for x in w) > 1e-3)))
+    return m, np.eye(m) + B.reshape(m, m) / (4 * m), z, W
+
+
+@settings(max_examples=60, deadline=None)
+@given(chart_cases())
+def test_Y_is_the_same_in_every_affine_chart(case):
+    m, A, z, W = case
+    f, h, g = _fs_pair(m, A)
+    reference = mp.generalized_Y(f, h, g, BundlePoint.make(z, W))
+    for k in range(m):
+        if abs(W[k]) <= 1e-3:
+            continue
+        P = BundlePoint.make(z, W, chart_index=k)
+        assert P.chart_index == k
+        field = mp.Y_field(f, h, g, k)
+        np.testing.assert_allclose(mp.generalized_Y(f, h, g, P), reference, rtol=1e-12)
+        np.testing.assert_allclose(field(P.combined()).real, reference, rtol=1e-12)
+
+
+@st.composite
+def box_cases(draw):
+    """(chart, points): a complex or real box with random center and radii,
+    and points drawn inside and outside it (up to twice the radius away)."""
+    complex_box = draw(st.booleans())
+    dim = draw(st.integers(1, 4))
+    coord = st.floats(-5.0, 5.0, allow_nan=False)
+    part = st.lists(coord, min_size=dim, max_size=dim)
+    radius = np.array(draw(st.lists(st.floats(0.01, 10.0), min_size=dim, max_size=dim)))
+    offset = st.lists(st.floats(-2.0, 2.0), min_size=dim, max_size=dim)
+    count = draw(st.integers(1, 6))
+    if complex_box:
+        center = np.array(draw(part)) + 1j * np.array(draw(part))
+        points = [center + radius * (np.array(draw(offset)) + 1j * np.array(draw(offset)))
+                  for _ in range(count)]
+        return ComplexChart(dim=dim, center=center, radius=radius), points
+    center = np.array(draw(part))
+    points = [center + radius * np.array(draw(offset)) for _ in range(count)]
+    return RealChart(dim=dim, center=center, radius=radius), points
+
+
+@settings(max_examples=150, deadline=None)
+@given(box_cases())
+def test_box_margin_is_the_closed_form(case):
+    chart, points = case
+    for z in points:
+        d = z - chart.center
+        if isinstance(chart, ComplexChart):
+            gaps = np.concatenate([chart.radius - np.abs(d.real),
+                                   chart.radius - np.abs(d.imag)])
+        else:
+            gaps = chart.radius - np.abs(d)
+        assert chart.margin(z) == float(np.min(gaps))
+
+
+@settings(max_examples=150, deadline=None)
+@given(box_cases(), st.floats(0.01, 1.0), st.one_of(st.none(), st.integers(1, 5)),
+       st.integers(0, 2 ** 32 - 1))
+def test_box_samples_stay_in_the_shrunk_box(case, frac, count, seed):
+    chart, _ = case
+    s = chart.sample(np.random.default_rng(seed), frac, count)
+    assert s.shape == ((chart.dim,) if count is None else (count, chart.dim))
+    d = s - chart.center
+    # the offset is rounded once more when the center is added back
+    bound = chart.radius * frac + 4e-16 * (np.abs(chart.center) + chart.radius)
+    assert np.all(np.abs(d.real) <= bound) and np.all(np.abs(d.imag) <= bound)
+    if isinstance(chart, RealChart):
+        assert s.dtype == float

@@ -554,7 +554,7 @@ class TestCovectorBundle:
         field = covector_metric_field(p.f, p.g)
         assert field.dim == p.f.n == 2
         tm = TautologicalMetric(field)
-        assert tm.combined_chart(0).dim == p.f.m + p.f.n - 1
+        assert tm.combined_chart().dim == p.f.m + p.f.n - 1
 
     def test_s2_s3_on_line_in_plane(self):
         # m = 1 source, n = 2 target: sizing the covector pairing by the base
