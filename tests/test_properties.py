@@ -1,13 +1,15 @@
 """Property tests over randomly drawn inputs (hypothesis)."""
 
+import functools
+
 import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from projcurv import maps as mp  # noqa: E402
-from projcurv.bundle import BundlePoint  # noqa: E402
+from projcurv import diffops, maps as mp, zoo  # noqa: E402
+from projcurv.bundle import BundlePoint, TautologicalMetric  # noqa: E402
 from projcurv.charts import ComplexChart, RealChart  # noqa: E402
 from projcurv.fields import HermitianMetricField  # noqa: E402
 
@@ -147,3 +149,35 @@ def test_box_samples_stay_in_the_shrunk_box(case, frac, count, seed):
     assert np.all(np.abs(d.real) <= bound) and np.all(np.abs(d.imag) <= bound)
     if isinstance(chart, RealChart):
         assert s.dtype == float
+
+
+@functools.cache
+def _zoo_pair(name):
+    return zoo.build_entry(name).obj
+
+
+@st.composite
+def bundle_points(draw, chart):
+    """A point of P(T_M) over the source chart shrunk by 1/2, as the suites
+    draw them: z in the box and a nonzero fiber direction W."""
+    unit = st.floats(-1.0, 1.0, allow_nan=False)
+    re, im = (np.array(draw(st.lists(unit, min_size=chart.dim, max_size=chart.dim)))
+              for _ in range(2))
+    z = chart.center + 0.5 * chart.radius * (re + 1j * im)
+    W = draw(st.lists(_complex(1.0), min_size=chart.dim, max_size=chart.dim).filter(
+        lambda w: max(abs(x) for x in w) > 1e-3))
+    return BundlePoint.make(z, W)
+
+
+@pytest.mark.parametrize("name", zoo.catalog_names()["map-pair"])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_backends_agree_on_the_density_fields(name, data):
+    # fd and hyper-dual jets of Y, u and log H agree within the engine's
+    # cross-check band at any bundle point the suites could draw
+    p = _zoo_pair(name)
+    P = data.draw(bundle_points(p.f.source))
+    for field, x in ((mp.Y_field(p.f, p.h, p.g, P.chart_index), P.combined()),
+                     (mp.u_field(p.f, p.h, p.g), P.z),
+                     (TautologicalMetric(p.h).log_H_field(P.chart_index), P.combined())):
+        assert diffops.cross_check(field, x) <= diffops.CROSS_CHECK_RTOL

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 from types import SimpleNamespace
@@ -478,6 +479,44 @@ class TestRunSuite:
         reports = V.run_suite(p, ["S11", "S1"], samples=2, seed=0)
         assert [r.status for r in reports] == ["error", "not_applicable"]
         assert reports[0].message == "ChartDomainError: outside the chart"
+
+    def test_non_pluriharmonic_map_is_routed_out_at_every_seed(self):
+        # re(z)^2 is smooth but not pluri-harmonic: d^2/dz dzbar = 1/2
+        h = zoo.build_entry("flat", {"dim": 1}).obj
+        g = zoo.build_entry("euclidean", {"dim": 1}).obj
+        f = ChartedMap(h.chart, g.chart, lambda z: (gm.real(z[0]) * gm.real(z[0]),),
+                       name="re-squared")
+        p = V.PairContext(f=f, h=h, g=g, name="re-squared")
+        for seed in (0, 3):
+            reports = V.run_suite(p, self.RIEMANNIAN_SUITES, samples=2, seed=seed)
+            assert [r.status for r in reports] == ["not_applicable"] * 5
+            assert [r.message for r in reports] == (
+                ["map is not pluri-harmonic"] * 4
+                + ["map is neither holomorphic nor pluri-harmonic"])
+        # a pair with another map is a new pair and gets its own decision
+        harmonic = ChartedMap(h.chart, g.chart, lambda z: (gm.real(z[0]),),
+                              name="real-part")
+        q = dataclasses.replace(p, f=harmonic)
+        reports = V.run_suite(q, self.RIEMANNIAN_SUITES, samples=2, seed=0)
+        assert [r.status for r in reports] == ["pass"] * 5
+
+    def test_pluriharmonic_check_runs_once_per_pair(self, monkeypatch):
+        from projcurv import maps
+        calls = []
+        residual = maps.pluriharmonic_residual
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            return residual(*args, **kwargs)
+
+        monkeypatch.setattr(maps, "pluriharmonic_residual", counted)
+        p = pair("pluri-poincare")
+        reports = V.run_suite(p, V.SUITE_TAGS, samples=1, seed=0)
+        assert len(calls) == 3
+        assert {r.suite for r in reports if r.status == "pass"} >= set(
+            self.RIEMANNIAN_SUITES)
+        V.run_suite(p, V.SUITE_TAGS, samples=1, seed=3)
+        assert len(calls) == 3
 
 
 class TestFailClosed:
