@@ -30,17 +30,18 @@ from .charts import ComplexChart, RealChart
 from .errors import ConfigError
 from .fields import HermitianMetricField, RiemannianMetricField
 from .maps import ChartedMap
-from .verify import SUITE_TAGS, PairContext
+from .verify import (DEFAULT_SAMPLES, DEFAULT_SEED, DEFAULT_TOL_EXACT,
+                     DEFAULT_TOL_RELATIVE, SUITE_TAGS, PairContext)
 
 
 @dataclass
 class RunConfig:
     pair_spec: object
     suites: list
-    samples: int = 50
-    seed: int = 7
-    tol_relative: float = 1e-6
-    tol_exact: float = 1e-4
+    samples: int = DEFAULT_SAMPLES
+    seed: int = DEFAULT_SEED
+    tol_relative: float = DEFAULT_TOL_RELATIVE
+    tol_exact: float = DEFAULT_TOL_EXACT
     phi: str | None = None
     report: str | None = None
     format: str = "structured"
@@ -78,14 +79,14 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
         if s not in SUITE_TAGS:
             raise ConfigError(f"suites[{k}]: unknown suite {s!r}")
 
-    samples = _number(raw, "samples", 50, int)
+    samples = _number(raw, "samples", DEFAULT_SAMPLES, int)
     if samples < 1:
         raise ConfigError("samples: must be >= 1")
-    seed = _number(raw, "seed", 7, int)
+    seed = _number(raw, "seed", DEFAULT_SEED, int)
     if seed < 0:
         raise ConfigError(f"seed: must be >= 0, got {seed}")
-    tol_relative = _number(raw, "tol_relative", 1e-6, float)
-    tol_exact = _number(raw, "tol_exact", 1e-4, float)
+    tol_relative = _number(raw, "tol_relative", DEFAULT_TOL_RELATIVE, float)
+    tol_exact = _number(raw, "tol_exact", DEFAULT_TOL_EXACT, float)
     if not (0 < tol_relative < math.inf and 0 < tol_exact < math.inf):
         raise ConfigError("tol_relative/tol_exact: tolerances must be positive and finite")
     fmt = raw.get("format", "structured")

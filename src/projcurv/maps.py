@@ -16,7 +16,7 @@ projectively invariant in the fiber coordinates, which the tests enforce.
 
 Residual operators for the harmonic-map side:
 
-    pluriharmonic:      f^i_{a bbar} + Gamma^i_{jk} f^j_{bbar} f^k_a
+    pluriharmonic:      f^i_{a bbar} + Gamma^i_{jk} f^j_a f^k_{bbar}
     Hermitian harmonic: its trace against h^{a bbar}
     constraint:         R_{ikjl} f^i_a f^j_{bbar} f^k_g
     hatC:               R_{iklj} E^{ij} E^{kl},  E^{ij} = h^{a bbar} f^i_a f^j_{bbar}
@@ -50,16 +50,23 @@ class ChartedMap:
     validate_on_init: bool = True
 
     def __post_init__(self):
-        if self.validate_on_init and self.holomorphic:
-            rng = np.random.default_rng(20250809)
-            pts = [self.source.center] + [self.source.sample(rng) for _ in range(4)]
-            for z in pts:
-                _, anti = self.jacobians(z)
-                defect = float(np.max(np.abs(anti)))
-                if not defect <= HOLO_FLAG_TOL:    # a NaN defect fails too
+        # a map flagged holomorphic needs df/dzbar = 0, and a map into a real
+        # chart must be real-valued, df/dzbar = conj(df/dz): the assembly
+        # pairs conj(df) with the target curvature for both target types
+        real = not self.target_is_complex
+        if not (self.validate_on_init and (self.holomorphic or real)):
+            return
+        rng = np.random.default_rng(20250809)
+        for z in [self.source.center] + [self.source.sample(rng) for _ in range(4)]:
+            holo, anti = self.jacobians(z)
+            for required, gap, what in (
+                    (self.holomorphic, anti, "flagged holomorphic but max |df/dzbar|"),
+                    (real, anti - holo.conj(), "into a real chart is not "
+                     "real-valued: max |df/dzbar - conj(df/dz)|")):
+                defect = float(np.max(np.abs(gap)))
+                if required and not defect <= HOLO_FLAG_TOL:    # a NaN defect fails too
                     raise ValidationError(
-                        f"map {self.name!r} flagged holomorphic but "
-                        f"max |df/dzbar| = {defect:.3e} at {z}")
+                        f"map {self.name!r} {what} = {defect:.3e} at {z}")
 
     @property
     def m(self) -> int:
@@ -401,22 +408,24 @@ def _generic_inverse_up(M, n: int):
 # harmonic-map residuals
 
 def pluriharmonic_residual(f: ChartedMap, g, z) -> np.ndarray:
-    """Residual array f^i_{a bbar} + Gamma^i_{jk} f^j_{bbar} f^k_a, shape (n, m, m).
+    """Residual array f^i_{a bbar} + Gamma^i_{jk} f^j_a f^k_{bbar}, shape (n, m, m),
+    with Gamma the target's connection at f(z) (``target_christoffels``).
 
-    For Riemannian targets Gamma is the Levi-Civita connection of g at f(z);
-    for complex targets the Chern connection version
-    f^i_{a bbar} + Gamma^i_{jk} f^j_a f^k_{bbar} is used.
+    The Levi-Civita Gamma is symmetric in j, k, so for a Riemannian target
+    this is the usual f^i_{a bbar} + Gamma^i_{jk} f^j_{bbar} f^k_a.
     """
     holo, anti = f.jacobians(z)
     mixed = f.second_mixed(z)
-    fz = f.value(z)
-    if isinstance(g, RiemannianMetricField):
-        Gamma = levi_civita_christoffels(g, fz)
-        corr = np.einsum("ijk,jb,ka->iab", Gamma, anti, holo)
-    else:
-        Gamma = _chern_christoffels(g, fz)
-        corr = np.einsum("ijk,ja,kb->iab", Gamma, holo, anti)
-    return mixed + corr
+    Gamma = target_christoffels(g, f.value(z))
+    return mixed + np.einsum("ijk,ja,kb->iab", Gamma, holo, anti)
+
+
+def target_christoffels(g, p) -> np.ndarray:
+    """Gamma[i, j, k] = Gamma^i_{jk} of the target's connection at p: the
+    Chern connection of a Hermitian g, the Levi-Civita one of a Riemannian g."""
+    if isinstance(g, HermitianMetricField):
+        return _chern_christoffels(g, p)
+    return levi_civita_christoffels(g, p)
 
 
 def _chern_christoffels(g: HermitianMetricField, z) -> np.ndarray:

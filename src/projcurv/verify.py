@@ -42,7 +42,7 @@ from .bundle import (BundlePoint, TautologicalMetric, affine_rows,
                      tautological_curvature)
 from .curvature import chern_curvature, hermitian_normal_coordinates, riemann_curvature
 from .errors import GeometryError, NotApplicable, ValidationError
-from .fields import Form11, HermitianMetricField, RiemannianMetricField
+from .fields import Form11, HermitianMetricField
 from .maps import ChartedMap, NestedBundlePoint
 
 SUITE_TAGS = ("S1", "S_minus1", "S01", "S02", "S2", "S3", "S03", "S11",
@@ -53,6 +53,8 @@ FORM_SUITES = ("S1", "S_minus1", "S01", "S2", "S3", "S03", "S11", "hessian")
 TRACE_SUITES = ("S02", "hessian2")
 EXACT_VARIANTS = ("exact_holo", "exact_pluri")
 
+DEFAULT_SAMPLES = 50
+DEFAULT_SEED = 7
 DEFAULT_TOL_RELATIVE = 1e-6
 DEFAULT_TOL_EXACT = 1e-4
 W_PSD_TOL = 1e-8
@@ -125,9 +127,7 @@ def _density_hessian_sides(f: ChartedMap, h: HermitianMetricField, g,
                            P: BundlePoint, weight=None):
     """(ddbar Y, (ddbar log H^{-1}) Y, tautological metric) at P.
 
-    Y is the generalized density, or Y_phi = e^phi Y when ``weight`` is given;
-    the second entry is the tautological term both sides of the S1 family and
-    of the exact identities start from.
+    Y is the generalized density, or Y_phi = e^phi Y when ``weight`` is given.
     """
     tm = TautologicalMetric(h, weight=weight)
     if weight is None:
@@ -139,50 +139,44 @@ def _density_hessian_sides(f: ChartedMap, h: HermitianMetricField, g,
     return lhs, tautological_curvature(tm, P).scaled(y_val), tm
 
 
+def _s1_sides(f: ChartedMap, h: HermitianMetricField, g, P: BundlePoint,
+              weight=None):
+    """What the S1 family and the exact identities share at P:
+    (ddbar Y, (ddbar log H^{-1}) Y, -C/H, H, (df, f(z))), with C the target
+    curvature term embedded in the base block of the combined chart."""
+    lhs, taut, tm = _density_hessian_sides(f, h, g, P, weight)
+    H_val = tm.H_value(P)
+    jet = f.jacobians(P.z)[0], f.value(P.z)
+    C = _embed_base_block(_target_curvature_term(g, *jet, P.W_affine), f.m,
+                          _combined_dim(f.m))
+    return lhs, taut, C.scaled(-1.0 / H_val), H_val, jet
+
+
 def _embed_base_block(C: np.ndarray, m: int, dim: int) -> Form11:
     return Form11.embed(C, list(range(m)), dim)
 
 
-def _target_curvature_term(f: ChartedMap, g, P: BundlePoint):
-    """The target curvature contracted with df and F = df W:
-
-        C_{a bbar} = R_{k lbar i jbar} f^k_a conj(f^l_b) F^i conj(F^j)   (complex g)
-        C_{a bbar} = R_{ilkj} f^i_a f^j_{bbar} F^k conj(F^l)            (real g)
-    """
-    holo, anti = f.jacobians(P.z)
-    F = holo @ P.W_affine
+def _target_curvature(g, p) -> np.ndarray:
+    """The target curvature at p as K[k, l, i, j], with (k, l) paired with df
+    and conj(df) and (i, j) with F and conj(F): the Chern tensor of a
+    Hermitian g, the Riemann tensor R_{kjil} of a Riemannian one."""
     if isinstance(g, HermitianMetricField):
-        R = chern_curvature(g, f.value(P.z)).array
-        C = np.einsum("klij,ka,lb,i,j->ab", R, holo, holo.conj(), F, F.conj())
-        _require_hermitian(C, "target curvature term")
-    else:
-        R = riemann_curvature(g, f.value(P.z)).array
-        C = np.einsum("ilkj,ia,jb,k,l->ab", R, holo, anti, F, F.conj())
-        _require_hermitian(C, "Riemannian curvature term")
-    return C
+        return chern_curvature(g, p).array
+    return riemann_curvature(g, p).array.transpose(0, 3, 2, 1)
 
 
-def riemann_curvature_term_variants(f: ChartedMap, g: RiemannianMetricField,
-                                    P: BundlePoint) -> dict:
-    """Both Riemannian curvature contractions that the pluri-harmonic identity
-    can carry, reported separately.
+def _target_curvature_term(g, holo: np.ndarray, fz, W: np.ndarray) -> np.ndarray:
+    """The target curvature contracted with df and F = df W,
 
-    When the constraint contraction vanishes (pluri-harmonic input) the
-    reduced and unreduced combinations coincide; otherwise the choice is
-    ambiguous, so both matrices and their discrepancy are returned and the
-    caller can flag it.
+        C_{a bbar} = K_{k lbar i jbar} f^k_a conj(f^l_b) F^i conj(F^j).
+
+    For a map into a real chart conj(f^l_b) is f^l_{bbar}.
     """
-    holo, anti = f.jacobians(P.z)
-    F = holo @ P.W_affine
-    R = riemann_curvature(g, f.value(P.z)).array
-    reduced = np.einsum("ilkj,ia,jb,k,l->ab", R, holo, anti, F, F.conj())
-    extra = np.einsum("iklj,ia,jb,k,l->ab", R, holo, anti, F, F.conj())
-    combined = reduced + extra
-    return {
-        "reduced": reduced,
-        "combined": combined,
-        "discrepancy": float(np.max(np.abs(extra))),
-    }
+    F = holo @ W
+    C = np.einsum("klij,ka,lb,i,j->ab", _target_curvature(g, fz), holo,
+                  holo.conj(), F, F.conj())
+    _require_hermitian(C, "target curvature term")
+    return C
 
 
 def _require_hermitian(C: np.ndarray, what: str):
@@ -204,37 +198,29 @@ def _flat_scalar_target():
 # the W form
 
 def assemble_W_form(f: ChartedMap, h: HermitianMetricField, g, P: BundlePoint,
-                    weight=None) -> Form11:
+                    weight=None, *, jet=None) -> Form11:
     """The semi-positive (1,1)-form W on P(T_M),
 
         W = g_{ij} (dF^i + F^i dlog H^{-1} + T^i) wedge conj( ... )
 
     with F^i = f^i_a W^a and the connection correction T^i built from the
-    Chern connection of a complex target (holomorphic assembly, which needs
-    a holomorphic map) or the Levi-Civita connection of a Riemannian target
-    (pluri-harmonic assembly).  The type of ``g`` picks the assembly.
+    target's connection (``maps.target_christoffels``): Chern for a complex
+    target, which needs a holomorphic map, Levi-Civita for a Riemannian one.
+    ``jet`` is (df, f(z)) at P.z when the caller has them already.
     Positive semidefinite by construction; certified spectrally by callers.
     """
-    complex_target = isinstance(g, HermitianMetricField)
-    if complex_target and not f.holomorphic:
+    if isinstance(g, HermitianMetricField) and not f.holomorphic:
         raise ValidationError("the W form into a complex target needs a "
                               "holomorphic map")
 
     m, n = f.m, f.n
     dim = _combined_dim(m)
-    holo, _ = f.jacobians(P.z)
+    holo, fz = jet if jet is not None else (f.jacobians(P.z)[0], f.value(P.z))
     sec = f.second_holo(P.z)
     W_aff = P.W_affine
     F = holo @ W_aff
-    fz = f.value(P.z)
     G = g.matrix(fz)
-
-    if complex_target:
-        Gamma = maps_mod._chern_christoffels(g, fz)
-    else:
-        from .curvature import levi_civita_christoffels
-        Gamma = levi_civita_christoffels(g, fz)
-    T_base = np.einsum("ipk,k,pa->ia", Gamma, F, holo)
+    T_base = np.einsum("ipk,k,pa->ia", maps_mod.target_christoffels(g, fz), F, holo)
 
     tm = TautologicalMetric(h, weight=weight)
     logH = tm.log_H_field(P.chart_index)
@@ -271,12 +257,9 @@ def verify_exact_identity(variant: str, f: ChartedMap, h: HermitianMetricField,
     if variant == "exact_pluri" and complex_target:
         raise NotApplicable("exact_pluri needs a Riemannian target")
 
-    lhs, taut, tm = _density_hessian_sides(f, h, g, P, weight)
-    H_val = tm.H_value(P)
-    Wform = assemble_W_form(f, h, g, P, weight=weight)
-    curv = _embed_base_block(_target_curvature_term(f, g, P), f.m, _combined_dim(f.m))
-
-    rhs = taut + Wform.scaled(1.0 / H_val) + curv.scaled(-1.0 / H_val)
+    lhs, taut, minus_C, H_val, jet = _s1_sides(f, h, g, P, weight)
+    Wform = assemble_W_form(f, h, g, P, weight=weight, jet=jet)
+    rhs = taut + Wform.scaled(1.0 / H_val) + minus_C
     scale = max(1.0, lhs.max_abs())
     resid = float(np.max(np.abs(lhs.matrix - rhs.matrix))) / scale
     return {
@@ -291,29 +274,29 @@ def verify_exact_identity(variant: str, f: ChartedMap, h: HermitianMetricField,
 # ---------------------------------------------------------------------------
 # form inequalities
 
-def _s01_rhs_matrix(f: ChartedMap, h: HermitianMetricField, g, z) -> np.ndarray:
-    """RHS of the base-chart Hessian estimates: S01 for a complex target, its
-    pluri-harmonic analogue for a Riemannian one."""
-    holo, anti = f.jacobians(z)
+def _s01_sides(f: ChartedMap, h: HermitianMetricField, g, z):
+    """(ddbar u, RHS matrix) of the base-chart Hessian estimates at z: S01
+    for a complex target, its pluri-harmonic analogue (hessian) for a
+    Riemannian one.  The RHS is
+
+        R^h_{a bbar g dbar} h^{m dbar} h^{g nbar} g_{ij} f^i_m conj(f^j_n)
+            - K_{k lbar i jbar} f^k_a conj(f^l_b) h^{m nbar} f^i_m conj(f^j_n).
+    """
+    z = np.asarray(z, complex)
+    lhs = diffops.wirtinger_hessian(maps_mod.u_field(f, h, g), z, backend="fd")
+    holo, _ = f.jacobians(z)
+    holo_bar = holo.conj()
     fz = f.value(z)
     G = g.matrix(fz)
     hup = h.inverse_up(z)
     Rh = chern_curvature(h, z).array
-    if isinstance(g, HermitianMetricField):
-        P_mat = np.einsum("ij,im,jn->mn", G, holo, holo.conj())
-        E = np.einsum("mn,km,ln->kl", hup, holo, holo.conj())
-        Rg = chern_curvature(g, fz).array
-        second = np.einsum("ijkl,ia,jb,kl->ab", Rg, holo, holo.conj(), E)
-    else:
-        # P_mat[m, n] = g_{ij} f^i_m f^j_{nbar}
-        P_mat = np.einsum("ij,im,jn->mn", G, holo, anti)
-        E = np.einsum("gd,kg,ld->kl", hup, holo, anti)
-        Rg = riemann_curvature(g, fz).array
-        second = np.einsum("ilkj,ia,jb,kl->ab", Rg, holo, anti, E)
+    P_mat = np.einsum("ij,im,jn->mn", G, holo, holo_bar)
+    E = np.einsum("mn,km,ln->kl", hup, holo, holo_bar)
+    second = np.einsum("ijkl,ia,jb,kl->ab", _target_curvature(g, fz), holo, holo_bar, E)
     first = np.einsum("abgd,md,gn,mn->ab", Rh, hup, hup, P_mat)
     _require_hermitian(first, "source curvature term")
     _require_hermitian(second, "target curvature term")
-    return first - second
+    return lhs, first - second
 
 
 def verify_form_inequality(suite: str, f: ChartedMap, h: HermitianMetricField,
@@ -326,24 +309,18 @@ def verify_form_inequality(suite: str, f: ChartedMap, h: HermitianMetricField,
     if suite not in FORM_SUITES:
         raise ValidationError(f"{suite!r} is not a form-inequality suite")
 
-    if suite in ("S1", "S_minus1", "S03", "S11"):
-        P: BundlePoint = point
-        if suite == "S_minus1":
-            lhs, rhs, _ = _density_hessian_sides(f, h, _flat_scalar_target(), P)
-        else:
-            lhs, rhs, tm = _density_hessian_sides(f, h, g, P,
-                                                  phi if suite == "S03" else None)
-            C = _embed_base_block(_target_curvature_term(f, g, P), f.m,
-                                  _combined_dim(f.m))
-            rhs = rhs + C.scaled(-1.0 / tm.H_value(P))
-        residual = lhs - rhs
+    if suite == "S_minus1":
+        lhs, rhs, _ = _density_hessian_sides(f, h, _flat_scalar_target(), point)
+
+    elif suite in ("S1", "S03", "S11"):
+        lhs, taut, minus_C, _, _ = _s1_sides(f, h, g, point,
+                                             phi if suite == "S03" else None)
+        rhs = taut + minus_C
 
     elif suite in ("S01", "hessian"):
-        z = np.asarray(point.z if isinstance(point, BundlePoint) else point, complex)
-        u_fld = maps_mod.u_field(f, h, g)
-        lhs = diffops.wirtinger_hessian(u_fld, z, backend="fd")
-        rhs = Form11(_s01_rhs_matrix(f, h, g, z))
-        residual = lhs - rhs
+        z = point.z if isinstance(point, BundlePoint) else point
+        lhs, rhs_mat = _s01_sides(f, h, g, z)
+        rhs = Form11(rhs_mat)
 
     elif suite == "S2":
         Q: BundlePoint = point     # fiber coordinates are the covector X
@@ -365,7 +342,6 @@ def verify_form_inequality(suite: str, f: ChartedMap, h: HermitianMetricField,
         H1_val = tm1.H_raw(Q)
         dim = f.m + max(n - 1, 0)
         rhs = taut1.scaled(y1_val) + _embed_base_block(C, f.m, dim).scaled(1.0 / H1_val)
-        residual = lhs - rhs
 
     elif suite == "S3":
         R: NestedBundlePoint = point
@@ -383,11 +359,11 @@ def verify_form_inequality(suite: str, f: ChartedMap, h: HermitianMetricField,
         taut = Form11.embed(curv.matrix, zw_idx, dim) \
             + Form11.embed(curv1.matrix, zx_idx, dim)
         rhs = taut.scaled(y2_val)
-        residual = lhs - rhs
 
     else:
         raise ValidationError(f"unhandled suite {suite!r}")
 
+    residual = lhs - rhs
     scale = max(1.0, lhs.max_abs())
     return {
         "min_eigenvalue": residual.min_eigenvalue(),
@@ -411,11 +387,8 @@ def verify_trace_inequality(suite: str, f: ChartedMap, h: HermitianMetricField,
     """Signed scalar residual tr(LHS) - tr(RHS) for the trace suites."""
     if suite not in TRACE_SUITES:
         raise ValidationError(f"{suite!r} is not a trace suite")
-    z = np.asarray(z, complex)
-    u_fld = maps_mod.u_field(f, h, g)
-    lhs_form = diffops.wirtinger_hessian(u_fld, z, backend="fd")
-    rhs_mat = _s01_rhs_matrix(f, h, g, z)
-    hup = h.inverse_up(z)
+    lhs_form, rhs_mat = _s01_sides(f, h, g, z)
+    hup = h.inverse_up(np.asarray(z, complex))
     lhs = float(np.real(np.einsum("ab,ab->", hup, lhs_form.matrix)))
     rhs = float(np.real(np.einsum("ab,ab->", hup, rhs_mat)))
     scale = max(1.0, abs(lhs), abs(rhs))
@@ -545,7 +518,8 @@ def _default_phi(zs, Ws):
     return 0.2 * gm.real(zs[0])
 
 
-def run_suite(pair: PairContext, suites, samples: int = 50, seed: int = 7,
+def run_suite(pair: PairContext, suites, samples: int = DEFAULT_SAMPLES,
+              seed: int = DEFAULT_SEED,
               tol_relative: float = DEFAULT_TOL_RELATIVE,
               tol_exact: float = DEFAULT_TOL_EXACT,
               workers: int = 1) -> list[VerificationReport]:

@@ -1,10 +1,11 @@
+import inspect
 import json
 import re
 
 import numpy as np
 import pytest
 
-from projcurv import cli, config
+from projcurv import cli, config, verify
 from projcurv.errors import ConfigError
 
 MINIMAL = """
@@ -22,6 +23,15 @@ class TestParseConfig:
         assert cfg.suites == ["S1"]
         pair = cfg.resolved_pair()
         assert pair.name == "fs-to-poincare"
+
+    def test_defaults_are_those_of_run_suite(self):
+        # a plan that sets nothing runs what run_suite runs by default
+        defaults = inspect.signature(verify.run_suite).parameters
+        cfg = config.parse_config("pair: fs-to-poincare\nsuites: [S1]\n")
+        for key in ("samples", "seed", "tol_relative", "tol_exact"):
+            assert getattr(cfg, key) == defaults[key].default, key
+        assert (config.RunConfig(pair_spec="fs-to-poincare", suites=[]).samples
+                == defaults["samples"].default)
 
     def test_empty_suites_valid(self):
         cfg = config.parse_config("pair: flat-identity\nsuites: []\n")
@@ -182,6 +192,22 @@ pair:
         captured = capsys.readouterr()
         assert code == 2
         assert "'inline-source' has non-finite entries" in captured.out + captured.err
+
+    def test_complex_valued_map_into_real_chart_exit_two(self, tmp_path, capsys):
+        # 0.5 z into a real chart used to report five PASS with exit 0
+        plan = tmp_path / "plan.yaml"
+        plan.write_text("""
+suites: [S11, hessian, hessian2, exact_pluri, W_psd]
+samples: 2
+pair:
+  source: {zoo: flat, dim: 1}
+  target: {zoo: euclidean, dim: 1}
+  map: {components: ["0.5*z1"]}
+""")
+        code = cli.main(["verify", "--config", str(plan)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "map 'inline-map' into a real chart is not real-valued" in captured.out
 
     def test_failing_suite_exit_one(self, tmp_path):
         # an impossible tolerance turns numerical noise into a failure

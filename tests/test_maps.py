@@ -32,6 +32,23 @@ class TestChartedMap:
                           lambda z: (0.4 * z[0] * nan_on_right_half(z[0]),),
                           holomorphic=True, name="half-nan")
 
+    def test_complex_valued_map_into_real_chart_is_constructor_error(self, flat1):
+        # value() keeps only Re f, but the Jacobians are those of the complex
+        # function, so 0.5 z used to certify pluri-harmonic suites on
+        # numbers that belong to no real map
+        chart1r = RealChart(dim=1, radius=[9.0])
+        with pytest.raises(ValidationError,
+                           match=r"map 'half-z' into a real chart is not real-valued"):
+            mp.ChartedMap(flat1.chart, chart1r, lambda z: (0.5 * z[0],), name="half-z")
+        with np.errstate(invalid="ignore"), pytest.raises(ValidationError, match="nan"):
+            mp.ChartedMap(flat1.chart, chart1r,
+                          lambda z: (gm.real(z[0]) * nan_on_right_half(z[0]),),
+                          name="half-nan")
+        # a real-valued map passes, holomorphic (constant) or not
+        mp.ChartedMap(flat1.chart, chart1r, lambda z: (gm.real(z[0]),), name="re")
+        mp.ChartedMap(flat1.chart, chart1r, lambda z: (0.2,), holomorphic=True,
+                      name="const")
+
     def test_anti_derivatives_vanish_for_holomorphic(self, flat1):
         f = square_map(flat1)
         rng = np.random.default_rng(1)

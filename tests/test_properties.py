@@ -164,9 +164,13 @@ def bundle_points(draw, chart):
     re, im = (np.array(draw(st.lists(unit, min_size=chart.dim, max_size=chart.dim)))
               for _ in range(2))
     z = chart.center + 0.5 * chart.radius * (re + 1j * im)
-    W = draw(st.lists(_complex(1.0), min_size=chart.dim, max_size=chart.dim).filter(
-        lambda w: max(abs(x) for x in w) > 1e-3))
-    return BundlePoint.make(z, W)
+    return BundlePoint.make(z, draw(fiber_vectors(chart.dim)))
+
+
+def fiber_vectors(k):
+    """A fiber direction in C^k with a component of modulus above 1e-3."""
+    return st.lists(_complex(1.0), min_size=k, max_size=k).filter(
+        lambda w: max(abs(x) for x in w) > 1e-3)
 
 
 @pytest.mark.parametrize("name", zoo.catalog_names()["map-pair"])
@@ -174,10 +178,20 @@ def bundle_points(draw, chart):
 @given(data=st.data())
 def test_backends_agree_on_the_density_fields(name, data):
     # fd and hyper-dual jets of Y, u and log H agree within the engine's
-    # cross-check band at any bundle point the suites could draw
+    # cross-check band at any bundle point the suites could draw; so do
+    # those of Y1 and Y2 at any covector and nested point, for the pairs
+    # whose map is holomorphic into a complex target
     p = _zoo_pair(name)
     P = data.draw(bundle_points(p.f.source))
-    for field, x in ((mp.Y_field(p.f, p.h, p.g, P.chart_index), P.combined()),
-                     (mp.u_field(p.f, p.h, p.g), P.z),
-                     (TautologicalMetric(p.h).log_H_field(P.chart_index), P.combined())):
-        assert diffops.cross_check(field, x) <= diffops.CROSS_CHECK_RTOL
+    fields = [(mp.Y_field(p.f, p.h, p.g, P.chart_index), P.combined()),
+              (mp.u_field(p.f, p.h, p.g), P.z),
+              (TautologicalMetric(p.h).log_H_field(P.chart_index), P.combined())]
+    if p.f.holomorphic and p.target_is_complex:
+        X = data.draw(fiber_vectors(p.f.n))
+        Q = BundlePoint.make(P.z, X)
+        R = mp.NestedBundlePoint.make(P.z, P.W, X)
+        fields += [(mp.Y1_field(p.f, p.h, p.g, Q.chart_index), Q.combined()),
+                   (mp.Y2_field(p.f, p.h, p.g, R.P.chart_index, R.x_chart_index),
+                    R.combined())]
+    for field, x in fields:
+        assert diffops.cross_check(field, x) <= diffops.CROSS_CHECK_RTOL, field.name

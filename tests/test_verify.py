@@ -83,29 +83,6 @@ class TestExactIdentity:
             out = V.verify_exact_identity("exact_pluri", p.f, p.h, p.g, P)
             assert out["residual"] <= 1e-4, (name, out["residual"])
 
-    def test_curvature_term_variants_agree_for_pluriharmonic(self):
-        # constraint contraction kills the extra term, so both combinations
-        # coincide; a non-pluri-harmonic map separates them
-        p = pair("pluri-poincare")
-        for P in sample_points(p, 37, 3):
-            out = V.riemann_curvature_term_variants(p.f, p.g, P)
-            assert out["discrepancy"] < 1e-6
-            assert np.max(np.abs(out["combined"] - out["reduced"])) < 1e-6
-
-        # rank-one contractions hide the extra term, so the discriminating
-        # example needs a two-dimensional source
-        import projcurv.zoo as zoo_mod
-        from projcurv.maps import ChartedMap
-        flat2 = zoo_mod.build_entry("flat", {"dim": 2}).obj
-        hyp = zoo_mod.build_entry("hyperbolic", {"dim": 2}).obj
-        f = ChartedMap(flat2.chart, hyp.chart,
-                       lambda z: (0.3 * gm.abs2(z[0]) + 0.2 * gm.real(z[1]),
-                                  0.5 * gm.real(z[0]) + 0.1 * gm.abs2(z[1])),
-                       name="bump2")
-        P = BundlePoint.make([0.4 + 0.1j, -0.2j], [1.0, 0.6 - 0.3j])
-        out = V.riemann_curvature_term_variants(f, hyp, P)
-        assert out["discrepancy"] > 1e-4
-
     def test_weighted_identity(self):
         p = pair("fs-to-poincare")
 
@@ -474,7 +451,8 @@ class TestRunSuite:
         def rule(z):
             raise ChartDomainError("outside the chart")
 
-        f = ChartedMap(base.h.chart, base.g.chart, rule, name="raises")
+        f = ChartedMap(base.h.chart, base.g.chart, rule, name="raises",
+                       validate_on_init=False)
         p = V.PairContext(f=f, h=base.h, g=base.g, name="raises")
         reports = V.run_suite(p, ["S11", "S1"], samples=2, seed=0)
         assert [r.status for r in reports] == ["error", "not_applicable"]
@@ -517,6 +495,38 @@ class TestRunSuite:
             self.RIEMANNIAN_SUITES)
         V.run_suite(p, V.SUITE_TAGS, samples=1, seed=3)
         assert len(calls) == 3
+
+    @pytest.mark.parametrize("name,suites", [
+        ("fs-to-poincare", ["exact_holo", "S1"]),
+        ("pluri-poincare", ["exact_pluri", "S11"])])
+    def test_exact_identities_take_df_and_f_once_per_sample(self, monkeypatch,
+                                                           name, suites):
+        # the W form reuses the curvature term's df and f(z); both used to be
+        # evaluated twice per sample (4 Jacobians and 4 values at 2 samples)
+        p = pair(name)
+        p.pluriharmonic       # routing's own map evaluations are not counted
+        calls = {"jacobians": 0, "value": 0, "w_form": 0}
+
+        def counting(owner, attr, key):
+            original = getattr(owner, attr)
+
+            def counted(*args, **kwargs):
+                calls[key] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, attr, counted)
+
+        counting(ChartedMap, "jacobians", "jacobians")
+        counting(ChartedMap, "value", "value")
+        counting(V, "assemble_W_form", "w_form")
+        for suite in suites:
+            for key in calls:
+                calls[key] = 0
+            [rep] = V.run_suite(p, [suite], samples=2, seed=0)
+            assert rep.status == "pass"
+            assert (calls["jacobians"], calls["value"]) == (2, 2), suite
+            # the exact identities still reach the W form through the module
+            assert calls["w_form"] == (2 if suite.startswith("exact") else 0)
 
 
 class TestFailClosed:
