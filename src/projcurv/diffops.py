@@ -139,12 +139,13 @@ def _dual_value(v):
     return v.f0 if isinstance(v, HyperDual) else v
 
 
-def _dual_slots(out, shape, K):
+def _dual_slots(out, shape, K, mixed=True):
     """Value, first and mixed slots of a rule output over K seeded directions,
-    as complex arrays of shape ``shape``, ``(K,) + shape``, ``(K,) + shape``."""
+    as complex arrays of shape ``shape``, ``(K,) + shape``, ``(K,) + shape``.
+    The mixed slot is None when it was seeded untracked (``mixed`` false)."""
     f0 = np.empty(shape, complex)
     f1 = np.zeros((K,) + shape, complex)
-    f12 = np.zeros((K,) + shape, complex)
+    f12 = np.zeros((K,) + shape, complex) if mixed else None
     for idx in np.ndindex(*shape):
         v = out
         for i in idx:
@@ -152,7 +153,8 @@ def _dual_slots(out, shape, K):
         if isinstance(v, HyperDual):
             f0[idx] = _dual_value(v.f0)
             f1[(slice(None),) + idx] = _dual_value(v.f1)
-            f12[(slice(None),) + idx] = _dual_value(v.f12)
+            if mixed:
+                f12[(slice(None),) + idx] = _dual_value(v.f12)
         else:       # the rule ignored the seeds: constant along every direction
             f0[idx] = v
     return f0, f1, f12
@@ -187,10 +189,12 @@ def _real_jet2_dual(F, p, shape=()):
 
 
 def _real_grad_dual(F, p, shape=()):
+    """Real gradient from one hyper-dual evaluation seeded with every
+    direction in the first slot; the second and mixed slots are untracked."""
     n = p.size
     eye = np.eye(n)
-    coords = [HyperDual(p[c], eye[c], 0.0, 0.0) for c in range(n)]
-    _, f1, _ = _dual_slots(F(coords), shape, n)
+    coords = [HyperDual(p[c], eye[c], None, None) for c in range(n)]
+    _, f1, _ = _dual_slots(F(coords), shape, n, mixed=False)
     return f1
 
 
@@ -354,7 +358,8 @@ def jacobian_pair_generic(rule, z, dim: int, n_out: int):
 
     When nesting is detected, every coordinate is lifted into the inner dual
     level (outer jets become components, never peers of the inner seeds);
-    mixing levels would silently corrupt the inner derivative slots.
+    mixing levels would silently corrupt the inner derivative slots.  The
+    mixed slot is never read, so it is seeded untracked.
     """
     z = list(z)
     nested = any(isinstance(v, HyperDual) for v in z)
@@ -362,10 +367,10 @@ def jacobian_pair_generic(rule, z, dim: int, n_out: int):
     anti = [[None] * dim for _ in range(n_out)]
     for a in range(dim):
         if nested:
-            q = [HyperDual(v, 0.0, 0.0, 0.0) for v in z]
+            q = [HyperDual(v, 0.0, 0.0, None) for v in z]
         else:
             q = list(z)
-        q[a] = HyperDual(z[a], 1.0, 1j, 0.0)
+        q[a] = HyperDual(z[a], 1.0, 1j, None)
         out = rule(tuple(q))
         for i in range(n_out):
             v = out[i]

@@ -21,6 +21,25 @@ are arrays over the seeded directions.
 The perturbation directions are always *real* chart directions, so complex
 conjugation acts componentwise, which is what makes Wirtinger calculus on
 non-holomorphic expressions work with this representation.
+
+Untracked slots.  A derivative slot that holds ``None`` is untracked: it is
+not computed, and every operation with an untracked operand slot gives an
+untracked result slot.  A tracked mixed slot needs both first slots
+tracked.  The engine seeds untracked whatever its caller does not read:
+
+* ``diffops._real_grad_dual`` (the dual gradient behind the Chern
+  Christoffels, the W-form's dlog H and the normal frames) reads only
+  ``f1`` and seeds ``f2`` and ``f12`` untracked;
+* ``diffops.jacobian_pair_generic`` reads ``f1`` and ``f2`` and seeds
+  ``f12`` untracked, also when it nests inside an outer jet;
+* ``diffops._real_jet2_dual`` reads ``f1`` and ``f12`` and tracks all
+  slots, since ``f12`` needs ``f1`` and ``f2``.
+
+The slots that are read round exactly as with every slot tracked: ``f0``
+depends only on ``f0``, ``f1`` only on ``f0`` and ``f1``, ``f2`` only on
+``f0`` and ``f2``, and each is computed by the same operations on the same
+operands either way.  What goes is the arithmetic of the slots thrown away,
+so a NaN or inf (and its warning) can no longer appear in one of them.
 """
 
 from __future__ import annotations
@@ -50,18 +69,25 @@ class HyperDual:
     def __repr__(self):
         return f"HyperDual({self.f0!r}, {self.f1!r}, {self.f2!r}, {self.f12!r})"
 
-    # arithmetic
+    # arithmetic; a None slot is untracked and stays so
 
     def __add__(self, other):
         if isinstance(other, HyperDual):
-            return HyperDual(self.f0 + other.f0, self.f1 + other.f1,
-                             self.f2 + other.f2, self.f12 + other.f12)
+            a1, a2, a12 = self.f1, self.f2, self.f12
+            b1, b2, b12 = other.f1, other.f2, other.f12
+            return HyperDual(
+                self.f0 + other.f0,
+                None if a1 is None or b1 is None else a1 + b1,
+                None if a2 is None or b2 is None else a2 + b2,
+                None if a12 is None or b12 is None else a12 + b12)
         return HyperDual(self.f0 + other, self.f1, self.f2, self.f12)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return HyperDual(-self.f0, -self.f1, -self.f2, -self.f12)
+        f1, f2, f12 = self.f1, self.f2, self.f12
+        return HyperDual(-self.f0, None if f1 is None else -f1,
+                         None if f2 is None else -f2, None if f12 is None else -f12)
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, HyperDual) else -other)
@@ -70,27 +96,32 @@ class HyperDual:
         return (-self) + other
 
     def __mul__(self, other):
+        a0, a1, a2, a12 = self.f0, self.f1, self.f2, self.f12
         if isinstance(other, HyperDual):
+            b0, b1, b2, b12 = other.f0, other.f1, other.f2, other.f12
             return HyperDual(
-                self.f0 * other.f0,
-                self.f0 * other.f1 + self.f1 * other.f0,
-                self.f0 * other.f2 + self.f2 * other.f0,
-                self.f0 * other.f12 + self.f1 * other.f2
-                + self.f2 * other.f1 + self.f12 * other.f0,
+                a0 * b0,
+                None if a1 is None or b1 is None else a0 * b1 + a1 * b0,
+                None if a2 is None or b2 is None else a0 * b2 + a2 * b0,
+                None if a12 is None or b12 is None
+                else a0 * b12 + a1 * b2 + a2 * b1 + a12 * b0,
             )
-        return HyperDual(self.f0 * other, self.f1 * other,
-                         self.f2 * other, self.f12 * other)
+        return HyperDual(a0 * other,
+                         None if a1 is None else a1 * other,
+                         None if a2 is None else a2 * other,
+                         None if a12 is None else a12 * other)
 
     __rmul__ = __mul__
 
     def _reciprocal(self):
-        a = self.f0
-        inv_a = 1.0 / a
-        b = self.f1 * inv_a
-        c = self.f2 * inv_a
-        d = self.f12 * inv_a
-        return HyperDual(inv_a, -b * inv_a, -c * inv_a,
-                         (2.0 * b * c - d) * inv_a)
+        inv_a = 1.0 / self.f0
+        f1, f2, f12 = self.f1, self.f2, self.f12
+        b = None if f1 is None else f1 * inv_a
+        c = None if f2 is None else f2 * inv_a
+        return HyperDual(inv_a,
+                         None if b is None else -b * inv_a,
+                         None if c is None else -c * inv_a,
+                         None if f12 is None else (2.0 * b * c - f12 * inv_a) * inv_a)
 
     def __truediv__(self, other):
         if isinstance(other, HyperDual):
@@ -104,18 +135,23 @@ class HyperDual:
         if isinstance(p, HyperDual):
             raise TypeError("HyperDual exponents are not supported")
         if p == 0:
-            return HyperDual(self.f0 ** 0)
+            return HyperDual(self.f0 ** 0, *(None if v is None else 0.0
+                                             for v in (self.f1, self.f2, self.f12)))
         v = self.f0
-        d1 = p * v ** (p - 1)
-        d2 = p * (p - 1) * v ** (p - 2) if p != 1 else 0.0
-        return HyperDual(v ** p, d1 * self.f1, d1 * self.f2,
-                         d1 * self.f12 + d2 * self.f1 * self.f2)
+        d2 = None
+        if self.f12 is not None:
+            d2 = p * (p - 1) * v ** (p - 2) if p != 1 else 0.0
+        return self._lift(v ** p, p * v ** (p - 1), d2)
 
-    # elementary functions; chain rule with f' and f''
+    # elementary functions; chain rule with f' and f'', where f'' is only
+    # needed (and only passed) when the mixed slot is tracked
 
     def _lift(self, val, d1, d2):
-        return HyperDual(val, d1 * self.f1, d1 * self.f2,
-                         d1 * self.f12 + d2 * self.f1 * self.f2)
+        f1, f2, f12 = self.f1, self.f2, self.f12
+        return HyperDual(val,
+                         None if f1 is None else d1 * f1,
+                         None if f2 is None else d1 * f2,
+                         None if f12 is None else d1 * f12 + d2 * f1 * f2)
 
     def exp(self):
         e = exp(self.f0)
@@ -123,25 +159,29 @@ class HyperDual:
 
     def log(self):
         v = self.f0
-        return self._lift(log(v), 1.0 / v, -1.0 / (v * v))
+        return self._lift(log(v), 1.0 / v,
+                          None if self.f12 is None else -1.0 / (v * v))
 
     def sqrt(self):
         r = sqrt(self.f0)
-        return self._lift(r, 0.5 / r, -0.25 / (r * self.f0))
+        return self._lift(r, 0.5 / r,
+                          None if self.f12 is None else -0.25 / (r * self.f0))
+
+    def _slotwise(self, fn):
+        f1, f2, f12 = self.f1, self.f2, self.f12
+        return HyperDual(fn(self.f0), None if f1 is None else fn(f1),
+                         None if f2 is None else fn(f2), None if f12 is None else fn(f12))
 
     def conjugate(self):
-        return HyperDual(conj(self.f0), conj(self.f1),
-                         conj(self.f2), conj(self.f12))
+        return self._slotwise(conj)
 
     @property
     def real(self):
-        return HyperDual(real(self.f0), real(self.f1),
-                         real(self.f2), real(self.f12))
+        return self._slotwise(real)
 
     @property
     def imag(self):
-        return HyperDual(imag(self.f0), imag(self.f1),
-                         imag(self.f2), imag(self.f12))
+        return self._slotwise(imag)
 
     # ordering a jet is meaningless; fail loudly instead of comparing values
     def __lt__(self, other):
@@ -212,8 +252,9 @@ def abs2(x):
 def pairing(M, u, v):
     """Hermitian pairing sum_ij M[i][j] u[i] conj(v[j]), accumulated row by row
     from 0.0 in that order, so every backend rounds it the same way."""
+    vbar = [conj(x) for x in v]
     acc = 0.0
     for i in range(len(u)):
         for j in range(len(v)):
-            acc = acc + M[i][j] * u[i] * conj(v[j])
+            acc = acc + M[i][j] * u[i] * vbar[j]
     return acc

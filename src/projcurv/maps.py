@@ -51,20 +51,26 @@ class ChartedMap:
 
     def __post_init__(self):
         # a map flagged holomorphic needs df/dzbar = 0, and a map into a real
-        # chart must be real-valued, df/dzbar = conj(df/dz): the assembly
-        # pairs conj(df) with the target curvature for both target types
+        # chart must be real-valued, Im f = 0 and df/dzbar = conj(df/dz): the
+        # assembly pairs conj(df) with the target curvature for both target
+        # types, and ``value`` would drop an imaginary part silently
         real = not self.target_is_complex
         if not (self.validate_on_init and (self.holomorphic or real)):
             return
         rng = np.random.default_rng(20250809)
         for z in [self.source.center] + [self.source.sample(rng) for _ in range(4)]:
             holo, anti = self.jacobians(z)
-            for required, gap, what in (
-                    (self.holomorphic, anti, "flagged holomorphic but max |df/dzbar|"),
-                    (real, anti - holo.conj(), "into a real chart is not "
-                     "real-valued: max |df/dzbar - conj(df/dz)|")):
+            gaps = [(anti, "flagged holomorphic but max |df/dzbar|")] \
+                if self.holomorphic else []
+            if real:
+                gaps += [
+                    (np.asarray(self.rule(tuple(z)), complex).imag,
+                     "into a real chart is not real-valued: max |Im f(z)|"),
+                    (anti - holo.conj(), "into a real chart is not "
+                     "real-valued: max |df/dzbar - conj(df/dz)|")]
+            for gap, what in gaps:
                 defect = float(np.max(np.abs(gap)))
-                if required and not defect <= HOLO_FLAG_TOL:    # a NaN defect fails too
+                if not defect <= HOLO_FLAG_TOL:     # a NaN defect fails too
                     raise ValidationError(
                         f"map {self.name!r} {what} = {defect:.3e} at {z}")
 
@@ -296,13 +302,16 @@ def Y1_field(f: ChartedMap, h: HermitianMetricField, g: HermitianMetricField,
         gup = _generic_inverse_up(G, n)
         Hm = h.matrix_generic(z)
         hup = _generic_inverse_up(Hm, m)
+        holo_bar = [[gm.conj(v) for v in row] for row in holo]
+        Xbar = [gm.conj(v) for v in X]
         num = 0.0
         for a in range(m):
             for b in range(m):
                 for i in range(n):
+                    # the left-to-right product's first factor pair, once per j loop
+                    t = hup[a][b] * holo[i][a]
                     for j in range(n):
-                        num = num + hup[a][b] * holo[i][a] * gm.conj(holo[j][b]) \
-                            * X[i] * gm.conj(X[j])
+                        num = num + t * holo_bar[j][b] * X[i] * Xbar[j]
         return gm.real(num) / gm.real(gm.pairing(gup, X, X))
 
     if n == 1:
@@ -324,10 +333,12 @@ def Y2_field(f: ChartedMap, h: HermitianMetricField, g: HermitianMetricField,
         X = reconstruct_W(zs[m + m - 1:], x_chart_index, n)
         holo, _ = diffops.jacobian_pair_generic(f.rule, z, m, n)
         F = [sum(holo[i][a] * W[a] for a in range(m)) for i in range(n)]
+        Fbar = [gm.conj(v) for v in F]
+        Xbar = [gm.conj(v) for v in X]
         num = 0.0
         for i in range(n):
             for j in range(n):
-                num = num + F[i] * gm.conj(F[j]) * X[i] * gm.conj(X[j])
+                num = num + F[i] * Fbar[j] * X[i] * Xbar[j]
         H = gm.pairing(h.matrix_generic(z), W, W)
         gup = _generic_inverse_up(g.matrix_generic(f.rule(z)), n)
         H1 = gm.pairing(gup, X, X)
@@ -351,12 +362,13 @@ def u_field(f: ChartedMap, h: HermitianMetricField, g) -> ScalarField:
         G = g.matrix_generic(f.rule(zs))
         Hm = h.matrix_generic(zs)
         hup = _generic_inverse_up(Hm, m)
+        holo_bar = [[gm.conj(v) for v in row] for row in holo]
         u = 0.0
         for i in range(n):
             for j in range(n):
                 for a in range(m):
                     for b in range(m):
-                        u = u + G[i][j] * hup[a][b] * holo[i][a] * gm.conj(holo[j][b])
+                        u = u + G[i][j] * hup[a][b] * holo[i][a] * holo_bar[j][b]
         return gm.real(u)
 
     return ScalarField(f.source, rule, name="classical_density")

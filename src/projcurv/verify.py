@@ -275,9 +275,10 @@ def verify_exact_identity(variant: str, f: ChartedMap, h: HermitianMetricField,
 # form inequalities
 
 def _s01_sides(f: ChartedMap, h: HermitianMetricField, g, z):
-    """(ddbar u, RHS matrix) of the base-chart Hessian estimates at z: S01
-    for a complex target, its pluri-harmonic analogue (hessian) for a
-    Riemannian one.  The RHS is
+    """(ddbar u, RHS matrix, h^{a bbar}) of the base-chart Hessian estimates
+    at z: S01 for a complex target, its pluri-harmonic analogue (hessian)
+    for a Riemannian one.  The trace suites contract both sides with the
+    returned h^{a bbar}.  The RHS is
 
         R^h_{a bbar g dbar} h^{m dbar} h^{g nbar} g_{ij} f^i_m conj(f^j_n)
             - K_{k lbar i jbar} f^k_a conj(f^l_b) h^{m nbar} f^i_m conj(f^j_n).
@@ -296,7 +297,7 @@ def _s01_sides(f: ChartedMap, h: HermitianMetricField, g, z):
     first = np.einsum("abgd,md,gn,mn->ab", Rh, hup, hup, P_mat)
     _require_hermitian(first, "source curvature term")
     _require_hermitian(second, "target curvature term")
-    return lhs, first - second
+    return lhs, first - second, hup
 
 
 def verify_form_inequality(suite: str, f: ChartedMap, h: HermitianMetricField,
@@ -319,7 +320,7 @@ def verify_form_inequality(suite: str, f: ChartedMap, h: HermitianMetricField,
 
     elif suite in ("S01", "hessian"):
         z = point.z if isinstance(point, BundlePoint) else point
-        lhs, rhs_mat = _s01_sides(f, h, g, z)
+        lhs, rhs_mat, _ = _s01_sides(f, h, g, z)
         rhs = Form11(rhs_mat)
 
     elif suite == "S2":
@@ -387,8 +388,7 @@ def verify_trace_inequality(suite: str, f: ChartedMap, h: HermitianMetricField,
     """Signed scalar residual tr(LHS) - tr(RHS) for the trace suites."""
     if suite not in TRACE_SUITES:
         raise ValidationError(f"{suite!r} is not a trace suite")
-    lhs_form, rhs_mat = _s01_sides(f, h, g, z)
-    hup = h.inverse_up(np.asarray(z, complex))
+    lhs_form, rhs_mat, hup = _s01_sides(f, h, g, z)
     lhs = float(np.real(np.einsum("ab,ab->", hup, lhs_form.matrix)))
     rhs = float(np.real(np.einsum("ab,ab->", hup, rhs_mat)))
     scale = max(1.0, abs(lhs), abs(rhs))

@@ -17,6 +17,7 @@ satisfies g = delta, dg = 0, which the normal-point identities need.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,24 +43,33 @@ class ZooEntry:
 # ---------------------------------------------------------------------------
 # metric rules
 
-def _fs_rule(m):
+def _potential_rule(m, grow, correct):
+    """h_ab = correct(delta_ab / s, conj(z_a) z_b / (s s)) with
+    s = grow(1, |z|^2), where ``grow`` and ``correct`` are opposite signs.
+
+    1/s, s*s and each conj(z_a) are computed once, and 0/s only when there
+    are off-diagonal entries; every entry rounds as the per-entry formula
+    does, since each of those terms is the same operation on the same
+    operands wherever it appears."""
     def rule(z):
+        zbar = [gm.conj(z[a]) for a in range(m)]
         s = 1
         for a in range(m):
-            s = s + gm.abs2(z[a])
-        return [[(1 if a == b else 0) / s - gm.conj(z[a]) * z[b] / (s * s)
+            s = grow(s, z[a] * zbar[a])         # abs2(z[a])
+        diag = 1 / s
+        off = 0 / s if m > 1 else None
+        ss = s * s
+        return [[correct(diag if a == b else off, zbar[a] * z[b] / ss)
                  for b in range(m)] for a in range(m)]
     return rule
+
+
+def _fs_rule(m):
+    return _potential_rule(m, operator.add, operator.sub)
 
 
 def _poincare_rule(m):
-    def rule(z):
-        s = 1
-        for a in range(m):
-            s = s - gm.abs2(z[a])
-        return [[(1 if a == b else 0) / s + gm.conj(z[a]) * z[b] / (s * s)
-                 for b in range(m)] for a in range(m)]
-    return rule
+    return _potential_rule(m, operator.sub, operator.add)
 
 
 def _delta_rule(m):

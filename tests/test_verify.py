@@ -528,6 +528,25 @@ class TestRunSuite:
             # the exact identities still reach the W form through the module
             assert calls["w_form"] == (2 if suite.startswith("exact") else 0)
 
+    def test_trace_suites_invert_h_once_per_sample(self, monkeypatch):
+        # the trace used to invert h again after the RHS had (4 calls at 2
+        # samples for hessian2 against 2 for hessian)
+        p = pair("pluri-poincare")
+        p.pluriharmonic
+        calls = []
+        inverse_up = HermitianMetricField.inverse_up
+
+        def counted(self, z):
+            calls.append(z)
+            return inverse_up(self, z)
+
+        monkeypatch.setattr(HermitianMetricField, "inverse_up", counted)
+        for suite in ("hessian", "hessian2"):
+            calls.clear()
+            [rep] = V.run_suite(p, [suite], samples=2, seed=0)
+            assert rep.status == "pass"
+            assert len(calls) == 2, suite
+
 
 class TestFailClosed:
     def test_nan_residuals_are_errors(self):

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from projcurv import curvature as cv
+from projcurv import diffops, zoo
+from projcurv import dual as gm
 from projcurv import maps as mp
-from projcurv import zoo
-from projcurv.errors import ConfigError
+from projcurv.dual import HyperDual
+from projcurv.errors import ConfigError, ValidationError
 
 PROBE_COUNT = 100
 
@@ -127,3 +129,66 @@ class TestBuilders:
     def test_catalog_facts_unknown(self):
         with pytest.raises(ConfigError):
             zoo.catalog_facts("nonexistent")
+
+    def test_constant_map_into_real_chart_must_be_real(self):
+        # value() keeps only Re f and the derivatives of a constant are 0, so
+        # a complex constant into a real chart used to evaluate as its real part
+        flat = zoo.build_entry("flat", {"dim": 1}).obj
+        euclidean = zoo.build_entry("euclidean", {"dim": 1}).obj
+        with pytest.raises(ValidationError, match=r"map 'constant' into a real chart "
+                           r"is not real-valued: max \|Im f\(z\)\| = 2\.000e-01"):
+            zoo.build_map("constant", {"value": [0.1 + 0.2j]}, flat.chart, euclidean.chart)
+        with pytest.raises(ValidationError, match="nan"):
+            zoo.build_map("constant", {"value": [complex(0.1, float("nan"))]},
+                          flat.chart, euclidean.chart)
+        f = zoo.build_map("constant", {"value": [0.1]}, flat.chart, euclidean.chart)
+        assert f.value([0]).tolist() == [0.1]
+
+
+def textbook_rule(m, sign):
+    """The per-entry formula delta_ab / s - sign conj(z_a) z_b / (s s) with
+    s = 1 + sign |z|^2, written as the zoo rules were before they shared
+    1/s, s*s and conj(z_a) across entries."""
+    def rule(z):
+        s = 1
+        for a in range(m):
+            s = s + gm.abs2(z[a]) if sign > 0 else s - gm.abs2(z[a])
+        if sign > 0:
+            return [[(1 if a == b else 0) / s - gm.conj(z[a]) * z[b] / (s * s)
+                     for b in range(m)] for a in range(m)]
+        return [[(1 if a == b else 0) / s + gm.conj(z[a]) * z[b] / (s * s)
+                 for b in range(m)] for a in range(m)]
+    return rule
+
+
+def _hoisting_inputs(m):
+    rng = np.random.default_rng(m)
+    z = 0.3 * (rng.uniform(-1, 1, m) + 1j * rng.uniform(-1, 1, m))
+    stencil = z[:, None] + 0.01 * rng.standard_normal((m, 7))
+    _, _, _, first, second = diffops._pair_seeds(2 * m)
+    jets = [HyperDual(z[a], first[a] + 1j * first[a + m], second[a] - 1j * second[a + m],
+                      0.0) for a in range(m)]
+    untracked = [HyperDual(z[a], np.eye(m)[a], None, None) for a in range(m)]
+    return {"scalars": tuple(z), "python": tuple(complex(v) for v in z),
+            "stencil": tuple(stencil), "jets": jets, "untracked": untracked}
+
+
+def _same(x, y):
+    if isinstance(x, HyperDual):
+        return isinstance(y, HyperDual) and all(
+            (u is None and v is None) or (u is not None and v is not None and _same(u, v))
+            for u, v in zip((x.f0, x.f1, x.f2, x.f12), (y.f0, y.f1, y.f2, y.f12)))
+    return not isinstance(y, HyperDual) and np.array_equal(x, y)
+
+
+class TestHoistedPotentialRules:
+    @pytest.mark.parametrize("kind", ["scalars", "python", "stencil", "jets", "untracked"])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("rule,sign", [(zoo._fs_rule, 1), (zoo._poincare_rule, -1)],
+                             ids=["fubini-study", "poincare"])
+    def test_bitwise_equal_to_per_entry_formula(self, rule, sign, m, kind):
+        z = _hoisting_inputs(m)[kind]
+        got, ref = rule(m)(z), textbook_rule(m, sign)(z)
+        for a in range(m):
+            for b in range(m):
+                assert _same(got[a][b], ref[a][b]), (a, b)

@@ -9,6 +9,10 @@ serialized by ``to_dict()`` (which leaves out the run time) as sorted-key
 JSON.  Two builds that print the same lines give byte-identical reports on
 the whole zoo, so a change meant to leave every number alone can be checked
 by diffing this output before and after it, or across two fresh processes.
+``tools/zoo_digest.txt`` holds the lines of the current build; CI diffs
+against it, so a change that moves a zoo report updates that file too:
+
+    python3 tools/zoo_digest.py | diff tools/zoo_digest.txt -
 """
 
 from __future__ import annotations
