@@ -156,11 +156,20 @@ def tautological_H(tm: TautologicalMetric, P: BundlePoint) -> float:
     return v
 
 
-def tautological_curvature(tm: TautologicalMetric, P: BundlePoint) -> Form11:
-    """Curvature -ddbar log(H e^{-phi}) on the combined (z, w) chart at P."""
-    field = tm.log_H_field(P.chart_index)
-    hess = diffops.wirtinger_hessian(field, P.combined(), backend="fd")
-    return Form11(-hess.matrix)
+def tautological_curvature(tm: TautologicalMetric, P):
+    """Curvature -ddbar log(H e^{-phi}) on the combined (z, w) chart at P,
+    or the list of forms at a list of points on one fiber chart, from one
+    stencil evaluation."""
+    Ps = P if isinstance(P, list) else [P]
+    idx = Ps[0].chart_index
+    if any(Q.chart_index != idx for Q in Ps):
+        raise ValidationError("a stacked tautological curvature needs points "
+                              "on one fiber chart")
+    field = tm.log_H_field(idx)
+    hess = diffops.wirtinger_hessian(field, np.array([Q.combined() for Q in Ps]),
+                                     backend="fd")
+    forms = [Form11(-H.matrix) for H in hess]
+    return forms if isinstance(P, list) else forms[0]
 
 
 def _check_base_normal(tm: TautologicalMetric, z):

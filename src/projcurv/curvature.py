@@ -40,17 +40,17 @@ NORMAL_POST_TOL = 1e-10
 # ---------------------------------------------------------------------------
 # metric entry jets
 
-def _riemannian_entry_jets(metric: RiemannianMetricField, x, order=2):
-    """Value, first and (optionally) second coordinate derivatives of g_{ij};
-    the value is the one ``check_at`` validated.
+def _riemannian_entry_jets(metric: RiemannianMetricField, xs, order=2):
+    """Value, first and (optionally) second coordinate derivatives of g_{ij}
+    at an (N, n) stack of points, sample axis first; the values are the
+    ones ``check_at`` validated, point by point.
 
     Entries below the diagonal are copied from those above it, so the
     derivative arrays are exactly symmetric in (i, j) whatever the rounding
     of the rule's two expressions for g_{ij} and g_{ji}.
     """
-    x = np.asarray(x, float)
-    G = metric.check_at(x)
-    d1, d2 = diffops.matrix_jet(metric, x, backend="fd", order=order)
+    G = [metric.check_at(x) for x in xs]
+    d1, d2 = diffops.matrix_jet(metric, xs, backend="fd", order=order)
     idx = np.arange(metric.dim)
     upper = idx[:, None] <= idx
 
@@ -89,12 +89,20 @@ class ChernCurvatureTensor:
                          np.asarray(v1, complex), np.conj(v2))
 
 
-def chern_curvature(metric: HermitianMetricField, z) -> ChernCurvatureTensor:
-    """Chern curvature tensor of a Hermitian metric at a point."""
-    z = np.asarray(z, complex)
-    H = metric.check_at(z)
-    # dz[g, a, b] = d h_{a bbar}/dz^g, mixed[k, l, a, b] = d^2 h_{a bbar}/dz^k dzbar^l
-    dz, mixed = diffops.matrix_jet(metric, z, backend="fd")
+def chern_curvature(metric: HermitianMetricField, z):
+    """Chern curvature tensor of a Hermitian metric at a point, or the list
+    of tensors at an (N, m) stack of points.  A stack takes one metric jet
+    for all its points; the checks and contractions run point by point."""
+    zs, stacked = diffops.point_stack(z)
+    Hs = [metric.check_at(p) for p in zs]
+    # dz[k, g, a, b] = d h_{a bbar}/dz^g and
+    # mixed[k, g, d, a, b] = d^2 h_{a bbar}/dz^g dzbar^d at the k-th point
+    dz, mixed = diffops.matrix_jet(metric, zs, backend="fd")
+    tensors = [_chern_tensor(*args) for args in zip(Hs, dz, mixed, zs)]
+    return tensors if stacked else tensors[0]
+
+
+def _chern_tensor(H, dz, mixed, z) -> ChernCurvatureTensor:
     Hinv = np.linalg.inv(H)
     # g^{p qbar} = Hinv[q, p]
     second = np.einsum("qp,kiq,ljp->klij", Hinv, dz, dz.conj())
@@ -149,32 +157,40 @@ def _christoffels_from_jets(Ginv, d1):
 
 
 def levi_civita_christoffels(metric: RiemannianMetricField, x,
-                             check_compatibility: bool = False) -> np.ndarray:
-    """Christoffel symbols Gamma[i, j, k] = Gamma^i_{jk} of the Levi-Civita connection."""
-    x = np.asarray(x, float)
-    G, d1, _ = _riemannian_entry_jets(metric, x, order=1)
-    Ginv = np.linalg.inv(G)
-    Gamma = _christoffels_from_jets(Ginv, d1)
-    if check_compatibility:
-        # nabla_k g_{ij} = d_k g_{ij} - Gamma^s_{ki} g_{sj} - Gamma^s_{kj} g_{is}
-        nabla = (d1 - np.einsum("ski,sj->kij", Gamma, G)
-                 - np.einsum("skj,is->kij", Gamma, G))
-        defect = float(np.max(np.abs(nabla)))
-        if defect > 1e-6 * max(1.0, float(np.max(np.abs(d1)))):
-            raise ValidationError(f"metric compatibility defect {defect:.3e} at {x}")
-    return Gamma
+                             check_compatibility: bool = False):
+    """Christoffel symbols Gamma[i, j, k] = Gamma^i_{jk} of the Levi-Civita
+    connection at a point, or the list of them at an (N, n) stack of points
+    (one metric jet for the stack)."""
+    xs, stacked = diffops.point_stack(x, float)
+    Gs, d1s, _ = _riemannian_entry_jets(metric, xs, order=1)
+    out = []
+    for xk, G, d1 in zip(xs, Gs, d1s):
+        Gamma = _christoffels_from_jets(np.linalg.inv(G), d1)
+        if check_compatibility:
+            # nabla_k g_{ij} = d_k g_{ij} - Gamma^s_{ki} g_{sj} - Gamma^s_{kj} g_{is}
+            nabla = (d1 - np.einsum("ski,sj->kij", Gamma, G)
+                     - np.einsum("skj,is->kij", Gamma, G))
+            defect = float(np.max(np.abs(nabla)))
+            if defect > 1e-6 * max(1.0, float(np.max(np.abs(d1)))):
+                raise ValidationError(f"metric compatibility defect {defect:.3e} at {xk}")
+        out.append(Gamma)
+    return out if stacked else out[0]
 
 
 def _christoffel_jets(metric: RiemannianMetricField, x):
-    """(G, dG, d2G, Gamma, dGamma): the metric jets, and Gamma and its first
+    """(G, dG, d2G, Gamma, dGamma) at a point, or the list of them at an
+    (N, n) stack of points: the metric jets, and Gamma and its first
     coordinate derivatives assembled from them."""
-    G, d1, d2 = _riemannian_entry_jets(metric, x, order=2)
-    Ginv = np.linalg.inv(G)
-    Gamma = _christoffels_from_jets(Ginv, d1)
-    dGinv = -np.einsum("ip,apq,ql->ail", Ginv, d1, Ginv)
-    dGamma = 0.5 * (np.einsum("ail,ljk->aijk", dGinv, _bracket(d1))
-                    + np.einsum("il,aljk->aijk", Ginv, _bracket(d2)))
-    return G, d1, d2, Gamma, dGamma
+    xs, stacked = diffops.point_stack(x, float)
+    out = []
+    for G, d1, d2 in zip(*_riemannian_entry_jets(metric, xs, order=2)):
+        Ginv = np.linalg.inv(G)
+        Gamma = _christoffels_from_jets(Ginv, d1)
+        dGinv = -np.einsum("ip,apq,ql->ail", Ginv, d1, Ginv)
+        dGamma = 0.5 * (np.einsum("ail,ljk->aijk", dGinv, _bracket(d1))
+                        + np.einsum("il,aljk->aijk", Ginv, _bracket(d2)))
+        out.append((G, d1, d2, Gamma, dGamma))
+    return out if stacked else out[0]
 
 
 @dataclass(frozen=True)
@@ -218,11 +234,14 @@ def _riemann_from_jets(G, Gamma, dGamma):
     return np.einsum("sl,sijk->ijkl", G, R_up)
 
 
-def riemann_curvature(metric: RiemannianMetricField, x) -> RiemannCurvatureTensor:
-    """Riemann curvature tensor (all indices down) at a point."""
-    G, _, _, Gamma, dGamma = _christoffel_jets(metric, x)
-    return RiemannCurvatureTensor(array=_riemann_from_jets(G, Gamma, dGamma),
-                                  metric_value=G)
+def riemann_curvature(metric: RiemannianMetricField, x):
+    """Riemann curvature tensor (all indices down) at a point, or the list of
+    tensors at an (N, n) stack of points (one metric jet for the stack)."""
+    xs, stacked = diffops.point_stack(x, float)
+    tensors = [RiemannCurvatureTensor(array=_riemann_from_jets(G, Gamma, dGamma),
+                                      metric_value=G)
+               for G, _, _, Gamma, dGamma in _christoffel_jets(metric, xs)]
+    return tensors if stacked else tensors[0]
 
 
 def riemannian_sectional_curvature(metric: RiemannianMetricField, x, X, Y) -> float:

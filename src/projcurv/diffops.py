@@ -16,6 +16,22 @@ constructions, where exactness keeps nested differentiation honest.
 ``cross_check`` compares the two on any field.  Every jet goes through
 ``_real_jet``, which also enforces the chart margin its stencil needs.
 
+The sample axis.  Every operation takes one point or an (N, d) stack of
+points.  For a stack the fd backend builds the N Richardson stencils as one
+(n, N*K) array of real coordinates, calls the rule once, and assembles
+every value, gradient and Hessian with elementwise operations over the
+leading sample axis.  Elementwise arithmetic rounds each entry the same way
+whatever the array around it, so the k-th result of a stack is bit for bit
+the result at its point alone; a single point is the stack of one.  What
+is stacked: the density and log-H Hessians (``wirtinger_hessian``) and the
+metric jets (``matrix_jet``) behind the Chern and Riemann tensors and the
+Levi-Civita Christoffels.  What stays per sample, by design: the dual
+backend (one hyper-dual pass per point), every contraction after the jet
+(``einsum`` and matmul may group their sums differently for a stack than
+for one point, which would move results by an ulp), ``Form11`` and its
+eigenvalues, and every check (the chart margin, the metric at the point,
+the Hermitian defects), so an error names its own point.
+
 Conventions.  On a complex chart with coordinates zeta^a = x^a + i y^a the
 real directions are ordered (x^0..x^{d-1}, y^0..y^{d-1}) and
 
@@ -57,17 +73,22 @@ def step_for(chart) -> float:
 #
 # ``F`` maps a sequence of n real coordinates to a rule output of shape
 # ``shape``: a scalar, or nested sequences for vector and matrix rules.  It
-# only indexes or iterates over its argument.  The fd primitives pass an
-# (n, N) array whose columns are the N points of a Richardson stencil, and
-# the dual primitives pass n HyperDuals whose derivative slots hold one
-# entry per seeded direction, so every jet costs a single rule call.
-# Derivative arrays put the direction axes first: grad[a, ...] and
-# hess[a, b, ...].
+# only indexes or iterates over its argument.  The fd primitives take an
+# (N, n) stack of points and pass one (n, N*K) array whose columns are the
+# N Richardson stencils of K points each, and the dual primitives pass n
+# HyperDuals whose derivative slots hold one entry per seeded direction, so
+# every jet costs a single rule call.  fd derivative arrays put the sample
+# axis first and the direction axes next: grad[k, a, ...] and
+# hess[k, a, b, ...]; dual ones omit the sample axis.
 
-def _eval_stencil(F, P, shape):
-    """Values of F at the columns of P, stencil axis first."""
-    vals = rule_values(F(P), shape, P.shape[1])
-    return np.moveaxis(vals, -1, 0) if shape else vals
+def _eval_stencil(F, p, offsets, shape):
+    """Values of F at the stencils p + offsets (n, K) of the N points p
+    (N, n), from one rule call: shape (N, K) + ``shape``."""
+    (N, n), K = p.shape, offsets.shape[1]
+    cols = (p.T[:, :, None] + offsets[:, None, :]).reshape(n, N * K)
+    vals = rule_values(F(cols), shape, N * K).reshape(shape + (N, K))
+    r = len(shape)
+    return vals.transpose((r, r + 1) + tuple(range(r)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -98,40 +119,42 @@ def _unit_stencils(n):
 
 
 def _axis_grad(V, s):
-    """Richardson gradient from the axis block of stencil values (4n, ...)."""
-    n = V.shape[0] // 4
-    Vs = V.reshape((n, 4) + V.shape[1:])
-    vps, vms, vph, vmh = Vs[:, 0], Vs[:, 1], Vs[:, 2], Vs[:, 3]
+    """Richardson gradient from the axis block of stencil values (N, 4n, ...)."""
+    N, n = V.shape[0], V.shape[1] // 4
+    Vs = V.reshape((N, n, 4) + V.shape[2:])
+    vps, vms, vph, vmh = Vs[:, :, 0], Vs[:, :, 1], Vs[:, :, 2], Vs[:, :, 3]
     d1 = (vps - vms) / (2 * s)
     d2 = (vph - vmh) / s
     return (4.0 * d2 - d1) / 3.0, (vps, vms, vph, vmh)
 
 
 def _real_grad_fd(F, p, s, shape=()):
-    axis, _, _, _ = _unit_stencils(p.size)
-    grad, _ = _axis_grad(_eval_stencil(F, p[:, None] + s * axis, shape), s)
+    axis, _, _, _ = _unit_stencils(p.shape[1])
+    grad, _ = _axis_grad(_eval_stencil(F, p, s * axis, shape), s)
     return grad
 
 
 def _real_jet2_fd(F, p, s, shape=()):
-    n = p.size
+    N, n = p.shape
     _, full, A, B = _unit_stencils(n)
-    V = _eval_stencil(F, p[:, None] + s * full, shape)
-    f0 = V[0]
-    grad, (vps, vms, vph, vmh) = _axis_grad(V[1:1 + 4 * n], s)
-    hess = np.empty((n, n) + shape, complex)
-    h1 = (vps - 2 * f0 + vms) / (s * s)
-    h2 = (vph - 2 * f0 + vmh) / (0.25 * s * s)
+    V = _eval_stencil(F, p, s * full, shape)
+    f0 = V[:, 0]
+    grad, (vps, vms, vph, vmh) = _axis_grad(V[:, 1:1 + 4 * n], s)
+    hess = np.empty((N, n, n) + shape, complex)
+    c0 = f0[:, None]
+    h1 = (vps - 2 * c0 + vms) / (s * s)
+    h2 = (vph - 2 * c0 + vmh) / (0.25 * s * s)
     diag = np.arange(n)
-    hess[diag, diag] = (4.0 * h2 - h1) / 3.0
-    Vc = V[1 + 4 * n:].reshape((A.size, 2, 4) + shape)
+    hess[:, diag, diag] = (4.0 * h2 - h1) / 3.0
+    Vc = V[:, 1 + 4 * n:].reshape((N, A.size, 2, 4) + shape)
 
     def cross_diff(k, h):
-        return (Vc[:, k, 0] - Vc[:, k, 1] - Vc[:, k, 2] + Vc[:, k, 3]) / (4 * h * h)
+        return (Vc[:, :, k, 0] - Vc[:, :, k, 1] - Vc[:, :, k, 2]
+                + Vc[:, :, k, 3]) / (4 * h * h)
 
     mixed = (4.0 * cross_diff(1, 0.5 * s) - cross_diff(0, s)) / 3.0
-    hess[A, B] = mixed
-    hess[B, A] = mixed
+    hess[:, A, B] = mixed
+    hess[:, B, A] = mixed
     return f0, grad, hess
 
 
@@ -199,6 +222,18 @@ def _real_grad_dual(F, p, shape=()):
 
 
 # complex-point wrappers ---------------------------------------------------
+#
+# The Wirtinger conversions act on the leading direction axes after the
+# sample axis: grad[k, a, ...] and hess[k, a, b, ...].
+
+def point_stack(z, dtype=complex) -> tuple[np.ndarray, bool]:
+    """(points, stacked): one point of shape (d,) or an (N, d) stack of them
+    as an (N, d) array, and whether a stack was given.  The engine works on
+    stacks; a single point is the stack of one."""
+    z = np.asarray(z, dtype)
+    stacked = z.ndim == 2
+    return (z if stacked else z.reshape(1, -1)), stacked
+
 
 def _complex_coords(p, d: int) -> tuple:
     """Complex chart coordinates from real ones ordered (x^0.., y^0..)."""
@@ -206,69 +241,84 @@ def _complex_coords(p, d: int) -> tuple:
 
 
 def _split_real(z) -> np.ndarray:
+    """Real coordinates (x^0.., y^0..) of a complex point or of each row of
+    a stack of them."""
     z = np.asarray(z, complex)
-    return np.concatenate([z.real, z.imag])
+    return np.concatenate([z.real, z.imag], axis=-1)
 
 
 def _wirt_grad_from_real(grad: np.ndarray, d: int) -> np.ndarray:
-    return 0.5 * (grad[:d] - 1j * grad[d:])
+    return 0.5 * (grad[:, :d] - 1j * grad[:, d:])
 
 
 def _wirt_gradbar_from_real(grad: np.ndarray, d: int) -> np.ndarray:
-    return 0.5 * (grad[:d] + 1j * grad[d:])
+    return 0.5 * (grad[:, :d] + 1j * grad[:, d:])
 
 
 def _wirt_mixed_from_real(H: np.ndarray, d: int) -> np.ndarray:
-    xx = H[:d, :d]
-    yy = H[d:, d:]
-    xy = H[:d, d:]
-    yx = H[d:, :d]
+    xx = H[:, :d, :d]
+    yy = H[:, d:, d:]
+    xy = H[:, :d, d:]
+    yx = H[:, d:, :d]
     return 0.25 * ((xx + yy) + 1j * (xy - yx))
 
 
 def _wirt_holo2_from_real(H: np.ndarray, d: int) -> np.ndarray:
-    xx = H[:d, :d]
-    yy = H[d:, d:]
-    xy = H[:d, d:]
-    yx = H[d:, :d]
+    xx = H[:, :d, :d]
+    yy = H[:, d:, d:]
+    xy = H[:, :d, d:]
+    yx = H[:, d:, :d]
     return 0.25 * ((xx - yy) - 1j * (xy + yx))
 
 
 def _real_jet(rule, chart, z, backend: str, order: int = 2, shape=()):
-    """Real jet of a rule at z: (value, grad, hess) for order 2 and
-    (None, grad, None) for order 1, derivative axes first.
+    """Real jets of a rule at one point or an (N, d) stack of points:
+    (value, grad, hess) for order 2 and (None, grad, None) for order 1,
+    each with a leading sample axis (of length 1 for a single point) and
+    the derivative axes next.
 
     The one dispatch point of the engine.  It enforces the chart margin the
-    order's stencil needs, on complex and real charts alike, splits a complex
-    point into real coordinates ordered (x^0.., y^0..), and runs the fd or
-    dual primitive.  ``rule`` takes a tuple of chart coordinates and returns
-    an output of shape ``shape``.
+    order's stencil needs at every point in turn, on complex and real charts
+    alike, splits complex points into real coordinates ordered (x^0..,
+    y^0..), and runs the fd or dual primitive: the fd backend evaluates the
+    stencils of all N points in one rule call, the dual backend takes one
+    hyper-dual pass per point.  ``rule`` takes a tuple of chart coordinates
+    and returns an output of shape ``shape``.
     """
     if backend not in ("fd", "dual"):
         raise ValueError(f"unknown backend {backend!r}")
     s = step_for(chart)
     steps = HESSIAN_MARGIN_STEPS if order >= 2 else GRADIENT_MARGIN_STEPS
-    chart.require_margin(z, steps * s)
-    if isinstance(chart, ComplexChart):
-        p = _split_real(z)
+    is_complex = isinstance(chart, ComplexChart)
+    zs, _ = point_stack(z, complex if is_complex else float)
+    for zk in zs:
+        chart.require_margin(zk, steps * s)
+    if is_complex:
+        p = _split_real(zs)
         d = chart.dim
 
         def F(q):
             return rule(_complex_coords(q, d))
     else:
-        p = np.asarray(z, float)
+        p = zs
 
         def F(q):
             return rule(tuple(q))
+    if backend == "fd":
+        if order >= 2:
+            return _real_jet2_fd(F, p, s, shape)
+        return None, _real_grad_fd(F, p, s, shape), None
     if order >= 2:
-        return (_real_jet2_fd(F, p, s, shape) if backend == "fd"
-                else _real_jet2_dual(F, p, shape))
-    grad = (_real_grad_fd(F, p, s, shape) if backend == "fd"
-            else _real_grad_dual(F, p, shape))
-    return None, grad, None
+        jets = [_real_jet2_dual(F, q, shape) for q in p]
+        return tuple(np.stack(parts) for parts in zip(*jets))
+    return None, np.stack([_real_grad_dual(F, q, shape) for q in p]), None
 
 
 # public operations --------------------------------------------------------
+#
+# Each takes one point or an (N, d) stack of points.  A stack gives the
+# per-point results in order, with a leading sample axis for arrays and as
+# a list for Form11s, from one fd stencil evaluation for the whole stack.
 
 def wirtinger_gradient(field: ScalarField, z, backend: str = "fd") -> np.ndarray:
     """Holomorphic Wirtinger gradient (dF/dzeta^a).
@@ -278,33 +328,38 @@ def wirtinger_gradient(field: ScalarField, z, backend: str = "fd") -> np.ndarray
     :func:`wirtinger_gradient_bar`.
     """
     _, g, _ = _real_jet(field.rule, field.chart, z, backend, order=1)
-    return _wirt_grad_from_real(g, field.chart.dim)
+    out = _wirt_grad_from_real(g, field.chart.dim)
+    return out if np.ndim(z) == 2 else out[0]
 
 
 def wirtinger_gradient_bar(field: ScalarField, z, backend: str = "fd") -> np.ndarray:
     _, g, _ = _real_jet(field.rule, field.chart, z, backend, order=1)
-    return _wirt_gradbar_from_real(g, field.chart.dim)
+    out = _wirt_gradbar_from_real(g, field.chart.dim)
+    return out if np.ndim(z) == 2 else out[0]
 
 
-def wirtinger_hessian(field: ScalarField, z, backend: str = "fd") -> Form11:
-    """Mixed complex Hessian (d^2 F / dzeta^a dzetabar^b) as a Form11.
+def wirtinger_hessian(field: ScalarField, z, backend: str = "fd"):
+    """Mixed complex Hessian (d^2 F / dzeta^a dzetabar^b) as a Form11, or a
+    list of them at a stack of points.
 
     Intended for real-valued fields, whose mixed Hessian is Hermitian; the
     Form11 constructor symmetrizes away the numerical skew part.
     """
     _, _, H = _real_jet(field.rule, field.chart, z, backend)
-    return Form11(_wirt_mixed_from_real(H, field.chart.dim))
+    forms = [Form11(M) for M in _wirt_mixed_from_real(H, field.chart.dim)]
+    return forms if np.ndim(z) == 2 else forms[0]
 
 
 def complex_jet2(field: ScalarField, z, backend: str = "fd"):
     """Value, d-gradient, dbar-gradient, mixed and pure-holomorphic Hessians."""
     d = field.chart.dim
     f0, g, H = _real_jet(field.rule, field.chart, z, backend)
-    return (f0,
-            _wirt_grad_from_real(g, d),
-            _wirt_gradbar_from_real(g, d),
-            _wirt_mixed_from_real(H, d),
-            _wirt_holo2_from_real(H, d))
+    out = (f0,
+           _wirt_grad_from_real(g, d),
+           _wirt_gradbar_from_real(g, d),
+           _wirt_mixed_from_real(H, d),
+           _wirt_holo2_from_real(H, d))
+    return out if np.ndim(z) == 2 else tuple(part[0] for part in out)
 
 
 def cross_check(field: ScalarField, z, rtol: float = CROSS_CHECK_RTOL) -> float:
@@ -328,22 +383,25 @@ def cross_check(field: ScalarField, z, rtol: float = CROSS_CHECK_RTOL) -> float:
 def matrix_jet(metric, z, backend: str = "fd", order: int = 2):
     """Derivatives of every entry of a metric field's matrix at z.
 
-    One rule evaluation per stencil (fd) or per seed batch (dual) yields all
-    entries at once, and the chart margin is enforced as for scalar fields.
-    On a complex chart the result is Wirtinger: (dz, mixed) with
-    dz[g, a, b] = d M_ab / dz^g and mixed[k, l, a, b] = d^2 M_ab / dz^k dzbar^l.
-    On a real chart it is (d1, d2) with d1[i, a, b] = d M_ab / dx^i and
-    d2[i, j, a, b] = d^2 M_ab / dx^i dx^j.  The second-order part is None
-    when ``order`` is 1.
+    One rule evaluation per stencil (fd; one for a whole stack of points) or
+    per seed batch (dual) yields all entries at once, and the chart margin is
+    enforced as for scalar fields.  On a complex chart the result is
+    Wirtinger: (dz, mixed) with dz[g, a, b] = d M_ab / dz^g and
+    mixed[k, l, a, b] = d^2 M_ab / dz^k dzbar^l.  On a real chart it is
+    (d1, d2) with d1[i, a, b] = d M_ab / dx^i and d2[i, j, a, b] =
+    d^2 M_ab / dx^i dx^j.  The second-order part is None when ``order`` is
+    1.  A stack of points puts a sample axis first on both parts.
     """
     chart = metric.chart
     _, grad, hess = _real_jet(metric.rule, chart, z, backend, order,
                               (metric.dim, metric.dim))
-    if not isinstance(chart, ComplexChart):
+    if isinstance(chart, ComplexChart):
+        d = chart.dim
+        grad = _wirt_grad_from_real(grad, d)
+        hess = None if hess is None else _wirt_mixed_from_real(hess, d)
+    if np.ndim(z) == 2:
         return grad, hess
-    d = chart.dim
-    return (_wirt_grad_from_real(grad, d),
-            None if hess is None else _wirt_mixed_from_real(hess, d))
+    return grad[0], None if hess is None else hess[0]
 
 
 # map-component jets (vector-valued rules) ---------------------------------
@@ -401,5 +459,5 @@ def map_jet2(rule, chart, z, n_out: int):
     and holo2[i, a, b] = d^2 f^i / dz^a dz^b."""
     _, _, H = _real_jet(rule, chart, z, "dual", shape=(n_out,))
     d = chart.dim
-    return tuple(np.ascontiguousarray(np.moveaxis(wirt(H, d), -1, 0))
+    return tuple(np.ascontiguousarray(np.moveaxis(wirt(H, d)[0], -1, 0))
                  for wirt in (_wirt_mixed_from_real, _wirt_holo2_from_real))

@@ -24,6 +24,8 @@ Residual operators for the harmonic-map side:
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -267,7 +269,7 @@ def Y_field(f: ChartedMap, h: HermitianMetricField, g,
         holo, _ = diffops.jacobian_pair_generic(f.rule, z, m, n)
         fz = f.rule(z)
         G = g.matrix_generic(fz)
-        F = [sum(holo[i][a] * W[a] for a in range(m)) for i in range(n)]
+        F = [_sum_terms(holo[i][a] * W[a] for a in range(m)) for i in range(n)]
         num = gm.pairing(G, F, F)
         H = gm.pairing(h.matrix_generic(z), W, W)
         return gm.real(num) / gm.real(H)
@@ -332,7 +334,7 @@ def Y2_field(f: ChartedMap, h: HermitianMetricField, g: HermitianMetricField,
         W = reconstruct_W(zs[m:m + m - 1], w_chart_index, m)
         X = reconstruct_W(zs[m + m - 1:], x_chart_index, n)
         holo, _ = diffops.jacobian_pair_generic(f.rule, z, m, n)
-        F = [sum(holo[i][a] * W[a] for a in range(m)) for i in range(n)]
+        F = [_sum_terms(holo[i][a] * W[a] for a in range(m)) for i in range(n)]
         Fbar = [gm.conj(v) for v in F]
         Xbar = [gm.conj(v) for v in X]
         num = 0.0
@@ -372,6 +374,13 @@ def u_field(f: ChartedMap, h: HermitianMetricField, g) -> ScalarField:
         return gm.real(u)
 
     return ScalarField(f.source, rule, name="classical_density")
+
+
+def _sum_terms(terms):
+    """Left-to-right sum of a nonempty sequence of generic scalars, starting
+    from its first term: the builtin ``sum`` starts from the int 0 and pays
+    one more stencil or hyper-dual addition."""
+    return functools.reduce(operator.add, terms)
 
 
 def _generic_inverse_up(M, n: int):
@@ -432,12 +441,17 @@ def pluriharmonic_residual(f: ChartedMap, g, z) -> np.ndarray:
     return mixed + np.einsum("ijk,ja,kb->iab", Gamma, holo, anti)
 
 
-def target_christoffels(g, p) -> np.ndarray:
+def target_christoffels(g, p):
     """Gamma[i, j, k] = Gamma^i_{jk} of the target's connection at p: the
-    Chern connection of a Hermitian g, the Levi-Civita one of a Riemannian g."""
-    if isinstance(g, HermitianMetricField):
-        return _chern_christoffels(g, p)
-    return levi_civita_christoffels(g, p)
+    Chern connection of a Hermitian g, the Levi-Civita one of a Riemannian g.
+    An (N, n) stack of points gives the list of them; the Levi-Civita
+    symbols take one fd metric jet for the stack, the Chern ones (exact dual
+    jets) are taken point by point."""
+    if not isinstance(g, HermitianMetricField):
+        return levi_civita_christoffels(g, p)
+    ps, stacked = diffops.point_stack(p)
+    out = [_chern_christoffels(g, q) for q in ps]
+    return out if stacked else out[0]
 
 
 def _chern_christoffels(g: HermitianMetricField, z) -> np.ndarray:

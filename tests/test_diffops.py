@@ -269,7 +269,8 @@ class TestBatchedEngine:
             for j in range(2):
                 def entry(p, i=i, j=j):
                     return sphere2.matrix_generic(tuple(p))[i][j]
-                _, grad, hess = diffops._real_jet2_fd(entry, x, s)
+                # the fd primitive takes a stack of points; this is the stack of one
+                _, (grad,), (hess,) = diffops._real_jet2_fd(entry, x[None], s)
                 np.testing.assert_allclose(d1[:, i, j], grad, rtol=1e-12, atol=1e-14)
                 np.testing.assert_allclose(d2[:, :, i, j], hess, rtol=1e-12, atol=1e-14)
         g1, none = diffops.matrix_jet(sphere2, x, backend="dual", order=1)

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
-from projcurv import diffops, maps as mp, zoo  # noqa: E402
+from projcurv import diffops, maps as mp, verify, zoo  # noqa: E402
 from projcurv.bundle import BundlePoint, TautologicalMetric  # noqa: E402
 from projcurv.charts import ComplexChart, RealChart  # noqa: E402
 from projcurv.fields import HermitianMetricField  # noqa: E402
@@ -195,3 +195,31 @@ def test_backends_agree_on_the_density_fields(name, data):
                     R.combined())]
     for field, x in fields:
         assert diffops.cross_check(field, x) <= diffops.CROSS_CHECK_RTOL, field.name
+
+
+# residual-like floats; the range of any two stays finite
+_report_floats = st.floats(-1e307, 1e307, allow_nan=False)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(
+    st.lists(_report_floats, min_size=1, max_size=12),
+    st.lists(st.sampled_from([0.0, -0.0, -1.0, 5e-324, -5e-324]), min_size=1, max_size=12),
+    st.builds(lambda v, k: [v] * k, _report_floats, st.integers(1, 4))))
+@example([0.3])
+@example([-2.5, -2.5, -2.5])
+@example([-7.0, -1e-9, -3.0])
+@example([0.0, -0.0])
+@example([-1.0, -0.0, 0.0, -0.0])
+@example([-1.0, 0.0, -0.0])
+@example([-1e307, 1e307, 3e306])
+def test_report_histogram_is_numpys(values):
+    # the report's plain-Python histogram gives NumPy's counts and edges
+    # bit for bit, wherever NumPy can make 10 distinct edges
+    try:
+        counts, edges = np.histogram(np.asarray(values), bins=10)
+    except ValueError:
+        assume(False)
+    got_counts, got_edges = verify._histogram(values)
+    assert got_counts == counts.tolist()
+    assert np.array_equal(np.array(got_edges).view(np.int64), edges.view(np.int64))

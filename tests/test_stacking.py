@@ -1,0 +1,204 @@
+"""The sample axis of the fd engine: a stack of points gives, bit for bit,
+what the points give one at a time, and the runner's grouped pass keeps
+every sample's outcome its own."""
+
+import functools
+import json
+
+import numpy as np
+import pytest
+
+from projcurv import diffops, verify as V, zoo
+from projcurv import maps as mp
+from projcurv.bundle import BundlePoint, TautologicalMetric, tautological_curvature
+from projcurv.curvature import (chern_curvature, levi_civita_christoffels,
+                                riemann_curvature)
+from projcurv.fields import HermitianMetricField
+from projcurv.maps import ChartedMap, NestedBundlePoint
+
+from conftest import nan_on_right_half
+
+STACK = 7
+
+
+@functools.cache
+def build_pair(name):
+    if name != "fs3-to-ball3":
+        return zoo.build_entry(name).obj
+    h = zoo.build_entry("fubini-study", {"dim": 3, "radius": 0.9}).obj
+    g = zoo.build_entry("poincare-ball", {"dim": 3, "radius": 0.38}).obj
+    f = zoo.build_map("linear", {"matrix": (0.4 * np.eye(3)).tolist()}, h.chart, g.chart)
+    return V.PairContext(f=f, h=h, g=g, name=name)
+
+
+PAIRS = list(zoo.catalog_names()["map-pair"]) + ["fs3-to-ball3"]
+
+
+def fiber_vector(rng, k, idx):
+    """A direction in C^k whose largest coordinate is the idx-th."""
+    W = 0.6 * (rng.uniform(-1, 1, k) + 1j * rng.uniform(-1, 1, k))
+    W[idx] = 1.0
+    return W
+
+
+def same_jets(stacked, single):
+    """The k-th slice of every stacked part equals the k-th single result."""
+    for k, parts in enumerate(single):
+        for got, want in zip(stacked, parts):
+            if want is None:
+                assert got is None
+            else:
+                assert np.array_equal(got[k], want), k
+
+
+@pytest.mark.parametrize("name", PAIRS)
+def test_stacked_jets_equal_per_point_jets(name):
+    p = build_pair(name)
+    f, h, g = p.f, p.h, p.g
+    m, n = f.m, f.n
+    rng = np.random.default_rng(11)
+    zs = np.array([f.source.sample(rng, 0.5) for _ in range(STACK)])
+    w_idx, x_idx = m - 1, n - 1
+    Ps = [BundlePoint.make(z, fiber_vector(rng, m, w_idx)) for z in zs]
+    assert all(P.chart_index == w_idx for P in Ps)
+
+    # the scalar fields whose Hessians the suites take
+    fields = [(mp.Y_field(f, h, g, w_idx), [P.combined() for P in Ps]),
+              (mp.u_field(f, h, g), list(zs)),
+              (TautologicalMetric(h).log_H_field(w_idx), [P.combined() for P in Ps])]
+    if f.holomorphic and p.target_is_complex:
+        Xs = [fiber_vector(rng, n, x_idx) for _ in range(STACK)]
+        Qs = [BundlePoint.make(z, X) for z, X in zip(zs, Xs)]
+        Rs = [NestedBundlePoint.make(P.z, P.W, X) for P, X in zip(Ps, Xs)]
+        fields += [(mp.Y1_field(f, h, g, x_idx),
+                    [np.concatenate([Q.z, Q.w]) if n > 1 else Q.z for Q in Qs]),
+                   (mp.Y2_field(f, h, g, w_idx, x_idx), [R.combined() for R in Rs])]
+    for field, points in fields:
+        stack = np.array(points)
+        same_jets(diffops._real_jet(field.rule, field.chart, stack, "fd"),
+                  [[part[0] for part in diffops._real_jet(field.rule, field.chart, x, "fd")]
+                   for x in points])
+        forms = diffops.wirtinger_hessian(field, stack)
+        for form, x in zip(forms, points):
+            assert np.array_equal(form.matrix,
+                                  diffops.wirtinger_hessian(field, x).matrix), field.name
+
+    # the metric jets, at the base points and at their images
+    fzs = np.array([f.value(z) for z in zs])
+    for metric, points in ((h, zs), (g, fzs)):
+        for order in (1, 2):
+            same_jets(diffops.matrix_jet(metric, points, order=order),
+                      [diffops.matrix_jet(metric, x, order=order) for x in points])
+        if isinstance(metric, HermitianMetricField):
+            for got, x in zip(chern_curvature(metric, points), points):
+                assert np.array_equal(got.array, chern_curvature(metric, x).array)
+        else:
+            for got, x in zip(riemann_curvature(metric, points), points):
+                assert np.array_equal(got.array, riemann_curvature(metric, x).array)
+            for got, x in zip(levi_civita_christoffels(metric, points), points):
+                assert np.array_equal(got, levi_civita_christoffels(metric, x))
+    for got, P in zip(tautological_curvature(TautologicalMetric(h), Ps), Ps):
+        assert np.array_equal(got.matrix,
+                              tautological_curvature(TautologicalMetric(h), P).matrix)
+
+
+def test_a_stack_must_share_its_fiber_chart():
+    p = build_pair("fs2-to-ball")
+    z = p.f.source.center
+    Ps = [BundlePoint.make(z, [1.0, 0.5]), BundlePoint.make(z, [0.5, 1.0])]
+    with pytest.raises(V.ValidationError, match="one fiber chart"):
+        tautological_curvature(TautologicalMetric(p.h), Ps)
+
+
+def one_at_a_time(monkeypatch):
+    """Make the runner evaluate every sample alone."""
+    monkeypatch.setattr(V, "_sample_groups", lambda pts: [[k] for k in range(len(pts))])
+
+
+def report_json(reports):
+    return [json.dumps(rep.to_dict(), sort_keys=True) for rep in reports]
+
+
+@pytest.mark.parametrize("name,seed", [("fs-to-poincare", 0), ("pluri-poincare", 1),
+                                       ("fs2-to-ball", 2), ("pluri-m2-flat", 3)])
+def test_grouped_runs_equal_one_sample_evaluations(monkeypatch, name, seed):
+    p = build_pair(name)
+    p.pluriharmonic
+    sizes = []
+    groups = V._sample_groups
+
+    def recorded(pts):
+        out = groups(pts)
+        sizes.append([len(grp) for grp in out])
+        return out
+
+    monkeypatch.setattr(V, "_sample_groups", recorded)
+    grouped = V.run_suite(p, V.SUITE_TAGS, samples=5, seed=seed)
+    one_at_a_time(monkeypatch)
+    alone = V.run_suite(p, V.SUITE_TAGS, samples=5, seed=seed)
+    assert report_json(grouped) == report_json(alone)
+    assert any(rep.status == "pass" for rep in grouped)
+    if p.f.m == 1:
+        # one group of every sample
+        assert sizes and all(s == [5] for s in sizes)
+    else:
+        # the drawn samples fall on more than one fiber chart
+        assert any(len(s) > 1 for s in sizes)
+
+
+def shrunk_target_pair():
+    """fs-to-poincare with the map scaled so that part of the sampled
+    source region maps outside the target chart."""
+    base = build_pair("fs-to-poincare")
+    f = ChartedMap(base.h.chart, base.g.chart, lambda z: (3.0 * z[0],),
+                   holomorphic=True, name="overshoot", validate_on_init=False)
+    return V.PairContext(f=f, h=base.h, g=base.g, name="overshoot")
+
+
+def half_nan_pair():
+    base = build_pair("fs-to-poincare")
+    f = ChartedMap(base.h.chart, base.g.chart,
+                   lambda z: (0.4 * z[0] * nan_on_right_half(z[0]),),
+                   holomorphic=True, name="half-nan", validate_on_init=False)
+    return V.PairContext(f=f, h=base.h, g=base.g, name="half-nan")
+
+
+# the suites that evaluate the target at f(z), and every holomorphic suite
+@pytest.mark.parametrize("make,suites", [
+    (shrunk_target_pair, ["S1", "S01", "S02", "exact_holo", "W_psd"]),
+    (half_nan_pair, ["S1", "S01", "S02", "S2", "S3", "exact_holo", "W_psd"])])
+def test_a_failing_sample_is_its_own_error(monkeypatch, make, suites):
+    p = make()
+    with np.errstate(invalid="ignore", divide="ignore"):
+        grouped = V.run_suite(p, suites, samples=8, seed=4)
+        one_at_a_time(monkeypatch)
+        alone = V.run_suite(p, suites, samples=8, seed=4)
+    assert report_json(grouped) == report_json(alone)
+    for rep in grouped:
+        bad = [k for k, r in enumerate(rep.residuals) if not np.isfinite(r)]
+        assert rep.status == "error" and bad and len(bad) < 8, rep.suite
+        assert f"at sample {bad[0]}, point {rep.points[bad[0]]}" in rep.message
+
+
+def test_nan_inside_a_stacked_pass_stays_with_its_sample():
+    # the middle point lies left of the NaN half-plane, so no check sees a
+    # NaN at it, but its stencil reaches across: only its Hessian is NaN,
+    # and the pass raises nothing
+    p = half_nan_pair()
+    step = diffops.step_for(p.f.source)
+    zs = [np.array([-0.2 + 0.1j]), np.array([-0.5 * step + 0.05j]), np.array([-0.1 - 0.2j])]
+    Ps = [BundlePoint.make(z, [1.0]) for z in zs]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        stacked = V._evaluate("S1", p, Ps, V._default_phi, 1e-6, 1e-4)
+        alone = [V._evaluate("S1", p, [P], V._default_phi, 1e-6, 1e-4)[0] for P in Ps]
+    values = [out[0] for out in stacked]
+    assert np.isnan(values[1])
+    assert np.isfinite(values[0]) and np.isfinite(values[2])
+    assert [out[0] for out in alone][::2] == values[::2]
+    assert not stacked[1][1]            # a NaN never violates a band...
+    rep = V.VerificationReport(suite="S1", pair=p.name, status="pass", seed=0,
+                               samples=3, tolerances={})
+    for k, (value, violated, _) in enumerate(stacked):
+        V._record_sample(rep, k, Ps[k], value, violated)
+    assert rep.status == "error"        # ...and never passes
+    assert rep.message.startswith("non-finite residual nan at sample 1")
