@@ -27,7 +27,7 @@ import yaml
 
 from . import exprs, zoo
 from .charts import ComplexChart, RealChart
-from .errors import ConfigError
+from .errors import ConfigError, chart_params, number
 from .fields import HermitianMetricField, RiemannianMetricField
 from .maps import ChartedMap
 from .verify import (DEFAULT_SAMPLES, DEFAULT_SEED, DEFAULT_TOL_EXACT,
@@ -79,14 +79,14 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
         if s not in SUITE_TAGS:
             raise ConfigError(f"suites[{k}]: unknown suite {s!r}")
 
-    samples = _number(raw, "samples", DEFAULT_SAMPLES, int)
+    samples = number(raw, "samples", DEFAULT_SAMPLES, int)
     if samples < 1:
         raise ConfigError("samples: must be >= 1")
-    seed = _number(raw, "seed", DEFAULT_SEED, int)
+    seed = number(raw, "seed", DEFAULT_SEED, int)
     if seed < 0:
         raise ConfigError(f"seed: must be >= 0, got {seed}")
-    tol_relative = _number(raw, "tol_relative", DEFAULT_TOL_RELATIVE, float)
-    tol_exact = _number(raw, "tol_exact", DEFAULT_TOL_EXACT, float)
+    tol_relative = number(raw, "tol_relative", DEFAULT_TOL_RELATIVE, float)
+    tol_exact = number(raw, "tol_exact", DEFAULT_TOL_EXACT, float)
     if not (0 < tol_relative < math.inf and 0 < tol_exact < math.inf):
         raise ConfigError("tol_relative/tol_exact: tolerances must be positive and finite")
     fmt = raw.get("format", "structured")
@@ -100,22 +100,6 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
                      seed=seed, tol_relative=tol_relative,
                      tol_exact=tol_exact, phi=raw.get("phi"),
                      report=raw.get("report"), format=fmt)
-
-
-def _number(raw: dict, key: str, default, kind):
-    """``kind(raw[key])``, or of the default.  A value that does not convert,
-    a boolean, and for ``int`` a finite float with a fractional part (which
-    ``int`` would truncate) are ConfigErrors naming the key and the value."""
-    value = raw.get(key, default)
-    if isinstance(value, bool):
-        raise ConfigError(f"{key}: expected a number, got {value!r}")
-    if kind is int and isinstance(value, float) and math.isfinite(value) \
-            and not value.is_integer():
-        raise ConfigError(f"{key}: expected an integer, got {value!r}")
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{key}: expected a number, got {value!r}") from None
 
 
 def _validate_pair_spec(spec):
@@ -154,20 +138,23 @@ def _resolve_metric(spec: dict, key: str, kind_hint: str):
     if "zoo" in spec:
         params = {k: v for k, v in spec.items() if k != "zoo"}
         return zoo.build_entry(spec["zoo"], params).obj
-    dim = int(spec["dim"])
-    radius = spec.get("radius", 0.9)
+    for k in spec:
+        if k not in ("dim", "radius", "metric", "real"):
+            raise ConfigError(f"pair.{key}.{k}: an inline metric has no parameter {k!r} "
+                              "(it reads dim, radius, metric, real)")
+    dim, radius = chart_params(spec, f"pair.{key}.", None, 0.9)
     entries = spec["metric"]
     if len(entries) != dim or any(len(row) != dim for row in entries):
         raise ConfigError(f"pair.{key}.metric: expected a {dim} x {dim} array")
     real = bool(spec.get("real", kind_hint == "riemannian"))
     if real:
         names = exprs.coordinate_names("x", dim)
-        chart = RealChart(dim=dim, radius=np.full(dim, float(radius)))
+        chart = RealChart(dim=dim, radius=np.full(dim, radius))
         field = RiemannianMetricField(chart, exprs.matrix_rule(entries, names),
                                       name=f"inline-{key}")
     else:
         names = exprs.coordinate_names("z", dim)
-        chart = ComplexChart(dim=dim, radius=np.full(dim, float(radius)))
+        chart = ComplexChart(dim=dim, radius=np.full(dim, radius))
         field = HermitianMetricField(chart, exprs.matrix_rule(entries, names),
                                      name=f"inline-{key}")
     field.validate(np.random.default_rng(20250809), count=100)

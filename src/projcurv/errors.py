@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the numeric rule that
+turns configuration values into ConfigErrors."""
+
+import math
 
 
 class GeometryError(Exception):
@@ -31,3 +34,32 @@ class NotApplicable(GeometryError):
 
 class ConfigError(GeometryError):
     """Run configuration is malformed, references unknown names, or is out of range."""
+
+
+def number(raw: dict, key: str, default, kind, where: str = ""):
+    """``kind(raw[key])``, or of the default: the one numeric rule for plan
+    keys and metric parameters.  A value that does not convert, a boolean,
+    and for ``int`` a finite float with a fractional part (which ``int``
+    would truncate) are ConfigErrors naming ``where + key`` and the value."""
+    value = raw.get(key, default)
+    if isinstance(value, bool):
+        raise ConfigError(f"{where}{key}: expected a number, got {value!r}")
+    if kind is int and isinstance(value, float) and math.isfinite(value) \
+            and not value.is_integer():
+        raise ConfigError(f"{where}{key}: expected an integer, got {value!r}")
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{where}{key}: expected a number, got {value!r}") from None
+
+
+def chart_params(raw: dict, where: str, dim: int, radius: float):
+    """The ``dim`` (>= 1) and ``radius`` (positive and finite) of a metric's
+    chart, each read by :func:`number` with the given default."""
+    m = number(raw, "dim", dim, int, where)
+    r = number(raw, "radius", radius, float, where)
+    if m < 1:
+        raise ConfigError(f"{where}dim: must be >= 1, got {m}")
+    if not 0 < r < math.inf:
+        raise ConfigError(f"{where}radius: must be positive and finite, got {r!r}")
+    return m, r

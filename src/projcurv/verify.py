@@ -137,11 +137,19 @@ def _density_hessian_sides(f: ChartedMap, h: HermitianMetricField, g, Ps,
         y_field = maps_mod.Y_field(f, h, g, idx)
     else:
         y_field = maps_mod.Y_phi_field(f, h, g, idx, weight)
-    coords = np.array([P.combined() for P in Ps])
-    lhs = diffops.wirtinger_hessian(y_field, coords, backend="fd")
-    taut = tautological_curvature(tm, Ps)
-    return [(L, T.scaled(float(np.real(y_field(x)))))
-            for L, T, x in zip(lhs, taut, coords)], tm
+    return _hessian_sides(y_field, [P.combined() for P in Ps],
+                          lambda: tautological_curvature(tm, Ps)), tm
+
+
+def _hessian_sides(density, coords, tauts) -> list:
+    """[(ddbar D, T D)] for the density field D at each row of coords, with T
+    the form of the list ``tauts()`` at that row.  The Hessians take one
+    stencil evaluation for all rows, and run before ``tauts``, so that a
+    sample failing both raises the Hessian's error."""
+    coords = np.array(coords)
+    lhs = diffops.wirtinger_hessian(density, coords, backend="fd")
+    return [(L, T.scaled(float(np.real(density(x)))))
+            for L, T, x in zip(lhs, tauts(), coords)]
 
 
 def _map_jets(f: ChartedMap, zs) -> list:
@@ -370,17 +378,14 @@ def _form_inequalities(suite, f, h, g, pts, phi=None) -> list:
 
     elif suite == "S2":
         Qs: list[BundlePoint] = pts     # fiber coordinates are the covector X
-        n = f.n
-        y1_field = maps_mod.Y1_field(f, h, g, Qs[0].chart_index)
-        coords = np.array([np.concatenate([Q.z, Q.w]) if n > 1 else Q.z for Q in Qs])
-        lhs = diffops.wirtinger_hessian(y1_field, coords, backend="fd")
         tm1 = _covector_tautological(f, g)
-        taut1 = tautological_curvature(tm1, Qs)
+        y1_sides = _hessian_sides(maps_mod.Y1_field(f, h, g, Qs[0].chart_index),
+                                  [Q.combined() for Q in Qs],
+                                  lambda: tautological_curvature(tm1, Qs))
         source = chern_curvature(h, np.array([Q.z for Q in Qs]))
-        dim = f.m + max(n - 1, 0)
+        dim = f.m + max(f.n - 1, 0)
         sides = []
-        for Q, x, L, T, Rh in zip(Qs, coords, lhs, taut1, source):
-            y1_val = float(np.real(y1_field(x)))
+        for Q, (L, T), Rh in zip(Qs, y1_sides, source):
             holo, _ = f.jacobians(Q.z)
             X = Q.W_affine
             hup = h.inverse_up(Q.z)
@@ -388,26 +393,25 @@ def _form_inequalities(suite, f, h, g, pts, phi=None) -> list:
                           holo, holo.conj(), X, X.conj())
             _require_hermitian(C, "source curvature term")
             H1_val = tm1.H_raw(Q)
-            sides.append((L, T.scaled(y1_val)
-                          + _embed_base_block(C, f.m, dim).scaled(1.0 / H1_val)))
+            sides.append((L, T + _embed_base_block(C, f.m, dim).scaled(1.0 / H1_val)))
 
     elif suite == "S3":
         Rs: list[NestedBundlePoint] = pts
         m, n = f.m, f.n
-        y2_field = maps_mod.Y2_field(f, h, g, Rs[0].P.chart_index, Rs[0].x_chart_index)
-        coords = np.array([R.combined() for R in Rs])
-        lhs = diffops.wirtinger_hessian(y2_field, coords, backend="fd")
-        curv = tautological_curvature(TautologicalMetric(h), [R.P for R in Rs])
-        Qs = [BundlePoint.make(R.P.z, R.X, R.x_chart_index) for R in Rs]   # (z, [X])
-        curv1 = tautological_curvature(_covector_tautological(f, g), Qs)
         dim = m + max(m - 1, 0) + max(n - 1, 0)
         zw_idx = list(range(m + max(m - 1, 0)))
         zx_idx = list(range(m)) + list(range(m + max(m - 1, 0), dim))
-        sides = []
-        for x, L, T, T1 in zip(coords, lhs, curv, curv1):
-            y2_val = float(np.real(y2_field(x)))
-            taut = Form11.embed(T.matrix, zw_idx, dim) + Form11.embed(T1.matrix, zx_idx, dim)
-            sides.append((L, taut.scaled(y2_val)))
+
+        def tauts():
+            curv = tautological_curvature(TautologicalMetric(h), [R.P for R in Rs])
+            Qs = [BundlePoint.make(R.P.z, R.X, R.x_chart_index) for R in Rs]   # (z, [X])
+            curv1 = tautological_curvature(_covector_tautological(f, g), Qs)
+            return [Form11.embed(T.matrix, zw_idx, dim) + Form11.embed(T1.matrix, zx_idx, dim)
+                    for T, T1 in zip(curv, curv1)]
+
+        sides = _hessian_sides(maps_mod.Y2_field(f, h, g, Rs[0].P.chart_index,
+                                                 Rs[0].x_chart_index),
+                               [R.combined() for R in Rs], tauts)
 
     else:
         raise ValidationError(f"unhandled suite {suite!r}")

@@ -13,18 +13,29 @@ constant-curvature normalizations are fixed here once:
 
 The ``*-normal`` charts are the same geometries rescaled so that the origin
 satisfies g = delta, dg = 0, which the normal-point identities need.
+
+Each metric is one row of ``_HERMITIAN`` or ``_RIEMANNIAN``: its ``rule`` as
+a function of the dimension (round-sphere's also of its scale), the default
+``dim`` and ``radius``, ``reach``, the distance from the chart centre to the
+singular set as a function of the centre (None: there is none), the allowed
+``dims``, the ``extras`` it reads beyond dim and radius with their defaults,
+and whether it is ``compact``.  Any other parameter is a ConfigError.  One
+guard serves every bounded metric: the chart box's farthest point from its
+centre, r sqrt(2m) on a complex chart and r sqrt(n) on a real one, must stay
+short of ``reach``.
 """
 
 from __future__ import annotations
 
 import operator
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import dual as gm
 from .charts import ComplexChart, RealChart
-from .errors import ConfigError
+from .errors import ConfigError, chart_params, number
 from .fields import HermitianMetricField, RiemannianMetricField
 from .maps import ChartedMap
 from .verify import PairContext
@@ -87,17 +98,20 @@ def _hopf_rule(m):
     return rule
 
 
-def _conformal_real_rule(n, factor):
-    def rule(x):
-        r2 = 0
-        for i in range(n):
-            r2 = r2 + x[i] * x[i]
-        lam = factor(r2)
-        return [[lam if i == j else 0 * lam for j in range(n)] for i in range(n)]
-    return rule
+def _conformal_rule(factor):
+    """The rule of factor(|x|^2) delta as a function of the dimension."""
+    def of_dim(n):
+        def rule(x):
+            r2 = 0
+            for i in range(n):
+                r2 = r2 + x[i] * x[i]
+            lam = factor(r2)
+            return [[lam if i == j else 0 * lam for j in range(n)] for i in range(n)]
+        return rule
+    return of_dim
 
 
-def _sphere_line_rule():
+def _sphere_line_rule(n):       # n is 3
     def rule(x):
         r2 = x[0] * x[0] + x[1] * x[1]
         lam = 4 / (1 + r2) ** 2
@@ -107,79 +121,88 @@ def _sphere_line_rule():
 
 
 # ---------------------------------------------------------------------------
-# builders
+# the metric tables
 
-def _build_hermitian(name, params):
-    m = int(params.get("dim", 2 if name == "hopf" else 1))
-    radius = float(params.get("radius", _default_radius(name)))
-    if m < 1:
-        raise ConfigError(f"{name}: dimension must be >= 1")
-    if name == "flat":
-        chart = ComplexChart(dim=m, radius=np.full(m, radius), name=name)
-        return HermitianMetricField(chart, _delta_rule(m), name=name)
-    if name == "fubini-study":
-        chart = ComplexChart(dim=m, radius=np.full(m, radius), name=name)
-        return HermitianMetricField(chart, _fs_rule(m), name=name)
-    if name in ("poincare-disc", "poincare-ball"):
-        if name == "poincare-disc" and m != 1:
-            raise ConfigError("poincare-disc: dimension is 1; use poincare-ball")
-        if radius * np.sqrt(m) >= 1.0:
-            raise ConfigError(f"{name}: chart radius {radius} reaches |z| = 1")
-        chart = ComplexChart(dim=m, radius=np.full(m, radius), name=name)
-        return HermitianMetricField(chart, _poincare_rule(m), name=name)
-    if name == "flat-torus":
-        chart = ComplexChart(dim=m, radius=np.full(m, radius), name=name)
-        return HermitianMetricField(chart, _delta_rule(m), name=name)
-    if name == "hopf":
-        if m < 2:
-            raise ConfigError("hopf: dimension must be >= 2")
-        center = np.asarray(params.get("center", [1.0] + [0.3] * (m - 1)), complex)
-        if radius * np.sqrt(2 * m) >= float(np.linalg.norm(center)):
-            raise ConfigError("hopf: chart touches the puncture at z = 0")
-        chart = ComplexChart(dim=m, center=center, radius=np.full(m, radius),
-                             name=name)
-        return HermitianMetricField(chart, _hopf_rule(m), name=name)
-    raise ConfigError(f"unknown Hermitian metric {name!r}")
+@dataclass(frozen=True)
+class _Metric:
+    """One row of a metric table; the module docstring describes the columns."""
+    rule: Callable
+    dim: int
+    radius: float
+    reach: Callable | None = None
+    dims: tuple = (1, None)
+    extras: dict = field(default_factory=dict)
+    compact: bool = False
 
 
-def _build_riemannian(name, params):
-    n = int(params.get("dim", 3 if name == "sphere-line-product" else 2))
-    radius = float(params.get("radius", _default_radius(name)))
-    if n < 1:
-        raise ConfigError(f"{name}: dimension must be >= 1")
-    chart = RealChart(dim=n, radius=np.full(n, radius), name=name)
-    if name == "euclidean":
-        return RiemannianMetricField(chart, _delta_rule(n), name=name)
-    if name == "round-sphere":
-        a = float(params.get("scale", 1.0))
-        return RiemannianMetricField(
-            chart, _conformal_real_rule(n, lambda r2: 4 * a * a / (1 + r2) ** 2),
-            name=name)
-    if name == "round-sphere-normal":
-        return RiemannianMetricField(
-            chart, _conformal_real_rule(n, lambda r2: 1 / (1 + r2 / 4) ** 2),
-            name=name)
-    if name == "hyperbolic":
-        if radius * np.sqrt(n) >= 1.0:
-            raise ConfigError(f"{name}: chart radius {radius} reaches |x| = 1")
-        return RiemannianMetricField(
-            chart, _conformal_real_rule(n, lambda r2: 4 / (1 - r2) ** 2), name=name)
-    if name == "hyperbolic-normal":
-        if radius * np.sqrt(n) >= 2.0:
-            raise ConfigError(f"{name}: chart radius {radius} reaches |x| = 2")
-        return RiemannianMetricField(
-            chart, _conformal_real_rule(n, lambda r2: 1 / (1 - r2 / 4) ** 2),
-            name=name)
-    if name == "poincare-riem":
-        if radius * np.sqrt(n) >= 1.0:
-            raise ConfigError(f"{name}: chart radius {radius} reaches |x| = 1")
-        return RiemannianMetricField(
-            chart, _conformal_real_rule(n, lambda r2: 2 / (1 - r2) ** 2), name=name)
-    if name == "sphere-line-product":
-        if n != 3:
-            raise ConfigError("sphere-line-product: dimension is 3")
-        return RiemannianMetricField(chart, _sphere_line_rule(), name=name)
-    raise ConfigError(f"unknown Riemannian metric {name!r}")
+def _ball(radius):
+    """reach of the sphere of the given radius about the origin."""
+    return lambda center: radius - float(np.linalg.norm(center))
+
+
+_HERMITIAN = {
+    "flat": _Metric(_delta_rule, 1, 1.0),
+    "fubini-study": _Metric(_fs_rule, 1, 0.9),
+    "poincare-disc": _Metric(_poincare_rule, 1, 0.55, _ball(1.0), dims=(1, 1)),
+    "poincare-ball": _Metric(_poincare_rule, 1, 0.38, _ball(1.0)),
+    "flat-torus": _Metric(_delta_rule, 1, 0.45, extras={"fundamental_domain": 1.0},
+                          compact=True),
+    # the singular set is the puncture at z = 0
+    "hopf": _Metric(_hopf_rule, 2, 0.25, lambda c: float(np.linalg.norm(c)),
+                    dims=(2, None), extras={"center": lambda m: [1.0] + [0.3] * (m - 1)}),
+}
+
+_RIEMANNIAN = {
+    "euclidean": _Metric(_delta_rule, 2, 1.0),
+    "round-sphere": _Metric(
+        lambda n, a: _conformal_rule(lambda r2: 4 * a * a / (1 + r2) ** 2)(n),
+        2, 0.9, extras={"scale": 1.0}),
+    "round-sphere-normal": _Metric(_conformal_rule(lambda r2: 1 / (1 + r2 / 4) ** 2),
+                                   2, 0.9),
+    "hyperbolic": _Metric(_conformal_rule(lambda r2: 4 / (1 - r2) ** 2), 2, 0.5,
+                          _ball(1.0)),
+    "hyperbolic-normal": _Metric(_conformal_rule(lambda r2: 1 / (1 - r2 / 4) ** 2),
+                                 2, 0.9, _ball(2.0)),
+    "poincare-riem": _Metric(_conformal_rule(lambda r2: 2 / (1 - r2) ** 2), 2, 0.55,
+                             _ball(1.0)),
+    "sphere-line-product": _Metric(_sphere_line_rule, 3, 0.9, dims=(3, 3)),
+}
+
+# per kind: table, chart type, field type, real coordinates per chart coordinate
+_KINDS = {"hermitian-metric": (_HERMITIAN, ComplexChart, HermitianMetricField, 2),
+          "riemannian-metric": (_RIEMANNIAN, RealChart, RiemannianMetricField, 1)}
+
+
+def _build_metric(name, row: _Metric, params, chart_type, field_type, reals):
+    """The metric field of a table row and its entry metadata."""
+    where, reads = f"{name}.", ("dim", "radius", *row.extras)
+    for key in params:
+        if key not in reads:
+            raise ConfigError(f"{where}{key}: {name} has no parameter {key!r} "
+                              f"(it reads {', '.join(reads)})")
+    m, radius = chart_params(params, where, row.dim, row.radius)
+    lo, hi = row.dims
+    if m < lo or (hi is not None and m > hi):
+        raise ConfigError(f"{where}dim: {name} has dimension "
+                          f"{lo if lo == hi else f'>= {lo}'}, got {m}")
+    center = np.zeros(m)
+    if "center" in row.extras:
+        center = np.asarray(params.get("center", row.extras["center"](m)), complex)
+        if center.shape != (m,):
+            raise ConfigError(f"{where}center: expected {m} coordinates")
+    # the guard; a NaN reach (from a NaN centre) fails it too
+    corner = radius * np.sqrt(reals * m)
+    if row.reach is not None and not corner < row.reach(center):
+        raise ConfigError(f"{where}radius: a chart of radius {radius} reaches {corner:.4g} "
+                          f"from its centre, past the singular set of {name}")
+    rule = row.rule(m, number(params, "scale", row.extras["scale"], float, where)) \
+        if "scale" in row.extras else row.rule(m)
+    meta = {"compact": row.compact}
+    if "fundamental_domain" in row.extras:
+        meta["fundamental_domain"] = number(params, "fundamental_domain",
+                                            row.extras["fundamental_domain"], float, where)
+    chart = chart_type(dim=m, center=center, radius=np.full(m, radius), name=name)
+    return field_type(chart, rule, name=name), meta
 
 
 def _build_map(name, params, source_chart, target_chart):
@@ -239,24 +262,11 @@ def _build_map(name, params, source_chart, target_chart):
     raise ConfigError(f"unknown map {name!r}")
 
 
-def _default_radius(name):
-    return {
-        "flat": 1.0, "fubini-study": 0.9, "poincare-disc": 0.55,
-        "poincare-ball": 0.38, "flat-torus": 0.45, "hopf": 0.25,
-        "euclidean": 1.0, "round-sphere": 0.9, "round-sphere-normal": 0.9,
-        "hyperbolic": 0.5, "hyperbolic-normal": 0.9, "poincare-riem": 0.55,
-        "sphere-line-product": 0.9,
-    }.get(name, 0.9)
-
-
 # ---------------------------------------------------------------------------
 # registry
 
-HERMITIAN_METRICS = ("flat", "fubini-study", "poincare-disc", "poincare-ball",
-                     "flat-torus", "hopf")
-RIEMANNIAN_METRICS = ("euclidean", "round-sphere", "round-sphere-normal",
-                      "hyperbolic", "hyperbolic-normal", "poincare-riem",
-                      "sphere-line-product")
+HERMITIAN_METRICS = tuple(_HERMITIAN)
+RIEMANNIAN_METRICS = tuple(_RIEMANNIAN)
 MAPS = ("constant", "identity", "linear", "power", "line-inclusion",
         "factor-projection", "real-part", "realify", "holo-parts", "pluri-m2",
         "realify-slice")
@@ -358,33 +368,22 @@ def build_entry(name: str, params: dict | None = None) -> ZooEntry:
     Metric entries are probe-validated at 100 seeded points before release.
     """
     params = dict(params or {})
-    rng = np.random.default_rng(20250809)
-    if name in HERMITIAN_METRICS:
-        obj = _build_hermitian(name, params)
-        obj.validate(rng, count=100)
-        meta = {"compact": name == "flat-torus"}
-        if name == "flat-torus":
-            meta["fundamental_domain"] = params.get("fundamental_domain", 1.0)
-        return ZooEntry(name, "hermitian-metric", params, obj,
-                        _FACTS.get(name, ()), meta)
-    if name in RIEMANNIAN_METRICS:
-        obj = _build_riemannian(name, params)
-        obj.validate(rng, count=100)
-        return ZooEntry(name, "riemannian-metric", params, obj,
-                        _FACTS.get(name, ()), {})
+    for kind, (table, chart_type, field_type, reals) in _KINDS.items():
+        if name in table:
+            obj, meta = _build_metric(name, table[name], params, chart_type,
+                                      field_type, reals)
+            obj.validate(np.random.default_rng(20250809), count=100)
+            return ZooEntry(name, kind, params, obj, _FACTS.get(name, ()), meta)
     if name in _PAIRS:
         src, sp, tgt, tp, mp, mparams, compact = _PAIRS[name]
         sp = {**sp, **params.get("source", {})}
         tp = {**tp, **params.get("target", {})}
         h = build_entry(src, sp).obj
-        g_entry = build_entry(tgt, tp)
-        g = g_entry.obj
+        g = build_entry(tgt, tp).obj
         f = _build_map(mp, mparams, h.chart, g.chart)
-        pair = PairContext(f=f, h=h, g=g, name=name,
-                           compact=compact or g_entry.meta.get("compact", False))
-        kind = "map-pair"
-        return ZooEntry(name, kind, params, pair, _PAIR_FACTS.get(name, ()),
-                        {"compact": pair.compact})
+        pair = PairContext(f=f, h=h, g=g, name=name, compact=compact)
+        return ZooEntry(name, "map-pair", params, pair, _PAIR_FACTS.get(name, ()),
+                        {"compact": compact})
     raise ConfigError(f"unknown zoo entry {name!r}")
 
 

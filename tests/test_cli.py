@@ -129,6 +129,33 @@ samples: 2
         assert pair.f.holomorphic
         assert pair.h.dim == 1
 
+    @pytest.mark.parametrize("part, spec, message", [
+        ("source", "{zoo: fubini-study, dim: 1.5}",
+         r"fubini-study\.dim: expected an integer, got 1\.5"),
+        ("source", "{zoo: fubini-study, dim: true}",
+         r"fubini-study\.dim: expected a number, got True"),
+        ("source", "{zoo: fubini-study, dimension: 2}",
+         r"fubini-study\.dimension: fubini-study has no parameter 'dimension'"),
+        ("target", "{zoo: poincare-disc, dim: 1.5}", r"poincare-disc\.dim: expected an integer"),
+        ("target", "{zoo: poincare-disc, radius: 0.8}",
+         r"poincare-disc\.radius: .* past the singular set"),
+        ("source", '{dim: 1.9, metric: [["1"]]}',
+         r"pair\.source\.dim: expected an integer, got 1\.9"),
+        ("source", '{dim: true, metric: [["1"]]}', r"pair\.source\.dim: expected a number"),
+        ("source", '{dim: 1, metric: [["1"]], radus: 0.5}',
+         r"pair\.source\.radus: an inline metric has no parameter 'radus'"),
+        ("target", '{dim: 1, radius: .nan, metric: [["1"]]}',
+         r"pair\.target\.radius: must be positive and finite")])
+    def test_metric_parameters_pass_the_plan_checks(self, part, spec, message):
+        # dim: 1.5 ran at dim 1, dim: 1.9 inline truncated to 1, an unknown key
+        # was ignored, and the Poincare guard let a chart corner leave the disc
+        specs = {"source": "{zoo: flat, dim: 1}", "target": "{zoo: flat, dim: 1}", part: spec}
+        cfg = config.parse_config(
+            f"pair:\n  source: {specs['source']}\n  target: {specs['target']}\n"
+            "  map: {zoo: identity}\nsuites: [S1]\nsamples: 2\n")
+        with pytest.raises(ConfigError, match=message):
+            cfg.resolved_pair()
+
     def test_phi_expression(self):
         cfg = config.parse_config(MINIMAL + 'phi: "0.2*re(z1)"\n')
         pair = cfg.resolved_pair()
@@ -247,6 +274,20 @@ report: {report}
         plan.write_text(MINIMAL.replace("samples: 3", "samples: abc"))
         assert cli.main(["verify", "--config", str(plan)]) == 2
         assert "samples: expected a number, got 'abc'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("part, spec, named", [
+        ("target", "{zoo: poincare-disc, radius: 0.8}", "poincare-disc.radius"),
+        ("source", "{zoo: fubini-study, dim: 1.5}", "fubini-study.dim"),
+        ("source", "{zoo: fubini-study, dimension: 2}", "fubini-study.dimension")])
+    def test_bad_metric_parameter_exit_two(self, tmp_path, capsys, part, spec, named):
+        # each of these plans used to pass S1 with exit 0
+        specs = {"source": "{zoo: fubini-study, dim: 1}",
+                 "target": "{zoo: poincare-disc, dim: 1}", part: spec}
+        plan = tmp_path / "plan.yaml"
+        plan.write_text(f"pair:\n  source: {specs['source']}\n  target: {specs['target']}\n"
+                        "  map: {zoo: identity}\nsuites: [S1]\nsamples: 2\n")
+        assert cli.main(["verify", "--config", str(plan)]) == 2
+        assert f"error: {named}: " in capsys.readouterr().out
 
     def test_non_integral_samples_exit_two(self, tmp_path, capsys):
         # used to run 2 samples without a word

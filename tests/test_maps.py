@@ -147,7 +147,7 @@ class TestClassicalDensity:
         # the raised-index inverse of a 4 x 4 metric used to go through numpy,
         # which raises TypeError on hyper-dual entries
         h = zoo.build_entry("fubini-study", {"dim": 4, "radius": 0.9}).obj
-        g = zoo.build_entry("poincare-ball", {"dim": 4, "radius": 0.38}).obj
+        g = zoo.build_entry("poincare-ball", {"dim": 4, "radius": 0.3}).obj
         f = zoo.build_map("linear", {"matrix": (0.4 * np.eye(4)).tolist()},
                           h.chart, g.chart)
         z = h.chart.sample(np.random.default_rng(4), 0.5)

@@ -115,6 +115,52 @@ class TestBuilders:
         with pytest.raises(ConfigError):
             zoo.build_entry("poincare-disc", {"dim": 1, "radius": 1.2})
 
+    @pytest.mark.parametrize("name, params", [
+        ("poincare-disc", {"radius": 0.8}),              # corner at |z| = 1.13
+        ("poincare-ball", {"dim": 2, "radius": 0.6}),    # corner at |z| = 1.2
+        ("poincare-ball", {"dim": 4, "radius": 0.38})])  # corner at |z| = 1.075
+    def test_poincare_guard_sees_the_box_corner(self, name, params):
+        # the guard used to test r sqrt(m), the reach of the real parts only
+        with pytest.raises(ConfigError, match=f"{name}.radius: .* past the singular set"):
+            zoo.build_entry(name, params)
+
+    @pytest.mark.parametrize("name, params", [
+        ("fubini-study", {"dim": 1.5}), ("fubini-study", {"dim": True}),
+        ("euclidean", {"dim": 2.5}), ("hopf", {"dim": False}),
+        ("poincare-disc", {"radius": True}), ("round-sphere", {"scale": "big"}),
+        ("flat-torus", {"fundamental_domain": True})])
+    def test_parameters_follow_the_numeric_rule(self, name, params):
+        # dim: 1.5 used to run at dim 1 and dim: true at dim 1
+        (key, value), = params.items()
+        with pytest.raises(ConfigError, match=f"{name}.{key}: expected an? "):
+            zoo.build_entry(name, params)
+
+    @pytest.mark.parametrize("name, key", [
+        ("fubini-study", "dimension"), ("euclidean", "radius_"),
+        ("fubini-study", "center"), ("hopf", "scale"), ("round-sphere", "center"),
+        ("flat", "fundamental_domain")])
+    def test_unread_parameters_rejected(self, name, key):
+        # a key the metric does not read used to be ignored
+        with pytest.raises(ConfigError, match=f"{name}.{key}: {name} has no parameter"):
+            zoo.build_entry(name, {key: 2})
+
+    def test_extra_parameters_are_read(self):
+        sphere = zoo.build_entry("round-sphere", {"scale": 2.0}).obj
+        assert np.allclose(sphere.matrix([0.0, 0.0]), 16 * np.eye(2))
+        hopf = zoo.build_entry("hopf", {"center": [0.0, 2.0]}).obj
+        assert hopf.chart.center.tolist() == [0, 2]
+        torus = zoo.build_entry("flat-torus", {"fundamental_domain": 2})
+        assert torus.meta["fundamental_domain"] == 2.0
+        with pytest.raises(ConfigError, match="hopf.center: expected 2 coordinates"):
+            zoo.build_entry("hopf", {"center": [1.0]})
+
+    @pytest.mark.parametrize("name, dim", [
+        ("poincare-disc", 2), ("hopf", 1), ("sphere-line-product", 2),
+        ("fubini-study", 0), ("euclidean", -1)])
+    def test_dimension_constraints(self, name, dim):
+        with pytest.raises(ConfigError, match=f"{name}.dim: "):
+            zoo.build_entry(name, {"dim": dim})
+
     def test_torus_metadata(self):
         entry = zoo.build_entry("flat-torus", {"dim": 1})
         assert entry.meta["compact"] is True
@@ -192,3 +238,29 @@ class TestHoistedPotentialRules:
         for a in range(m):
             for b in range(m):
                 assert _same(got[a][b], ref[a][b]), (a, b)
+
+
+# distance from the chart centre to the singular set, by hand from each metric
+SINGULAR_DISTANCE = {
+    "poincare-disc": lambda c: 1.0, "poincare-ball": lambda c: 1.0,
+    "hyperbolic": lambda c: 1.0, "poincare-riem": lambda c: 1.0,
+    "hyperbolic-normal": lambda c: 2.0,           # 1 / (1 - |x|^2/4)^2
+    "hopf": lambda c: float(np.linalg.norm(c)),   # the puncture at z = 0
+}
+
+
+def test_every_bounded_metric_is_covered():
+    tables = {**zoo._HERMITIAN, **zoo._RIEMANNIAN}
+    assert {name for name, row in tables.items() if row.reach} == set(SINGULAR_DISTANCE)
+
+
+@pytest.mark.parametrize("name", sorted(SINGULAR_DISTANCE))
+def test_chart_guard(name):
+    chart = zoo.build_entry(name).obj.chart
+    reals = chart.dim * (2 if name in zoo.HERMITIAN_METRICS else 1)
+    distance = SINGULAR_DISTANCE[name](chart.center)
+    # the default chart's farthest point stays short of the singular set
+    assert np.linalg.norm(np.full(reals, chart.radius[0])) < distance
+    past = distance / np.sqrt(reals) * (1 + 1e-12)
+    with pytest.raises(ConfigError, match=f"{name}.radius: "):
+        zoo.build_entry(name, {"radius": past})
