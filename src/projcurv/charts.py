@@ -7,6 +7,7 @@ finite-difference stencils require.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,13 +77,21 @@ class ComplexChart(_Box):
         return self.center + re + 1j * im
 
     def product(self, other: "ComplexChart") -> "ComplexChart":
-        """Chart on the product of the two coordinate domains."""
-        return ComplexChart(
-            dim=self.dim + other.dim,
-            center=np.concatenate([self.center, other.center]),
-            radius=np.concatenate([self.radius, other.radius]),
-            name=f"{self.name or 'chart'}*{other.name or 'chart'}",
-        )
+        """Chart on the product of the two coordinate domains.
+
+        Built once per factor box and name, and kept on this chart: the
+        density fields ask for the same product on every call.
+        """
+        key = (other.dim, other.center.tobytes(), other.radius.tobytes(), other.name)
+        products = self.__dict__.setdefault("_products", {})
+        if key not in products:
+            products[key] = ComplexChart(
+                dim=self.dim + other.dim,
+                center=np.concatenate([self.center, other.center]),
+                radius=np.concatenate([self.radius, other.radius]),
+                name=f"{self.name or 'chart'}*{other.name or 'chart'}",
+            )
+        return products[key]
 
 
 class RealChart(_Box):
@@ -96,7 +105,10 @@ class RealChart(_Box):
         return self.center + rng.uniform(-1, 1, shape) * self.radius * frac
 
 
+@functools.lru_cache(maxsize=None)
 def fiber_chart(fiber_dim: int) -> ComplexChart:
+    """The chart of affine fiber coordinates of P^{fiber_dim}, built once
+    per dimension."""
     # affine fiber coordinates chosen by the largest-modulus rule are bounded
     # by 1; radius 1.1 leaves stencil margin at the |w|=1 corner
     return ComplexChart(dim=fiber_dim, radius=np.full(fiber_dim, 1.1), name="fiber")

@@ -109,9 +109,12 @@ def _validate_pair_spec(spec):
         return
     if not isinstance(spec, dict):
         raise ConfigError("pair: must be a zoo pair name or a table")
+    _require_known(spec, "pair", "an inline pair", ("source", "target", "map", "name",
+                                                    "compact"))
     for part in ("source", "target", "map"):
         if part not in spec:
             raise ConfigError(f"pair.{part}: required key is missing")
+    _require_boolean(spec, "compact", "pair.")
     for part in ("source", "target"):
         sub = spec[part]
         if not isinstance(sub, dict):
@@ -132,6 +135,21 @@ def _validate_pair_spec(spec):
             raise ConfigError(f"pair.map.zoo: unknown map {mp['zoo']!r}")
     elif "components" not in mp:
         raise ConfigError("pair.map: needs either zoo: <name> or components: [...]")
+    else:
+        _require_known(mp, "pair.map", "an inline map", ("components", "holomorphic"))
+        _require_boolean(mp, "holomorphic", "pair.map.")
+
+
+def _require_known(table: dict, where: str, what: str, keys: tuple):
+    for key in table:
+        if key not in keys:
+            raise ConfigError(f"{where}.{key}: {what} has no key {key!r} "
+                              f"(it reads {', '.join(keys)})")
+
+
+def _require_boolean(table: dict, key: str, where: str):
+    if key in table and not isinstance(table[key], bool):
+        raise ConfigError(f"{where}{key}: expected true or false, got {table[key]!r}")
 
 
 def _resolve_metric(spec: dict, key: str, kind_hint: str):
@@ -185,10 +203,10 @@ def _resolve_pair(spec, phi_text=None) -> PairContext:
                 raise ConfigError("pair.map.components: arity does not match "
                                   "the target dimension")
             f = ChartedMap(h.chart, g.chart, rule,
-                           holomorphic=bool(mp.get("holomorphic", False)),
+                           holomorphic=mp.get("holomorphic", False),
                            name=str(spec.get("name", "inline-map")))
         pair = PairContext(f=f, h=h, g=g, name=str(spec.get("name", "inline")),
-                           compact=bool(spec.get("compact", False)))
+                           compact=spec.get("compact", False))
     if phi_text:
         names = exprs.coordinate_names("z", pair.f.m) \
             + exprs.coordinate_names("W", pair.f.m)

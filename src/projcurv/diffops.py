@@ -32,6 +32,15 @@ for one point, which would move results by an ulp), ``Form11`` and its
 eigenvalues, and every check (the chart margin, the metric at the point,
 the Hermitian defects), so an error names its own point.
 
+One stencil per chart and point.  A density and the metric it divides by
+live on the same chart at the same points, so a joint density field
+(``ScalarField.joint``) returns both from one rule call and
+``wirtinger_hessian`` takes their jets from one stencil: Y and Y_phi with
+log H, Y1 with log H1, and u with the entries h_{a bbar} behind the source
+Chern tensor.  The rule computes the shared pairing once, and each output
+is assembled elementwise as it would be alone, so it is bit for bit the
+jet a separate call gives.
+
 Conventions.  On a complex chart with coordinates zeta^a = x^a + i y^a the
 real directions are ordered (x^0..x^{d-1}, y^0..y^{d-1}) and
 
@@ -51,6 +60,7 @@ symmetrizes it into a :class:`~projcurv.fields.Form11`.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -170,9 +180,7 @@ def _dual_slots(out, shape, K, mixed=True):
     f1 = np.zeros((K,) + shape, complex)
     f12 = np.zeros((K,) + shape, complex) if mixed else None
     for idx in np.ndindex(*shape):
-        v = out
-        for i in idx:
-            v = v[i]
+        v = _entry(out, idx)
         if isinstance(v, HyperDual):
             f0[idx] = _dual_value(v.f0)
             f1[(slice(None),) + idx] = _dual_value(v.f1)
@@ -195,6 +203,13 @@ def _pair_seeds(n):
            (A == coords).astype(float), (B == coords).astype(float))
     for arr in out:
         arr.setflags(write=False)
+    return out
+
+
+def _entry(out, idx):
+    """The entry at the index tuple idx of a nested rule output."""
+    for i in idx:
+        out = out[i]
     return out
 
 
@@ -344,10 +359,38 @@ def wirtinger_hessian(field: ScalarField, z, backend: str = "fd"):
 
     Intended for real-valued fields, whose mixed Hessian is Hermitian; the
     Form11 constructor symmetrizes away the numerical skew part.
+
+    A joint density field (``ScalarField.joint``) is differentiated through
+    its joint rule, so one stencil serves the density and its rider, and
+    each point gives (Form11 of the density, (dz, mixed) of the rider) with
+    dz[g, ...] = d R / dz^g and mixed[k, l, ...] = d^2 R / dz^k dzbar^l over
+    the rider's shape, as ``matrix_jet`` gives them for a metric.
     """
-    _, _, H = _real_jet(field.rule, field.chart, z, backend)
-    forms = [Form11(M) for M in _wirt_mixed_from_real(H, field.chart.dim)]
-    return forms if np.ndim(z) == 2 else forms[0]
+    d = field.chart.dim
+    if field.joint_rule is None:
+        _, _, H = _real_jet(field.rule, field.chart, z, backend)
+        out = [Form11(M) for M in _wirt_mixed_from_real(H, d)]
+    else:
+        shape = field.rider
+        _, grad, H = _real_jet(_flat_joint(field.joint_rule, shape), field.chart, z,
+                               backend, shape=(1 + math.prod(shape),))
+        mixed = _wirt_mixed_from_real(H, d)
+        N = len(mixed)
+        rider_dz = _wirt_grad_from_real(grad, d)[..., 1:].reshape((N, d) + shape)
+        rider_mixed = mixed[..., 1:].reshape((N, d, d) + shape)
+        out = [(Form11(M[..., 0]), jet)
+               for M, jet in zip(mixed, zip(rider_dz, rider_mixed))]
+    return out if np.ndim(z) == 2 else out[0]
+
+
+def _flat_joint(joint_rule, shape):
+    """A joint rule's (density, rider) as one flat output: the density, then
+    the rider's entries in row-major order."""
+    def rule(zs):
+        density, rider = joint_rule(zs)
+        return [density] + [_entry(rider, idx) for idx in np.ndindex(*shape)]
+
+    return rule
 
 
 def complex_jet2(field: ScalarField, z, backend: str = "fd"):

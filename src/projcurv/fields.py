@@ -27,11 +27,24 @@ class ScalarField:
 
     ``rule`` maps a tuple of generic scalars (one per chart coordinate) to
     a generic scalar; it must serve both differentiation backends.
+
+    A density field built by :meth:`joint` also carries ``joint_rule``,
+    which returns the density and a rider of shape ``rider`` from one pass:
+    the rider is the metric the density divides by, so one stencil serves
+    both (``diffops.wirtinger_hessian``).  Its ``rule`` is the density
+    alone.
     """
 
     chart: ComplexChart
     rule: object
     name: str = ""
+    joint_rule: object = None
+    rider: tuple = ()
+
+    @classmethod
+    def joint(cls, chart, joint_rule, name: str, rider: tuple = ()) -> "ScalarField":
+        """The density field of a rule returning (density, rider)."""
+        return cls(chart, lambda zs: joint_rule(zs)[0], name, joint_rule, rider)
 
     def __call__(self, z):
         v = self.rule(tuple(np.asarray(z, complex)))
@@ -237,11 +250,20 @@ class Form11:
                 f"vector of length {u.shape} against form of dimension {self.dim}")
         return float(np.real(u @ self.matrix @ u.conj()))
 
+    def _spectrum(self):
+        # eigvalsh may return finite eigenvalues for a matrix with a NaN
+        # entry, or raise LinAlgError; a form that is not finite has none
+        if not np.isfinite(self.matrix).all():
+            return (np.nan, np.nan)
+        return np.linalg.eigvalsh(self.matrix)
+
     def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.matrix)[0])
+        """Smallest eigenvalue, NaN when an entry is not finite."""
+        return float(self._spectrum()[0])
 
     def max_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.matrix)[-1])
+        """Largest eigenvalue, NaN when an entry is not finite."""
+        return float(self._spectrum()[-1])
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.matrix)))

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import diffops, dual as gm, sympow
 from .bundle import BundlePoint, TautologicalMetric, reconstruct_W
-from .charts import ComplexChart
+from .charts import ComplexChart, fiber_chart
 from .curvature import levi_civita_christoffels, riemann_curvature
 from .errors import ValidationError
 from .fields import HermitianMetricField, RiemannianMetricField, ScalarField
@@ -257,9 +257,11 @@ def covector_metric_field(f: ChartedMap, g: HermitianMetricField) -> HermitianMe
 # ---------------------------------------------------------------------------
 # density fields on combined charts (for black-box Hessians)
 
-def Y_field(f: ChartedMap, h: HermitianMetricField, g,
-            chart_index: int) -> ScalarField:
-    """The generalized density as a scalar field on the (z, w) chart."""
+def Y_field(f: ChartedMap, h: HermitianMetricField, g, chart_index: int,
+            weight=None) -> ScalarField:
+    """The generalized density as a joint field on the (z, w) chart: Y, or
+    Y_phi = e^phi Y with a ``weight`` phi, and the log of the tautological
+    metric H e^{-phi} it divides by, both from the one pairing H."""
     m, n = f.m, f.n
     tm = TautologicalMetric(h)
 
@@ -272,27 +274,21 @@ def Y_field(f: ChartedMap, h: HermitianMetricField, g,
         F = [_sum_terms(holo[i][a] * W[a] for a in range(m)) for i in range(n)]
         num = gm.pairing(G, F, F)
         H = gm.pairing(h.matrix_generic(z), W, W)
-        return gm.real(num) / gm.real(H)
+        Y = gm.real(num) / gm.real(H)
+        if weight is None:
+            return Y, gm.log(H)
+        phi = weight(z, tuple(W))
+        return gm.exp(gm.real(phi)) * Y, gm.log(H) - phi
 
-    return ScalarField(tm.combined_chart(), rule,
-                       name="generalized_density")
-
-
-def Y_phi_field(f: ChartedMap, h: HermitianMetricField, g, chart_index: int,
-                phi) -> ScalarField:
-    base = Y_field(f, h, g, chart_index)
-    m = f.m
-
-    def rule(zs):
-        W = reconstruct_W(zs[m:], chart_index, m)
-        return gm.exp(gm.real(phi(zs[:m], tuple(W)))) * base.rule(zs)
-
-    return ScalarField(base.chart, rule, name="weighted_generalized_density")
+    return ScalarField.joint(tm.combined_chart(), rule,
+                             "generalized_density" if weight is None
+                             else "weighted_generalized_density")
 
 
 def Y1_field(f: ChartedMap, h: HermitianMetricField, g: HermitianMetricField,
              x_chart_index: int) -> ScalarField:
-    """Y1 as a scalar field on the (z, x) chart of P(f*T*_N)."""
+    """Y1 as a joint field on the (z, x) chart of P(f*T*_N), with the log of
+    the covector metric H1 it divides by."""
     m, n = f.m, f.n
 
     def rule(zs):
@@ -314,14 +310,11 @@ def Y1_field(f: ChartedMap, h: HermitianMetricField, g: HermitianMetricField,
                     t = hup[a][b] * holo[i][a]
                     for j in range(n):
                         num = num + t * holo_bar[j][b] * X[i] * Xbar[j]
-        return gm.real(num) / gm.real(gm.pairing(gup, X, X))
+        H1 = gm.pairing(gup, X, X)
+        return gm.real(num) / gm.real(H1), gm.log(H1)
 
-    if n == 1:
-        chart = f.source
-    else:
-        from .charts import fiber_chart
-        chart = f.source.product(fiber_chart(n - 1))
-    return ScalarField(chart, rule, name="covector_density")
+    chart = f.source if n == 1 else f.source.product(fiber_chart(n - 1))
+    return ScalarField.joint(chart, rule, "covector_density")
 
 
 def Y2_field(f: ChartedMap, h: HermitianMetricField, g: HermitianMetricField,
@@ -347,7 +340,6 @@ def Y2_field(f: ChartedMap, h: HermitianMetricField, g: HermitianMetricField,
         return gm.real(num) / (gm.real(H) * gm.real(H1))
 
     chart = f.source
-    from .charts import fiber_chart
     if m > 1:
         chart = chart.product(fiber_chart(m - 1))
     if n > 1:
@@ -356,7 +348,11 @@ def Y2_field(f: ChartedMap, h: HermitianMetricField, g: HermitianMetricField,
 
 
 def u_field(f: ChartedMap, h: HermitianMetricField, g) -> ScalarField:
-    """Classical energy density as a scalar field on the source chart."""
+    """Classical energy density as a joint field on the source chart, with
+    the entries h_{a bbar} it raises its indices with: one stencil gives
+    ddbar u and the metric jet behind the source Chern tensor.  The map's
+    source chart must be h's chart, where that jet is taken."""
+    require_source_chart(f, h)
     m, n = f.m, f.n
 
     def rule(zs):
@@ -371,9 +367,23 @@ def u_field(f: ChartedMap, h: HermitianMetricField, g) -> ScalarField:
                 for a in range(m):
                     for b in range(m):
                         u = u + G[i][j] * hup[a][b] * holo[i][a] * holo_bar[j][b]
-        return gm.real(u)
+        return gm.real(u), Hm
 
-    return ScalarField(f.source, rule, name="classical_density")
+    return ScalarField.joint(f.source, rule, "classical_density", (m, m))
+
+
+def require_source_chart(f: ChartedMap, h: HermitianMetricField):
+    """The densities read h and f at the same stencil points, so the map's
+    source chart must be h's chart: the same dimension, centre and radii."""
+    a, b = f.source, h.chart
+    if not (type(a) is type(b) and a.dim == b.dim and np.array_equal(a.center, b.center)
+            and np.array_equal(a.radius, b.radius)):
+        raise ValidationError(
+            f"map {f.name!r} has source chart {f.source.name or 'box'} (dim "
+            f"{f.source.dim}, centre {f.source.center.tolist()}, radius "
+            f"{f.source.radius.tolist()}), not the chart of the source metric "
+            f"{h.name!r} (dim {h.chart.dim}, centre {h.chart.center.tolist()}, "
+            f"radius {h.chart.radius.tolist()})")
 
 
 def _sum_terms(terms):

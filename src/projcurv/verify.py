@@ -40,7 +40,8 @@ from . import diffops, maps as maps_mod
 from .bundle import (BundlePoint, TautologicalMetric, affine_rows,
                      horizontal_curvature_value, tautological_H,
                      tautological_curvature)
-from .curvature import chern_curvature, hermitian_normal_coordinates, riemann_curvature
+from .curvature import (_chern_tensor, chern_curvature, hermitian_normal_coordinates,
+                        riemann_curvature)
 from .errors import GeometryError, NotApplicable, ValidationError
 from .fields import Form11, HermitianMetricField
 from .maps import ChartedMap, NestedBundlePoint
@@ -72,6 +73,9 @@ class PairContext:
     name: str = "pair"
     compact: bool = False
     phi: object = None           # optional conformal weight phi(z, W)
+
+    def __post_init__(self):
+        maps_mod.require_source_chart(self.f, self.h)
 
     @property
     def target_is_complex(self) -> bool:
@@ -126,30 +130,25 @@ def _combined_dim(m: int) -> int:
 def _density_hessian_sides(f: ChartedMap, h: HermitianMetricField, g, Ps,
                            weight=None):
     """[(ddbar Y, (ddbar log H^{-1}) Y)] at the bundle points Ps, which share
-    their fiber chart, and the tautological metric.  Each Hessian takes one
+    their fiber chart, and the tautological metric.  Y and log H take one
     stencil evaluation for all of Ps.
 
     Y is the generalized density, or Y_phi = e^phi Y when ``weight`` is given.
     """
-    tm = TautologicalMetric(h, weight=weight)
-    idx = Ps[0].chart_index
-    if weight is None:
-        y_field = maps_mod.Y_field(f, h, g, idx)
-    else:
-        y_field = maps_mod.Y_phi_field(f, h, g, idx, weight)
-    return _hessian_sides(y_field, [P.combined() for P in Ps],
-                          lambda: tautological_curvature(tm, Ps)), tm
+    field = maps_mod.Y_field(f, h, g, Ps[0].chart_index, weight)
+    return _hessian_sides(field, [P.combined() for P in Ps]), \
+        TautologicalMetric(h, weight=weight)
 
 
-def _hessian_sides(density, coords, tauts) -> list:
-    """[(ddbar D, T D)] for the density field D at each row of coords, with T
-    the form of the list ``tauts()`` at that row.  The Hessians take one
-    stencil evaluation for all rows, and run before ``tauts``, so that a
-    sample failing both raises the Hessian's error."""
+def _hessian_sides(density, coords) -> list:
+    """[(ddbar D, T D)] for the joint density field D at each row of coords,
+    with T = -ddbar log of the metric D divides by.  Both come from one
+    stencil evaluation for all rows."""
     coords = np.array(coords)
-    lhs = diffops.wirtinger_hessian(density, coords, backend="fd")
-    return [(L, T.scaled(float(np.real(density(x)))))
-            for L, T, x in zip(lhs, tauts(), coords)]
+    jets = diffops.wirtinger_hessian(density, coords, backend="fd")
+    # -ddbar log H as tautological_curvature forms it
+    return [(L, Form11(-Form11(mixed).matrix).scaled(float(np.real(density(x)))))
+            for (L, (_, mixed)), x in zip(jets, coords)]
 
 
 def _map_jets(f: ChartedMap, zs) -> list:
@@ -330,12 +329,15 @@ def _s01_sides(f: ChartedMap, h: HermitianMetricField, g, zs) -> list:
             - K_{k lbar i jbar} f^k_a conj(f^l_b) h^{m nbar} f^i_m conj(f^j_n).
     """
     zs = np.asarray(zs, complex)
-    lhs = diffops.wirtinger_hessian(maps_mod.u_field(f, h, g), zs, backend="fd")
-    source = chern_curvature(h, zs)
+    # one stencil gives ddbar u and the jet of h behind the source Chern tensor
+    u_jets = diffops.wirtinger_hessian(maps_mod.u_field(f, h, g), zs, backend="fd")
+    Hs = [h.check_at(z) for z in zs]
+    source = [_chern_tensor(H, dz, mixed, z)
+              for H, (_, (dz, mixed)), z in zip(Hs, u_jets, zs)]
     jets = _map_jets(f, zs)
     target = _target_curvature(g, np.array([fz for _, fz in jets]))
     out = []
-    for z, L, Rh, (holo, fz), K in zip(zs, lhs, source, jets, target):
+    for z, (L, _), Rh, (holo, fz), K in zip(zs, u_jets, source, jets, target):
         holo_bar = holo.conj()
         G = g.matrix(fz)
         hup = h.inverse_up(z)
@@ -380,8 +382,7 @@ def _form_inequalities(suite, f, h, g, pts, phi=None) -> list:
         Qs: list[BundlePoint] = pts     # fiber coordinates are the covector X
         tm1 = _covector_tautological(f, g)
         y1_sides = _hessian_sides(maps_mod.Y1_field(f, h, g, Qs[0].chart_index),
-                                  [Q.combined() for Q in Qs],
-                                  lambda: tautological_curvature(tm1, Qs))
+                                  [Q.combined() for Q in Qs])
         source = chern_curvature(h, np.array([Q.z for Q in Qs]))
         dim = f.m + max(f.n - 1, 0)
         sides = []
@@ -402,16 +403,18 @@ def _form_inequalities(suite, f, h, g, pts, phi=None) -> list:
         zw_idx = list(range(m + max(m - 1, 0)))
         zx_idx = list(range(m)) + list(range(m + max(m - 1, 0), dim))
 
-        def tauts():
-            curv = tautological_curvature(TautologicalMetric(h), [R.P for R in Rs])
-            Qs = [BundlePoint.make(R.P.z, R.X, R.x_chart_index) for R in Rs]   # (z, [X])
-            curv1 = tautological_curvature(_covector_tautological(f, g), Qs)
-            return [Form11.embed(T.matrix, zw_idx, dim) + Form11.embed(T1.matrix, zx_idx, dim)
-                    for T, T1 in zip(curv, curv1)]
-
-        sides = _hessian_sides(maps_mod.Y2_field(f, h, g, Rs[0].P.chart_index,
-                                                 Rs[0].x_chart_index),
-                               [R.combined() for R in Rs], tauts)
+        # the two tautological curvatures keep their own stencils: they live
+        # on the (z, w) and (z, x) sub-charts, whose fd steps are those of
+        # the nested chart only when m, n > 1
+        y2 = maps_mod.Y2_field(f, h, g, Rs[0].P.chart_index, Rs[0].x_chart_index)
+        coords = np.array([R.combined() for R in Rs])
+        lhs = diffops.wirtinger_hessian(y2, coords, backend="fd")
+        curv = tautological_curvature(TautologicalMetric(h), [R.P for R in Rs])
+        Qs = [BundlePoint.make(R.P.z, R.X, R.x_chart_index) for R in Rs]   # (z, [X])
+        curv1 = tautological_curvature(_covector_tautological(f, g), Qs)
+        sides = [(L, (Form11.embed(T.matrix, zw_idx, dim) + Form11.embed(T1.matrix, zx_idx, dim))
+                  .scaled(float(np.real(y2(x)))))
+                 for L, T, T1, x in zip(lhs, curv, curv1, coords)]
 
     else:
         raise ValidationError(f"unhandled suite {suite!r}")

@@ -205,13 +205,31 @@ def _build_metric(name, row: _Metric, params, chart_type, field_type, reals):
     return field_type(chart, rule, name=name), meta
 
 
+# the parameters each map reads; any other is a ConfigError
+_MAP_PARAMS = {"constant": ("value",), "linear": ("matrix",),
+               "power": ("exponent", "scale"), "realify-slice": ("offset",)}
+
+
+def _complex_array(params, key, default, where) -> np.ndarray:
+    """``params[key]`` (or the default) as a complex array, each entry read
+    by :func:`~projcurv.errors.number`."""
+    raw = np.asarray(params.get(key, default), dtype=object)
+    return np.array([number({key: v}, key, None, complex, where) for v in raw.ravel()],
+                    complex).reshape(raw.shape)
+
+
 def _build_map(name, params, source_chart, target_chart):
-    m = source_chart.dim
+    m, n = source_chart.dim, target_chart.dim
+    where, reads = f"{name}.", _MAP_PARAMS.get(name, ())
+    for key in params:
+        if key not in reads:
+            raise ConfigError(f"{where}{key}: {name} has no parameter {key!r} "
+                              f"(it reads {', '.join(reads) or 'no parameters'})")
     if name == "constant":
-        c = params.get("value", None)
-        if c is None:
-            c = [0.0] * target_chart.dim
-        vals = tuple(complex(v) for v in np.atleast_1d(c))
+        vals = tuple(complex(v) for v in
+                     np.atleast_1d(_complex_array(params, "value", [0.0] * n, where)))
+        if len(vals) != n:
+            raise ConfigError(f"{where}value: expected {n} coordinates, got {len(vals)}")
         return ChartedMap(source_chart, target_chart, lambda z: vals,
                           holomorphic=isinstance(target_chart, ComplexChart),
                           name=name)
@@ -219,15 +237,20 @@ def _build_map(name, params, source_chart, target_chart):
         return ChartedMap(source_chart, target_chart, lambda z: tuple(z),
                           holomorphic=True, name=name)
     if name == "linear":
-        A = np.asarray(params["matrix"], complex)
+        if "matrix" not in params:
+            raise ConfigError(f"{where}matrix: required parameter is missing")
+        A = _complex_array(params, "matrix", None, where)
+        if A.shape != (n, m):
+            raise ConfigError(f"{where}matrix: expected a {n} x {m} array, "
+                              f"got shape {A.shape}")
         return ChartedMap(
             source_chart, target_chart,
             lambda z: tuple(sum(A[i, a] * z[a] for a in range(m))
                             for i in range(A.shape[0])),
             holomorphic=True, name=name)
     if name == "power":
-        k = int(params.get("exponent", 2))
-        scale = complex(params.get("scale", 1.0))
+        k = number(params, "exponent", 2, int, where)
+        scale = number(params, "scale", 1.0, complex, where)
         return ChartedMap(source_chart, target_chart,
                           lambda z: (scale * z[0] ** k,), holomorphic=True,
                           name=name)
@@ -255,7 +278,7 @@ def _build_map(name, params, source_chart, target_chart):
                                      gm.real(z[0])), name=name)
     if name == "realify-slice":
         # realified identity followed by the totally geodesic slice x3 = c
-        c = float(params.get("offset", 0.3))
+        c = number(params, "offset", 0.3, float, where)
         return ChartedMap(source_chart, target_chart,
                           lambda z: (gm.real(z[0]), gm.imag(z[0]),
                                      c + 0 * gm.real(z[0])), name=name)

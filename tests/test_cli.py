@@ -156,6 +156,38 @@ samples: 2
         with pytest.raises(ConfigError, match=message):
             cfg.resolved_pair()
 
+    @pytest.mark.parametrize("pair_spec, message", [
+        ("source: {zoo: flat, dim: 1}\n  target: {zoo: flat, dim: 1}\n"
+         "  map: {zoo: identity}\n  compcat: true",
+         r"pair\.compcat: an inline pair has no key 'compcat' \(it reads source, "
+         r"target, map, name, compact\)"),
+        ("source: {zoo: flat, dim: 1}\n  target: {zoo: flat, dim: 1}\n"
+         "  map: {zoo: identity}\n  compact: 'yes'",
+         r"pair\.compact: expected true or false, got 'yes'"),
+        ("source: {zoo: flat, dim: 1}\n  target: {zoo: flat, dim: 1}\n"
+         "  map: {components: ['z1*z1'], holomorfic: true}",
+         r"pair\.map\.holomorfic: an inline map has no key 'holomorfic' \(it reads "
+         r"components, holomorphic\)"),
+        ("source: {zoo: flat, dim: 1}\n  target: {zoo: flat, dim: 1}\n"
+         "  map: {components: ['z1*z1'], holomorphic: 1}",
+         r"pair\.map\.holomorphic: expected true or false, got 1")])
+    def test_inline_pair_keys_fail_closed(self, pair_spec, message):
+        # compcat: true resolved to a pair with compact False, and
+        # holomorfic: true to a map flagged non-holomorphic, without a word
+        with pytest.raises(ConfigError, match=message):
+            config.parse_config(f"pair:\n  {pair_spec}\nsuites: [S1]\nsamples: 2\n")
+
+    @pytest.mark.parametrize("map_spec, message", [
+        ("{zoo: power, exponent: 2.5}", r"power\.exponent: expected an integer, got 2\.5"),
+        ("{zoo: power, exponet: 3}", r"power\.exponet: power has no parameter 'exponet'")])
+    def test_inline_zoo_map_parameters_fail_closed(self, map_spec, message):
+        # both used to run exponent 2
+        cfg = config.parse_config(
+            "pair:\n  source: {zoo: flat, dim: 1}\n  target: {zoo: flat, dim: 1}\n"
+            f"  map: {map_spec}\nsuites: [S1]\nsamples: 2\n")
+        with pytest.raises(ConfigError, match=message):
+            cfg.resolved_pair()
+
     def test_phi_expression(self):
         cfg = config.parse_config(MINIMAL + 'phi: "0.2*re(z1)"\n')
         pair = cfg.resolved_pair()
@@ -288,6 +320,19 @@ report: {report}
                         "  map: {zoo: identity}\nsuites: [S1]\nsamples: 2\n")
         assert cli.main(["verify", "--config", str(plan)]) == 2
         assert f"error: {named}: " in capsys.readouterr().out
+
+    @pytest.mark.parametrize("pair_lines, named", [
+        ("  map: {zoo: power, exponet: 3}\n", "power.exponet: "),
+        ("  map: {zoo: identity}\n  compcat: true\n", "pair.compcat: ")])
+    def test_misspelt_key_exit_two(self, tmp_path, capsys, pair_lines, named):
+        # each of these plans used to run with the key ignored
+        plan = tmp_path / "plan.yaml"
+        plan.write_text("pair:\n  source: {zoo: flat, dim: 1}\n"
+                        "  target: {zoo: flat, dim: 1}\n" + pair_lines
+                        + "suites: [S1]\nsamples: 2\n")
+        assert cli.main(["verify", "--config", str(plan)]) == 2
+        captured = capsys.readouterr()
+        assert named in captured.out + captured.err
 
     def test_non_integral_samples_exit_two(self, tmp_path, capsys):
         # used to run 2 samples without a word

@@ -338,7 +338,7 @@ class TestConformalY:
         f = _id(fs1, poincare1)
         phi = lambda zs, Ws: 0.3 * gm.real(zs[0]) + 0.1 * gm.abs2(zs[0])
         P = BundlePoint.make([0.25 - 0.15j], [1.0])
-        field = mp.Y_phi_field(f, fs1, poincare1, P.chart_index, phi)
+        field = mp.Y_field(f, fs1, poincare1, P.chart_index, weight=phi)
         direct = mp.conformal_Y(f, fs1, poincare1, P, phi)
         assert np.real(field(P.combined())) == pytest.approx(direct, rel=1e-12)
 

@@ -1,5 +1,6 @@
 """Property tests over randomly drawn inputs (hypothesis)."""
 
+import dataclasses
 import functools
 
 import numpy as np
@@ -223,3 +224,61 @@ def test_report_histogram_is_numpys(values):
     got_counts, got_edges = verify._histogram(values)
     assert got_counts == counts.tolist()
     assert np.array_equal(np.array(got_edges).view(np.int64), edges.view(np.int64))
+
+
+# the suites whose stencils go through a joint density rule, and the maps
+# function that builds it
+_JOINT_SUITES = {"S1": "Y_field", "S03": "Y_field", "exact_holo": "Y_field",
+                 "S_minus1": "Y_field", "S2": "Y1_field", "S01": "u_field",
+                 "S02": "u_field"}
+
+
+def _poison(joint_rule, output, entry, where):
+    """The joint rule with a NaN in one stencil column of one of its outputs:
+    the density (output 0) or the rider's entry ``entry`` (output 1)."""
+    def rule(zs):
+        parts = list(joint_rule(zs))
+        columns = np.size(zs[0])
+        k = int(where * columns)
+
+        def nan_at(v):
+            arr = np.array(np.broadcast_to(v, (columns,)), complex)
+            arr[k] = np.nan
+            return arr
+
+        if output == 0:
+            parts[0] = nan_at(parts[0])
+        elif isinstance(parts[1], list):        # the entries h_{a bbar}
+            rows = [list(row) for row in parts[1]]
+            a, b = divmod(entry % (len(rows) ** 2), len(rows))
+            rows[a][b] = nan_at(rows[a][b])
+            parts[1] = rows
+        else:                                   # log H or log H1
+            parts[1] = nan_at(parts[1])
+        return tuple(parts)
+
+    return rule
+
+
+@pytest.mark.parametrize("name,suite", [
+    (name, suite) for name in ("fs-to-poincare", "fs2-to-ball") for suite in _JOINT_SUITES
+    if (name, suite) != ("fs2-to-ball", "S_minus1")])       # S_minus1 needs n = 1
+@settings(max_examples=8, deadline=None)
+@given(output=st.integers(0, 1), entry=st.integers(0, 3),
+       where=st.floats(0, 1, exclude_max=True), seed=st.integers(0, 2 ** 16))
+def test_a_nan_in_a_joint_rule_output_is_an_error(name, suite, output, entry, where, seed):
+    # a NaN in the density or in the metric it divides by, anywhere in the
+    # one stencil they share, makes the sample an error and never a pass
+    p = _zoo_pair(name)
+    builder = getattr(mp, _JOINT_SUITES[suite])
+
+    def poisoned(*args, **kwargs):
+        field = builder(*args, **kwargs)
+        return dataclasses.replace(
+            field, joint_rule=_poison(field.joint_rule, output, entry, where))
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mp, _JOINT_SUITES[suite], poisoned)
+        [rep] = verify.run_suite(p, [suite], samples=1, seed=seed)
+    assert rep.status == "error", (rep.status, rep.residuals)
+    assert not np.isfinite(rep.residuals[0])

@@ -11,9 +11,10 @@ import pytest
 from projcurv import diffops, verify as V, zoo
 from projcurv import maps as mp
 from projcurv.bundle import BundlePoint, TautologicalMetric, tautological_curvature
-from projcurv.curvature import (chern_curvature, levi_civita_christoffels,
-                                riemann_curvature)
-from projcurv.fields import HermitianMetricField
+from projcurv.charts import ComplexChart
+from projcurv.curvature import (_chern_tensor, chern_curvature,
+                                levi_civita_christoffels, riemann_curvature)
+from projcurv.fields import Form11, HermitianMetricField, ScalarField
 from projcurv.maps import ChartedMap, NestedBundlePoint
 
 from conftest import nan_on_right_half
@@ -51,6 +52,15 @@ def same_jets(stacked, single):
                 assert np.array_equal(got[k], want), k
 
 
+def hessian_parts(out):
+    """The arrays of a wirtinger_hessian result at one point: the Form11's
+    matrix, and for a joint field the rider's dz and mixed jets."""
+    if isinstance(out, tuple):
+        form, (dz, mixed) = out
+        return [form.matrix, dz, mixed]
+    return [out.matrix]
+
+
 @pytest.mark.parametrize("name", PAIRS)
 def test_stacked_jets_equal_per_point_jets(name):
     p = build_pair(name)
@@ -78,10 +88,10 @@ def test_stacked_jets_equal_per_point_jets(name):
         same_jets(diffops._real_jet(field.rule, field.chart, stack, "fd"),
                   [[part[0] for part in diffops._real_jet(field.rule, field.chart, x, "fd")]
                    for x in points])
-        forms = diffops.wirtinger_hessian(field, stack)
-        for form, x in zip(forms, points):
-            assert np.array_equal(form.matrix,
-                                  diffops.wirtinger_hessian(field, x).matrix), field.name
+        for got, x in zip(diffops.wirtinger_hessian(field, stack), points):
+            for a, b in zip(hessian_parts(got),
+                            hessian_parts(diffops.wirtinger_hessian(field, x))):
+                assert np.array_equal(a, b), field.name
 
     # the metric jets, at the base points and at their images
     fzs = np.array([f.value(z) for z in zs])
@@ -100,6 +110,68 @@ def test_stacked_jets_equal_per_point_jets(name):
     for got, P in zip(tautological_curvature(TautologicalMetric(h), Ps), Ps):
         assert np.array_equal(got.matrix,
                               tautological_curvature(TautologicalMetric(h), P).matrix)
+
+
+def alone(field):
+    """The density of a joint field as a field of its own."""
+    return ScalarField(field.chart, field.rule, field.name)
+
+
+@pytest.mark.parametrize("count", [1, STACK])
+@pytest.mark.parametrize("name", PAIRS)
+def test_joint_jets_equal_the_separate_calls(name, count):
+    # one stencil for a density and the metric it divides by gives, bit for
+    # bit, the density Hessian and the curvature the separate calls give
+    p = build_pair(name)
+    f, h, g = p.f, p.h, p.g
+    m, n = f.m, f.n
+    rng = np.random.default_rng(13)
+    zs = np.array([f.source.sample(rng, 0.5) for _ in range(count)])
+    Ps = [BundlePoint.make(z, fiber_vector(rng, m, m - 1)) for z in zs]
+    cases = []
+    for weight in (None, V._default_phi):
+        field = mp.Y_field(f, h, g, m - 1, weight)
+        assert field.name == ("generalized_density" if weight is None
+                              else "weighted_generalized_density")
+        cases.append((field, Ps, TautologicalMetric(h, weight=weight)))
+    if f.holomorphic and p.target_is_complex:
+        Qs = [BundlePoint.make(z, fiber_vector(rng, n, n - 1)) for z in zs]
+        cases.append((mp.Y1_field(f, h, g, n - 1), Qs, V._covector_tautological(f, g)))
+    for field, pts, tm in cases:
+        coords = np.array([P.combined() for P in pts])
+        joint = diffops.wirtinger_hessian(field, coords)
+        density = diffops.wirtinger_hessian(alone(field), coords)
+        taut = tautological_curvature(tm, pts)
+        assert len(joint) == len(density) == len(taut) == count
+        for (L, (_, mixed)), want_L, want_T in zip(joint, density, taut):
+            assert np.array_equal(L.matrix, want_L.matrix), field.name
+            assert np.array_equal(Form11(-Form11(mixed).matrix).matrix,
+                                  want_T.matrix), field.name
+
+    u = mp.u_field(f, h, g)
+    joint = diffops.wirtinger_hessian(u, zs)
+    density = diffops.wirtinger_hessian(alone(u), zs)
+    dz, mixed = diffops.matrix_jet(h, zs)
+    for k, (z, (L, jet)) in enumerate(zip(zs, joint)):
+        assert np.array_equal(L.matrix, density[k].matrix)
+        assert np.array_equal(jet[0], dz[k]) and np.array_equal(jet[1], mixed[k])
+        assert np.array_equal(_chern_tensor(h.check_at(z), *jet, z).array,
+                              chern_curvature(h, z).array)
+
+
+def test_a_map_off_the_source_metric_chart_is_rejected():
+    # u and Y read h and f on one stencil, so f must live on h's chart
+    p = build_pair("fs-to-poincare")
+    for chart in (ComplexChart(dim=1, radius=[0.4], name="smaller"),
+                  ComplexChart(dim=1, center=[0.05], radius=p.h.chart.radius)):
+        f = ChartedMap(chart, p.g.chart, p.f.rule, holomorphic=True, name="moved")
+        with pytest.raises(V.ValidationError, match="not the chart of the source metric"):
+            V.PairContext(f=f, h=p.h, g=p.g)
+        with pytest.raises(V.ValidationError, match="not the chart of the source metric"):
+            V.verify_form_inequality("S01", f, p.h, p.g, chart.center)
+    same = ComplexChart(dim=1, radius=p.h.chart.radius, name="copy")
+    V.PairContext(f=ChartedMap(same, p.g.chart, p.f.rule, holomorphic=True),
+                  h=p.h, g=p.g)
 
 
 def test_a_stack_must_share_its_fiber_chart():

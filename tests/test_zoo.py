@@ -176,6 +176,33 @@ class TestBuilders:
         with pytest.raises(ConfigError):
             zoo.catalog_facts("nonexistent")
 
+    @pytest.mark.parametrize("name, params, message", [
+        ("power", {"exponent": 2.5}, r"power\.exponent: expected an integer, got 2\.5"),
+        ("power", {"exponent": True}, r"power\.exponent: expected a number, got True"),
+        ("power", {"scale": "big"}, r"power\.scale: expected a number, got 'big'"),
+        ("power", {"exponet": 3},
+         r"power\.exponet: power has no parameter 'exponet' \(it reads exponent, scale\)"),
+        ("identity", {"exponent": 2},
+         r"identity\.exponent: identity has no parameter 'exponent' \(it reads no "),
+        ("linear", {}, r"linear\.matrix: required parameter is missing"),
+        ("linear", {"matrix": [[1.0, "x"]]}, r"linear\.matrix: expected a number, got 'x'"),
+        ("linear", {"matrix": [[1.0, 0.0]]}, r"linear\.matrix: expected a 2 x 2 array"),
+        ("constant", {"value": [False, 0.0]}, r"constant\.value: expected a number, got False"),
+        ("constant", {"value": [0.1]}, r"constant\.value: expected 2 coordinates, got 1"),
+        ("realify-slice", {"offset": None}, r"realify-slice\.offset: expected a number")])
+    def test_map_parameters_fail_closed(self, name, params, message):
+        # exponent: 2.5 ran exponent 2, and exponet: 3 was ignored
+        flat2 = zoo.build_entry("flat", {"dim": 2}).obj
+        with pytest.raises(ConfigError, match=message):
+            zoo.build_map(name, params, flat2.chart, flat2.chart)
+
+    def test_map_parameters_are_read(self):
+        flat = zoo.build_entry("flat", {"dim": 1}).obj
+        f = zoo.build_map("power", {"exponent": 3, "scale": 2}, flat.chart, flat.chart)
+        assert f.value([0.5]).tolist() == [0.25 + 0j]
+        f = zoo.build_map("constant", {"value": 0.5j}, flat.chart, flat.chart)
+        assert f.value([0.1]).tolist() == [0.5j]
+
     def test_constant_map_into_real_chart_must_be_real(self):
         # value() keeps only Re f and the derivatives of a constant are 0, so
         # a complex constant into a real chart used to evaluate as its real part
