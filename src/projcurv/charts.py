@@ -8,6 +8,7 @@ finite-difference stencils require.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,17 +47,38 @@ class _Box:
     def scale(self) -> float:
         return float(np.max(self.radius))
 
-    def margin(self, z) -> float:
-        """Distance from z to the chart boundary (negative when outside)."""
+    def margin(self, z):
+        """Distance from z to the chart boundary (negative when outside, NaN
+        for a point with a NaN coordinate); an (N, dim) stack of points
+        gives the array of their N margins."""
+        gaps = self._margins(z)
+        return float(gaps) if gaps.ndim == 0 else gaps
+
+    def _margins(self, z) -> np.ndarray:
         d = np.asarray(z, self._dtype) - self.center
-        return float((self._view_radius - np.abs(d.view(float))).min())
+        return (self._view_radius - np.abs(d.view(float))).min(axis=-1)
 
     def require_margin(self, z, needed: float):
-        m = self.margin(z)
-        if m < needed:
-            raise ChartDomainError(
-                f"point {np.asarray(z)} too close to boundary of chart "
-                f"{self.name or 'box'}: margin {m:.3e} < required {needed:.3e}")
+        """Raise ChartDomainError unless z, or each row of an (N, dim) stack,
+        lies at least ``needed`` inside the box.  The first failing row is
+        named, with the message a single point gives; a non-finite point
+        fails too."""
+        margins = self._margins(z)
+        # a NaN margin fails the comparison; one point (the common case, a
+        # stencil's) skips the array comparison
+        if (margins.item() >= needed) if margins.size == 1 else (margins >= needed).all():
+            return
+        z = np.asarray(z)
+        if z.ndim > 1:
+            k = int(np.argmin(margins >= needed))   # the first failing row
+            z, margins = z[k], margins[k]
+        m = float(margins)
+        where = f"chart {self.name or 'box'}"
+        if math.isnan(m):
+            raise ChartDomainError(f"point {z} is not a finite point of {where}")
+        raise ChartDomainError(
+            f"point {z} too close to boundary of {where}: "
+            f"margin {m:.3e} < required {needed:.3e}")
 
 
 class ComplexChart(_Box):

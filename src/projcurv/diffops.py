@@ -293,12 +293,12 @@ def _real_jet(rule, chart, z, backend: str, order: int = 2, shape=()):
     the derivative axes next.
 
     The one dispatch point of the engine.  It enforces the chart margin the
-    order's stencil needs at every point in turn, on complex and real charts
-    alike, splits complex points into real coordinates ordered (x^0..,
-    y^0..), and runs the fd or dual primitive: the fd backend evaluates the
-    stencils of all N points in one rule call, the dual backend takes one
-    hyper-dual pass per point.  ``rule`` takes a tuple of chart coordinates
-    and returns an output of shape ``shape``.
+    order's stencil needs at every point (naming the first that fails), on
+    complex and real charts alike, splits complex points into real
+    coordinates ordered (x^0.., y^0..), and runs the fd or dual primitive:
+    the fd backend evaluates the stencils of all N points in one rule call,
+    the dual backend takes one hyper-dual pass per point.  ``rule`` takes a
+    tuple of chart coordinates and returns an output of shape ``shape``.
     """
     if backend not in ("fd", "dual"):
         raise ValueError(f"unknown backend {backend!r}")
@@ -306,8 +306,7 @@ def _real_jet(rule, chart, z, backend: str, order: int = 2, shape=()):
     steps = HESSIAN_MARGIN_STEPS if order >= 2 else GRADIENT_MARGIN_STEPS
     is_complex = isinstance(chart, ComplexChart)
     zs, _ = point_stack(z, complex if is_complex else float)
-    for zk in zs:
-        chart.require_margin(zk, steps * s)
+    chart.require_margin(zs, steps * s)
     if is_complex:
         p = _split_real(zs)
         d = chart.dim
@@ -485,15 +484,27 @@ def jacobian_pair_generic(rule, z, dim: int, n_out: int):
 
 
 def jacobian_pair(rule, z, dim: int, n_out: int):
-    """First Wirtinger derivatives of a vector-valued rule.
+    """First Wirtinger derivatives of a vector-valued rule at one point, or
+    at each row of an (N, dim) stack with a leading sample axis.
 
-    Returns (holo, anti) with holo[i, a] = df^i/dz^a and
-    anti[i, a] = df^i/dzbar^a.  The dual backend evaluates the rule once per
+    Returns (holo, anti) with holo[..., i, a] = df^i/dz^a and
+    anti[..., i, a] = df^i/dzbar^a.  The dual backend evaluates the rule once per
     source coordinate with paired (x, y) seeds, which is exact and keeps
-    inner derivatives noiseless when the result feeds an outer stencil.
+    inner derivatives noiseless when the result feeds an outer stencil.  A
+    stack takes the same ``dim`` passes, with its columns (length-N arrays)
+    as the coordinates; a slot the rule leaves scalar is broadcast.
     """
-    holo, anti = jacobian_pair_generic(rule, z, dim, n_out)
-    return np.array(holo, complex), np.array(anti, complex)
+    zs, stacked = point_stack(z)
+    if not stacked:
+        holo, anti = jacobian_pair_generic(rule, zs[0], dim, n_out)
+        return np.array(holo, complex), np.array(anti, complex)
+    out = np.empty((2, len(zs), n_out, dim), complex)
+    for M, parts in zip(out, jacobian_pair_generic(
+            rule, tuple(np.ascontiguousarray(zs.T)), dim, n_out)):
+        for i, row in enumerate(parts):
+            for a, v in enumerate(row):
+                M[:, i, a] = v
+    return out[0], out[1]
 
 
 def map_jet2(rule, chart, z, n_out: int):

@@ -14,6 +14,16 @@ differentiation engine, none are stored.  The five density variants:
 with H = h_{g dbar} W^g Wbar^d and H1 = g^{k lbar} X_k Xbar_l.  Everything is
 projectively invariant in the fiber coordinates, which the tests enforce.
 
+``Y_on_fiber`` evaluates Y over an (N, m) stack of base points, as the S5
+probe's lattice needs.  Stacked: df, from the m dual passes of one point
+with length-N arrays in the slots, and the two contractions.  Per point:
+f(z), h(z) and g(f(z)), one scalar rule call each, because NumPy's array
+complex multiply rounds differently from its scalar one and the probe's
+argmax would follow that ulp.  On the zoo maps, whose derivative slots
+multiply an array by a scalar, the stacked values are bit for bit the
+per-point ones; a map whose slots multiply two complex arrays may move by
+an ulp.
+
 Residual operators for the harmonic-map side:
 
     pluriharmonic:      f^i_{a bbar} + Gamma^i_{jk} f^j_a f^k_{bbar}
@@ -93,9 +103,13 @@ class ChartedMap:
         return out if self.target_is_complex else out.real
 
     def jacobians(self, z):
-        """(holo, anti): holo[i, a] = df^i/dz^a, anti[i, a] = df^i/dzbar^a."""
+        """(holo, anti): holo[i, a] = df^i/dz^a, anti[i, a] = df^i/dzbar^a.
+
+        An (N, m) stack of points gives (N, n, m) arrays from the m dual
+        passes of one point, with length-N arrays in the slots; every row's
+        chart margin is checked first."""
         self.source.require_margin(z, 2 * diffops.step_for(self.source))
-        return diffops.jacobian_pair(self.rule, np.asarray(z, complex), self.m, self.n)
+        return diffops.jacobian_pair(self.rule, z, self.m, self.n)
 
     def second_mixed(self, z) -> np.ndarray:
         """f^i_{a bbar} = d^2 f^i / dz^a dzbar^b, shape (n, m, m)."""
@@ -119,21 +133,37 @@ def classical_energy_density(f: ChartedMap, h: HermitianMetricField, g, z) -> fl
 
 
 def Y_on_fiber(f: ChartedMap, h: HermitianMetricField, g, z):
-    """The density Y on the fiber P(T_zM) over one base point.
+    """The density Y on the fiber P(T_zM) over one base point z, or over
+    each row of an (N, m) stack of base points.
 
-    df(z), f(z), g(f(z)) and h(z) are evaluated once.  The returned function
-    maps an (N, m) stack of affine fiber representatives W to the N values
-    g(df W, df W) / h(W, W).
+    df at all N points comes from one set of m dual passes of the map rule
+    (``ChartedMap.jacobians`` on the stack).  f(z), g(f(z)) and h(z) stay
+    one scalar rule call per point, stacked into arrays: NumPy's array
+    complex multiply rounds differently from its scalar one, so these rules
+    on arrays would move values by an ulp.  The returned function maps a
+    (K, m) stack of affine fiber representatives W to the (N, K) values
+    g(df W, df W) / h(W, W), or to K values for a single base point.  A
+    base point where df, f, g or h is not finite has NaN values, also where
+    the contraction would drop it (g constant, say).
     """
-    holo, _ = f.jacobians(z)
-    G = g.matrix(f.value(z))
-    Hm = h.matrix(z)
+    zs, stacked = diffops.point_stack(z)
+    holo = f.jacobians(z)[0].reshape(len(zs), f.n, f.m)
+    fz = np.array([f.value(q) for q in zs])
+    G = np.array([g.matrix(p) for p in fz])
+    Hm = np.array([h.matrix(q) for q in zs])
+    parts = (holo, fz, G, Hm)
+    if not np.isfinite(np.concatenate([x.ravel() for x in parts])).all():
+        # NaN entries of g reach every value at their point
+        G[~np.logical_and.reduce(
+            [np.isfinite(x).reshape(len(zs), -1).all(axis=1) for x in parts])] = np.nan
 
     def density(Ws: np.ndarray) -> np.ndarray:
-        F = (holo @ Ws[:, :, None])[:, :, 0]     # each row rounds as holo @ W does
-        num = np.einsum("ij,ni,nj->n", G, F, F.conj())
-        H = np.einsum("gd,ng,nd->n", Hm, Ws, Ws.conj())
-        return np.real(num) / np.real(H)
+        # (N, K, n); each row rounds as holo @ W does
+        F = (holo[:, None] @ Ws[None, :, :, None])[..., 0]
+        num = np.einsum("bij,bki,bkj->bk", G, F, F.conj())
+        H = np.einsum("bgd,kg,kd->bk", Hm, Ws, Ws.conj())
+        vals = np.real(num) / np.real(H)
+        return vals if stacked else vals[0]
 
     return density
 

@@ -482,9 +482,8 @@ def maximum_principle_probe(f: ChartedMap, h: HermitianMetricField,
                               f"fiber directions of dimension {f.m}")
     if not np.all(np.max(np.abs(Ws), axis=1) > 0):
         raise ValidationError("probe fiber directions must be nonzero vectors")
-    # one evaluator per base point, all on the same stack of affine rows
-    rows = affine_rows(Ws)
-    vals = np.array([maps_mod.Y_on_fiber(f, h, g, z)(rows) for z in zs])
+    # one evaluator for all base points, on one stack of affine rows
+    vals = maps_mod.Y_on_fiber(f, h, g, zs)(affine_rows(Ws))
     bad = np.argwhere(~np.isfinite(vals))
     if bad.size:
         i, j = bad[0]

@@ -6,8 +6,8 @@ from projcurv import dual as gm
 from projcurv import maps as mp
 from projcurv import sympow
 from projcurv.bundle import BundlePoint
-from projcurv.charts import RealChart
-from projcurv.errors import ValidationError
+from projcurv.charts import ComplexChart, RealChart
+from projcurv.errors import ChartDomainError, ValidationError
 from projcurv.fields import RiemannianMetricField, ScalarField
 
 from conftest import conformal_real_rule, identity_map, nan_on_right_half
@@ -16,6 +16,39 @@ from conftest import conformal_real_rule, identity_map, nan_on_right_half
 def square_map(flat1):
     return mp.ChartedMap(flat1.chart, flat1.chart, lambda z: (z[0] ** 2,),
                          holomorphic=True, name="square")
+
+
+class TestChartMargin:
+    # a NaN coordinate gives a NaN margin, and NaN < needed is False, so a
+    # NaN point used to pass every margin check
+
+    @pytest.mark.parametrize("chart,z", [
+        (ComplexChart(dim=2, radius=[0.5, 0.5], name="box"), [np.nan, 0.1]),
+        (ComplexChart(dim=2, radius=[0.5, 0.5], name="box"), [0.1, complex(0.2, np.nan)]),
+        (RealChart(dim=2, radius=[0.5, 0.5], name="box"), [0.1, np.nan])])
+    def test_a_nan_point_fails_closed(self, chart, z):
+        assert np.isnan(chart.margin(z))
+        with pytest.raises(ChartDomainError, match=r"point \[.*nan.*\] is not a finite "
+                                                    r"point of chart box"):
+            chart.require_margin(np.array(z), 0.01)
+        # and as a row of a stack, after a row that passes
+        with pytest.raises(ChartDomainError, match="not a finite point"):
+            chart.require_margin(np.array([np.zeros(2), z]), 0.01)
+
+    def test_a_nan_point_has_no_jacobian(self):
+        f = zoo.build_entry("fs-to-poincare").obj.f
+        with pytest.raises(ChartDomainError, match="not a finite point"):
+            f.jacobians([np.nan])
+        with pytest.raises(ChartDomainError, match="not a finite point"):
+            f.jacobians(np.array([[0.1], [np.nan]]))
+
+    def test_stack_margins_are_the_rows_margins(self):
+        chart = ComplexChart(dim=2, center=[0.1, -0.2j], radius=[0.5, 0.3])
+        zs = np.array([[0.3 + 0.1j, 0.0], [-0.5, 0.2 - 0.4j], [0.1, -0.2j]])
+        assert np.array_equal(chart.margin(zs), [chart.margin(z) for z in zs])
+        with pytest.raises(ChartDomainError, match=r"margin -1\.000e-01 < required"):
+            chart.require_margin(zs, 0.01)
+        chart.require_margin(zs[[0, 2]], 0.01)
 
 
 class TestChartedMap:

@@ -12,6 +12,7 @@ from hypothesis import assume, example, given, settings, strategies as st  # noq
 from projcurv import diffops, maps as mp, verify, zoo  # noqa: E402
 from projcurv.bundle import BundlePoint, TautologicalMetric  # noqa: E402
 from projcurv.charts import ComplexChart, RealChart  # noqa: E402
+from projcurv.dual import HyperDual  # noqa: E402
 from projcurv.fields import HermitianMetricField  # noqa: E402
 
 from conftest import fs_rule  # noqa: E402
@@ -282,3 +283,62 @@ def test_a_nan_in_a_joint_rule_output_is_an_error(name, suite, output, entry, wh
         [rep] = verify.run_suite(p, [suite], samples=1, seed=seed)
     assert rep.status == "error", (rep.status, rep.residuals)
     assert not np.isfinite(rep.residuals[0])
+
+
+def _nan_where(coords, point):
+    """NaN where the coordinates (numbers, arrays or jets) equal ``point``,
+    elementwise, and 0 elsewhere."""
+    hit = True
+    for x, q in zip(coords, point):
+        while isinstance(x, HyperDual):
+            x = x.f0
+        hit = hit & (np.asarray(x) == q)
+    return np.where(hit, np.nan, 0.0)
+
+
+def _poisoned(rule, point, entry, add=False, matrix=False):
+    """The rule with a NaN added to (or multiplied into) one entry of its
+    output where its input is ``point``; a map rule gives a flat output, a
+    metric rule (``matrix``) rows."""
+    def poisoned(q):
+        nan = _nan_where(q, point)
+        out = [list(row) for row in rule(q)] if matrix else [list(rule(q))]
+        row = out[entry // len(out[0]) % len(out)]
+        k = entry % len(row)
+        row[k] = row[k] + nan if add else row[k] * (1 + nan)
+        return out if matrix else tuple(out[0])
+    return poisoned
+
+
+@pytest.mark.parametrize("name", ("fs-to-poincare", "fs2-to-ball", "flat-identity"))
+@settings(max_examples=12, deadline=None)
+@given(part=st.sampled_from(["f value", "f", "h", "g"]), entry=st.integers(0, 3),
+       where=st.floats(0, 1, exclude_max=True))
+@example(part="f value", entry=0, where=0.5)
+def test_a_nan_in_a_rule_at_one_probe_point_is_an_error(name, part, entry, where):
+    # a NaN in the output of the map, source metric or target metric rule at
+    # one base point of the probe's lattice is a ValidationError naming that
+    # point, never a finite y_max; "f value" puts the NaN in f(z) alone,
+    # where df stays finite and a flat target never reads it
+    p = _zoo_pair(name)
+    zs, Ws = verify._probe_grid(p)
+    z = zs[int(where * len(zs))]
+    f, h, g = p.f, p.h, p.g
+    if part.startswith("f"):
+        f = dataclasses.replace(f, validate_on_init=False,
+                                rule=_poisoned(f.rule, z, entry, add=part == "f value"))
+    elif part == "h":
+        h = dataclasses.replace(h, validate_on_init=False,
+                                rule=_poisoned(h.rule, z, entry, matrix=True))
+    else:
+        g = dataclasses.replace(g, validate_on_init=False,
+                                rule=_poisoned(g.rule, f.value(z), entry, matrix=True))
+    named = f"not finite at probe point z = {z.tolist()}, "
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(mp.ValidationError) as raised:
+            verify.maximum_principle_probe(f, h, g, zs, Ws)
+        [rep] = verify.run_suite(verify.PairContext(f=f, h=h, g=g, name=name),
+                                 ["S5_probe"], samples=1, seed=0)
+    assert named in str(raised.value)
+    assert rep.status == "error" and named in rep.message
+    assert "y_max" not in rep.worst

@@ -1,6 +1,7 @@
-"""The sample axis of the fd engine: a stack of points gives, bit for bit,
-what the points give one at a time, and the runner's grouped pass keeps
-every sample's outcome its own."""
+"""The sample axis of the engine: a stack of points gives, bit for bit,
+what the points give one at a time (fd jets, map Jacobians and the fiber
+density), and the runner's grouped pass keeps every sample's outcome its
+own."""
 
 import functools
 import json
@@ -8,10 +9,12 @@ import json
 import numpy as np
 import pytest
 
-from projcurv import diffops, verify as V, zoo
+from projcurv import bundle, diffops, verify as V, zoo
 from projcurv import maps as mp
-from projcurv.bundle import BundlePoint, TautologicalMetric, tautological_curvature
+from projcurv.bundle import (BundlePoint, TautologicalMetric, affine_rows,
+                             tautological_curvature)
 from projcurv.charts import ComplexChart
+from projcurv.errors import ChartDomainError
 from projcurv.curvature import (_chern_tensor, chern_curvature,
                                 levi_civita_christoffels, riemann_curvature)
 from projcurv.fields import Form11, HermitianMetricField, ScalarField
@@ -274,3 +277,93 @@ def test_nan_inside_a_stacked_pass_stays_with_its_sample():
         V._record_sample(rep, k, Ps[k], value, violated)
     assert rep.status == "error"        # ...and never passes
     assert rep.message.startswith("non-finite residual nan at sample 1")
+
+
+# ---------------------------------------------------------------------------
+# the fiber density over a stack of base points
+
+def fiber_oracle(f, h, g, z, rows, holo=None):
+    """Y over one base point from per-point scalar calls (``holo`` is
+    ``f.jacobians(z)[0]`` when given) and the per-point contraction: the
+    evaluator the S5 probe called once per base point."""
+    if holo is None:
+        holo, _ = f.jacobians(z)
+    G = g.matrix(f.value(z))
+    Hm = h.matrix(z)
+    F = (holo @ rows[:, :, None])[:, :, 0]
+    num = np.einsum("ij,ni,nj->n", G, F, F.conj())
+    H = np.einsum("gd,ng,nd->n", Hm, rows, rows.conj())
+    return np.real(num) / np.real(H)
+
+
+@pytest.mark.parametrize("name", PAIRS)
+def test_the_probe_lattice_equals_the_per_point_oracle(name):
+    p = build_pair(name)
+    f, h, g = p.f, p.h, p.g
+    zs, Ws = V._probe_grid(p)
+    rows = affine_rows(Ws)
+    holo, anti = f.jacobians(zs)
+    assert holo.shape == anti.shape == (len(zs), f.n, f.m)
+    want = []
+    for k, z in enumerate(zs):
+        want_holo, want_anti = f.jacobians(z)
+        assert np.array_equal(holo[k], want_holo) and np.array_equal(anti[k], want_anti)
+        want.append(fiber_oracle(f, h, g, z, rows, want_holo))
+    got = mp.Y_on_fiber(f, h, g, zs)(rows)
+    assert got.shape == (len(zs), len(rows))
+    assert np.array_equal(got, np.array(want))
+    # single rows over single base points: the first, a middle and the last
+    for z in zs[[0, len(zs) // 2, -1]]:
+        for W in rows:
+            want = fiber_oracle(f, h, g, z, W[None])
+            assert np.array_equal(mp.Y_on_fiber(f, h, g, z)(W[None]), want)
+            assert np.array_equal(mp.Y_on_fiber(f, h, g, z[None])(W[None]), want[None])
+            assert mp.generalized_Y(f, h, g, BundlePoint.make(z, W)) == want[0]
+
+
+# the pushforward base points of the fiber_density benchmark workload:
+# pair -> (its index in the plan, quadrature order); 16 points per pair
+PUSH_POOL = {"fs3-to-ball3": (0, 4), "fs2-to-ball": (1, 8)}
+
+
+@pytest.mark.parametrize("name", PUSH_POOL)
+def test_pushforward_nodes_equal_the_per_point_oracle(monkeypatch, name):
+    p = build_pair(name)
+    index, order = PUSH_POOL[name]
+    evaluator = mp.Y_on_fiber
+    nodes = []
+
+    def checked(f, h, g, z):
+        density = evaluator(f, h, g, z)
+
+        def values(Ws):
+            got = density(Ws)
+            assert np.array_equal(got, fiber_oracle(f, h, g, z, Ws))
+            nodes.append(len(Ws))
+            return got
+        return values
+
+    monkeypatch.setattr(mp, "Y_on_fiber", checked)
+    for k in range(16):
+        z = p.h.chart.sample(np.random.default_rng([1810, index, k]), 0.5)
+        bundle.pushforward_energy_check(p.f, p.h, p.g, z, order=order, tol=1e-6)
+    # both quadrature orders at every base point
+    assert len(nodes) == 32 and len(set(nodes)) == 2
+
+
+def test_a_stack_fails_the_margin_at_its_first_failing_row():
+    # the same ChartDomainError as the failing point alone, with each of the
+    # stacked entry points
+    p = build_pair("fs2-to-ball")
+    f = p.f
+    r = f.source.radius[0]
+    zs = np.array([[0.1, 0.2j], [r, 0.0], [0.0, np.nan], [-r, 0.0]], complex)
+    with pytest.raises(ChartDomainError) as alone:
+        f.jacobians(zs[1])
+    assert "too close to boundary" in str(alone.value)
+    for call in (f.jacobians, lambda zs: mp.Y_on_fiber(f, p.h, p.g, zs)):
+        with pytest.raises(ChartDomainError) as stacked:
+            call(zs)
+        assert str(stacked.value) == str(alone.value)
+    with pytest.raises(ChartDomainError, match="not a finite point"):
+        f.jacobians(zs[[0, 2, 3]])
