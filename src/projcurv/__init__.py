@@ -5,25 +5,20 @@ estimates for generalized energy densities on projectivized tangent bundles.
 from .charts import ComplexChart, RealChart
 from .fields import (Form11, HermitianMetricField, RiemannianMetricField,
                      ScalarField)
-from .diffops import (cross_check, wirtinger_gradient, wirtinger_gradient_bar,
-                      wirtinger_hessian)
+from .diffops import cross_check, wirtinger_gradient, wirtinger_hessian
 from .curvature import (ChernCurvatureTensor, RiemannCurvatureTensor,
                         chern_curvature, complex_sectional_curvature,
                         hermitian_normal_coordinates,
-                        holomorphic_bisectional_curvature,
                         holomorphic_sectional_curvature, key3_check,
-                        levi_civita_christoffels, rc_positive_riemannian,
-                        riemann_curvature, riemannian_normal_coordinates,
-                        riemannian_sectional_curvature, unit_sphere_grid)
+                        levi_civita_christoffels, riemann_curvature,
+                        riemannian_normal_coordinates,
+                        riemannian_sectional_curvature)
 from .bundle import (BundlePoint, TautologicalMetric, fiber_integrate,
                      horizontal_curvature_value, pushforward_energy_check,
-                     rc_positive_line_bundle, tautological_H,
-                     tautological_curvature)
+                     tautological_H, tautological_curvature)
 from .maps import (ChartedMap, NestedBundlePoint, classical_energy_density,
-                   conformal_Y, constraint_D_check, generalized_Y,
-                   generalized_Y1, generalized_Y2, generalized_Y_k,
-                   hatC_value, hermitian_harmonic_residual,
-                   pluriharmonic_residual)
+                   constraint_D_check, generalized_Y, hatC_value,
+                   hermitian_harmonic_residual, pluriharmonic_residual)
 from .verify import (PairContext, VerificationReport, assemble_W_form,
                      maximum_principle_probe, run_suite, verify_exact_identity,
                      verify_form_inequality, verify_trace_inequality)

@@ -198,37 +198,6 @@ def horizontal_curvature_value(tm: TautologicalMetric, P: BundlePoint) -> float:
     return form.evaluate(u)
 
 
-def rc_positive_line_bundle(tm: TautologicalMetric, points, tol: float = 1e-8):
-    """Sampled RC-positivity of (O(-1), H e^{-phi}) over P(T_M).
-
-    Per point: the largest eigenvalue of the curvature form (the point is an
-    RC-positive witness iff it is positive), plus the base-block largest
-    eigenvalue.  The summary value is the sampled min over points of the max
-    eigenvalue, the grid analogue of a uniform positivity constant.
-    """
-    points = list(points)
-    if not points:
-        raise ValidationError("rc_positive_line_bundle needs a nonempty sample")
-    m = tm.base_dim
-    per_point = []
-    for P in points:
-        form = tautological_curvature(tm, P)
-        base_block = form.matrix[:m, :m]
-        max_eig = form.max_eigenvalue()
-        base_max = float(np.linalg.eigvalsh(0.5 * (base_block + base_block.conj().T))[-1])
-        per_point.append({
-            "point": P,
-            "max_eigenvalue": max_eig,
-            "base_max_eigenvalue": base_max,
-            "rc_positive": bool(max_eig > tol),
-        })
-    summary = {
-        "min_max_eigenvalue": min(r["max_eigenvalue"] for r in per_point),
-        "all_rc_positive": all(r["rc_positive"] for r in per_point),
-    }
-    return per_point, summary
-
-
 # ---------------------------------------------------------------------------
 # fiberwise integration
 

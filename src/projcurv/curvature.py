@@ -130,17 +130,6 @@ def holomorphic_sectional_curvature(metric: HermitianMetricField, z, v) -> float
     return float(np.real(t.contract(v, v, v, v))) / norm4
 
 
-def holomorphic_bisectional_curvature(metric: HermitianMetricField, z, u, v) -> float:
-    """R(u, ubar, v, vbar) / (|u|_h^2 |v|_h^2)."""
-    u = np.asarray(u, complex)
-    v = np.asarray(v, complex)
-    if np.max(np.abs(u)) == 0 or np.max(np.abs(v)) == 0:
-        raise ValidationError("bisectional curvature of a zero vector")
-    t = chern_curvature(metric, z)
-    den = _hermitian_norm_sq(t.metric_value, u) * _hermitian_norm_sq(t.metric_value, v)
-    return float(np.real(t.contract(u, u, v, v))) / den
-
-
 # ---------------------------------------------------------------------------
 # Riemannian side
 
@@ -380,7 +369,7 @@ def _normal_frame(metric, p, A, b):
                               name=f"{metric.name or 'metric'}@normal",
                               validate_on_init=False)
     identity_defect = np.max(np.abs(new_metric.matrix(np.zeros(n)) - np.eye(n)))
-    if float(identity_defect) > NORMAL_POST_TOL:
+    if not float(identity_defect) <= NORMAL_POST_TOL:   # a NaN defect fails too
         raise ValidationError("normal coordinates: metric not identity at center")
     jet, _ = diffops.matrix_jet(new_metric, np.zeros(n), backend="dual", order=1)
     return NormalFrame(center=p, linear=A, quadratic=b, metric=new_metric), jet
@@ -399,7 +388,7 @@ def hermitian_normal_coordinates(metric: HermitianMetricField, p) -> NormalFrame
     b = -0.5 * (c.transpose(2, 1, 0) + c.transpose(2, 0, 1))
     frame, d_new = _normal_frame(metric, p, A, b)
     defect = float(np.max(np.abs(d_new + d_new.transpose(1, 0, 2))))
-    if defect > NORMAL_POST_TOL:
+    if not defect <= NORMAL_POST_TOL:
         raise ValidationError(
             f"normal coordinates: antisymmetry defect {defect:.3e} "
             f"> {NORMAL_POST_TOL:.1e}")
@@ -412,54 +401,6 @@ def riemannian_normal_coordinates(metric: RiemannianMetricField, x0) -> NormalFr
     A, d1 = _linear_stage(metric, x0)
     # the linear stage makes the metric delta at 0, so Gamma = bracket / 2
     frame, d_new = _normal_frame(metric, x0, A, -0.5 * _bracket(np.real(d1)))
-    if float(np.max(np.abs(np.real(d_new)))) > NORMAL_POST_TOL:
+    if not float(np.max(np.abs(np.real(d_new)))) <= NORMAL_POST_TOL:
         raise ValidationError("normal coordinates: first derivatives do not vanish")
     return frame
-
-
-# ---------------------------------------------------------------------------
-# RC-positivity sampling for Riemannian curvature
-
-def unit_sphere_grid(dim: int, count: int, seed: int = 0) -> np.ndarray:
-    """Deterministic covering sample of the unit sphere in R^dim."""
-    if count < 1:
-        raise ValidationError("empty direction grid")
-    if dim == 1:
-        return np.array([[1.0], [-1.0]])[:count]
-    if dim == 2:
-        th = np.linspace(0.0, np.pi, count, endpoint=False)
-        return np.stack([np.cos(th), np.sin(th)], axis=1)
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal((count, dim))
-    return v / np.linalg.norm(v, axis=1, keepdims=True)
-
-
-def rc_positive_riemannian(metric: RiemannianMetricField, points,
-                           z_grid, w_grid=None, tol: float = 1e-10):
-    """Sampled RC-positivity verdicts for a Riemannian curvature tensor.
-
-    For each point and each direction Z in the grid, reports
-    sup_W R(Z, W, W, Z) over the W grid, the per-point verdict
-    (positive iff every Z has a positive sup), and the uniform variant
-    (one W whose min over Z of R(Z, W, W, Z) is positive).
-    """
-    Zg = np.asarray(z_grid, float)
-    Wg = Zg if w_grid is None else np.asarray(w_grid, float)
-    if Zg.size == 0 or Wg.size == 0:
-        raise ValidationError("empty direction grid")
-    reports = []
-    for x in points:
-        R = riemann_curvature(metric, x).array
-        vals = np.einsum("ijkl,zi,wj,wk,zl->zw", R, Zg, Wg, Wg, Zg)
-        sup_per_z = vals.max(axis=1)
-        min_per_w = vals.min(axis=0)
-        uniform_value = float(min_per_w.max())
-        reports.append({
-            "point": np.asarray(x, float),
-            "sup_per_z": sup_per_z,
-            "rc_positive": bool(sup_per_z.min() > tol),
-            "worst_z_index": int(sup_per_z.argmin()),
-            "uniform_value": uniform_value,
-            "uniformly_rc_positive": bool(uniform_value > tol),
-        })
-    return reports

@@ -338,17 +338,10 @@ def wirtinger_gradient(field: ScalarField, z, backend: str = "fd") -> np.ndarray
     """Holomorphic Wirtinger gradient (dF/dzeta^a).
 
     Antiholomorphic derivatives follow from the conjugate rule
-    dbar F = conj(d conj(F)); for convenience use
-    :func:`wirtinger_gradient_bar`.
+    dbar F = conj(d conj(F)); ``complex_jet2`` returns both.
     """
     _, g, _ = _real_jet(field.rule, field.chart, z, backend, order=1)
     out = _wirt_grad_from_real(g, field.chart.dim)
-    return out if np.ndim(z) == 2 else out[0]
-
-
-def wirtinger_gradient_bar(field: ScalarField, z, backend: str = "fd") -> np.ndarray:
-    _, g, _ = _real_jet(field.rule, field.chart, z, backend, order=1)
-    out = _wirt_gradbar_from_real(g, field.chart.dim)
     return out if np.ndim(z) == 2 else out[0]
 
 
@@ -413,7 +406,7 @@ def cross_check(field: ScalarField, z, rtol: float = CROSS_CHECK_RTOL) -> float:
     _, gd, Hd = _real_jet(field.rule, field.chart, z, "dual")
     scale = max(1.0, float(np.max(np.abs(gd))), float(np.max(np.abs(Hd))))
     defect = max(float(np.max(np.abs(gf - gd))), float(np.max(np.abs(Hf - Hd)))) / scale
-    if defect > rtol:
+    if not defect <= rtol:      # a NaN defect fails too
         raise BackendMismatchError(
             f"backends disagree on {field.name or 'field'} at {z}: "
             f"relative defect {defect:.3e} > {rtol:.1e}")

@@ -2,17 +2,21 @@ r"""Charted maps and the energy densities attached to them.
 
 A ChartedMap carries a source complex chart, a target chart (complex or
 real) and a component rule; all of its derivatives come from the
-differentiation engine, none are stored.  The five density variants:
+differentiation engine, none are stored.  The densities, and the fields the
+suites differentiate them as:
 
-    u           classical: g_{ij} h^{a bbar} f^i_a conj(f^j_b)
-    Y           g_{ij} f^i_a conj(f^j_b) W^a Wbar^b / H          on P(T_M)
-    Y1          h^{a bbar} f^i_a conj(f^j_b) X_i Xbar_j / H1     on P(f*T*_N)
-    Y2          f^i_a conj(f^j_b) X_i Xbar_j W^a Wbar^b / (H1 H) on the nested bundle
-    Y_phi       e^phi Y
-    Y_k         degree-k symmetric-power variant with target metric g_k
+    u       g_{ij} h^{a bbar} f^i_a conj(f^j_b)                   u_field
+    Y       g_{ij} f^i_a conj(f^j_b) W^a Wbar^b / H  on P(T_M)     Y_field
+    Y1      h^{a bbar} f^i_a conj(f^j_b) X_i Xbar_j / H1           Y1_field
+            on P(f*T*_N)
+    Y2      f^i_a conj(f^j_b) X_i Xbar_j W^a Wbar^b / (H1 H)       Y2_field
+            on the nested bundle
+    Y_phi   e^phi Y                                               Y_field(weight=phi)
 
 with H = h_{g dbar} W^g Wbar^d and H1 = g^{k lbar} X_k Xbar_l.  Everything is
 projectively invariant in the fiber coordinates, which the tests enforce.
+u and Y also have pointwise forms (``classical_energy_density``,
+``generalized_Y``, ``Y_on_fiber``) for the fiber integrals and the S5 probe.
 
 ``Y_on_fiber`` evaluates Y over an (N, m) stack of base points, as the S5
 probe's lattice needs.  Stacked: df, from the m dual passes of one point
@@ -40,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import diffops, dual as gm, sympow
+from . import diffops, dual as gm
 from .bundle import BundlePoint, TautologicalMetric, reconstruct_W
 from .charts import ComplexChart, fiber_chart
 from .curvature import levi_civita_christoffels, riemann_curvature
@@ -48,6 +52,7 @@ from .errors import ValidationError
 from .fields import HermitianMetricField, RiemannianMetricField, ScalarField
 
 HOLO_FLAG_TOL = 1e-8
+PLURI_TOL = 1e-6        # max |pluri-harmonic residual| of a pluri-harmonic map
 
 
 @dataclass(frozen=True)
@@ -173,21 +178,6 @@ def generalized_Y(f: ChartedMap, h: HermitianMetricField, g, P: BundlePoint) -> 
     return float(Y_on_fiber(f, h, g, P.z)(P.W_affine[None])[0])
 
 
-def generalized_Y1(f: ChartedMap, h: HermitianMetricField,
-                   g: HermitianMetricField, Q: BundlePoint) -> float:
-    """Covector-bundle density h^{a bbar} f^i_a conj(f^j_b) X_i Xbar_j / H1."""
-    if not f.target_is_complex:
-        raise ValidationError("Y1 requires a complex target")
-    holo, _ = f.jacobians(Q.z)
-    X = Q.W_affine
-    hup = h.inverse_up(Q.z)
-    G = g.matrix(f.value(Q.z))
-    gup = np.linalg.inv(G).conj()       # g^{k lbar}
-    num = np.einsum("ab,ia,jb,i,j->", hup, holo, holo.conj(), X, X.conj())
-    H1 = np.einsum("kl,k,l->", gup, X, X.conj())
-    return float(np.real(num) / np.real(H1))
-
-
 @dataclass(frozen=True)
 class NestedBundlePoint:
     """Point of the bundle over P(T_M) carrying both [W] and [X] fibers."""
@@ -214,55 +204,6 @@ class NestedBundlePoint:
 
     def combined(self) -> np.ndarray:
         return np.concatenate([self.P.combined(), self.x])
-
-
-def generalized_Y2(f: ChartedMap, h: HermitianMetricField,
-                   g: HermitianMetricField, R: NestedBundlePoint) -> float:
-    """Doubled density f^i_a conj(f^j_b) X_i Xbar_j W^a Wbar^b / (H1 H)."""
-    if not f.target_is_complex:
-        raise ValidationError("Y2 requires a complex target")
-    holo, _ = f.jacobians(R.P.z)
-    W = R.P.W_affine
-    X = R.X_affine
-    F = holo @ W
-    num = np.einsum("i,j,i,j->", F, F.conj(), X, X.conj())
-    H = np.einsum("gd,g,d->", h.matrix(R.P.z), W, W.conj())
-    G = g.matrix(f.value(R.P.z))
-    gup = np.linalg.inv(G).conj()
-    H1 = np.einsum("kl,k,l->", gup, X, X.conj())
-    return float(np.real(num) / (np.real(H) * np.real(H1)))
-
-
-def generalized_Y_k(f: ChartedMap, h: HermitianMetricField, g, P: BundlePoint,
-                    k: int, g_k=None) -> float:
-    """Degree-k symmetric-power density g_k(Sym^k(df) W^k, .) / H^k.
-
-    ``g_k`` is an optional callable mapping a target point to the metric
-    matrix on degree-k symmetric tensors in the monomial (multiset) basis;
-    by default the metric induced by g is used, for which the density equals
-    Y^k identically.
-    """
-    if k < 1:
-        raise ValidationError("symmetric power degree k must be >= 1")
-    if not f.target_is_complex:
-        raise ValidationError("Y_k requires a complex target")
-    holo, _ = f.jacobians(P.z)
-    W = P.W_affine
-    JW = holo @ W
-    vec = sympow.sym_power_vector(JW, f.n, k)
-    fz = f.value(P.z)
-    Gk = (sympow.induced_metric(g.matrix(fz), k)
-          if g_k is None else np.asarray(g_k(fz), complex))
-    num = np.einsum("IJ,I,J->", Gk, vec, vec.conj())
-    H = np.einsum("gd,g,d->", h.matrix(P.z), W, W.conj())
-    return float(np.real(num) / np.real(H) ** k)
-
-
-def conformal_Y(f: ChartedMap, h: HermitianMetricField, g, P: BundlePoint,
-                phi) -> float:
-    """Conformally weighted density e^{phi} Y; exact multiple by construction."""
-    w = float(np.real(phi(tuple(P.z), tuple(P.W_affine))))
-    return float(np.exp(w)) * generalized_Y(f, h, g, P)
 
 
 def covector_metric_field(f: ChartedMap, g: HermitianMetricField) -> HermitianMetricField:
@@ -508,19 +449,28 @@ def hermitian_harmonic_residual(f: ChartedMap, h: HermitianMetricField, g, z) ->
     return np.einsum("ab,iab->i", hup, res)
 
 
-def is_pluriharmonic(f: ChartedMap, g, z, tol: float = 1e-6) -> bool:
-    return float(np.max(np.abs(pluriharmonic_residual(f, g, z)))) <= tol
+def _pluriharmonic_defect(f: ChartedMap, g, z) -> float:
+    """max |pluriharmonic_residual| at z; a non-finite residual is a
+    ValidationError, not a map that fails to be pluri-harmonic."""
+    defect = float(np.max(np.abs(pluriharmonic_residual(f, g, z))))
+    if not np.isfinite(defect):
+        raise ValidationError(
+            f"pluri-harmonic residual of map {f.name!r} is not finite at {z}: {defect}")
+    return defect
 
 
-def constraint_D_check(f: ChartedMap, g: RiemannianMetricField, z,
-                       pluri_tol: float = 1e-6) -> dict:
+def is_pluriharmonic(f: ChartedMap, g, z) -> bool:
+    return _pluriharmonic_defect(f, g, z) <= PLURI_TOL
+
+
+def constraint_D_check(f: ChartedMap, g: RiemannianMetricField, z) -> dict:
     """Max-abs residual of R_{ikjl} f^i_a f^j_{bbar} f^k_g over all indices.
 
     Reported as not applicable when f is not pluri-harmonic at z; a vacuous
     check is never conflated with a violated one.
     """
-    pluri = float(np.max(np.abs(pluriharmonic_residual(f, g, z))))
-    if pluri > pluri_tol:
+    pluri = _pluriharmonic_defect(f, g, z)
+    if pluri > PLURI_TOL:
         return {"applicable": False, "pluriharmonic_residual": pluri,
                 "max_residual": None}
     holo, anti = f.jacobians(z)

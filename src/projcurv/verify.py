@@ -204,7 +204,7 @@ def _target_curvature_term(K: np.ndarray, holo: np.ndarray, W: np.ndarray) -> np
 def _require_hermitian(C: np.ndarray, what: str):
     scale = max(1.0, float(np.max(np.abs(C))))
     defect = float(np.max(np.abs(C - C.conj().T)))
-    if defect > 1e-8 * scale:
+    if not defect <= 1e-8 * scale:      # a NaN defect fails too
         raise ValidationError(f"{what} is not Hermitian: defect {defect:.3e}")
 
 
@@ -509,6 +509,12 @@ def maximum_principle_probe(f: ChartedMap, h: HermitianMetricField,
     Rg = chern_curvature(g, f.value(q.z)).array
     H_val = tautological_H(TautologicalMetric(h), q)
     term2 = float(np.real(np.einsum("klij,k,l,i,j->", Rg, F, F.conj(), F, F.conj()))) / H_val
+    # a NaN term compares False both ways and would read as "consistent"
+    for name, term in (("term1", term1), ("term2", term2)):
+        if not np.isfinite(term):
+            raise ValidationError(
+                f"probe {name} is not finite at the argmax z = {q.z.tolist()}, "
+                f"W = {q.W.tolist()}: {term}")
 
     if abs(term1) <= 1e-8 and abs(term2) <= 1e-8:
         pattern = "degenerate"

@@ -13,7 +13,7 @@ import pytest
 from projcurv import cli, curvature as cv, dual as gm, maps as mp, verify as V, zoo
 from projcurv.bundle import (BundlePoint, TautologicalMetric, fiber_integrate,
                              horizontal_curvature_value, pushforward_energy_check,
-                             rc_positive_line_bundle)
+                             tautological_curvature)
 from projcurv.charts import ComplexChart
 from projcurv.curvature import hermitian_normal_coordinates
 from projcurv.fields import HermitianMetricField
@@ -39,7 +39,7 @@ def test_criterion_01_flat_baselines():
     x = [0.3, -0.2, 0.5]
     assert np.max(np.abs(cv.chern_curvature(flat, z).array)) < 1e-10
     assert abs(cv.holomorphic_sectional_curvature(flat, z, [1, 2j])) < 1e-10
-    assert abs(cv.holomorphic_bisectional_curvature(flat, z, [1, 0], [0, 1])) < 1e-10
+    assert abs(cv.chern_curvature(flat, z).contract([1, 0], [1, 0], [0, 1], [0, 1])) < 1e-10
     assert np.max(np.abs(cv.levi_civita_christoffels(eucl, x))) < 1e-10
     assert np.max(np.abs(cv.riemann_curvature(eucl, x).array)) < 1e-10
     assert abs(cv.riemannian_sectional_curvature(eucl, x, [1, 0, 0], [0, 1, 0])) < 1e-10
@@ -253,36 +253,39 @@ def test_criterion_11_key3_identity():
 
 
 def test_criterion_12_rc_positivity_sampling():
+    # the RC-positivity witness of (O(-1), H) at a point is the largest
+    # eigenvalue of its curvature form
     rng = np.random.default_rng(12)
     fs2 = zoo.build_entry("fubini-study", {"dim": 2}).obj
     pts = [BundlePoint.make(fs2.chart.sample(rng, 0.5),
                             rng.standard_normal(2) + 1j * rng.standard_normal(2))
            for _ in range(10)]
-    per_point, summary = rc_positive_line_bundle(TautologicalMetric(fs2), pts)
-    assert summary["all_rc_positive"]
-    assert summary["min_max_eigenvalue"] > 0
+    tm = TautologicalMetric(fs2)
+    assert min(tautological_curvature(tm, P).max_eigenvalue() for P in pts) > 1e-8
 
     torus = zoo.build_entry("flat-torus", {"dim": 2}).obj
     pts = [BundlePoint.make(torus.chart.sample(rng, 0.5),
                             rng.standard_normal(2) + 1j * rng.standard_normal(2))
            for _ in range(10)]
-    per_point, summary = rc_positive_line_bundle(TautologicalMetric(torus), pts)
-    assert not summary["all_rc_positive"]
-    assert all(r["base_max_eigenvalue"] <= 1e-8 for r in per_point)
+    forms = [tautological_curvature(TautologicalMetric(torus), P) for P in pts]
+    assert all(form.max_eigenvalue() <= 1e-8 for form in forms)
+    assert all(np.linalg.eigvalsh(form.matrix[:2, :2])[-1] <= 1e-8 for form in forms)
 
+    # a Riemannian tensor is RC-positive at x when every direction Z has a W
+    # with R(Z, W, W, Z) > 0; in dimension 2 the plane (Z, Z^perp) decides
     sph = zoo.build_entry("round-sphere").obj
-    grid = cv.unit_sphere_grid(2, 12)
-    samples = [sph.chart.sample(rng, 0.5) for _ in range(5)]
-    reports = cv.rc_positive_riemannian(sph, samples, grid)
-    assert all(r["rc_positive"] for r in reports)
-
     eucl = zoo.build_entry("euclidean", {"dim": 2}).obj
-    reports = cv.rc_positive_riemannian(eucl, samples, grid)
-    assert all(not r["rc_positive"] for r in reports)
-    assert all(np.max(np.abs(r["sup_per_z"])) < 1e-12 for r in reports)
+    samples = [sph.chart.sample(rng, 0.5) for _ in range(5)]
+    directions = [np.array([np.cos(t), np.sin(t)])
+                  for t in np.linspace(0.0, np.pi, 12, endpoint=False)]
+    for x in samples:
+        for Z in directions:
+            W = np.array([-Z[1], Z[0]])
+            assert cv.riemannian_sectional_curvature(sph, x, Z, W) > 1e-10
+            assert abs(cv.riemannian_sectional_curvature(eucl, x, Z, W)) < 1e-12
     _report(12, "FS plane bundle RC-positive at all samples; flat torus is not "
                 "(base block <= 1e-8); sphere passes and flat space fails the "
-                "Riemannian check with sup = 0")
+                "Riemannian check with sectional curvature 0")
 
 
 def test_criterion_13_maximum_principle_probe():

@@ -8,7 +8,7 @@ from projcurv.charts import ComplexChart
 from projcurv.curvature import (chern_curvature, hermitian_normal_coordinates,
                                 holomorphic_sectional_curvature)
 from projcurv.errors import QuadratureError, ValidationError
-from projcurv.fields import HermitianMetricField
+from projcurv.fields import Form11, HermitianMetricField
 from projcurv.maps import ChartedMap, generalized_Y
 
 from conftest import fs_rule, identity_map
@@ -183,27 +183,28 @@ class TestHorizontalValue:
 
 
 class TestRCPositiveLineBundle:
+    """RC-positivity of (O(-1), H e^{-phi}) at a point: its witness is the
+    largest eigenvalue of the tautological curvature form."""
+
+    @staticmethod
+    def points(metric, seed):
+        rng = np.random.default_rng(seed)
+        return [bd.BundlePoint.make(metric.chart.sample(rng, 0.5),
+                                    rng.standard_normal(2) + 1j * rng.standard_normal(2))
+                for _ in range(6)]
+
     def test_fs_positive_everywhere(self, fs2):
         tm = bd.TautologicalMetric(fs2)
-        rng = np.random.default_rng(21)
-        pts = [bd.BundlePoint.make(fs2.chart.sample(rng, 0.5),
-                                   rng.standard_normal(2) + 1j * rng.standard_normal(2))
-               for _ in range(6)]
-        per_point, summary = bd.rc_positive_line_bundle(tm, pts)
-        assert summary["all_rc_positive"]
-        assert summary["min_max_eigenvalue"] > 0
+        for P in self.points(fs2, 21):
+            assert bd.tautological_curvature(tm, P).max_eigenvalue() > 1e-8
 
     def test_flat_torus_not_positive(self, flat2):
         tm = bd.TautologicalMetric(flat2)
-        rng = np.random.default_rng(22)
-        pts = [bd.BundlePoint.make(flat2.chart.sample(rng, 0.5),
-                                   rng.standard_normal(2) + 1j * rng.standard_normal(2))
-               for _ in range(6)]
-        per_point, summary = bd.rc_positive_line_bundle(tm, pts)
-        assert not summary["all_rc_positive"]
-        for r in per_point:
-            assert r["base_max_eigenvalue"] <= 1e-8
-            assert r["max_eigenvalue"] <= 1e-8
+        for P in self.points(flat2, 22):
+            form = bd.tautological_curvature(tm, P)
+            base_block = Form11(form.matrix[:2, :2])
+            assert base_block.max_eigenvalue() <= 1e-8
+            assert form.max_eigenvalue() <= 1e-8
 
     def test_weight_flips_verdict(self, flat2):
         # a plurisubharmonic weight c |z_1|^2 adds c to the base block
@@ -211,15 +212,9 @@ class TestRCPositiveLineBundle:
         tm1 = bd.TautologicalMetric(
             flat2, weight=lambda zs, Ws: 10.0 * gm.abs2(zs[0]))
         P = bd.BundlePoint.make([0.2, 0.1], [1.0, 0.4])
-        r0, s0 = bd.rc_positive_line_bundle(tm0, [P])
-        r1, s1 = bd.rc_positive_line_bundle(tm1, [P])
-        assert not r0[0]["rc_positive"]
-        assert r1[0]["rc_positive"]
-        assert r1[0]["max_eigenvalue"] == pytest.approx(10.0, abs=1e-6)
-
-    def test_empty_sample_rejected(self, fs2):
-        with pytest.raises(ValidationError):
-            bd.rc_positive_line_bundle(bd.TautologicalMetric(fs2), [])
+        assert bd.tautological_curvature(tm0, P).max_eigenvalue() <= 1e-8
+        assert bd.tautological_curvature(tm1, P).max_eigenvalue() == \
+            pytest.approx(10.0, abs=1e-6)
 
 
 class TestFiberIntegration:

@@ -86,15 +86,10 @@ class TestSectionalCurvatures:
             cv.holomorphic_sectional_curvature(fs1, [0.0], [0.0])
 
     def test_bisectional_cross_term(self, fs2):
-        val = cv.holomorphic_bisectional_curvature(fs2, [0, 0], [1, 0], [0, 1])
-        assert val == pytest.approx(1.0, abs=1e-8)
-
-    def test_bisectional_reduces_to_hsc(self, fs2):
-        z = [0.1 + 0.2j, 0.05]
-        v = [1.0, 0.3j]
-        bi = cv.holomorphic_bisectional_curvature(fs2, z, v, v)
-        hsc = cv.holomorphic_sectional_curvature(fs2, z, v)
-        assert bi == pytest.approx(hsc, abs=1e-8)
+        # R(e1, e1bar, e2, e2bar) / (|e1|^2 |e2|^2) = 1 at the FS origin
+        t = cv.chern_curvature(fs2, [0, 0])
+        u, v = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+        assert np.real(t.contract(u, u, v, v)) == pytest.approx(1.0, abs=1e-8)
 
 
 class TestChristoffels:
@@ -354,17 +349,61 @@ class TestNormalCoordinates:
         assert h.to_old_point(np.zeros(2)).dtype == complex
 
 
+class TestNormalFrameChecksFailClosed:
+    """A NaN defect compares False with NORMAL_POST_TOL; each post-check of
+    the normal-frame construction must raise on it all the same.  The NaN
+    is put into the new chart's metric value or first jet alone."""
+
+    @staticmethod
+    def nan_on_normal_chart(original):
+        def patched(metric, *args, **kwargs):
+            out = original(metric, *args, **kwargs)
+            if metric.chart.name != "normal":
+                return out
+            if isinstance(out, tuple):
+                return (np.full_like(out[0], np.nan),) + out[1:]
+            return np.full_like(out, np.nan)
+
+        return patched
+
+    def test_identity_check(self, monkeypatch, fs2):
+        monkeypatch.setattr(HermitianMetricField, "matrix",
+                            self.nan_on_normal_chart(HermitianMetricField.matrix))
+        with pytest.raises(ValidationError, match="not identity at center"):
+            cv.hermitian_normal_coordinates(fs2, [0.1, 0.2j])
+
+    @pytest.mark.parametrize("side,match", [
+        ("hermitian", "antisymmetry defect nan"),
+        ("riemannian", "first derivatives do not vanish")])
+    def test_first_jet_checks(self, monkeypatch, fs2, sphere2, side, match):
+        monkeypatch.setattr(cv.diffops, "matrix_jet",
+                            self.nan_on_normal_chart(cv.diffops.matrix_jet))
+        with pytest.raises(ValidationError, match=match):
+            if side == "hermitian":
+                cv.hermitian_normal_coordinates(fs2, [0.1, 0.2j])
+            else:
+                cv.riemannian_normal_coordinates(sphere2, [0.2, -0.1])
+
+
 class TestRCPositiveRiemannian:
+    """RC-positivity of a Riemannian curvature tensor at a point: every
+    direction Z has a W with R(Z, W, W, Z) > 0, seen through sectional
+    curvatures."""
+
+    DIRECTIONS = [np.array([np.cos(t), np.sin(t)])
+                  for t in np.linspace(0.0, np.pi, 8, endpoint=False)]
+
     def test_sphere_positive(self, sphere2):
-        grid = cv.unit_sphere_grid(2, 8)
-        reports = cv.rc_positive_riemannian(sphere2, [[0.0, 0.0], [0.2, 0.1]], grid)
-        assert all(r["rc_positive"] for r in reports)
+        for x in ([0.0, 0.0], [0.2, 0.1]):
+            for Z in self.DIRECTIONS:
+                W = np.array([-Z[1], Z[0]])
+                assert cv.riemannian_sectional_curvature(sphere2, x, Z, W) > 1e-10
 
     def test_euclidean_all_zero(self, euclidean2):
-        grid = cv.unit_sphere_grid(2, 8)
-        reports = cv.rc_positive_riemannian(euclidean2, [[0.1, 0.2]], grid)
-        assert not reports[0]["rc_positive"]
-        assert np.max(np.abs(reports[0]["sup_per_z"])) < 1e-12
+        for Z in self.DIRECTIONS:
+            W = np.array([-Z[1], Z[0]])
+            K = cv.riemannian_sectional_curvature(euclidean2, [0.1, 0.2], Z, W)
+            assert abs(K) < 1e-12
 
     def test_product_flat_direction(self):
         chart = RealChart(dim=3, radius=[0.9] * 3)
@@ -376,15 +415,13 @@ class TestRCPositiveRiemannian:
             return [[lam, z, z], [z, lam, z], [z, z, 1.0 + z]]
 
         metric = RiemannianMetricField(chart, rule, name="sphere-line")
-        z_grid = np.array([[0.0, 0.0, 1.0]])     # the line factor
-        w_grid = cv.unit_sphere_grid(3, 16)
-        reports = cv.rc_positive_riemannian(metric, [[0.0, 0.0, 0.0]], z_grid, w_grid)
-        assert not reports[0]["rc_positive"]
-        assert reports[0]["sup_per_z"][0] == pytest.approx(0.0, abs=1e-10)
-
-    def test_empty_grid_rejected(self, sphere2):
-        with pytest.raises(ValidationError):
-            cv.rc_positive_riemannian(sphere2, [[0.0, 0.0]], np.empty((0, 2)))
+        Z = [0.0, 0.0, 1.0]                      # the line factor
+        rng = np.random.default_rng(0)
+        for _ in range(16):
+            W = rng.standard_normal(3)
+            W[2] = 0.0                           # independent of Z
+            K = cv.riemannian_sectional_curvature(metric, [0.0, 0.0, 0.0], Z, W)
+            assert K == pytest.approx(0.0, abs=1e-10)
 
 
 class TestMetricEvaluatedOnce:

@@ -42,7 +42,7 @@ class TestWirtingerGradient:
     def test_gradient_bar_conjugate_rule(self):
         F = field(lambda z: gm.log(1 + gm.abs2(z[0])))
         z = [0.4 - 0.2j]
-        gb = diffops.wirtinger_gradient_bar(F, z)
+        gb = diffops.complex_jet2(F, z)[2]
         g = diffops.wirtinger_gradient(F, z)
         assert gb[0] == pytest.approx(np.conj(g[0]), abs=1e-10)  # real field
 
@@ -124,6 +124,16 @@ class TestBackendAgreement:
         F = ScalarField(chart, rule)
         with pytest.raises(BackendMismatchError):
             diffops.cross_check(F, [0.7])
+
+    def test_nan_on_one_backend_raises(self):
+        # NaN on the fd stencils only: the NaN defect compared False with
+        # rtol and came back as the defect instead of a mismatch
+        def rule(z):
+            nan = np.nan if isinstance(z[0], np.ndarray) else 0.0
+            return gm.abs2(z[0]) + nan
+
+        with pytest.raises(BackendMismatchError, match="relative defect nan"):
+            diffops.cross_check(field(rule), [0.7])
 
     def test_dual_backend_hessian_matches_fd(self):
         F = field(lambda z: gm.log(1 + gm.abs2(z[0])))

@@ -1,16 +1,17 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from projcurv import diffops, zoo
 from projcurv import dual as gm
 from projcurv import maps as mp
-from projcurv import sympow
 from projcurv.bundle import BundlePoint
 from projcurv.charts import ComplexChart, RealChart
 from projcurv.errors import ChartDomainError, ValidationError
 from projcurv.fields import RiemannianMetricField, ScalarField
 
-from conftest import conformal_real_rule, identity_map, nan_on_right_half
+from conftest import conformal_real_rule, identity_map, nan_on_arrays, nan_on_right_half
 
 
 def square_map(flat1):
@@ -233,34 +234,43 @@ class TestGeneralizedY:
         assert np.ptp(vals) < 1e-10
 
 
+def y1(f, h, g, Q):
+    """Y1 at Q = (z, [X]) through the field the S2 suite differentiates."""
+    return np.real(mp.Y1_field(f, h, g, Q.chart_index)(Q.combined()))
+
+
+def y2(f, h, g, R):
+    """Y2 at R = (z, [W], [X]) through the field the S3 suite differentiates."""
+    return np.real(mp.Y2_field(f, h, g, R.P.chart_index, R.x_chart_index)(R.combined()))
+
+
 class TestY1Y2:
     def test_y1_values(self, flat1, flat2):
         f = mp.ChartedMap(flat1.chart, flat2.chart, lambda z: (z[0], 2 * z[0]),
                           holomorphic=True, name="(z,2z)")
         Q = BundlePoint.make([0.2], [0.0, 1.0])    # X = e_2
-        assert mp.generalized_Y1(f, flat1, flat2, Q) == pytest.approx(4.0, abs=1e-10)
+        assert y1(f, flat1, flat2, Q) == pytest.approx(4.0, abs=1e-10)
         fid = identity_map(flat2, flat2)
         Q2 = BundlePoint.make([0.1, 0.1], [1.0, 0.0])
-        assert mp.generalized_Y1(fid, flat2, flat2, Q2) == pytest.approx(1.0, abs=1e-10)
+        assert y1(fid, flat2, flat2, Q2) == pytest.approx(1.0, abs=1e-10)
 
     def test_y1_scale_invariance(self, fs1, fs2):
         f = mp.ChartedMap(fs1.chart, fs2.chart, lambda z: (z[0], 0.3 * z[0] ** 2),
                           holomorphic=True)
         z = [0.2 - 0.3j]
         X = np.array([0.5, 1.0 + 0.5j])
-        vals = [mp.generalized_Y1(f, fs1, fs2, BundlePoint.make(z, lam * X,
-                                                                chart_index=1))
+        vals = [y1(f, fs1, fs2, BundlePoint.make(z, lam * X, chart_index=1))
                 for lam in (1.0, 3.0, 1j)]
         assert np.ptp(vals) < 1e-10
 
     def test_y2_values(self, flat1, flat2):
         fid = identity_map(flat2, flat2)
         R = mp.NestedBundlePoint.make([0.1, 0.2], [1.0, 0.0], [1.0, 0.0])
-        assert mp.generalized_Y2(fid, flat2, flat2, R) == pytest.approx(1.0, abs=1e-10)
+        assert y2(fid, flat2, flat2, R) == pytest.approx(1.0, abs=1e-10)
         f2 = mp.ChartedMap(flat1.chart, flat1.chart, lambda z: (2 * z[0],),
                            holomorphic=True)
         R1 = mp.NestedBundlePoint.make([0.3], [1.0], [1.0])
-        assert mp.generalized_Y2(f2, flat1, flat1, R1) == pytest.approx(4.0, abs=1e-10)
+        assert y2(f2, flat1, flat1, R1) == pytest.approx(4.0, abs=1e-10)
 
     def test_y2_biscale_invariance(self, flat2):
         fid = identity_map(flat2, flat2)
@@ -271,109 +281,46 @@ class TestY1Y2:
         for lw in (1.0, 2j):
             for lx in (1.0, 0.5 - 0.5j):
                 R = mp.NestedBundlePoint.make(z, lw * W, lx * X)
-                vals.append(mp.generalized_Y2(fid, flat2, flat2, R))
+                vals.append(y2(fid, flat2, flat2, R))
         assert np.ptp(vals) < 1e-10
 
 
-class TestSymmetricPower:
-    def test_induced_metric_norm_identity(self):
-        rng = np.random.default_rng(5)
-        for n, k in ((1, 3), (2, 2), (2, 3), (3, 2)):
-            A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            g = A @ A.conj().T + n * np.eye(n)
-            Gk = sympow.induced_metric(g, k)
-            v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            vec = sympow.sym_power_vector(v, n, k)
-            lhs = np.einsum("IJ,I,J->", Gk, vec, vec.conj())
-            rhs = np.einsum("ij,i,j->", g, v, v.conj()) ** k
-            assert lhs == pytest.approx(rhs, rel=1e-12)
-
-    def test_yk_reduces_to_y_at_k1(self, fs2, flat2):
-        f = mp.ChartedMap(fs2.chart, flat2.chart, lambda z: (z[0] ** 2, z[0] * z[1]),
-                          holomorphic=True)
-        P = BundlePoint.make([0.2 + 0.1j, -0.3j], [1.0, 0.5])
-        y1 = mp.generalized_Y_k(f, fs2, flat2, P, 1)
-        y = mp.generalized_Y(f, fs2, flat2, P)
-        assert y1 == pytest.approx(y, rel=1e-12)
-
-    def test_yk_doubling_map(self, flat1):
-        f = mp.ChartedMap(flat1.chart, flat1.chart, lambda z: (2 * z[0],),
-                          holomorphic=True)
-        P = BundlePoint.make([0.3], [1.0])
-        assert mp.generalized_Y_k(f, flat1, flat1, P, 3) == \
-            pytest.approx(64.0, abs=1e-10)   # |f'|^{2k} = 4^3
-
-    def test_yk_power_relation_rank_one(self, flat1):
-        f = square_map(flat1)
-        P = BundlePoint.make([0.4 - 0.2j], [1.0])
-        y = mp.generalized_Y(f, flat1, flat1, P)
-        for k in (2, 3):
-            yk = mp.generalized_Y_k(f, flat1, flat1, P, k)
-            assert yk == pytest.approx(y ** k, rel=1e-8)
-
-    def test_yk_m2_hand_contraction(self, fs2, flat2):
-        # Sym^2 of a genuine 2 x 2 Jacobian against the tensor-power identity
-        # |(J W)^{x2}|^2 / H^2 = (|J W|^2 / H)^2 for the induced metric
-        f = mp.ChartedMap(fs2.chart, flat2.chart,
-                          lambda z: (z[0] ** 2 + 0.5 * z[1], z[0] * z[1]),
-                          holomorphic=True)
-        P = BundlePoint.make([0.2 + 0.1j, -0.3j], [1.0, 0.6 - 0.2j])
-        holo, _ = f.jacobians(P.z)
-        JW = holo @ P.W_affine
-        H = np.einsum("gd,g,d->", fs2.matrix(P.z), P.W_affine,
-                      P.W_affine.conj()).real
-        expected = (float(np.vdot(JW, JW).real) / H) ** 2
-        val = mp.generalized_Y_k(f, fs2, flat2, P, 2)
-        assert val == pytest.approx(expected, rel=1e-10)
-
-    def test_constant_map_and_bad_k(self, flat1):
-        f = mp.ChartedMap(flat1.chart, flat1.chart, lambda z: (0.5 + 0j,),
-                          holomorphic=True)
-        P = BundlePoint.make([0.1], [1.0])
-        assert mp.generalized_Y_k(f, flat1, flat1, P, 2) == pytest.approx(0.0, abs=1e-14)
-        with pytest.raises(ValidationError):
-            mp.generalized_Y_k(f, flat1, flat1, P, 0)
-
-    def test_user_supplied_gk(self, flat1):
-        f = mp.ChartedMap(flat1.chart, flat1.chart, lambda z: (2 * z[0],),
-                          holomorphic=True)
-        P = BundlePoint.make([0.3], [1.0])
-        val = mp.generalized_Y_k(f, flat1, flat1, P, 2,
-                                 g_k=lambda fz: [[0.5]])
-        assert val == pytest.approx(8.0, abs=1e-10)  # 0.5 * 16
-
-
 class TestConformalY:
+    """Y_phi = e^phi Y through ``Y_field(weight=phi)``, the field S03
+    differentiates, against the pointwise ``generalized_Y``."""
+
+    @staticmethod
+    def y_phi(f, h, g, P, phi):
+        return np.real(mp.Y_field(f, h, g, P.chart_index, weight=phi)(P.combined()))
+
     def test_zero_weight(self, fs1, poincare1):
         f = identity_map(fs1, poincare1)
         P = BundlePoint.make([0.2], [1.0])
         y = mp.generalized_Y(f, fs1, poincare1, P)
-        assert mp.conformal_Y(f, fs1, poincare1, P, lambda z, W: 0.0) == \
+        assert self.y_phi(f, fs1, poincare1, P, lambda z, W: 0.0) == \
             pytest.approx(y, rel=1e-14)
 
     def test_log2_weight_doubles(self, fs1, poincare1):
         f = identity_map(fs1, poincare1)
         P = BundlePoint.make([0.2], [1.0])
         y = mp.generalized_Y(f, fs1, poincare1, P)
-        assert mp.conformal_Y(f, fs1, poincare1, P,
-                              lambda z, W: np.log(2.0)) == pytest.approx(2 * y,
-                                                                         rel=1e-12)
+        assert self.y_phi(f, fs1, poincare1, P, lambda z, W: np.log(2.0)) == \
+            pytest.approx(2 * y, rel=1e-12)
 
     def test_constant_map_stays_zero(self, fs1, poincare1):
         f = mp.ChartedMap(fs1.chart, poincare1.chart, lambda z: (0.1 + 0j,),
                           holomorphic=True)
         P = BundlePoint.make([0.2], [1.0])
-        assert mp.conformal_Y(f, fs1, poincare1, P, lambda z, W: 5.0) == \
+        assert self.y_phi(f, fs1, poincare1, P, lambda z, W: 5.0) == \
             pytest.approx(0.0, abs=1e-14)
 
     def test_field_route_matches_pointwise_route(self, fs1, poincare1):
-        from conftest import identity_map as _id
-        f = _id(fs1, poincare1)
+        f = identity_map(fs1, poincare1)
         phi = lambda zs, Ws: 0.3 * gm.real(zs[0]) + 0.1 * gm.abs2(zs[0])
         P = BundlePoint.make([0.25 - 0.15j], [1.0])
-        field = mp.Y_field(f, fs1, poincare1, P.chart_index, weight=phi)
-        direct = mp.conformal_Y(f, fs1, poincare1, P, phi)
-        assert np.real(field(P.combined())) == pytest.approx(direct, rel=1e-12)
+        direct = np.exp(np.real(phi(tuple(P.z), tuple(P.W_affine)))) * \
+            mp.generalized_Y(f, fs1, poincare1, P)
+        assert self.y_phi(f, fs1, poincare1, P, phi) == pytest.approx(direct, rel=1e-12)
 
 
 class TestHarmonicResiduals:
@@ -433,6 +380,17 @@ class TestHarmonicResiduals:
 
 
 class TestConstraintAndHatC:
+    def test_a_nan_residual_is_an_error_not_a_no(self):
+        # the Levi-Civita connection of g comes from an fd jet; NaN there
+        # made the residual NaN, which read as "not pluri-harmonic"
+        base = zoo.build_entry("pluri-poincare").obj
+        g = dataclasses.replace(base.g, rule=nan_on_arrays(base.g.rule))
+        z = base.f.source.center
+        for check in (mp.is_pluriharmonic, mp.constraint_D_check):
+            with pytest.raises(ValidationError,
+                               match="pluri-harmonic residual of map .* is not finite"):
+                check(base.f, g, z)
+
     def test_euclidean_target_zero(self, flat1):
         chart3 = RealChart(dim=3, radius=[9.0] * 3)
         eucl3 = RiemannianMetricField(chart3, lambda x: np.eye(3).tolist(), name="e3")

@@ -15,7 +15,7 @@ from projcurv.errors import ChartDomainError, NotApplicable, ValidationError
 from projcurv.fields import HermitianMetricField
 from projcurv.maps import ChartedMap, covector_metric_field, generalized_Y
 
-from conftest import fs_rule, identity_map, nan_on_right_half
+from conftest import fs_rule, identity_map, nan_on_arrays, nan_on_right_half
 
 
 def pair(name):
@@ -584,6 +584,41 @@ class TestFailClosed:
         assert rep.status == "error"
         assert "not finite at probe point z = " in rep.message
         json.dumps(rep.to_dict())
+
+    @pytest.mark.parametrize("side,term", [("h", "term1"), ("g", "term2")])
+    def test_nan_probe_term_is_error(self, side, term):
+        # term1 takes an fd log-H Hessian of h, term2 the Chern tensor of g at
+        # f(argmax), both from stencil arrays; a NaN term compared False with
+        # both signs and the probe passed as "consistent"
+        base = pair("fs-to-poincare")
+        metric = getattr(base, side)
+        p = dataclasses.replace(base, **{side: dataclasses.replace(
+            metric, rule=nan_on_arrays(metric.rule))})
+        with pytest.raises(ValidationError, match=f"probe {term} is not finite "
+                                                  r"at the argmax z = \["):
+            V.maximum_principle_probe(p.f, p.h, p.g, *V._probe_grid(p))
+        rep = V.run_suite(p, ["S5_probe"], samples=1, seed=0)[0]
+        assert rep.status == "error"
+        assert rep.message.startswith(f"ValidationError: probe {term} is not finite")
+        json.dumps(rep.to_dict())
+
+    def test_nan_target_connection_is_a_routing_error(self):
+        # a NaN pluri-harmonic residual is not a map that fails to be
+        # pluri-harmonic: the suites routed on it are errors, not "not
+        # applicable" with exit 0
+        base = pair("pluri-poincare")
+        p = dataclasses.replace(base, g=dataclasses.replace(
+            base.g, rule=nan_on_arrays(base.g.rule)))
+        reports = V.run_suite(p, ["S11", "W_psd", "S1"], samples=2, seed=0)
+        assert [r.status for r in reports] == ["error", "error", "not_applicable"]
+        for rep in reports[:2]:
+            assert rep.message.startswith(
+                "ValidationError: pluri-harmonic residual of map 'realify' is not finite")
+
+    def test_nan_curvature_term_is_not_hermitian(self):
+        C = np.array([[1.0, np.nan], [0.0, 1.0]])
+        with pytest.raises(ValidationError, match="target curvature term is not Hermitian"):
+            V._require_hermitian(C, "target curvature term")
 
     def test_error_is_not_downgraded_by_later_samples(self):
         rep = V.VerificationReport(suite="S1", pair="p", status="pass", seed=0,
