@@ -13,7 +13,9 @@ the differentiation engine.  Fiberwise integration against the normalized
 Fubini-Study volume uses the exact simplex-times-torus parametrization of
 the unit-sphere measure, pulled to general h by a linear change of fiber
 frame; reduction is by compensated summation so the node order cannot move
-results at the 1e-12 level.
+results at the 1e-12 level.  ``fiber_integrate`` takes the matrix h(z), not
+the field, so the pushforward check hands it the h(z) its densities read
+and builds the frame once for both quadrature orders.
 """
 
 from __future__ import annotations
@@ -175,7 +177,7 @@ def tautological_curvature(tm: TautologicalMetric, P):
 def _check_base_normal(tm: TautologicalMetric, z):
     H = tm.h.matrix(z)
     m = tm.m
-    if float(np.max(np.abs(H - np.eye(m)))) > 1e-6:
+    if not float(np.max(np.abs(H - np.eye(m)))) <= 1e-6:     # a NaN H fails too
         raise ValidationError(
             "horizontal curvature value needs base-normal coordinates "
             "(metric must be the identity at the base point); "
@@ -250,27 +252,23 @@ def _fiber_nodes(m: int, order: int):
     return Vs, ws
 
 
-def _fiber_integral_once(h: HermitianMetricField, density, z, order: int) -> float:
-    m = h.dim
-    H = h.matrix(z)
-    lam, U = np.linalg.eigh(H.conj())
-    S_inv = U @ np.diag(lam ** -0.5) @ U.conj().T   # H(S^{-1} V) = |V|^2
-    Vs, ws = _fiber_nodes(m, order)
+def _fiber_integral_once(S_inv: np.ndarray, density, order: int) -> float:
+    Vs, ws = _fiber_nodes(len(S_inv), order)
     Ws = affine_rows(Vs @ S_inv.T)
     vals = np.asarray(density(Ws), float)
     bad = np.flatnonzero(~np.isfinite(vals))
     if bad.size:
         k = int(bad[0])
         raise QuadratureError(
-            f"fiber density is not finite at z = {np.asarray(z).tolist()}, "
-            f"order {order}, node {k} (W = {Ws[k].tolist()}): {vals[k]}")
+            f"fiber density is not finite at order {order}, node {k} "
+            f"(W = {Ws[k].tolist()}): {vals[k]}")
     return math.fsum(ws * vals)
 
 
-def fiber_integrate(h: HermitianMetricField, density, z, order: int = 8,
-                    tol: float = 1e-6):
+def fiber_integrate(H, density, order: int = 8, tol: float = 1e-6):
     """Integral of a fiber density over P(T_zM) against the normalized
-    Fubini-Study volume of h(z); constants integrate to themselves.
+    Fubini-Study volume of the metric matrix H = h(z); constants integrate
+    to themselves.
 
     ``density`` maps an (N, m) array of fiber directions over z, each row an
     affine representative whose largest-modulus coordinate is one, to N real
@@ -280,8 +278,10 @@ def fiber_integrate(h: HermitianMetricField, density, z, order: int = 8,
     """
     if order < 2:
         raise ValidationError("quadrature order must be at least 2")
-    i1 = _fiber_integral_once(h, density, z, order)
-    i2 = _fiber_integral_once(h, density, z, 2 * order)
+    lam, U = np.linalg.eigh(np.conj(H))
+    S_inv = U @ np.diag(lam ** -0.5) @ U.conj().T   # H(S^{-1} V) = |V|^2
+    i1 = _fiber_integral_once(S_inv, density, order)
+    i2 = _fiber_integral_once(S_inv, density, 2 * order)
     if abs(i2 - i1) > tol * max(1.0, abs(i2)):
         raise QuadratureError(
             f"fiber quadrature did not converge: order {order} gives {i1!r}, "
@@ -294,11 +294,18 @@ def pushforward_energy_check(f, h: HermitianMetricField, g, z,
     """Compare m times the fiber integral of the generalized density with the
     classical energy density at a base point.
 
+    df, f(z), g(f(z)) and h(z) are evaluated once, and feed Y, the fiber
+    integral's metric and u alike; the results are bit for bit those of
+    ``h.dim * fiber_integrate(h.matrix(z), maps.Y_on_fiber(f, h, g, z))``
+    and ``maps.classical_energy_density(f, h, g, z)``.
+
     Returns (m_pi_Y, u, residual) with residual = |m pi_*(Y) - u|.
     """
     from . import maps as maps_mod
 
-    density = maps_mod.Y_on_fiber(f, h, g, z)
-    pushed = h.dim * fiber_integrate(h, density, z, order=order, tol=tol)
-    u = maps_mod.classical_energy_density(f, h, g, z)
+    base = maps_mod._base_values(f, h, g, z)
+    H = base[2][0]                  # h(z)
+    pushed = h.dim * fiber_integrate(H, maps_mod._fiber_density(base, False),
+                                     order=order, tol=tol)
+    u = maps_mod._energy_density(base)
     return pushed, u, abs(pushed - u)

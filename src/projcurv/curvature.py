@@ -43,14 +43,14 @@ NORMAL_POST_TOL = 1e-10
 def _riemannian_entry_jets(metric: RiemannianMetricField, xs, order=2):
     """Value, first and (optionally) second coordinate derivatives of g_{ij}
     at an (N, n) stack of points, sample axis first; the values are the
-    ones ``check_at`` validated, point by point.
+    stencil centres, validated by one ``check_stack`` for the stack.
 
     Entries below the diagonal are copied from those above it, so the
     derivative arrays are exactly symmetric in (i, j) whatever the rounding
     of the rule's two expressions for g_{ij} and g_{ji}.
     """
-    G = [metric.check_at(x) for x in xs]
-    d1, d2 = diffops.matrix_jet(metric, xs, backend="fd", order=order)
+    M, d1, d2 = diffops.matrix_jet(metric, xs, backend="fd", order=order)
+    G = metric.check_stack(M, xs)
     idx = np.arange(metric.dim)
     upper = idx[:, None] <= idx
 
@@ -92,13 +92,14 @@ class ChernCurvatureTensor:
 def chern_curvature(metric: HermitianMetricField, z):
     """Chern curvature tensor of a Hermitian metric at a point, or the list
     of tensors at an (N, m) stack of points.  A stack takes one metric jet
-    for all its points; the checks and contractions run point by point."""
+    for all its points, and one ``check_stack`` of the jet's values; the
+    contractions run point by point."""
     zs, stacked = diffops.point_stack(z)
-    Hs = [metric.check_at(p) for p in zs]
     # dz[k, g, a, b] = d h_{a bbar}/dz^g and
     # mixed[k, g, d, a, b] = d^2 h_{a bbar}/dz^g dzbar^d at the k-th point
-    dz, mixed = diffops.matrix_jet(metric, zs, backend="fd")
-    tensors = [_chern_tensor(*args) for args in zip(Hs, dz, mixed, zs)]
+    M, dz, mixed = diffops.matrix_jet(metric, zs, backend="fd")
+    tensors = [_chern_tensor(*args)
+               for args in zip(metric.check_stack(M, zs), dz, mixed, zs)]
     return tensors if stacked else tensors[0]
 
 
@@ -109,7 +110,7 @@ def _chern_tensor(H, dz, mixed, z) -> ChernCurvatureTensor:
     R = -mixed + second
     tensor = ChernCurvatureTensor(array=R, metric_value=H)
     scale = max(1.0, float(np.max(np.abs(R))))
-    if tensor.hermitian_defect() > 1e-6 * scale:
+    if not tensor.hermitian_defect() <= 1e-6 * scale:     # a NaN defect fails too
         raise ValidationError(
             f"Chern curvature Hermitian-symmetry defect "
             f"{tensor.hermitian_defect():.3e} at {z}")
@@ -160,7 +161,8 @@ def levi_civita_christoffels(metric: RiemannianMetricField, x,
             nabla = (d1 - np.einsum("ski,sj->kij", Gamma, G)
                      - np.einsum("skj,is->kij", Gamma, G))
             defect = float(np.max(np.abs(nabla)))
-            if defect > 1e-6 * max(1.0, float(np.max(np.abs(d1)))):
+            # a NaN defect fails too
+            if not defect <= 1e-6 * max(1.0, float(np.max(np.abs(d1)))):
                 raise ValidationError(f"metric compatibility defect {defect:.3e} at {xk}")
         out.append(Gamma)
     return out if stacked else out[0]
@@ -352,7 +354,7 @@ def _linear_stage(metric, p):
     A = (U @ np.diag(lam ** -0.5) @ U.conj().T).conj()
     stage = type(metric)(type(metric.chart)(dim=n), _pullback_rule(metric, p, A),
                          validate_on_init=False)
-    return A, diffops.matrix_jet(stage, np.zeros(n), backend="dual", order=1)[0]
+    return A, diffops.matrix_jet(stage, np.zeros(n), backend="dual", order=1)[1]
 
 
 def _normal_frame(metric, p, A, b):
@@ -371,7 +373,7 @@ def _normal_frame(metric, p, A, b):
     identity_defect = np.max(np.abs(new_metric.matrix(np.zeros(n)) - np.eye(n)))
     if not float(identity_defect) <= NORMAL_POST_TOL:   # a NaN defect fails too
         raise ValidationError("normal coordinates: metric not identity at center")
-    jet, _ = diffops.matrix_jet(new_metric, np.zeros(n), backend="dual", order=1)
+    _, jet, _ = diffops.matrix_jet(new_metric, np.zeros(n), backend="dual", order=1)
     return NormalFrame(center=p, linear=A, quadratic=b, metric=new_metric), jet
 
 

@@ -29,8 +29,18 @@ Levi-Civita Christoffels.  What stays per sample, by design: the dual
 backend (one hyper-dual pass per point), every contraction after the jet
 (``einsum`` and matmul may group their sums differently for a stack than
 for one point, which would move results by an ulp), ``Form11`` and its
-eigenvalues, and every check (the chart margin, the metric at the point,
-the Hermitian defects), so an error names its own point.
+eigenvalues, and the Hermitian defects of the assembled tensors.  The
+checks of a stack (the chart margin, and the metric at the points through
+``check_stack``) run once for the whole stack and name its first failing
+point, with the message that point alone would give.
+
+Values come with the jets.  Every jet carries the rule's value at its
+points: the fd stencil's centre column, gradient stencils included, or
+the dual value slot.  ``matrix_jet`` hands the metric's matrix on, which
+the curvature tensors check and then invert and contract, and a joint
+density's Hessian hands on the density's value for its T D term, so no
+check or density evaluates the rule at the point again.  The centre column
+is array arithmetic, so it may differ from a scalar call by an ulp.
 
 One stencil per chart and point.  A density and the metric it divides by
 live on the same chart at the same points, so a joint density field
@@ -105,9 +115,9 @@ def _eval_stencil(F, p, offsets, shape):
 def _unit_stencils(n):
     """Stencil offsets for step 1 in n real directions, read-only.
 
-    Returns (axis, full, A, B).  ``axis`` (n, 4n) holds +1, -1, +1/2, -1/2
-    along each axis in turn: the gradient stencil.  ``full`` prepends the
-    centre and appends, for each pair a < b in (A, B) and h = 1 then 1/2,
+    Returns (full, A, B).  ``full`` holds the centre, then +1, -1, +1/2,
+    -1/2 along each axis in turn (its first 1 + 4n columns are the gradient
+    stencil), then, for each pair a < b in (A, B) and h = 1 then 1/2,
     h(+a+b), h(+a-b), h(-a+b), h(-a-b): the Hessian stencil.  Scaling by
     the step s is exact, so the points are those of the scalar formulas.
     """
@@ -123,9 +133,9 @@ def _unit_stencils(n):
             cross[A, pairs, k, j] = sa * h
             cross[B, pairs, k, j] = sb * h
     full = np.concatenate([np.zeros((n, 1)), axis, cross.reshape(n, -1)], axis=1)
-    for arr in (axis, full, A, B):
+    for arr in (full, A, B):
         arr.setflags(write=False)
-    return axis, full, A, B
+    return full, A, B
 
 
 def _axis_grad(V, s):
@@ -139,14 +149,16 @@ def _axis_grad(V, s):
 
 
 def _real_grad_fd(F, p, s, shape=()):
-    axis, _, _, _ = _unit_stencils(p.shape[1])
-    grad, _ = _axis_grad(_eval_stencil(F, p, s * axis, shape), s)
-    return grad
+    full, _, _ = _unit_stencils(p.shape[1])
+    # the centre and the axis block: the Hessian stencil's first 1 + 4n columns
+    V = _eval_stencil(F, p, s * full[:, :1 + 4 * p.shape[1]], shape)
+    grad, _ = _axis_grad(V[:, 1:], s)
+    return V[:, 0], grad
 
 
 def _real_jet2_fd(F, p, s, shape=()):
     N, n = p.shape
-    _, full, A, B = _unit_stencils(n)
+    full, A, B = _unit_stencils(n)
     V = _eval_stencil(F, p, s * full, shape)
     f0 = V[:, 0]
     grad, (vps, vms, vph, vmh) = _axis_grad(V[:, 1:1 + 4 * n], s)
@@ -227,13 +239,14 @@ def _real_jet2_dual(F, p, shape=()):
 
 
 def _real_grad_dual(F, p, shape=()):
-    """Real gradient from one hyper-dual evaluation seeded with every
-    direction in the first slot; the second and mixed slots are untracked."""
+    """Value and real gradient from one hyper-dual evaluation seeded with
+    every direction in the first slot; the second and mixed slots are
+    untracked."""
     n = p.size
     eye = np.eye(n)
     coords = [HyperDual(p[c], eye[c], None, None) for c in range(n)]
-    _, f1, _ = _dual_slots(F(coords), shape, n, mixed=False)
-    return f1
+    f0, f1, _ = _dual_slots(F(coords), shape, n, mixed=False)
+    return f0, f1
 
 
 # complex-point wrappers ---------------------------------------------------
@@ -288,9 +301,11 @@ def _wirt_holo2_from_real(H: np.ndarray, d: int) -> np.ndarray:
 
 def _real_jet(rule, chart, z, backend: str, order: int = 2, shape=()):
     """Real jets of a rule at one point or an (N, d) stack of points:
-    (value, grad, hess) for order 2 and (None, grad, None) for order 1,
+    (value, grad, hess) for order 2 and (value, grad, None) for order 1,
     each with a leading sample axis (of length 1 for a single point) and
-    the derivative axes next.
+    the derivative axes next.  The value is the stencil's centre column
+    (fd) or the value slot (dual): the rule at the point, evaluated with
+    the jet, never by a call of its own.
 
     The one dispatch point of the engine.  It enforces the chart margin the
     order's stencil needs at every point (naming the first that fails), on
@@ -321,11 +336,10 @@ def _real_jet(rule, chart, z, backend: str, order: int = 2, shape=()):
     if backend == "fd":
         if order >= 2:
             return _real_jet2_fd(F, p, s, shape)
-        return None, _real_grad_fd(F, p, s, shape), None
-    if order >= 2:
-        jets = [_real_jet2_dual(F, q, shape) for q in p]
-        return tuple(np.stack(parts) for parts in zip(*jets))
-    return None, np.stack([_real_grad_dual(F, q, shape) for q in p]), None
+        return _real_grad_fd(F, p, s, shape) + (None,)
+    jet = _real_jet2_dual if order >= 2 else _real_grad_dual
+    parts = tuple(np.stack(part) for part in zip(*[jet(F, q, shape) for q in p]))
+    return parts if order >= 2 else parts + (None,)
 
 
 # public operations --------------------------------------------------------
@@ -354,9 +368,11 @@ def wirtinger_hessian(field: ScalarField, z, backend: str = "fd"):
 
     A joint density field (``ScalarField.joint``) is differentiated through
     its joint rule, so one stencil serves the density and its rider, and
-    each point gives (Form11 of the density, (dz, mixed) of the rider) with
-    dz[g, ...] = d R / dz^g and mixed[k, l, ...] = d^2 R / dz^k dzbar^l over
-    the rider's shape, as ``matrix_jet`` gives them for a metric.
+    each point gives (Form11 of the density, the density's value, (value,
+    dz, mixed) of the rider) with dz[g, ...] = d R / dz^g and
+    mixed[k, l, ...] = d^2 R / dz^k dzbar^l over the rider's shape, as
+    ``matrix_jet`` gives them for a metric.  Both values are the stencil's
+    centre column.
     """
     d = field.chart.dim
     if field.joint_rule is None:
@@ -364,14 +380,15 @@ def wirtinger_hessian(field: ScalarField, z, backend: str = "fd"):
         out = [Form11(M) for M in _wirt_mixed_from_real(H, d)]
     else:
         shape = field.rider
-        _, grad, H = _real_jet(_flat_joint(field.joint_rule, shape), field.chart, z,
-                               backend, shape=(1 + math.prod(shape),))
+        f0, grad, H = _real_jet(_flat_joint(field.joint_rule, shape), field.chart, z,
+                                backend, shape=(1 + math.prod(shape),))
         mixed = _wirt_mixed_from_real(H, d)
         N = len(mixed)
-        rider_dz = _wirt_grad_from_real(grad, d)[..., 1:].reshape((N, d) + shape)
-        rider_mixed = mixed[..., 1:].reshape((N, d, d) + shape)
-        out = [(Form11(M[..., 0]), jet)
-               for M, jet in zip(mixed, zip(rider_dz, rider_mixed))]
+        rider = (f0[:, 1:].reshape((N,) + shape),
+                 _wirt_grad_from_real(grad, d)[..., 1:].reshape((N, d) + shape),
+                 mixed[..., 1:].reshape((N, d, d) + shape))
+        out = [(Form11(M[..., 0]), D, jet)
+               for M, D, jet in zip(mixed, f0[:, 0].real, zip(*rider))]
     return out if np.ndim(z) == 2 else out[0]
 
 
@@ -416,27 +433,29 @@ def cross_check(field: ScalarField, z, rtol: float = CROSS_CHECK_RTOL) -> float:
 # metric-matrix jets -------------------------------------------------------
 
 def matrix_jet(metric, z, backend: str = "fd", order: int = 2):
-    """Derivatives of every entry of a metric field's matrix at z.
+    """The matrix of a metric field at z and the derivatives of its entries.
 
     One rule evaluation per stencil (fd; one for a whole stack of points) or
     per seed batch (dual) yields all entries at once, and the chart margin is
     enforced as for scalar fields.  On a complex chart the result is
-    Wirtinger: (dz, mixed) with dz[g, a, b] = d M_ab / dz^g and
+    Wirtinger: (M, dz, mixed) with dz[g, a, b] = d M_ab / dz^g and
     mixed[k, l, a, b] = d^2 M_ab / dz^k dzbar^l.  On a real chart it is
-    (d1, d2) with d1[i, a, b] = d M_ab / dx^i and d2[i, j, a, b] =
-    d^2 M_ab / dx^i dx^j.  The second-order part is None when ``order`` is
-    1.  A stack of points puts a sample axis first on both parts.
+    (M, d1, d2) with d1[i, a, b] = d M_ab / dx^i and d2[i, j, a, b] =
+    d^2 M_ab / dx^i dx^j.  M is the complex matrix at z, from the stencil's
+    centre column or the value slot; it is not checked (``check_stack``
+    does that).  The second-order part is None when ``order`` is 1.  A
+    stack of points puts a sample axis first on every part.
     """
     chart = metric.chart
-    _, grad, hess = _real_jet(metric.rule, chart, z, backend, order,
+    M, grad, hess = _real_jet(metric.rule, chart, z, backend, order,
                               (metric.dim, metric.dim))
     if isinstance(chart, ComplexChart):
         d = chart.dim
         grad = _wirt_grad_from_real(grad, d)
         hess = None if hess is None else _wirt_mixed_from_real(hess, d)
     if np.ndim(z) == 2:
-        return grad, hess
-    return grad[0], None if hess is None else hess[0]
+        return M, grad, hess
+    return M[0], grad[0], None if hess is None else hess[0]
 
 
 # map-component jets (vector-valued rules) ---------------------------------

@@ -110,8 +110,10 @@ class _MetricBase:
             f"metric {self.name!r}: rule returned shape {shape}, "
             f"expected ({self.dim}, {self.dim})")
 
-    def _check_stack(self, M, points):
-        """Check the (count, d, d) stack M of rule values at ``points``.
+    def check_stack(self, M, points):
+        """Check the (count, d, d) stack M of rule values at ``points``: the
+        values a jet's stencil centre or value slot holds (``matrix_jet``),
+        or a probe-point evaluation.
 
         Raises for the first failing point, with the first check it fails,
         exactly as checking the points one by one would.  Returns the
@@ -140,7 +142,7 @@ class _MetricBase:
 
     def check_at(self, z) -> np.ndarray:
         """Validate the metric at one point; returns ``matrix(z)``."""
-        return self._check_stack(self._raw_matrix(z)[None], [z])[0]
+        return self.check_stack(self._raw_matrix(z)[None], [z])[0]
 
     def validate(self, rng, count: int = 100):
         """Validate at ``count`` chart points drawn as ``count`` calls to
@@ -152,7 +154,7 @@ class _MetricBase:
             vals = rule_values(out, (d, d), count)
         except ValueError:
             raise self._shape_error(_point_shape(out, count)) from None
-        self._check_stack(np.moveaxis(vals, -1, 0), points)
+        self.check_stack(np.moveaxis(vals, -1, 0), points)
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,9 @@ with H = h_{g dbar} W^g Wbar^d and H1 = g^{k lbar} X_k Xbar_l.  Everything is
 projectively invariant in the fiber coordinates, which the tests enforce.
 u and Y also have pointwise forms (``classical_energy_density``,
 ``generalized_Y``, ``Y_on_fiber``) for the fiber integrals and the S5 probe.
+They read df, f(z), g(f(z)) and h(z) through one helper (``_base_values``),
+so ``bundle.pushforward_energy_check`` evaluates them once for Y, for the
+fiber integral's metric and for u.
 
 ``Y_on_fiber`` evaluates Y over an (N, m) stack of base points, as the S5
 probe's lattice needs.  Stacked: df, from the m dual passes of one point
@@ -130,28 +133,34 @@ class ChartedMap:
 
 def classical_energy_density(f: ChartedMap, h: HermitianMetricField, g, z) -> float:
     """u = g_{ij} h^{a bbar} f^i_a conj(f^j_b); zero exactly when df vanishes."""
-    holo, _ = f.jacobians(z)
-    G = g.matrix(f.value(z))
-    hup = h.inverse_up(z)
-    u = np.einsum("ij,ab,ia,jb->", G, hup, holo, holo.conj())
-    return float(np.real(u))
+    return _energy_density(_base_values(f, h, g, z))
 
 
 def Y_on_fiber(f: ChartedMap, h: HermitianMetricField, g, z):
     """The density Y on the fiber P(T_zM) over one base point z, or over
     each row of an (N, m) stack of base points.
 
+    The returned function maps a (K, m) stack of affine fiber
+    representatives W to the (N, K) values g(df W, df W) / h(W, W), or to K
+    values for a single base point.
+    """
+    return _fiber_density(_base_values(f, h, g, z), np.ndim(z) == 2)
+
+
+def _base_values(f: ChartedMap, h: HermitianMetricField, g, z):
+    """(df, g(f(z)), h(z)) at a base point z, or at each row of an (N, m)
+    stack, as (N, n, m), (N, n, n) and (N, m, m) arrays: everything both
+    densities read, so ``pushforward_energy_check`` evaluates it once.
+
     df at all N points comes from one set of m dual passes of the map rule
     (``ChartedMap.jacobians`` on the stack).  f(z), g(f(z)) and h(z) stay
     one scalar rule call per point, stacked into arrays: NumPy's array
     complex multiply rounds differently from its scalar one, so these rules
-    on arrays would move values by an ulp.  The returned function maps a
-    (K, m) stack of affine fiber representatives W to the (N, K) values
-    g(df W, df W) / h(W, W), or to K values for a single base point.  A
-    base point where df, f, g or h is not finite has NaN values, also where
-    the contraction would drop it (g constant, say).
+    on arrays would move values by an ulp.  A base point where df, f, g or
+    h is not finite gets NaN g entries, so its densities are NaN, also
+    where the contraction would drop the bad entry (g constant, say).
     """
-    zs, stacked = diffops.point_stack(z)
+    zs, _ = diffops.point_stack(z)
     holo = f.jacobians(z)[0].reshape(len(zs), f.n, f.m)
     fz = np.array([f.value(q) for q in zs])
     G = np.array([g.matrix(p) for p in fz])
@@ -161,6 +170,14 @@ def Y_on_fiber(f: ChartedMap, h: HermitianMetricField, g, z):
         # NaN entries of g reach every value at their point
         G[~np.logical_and.reduce(
             [np.isfinite(x).reshape(len(zs), -1).all(axis=1) for x in parts])] = np.nan
+    return holo, G, Hm
+
+
+def _fiber_density(base, stacked: bool):
+    """Y over the base points of ``base`` (``_base_values``), as a function
+    of a (K, m) stack of affine fiber representatives: (N, K) values, or K
+    for a single base point when ``stacked`` is false."""
+    holo, G, Hm = base
 
     def density(Ws: np.ndarray) -> np.ndarray:
         # (N, K, n); each row rounds as holo @ W does
@@ -171,6 +188,13 @@ def Y_on_fiber(f: ChartedMap, h: HermitianMetricField, g, z):
         return vals if stacked else vals[0]
 
     return density
+
+
+def _energy_density(base) -> float:
+    """u at the first base point of ``base`` (``_base_values``)."""
+    holo, G, Hm = (x[0] for x in base)
+    hup = np.linalg.inv(Hm).conj()
+    return float(np.real(np.einsum("ij,ab,ia,jb->", G, hup, holo, holo.conj())))
 
 
 def generalized_Y(f: ChartedMap, h: HermitianMetricField, g, P: BundlePoint) -> float:
@@ -290,7 +314,10 @@ def Y1_field(f: ChartedMap, h: HermitianMetricField, g: HermitianMetricField,
 
 def Y2_field(f: ChartedMap, h: HermitianMetricField, g: HermitianMetricField,
              w_chart_index: int, x_chart_index: int) -> ScalarField:
-    """Y2 as a scalar field on the (z, w, x) chart of the nested bundle."""
+    """Y2 as a joint field on the (z, w, x) chart of the nested bundle, with
+    the product H H1 it divides by as its rider, so that its Hessian hands
+    on Y2's value for S3's T D term.  S3 takes the curvatures of H and H1
+    from their own sub-chart stencils, not from this rider."""
     m, n = f.m, f.n
 
     def rule(zs):
@@ -308,14 +335,15 @@ def Y2_field(f: ChartedMap, h: HermitianMetricField, g: HermitianMetricField,
         H = gm.pairing(h.matrix_generic(z), W, W)
         gup = _generic_inverse_up(g.matrix_generic(f.rule(z)), n)
         H1 = gm.pairing(gup, X, X)
-        return gm.real(num) / (gm.real(H) * gm.real(H1))
+        HH1 = gm.real(H) * gm.real(H1)
+        return gm.real(num) / HH1, HH1
 
     chart = f.source
     if m > 1:
         chart = chart.product(fiber_chart(m - 1))
     if n > 1:
         chart = chart.product(fiber_chart(n - 1))
-    return ScalarField(chart, rule, name="nested_density")
+    return ScalarField.joint(chart, rule, "nested_density")
 
 
 def u_field(f: ChartedMap, h: HermitianMetricField, g) -> ScalarField:
@@ -436,9 +464,10 @@ def target_christoffels(g, p):
 
 
 def _chern_christoffels(g: HermitianMetricField, z) -> np.ndarray:
-    """Gamma^i_{jk} = g^{i lbar} d g_{k lbar} / dz^j of the Chern connection."""
-    dz, _ = diffops.matrix_jet(g, z, backend="dual", order=1)
-    gup = g.inverse_up(z)   # g^{i lbar} = conj(inv)[i, l]
+    """Gamma^i_{jk} = g^{i lbar} d g_{k lbar} / dz^j of the Chern connection,
+    with g at z read from the jet's value slot."""
+    M, dz, _ = diffops.matrix_jet(g, z, backend="dual", order=1)
+    gup = np.linalg.inv(M).conj()   # g^{i lbar} = conj(inv)[i, l]
     return np.einsum("il,jkl->ijk", gup, dz)
 
 

@@ -142,13 +142,12 @@ def _density_hessian_sides(f: ChartedMap, h: HermitianMetricField, g, Ps,
 
 def _hessian_sides(density, coords) -> list:
     """[(ddbar D, T D)] for the joint density field D at each row of coords,
-    with T = -ddbar log of the metric D divides by.  Both come from one
-    stencil evaluation for all rows."""
-    coords = np.array(coords)
-    jets = diffops.wirtinger_hessian(density, coords, backend="fd")
+    with T = -ddbar log of the metric D divides by.  Both, and D itself,
+    come from one stencil evaluation for all rows."""
+    jets = diffops.wirtinger_hessian(density, np.array(coords), backend="fd")
     # -ddbar log H as tautological_curvature forms it
-    return [(L, Form11(-Form11(mixed).matrix).scaled(float(np.real(density(x)))))
-            for (L, (_, mixed)), x in zip(jets, coords)]
+    return [(L, Form11(-Form11(mixed).matrix).scaled(float(D)))
+            for L, D, (_, _, mixed) in jets]
 
 
 def _map_jets(f: ChartedMap, zs) -> list:
@@ -165,7 +164,7 @@ def _s1_sides(f: ChartedMap, h: HermitianMetricField, g, Ps, weight=None):
     jets = _map_jets(f, [P.z for P in Ps])
     curvatures = _target_curvature(g, np.array([fz for _, fz in jets]))
     out = []
-    for P, (lhs, taut), jet, K in zip(Ps, sides, jets, curvatures):
+    for P, (lhs, taut), jet, (K, _) in zip(Ps, sides, jets, curvatures):
         H_val = tm.H_value(P)
         C = _embed_base_block(_target_curvature_term(K, jet[0], P.W_affine), f.m,
                               _combined_dim(f.m))
@@ -178,13 +177,15 @@ def _embed_base_block(C: np.ndarray, m: int, dim: int) -> Form11:
 
 
 def _target_curvature(g, ps) -> list:
-    """The target curvature at each point of the stack ps as K[k, l, i, j],
-    with (k, l) paired with df and conj(df) and (i, j) with F and conj(F):
-    the Chern tensor of a Hermitian g, the Riemann tensor R_{kjil} of a
-    Riemannian one.  One metric jet serves the whole stack."""
+    """(K, g) at each point of the stack ps: the target curvature as
+    K[k, l, i, j], with (k, l) paired with df and conj(df) and (i, j) with F
+    and conj(F), and the checked metric matrix there.  K is the Chern tensor
+    of a Hermitian g, the Riemann tensor R_{kjil} of a Riemannian one.  One
+    metric jet serves the whole stack."""
     if isinstance(g, HermitianMetricField):
-        return [t.array for t in chern_curvature(g, ps)]
-    return [t.array.transpose(0, 3, 2, 1) for t in riemann_curvature(g, ps)]
+        return [(t.array, t.metric_value) for t in chern_curvature(g, ps)]
+    return [(t.array.transpose(0, 3, 2, 1), t.metric_value)
+            for t in riemann_curvature(g, ps)]
 
 
 def _target_curvature_term(K: np.ndarray, holo: np.ndarray, W: np.ndarray) -> np.ndarray:
@@ -331,16 +332,15 @@ def _s01_sides(f: ChartedMap, h: HermitianMetricField, g, zs) -> list:
     zs = np.asarray(zs, complex)
     # one stencil gives ddbar u and the jet of h behind the source Chern tensor
     u_jets = diffops.wirtinger_hessian(maps_mod.u_field(f, h, g), zs, backend="fd")
-    Hs = [h.check_at(z) for z in zs]
+    Hs = h.check_stack(np.array([H for _, _, (H, _, _) in u_jets]), zs)
     source = [_chern_tensor(H, dz, mixed, z)
-              for H, (_, (dz, mixed)), z in zip(Hs, u_jets, zs)]
+              for H, (_, _, (_, dz, mixed)), z in zip(Hs, u_jets, zs)]
     jets = _map_jets(f, zs)
     target = _target_curvature(g, np.array([fz for _, fz in jets]))
     out = []
-    for z, (L, _), Rh, (holo, fz), K in zip(zs, u_jets, source, jets, target):
+    for (L, _, _), H, Rh, (holo, _), (K, G) in zip(u_jets, Hs, source, jets, target):
         holo_bar = holo.conj()
-        G = g.matrix(fz)
-        hup = h.inverse_up(z)
+        hup = np.linalg.inv(H).conj()
         P_mat = np.einsum("ij,im,jn->mn", G, holo, holo_bar)
         E = np.einsum("mn,km,ln->kl", hup, holo, holo_bar)
         second = np.einsum("ijkl,ia,jb,kl->ab", K, holo, holo_bar, E)
@@ -389,7 +389,7 @@ def _form_inequalities(suite, f, h, g, pts, phi=None) -> list:
         for Q, (L, T), Rh in zip(Qs, y1_sides, source):
             holo, _ = f.jacobians(Q.z)
             X = Q.W_affine
-            hup = h.inverse_up(Q.z)
+            hup = np.linalg.inv(Rh.metric_value).conj()
             C = np.einsum("abgd,gn,md,km,ln,k,l->ab", Rh.array, hup, hup,
                           holo, holo.conj(), X, X.conj())
             _require_hermitian(C, "source curvature term")
@@ -407,14 +407,14 @@ def _form_inequalities(suite, f, h, g, pts, phi=None) -> list:
         # on the (z, w) and (z, x) sub-charts, whose fd steps are those of
         # the nested chart only when m, n > 1
         y2 = maps_mod.Y2_field(f, h, g, Rs[0].P.chart_index, Rs[0].x_chart_index)
-        coords = np.array([R.combined() for R in Rs])
-        lhs = diffops.wirtinger_hessian(y2, coords, backend="fd")
+        lhs = diffops.wirtinger_hessian(y2, np.array([R.combined() for R in Rs]),
+                                        backend="fd")
         curv = tautological_curvature(TautologicalMetric(h), [R.P for R in Rs])
         Qs = [BundlePoint.make(R.P.z, R.X, R.x_chart_index) for R in Rs]   # (z, [X])
         curv1 = tautological_curvature(_covector_tautological(f, g), Qs)
         sides = [(L, (Form11.embed(T.matrix, zw_idx, dim) + Form11.embed(T1.matrix, zx_idx, dim))
-                  .scaled(float(np.real(y2(x)))))
-                 for L, T, T1, x in zip(lhs, curv, curv1, coords)]
+                  .scaled(float(D)))
+                 for (L, D, _), T, T1 in zip(lhs, curv, curv1)]
 
     else:
         raise ValidationError(f"unhandled suite {suite!r}")

@@ -105,3 +105,18 @@ def nan_on_arrays(rule):
         return [[entry * np.nan for entry in row] for row in out]
 
     return wrapped
+
+
+def nan_off_centre(rule):
+    """``rule`` with every entry NaN at the stencil points of a single
+    point's fd jet but its centre (column 0), and unchanged on numbers and
+    jets: the metric value a jet hands on passes its check, and every
+    derivative is NaN."""
+    def wrapped(z):
+        out = rule(z)
+        if not any(isinstance(c, np.ndarray) and c.ndim for c in z):
+            return out
+        off = np.where(np.arange(np.size(z[0])) == 0, 1.0, np.nan)
+        return [[entry * off for entry in row] for row in out]
+
+    return wrapped

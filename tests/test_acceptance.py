@@ -80,14 +80,15 @@ def test_criterion_02_constant_curvature_goldens():
 def test_criterion_03_fubini_study_moment_identity():
     for m in (2, 3):
         flat = zoo.build_entry("flat", {"dim": m}).obj
-        vol = fiber_integrate(flat, lambda W: np.ones(len(W)), np.zeros(m), order=6)
+        H = flat.matrix(np.zeros(m))
+        vol = fiber_integrate(H, lambda W: np.ones(len(W)), order=6)
         assert vol == pytest.approx(1.0, abs=1e-8)
         for a in range(m):
             for b in range(m):
                 def density(W, a=a, b=b):
                     return (W[:, a] * np.conj(W[:, b])).real / np.linalg.norm(W, axis=1) ** 2
 
-                val = fiber_integrate(flat, density, np.zeros(m), order=6)
+                val = fiber_integrate(H, density, order=6)
                 assert val == pytest.approx(1.0 / m if a == b else 0.0, abs=1e-6)
     _report(3, "moment integrals = delta/m (1e-6) and fiber volume = 1 (1e-8) "
                "for m in {2, 3}")

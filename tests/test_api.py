@@ -14,6 +14,8 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "projcurv"
 # ROADMAP item that will call it, or the test oracle it serves as
 KEEP = {
     "generalized_Y": "entry point: Y at one bundle point (README library API)",
+    "classical_energy_density": "entry point: u at one base point (README library API); "
+                                "pushforward_energy_check's u equals it bit for bit",
     "pushforward_energy_check": "entry point: |df|^2 = m pi_*(Y) at one base point; "
                                 "the fiber_density benchmark workload calls it",
     "verify_exact_identity": "entry point: single-point exact identity (README library API)",

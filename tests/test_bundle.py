@@ -1,3 +1,6 @@
+import dataclasses
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -141,6 +144,15 @@ class TestHorizontalValue:
         with pytest.raises(ValidationError):
             bd.horizontal_curvature_value(tm, P)
 
+    def test_nan_metric_is_not_normal(self, fs1):
+        # a NaN h(z) - I compared False with the tolerance, so the value was
+        # formed from a NaN metric instead of being refused
+        nan_h = HermitianMetricField(fs1.chart, lambda z: [[np.nan + 0j]], name="nan",
+                                     validate_on_init=False)
+        P = bd.BundlePoint.make([0.0], [1.0])
+        with pytest.raises(ValidationError, match="needs base-normal coordinates"):
+            bd.horizontal_curvature_value(bd.TautologicalMetric(nan_h), P)
+
     @pytest.mark.parametrize("name", ["fs", "poincare", "perturbed"])
     def test_agrees_with_fourfold_contraction(self, name, fs2):
         chart = ComplexChart(dim=2, radius=[0.9, 0.9])
@@ -220,16 +232,16 @@ class TestRCPositiveLineBundle:
 class TestFiberIntegration:
     def test_constant_density(self, flat2, fs2):
         for h in (flat2, fs2):
-            val = bd.fiber_integrate(h, lambda W: np.full(len(W), 3.25), [0.1, 0.05j],
+            val = bd.fiber_integrate(h.matrix([0.1, 0.05j]), lambda W: np.full(len(W), 3.25),
                                      order=4)
             assert val == pytest.approx(3.25, abs=1e-12)
 
     def test_constant_m1_and_m3(self, flat1):
-        assert bd.fiber_integrate(flat1, lambda W: np.full(len(W), 2.0), [0.1],
+        assert bd.fiber_integrate(flat1.matrix([0.1]), lambda W: np.full(len(W), 2.0),
                                   order=4) == 2.0
         chart3 = ComplexChart(dim=3, radius=[1.0] * 3)
         flat3 = HermitianMetricField(chart3, lambda z: np.eye(3).tolist(), name="f3")
-        val = bd.fiber_integrate(flat3, lambda W: np.ones(len(W)), [0, 0, 0], order=4)
+        val = bd.fiber_integrate(flat3.matrix([0, 0, 0]), lambda W: np.ones(len(W)), order=4)
         assert val == pytest.approx(1.0, abs=1e-8)
 
     @pytest.mark.parametrize("m", [2, 3])
@@ -241,13 +253,13 @@ class TestFiberIntegration:
                 def density(W, a=a, b=b):
                     return (W[:, a] * np.conj(W[:, b])).real / np.linalg.norm(W, axis=1) ** 2
 
-                val = bd.fiber_integrate(flat, density, np.zeros(m), order=6)
+                val = bd.fiber_integrate(flat.matrix(np.zeros(m)), density, order=6)
                 expected = (1.0 / m) if a == b else 0.0
                 assert val == pytest.approx(expected, abs=1e-6)
 
     def test_twisted_metric_volume(self, fs2):
         # total fiber volume stays 1 for a non-flat h
-        val = bd.fiber_integrate(fs2, lambda W: np.ones(len(W)), [0.3 + 0.2j, -0.1j],
+        val = bd.fiber_integrate(fs2.matrix([0.3 + 0.2j, -0.1j]), lambda W: np.ones(len(W)),
                                  order=8)
         assert val == pytest.approx(1.0, abs=1e-8)
 
@@ -259,14 +271,14 @@ class TestFiberIntegration:
             return np.exp(3 * np.cos(7 * np.angle(w + 1e-12)))
 
         with pytest.raises(QuadratureError):
-            bd.fiber_integrate(flat2, needle, [0.0, 0.0], order=2, tol=1e-10)
+            bd.fiber_integrate(flat2.matrix([0.0, 0.0]), needle, order=2, tol=1e-10)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_density_raises(self, flat2, bad):
         # a NaN integral compares False with the order-doubling tolerance, so
         # an all-NaN density used to integrate to NaN without an error
         with pytest.raises(QuadratureError, match=r"order 4, node 0 "):
-            bd.fiber_integrate(flat2, lambda W: np.full(len(W), bad), [0.1, 0.2],
+            bd.fiber_integrate(flat2.matrix([0.1, 0.2]), lambda W: np.full(len(W), bad),
                                order=4)
 
     def test_single_non_finite_node_raises(self, flat1, flat2):
@@ -277,10 +289,10 @@ class TestFiberIntegration:
             vals[5 % len(W)] = np.nan
             return vals
 
-        with pytest.raises(QuadratureError, match=r"z = \[0\.1, 0\.2\], order 4, node 5 "):
-            bd.fiber_integrate(flat2, one_nan, [0.1, 0.2], order=4)
+        with pytest.raises(QuadratureError, match=r"at order 4, node 5 "):
+            bd.fiber_integrate(flat2.matrix([0.1, 0.2]), one_nan, order=4)
         with pytest.raises(QuadratureError, match=r"order 4, node 0 "):
-            bd.fiber_integrate(flat1, one_nan, [0.1], order=4)
+            bd.fiber_integrate(flat1.matrix([0.1]), one_nan, order=4)
 
 
 class TestPushforward:
@@ -320,4 +332,26 @@ class TestPushforward:
         _, _, resid = bd.pushforward_energy_check(p.f, p.h, p.g, [0.1, 0.05j],
                                                   order=order)
         assert len(calls) <= 2
+        assert resid <= 1e-6
+
+    @pytest.mark.parametrize("order", [4, 8])
+    def test_base_point_evaluated_once(self, order):
+        # df, f(z), g(f(z)) and h(z) feed Y, the fiber integral's metric and
+        # u from one evaluation each: f 2 dual passes (m = 2) and 1 plain
+        # call, g 1 and h 1, where the check made f 4 + 2, g 2 and h 4
+        p = zoo.build_entry("fs2-to-ball").obj
+        counts = Counter()
+
+        def counted(rule, label):
+            def wrapped(zs):
+                dual = any(isinstance(v, gm.HyperDual) for v in zs)
+                counts[label, "dual" if dual else "plain"] += 1
+                return rule(zs)
+            return wrapped
+
+        f, h, g = (dataclasses.replace(x, rule=counted(x.rule, label), validate_on_init=False)
+                   for x, label in ((p.f, "f"), (p.h, "h"), (p.g, "g")))
+        _, _, resid = bd.pushforward_energy_check(f, h, g, [0.1, 0.05j], order=order)
+        assert counts == {("f", "dual"): 2, ("f", "plain"): 1, ("g", "plain"): 1,
+                          ("h", "plain"): 1}
         assert resid <= 1e-6

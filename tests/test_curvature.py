@@ -10,7 +10,7 @@ from projcurv.charts import ComplexChart, RealChart
 from projcurv.errors import ValidationError
 from projcurv.fields import HermitianMetricField, RiemannianMetricField
 
-from conftest import conformal_real_rule, fs_rule
+from conftest import conformal_real_rule, fs_rule, nan_off_centre
 
 
 class TestChernCurvature:
@@ -248,12 +248,13 @@ class TestKey3:
             cv.key3_check(sphere2, [0.0, 0.0])
 
     def test_metric_jets_taken_once(self):
-        # key3 builds R from the jets it has: one point evaluation and one
-        # Hessian stencil, where taking the jets again made it 2 and 2
+        # key3 builds R from the jets it has: one Hessian stencil, whose
+        # centre column is the metric value it checks; taking the jets again
+        # made it 2 point evaluations and 2 stencils
         g = zoo.build_entry("round-sphere-normal").obj
         metric, calls = TestMetricEvaluatedOnce._counted(g)
         assert cv.key3_check(metric, np.zeros(g.dim)) == cv.key3_check(g, np.zeros(g.dim))
-        assert calls.count(0) == 1 and len(calls) == 2
+        assert calls == [1]
 
     @pytest.mark.parametrize("name", ["round-sphere-normal", "hyperbolic-normal",
                                       "euclidean"])
@@ -349,6 +350,33 @@ class TestNormalCoordinates:
         assert h.to_old_point(np.zeros(2)).dtype == complex
 
 
+class TestCurvatureChecksFailClosed:
+    """A NaN defect compares False with every tolerance; the Chern tensor's
+    symmetry check and the Levi-Civita compatibility check raise on it."""
+
+    def test_nan_chern_tensor(self):
+        H, dz = np.eye(2, dtype=complex), np.zeros((2, 2, 2), complex)
+        mixed = np.full((2, 2, 2, 2), np.nan, complex)
+        with pytest.raises(ValidationError, match="Hermitian-symmetry defect nan"):
+            cv._chern_tensor(H, dz, mixed, np.zeros(2))
+
+    def test_nan_chern_jet(self):
+        # g checks out at the point (the stencil centre), its jet is NaN
+        chart = ComplexChart(dim=1, radius=[0.9])
+        metric = HermitianMetricField(chart, nan_off_centre(fs_rule(1)), name="nan-jet",
+                                      validate_on_init=False)
+        with pytest.raises(ValidationError, match="Hermitian-symmetry defect nan"):
+            cv.chern_curvature(metric, [0.2 + 0.1j])
+
+    def test_nan_levi_civita_compatibility(self, sphere2):
+        metric = RiemannianMetricField(sphere2.chart, nan_off_centre(sphere2.rule),
+                                       name="nan-jet", validate_on_init=False)
+        with pytest.raises(ValidationError, match="metric compatibility defect nan"):
+            cv.levi_civita_christoffels(metric, [0.2, -0.1], check_compatibility=True)
+        # unchecked, the symbols are NaN and it is the caller's to see
+        assert np.isnan(cv.levi_civita_christoffels(metric, [0.2, -0.1])).all()
+
+
 class TestNormalFrameChecksFailClosed:
     """A NaN defect compares False with NORMAL_POST_TOL; each post-check of
     the normal-frame construction must raise on it all the same.  The NaN
@@ -360,8 +388,8 @@ class TestNormalFrameChecksFailClosed:
             out = original(metric, *args, **kwargs)
             if metric.chart.name != "normal":
                 return out
-            if isinstance(out, tuple):
-                return (np.full_like(out[0], np.nan),) + out[1:]
+            if isinstance(out, tuple):      # matrix_jet's (M, jet, None)
+                return (out[0], np.full_like(out[1], np.nan)) + out[2:]
             return np.full_like(out, np.nan)
 
         return patched
@@ -425,9 +453,10 @@ class TestRCPositiveRiemannian:
 
 
 class TestMetricEvaluatedOnce:
-    """Each curvature call evaluates the metric at the point once, through
-    ``check_at``, and reuses the matrix it validated; the jets evaluate it
-    on stencil arrays."""
+    """Each curvature call evaluates the metric once, on the stencil arrays
+    of its jet, and checks and reuses the jet's centre column as the
+    matrix at the point: no evaluation at the point of its own (there was
+    one per point, through ``check_at``)."""
 
     @staticmethod
     def _counted(metric):
@@ -444,7 +473,7 @@ class TestMetricEvaluatedOnce:
         chart = ComplexChart(dim=1, radius=[0.9])
         metric, calls = self._counted(HermitianMetricField(chart, fs_rule(1)))
         cv.chern_curvature(metric, [0.2 + 0.1j])
-        assert calls.count(0) == 1
+        assert calls == [1]
 
     @pytest.mark.parametrize("call", [
         lambda g, x: cv.riemann_curvature(g, x),
@@ -456,4 +485,4 @@ class TestMetricEvaluatedOnce:
             chart, conformal_real_rule(2, lambda r2: 4 / (1 + r2) ** 2))
         metric, calls = self._counted(sphere)
         call(metric, [0.2, -0.1])
-        assert calls.count(0) == 1
+        assert calls == [1]

@@ -250,7 +250,9 @@ class TestBatchedEngine:
         metric = HermitianMetricField(
             chart, lambda z: [[1.0, 0], [0, 1 + gm.abs2(z[0])]], name="mixed")
         for backend in ("fd", "dual"):
-            dz, mixed = diffops.matrix_jet(metric, [0.2 - 0.1j, 0.3], backend=backend)
+            M, dz, mixed = diffops.matrix_jet(metric, [0.2 - 0.1j, 0.3], backend=backend)
+            # the constant entries of the value broadcast too
+            np.testing.assert_allclose(M, [[1.0, 0.0], [0.0, 1.05]], rtol=1e-15)
             expected_dz = np.zeros((2, 2, 2), complex)
             expected_dz[0, 1, 1] = 0.2 + 0.1j           # conj(z0)
             expected_mixed = np.zeros((2, 2, 2, 2), complex)
@@ -262,7 +264,8 @@ class TestBatchedEngine:
         # the matrix helper against one differentiation per entry
         z = np.array([0.25 + 0.1j, -0.2j])
         for backend in ("fd", "dual"):
-            dz, mixed = diffops.matrix_jet(fs2, z, backend=backend)
+            M, dz, mixed = diffops.matrix_jet(fs2, z, backend=backend)
+            np.testing.assert_allclose(M, fs2.matrix(z), rtol=1e-15)
             for a in range(2):
                 for b in range(2):
                     entry = ScalarField(fs2.chart,
@@ -274,7 +277,8 @@ class TestBatchedEngine:
     def test_riemannian_matrix_jet_matches_entry_loop(self, sphere2):
         x = np.array([0.2, -0.1])
         s = diffops.step_for(sphere2.chart)
-        d1, d2 = diffops.matrix_jet(sphere2, x)
+        G, d1, d2 = diffops.matrix_jet(sphere2, x)
+        np.testing.assert_allclose(G, sphere2.matrix(x), rtol=1e-15)
         for i in range(2):
             for j in range(2):
                 def entry(p, i=i, j=j):
@@ -283,9 +287,10 @@ class TestBatchedEngine:
                 _, (grad,), (hess,) = diffops._real_jet2_fd(entry, x[None], s)
                 np.testing.assert_allclose(d1[:, i, j], grad, rtol=1e-12, atol=1e-14)
                 np.testing.assert_allclose(d2[:, :, i, j], hess, rtol=1e-12, atol=1e-14)
-        g1, none = diffops.matrix_jet(sphere2, x, backend="dual", order=1)
+        G1, g1, none = diffops.matrix_jet(sphere2, x, backend="dual", order=1)
         assert none is None
         np.testing.assert_allclose(g1, d1, atol=1e-9)
+        np.testing.assert_allclose(G1, G, rtol=1e-15)
 
     def test_batched_dual_seeds_match_per_pair_seeding(self):
         def F(p):
@@ -338,7 +343,7 @@ class TestBackendAgreementM3:
                 entry = ScalarField(h.chart,
                                     lambda zs, a=a, b=b: h.matrix_generic(zs)[a][b])
                 assert diffops.cross_check(entry, z) <= diffops.CROSS_CHECK_RTOL
-        dz_fd, mixed_fd = diffops.matrix_jet(h, z, backend="fd")
-        dz_dual, mixed_dual = diffops.matrix_jet(h, z, backend="dual")
+        _, dz_fd, mixed_fd = diffops.matrix_jet(h, z, backend="fd")
+        _, dz_dual, mixed_dual = diffops.matrix_jet(h, z, backend="dual")
         assert np.max(np.abs(dz_fd - dz_dual)) <= diffops.CROSS_CHECK_RTOL
         assert np.max(np.abs(mixed_fd - mixed_dual)) <= diffops.CROSS_CHECK_RTOL

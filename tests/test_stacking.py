@@ -9,15 +9,16 @@ import json
 import numpy as np
 import pytest
 
-from projcurv import bundle, diffops, verify as V, zoo
+from projcurv import bundle, diffops, dual as gm, verify as V, zoo
 from projcurv import maps as mp
 from projcurv.bundle import (BundlePoint, TautologicalMetric, affine_rows,
                              tautological_curvature)
-from projcurv.charts import ComplexChart
+from projcurv.charts import ComplexChart, RealChart
 from projcurv.errors import ChartDomainError
 from projcurv.curvature import (_chern_tensor, chern_curvature,
                                 levi_civita_christoffels, riemann_curvature)
-from projcurv.fields import Form11, HermitianMetricField, ScalarField
+from projcurv.fields import (Form11, HermitianMetricField, RiemannianMetricField,
+                             ScalarField)
 from projcurv.maps import ChartedMap, NestedBundlePoint
 
 from conftest import nan_on_right_half
@@ -57,10 +58,11 @@ def same_jets(stacked, single):
 
 def hessian_parts(out):
     """The arrays of a wirtinger_hessian result at one point: the Form11's
-    matrix, and for a joint field the rider's dz and mixed jets."""
+    matrix, and for a joint field the density's value and the rider's
+    value, dz and mixed jets."""
     if isinstance(out, tuple):
-        form, (dz, mixed) = out
-        return [form.matrix, dz, mixed]
+        form, D, (R, dz, mixed) = out
+        return [form.matrix, D, R, dz, mixed]
     return [out.matrix]
 
 
@@ -144,22 +146,25 @@ def test_joint_jets_equal_the_separate_calls(name, count):
         coords = np.array([P.combined() for P in pts])
         joint = diffops.wirtinger_hessian(field, coords)
         density = diffops.wirtinger_hessian(alone(field), coords)
+        # the density's value is its own stencil's centre column
+        values = diffops._real_jet(field.rule, field.chart, coords, "fd")[0].real
         taut = tautological_curvature(tm, pts)
         assert len(joint) == len(density) == len(taut) == count
-        for (L, (_, mixed)), want_L, want_T in zip(joint, density, taut):
+        for (L, D, (_, _, mixed)), want_L, want_D, want_T in zip(joint, density, values,
+                                                                 taut):
             assert np.array_equal(L.matrix, want_L.matrix), field.name
+            assert D == want_D, field.name
             assert np.array_equal(Form11(-Form11(mixed).matrix).matrix,
                                   want_T.matrix), field.name
 
     u = mp.u_field(f, h, g)
     joint = diffops.wirtinger_hessian(u, zs)
     density = diffops.wirtinger_hessian(alone(u), zs)
-    dz, mixed = diffops.matrix_jet(h, zs)
-    for k, (z, (L, jet)) in enumerate(zip(zs, joint)):
+    M, dz, mixed = diffops.matrix_jet(h, zs)
+    for k, (z, (L, _, jet)) in enumerate(zip(zs, joint)):
         assert np.array_equal(L.matrix, density[k].matrix)
-        assert np.array_equal(jet[0], dz[k]) and np.array_equal(jet[1], mixed[k])
-        assert np.array_equal(_chern_tensor(h.check_at(z), *jet, z).array,
-                              chern_curvature(h, z).array)
+        assert all(np.array_equal(a, b[k]) for a, b in zip(jet, (M, dz, mixed)))
+        assert np.array_equal(_chern_tensor(*jet, z).array, chern_curvature(h, z).array)
 
 
 def test_a_map_off_the_source_metric_chart_is_rejected():
@@ -327,28 +332,51 @@ PUSH_POOL = {"fs3-to-ball3": (0, 4), "fs2-to-ball": (1, 8)}
 
 
 @pytest.mark.parametrize("name", PUSH_POOL)
+def pool_points(name):
+    """The 16 base points of the benchmark's pushforward pool for a pair."""
+    index, _ = PUSH_POOL[name]
+    chart = build_pair(name).h.chart
+    return [chart.sample(np.random.default_rng([1810, index, k]), 0.5) for k in range(16)]
+
+
+@pytest.mark.parametrize("name", PUSH_POOL)
 def test_pushforward_nodes_equal_the_per_point_oracle(monkeypatch, name):
     p = build_pair(name)
-    index, order = PUSH_POOL[name]
-    evaluator = mp.Y_on_fiber
+    _, order = PUSH_POOL[name]
+    integrate = bundle.fiber_integrate
     nodes = []
 
-    def checked(f, h, g, z):
-        density = evaluator(f, h, g, z)
+    def checked(H, density, **kwargs):
+        assert np.array_equal(H, p.h.matrix(z))
 
         def values(Ws):
             got = density(Ws)
-            assert np.array_equal(got, fiber_oracle(f, h, g, z, Ws))
+            assert np.array_equal(got, fiber_oracle(p.f, p.h, p.g, z, Ws))
             nodes.append(len(Ws))
             return got
-        return values
+        return integrate(H, values, **kwargs)
 
-    monkeypatch.setattr(mp, "Y_on_fiber", checked)
-    for k in range(16):
-        z = p.h.chart.sample(np.random.default_rng([1810, index, k]), 0.5)
+    monkeypatch.setattr(bundle, "fiber_integrate", checked)
+    for z in pool_points(name):
         bundle.pushforward_energy_check(p.f, p.h, p.g, z, order=order, tol=1e-6)
     # both quadrature orders at every base point
     assert len(nodes) == 32 and len(set(nodes)) == 2
+
+
+@pytest.mark.parametrize("name", PUSH_POOL)
+def test_pushforward_equals_the_public_composition(name):
+    # the check evaluates df, f(z), g(f(z)) and h(z) once for Y, the fiber
+    # metric and u, and gives bit for bit what the public calls give
+    p = build_pair(name)
+    _, order = PUSH_POOL[name]
+    for z in pool_points(name):
+        pushed, u, resid = bundle.pushforward_energy_check(p.f, p.h, p.g, z, order=order,
+                                                           tol=1e-6)
+        want = p.h.dim * bundle.fiber_integrate(p.h.matrix(z), mp.Y_on_fiber(p.f, p.h, p.g, z),
+                                                order=order, tol=1e-6)
+        assert pushed == want
+        assert u == mp.classical_energy_density(p.f, p.h, p.g, z)
+        assert resid == abs(want - u)
 
 
 def test_a_stack_fails_the_margin_at_its_first_failing_row():
@@ -367,3 +395,50 @@ def test_a_stack_fails_the_margin_at_its_first_failing_row():
         assert str(stacked.value) == str(alone.value)
     with pytest.raises(ChartDomainError, match="not a finite point"):
         f.jacobians(zs[[0, 2, 3]])
+
+
+def failing_rule(kind, real):
+    """A one-entry-per-dimension metric rule that is NaN (kind "nan") or
+    negative (kind "neg") where the real part of the first coordinate
+    exceeds 0.3, on numbers and on stencil arrays alike."""
+    def rule(z):
+        x = gm.real(z[0])
+        a = np.where(x > 0.3, np.nan, 1.0) if kind == "nan" else 1.0 - 2.5 * x
+        return [[a, 0.0], [0.0, a]] if real else [[a + 0j]]
+
+    return rule
+
+
+@pytest.mark.parametrize("kind,what", [("nan", "has non-finite entries at"),
+                                       ("neg", "not positive definite at")])
+@pytest.mark.parametrize("entry", ["chern", "riemann", "S01"])
+def test_a_stack_fails_the_metric_check_at_its_first_failing_row(entry, kind, what):
+    # the metric is checked at the stencil centres of its jet, once for the
+    # stack; the error is the one the first failing point gives alone
+    real = entry == "riemann"
+    chart = (RealChart(dim=2, radius=[0.9, 0.9]) if real
+             else ComplexChart(dim=1, radius=[0.9]))
+    cls = RiemannianMetricField if real else HermitianMetricField
+    metric = cls(chart, failing_rule(kind, real), name="bad", validate_on_init=False)
+    points = np.array([[0.0, 0.1], [0.5, 0.0], [0.6, 0.0]]) if real \
+        else np.array([[0.1j], [0.5 + 0.1j], [0.6]])
+    if entry == "chern":
+        call = functools.partial(chern_curvature, metric)
+    elif entry == "riemann":
+        call = functools.partial(riemann_curvature, metric)
+    else:
+        flat = HermitianMetricField(ComplexChart(dim=1, radius=[2.0]), lambda z: [[1.0 + 0j]],
+                                    name="flat")
+        f = ChartedMap(chart, flat.chart, lambda z: (0.5 * z[0],), holomorphic=True,
+                       name="half", validate_on_init=False)
+
+        def call(zs):
+            return V._form_inequalities("S01", f, metric, flat, list(np.atleast_2d(zs)))
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(V.ValidationError) as alone:
+            call(points[1])
+        with pytest.raises(V.ValidationError) as stacked:
+            call(points)
+    assert str(alone.value).startswith(f"metric 'bad' {what} ")
+    assert str(stacked.value) == str(alone.value)
+    call(points[:1])            # the first row alone passes

@@ -1,0 +1,120 @@
+"""tools/zoo_compare.py on synthetic ``zoo_digest.py --values`` outputs: a
+drift at or below 1e-12 passes, anything else that moved fails."""
+
+import copy
+import importlib.util
+import json
+import math
+from pathlib import Path
+
+import pytest
+
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
+_spec = importlib.util.spec_from_file_location("zoo_compare", TOOLS / "zoo_compare.py")
+zoo_compare = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(zoo_compare)
+
+POINT = {"z": [[0.1, 0.2]], "W": [[1.0, 0.0]]}
+BASE = {
+    "fs-to-poincare": {
+        "S1 seed 0": {"status": "pass", "residuals": [0.5, -1e-10, 2.0],
+                      "worst": {"residual": -1e-10, "point": POINT,
+                                "eigenvector": [[1.0, 0.0], [0.0, 0.0]]},
+                      "message": ""},
+        "S5_probe seed 0": {"status": "pass", "residuals": [1.5, -0.25],
+                            "worst": {"pattern": "contradiction-shaped", "y_max": 0.3,
+                                      "term1": 1.5, "term2": -0.25, "conclusion": None,
+                                      "status": "evaluated"},
+                            "message": "pattern=contradiction-shaped"},
+    },
+    "flat-identity": {
+        "W_psd seed 3": {"status": "not_applicable", "residuals": [], "worst": {},
+                         "message": "requires a complex target"},
+    },
+}
+
+
+def moved(edit):
+    new = copy.deepcopy(BASE)
+    edit(new)
+    return new
+
+
+def run(tmp_path, capsys, new):
+    paths = []
+    for name, doc in (("old.json", BASE), ("new.json", new)):
+        path = tmp_path / name
+        path.write_text(json.dumps(doc))
+        paths.append(str(path))
+    code = zoo_compare.main(paths)
+    return code, capsys.readouterr().out
+
+
+def s1(doc):
+    return doc["fs-to-poincare"]["S1 seed 0"]
+
+
+def probe(doc):
+    return doc["fs-to-poincare"]["S5_probe seed 0"]
+
+
+def test_identical_files_pass(tmp_path, capsys):
+    code, out = run(tmp_path, capsys, copy.deepcopy(BASE))
+    assert code == 0
+    assert out.splitlines() == [
+        "0 of 9 values moved; max drift 0; 0 change(s) beyond a drift of 1e-12"]
+
+
+def test_ulp_drift_passes_and_is_reported(tmp_path, capsys):
+    def edit(doc):
+        s1(doc)["residuals"][2] = 2.0 + 2 ** -51        # one ulp: relative above 1
+        s1(doc)["residuals"][1] = -1e-10 + 4e-17        # absolute below 1
+    code, out = run(tmp_path, capsys, moved(edit))
+    assert code == 0
+    row = next(line for line in out.splitlines() if line.startswith("fs-to-poincare"))
+    assert row.split()[:2] == ["fs-to-poincare", "S1"]
+    assert [float(v) for v in row.split()[2:4]] == [2.22e-16, 4.44e-16]
+    assert int(row.split()[4]) == 2
+    assert "2 of 9 values moved" in out
+
+
+@pytest.mark.parametrize("edit,what", [
+    (lambda d: s1(d)["residuals"].__setitem__(0, 0.5 + 2e-12), "drift 2.000e-12 > 1e-12"),
+    (lambda d: probe(d)["worst"].__setitem__("y_max", 0.3 * (1 + 1e-9)), "drift"),
+    (lambda d: s1(d).__setitem__("status", "fail"), "status 'pass' -> 'fail'"),
+    (lambda d: probe(d).__setitem__("message", "pattern=consistent"), "message"),
+    (lambda d: probe(d)["worst"].__setitem__("pattern", "consistent"), "worst"),
+    (lambda d: s1(d)["worst"].__setitem__("point", {"z": [[0.3, 0.0]], "W": [[1.0, 0.0]]}),
+     "worst"),
+    (lambda d: s1(d)["residuals"].__setitem__(1, math.nan), "-1e-10 -> nan"),
+    (lambda d: s1(d)["residuals"].pop(), "count 3 -> 2"),
+    (lambda d: d["flat-identity"].pop("W_psd seed 3"), "only in the old file"),
+    (lambda d: d.pop("flat-identity"), "flat-identity: only in the old file"),
+], ids=["residual", "probe-scalar", "status", "message", "pattern", "argmax", "nan",
+        "count", "report", "pair"])
+def test_any_other_move_fails(tmp_path, capsys, edit, what):
+    code, out = run(tmp_path, capsys, moved(edit))
+    assert code == 1
+    changed = [line for line in out.splitlines() if line.startswith("CHANGED ")]
+    assert changed and any(what in line for line in changed), out
+
+
+def test_eigenvector_is_reported_not_gated(tmp_path, capsys):
+    # the worst sample's eigenvector turns by perturbation / eigenvalue gap
+    def edit(doc):
+        s1(doc)["worst"]["eigenvector"] = [[0.99999, 0.0], [0.0, 0.0045]]
+    code, out = run(tmp_path, capsys, moved(edit))
+    assert code == 0
+    row = next(line for line in out.splitlines() if line.startswith("fs-to-poincare"))
+    assert float(row.split()[2]) == 0 and float(row.split()[5]) == pytest.approx(0.0045)
+
+
+def test_nan_against_nan_is_no_drift():
+    assert zoo_compare._drift(math.nan, math.nan) == (0.0, 0.0)
+    assert zoo_compare._drift(1.0, math.nan) == (math.inf, math.inf)
+    assert zoo_compare._drift(4.0, 4.0 + 4e-12) == pytest.approx((1e-12, 4e-12))
+
+
+def test_usage(capsys):
+    assert zoo_compare.main(["one.json"]) == 2
+    assert "usage" in capsys.readouterr().err

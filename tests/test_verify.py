@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,7 +16,7 @@ from projcurv.errors import ChartDomainError, NotApplicable, ValidationError
 from projcurv.fields import HermitianMetricField
 from projcurv.maps import ChartedMap, covector_metric_field, generalized_Y
 
-from conftest import fs_rule, identity_map, nan_on_arrays, nan_on_right_half
+from conftest import fs_rule, identity_map, nan_off_centre, nan_on_arrays, nan_on_right_half
 
 
 def pair(name):
@@ -529,23 +530,41 @@ class TestRunSuite:
             assert calls["w_form"] == (2 if suite.startswith("exact") else 0)
 
     def test_trace_suites_invert_h_once_per_sample(self, monkeypatch):
-        # the trace used to invert h again after the RHS had (4 calls at 2
-        # samples for hessian2 against 2 for hessian)
-        p = pair("pluri-poincare")
+        # the trace used to invert h again after the RHS had (4 inverse_up
+        # calls at 2 samples for hessian2 against 2 for hessian).  h now
+        # comes from the u stencil's centre: one stencil evaluation of h and
+        # no plain one, and the trace inverts no more often than the form
+        base = pair("pluri-poincare")
+        evals = []
+
+        def rule(z):
+            evals.append(np.ndim(z[0]))
+            return base.h.rule(z)
+
+        p = dataclasses.replace(base, h=dataclasses.replace(base.h, rule=rule))
         p.pluriharmonic
-        calls = []
-        inverse_up = HermitianMetricField.inverse_up
+        calls = {"inverse_up": 0, "inv": 0}
 
-        def counted(self, z):
-            calls.append(z)
-            return inverse_up(self, z)
+        def counting(owner, attr):
+            original = getattr(owner, attr)
 
-        monkeypatch.setattr(HermitianMetricField, "inverse_up", counted)
+            def counted(*args, **kwargs):
+                calls[attr] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, attr, counted)
+
+        counting(HermitianMetricField, "inverse_up")
+        counting(np.linalg, "inv")
+        counts = {}
         for suite in ("hessian", "hessian2"):
-            calls.clear()
+            evals.clear()
+            calls.update(inverse_up=0, inv=0)
             [rep] = V.run_suite(p, [suite], samples=2, seed=0)
             assert rep.status == "pass"
-            assert len(calls) == 2, suite
+            assert evals == [1] and calls["inverse_up"] == 0, suite
+            counts[suite] = calls["inv"]
+        assert counts["hessian2"] == counts["hessian"]
 
 
 class TestFailClosed:
@@ -585,21 +604,27 @@ class TestFailClosed:
         assert "not finite at probe point z = " in rep.message
         json.dumps(rep.to_dict())
 
-    @pytest.mark.parametrize("side,term", [("h", "term1"), ("g", "term2")])
-    def test_nan_probe_term_is_error(self, side, term):
+    @pytest.mark.parametrize("side,wrap,error", [
+        ("h", nan_on_arrays, r"probe term1 is not finite at the argmax z = \["),
+        ("g", nan_on_arrays, r"metric 'poincare-disc' has non-finite entries at \["),
+        ("g", nan_off_centre, r"Chern curvature Hermitian-symmetry defect nan at \[")],
+        ids=["h-term1", "g-term2", "g-jet"])
+    def test_nan_probe_term_is_error(self, side, wrap, error):
         # term1 takes an fd log-H Hessian of h, term2 the Chern tensor of g at
         # f(argmax), both from stencil arrays; a NaN term compared False with
-        # both signs and the probe passed as "consistent"
+        # both signs and the probe passed as "consistent".  g's value at
+        # f(argmax) is the stencil centre and is checked, and a NaN Chern
+        # tensor fails its own symmetry check, before term2 is formed
         base = pair("fs-to-poincare")
         metric = getattr(base, side)
         p = dataclasses.replace(base, **{side: dataclasses.replace(
-            metric, rule=nan_on_arrays(metric.rule))})
-        with pytest.raises(ValidationError, match=f"probe {term} is not finite "
-                                                  r"at the argmax z = \["):
+            metric, rule=wrap(metric.rule))})
+        with pytest.raises(ValidationError, match=error):
             V.maximum_principle_probe(p.f, p.h, p.g, *V._probe_grid(p))
         rep = V.run_suite(p, ["S5_probe"], samples=1, seed=0)[0]
         assert rep.status == "error"
-        assert rep.message.startswith(f"ValidationError: probe {term} is not finite")
+        assert rep.message.startswith("ValidationError: ")
+        assert re.search(error, rep.message)
         json.dumps(rep.to_dict())
 
     def test_nan_target_connection_is_a_routing_error(self):
@@ -607,8 +632,9 @@ class TestFailClosed:
         # pluri-harmonic: the suites routed on it are errors, not "not
         # applicable" with exit 0
         base = pair("pluri-poincare")
+        # NaN beside the stencil centre: g itself passes its check at f(z)
         p = dataclasses.replace(base, g=dataclasses.replace(
-            base.g, rule=nan_on_arrays(base.g.rule)))
+            base.g, rule=nan_off_centre(base.g.rule)))
         reports = V.run_suite(p, ["S11", "W_psd", "S1"], samples=2, seed=0)
         assert [r.status for r in reports] == ["error", "error", "not_applicable"]
         for rep in reports[:2]:
@@ -631,8 +657,10 @@ class TestFailClosed:
         assert "sample 0" in rep.message
 
     def test_raising_sample_keeps_the_others(self):
-        # the target metric is NaN at f(z) = NaN; its ValidationError belongs
-        # to that sample, and the finite samples keep their residuals
+        # f(z) is NaN at some samples; the target curvature's jet there fails
+        # the chart margin (a ChartDomainError, before g is evaluated), the
+        # error belongs to that sample, and the finite samples keep their
+        # residuals
         base = pair("fs-to-poincare")
         f = ChartedMap(base.h.chart, base.g.chart,
                        lambda z: (0.4 * z[0] * nan_on_right_half(z[0]),),
@@ -645,7 +673,7 @@ class TestFailClosed:
         bad = [k for k, r in enumerate(rep.residuals) if not np.isfinite(r)]
         assert bad and len(bad) < 6
         assert rep.message.startswith(
-            "ValidationError: metric 'poincare-disc' has non-finite entries at ")
+            "ChartDomainError: point [nan+nanj] is not a finite point of chart poincare-disc ")
         assert f"at sample {bad[0]}, point {rep.points[bad[0]]}" in rep.message
         assert rep.points == clean.points
         assert rep.worst["residual"] in rep.residuals

@@ -1,6 +1,8 @@
-"""One SHA-256 per zoo pair over its verify.run_suite reports.
+"""One SHA-256 per zoo pair over its verify.run_suite reports, or the
+reports' values as JSON.
 
     python3 tools/zoo_digest.py
+    python3 tools/zoo_digest.py --values > values.json
 
 Run from anywhere; projcurv is imported from this checkout's src/.  Per
 pair the digest covers every suite run alone at seeds 0 and 3 (samples 3)
@@ -13,10 +15,17 @@ by diffing this output before and after it, or across two fresh processes.
 against it, so a change that moves a zoo report updates that file too:
 
     python3 tools/zoo_digest.py | diff tools/zoo_digest.txt -
+
+``--values`` prints the same 42 reports per pair as sorted-key JSON,
+{pair: {report: {status, residuals, worst, message}}}, with the report
+keyed "<suite> seed <s>" for a suite run alone and "<suite> seed 5 (all
+suites)" for the joint call.  ``tools/zoo_compare.py`` compares two such
+files: how far a change that moves bytes moved the numbers.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import sys
@@ -26,22 +35,41 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 SEEDS = (0, 3)
 ALL_SUITES_SEED = 5
 SAMPLES = 3
+VALUE_KEYS = ("status", "residuals", "worst", "message")
 
 
-def main() -> None:
+def pair_reports(verify, pair) -> list:
+    """(key, report) for the 42 reports of one pair, in digest order."""
+    out = [(f"{suite} seed {seed}", rep)
+           for seed in SEEDS for suite in verify.SUITE_TAGS
+           for rep in verify.run_suite(pair, [suite], samples=SAMPLES, seed=seed)]
+    out += [(f"{rep.suite} seed {ALL_SUITES_SEED} (all suites)", rep)
+            for rep in verify.run_suite(pair, verify.SUITE_TAGS, samples=SAMPLES,
+                                        seed=ALL_SUITES_SEED)]
+    return out
+
+
+def main(argv=None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--values", action="store_true",
+                        help="print the reports' values as JSON instead of digests")
+    args = parser.parse_args(argv)
     sys.path.insert(0, str(SRC))
     from projcurv import verify, zoo
 
+    values = {}
     for name in zoo.catalog_names()["map-pair"]:
-        pair = zoo.build_entry(name).obj
-        reports = [rep for seed in SEEDS for suite in verify.SUITE_TAGS
-                   for rep in verify.run_suite(pair, [suite], samples=SAMPLES, seed=seed)]
-        reports += verify.run_suite(pair, verify.SUITE_TAGS, samples=SAMPLES,
-                                    seed=ALL_SUITES_SEED)
+        reports = pair_reports(verify, zoo.build_entry(name).obj)
+        if args.values:
+            values[name] = {key: {k: v for k, v in rep.to_dict().items() if k in VALUE_KEYS}
+                            for key, rep in reports}
+            continue
         digest = hashlib.sha256()
-        for rep in reports:
+        for _, rep in reports:
             digest.update(json.dumps(rep.to_dict(), sort_keys=True).encode() + b"\n")
         print(f"{digest.hexdigest()}  {name}")
+    if args.values:
+        print(json.dumps(values, sort_keys=True, indent=1))
 
 
 if __name__ == "__main__":
