@@ -14,8 +14,9 @@ Fubini-Study volume uses the exact simplex-times-torus parametrization of
 the unit-sphere measure, pulled to general h by a linear change of fiber
 frame; reduction is by compensated summation so the node order cannot move
 results at the 1e-12 level.  ``fiber_integrate`` takes the matrix h(z), not
-the field, so the pushforward check hands it the h(z) its densities read
-and builds the frame once for both quadrature orders.
+the field, so the pushforward check hands it the h(z) its densities read;
+it builds the frame once and calls the density once, on the nodes of both
+quadrature orders stacked.
 """
 
 from __future__ import annotations
@@ -231,9 +232,8 @@ def _sphere_nodes(m: int, order: int):
     return nodes, thetas
 
 
-@functools.lru_cache(maxsize=None)
 def _fiber_nodes(m: int, order: int):
-    """Flattened (V, weight) arrays over radial times angular grids, read-only."""
+    """Flattened (V, weight) arrays over radial times angular grids."""
     radial_nodes, thetas = _sphere_nodes(m, order)
     out_V = []
     out_w = []
@@ -246,23 +246,18 @@ def _fiber_nodes(m: int, order: int):
                 V[j + 1] = root_t[j + 1] * np.exp(1j * thetas[aidx])
             out_V.append(V)
             out_w.append(wt / order ** (m - 1))
-    Vs, ws = np.asarray(out_V), np.asarray(out_w)
-    for arr in (Vs, ws):
+    return np.asarray(out_V), np.asarray(out_w)
+
+
+@functools.lru_cache(maxsize=None)
+def _order_pair_nodes(m: int, order: int):
+    """The nodes of orders ``order`` and 2 ``order`` as one (V, m) stack,
+    and per order (order, weights, its rows of the stack); read-only."""
+    (V1, w1), (V2, w2) = _fiber_nodes(m, order), _fiber_nodes(m, 2 * order)
+    Vs = np.concatenate([V1, V2])
+    for arr in (Vs, w1, w2):
         arr.setflags(write=False)
-    return Vs, ws
-
-
-def _fiber_integral_once(S_inv: np.ndarray, density, order: int) -> float:
-    Vs, ws = _fiber_nodes(len(S_inv), order)
-    Ws = affine_rows(Vs @ S_inv.T)
-    vals = np.asarray(density(Ws), float)
-    bad = np.flatnonzero(~np.isfinite(vals))
-    if bad.size:
-        k = int(bad[0])
-        raise QuadratureError(
-            f"fiber density is not finite at order {order}, node {k} "
-            f"(W = {Ws[k].tolist()}): {vals[k]}")
-    return math.fsum(ws * vals)
+    return Vs, ((order, w1, slice(0, len(V1))), (2 * order, w2, slice(len(V1), None)))
 
 
 def fiber_integrate(H, density, order: int = 8, tol: float = 1e-6):
@@ -272,16 +267,21 @@ def fiber_integrate(H, density, order: int = 8, tol: float = 1e-6):
 
     ``density`` maps an (N, m) array of fiber directions over z, each row an
     affine representative whose largest-modulus coordinate is one, to N real
-    values; it must be invariant under W -> lambda W.  A non-finite value at
-    any node raises QuadratureError.  Convergence is certified by order
-    doubling; disagreement beyond ``tol`` raises QuadratureError.
+    values; it must be invariant under W -> lambda W.  It is called once,
+    on the nodes of both quadrature orders stacked, and each order keeps its
+    own compensated sum.  A non-finite value at any node raises
+    QuadratureError naming the first such (order, node), the lower order
+    first.  Convergence is certified by order doubling; disagreement beyond
+    ``tol`` raises QuadratureError.
     """
     if order < 2:
         raise ValidationError("quadrature order must be at least 2")
     lam, U = np.linalg.eigh(np.conj(H))
-    S_inv = U @ np.diag(lam ** -0.5) @ U.conj().T   # H(S^{-1} V) = |V|^2
-    i1 = _fiber_integral_once(S_inv, density, order)
-    i2 = _fiber_integral_once(S_inv, density, 2 * order)
+    S_inv = (U * lam ** -0.5) @ U.conj().T      # H(S^{-1} V) = |V|^2
+    Vs, orders = _order_pair_nodes(len(S_inv), order)
+    Ws = affine_rows(Vs @ S_inv.T)
+    vals = np.asarray(density(Ws), float)
+    i1, i2 = (_order_sum(k, ws, Ws[rows], vals[rows]) for k, ws, rows in orders)
     if abs(i2 - i1) > tol * max(1.0, abs(i2)):
         raise QuadratureError(
             f"fiber quadrature did not converge: order {order} gives {i1!r}, "
@@ -289,15 +289,29 @@ def fiber_integrate(H, density, order: int = 8, tol: float = 1e-6):
     return i2
 
 
+def _order_sum(order: int, ws, Ws, vals) -> float:
+    """One quadrature order's sum of its node values ``vals`` at the rows
+    ``Ws``; a non-finite value raises QuadratureError naming its node."""
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if bad.size:
+        k = int(bad[0])
+        raise QuadratureError(
+            f"fiber density is not finite at order {order}, node {k} "
+            f"(W = {Ws[k].tolist()}): {vals[k]}")
+    return math.fsum(ws * vals)
+
+
 def pushforward_energy_check(f, h: HermitianMetricField, g, z,
                              order: int = 8, tol: float = 1e-6):
     """Compare m times the fiber integral of the generalized density with the
     classical energy density at a base point.
 
-    df, f(z), g(f(z)) and h(z) are evaluated once, and feed Y, the fiber
-    integral's metric and u alike; the results are bit for bit those of
-    ``h.dim * fiber_integrate(h.matrix(z), maps.Y_on_fiber(f, h, g, z))``
-    and ``maps.classical_energy_density(f, h, g, z)``.
+    df, f(z), g(f(z)) and h(z) are evaluated once, f(z) read from the
+    Jacobian's dual pass, and feed Y, the fiber integral's metric and u
+    alike; the density is called once for both quadrature orders.  The
+    results are those of ``h.dim * fiber_integrate(h.matrix(z),
+    maps.Y_on_fiber(f, h, g, z))`` and ``maps.classical_energy_density(f,
+    h, g, z)``.
 
     Returns (m_pi_Y, u, residual) with residual = |m pi_*(Y) - u|.
     """

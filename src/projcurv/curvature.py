@@ -148,9 +148,10 @@ def _christoffels_from_jets(Ginv, d1):
 
 def levi_civita_christoffels(metric: RiemannianMetricField, x,
                              check_compatibility: bool = False):
-    """Christoffel symbols Gamma[i, j, k] = Gamma^i_{jk} of the Levi-Civita
-    connection at a point, or the list of them at an (N, n) stack of points
-    (one metric jet for the stack)."""
+    """(G, Gamma) at a point, or the list of them at an (N, n) stack of
+    points (one metric jet for the stack): the metric matrix the jet holds
+    (the checked stencil centre) and the Christoffel symbols
+    Gamma[i, j, k] = Gamma^i_{jk} of the Levi-Civita connection."""
     xs, stacked = diffops.point_stack(x, float)
     Gs, d1s, _ = _riemannian_entry_jets(metric, xs, order=1)
     out = []
@@ -164,7 +165,7 @@ def levi_civita_christoffels(metric: RiemannianMetricField, x,
             # a NaN defect fails too
             if not defect <= 1e-6 * max(1.0, float(np.max(np.abs(d1)))):
                 raise ValidationError(f"metric compatibility defect {defect:.3e} at {xk}")
-        out.append(Gamma)
+        out.append((G, Gamma))
     return out if stacked else out[0]
 
 

@@ -36,10 +36,11 @@ point, with the message that point alone would give.
 
 Values come with the jets.  Every jet carries the rule's value at its
 points: the fd stencil's centre column, gradient stencils included, or
-the dual value slot.  ``matrix_jet`` hands the metric's matrix on, which
-the curvature tensors check and then invert and contract, and a joint
-density's Hessian hands on the density's value for its T D term, so no
-check or density evaluates the rule at the point again.  The centre column
+the dual value slot, map Jacobians (``jacobian_pair``) included.
+``matrix_jet`` hands the metric's matrix on, which the curvature tensors
+check and then invert and contract, and a joint density's Hessian hands
+on the density's value for its T D term, so no check or density evaluates
+the rule at the point again.  The centre column
 is array arithmetic, so it may differ from a scalar call by an ulp.
 
 One stencil per chart and point.  A density and the metric it divides by
@@ -461,12 +462,17 @@ def matrix_jet(metric, z, backend: str = "fd", order: int = 2):
 # map-component jets (vector-valued rules) ---------------------------------
 
 def jacobian_pair_generic(rule, z, dim: int, n_out: int):
-    """Dual-backend Jacobian with generic scalar output.
+    """Dual-backend Jacobian with generic scalar output, and the rule's value.
 
     Returns nested lists (holo, anti) with holo[i][a] = df^i/dz^a and
-    anti[i][a] = df^i/dzbar^a.  The entries stay whatever scalar type the
-    inputs carry, so an outer differentiation pass may seed ``z`` with its
-    own HyperDuals and the inner Jacobian nests transparently.
+    anti[i][a] = df^i/dzbar^a, and the list value[i] = f^i(z): the value
+    slot of the first pass, so no plain rule call is needed beside the
+    Jacobian.  The value slot repeats the plain call's arithmetic on the
+    same operands, so it is bit for bit ``rule(z)`` for rules that do not
+    divide by a coordinate-dependent quantity (a hyper-dual quotient
+    multiplies by the reciprocal).  The entries stay whatever scalar type
+    the inputs carry, so an outer differentiation pass may seed ``z`` with
+    its own HyperDuals and the inner Jacobian nests transparently.
 
     When nesting is detected, every coordinate is lifted into the inner dual
     level (outer jets become components, never peers of the inner seeds);
@@ -477,6 +483,7 @@ def jacobian_pair_generic(rule, z, dim: int, n_out: int):
     nested = any(isinstance(v, HyperDual) for v in z)
     holo = [[None] * dim for _ in range(n_out)]
     anti = [[None] * dim for _ in range(n_out)]
+    value = None
     for a in range(dim):
         if nested:
             q = [HyperDual(v, 0.0, 0.0, None) for v in z]
@@ -484,6 +491,8 @@ def jacobian_pair_generic(rule, z, dim: int, n_out: int):
             q = list(z)
         q[a] = HyperDual(z[a], 1.0, 1j, None)
         out = rule(tuple(q))
+        if value is None:
+            value = [_dual_value(out[i]) for i in range(n_out)]
         for i in range(n_out):
             v = out[i]
             if isinstance(v, HyperDual):
@@ -492,31 +501,37 @@ def jacobian_pair_generic(rule, z, dim: int, n_out: int):
                 dx = dy = 0.0
             holo[i][a] = 0.5 * (dx - 1j * dy)
             anti[i][a] = 0.5 * (dx + 1j * dy)
-    return holo, anti
+    return holo, anti, value
 
 
 def jacobian_pair(rule, z, dim: int, n_out: int):
-    """First Wirtinger derivatives of a vector-valued rule at one point, or
-    at each row of an (N, dim) stack with a leading sample axis.
+    """First Wirtinger derivatives and value of a vector-valued rule at one
+    point, or at each row of an (N, dim) stack with a leading sample axis.
 
-    Returns (holo, anti) with holo[..., i, a] = df^i/dz^a and
-    anti[..., i, a] = df^i/dzbar^a.  The dual backend evaluates the rule once per
-    source coordinate with paired (x, y) seeds, which is exact and keeps
-    inner derivatives noiseless when the result feeds an outer stencil.  A
-    stack takes the same ``dim`` passes, with its columns (length-N arrays)
-    as the coordinates; a slot the rule leaves scalar is broadcast.
+    Returns (holo, anti, value) with holo[..., i, a] = df^i/dz^a,
+    anti[..., i, a] = df^i/dzbar^a and value[..., i] = f^i(z), the value
+    slot of the first pass (``jacobian_pair_generic``).  The dual backend
+    evaluates the rule once per source coordinate with paired (x, y) seeds,
+    which is exact and keeps inner derivatives noiseless when the result
+    feeds an outer stencil.  A stack takes the same ``dim`` passes, with its
+    columns (length-N arrays) as the coordinates; a slot the rule leaves
+    scalar is broadcast.  Array arithmetic may round differently from the
+    scalar one, so a stacked row may differ from its point alone by an ulp.
     """
     zs, stacked = point_stack(z)
     if not stacked:
-        holo, anti = jacobian_pair_generic(rule, zs[0], dim, n_out)
-        return np.array(holo, complex), np.array(anti, complex)
+        return tuple(np.array(part, complex)
+                     for part in jacobian_pair_generic(rule, zs[0], dim, n_out))
+    holo, anti, value = jacobian_pair_generic(
+        rule, tuple(np.ascontiguousarray(zs.T)), dim, n_out)
     out = np.empty((2, len(zs), n_out, dim), complex)
-    for M, parts in zip(out, jacobian_pair_generic(
-            rule, tuple(np.ascontiguousarray(zs.T)), dim, n_out)):
-        for i, row in enumerate(parts):
-            for a, v in enumerate(row):
+    fz = np.empty((len(zs), n_out), complex)
+    for i in range(n_out):
+        fz[:, i] = value[i]
+        for M, parts in zip(out, (holo, anti)):
+            for a, v in enumerate(parts[i]):
                 M[:, i, a] = v
-    return out[0], out[1]
+    return out[0], out[1], fz
 
 
 def map_jet2(rule, chart, z, n_out: int):

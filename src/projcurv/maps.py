@@ -21,15 +21,22 @@ They read df, f(z), g(f(z)) and h(z) through one helper (``_base_values``),
 so ``bundle.pushforward_energy_check`` evaluates them once for Y, for the
 fiber integral's metric and for u.
 
+f(z) is read from the dual pass.  ``ChartedMap.jacobians`` returns the
+value slot of its first hyper-dual pass beside df, and so does
+``diffops.jacobian_pair_generic`` inside the density rules; no caller
+evaluates f again next to df.  At a point and on a stencil the value slot
+is the plain call's arithmetic on the same operands, so it is the plain
+value bit for bit, unless the rule divides by a quantity that depends on
+the coordinates (a hyper-dual quotient multiplies by the reciprocal).
+
 ``Y_on_fiber`` evaluates Y over an (N, m) stack of base points, as the S5
-probe's lattice needs.  Stacked: df, from the m dual passes of one point
-with length-N arrays in the slots, and the two contractions.  Per point:
-f(z), h(z) and g(f(z)), one scalar rule call each, because NumPy's array
-complex multiply rounds differently from its scalar one and the probe's
-argmax would follow that ulp.  On the zoo maps, whose derivative slots
-multiply an array by a scalar, the stacked values are bit for bit the
-per-point ones; a map whose slots multiply two complex arrays may move by
-an ulp.
+probe's lattice needs.  Stacked: df and f(z), from the m dual passes of one
+point with length-N arrays in the slots, and the two matrix products of
+the density.  Per point: h(z) and g(f(z)), one scalar rule call each,
+because a stacked metric call holds one (N, d, d) array per rule entry.
+Array arithmetic may round differently from scalar arithmetic, and the
+products group their sums by the shapes, so a stacked value may differ
+from the point alone by a few ulps (tests/conftest.py's ULP_BUDGET).
 
 Residual operators for the harmonic-map side:
 
@@ -79,7 +86,7 @@ class ChartedMap:
             return
         rng = np.random.default_rng(20250809)
         for z in [self.source.center] + [self.source.sample(rng) for _ in range(4)]:
-            holo, anti = self.jacobians(z)
+            holo, anti, _ = self.jacobians(z)
             gaps = [(anti, "flagged holomorphic but max |df/dzbar|")] \
                 if self.holomorphic else []
             if real:
@@ -107,17 +114,23 @@ class ChartedMap:
         return isinstance(self.target, ComplexChart)
 
     def value(self, z) -> np.ndarray:
+        """f(z) from one plain rule call: the reference the value slot that
+        ``jacobians`` returns is tested against."""
         out = np.asarray(self.rule(tuple(np.asarray(z, complex))), complex)
         return out if self.target_is_complex else out.real
 
     def jacobians(self, z):
-        """(holo, anti): holo[i, a] = df^i/dz^a, anti[i, a] = df^i/dzbar^a.
+        """(holo, anti, f(z)): holo[i, a] = df^i/dz^a, anti[i, a] =
+        df^i/dzbar^a, and the value f(z) as ``value`` gives it, read from
+        the first dual pass (``diffops.jacobian_pair``) rather than from a
+        call of its own.
 
-        An (N, m) stack of points gives (N, n, m) arrays from the m dual
-        passes of one point, with length-N arrays in the slots; every row's
-        chart margin is checked first."""
+        An (N, m) stack of points gives (N, n, m) arrays and an (N, n)
+        value from the m dual passes of one point, with length-N arrays in
+        the slots; every row's chart margin is checked first."""
         self.source.require_margin(z, 2 * diffops.step_for(self.source))
-        return diffops.jacobian_pair(self.rule, z, self.m, self.n)
+        holo, anti, fz = diffops.jacobian_pair(self.rule, z, self.m, self.n)
+        return holo, anti, fz if self.target_is_complex else fz.real
 
     def second_mixed(self, z) -> np.ndarray:
         """f^i_{a bbar} = d^2 f^i / dz^a dzbar^b, shape (n, m, m)."""
@@ -152,39 +165,47 @@ def _base_values(f: ChartedMap, h: HermitianMetricField, g, z):
     stack, as (N, n, m), (N, n, n) and (N, m, m) arrays: everything both
     densities read, so ``pushforward_energy_check`` evaluates it once.
 
-    df at all N points comes from one set of m dual passes of the map rule
-    (``ChartedMap.jacobians`` on the stack).  f(z), g(f(z)) and h(z) stay
-    one scalar rule call per point, stacked into arrays: NumPy's array
-    complex multiply rounds differently from its scalar one, so these rules
-    on arrays would move values by an ulp.  A base point where df, f, g or
-    h is not finite gets NaN g entries, so its densities are NaN, also
+    df and f(z) at all N points come from one set of m dual passes of the
+    map rule (``ChartedMap.jacobians`` on the stack), f(z) from the first
+    pass's value slot.  g(f(z)) and h(z) stay one scalar rule call per
+    point, stacked into arrays: a stacked metric call would hold one
+    (N, d, d) array per rule entry at once.  A base point where df, f, g
+    or h is not finite gets NaN g entries, so its densities are NaN, also
     where the contraction would drop the bad entry (g constant, say).
     """
     zs, _ = diffops.point_stack(z)
-    holo = f.jacobians(z)[0].reshape(len(zs), f.n, f.m)
-    fz = np.array([f.value(q) for q in zs])
+    N = len(zs)
+    holo, _, fz = f.jacobians(z)
+    holo, fz = holo.reshape(N, f.n, f.m), fz.reshape(N, f.n)
     G = np.array([g.matrix(p) for p in fz])
     Hm = np.array([h.matrix(q) for q in zs])
     parts = (holo, fz, G, Hm)
     if not np.isfinite(np.concatenate([x.ravel() for x in parts])).all():
         # NaN entries of g reach every value at their point
         G[~np.logical_and.reduce(
-            [np.isfinite(x).reshape(len(zs), -1).all(axis=1) for x in parts])] = np.nan
+            [np.isfinite(x).reshape(N, -1).all(axis=1) for x in parts])] = np.nan
     return holo, G, Hm
 
 
 def _fiber_density(base, stacked: bool):
     """Y over the base points of ``base`` (``_base_values``), as a function
     of a (K, m) stack of affine fiber representatives: (N, K) values, or K
-    for a single base point when ``stacked`` is false."""
+    for a single base point when ``stacked`` is false.
+
+    F = df W for every base point and row is one 2-D product, and so is
+    h(z) conj(W), whose pairing with W gives H.  A row's value may differ
+    by an ulp with the number of rows and base points around it (the
+    products group their sums by the shapes)."""
     holo, G, Hm = base
+    N, n, m = holo.shape
+    holo2, Hm2 = holo.reshape(N * n, m), Hm.reshape(N * m, m)
 
     def density(Ws: np.ndarray) -> np.ndarray:
-        # (N, K, n); each row rounds as holo @ W does
-        F = (holo[:, None] @ Ws[None, :, :, None])[..., 0]
-        num = np.einsum("bij,bki,bkj->bk", G, F, F.conj())
-        H = np.einsum("bgd,kg,kd->bk", Hm, Ws, Ws.conj())
-        vals = np.real(num) / np.real(H)
+        K = len(Ws)
+        F = (holo2 @ Ws.T).reshape(N, n, K)
+        num = np.einsum("bij,bik,bjk->bk", G, F, F.conj())
+        H = (Ws.T * (Hm2 @ Ws.conj().T).reshape(N, m, K)).sum(axis=1)
+        vals = num.real / H.real
         return vals if stacked else vals[0]
 
     return density
@@ -194,7 +215,7 @@ def _energy_density(base) -> float:
     """u at the first base point of ``base`` (``_base_values``)."""
     holo, G, Hm = (x[0] for x in base)
     hup = np.linalg.inv(Hm).conj()
-    return float(np.real(np.einsum("ij,ab,ia,jb->", G, hup, holo, holo.conj())))
+    return float((G * (holo @ hup @ holo.conj().T)).sum().real)
 
 
 def generalized_Y(f: ChartedMap, h: HermitianMetricField, g, P: BundlePoint) -> float:
@@ -263,8 +284,7 @@ def Y_field(f: ChartedMap, h: HermitianMetricField, g, chart_index: int,
     def rule(zs):
         z = zs[:m]
         W = reconstruct_W(zs[m:], chart_index, m)
-        holo, _ = diffops.jacobian_pair_generic(f.rule, z, m, n)
-        fz = f.rule(z)
+        holo, _, fz = diffops.jacobian_pair_generic(f.rule, z, m, n)
         G = g.matrix_generic(fz)
         F = [_sum_terms(holo[i][a] * W[a] for a in range(m)) for i in range(n)]
         num = gm.pairing(G, F, F)
@@ -289,8 +309,7 @@ def Y1_field(f: ChartedMap, h: HermitianMetricField, g: HermitianMetricField,
     def rule(zs):
         z = zs[:m]
         X = reconstruct_W(zs[m:], x_chart_index, n)
-        holo, _ = diffops.jacobian_pair_generic(f.rule, z, m, n)
-        fz = f.rule(z)
+        holo, _, fz = diffops.jacobian_pair_generic(f.rule, z, m, n)
         G = g.matrix_generic(fz)
         gup = _generic_inverse_up(G, n)
         Hm = h.matrix_generic(z)
@@ -324,7 +343,7 @@ def Y2_field(f: ChartedMap, h: HermitianMetricField, g: HermitianMetricField,
         z = zs[:m]
         W = reconstruct_W(zs[m:m + m - 1], w_chart_index, m)
         X = reconstruct_W(zs[m + m - 1:], x_chart_index, n)
-        holo, _ = diffops.jacobian_pair_generic(f.rule, z, m, n)
+        holo, _, fz = diffops.jacobian_pair_generic(f.rule, z, m, n)
         F = [_sum_terms(holo[i][a] * W[a] for a in range(m)) for i in range(n)]
         Fbar = [gm.conj(v) for v in F]
         Xbar = [gm.conj(v) for v in X]
@@ -333,7 +352,7 @@ def Y2_field(f: ChartedMap, h: HermitianMetricField, g: HermitianMetricField,
             for j in range(n):
                 num = num + F[i] * Fbar[j] * X[i] * Xbar[j]
         H = gm.pairing(h.matrix_generic(z), W, W)
-        gup = _generic_inverse_up(g.matrix_generic(f.rule(z)), n)
+        gup = _generic_inverse_up(g.matrix_generic(fz), n)
         H1 = gm.pairing(gup, X, X)
         HH1 = gm.real(H) * gm.real(H1)
         return gm.real(num) / HH1, HH1
@@ -355,8 +374,8 @@ def u_field(f: ChartedMap, h: HermitianMetricField, g) -> ScalarField:
     m, n = f.m, f.n
 
     def rule(zs):
-        holo, _ = diffops.jacobian_pair_generic(f.rule, zs, m, n)
-        G = g.matrix_generic(f.rule(zs))
+        holo, _, fz = diffops.jacobian_pair_generic(f.rule, zs, m, n)
+        G = g.matrix_generic(fz)
         Hm = h.matrix_generic(zs)
         hup = _generic_inverse_up(Hm, m)
         holo_bar = [[gm.conj(v) for v in row] for row in holo]
@@ -444,18 +463,20 @@ def pluriharmonic_residual(f: ChartedMap, g, z) -> np.ndarray:
     The Levi-Civita Gamma is symmetric in j, k, so for a Riemannian target
     this is the usual f^i_{a bbar} + Gamma^i_{jk} f^j_{bbar} f^k_a.
     """
-    holo, anti = f.jacobians(z)
+    holo, anti, fz = f.jacobians(z)
     mixed = f.second_mixed(z)
-    Gamma = target_christoffels(g, f.value(z))
+    _, Gamma = target_christoffels(g, fz)
     return mixed + np.einsum("ijk,ja,kb->iab", Gamma, holo, anti)
 
 
 def target_christoffels(g, p):
-    """Gamma[i, j, k] = Gamma^i_{jk} of the target's connection at p: the
-    Chern connection of a Hermitian g, the Levi-Civita one of a Riemannian g.
-    An (N, n) stack of points gives the list of them; the Levi-Civita
-    symbols take one fd metric jet for the stack, the Chern ones (exact dual
-    jets) are taken point by point."""
+    """(G, Gamma) of the target's connection at p: the Chern connection of
+    a Hermitian g, the Levi-Civita one of a Riemannian g, with G the metric
+    matrix its jet holds (the dual value slot, or the fd stencil's checked
+    centre) and Gamma[i, j, k] = Gamma^i_{jk}.  An (N, n) stack of points
+    gives the list of them; the Levi-Civita symbols take one fd metric jet
+    for the stack, the Chern ones (exact dual jets) are taken point by
+    point."""
     if not isinstance(g, HermitianMetricField):
         return levi_civita_christoffels(g, p)
     ps, stacked = diffops.point_stack(p)
@@ -463,12 +484,12 @@ def target_christoffels(g, p):
     return out if stacked else out[0]
 
 
-def _chern_christoffels(g: HermitianMetricField, z) -> np.ndarray:
-    """Gamma^i_{jk} = g^{i lbar} d g_{k lbar} / dz^j of the Chern connection,
-    with g at z read from the jet's value slot."""
+def _chern_christoffels(g: HermitianMetricField, z):
+    """(g, Gamma) with Gamma^i_{jk} = g^{i lbar} d g_{k lbar} / dz^j of the
+    Chern connection, and g at z read from the jet's value slot."""
     M, dz, _ = diffops.matrix_jet(g, z, backend="dual", order=1)
     gup = np.linalg.inv(M).conj()   # g^{i lbar} = conj(inv)[i, l]
-    return np.einsum("il,jkl->ijk", gup, dz)
+    return M, np.einsum("il,jkl->ijk", gup, dz)
 
 
 def hermitian_harmonic_residual(f: ChartedMap, h: HermitianMetricField, g, z) -> np.ndarray:
@@ -502,8 +523,8 @@ def constraint_D_check(f: ChartedMap, g: RiemannianMetricField, z) -> dict:
     if pluri > PLURI_TOL:
         return {"applicable": False, "pluriharmonic_residual": pluri,
                 "max_residual": None}
-    holo, anti = f.jacobians(z)
-    R = riemann_curvature(g, f.value(z)).array
+    holo, anti, fz = f.jacobians(z)
+    R = riemann_curvature(g, fz).array
     eqn = np.einsum("ikjl,ia,jb,kg->abgl", R, holo, anti, holo)
     return {"applicable": True, "pluriharmonic_residual": pluri,
             "max_residual": float(np.max(np.abs(eqn)))}
@@ -515,10 +536,10 @@ def hatC_value(f: ChartedMap, h: HermitianMetricField,
     E^{ij} = h^{a bbar} f^i_a f^j_{bbar}; vanishes for pluri-harmonic maps and
     is nonpositive when the target has nonpositive complex sectional curvature.
     """
-    holo, anti = f.jacobians(z)
+    holo, anti, fz = f.jacobians(z)
     hup = h.inverse_up(z)
     E = np.einsum("ab,ia,jb->ij", hup, holo, anti)
-    R = riemann_curvature(g, f.value(z)).array
+    R = riemann_curvature(g, fz).array
     val = np.einsum("iklj,ij,kl->", R, E, E)
     if abs(val.imag) > 1e-8 * max(1.0, abs(val.real)):
         raise ValidationError(f"hatC not real: imaginary part {val.imag:.3e}")

@@ -151,8 +151,8 @@ def _hessian_sides(density, coords) -> list:
 
 
 def _map_jets(f: ChartedMap, zs) -> list:
-    """(df, f(z)) at each base point."""
-    return [(f.jacobians(z)[0], f.value(z)) for z in zs]
+    """(df, f(z)) at each base point, f(z) from the Jacobian's dual pass."""
+    return [(holo, fz) for holo, _, fz in map(f.jacobians, zs)]
 
 
 def _s1_sides(f: ChartedMap, h: HermitianMetricField, g, Ps, weight=None):
@@ -221,7 +221,7 @@ def _flat_scalar_target():
 # the W form
 
 def assemble_W_form(f: ChartedMap, h: HermitianMetricField, g, P: BundlePoint,
-                    weight=None, *, jet=None, gamma=None) -> Form11:
+                    weight=None, *, jet=None, connection=None) -> Form11:
     """The semi-positive (1,1)-form W on P(T_M),
 
         W = g_{ij} (dF^i + F^i dlog H^{-1} + T^i) wedge conj( ... )
@@ -229,8 +229,10 @@ def assemble_W_form(f: ChartedMap, h: HermitianMetricField, g, P: BundlePoint,
     with F^i = f^i_a W^a and the connection correction T^i built from the
     target's connection (``maps.target_christoffels``): Chern for a complex
     target, which needs a holomorphic map, Levi-Civita for a Riemannian one.
-    ``jet`` is (df, f(z)) at P.z and ``gamma`` the target's Christoffel
-    symbols at f(z), when the caller has them already.
+    ``jet`` is (df, f(z)) at P.z and ``connection`` the target's (g,
+    Christoffel symbols) at f(z) (``maps.target_christoffels``), when the
+    caller has them already; g(f(z)) is the matrix the connection's jet
+    holds, not a rule call of its own.
     Positive semidefinite by construction; certified spectrally by callers.
     """
     if isinstance(g, HermitianMetricField) and not f.holomorphic:
@@ -239,13 +241,12 @@ def assemble_W_form(f: ChartedMap, h: HermitianMetricField, g, P: BundlePoint,
 
     m, n = f.m, f.n
     dim = _combined_dim(m)
-    holo, fz = jet if jet is not None else (f.jacobians(P.z)[0], f.value(P.z))
+    holo, fz = jet if jet is not None else _map_jets(f, [P.z])[0]
     sec = f.second_holo(P.z)
     W_aff = P.W_affine
     F = holo @ W_aff
-    G = g.matrix(fz)
-    if gamma is None:
-        gamma = maps_mod.target_christoffels(g, fz)
+    G, gamma = connection if connection is not None \
+        else maps_mod.target_christoffels(g, fz)
     T_base = np.einsum("ipk,k,pa->ia", gamma, F, holo)
 
     tm = TautologicalMetric(h, weight=weight)
@@ -270,9 +271,9 @@ def _w_forms(f: ChartedMap, h: HermitianMetricField, g, Ps, weight=None,
     (df, f(z)) at the Ps when the caller has them already."""
     if jets is None:
         jets = _map_jets(f, [P.z for P in Ps])
-    gammas = maps_mod.target_christoffels(g, np.array([fz for _, fz in jets]))
-    return [assemble_W_form(f, h, g, P, weight, jet=jet, gamma=gamma)
-            for P, jet, gamma in zip(Ps, jets, gammas)]
+    connections = maps_mod.target_christoffels(g, np.array([fz for _, fz in jets]))
+    return [assemble_W_form(f, h, g, P, weight, jet=jet, connection=connection)
+            for P, jet, connection in zip(Ps, jets, connections)]
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +388,7 @@ def _form_inequalities(suite, f, h, g, pts, phi=None) -> list:
         dim = f.m + max(f.n - 1, 0)
         sides = []
         for Q, (L, T), Rh in zip(Qs, y1_sides, source):
-            holo, _ = f.jacobians(Q.z)
+            holo = f.jacobians(Q.z)[0]
             X = Q.W_affine
             hup = np.linalg.inv(Rh.metric_value).conj()
             C = np.einsum("abgd,gn,md,km,ln,k,l->ab", Rh.array, hup, hup,
@@ -504,9 +505,9 @@ def maximum_principle_probe(f: ChartedMap, h: HermitianMetricField,
     tm_new = TautologicalMetric(frame.metric)
     term1 = horizontal_curvature_value(tm_new, P_new) * best_val
 
-    holo, _ = f.jacobians(q.z)
+    holo, _, fz = f.jacobians(q.z)
     F = holo @ q.W_affine
-    Rg = chern_curvature(g, f.value(q.z)).array
+    Rg = chern_curvature(g, fz).array
     H_val = tautological_H(TautologicalMetric(h), q)
     term2 = float(np.real(np.einsum("klij,k,l,i,j->", Rg, F, F.conj(), F, F.conj()))) / H_val
     # a NaN term compares False both ways and would read as "consistent"

@@ -8,6 +8,23 @@ from projcurv.fields import HermitianMetricField, RiemannianMetricField
 from projcurv.maps import ChartedMap
 
 
+# ulps a fiber density value may differ from another evaluation of it: a
+# per-point oracle, or the same row in a stack of another size.  The
+# density's matrix products group their sums by the shapes of the stacks,
+# and a stacked f(z) may round differently from the point alone; the most
+# measured is 6, on fs3-to-ball3's pushforward nodes
+ULP_BUDGET = 16
+
+
+def assert_within_ulps(got, want, budget=ULP_BUDGET):
+    """|got - want| <= budget ulps of the larger modulus, entrywise."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    ulp = np.spacing(np.maximum(np.abs(got), np.abs(want)))
+    gap = np.abs(got - want)
+    assert np.all(gap <= budget * ulp), f"{np.max(gap / ulp)} ulps"
+
+
 def fs_rule(m):
     def rule(z):
         s = 1

@@ -281,18 +281,33 @@ class TestFiberIntegration:
             bd.fiber_integrate(flat2.matrix([0.1, 0.2]), lambda W: np.full(len(W), bad),
                                order=4)
 
+    @staticmethod
+    def nan_at(row):
+        """A density that is NaN exactly at the fiber direction ``row``,
+        wherever that row sits among the nodes of the density call."""
+        def density(W):
+            vals = np.ones(len(W))
+            vals[(W == row).all(axis=1)] = np.nan
+            return vals
+        return density
+
     def test_single_non_finite_node_raises(self, flat1, flat2):
         # one NaN node at the first order used to return the second order's
-        # finite value
-        def one_nan(W):
-            vals = np.ones(len(W))
-            vals[5 % len(W)] = np.nan
-            return vals
-
+        # finite value.  The flat metric's frame is the identity, so the
+        # rows the density sees are the affine nodes themselves
+        row = bd.affine_rows(bd._fiber_nodes(2, 4)[0])[5]
         with pytest.raises(QuadratureError, match=r"at order 4, node 5 "):
-            bd.fiber_integrate(flat2.matrix([0.1, 0.2]), one_nan, order=4)
+            bd.fiber_integrate(flat2.matrix([0.1, 0.2]), self.nan_at(row), order=4)
+        # m = 1: both orders have the one node [1]; the lower order is named
         with pytest.raises(QuadratureError, match=r"order 4, node 0 "):
-            bd.fiber_integrate(flat1.matrix([0.1]), one_nan, order=4)
+            bd.fiber_integrate(flat1.matrix([0.1]), self.nan_at(np.ones(1)), order=4)
+
+    def test_non_finite_node_of_the_doubled_order_raises(self, flat2):
+        # both orders share one density call; a NaN among the 2k-order nodes
+        # alone is named with its own order and node
+        row = bd.affine_rows(bd._fiber_nodes(2, 8)[0])[7]
+        with pytest.raises(QuadratureError, match=r"at order 8, node 7 "):
+            bd.fiber_integrate(flat2.matrix([0.1, 0.2]), self.nan_at(row), order=4)
 
 
 class TestPushforward:
@@ -337,8 +352,9 @@ class TestPushforward:
     @pytest.mark.parametrize("order", [4, 8])
     def test_base_point_evaluated_once(self, order):
         # df, f(z), g(f(z)) and h(z) feed Y, the fiber integral's metric and
-        # u from one evaluation each: f 2 dual passes (m = 2) and 1 plain
-        # call, g 1 and h 1, where the check made f 4 + 2, g 2 and h 4
+        # u from one evaluation each: f 2 dual passes (m = 2), whose first
+        # value slot is f(z), and no plain call, g 1 and h 1, where the
+        # check made f 4 + 2, g 2 and h 4
         p = zoo.build_entry("fs2-to-ball").obj
         counts = Counter()
 
@@ -352,6 +368,5 @@ class TestPushforward:
         f, h, g = (dataclasses.replace(x, rule=counted(x.rule, label), validate_on_init=False)
                    for x, label in ((p.f, "f"), (p.h, "h"), (p.g, "g")))
         _, _, resid = bd.pushforward_energy_check(f, h, g, [0.1, 0.05j], order=order)
-        assert counts == {("f", "dual"): 2, ("f", "plain"): 1, ("g", "plain"): 1,
-                          ("h", "plain"): 1}
+        assert counts == {("f", "dual"): 2, ("g", "plain"): 1, ("h", "plain"): 1}
         assert resid <= 1e-6

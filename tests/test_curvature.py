@@ -94,18 +94,18 @@ class TestSectionalCurvatures:
 
 class TestChristoffels:
     def test_euclidean_zero(self, euclidean2):
-        G = cv.levi_civita_christoffels(euclidean2, [0.3, -0.4])
+        _, G = cv.levi_civita_christoffels(euclidean2, [0.3, -0.4])
         assert np.max(np.abs(G)) < 1e-12
 
     def test_hyperbolic_origin(self, hyperbolic2):
-        G = cv.levi_civita_christoffels(hyperbolic2, [0.0, 0.0])
+        _, G = cv.levi_civita_christoffels(hyperbolic2, [0.0, 0.0])
         assert np.max(np.abs(G)) < 1e-10
 
     def test_sphere_conformal_oracle(self, sphere2):
         # conformal metric e^{2p} delta: Gamma^i_jk = d_ij p_k + d_ik p_j - d_jk p_i
         # with p = log 2 - log(1+r^2): p_i = -2 x_i / (1+r^2)
-        G = cv.levi_civita_christoffels(sphere2, [0.2, 0.0],
-                                        check_compatibility=True)
+        _, G = cv.levi_civita_christoffels(sphere2, [0.2, 0.0],
+                                           check_compatibility=True)
         p1 = -0.4 / 1.04
         assert G[0, 0, 0] == pytest.approx(p1, abs=1e-9)
         assert G[0, 1, 1] == pytest.approx(-p1, abs=1e-9)
@@ -117,7 +117,7 @@ class TestChristoffels:
 
     def test_symmetry_lower_indices(self, sphere2):
         rng = np.random.default_rng(9)
-        G = cv.levi_civita_christoffels(sphere2, sphere2.chart.sample(rng))
+        _, G = cv.levi_civita_christoffels(sphere2, sphere2.chart.sample(rng))
         assert np.max(np.abs(G - G.transpose(0, 2, 1))) < 1e-12
 
 
@@ -335,7 +335,7 @@ class TestNormalCoordinates:
         # quadratic holds -Gamma, symmetric in its lower indices
         np.testing.assert_array_equal(frame.quadratic,
                                       frame.quadratic.transpose(0, 2, 1))
-        Gamma = cv.levi_civita_christoffels(sphere2, x0)
+        _, Gamma = cv.levi_civita_christoffels(sphere2, x0)
         A = frame.linear
         # Gamma of the linear stage is A^{-1} Gamma(A., A.) at the center
         expected = np.einsum("ip,pjk,ja,kb->iab", np.linalg.inv(A), Gamma, A, A)
@@ -374,7 +374,7 @@ class TestCurvatureChecksFailClosed:
         with pytest.raises(ValidationError, match="metric compatibility defect nan"):
             cv.levi_civita_christoffels(metric, [0.2, -0.1], check_compatibility=True)
         # unchecked, the symbols are NaN and it is the caller's to see
-        assert np.isnan(cv.levi_civita_christoffels(metric, [0.2, -0.1])).all()
+        assert np.isnan(cv.levi_civita_christoffels(metric, [0.2, -0.1])[1]).all()
 
 
 class TestNormalFrameChecksFailClosed:

@@ -146,7 +146,9 @@ class TestBackendAgreement:
 class TestJacobianPair:
     def test_mixed_holomorphic_antiholomorphic(self):
         rule = lambda z: (z[0] ** 2, gm.conj(z[0]))
-        holo, anti = diffops.jacobian_pair(rule, [0.5 + 0.1j], 1, 2)
+        holo, anti, value = diffops.jacobian_pair(rule, [0.5 + 0.1j], 1, 2)
+        # the first pass's value slot is the plain call, bit for bit
+        assert value.tolist() == [(0.5 + 0.1j) ** 2, 0.5 - 0.1j]
         assert holo[0, 0] == pytest.approx(1.0 + 0.2j, abs=1e-9)
         assert abs(holo[1, 0]) < 1e-9
         assert abs(anti[0, 0]) < 1e-9
@@ -154,7 +156,7 @@ class TestJacobianPair:
 
     def test_real_component_conjugate_symmetry(self):
         rule = lambda z: (gm.real(z[0] ** 2), gm.imag(z[0]))
-        holo, anti = diffops.jacobian_pair(rule, [0.4 - 0.3j], 1, 2)
+        holo, anti, _ = diffops.jacobian_pair(rule, [0.4 - 0.3j], 1, 2)
         assert np.allclose(anti, np.conj(holo), atol=1e-12)
 
 

@@ -136,16 +136,19 @@ def tracked_jacobian_pair_generic(rule, z, dim, n_out):
     nested = any(isinstance(v, HyperDual) for v in z)
     holo = [[None] * dim for _ in range(n_out)]
     anti = [[None] * dim for _ in range(n_out)]
+    value = None
     for a in range(dim):
         q = [HyperDual(v, 0.0, 0.0, 0.0) for v in z] if nested else list(z)
         q[a] = HyperDual(z[a], 1.0, 1j, 0.0)
         out = rule(tuple(q))
+        if value is None:
+            value = [v.f0 if isinstance(v, HyperDual) else v for v in out]
         for i in range(n_out):
             v = out[i]
             dx, dy = (v.f1, v.f2) if isinstance(v, HyperDual) else (0.0, 0.0)
             holo[i][a] = 0.5 * (dx - 1j * dy)
             anti[i][a] = 0.5 * (dx + 1j * dy)
-    return holo, anti
+    return holo, anti, value
 
 
 def zoo_metrics():
@@ -179,10 +182,13 @@ class TestUntrackedSeedsAreBitwiseTracked:
         rng = np.random.default_rng(6)
         for _ in range(5):
             z = f.source.sample(rng)
-            holo, anti = diffops.jacobian_pair(f.rule, z, f.m, f.n)
-            ref_holo, ref_anti = tracked_jacobian_pair_generic(f.rule, z, f.m, f.n)
+            holo, anti, value = diffops.jacobian_pair(f.rule, z, f.m, f.n)
+            ref_holo, ref_anti, ref_value = tracked_jacobian_pair_generic(f.rule, z, f.m, f.n)
             assert np.array_equal(holo, np.array(ref_holo, complex)), z
             assert np.array_equal(anti, np.array(ref_anti, complex)), z
+            assert np.array_equal(value, np.array(ref_value, complex)), z
+            # no zoo map divides, so the value slot is the plain call bit for bit
+            assert np.array_equal(value, np.asarray(f.rule(tuple(z)), complex)), z
 
     @pytest.mark.parametrize("name", ["fs2-to-ball", "pluri-m2-flat"])
     def test_nested_Y_field_jet2(self, monkeypatch, name):

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from projcurv import diffops, zoo
+from projcurv import diffops, verify, zoo
 from projcurv import dual as gm
 from projcurv import maps as mp
 from projcurv.bundle import BundlePoint
@@ -88,7 +88,7 @@ class TestChartedMap:
         f = square_map(flat1)
         rng = np.random.default_rng(1)
         for _ in range(5):
-            _, anti = f.jacobians(flat1.chart.sample(rng))
+            _, anti, _ = f.jacobians(flat1.chart.sample(rng))
             assert np.max(np.abs(anti)) < 1e-8
 
     def test_real_target_values_real(self, flat1, euclidean2):
@@ -97,6 +97,8 @@ class TestChartedMap:
         v = f.value([0.3 + 0.4j])
         assert v.dtype.kind == "f"
         assert np.allclose(v, [0.3, 0.4])
+        # the value read from the Jacobian's dual pass is real too
+        assert np.array_equal(f.jacobians([0.3 + 0.4j])[2], v)
 
     def test_second_mixed_of_abs2(self, flat1, euclidean2):
         chart1r = RealChart(dim=1, radius=[9.0])
@@ -233,6 +235,39 @@ class TestGeneralizedY:
                                                                  chart_index=0))
                 for lam in (1.0, 2.0, 1j, 0.3 - 0.8j)]
         assert np.ptp(vals) < 1e-10
+
+
+def counted_map(f):
+    """f with a rule that records, per call, whether it was a dual pass
+    (some coordinate a HyperDual) or a plain call."""
+    calls = []
+
+    def rule(zs):
+        calls.append("dual" if any(isinstance(v, gm.HyperDual) for v in zs) else "plain")
+        return f.rule(zs)
+
+    return dataclasses.replace(f, rule=rule, validate_on_init=False), calls
+
+
+class TestFReadFromTheDualPass:
+    @pytest.mark.parametrize("name", ["fs-to-poincare", "fs2-to-ball"])
+    def test_a_density_stencil_calls_f_m_times_all_dual(self, name):
+        # f(z) is the value slot of the Jacobian's first pass: one Y_field
+        # stencil evaluation makes the m dual passes and no plain f call
+        p = zoo.build_entry(name).obj
+        f, calls = counted_map(p.f)
+        P = BundlePoint.make(f.source.sample(np.random.default_rng(3), 0.5), np.ones(f.m))
+        diffops.wirtinger_hessian(mp.Y_field(f, p.h, p.g, P.chart_index), P.combined())
+        assert calls == ["dual"] * f.m
+
+    def test_the_probe_makes_no_plain_f_call(self):
+        # the lattice's f(z) and the argmax's come from their Jacobians' dual
+        # passes: m for the lattice stack, m at the argmax
+        p = zoo.build_entry("fs2-to-ball").obj
+        f, calls = counted_map(p.f)
+        zs, Ws = verify._probe_grid(p)
+        verify.maximum_principle_probe(f, p.h, p.g, zs, Ws)
+        assert calls == ["dual"] * (2 * f.m)
 
 
 def y1(f, h, g, Q):

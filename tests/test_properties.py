@@ -10,12 +10,12 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
 from projcurv import diffops, maps as mp, verify, zoo  # noqa: E402
-from projcurv.bundle import BundlePoint, TautologicalMetric  # noqa: E402
+from projcurv.bundle import BundlePoint, TautologicalMetric, affine_rows  # noqa: E402
 from projcurv.charts import ComplexChart, RealChart  # noqa: E402
 from projcurv.dual import HyperDual  # noqa: E402
 from projcurv.fields import HermitianMetricField  # noqa: E402
 
-from conftest import fs_rule  # noqa: E402
+from conftest import assert_within_ulps, fs_rule  # noqa: E402
 
 
 def _complex(bound):
@@ -65,10 +65,10 @@ def test_fiber_evaluator_equals_generalized_Y_row_by_row(case):
     batched = mp.Y_on_fiber(f, h, g, z)(np.array([P.W_affine for P in points]))
     single = np.array([mp.generalized_Y(f, h, g, P) for P in points])
     assert batched.shape == (len(points),)
-    # NumPy's einsum may group the n^2 products of a pairing differently over
-    # a stack than over one row (it does for n = 2), so rows agree to a few
-    # ulps, not bitwise; with the FS metrics at |z| < 1 the pairings are
-    # well conditioned and 1e-13 is about 500 ulps
+    # the density's products may group their sums differently over a stack
+    # than over one row, so rows agree to a few ulps, not bitwise; with the
+    # FS metrics at |z| < 1 the pairings are well conditioned and 1e-13 is
+    # about 500 ulps
     np.testing.assert_allclose(batched, single, rtol=1e-13, atol=0)
     # projective invariance: the scaled rows give the same density
     half = len(Ws)
@@ -85,6 +85,36 @@ def chart_cases(draw):
     W = np.array(draw(st.lists(_complex(1.0), min_size=m, max_size=m).filter(
         lambda w: max(abs(x) for x in w) > 1e-3)))
     return m, np.eye(m) + B.reshape(m, m) / (4 * m), z, W
+
+
+@st.composite
+def stack_cases(draw):
+    """(m, A, zs, rows): a well-conditioned map as ``chart_cases`` draws it,
+    an (N, m) stack of base points and K nonzero fiber directions, with N
+    and K from 1 to 6."""
+    m = draw(st.integers(1, 3))
+    B = np.array(draw(st.lists(_complex(1.0), min_size=m * m, max_size=m * m)))
+    point = st.lists(_complex(0.3), min_size=m, max_size=m)
+    zs = draw(st.lists(point, min_size=1, max_size=6))
+    rows = draw(st.lists(st.lists(_complex(1.0), min_size=m, max_size=m).filter(
+        lambda w: max(abs(x) for x in w) > 1e-3), min_size=1, max_size=6))
+    return m, np.eye(m) + B.reshape(m, m) / (4 * m), np.array(zs), np.array(rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(stack_cases())
+def test_a_fiber_density_row_does_not_depend_on_its_stack(case):
+    # each of the N x K values of a stacked Y_on_fiber call agrees with the
+    # same base point and row evaluated alone, within the ulp budget: the
+    # stack's shape may regroup the density's sums and round its f(z)
+    # differently, but by no more than that
+    m, A, zs, rows = case
+    f, h, g = _fs_pair(m, A)
+    rows = affine_rows(rows)
+    stacked = mp.Y_on_fiber(f, h, g, zs)(rows)
+    assert stacked.shape == (len(zs), len(rows))
+    alone = [[mp.Y_on_fiber(f, h, g, z)(W[None])[0] for W in rows] for z in zs]
+    assert_within_ulps(stacked, np.array(alone))
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,7 +1,8 @@
 """The sample axis of the engine: a stack of points gives, bit for bit,
-what the points give one at a time (fd jets, map Jacobians and the fiber
-density), and the runner's grouped pass keeps every sample's outcome its
-own."""
+what the points give one at a time (fd jets and map Jacobians), the fiber
+density equals its per-point oracle bit for bit except in the cases named
+as moving, which stay within ULP_BUDGET, and the runner's grouped pass
+keeps every sample's outcome its own."""
 
 import functools
 import json
@@ -21,7 +22,7 @@ from projcurv.fields import (Form11, HermitianMetricField, RiemannianMetricField
                              ScalarField)
 from projcurv.maps import ChartedMap, NestedBundlePoint
 
-from conftest import nan_on_right_half
+from conftest import ULP_BUDGET, assert_within_ulps, nan_on_right_half
 
 STACK = 7
 
@@ -110,8 +111,9 @@ def test_stacked_jets_equal_per_point_jets(name):
         else:
             for got, x in zip(riemann_curvature(metric, points), points):
                 assert np.array_equal(got.array, riemann_curvature(metric, x).array)
-            for got, x in zip(levi_civita_christoffels(metric, points), points):
-                assert np.array_equal(got, levi_civita_christoffels(metric, x))
+            for (G, Gamma), x in zip(levi_civita_christoffels(metric, points), points):
+                want_G, want_Gamma = levi_civita_christoffels(metric, x)
+                assert np.array_equal(G, want_G) and np.array_equal(Gamma, want_Gamma)
     for got, P in zip(tautological_curvature(TautologicalMetric(h), Ps), Ps):
         assert np.array_equal(got.matrix,
                               tautological_curvature(TautologicalMetric(h), P).matrix)
@@ -292,7 +294,7 @@ def fiber_oracle(f, h, g, z, rows, holo=None):
     ``f.jacobians(z)[0]`` when given) and the per-point contraction: the
     evaluator the S5 probe called once per base point."""
     if holo is None:
-        holo, _ = f.jacobians(z)
+        holo = f.jacobians(z)[0]
     G = g.matrix(f.value(z))
     Hm = h.matrix(z)
     F = (holo @ rows[:, :, None])[:, :, 0]
@@ -301,29 +303,63 @@ def fiber_oracle(f, h, g, z, rows, holo=None):
     return np.real(num) / np.real(H)
 
 
+# Where the fiber density moves against the per-point oracle, with the most
+# ulps measured; every other case is bit for bit.  The stacked f(z) comes
+# from array arithmetic in the dual slots, which may round differently from
+# the point alone (in ulps of the value's largest entry, as an entry may
+# cancel to ~0), and the density's two matrix products group their sums by
+# the stack's shape.
+FZ_STACK_MOVES = {"disc-square-to-poincare": 0.5, "pluri-flat3": 0.5, "pluri-m2-flat": 0.2}
+LATTICE_MOVES = {"fs2-to-ball": 2, "hopf-function": 2, "pluri-m2-flat": 3, "fs3-to-ball3": 4}
+# at one point and one row: h(z) conj(W) is summed before its pairing with
+# W, where the oracle sums the three-factor products (m = 3 only)
+SINGLE_POINT_MOVES = {"fs3-to-ball3": 1}
+
+
+def assert_matches(got, want, moves):
+    """Bit for bit, or within ULP_BUDGET where a case is measured to move."""
+    if moves:
+        assert_within_ulps(got, want)
+    else:
+        assert np.array_equal(got, want)
+
+
 @pytest.mark.parametrize("name", PAIRS)
 def test_the_probe_lattice_equals_the_per_point_oracle(name):
     p = build_pair(name)
     f, h, g = p.f, p.h, p.g
     zs, Ws = V._probe_grid(p)
     rows = affine_rows(Ws)
-    holo, anti = f.jacobians(zs)
+    holo, anti, fz = f.jacobians(zs)
     assert holo.shape == anti.shape == (len(zs), f.n, f.m)
+    assert fz.shape == (len(zs), f.n)
     want = []
     for k, z in enumerate(zs):
-        want_holo, want_anti = f.jacobians(z)
+        want_holo, want_anti, want_fz = f.jacobians(z)
         assert np.array_equal(holo[k], want_holo) and np.array_equal(anti[k], want_anti)
+        # f(z) from the dual pass is the plain call at a point, bit for bit
+        assert np.array_equal(want_fz, f.value(z))
+        if name in FZ_STACK_MOVES:
+            assert np.max(np.abs(fz[k] - want_fz)) <= \
+                ULP_BUDGET * np.spacing(np.max(np.abs(want_fz)))
+        else:
+            assert np.array_equal(fz[k], want_fz)
         want.append(fiber_oracle(f, h, g, z, rows, want_holo))
     got = mp.Y_on_fiber(f, h, g, zs)(rows)
     assert got.shape == (len(zs), len(rows))
-    assert np.array_equal(got, np.array(want))
-    # single rows over single base points: the first, a middle and the last
+    assert_matches(got, np.array(want), name in LATTICE_MOVES)
+    # single rows over single base points: the first, a middle and the last;
+    # a point and its stack of one are the same evaluation, bit for bit
+    moves = name in SINGLE_POINT_MOVES
     for z in zs[[0, len(zs) // 2, -1]]:
         for W in rows:
             want = fiber_oracle(f, h, g, z, W[None])
-            assert np.array_equal(mp.Y_on_fiber(f, h, g, z)(W[None]), want)
-            assert np.array_equal(mp.Y_on_fiber(f, h, g, z[None])(W[None]), want[None])
-            assert mp.generalized_Y(f, h, g, BundlePoint.make(z, W)) == want[0]
+            one = mp.Y_on_fiber(f, h, g, z)(W[None])
+            assert_matches(one, want, moves)
+            assert np.array_equal(mp.Y_on_fiber(f, h, g, z[None])(W[None]), one[None])
+            Y = mp.generalized_Y(f, h, g, BundlePoint.make(z, W))
+            assert Y == one[0]
+            assert_matches(Y, want[0], moves)
 
 
 # the pushforward base points of the fiber_density benchmark workload:
@@ -351,7 +387,8 @@ def test_pushforward_nodes_equal_the_per_point_oracle(monkeypatch, name):
 
         def values(Ws):
             got = density(Ws)
-            assert np.array_equal(got, fiber_oracle(p.f, p.h, p.g, z, Ws))
+            # both pairs move: at most 6 ulps (fs3-to-ball3) and 3 (fs2-to-ball)
+            assert_within_ulps(got, fiber_oracle(p.f, p.h, p.g, z, Ws))
             nodes.append(len(Ws))
             return got
         return integrate(H, values, **kwargs)
@@ -359,8 +396,8 @@ def test_pushforward_nodes_equal_the_per_point_oracle(monkeypatch, name):
     monkeypatch.setattr(bundle, "fiber_integrate", checked)
     for z in pool_points(name):
         bundle.pushforward_energy_check(p.f, p.h, p.g, z, order=order, tol=1e-6)
-    # both quadrature orders at every base point
-    assert len(nodes) == 32 and len(set(nodes)) == 2
+    # both quadrature orders at every base point, in one density call
+    assert len(nodes) == 16 and len(set(nodes)) == 1
 
 
 @pytest.mark.parametrize("name", PUSH_POOL)

@@ -1,5 +1,6 @@
 """tools/zoo_compare.py on synthetic ``zoo_digest.py --values`` outputs: a
-drift at or below 1e-12 passes, anything else that moved fails."""
+drift at or below 1e-12 passes, anything else that moved fails, for the
+suite reports and the pushforward values alike."""
 
 import copy
 import importlib.util
@@ -15,7 +16,7 @@ zoo_compare = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(zoo_compare)
 
 POINT = {"z": [[0.1, 0.2]], "W": [[1.0, 0.0]]}
-BASE = {
+REPORTS = {
     "fs-to-poincare": {
         "S1 seed 0": {"status": "pass", "residuals": [0.5, -1e-10, 2.0],
                       "worst": {"residual": -1e-10, "point": POINT,
@@ -32,6 +33,12 @@ BASE = {
                          "message": "requires a complex target"},
     },
 }
+PUSHFORWARD = {
+    "fs2-to-ball": {
+        "point 0": {"z": [[0.1, 0.2], [0.0, -0.1]], "pushed": 1.25, "u": 1.2500000000000002},
+    },
+}
+BASE = {"reports": REPORTS, "pushforward": PUSHFORWARD}
 
 
 def moved(edit):
@@ -51,18 +58,22 @@ def run(tmp_path, capsys, new):
 
 
 def s1(doc):
-    return doc["fs-to-poincare"]["S1 seed 0"]
+    return doc["reports"]["fs-to-poincare"]["S1 seed 0"]
 
 
 def probe(doc):
-    return doc["fs-to-poincare"]["S5_probe seed 0"]
+    return doc["reports"]["fs-to-poincare"]["S5_probe seed 0"]
+
+
+def push(doc):
+    return doc["pushforward"]["fs2-to-ball"]["point 0"]
 
 
 def test_identical_files_pass(tmp_path, capsys):
     code, out = run(tmp_path, capsys, copy.deepcopy(BASE))
     assert code == 0
     assert out.splitlines() == [
-        "0 of 9 values moved; max drift 0; 0 change(s) beyond a drift of 1e-12"]
+        "0 of 11 values moved; max drift 0; 0 change(s) beyond a drift of 1e-12"]
 
 
 def test_ulp_drift_passes_and_is_reported(tmp_path, capsys):
@@ -75,7 +86,18 @@ def test_ulp_drift_passes_and_is_reported(tmp_path, capsys):
     assert row.split()[:2] == ["fs-to-poincare", "S1"]
     assert [float(v) for v in row.split()[2:4]] == [2.22e-16, 4.44e-16]
     assert int(row.split()[4]) == 2
-    assert "2 of 9 values moved" in out
+    assert "2 of 11 values moved" in out
+
+
+def test_pushforward_ulp_drift_passes_and_is_reported(tmp_path, capsys):
+    def edit(doc):
+        push(doc)["pushed"] = 1.25 + 2 ** -52
+    code, out = run(tmp_path, capsys, moved(edit))
+    assert code == 0
+    row = next(line for line in out.splitlines() if line.startswith("fs2-to-ball"))
+    assert row.split()[:2] == ["fs2-to-ball", "pushforward"]
+    assert [float(v) for v in row.split()[2:5]] == [1.78e-16, 2.22e-16, 1]
+    assert "1 of 11 values moved" in out
 
 
 @pytest.mark.parametrize("edit,what", [
@@ -88,10 +110,18 @@ def test_ulp_drift_passes_and_is_reported(tmp_path, capsys):
      "worst"),
     (lambda d: s1(d)["residuals"].__setitem__(1, math.nan), "-1e-10 -> nan"),
     (lambda d: s1(d)["residuals"].pop(), "count 3 -> 2"),
-    (lambda d: d["flat-identity"].pop("W_psd seed 3"), "only in the old file"),
-    (lambda d: d.pop("flat-identity"), "flat-identity: only in the old file"),
+    (lambda d: d["reports"]["flat-identity"].pop("W_psd seed 3"), "only in the old file"),
+    (lambda d: d["reports"].pop("flat-identity"),
+     "flat-identity: only in the old file's reports"),
+    (lambda d: push(d).__setitem__("u", 1.25 * (1 + 1e-11)), "drift"),
+    (lambda d: push(d).__setitem__("pushed", math.nan), "1.25 -> nan"),
+    (lambda d: push(d).__setitem__("z", [[0.1, 0.2], [0.0, 0.1]]), "z "),
+    (lambda d: d["pushforward"]["fs2-to-ball"].pop("point 0"), "only in the old file"),
+    (lambda d: d["pushforward"].pop("fs2-to-ball"),
+     "fs2-to-ball: only in the old file's pushforward"),
 ], ids=["residual", "probe-scalar", "status", "message", "pattern", "argmax", "nan",
-        "count", "report", "pair"])
+        "count", "report", "pair", "push-drift", "push-nan", "push-point", "push-entry",
+        "push-pair"])
 def test_any_other_move_fails(tmp_path, capsys, edit, what):
     code, out = run(tmp_path, capsys, moved(edit))
     assert code == 1
@@ -118,3 +148,13 @@ def test_nan_against_nan_is_no_drift():
 def test_usage(capsys):
     assert zoo_compare.main(["one.json"]) == 2
     assert "usage" in capsys.readouterr().err
+
+
+def test_a_file_without_both_sections_is_rejected(tmp_path, capsys):
+    # the reports alone at the top level (the layout before the pushforward
+    # section) would otherwise compare as zero values
+    paths = [tmp_path / "old.json", tmp_path / "new.json"]
+    paths[0].write_text(json.dumps(REPORTS))
+    paths[1].write_text(json.dumps(BASE))
+    assert zoo_compare.main([str(p) for p in paths]) == 2
+    assert "old.json: not a zoo_digest.py --values output" in capsys.readouterr().err

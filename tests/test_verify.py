@@ -503,7 +503,8 @@ class TestRunSuite:
     def test_exact_identities_take_df_and_f_once_per_sample(self, monkeypatch,
                                                            name, suites):
         # the W form reuses the curvature term's df and f(z); both used to be
-        # evaluated twice per sample (4 Jacobians and 4 values at 2 samples)
+        # evaluated twice per sample (4 Jacobians and 4 values at 2 samples),
+        # and f(z) now comes from the Jacobian's dual pass
         p = pair(name)
         p.pluriharmonic       # routing's own map evaluations are not counted
         calls = {"jacobians": 0, "value": 0, "w_form": 0}
@@ -525,7 +526,7 @@ class TestRunSuite:
                 calls[key] = 0
             [rep] = V.run_suite(p, [suite], samples=2, seed=0)
             assert rep.status == "pass"
-            assert (calls["jacobians"], calls["value"]) == (2, 2), suite
+            assert (calls["jacobians"], calls["value"]) == (2, 0), suite
             # the exact identities still reach the W form through the module
             assert calls["w_form"] == (2 if suite.startswith("exact") else 0)
 

@@ -6,10 +6,11 @@
 Reads two outputs of ``tools/zoo_digest.py --values`` and prints, per pair
 and suite with a difference, the largest drift of its values over the
 suite's reports: the residuals and the scalars of ``worst`` (residual,
-y_max, term1, term2).  A value's drift is |new - old| / max(1, |old|),
-absolute below 1 and relative above, as the benchmark measures residual
-deviations; the absolute drift is printed beside it.  A summary line
-follows.
+y_max, term1, term2).  The pushforward values (pushed, u) at each base
+point are compared the same way, as the suite "pushforward".  A value's
+drift is |new - old| / max(1, |old|), absolute below 1 and relative above,
+as the benchmark measures residual deviations; the absolute drift is
+printed beside it.  A summary line follows.
 
 The worst sample's eigenvector is printed apart and not gated: it belongs
 to the residual form's smallest eigenvalue, which is fd noise of about
@@ -21,8 +22,8 @@ Exits 1 when a drift exceeds DRIFT_TOL, or when anything that is not a
 drift changed: a status, a message (it carries the S5 probe's pattern), the
 worst point (the argmax of the residuals), a non-numeric entry of
 ``worst`` (the probe's pattern and conclusion), the number of residuals, a
-NaN that appeared or went, or the set of pairs and reports.  Exits 0
-otherwise.
+pushforward base point, a NaN that appeared or went, or the set of pairs,
+reports and base points.  Exits 0 otherwise.
 """
 
 from __future__ import annotations
@@ -59,6 +60,20 @@ def _fixed(report) -> dict:
             "numbers": len(_numbers(report)), "eigenvector": len(_eigenvector(report))}
 
 
+def _report_parts(key: str, report) -> tuple:
+    """(suite, what must not change, gated numbers, eigenvector) of a report."""
+    return _suite(key), _fixed(report), _numbers(report), _eigenvector(report)
+
+
+def _pushforward_parts(key: str, entry) -> tuple:
+    """The same for the pushforward check at one base point: its point must
+    not change, and (pushed, u) are gated."""
+    return "pushforward", {"z": entry["z"]}, [entry["pushed"], entry["u"]], []
+
+
+SECTIONS = (("reports", _report_parts), ("pushforward", _pushforward_parts))
+
+
 def _drift(old: float, new: float) -> tuple[float, float]:
     """(drift, absolute drift) of one value; NaN against NaN is no drift."""
     if math.isnan(old) or math.isnan(new):
@@ -79,37 +94,49 @@ def compare(old: dict, new: dict) -> tuple[list, list]:
     changes: one line per thing that must not change and did."""
     changes = []
     cells = {}
-    for pair in sorted(set(old) | set(new)):
-        if pair not in old or pair not in new:
-            changes.append(f"{pair}: only in the {'new' if pair in new else 'old'} file")
-            continue
-        for key in sorted(set(old[pair]) | set(new[pair])):
-            a, b = old[pair].get(key), new[pair].get(key)
-            if a is None or b is None:
-                changes.append(f"{pair} / {key}: only in the {'new' if a is None else 'old'} file")
+    for section, parts in SECTIONS:
+        a_pairs, b_pairs = old[section], new[section]
+        for pair in sorted(set(a_pairs) | set(b_pairs)):
+            if pair not in a_pairs or pair not in b_pairs:
+                changes.append(f"{pair}: only in the {'new' if pair in b_pairs else 'old'} "
+                               f"file's {section}")
                 continue
-            fa, fb = _fixed(a), _fixed(b)
-            for what in fa:
-                if fa[what] != fb[what]:
-                    changes.append(f"{pair} / {key}: {what} {fa[what]!r} -> {fb[what]!r}")
-            if fa != fb:
-                continue
-            cell = cells.setdefault((pair, _suite(key)), [0.0, 0.0, 0, 0.0])
-            for x, y in zip(_numbers(a), _numbers(b)):
-                rel, diff = _drift(x, y)
-                if math.isinf(rel):
-                    changes.append(f"{pair} / {key}: {x!r} -> {y!r}")
-                if diff:
-                    cell[0] = max(cell[0], rel)
-                    cell[1] = max(cell[1], diff)
-                    cell[2] += 1
-            for x, y in zip(_eigenvector(a), _eigenvector(b)):
-                cell[3] = max(cell[3], _drift(x, y)[1])
+            for key in sorted(set(a_pairs[pair]) | set(b_pairs[pair])):
+                a, b = a_pairs[pair].get(key), b_pairs[pair].get(key)
+                if a is None or b is None:
+                    changes.append(f"{pair} / {key}: only in the "
+                                   f"{'new' if a is None else 'old'} file")
+                    continue
+                suite, fa, xs, va = parts(key, a)
+                _, fb, ys, vb = parts(key, b)
+                for what in fa:
+                    if fa[what] != fb[what]:
+                        changes.append(f"{pair} / {key}: {what} {fa[what]!r} -> {fb[what]!r}")
+                if fa != fb:
+                    continue
+                cell = cells.setdefault((pair, suite), [0.0, 0.0, 0, 0.0])
+                for x, y in zip(xs, ys):
+                    rel, diff = _drift(x, y)
+                    if math.isinf(rel):
+                        changes.append(f"{pair} / {key}: {x!r} -> {y!r}")
+                    if diff:
+                        cell[0] = max(cell[0], rel)
+                        cell[1] = max(cell[1], diff)
+                        cell[2] += 1
+                for x, y in zip(va, vb):
+                    cell[3] = max(cell[3], _drift(x, y)[1])
     rows = [(pair, suite, *cell) for (pair, suite), cell in sorted(cells.items())
             if cell[2] or cell[3]]
     changes += [f"{pair} / {suite}: drift {rel:.3e} > {DRIFT_TOL:.0e}"
                 for pair, suite, rel, *_ in rows if rel > DRIFT_TOL]
     return rows, changes
+
+
+def total_values(doc: dict) -> int:
+    """The number of gated values in a ``--values`` file."""
+    return sum(len(parts(key, entry)[2]) for section, parts in SECTIONS
+               for entries in doc[section].values()
+               for key, entry in entries.items())
 
 
 def main(argv=None) -> int:
@@ -121,6 +148,11 @@ def main(argv=None) -> int:
     for path in argv:
         with open(path) as fh:
             docs.append(json.load(fh))
+    for path, doc in zip(argv, docs):
+        if sorted(doc) != sorted(name for name, _ in SECTIONS):
+            print(f"{path}: not a zoo_digest.py --values output (its keys are "
+                  f"{sorted(doc)[:4]})", file=sys.stderr)
+            return 2
     old, new = docs
     rows, changes = compare(old, new)
     if rows:
@@ -128,7 +160,7 @@ def main(argv=None) -> int:
               f" {'eigvec':>10}")
     for pair, suite, rel, diff, moved, vec in rows:
         print(f"{pair:<26} {suite:<12} {rel:10.2e} {diff:10.2e} {moved:6d} {vec:10.2e}")
-    total = sum(len(_numbers(r)) for p in old.values() for r in p.values())
+    total = total_values(old)
     moved = sum(row[4] for row in rows)
     worst = max(rows, key=lambda r: r[2], default=None)
     print(f"{moved} of {total} values moved; max drift "
