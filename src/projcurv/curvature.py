@@ -349,9 +349,16 @@ class NormalFrame:
 
 def _linear_stage(metric, p):
     """A = conj(M(p)^{-1/2}), which makes the metric the identity, and the
-    exact first jet at 0 of the metric in the coordinates p + A new."""
+    exact first jet at 0 of the metric in the coordinates p + A new.
+
+    M(p) is evaluated on NumPy scalars, not on the Python numbers of
+    ``matrix``: the S5 probe's fd Hessian in the normal chart amplifies one
+    ulp of M(p) about 1e7-fold (fs2-to-ball's term1 moved by 8.6e-10 with
+    Python numbers here).  This exception goes once that Hessian is taken
+    on the dual backend."""
     n = metric.dim
-    lam, U = np.linalg.eigh(metric.matrix(p))
+    M = np.asarray(metric.matrix_generic(tuple(p)), complex)
+    lam, U = np.linalg.eigh(M if isinstance(metric, HermitianMetricField) else M.real)
     A = (U @ np.diag(lam ** -0.5) @ U.conj().T).conj()
     stage = type(metric)(type(metric.chart)(dim=n), _pullback_rule(metric, p, A),
                          validate_on_init=False)

@@ -43,6 +43,14 @@ on the density's value for its T D term, so no check or density evaluates
 the rule at the point again.  The centre column
 is array arithmetic, so it may differ from a scalar call by an ulp.
 
+Python numbers at one point, NumPy arrays on stencils.  A one-point
+evaluation (a plain call through ``fields.plain_values``, a dual pass of
+``_real_jet``, the single-point ``jacobian_pair``) hands the rule Python
+numbers, whose arithmetic is cheaper than NumPy scalars'; fd stencils keep
+their arrays.  Where a NumPy scalar gives inf or NaN, Python raises
+``ZeroDivisionError`` or ``OverflowError``; those two are turned into NaN
+values (``fields.NUMBER_ERRORS``), so the checks that follow still fail.
+
 One stencil per chart and point.  A density and the metric it divides by
 live on the same chart at the same points, so a joint density field
 (``ScalarField.joint``) returns both from one rule call and
@@ -78,7 +86,7 @@ import numpy as np
 from .charts import ComplexChart
 from .dual import HyperDual
 from .errors import BackendMismatchError
-from .fields import Form11, ScalarField, rule_values
+from .fields import NUMBER_ERRORS, Form11, ScalarField, rule_values
 
 REL_STEP = 1e-3
 CROSS_CHECK_RTOL = 1e-5
@@ -226,13 +234,26 @@ def _entry(out, idx):
     return out
 
 
+def _dual_pass(F, coords, shape, K, mixed=True):
+    """``_dual_slots`` of F at one point's seeded coordinates, whose value
+    slots hold Python numbers.  A rule that raises one of
+    ``fields.NUMBER_ERRORS`` there (a pole at the point) gets NaN slots."""
+    try:
+        out = F(coords)
+    except NUMBER_ERRORS:
+        nan = np.full((K,) + shape, np.nan, complex)
+        return np.full(shape, np.nan, complex), nan, nan if mixed else None
+    return _dual_slots(out, shape, K, mixed)
+
+
 def _real_jet2_dual(F, p, shape=()):
-    """Full real jet from one hyper-dual evaluation seeded with every
-    direction pair a <= b at once."""
-    n = p.size
+    """Full real jet at the point p (a list of Python floats) from one
+    hyper-dual evaluation seeded with every direction pair a <= b at
+    once."""
+    n = len(p)
     A, B, diag, first, second = _pair_seeds(n)
     coords = [HyperDual(p[c], first[c], second[c], 0.0) for c in range(n)]
-    f0, f1, f12 = _dual_slots(F(coords), shape, A.size)
+    f0, f1, f12 = _dual_pass(F, coords, shape, A.size)
     hess = np.empty((n, n) + shape, complex)
     hess[A, B] = f12
     hess[B, A] = f12
@@ -240,13 +261,13 @@ def _real_jet2_dual(F, p, shape=()):
 
 
 def _real_grad_dual(F, p, shape=()):
-    """Value and real gradient from one hyper-dual evaluation seeded with
-    every direction in the first slot; the second and mixed slots are
-    untracked."""
-    n = p.size
+    """Value and real gradient at the point p (a list of Python floats)
+    from one hyper-dual evaluation seeded with every direction in the
+    first slot; the second and mixed slots are untracked."""
+    n = len(p)
     eye = np.eye(n)
     coords = [HyperDual(p[c], eye[c], None, None) for c in range(n)]
-    f0, f1, _ = _dual_slots(F(coords), shape, n, mixed=False)
+    f0, f1, _ = _dual_pass(F, coords, shape, n, mixed=False)
     return f0, f1
 
 
@@ -313,8 +334,9 @@ def _real_jet(rule, chart, z, backend: str, order: int = 2, shape=()):
     complex and real charts alike, splits complex points into real
     coordinates ordered (x^0.., y^0..), and runs the fd or dual primitive:
     the fd backend evaluates the stencils of all N points in one rule call,
-    the dual backend takes one hyper-dual pass per point.  ``rule`` takes a
-    tuple of chart coordinates and returns an output of shape ``shape``.
+    the dual backend takes one hyper-dual pass per point, seeded with
+    Python numbers.  ``rule`` takes a tuple of chart coordinates and
+    returns an output of shape ``shape``.
     """
     if backend not in ("fd", "dual"):
         raise ValueError(f"unknown backend {backend!r}")
@@ -339,7 +361,7 @@ def _real_jet(rule, chart, z, backend: str, order: int = 2, shape=()):
             return _real_jet2_fd(F, p, s, shape)
         return _real_grad_fd(F, p, s, shape) + (None,)
     jet = _real_jet2_dual if order >= 2 else _real_grad_dual
-    parts = tuple(np.stack(part) for part in zip(*[jet(F, q, shape) for q in p]))
+    parts = tuple(np.stack(part) for part in zip(*[jet(F, q, shape) for q in p.tolist()]))
     return parts if order >= 2 else parts + (None,)
 
 
@@ -517,11 +539,16 @@ def jacobian_pair(rule, z, dim: int, n_out: int):
     columns (length-N arrays) as the coordinates; a slot the rule leaves
     scalar is broadcast.  Array arithmetic may round differently from the
     scalar one, so a stacked row may differ from its point alone by an ulp.
+    A single point's passes carry Python numbers, and a pole there
+    (``fields.NUMBER_ERRORS``) gives NaN parts.
     """
     zs, stacked = point_stack(z)
     if not stacked:
-        return tuple(np.array(part, complex)
-                     for part in jacobian_pair_generic(rule, zs[0], dim, n_out))
+        try:
+            parts = jacobian_pair_generic(rule, zs[0].tolist(), dim, n_out)
+        except NUMBER_ERRORS:
+            parts = ([[np.nan] * dim] * n_out,) * 2 + ([np.nan] * n_out,)
+        return tuple(np.array(part, complex) for part in parts)
     holo, anti, value = jacobian_pair_generic(
         rule, tuple(np.ascontiguousarray(zs.T)), dim, n_out)
     out = np.empty((2, len(zs), n_out, dim), complex)

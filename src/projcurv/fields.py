@@ -47,8 +47,33 @@ class ScalarField:
         return cls(chart, lambda zs: joint_rule(zs)[0], name, joint_rule, rider)
 
     def __call__(self, z):
-        v = self.rule(tuple(np.asarray(z, complex)))
-        return complex(v)
+        return complex(plain_values(self.rule, np.asarray(z, complex)[None], ())[0])
+
+
+# What Python numbers raise where NumPy scalars return inf or NaN: a
+# division by zero, and an overflow in ``**``.  The one-point evaluations
+# (``plain_values`` and the dual passes of ``diffops``) turn exactly these
+# into non-finite values, so the checks that follow fail as they would on
+# NumPy scalars; any other exception escapes.
+NUMBER_ERRORS = (ZeroDivisionError, OverflowError)
+
+
+def plain_values(rule, points, shape) -> np.ndarray:
+    """Plain rule values at each row of an (N, d) stack of points, as one
+    complex array ``(N,) + shape``.
+
+    One rule call per point, on Python numbers (``points.tolist()``),
+    whose arithmetic is much cheaper than NumPy scalars', and one
+    conversion at the end.  A point where the rule raises one of
+    ``NUMBER_ERRORS`` gets NaN values.
+    """
+    out = []
+    for p in points.tolist():
+        try:
+            out.append(rule(tuple(p)))
+        except NUMBER_ERRORS:
+            out.append(np.full(shape, np.nan))
+    return np.array(out, complex)
 
 
 def rule_values(out, shape, N):
@@ -102,8 +127,18 @@ class _MetricBase:
     def matrix_generic(self, scalars):
         return self.rule(tuple(scalars))
 
+    def _raw_matrices(self, points) -> np.ndarray:
+        """The rule's complex values at each row of an (N, d) stack of
+        points, from N plain calls (``plain_values``)."""
+        return plain_values(self.rule, np.asarray(points, self._coordinate_type),
+                            (self.dim, self.dim))
+
     def _raw_matrix(self, z) -> np.ndarray:
-        return np.asarray(self.rule(tuple(np.asarray(z, self._coordinate_type))), complex)
+        return self._raw_matrices(np.asarray(z, self._coordinate_type)[None])[0]
+
+    def matrix(self, z) -> np.ndarray:
+        """The metric's matrix at one point: ``matrices`` of its stack of one."""
+        return self.matrices(np.asarray(z, self._coordinate_type)[None])[0]
 
     def _shape_error(self, shape):
         return ValidationError(
@@ -183,8 +218,10 @@ class HermitianMetricField(_MetricBase):
     def dim(self) -> int:
         return self.matrix_dim
 
-    def matrix(self, z) -> np.ndarray:
-        return self._raw_matrix(z)
+    def matrices(self, points) -> np.ndarray:
+        """The (N, d, d) matrices at each row of an (N, m) stack of points,
+        one plain rule call per point (``plain_values``)."""
+        return self._raw_matrices(points)
 
     def inverse_up(self, z) -> np.ndarray:
         """Inverse metric with raised indices: h^{a bbar} = conj(inv(H))[a, b]."""
@@ -204,8 +241,10 @@ class RiemannianMetricField(_MetricBase):
     def dim(self) -> int:
         return self.chart.dim
 
-    def matrix(self, x) -> np.ndarray:
-        return self._raw_matrix(x).real
+    def matrices(self, points) -> np.ndarray:
+        """The (N, n, n) matrices at each row of an (N, n) stack of points,
+        one plain rule call per point (``plain_values``)."""
+        return self._raw_matrices(points).real
 
     def _symmetry_defects(self, G):
         imag, G = np.abs(G.imag), G.real

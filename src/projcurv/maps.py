@@ -32,8 +32,9 @@ the coordinates (a hyper-dual quotient multiplies by the reciprocal).
 ``Y_on_fiber`` evaluates Y over an (N, m) stack of base points, as the S5
 probe's lattice needs.  Stacked: df and f(z), from the m dual passes of one
 point with length-N arrays in the slots, and the two matrix products of
-the density.  Per point: h(z) and g(f(z)), one scalar rule call each,
-because a stacked metric call holds one (N, d, d) array per rule entry.
+the density.  Per point: h(z) and g(f(z)), one plain rule call each on
+Python numbers (the metric's ``matrices``), because a stacked metric call
+holds one (N, d, d) array per rule entry.
 Array arithmetic may round differently from scalar arithmetic, and the
 products group their sums by the shapes, so a stacked value may differ
 from the point alone by a few ulps (tests/conftest.py's ULP_BUDGET).
@@ -59,7 +60,7 @@ from .bundle import BundlePoint, TautologicalMetric, reconstruct_W
 from .charts import ComplexChart, fiber_chart
 from .curvature import levi_civita_christoffels, riemann_curvature
 from .errors import ValidationError
-from .fields import HermitianMetricField, RiemannianMetricField, ScalarField
+from .fields import HermitianMetricField, RiemannianMetricField, ScalarField, plain_values
 
 HOLO_FLAG_TOL = 1e-8
 PLURI_TOL = 1e-6        # max |pluri-harmonic residual| of a pluri-harmonic map
@@ -91,7 +92,7 @@ class ChartedMap:
                 if self.holomorphic else []
             if real:
                 gaps += [
-                    (np.asarray(self.rule(tuple(z)), complex).imag,
+                    (plain_values(self.rule, z[None], (self.n,))[0].imag,
                      "into a real chart is not real-valued: max |Im f(z)|"),
                     (anti - holo.conj(), "into a real chart is not "
                      "real-valued: max |df/dzbar - conj(df/dz)|")]
@@ -114,9 +115,10 @@ class ChartedMap:
         return isinstance(self.target, ComplexChart)
 
     def value(self, z) -> np.ndarray:
-        """f(z) from one plain rule call: the reference the value slot that
+        """f(z) from one plain rule call on Python numbers
+        (``fields.plain_values``): the reference the value slot that
         ``jacobians`` returns is tested against."""
-        out = np.asarray(self.rule(tuple(np.asarray(z, complex))), complex)
+        out = plain_values(self.rule, np.asarray(z, complex)[None], (self.n,))[0]
         return out if self.target_is_complex else out.real
 
     def jacobians(self, z):
@@ -167,18 +169,19 @@ def _base_values(f: ChartedMap, h: HermitianMetricField, g, z):
 
     df and f(z) at all N points come from one set of m dual passes of the
     map rule (``ChartedMap.jacobians`` on the stack), f(z) from the first
-    pass's value slot.  g(f(z)) and h(z) stay one scalar rule call per
-    point, stacked into arrays: a stacked metric call would hold one
-    (N, d, d) array per rule entry at once.  A base point where df, f, g
-    or h is not finite gets NaN g entries, so its densities are NaN, also
-    where the contraction would drop the bad entry (g constant, say).
+    pass's value slot.  g(f(z)) and h(z) stay one plain rule call per
+    point, on Python numbers (``matrices``): a stacked metric call would
+    hold one (N, d, d) array per rule entry at once.  A base point where
+    df, f, g or h is not finite gets NaN g entries, so its densities are
+    NaN, also where the contraction would drop the bad entry (g constant,
+    say).
     """
     zs, _ = diffops.point_stack(z)
     N = len(zs)
     holo, _, fz = f.jacobians(z)
     holo, fz = holo.reshape(N, f.n, f.m), fz.reshape(N, f.n)
-    G = np.array([g.matrix(p) for p in fz])
-    Hm = np.array([h.matrix(q) for q in zs])
+    G = g.matrices(fz)
+    Hm = h.matrices(zs)
     parts = (holo, fz, G, Hm)
     if not np.isfinite(np.concatenate([x.ravel() for x in parts])).all():
         # NaN entries of g reach every value at their point
@@ -476,11 +479,15 @@ def target_christoffels(g, p):
     centre) and Gamma[i, j, k] = Gamma^i_{jk}.  An (N, n) stack of points
     gives the list of them; the Levi-Civita symbols take one fd metric jet
     for the stack, the Chern ones (exact dual jets) are taken point by
-    point."""
+    point.  A Chern value that is not finite (a pole of g at the point
+    gives NaN slots) fails the metric check there, naming the point."""
     if not isinstance(g, HermitianMetricField):
         return levi_civita_christoffels(g, p)
     ps, stacked = diffops.point_stack(p)
     out = [_chern_christoffels(g, q) for q in ps]
+    Ms = np.array([M for M, _ in out])
+    if not np.isfinite(Ms).all():
+        g.check_stack(Ms, ps)
     return out if stacked else out[0]
 
 

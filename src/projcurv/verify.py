@@ -618,7 +618,9 @@ def _point_coords(pt) -> list:
 
 
 def _c2l(arr) -> list:
-    return [[float(np.real(v)), float(np.imag(v))] for v in np.asarray(arr).ravel()]
+    """[[re, im], ...] of the entries of arr as Python floats."""
+    arr = np.asarray(arr).ravel()
+    return np.stack([arr.real, arr.imag], axis=-1).astype(float).tolist()
 
 
 def _default_phi(zs, Ws):

@@ -137,3 +137,20 @@ def nan_off_centre(rule):
         return [[entry * off for entry in row] for row in out]
 
     return wrapped
+
+
+def pole_at(rule, point):
+    """The metric ``rule`` with 0 / |z - point|^2 added to its first entry:
+    a division by zero at ``point``, where Python numbers raise
+    ZeroDivisionError and NumPy gives NaN, and an exact 0 elsewhere."""
+    point = np.asarray(point).tolist()
+
+    def wrapped(z):
+        d2 = 0
+        for x, c in zip(z, point):
+            d2 = d2 + gm.abs2(x - c)
+        out = [list(row) for row in rule(z)]
+        out[0][0] = out[0][0] + 0 / d2
+        return out
+
+    return wrapped

@@ -124,7 +124,7 @@ class TestUntrackedSlots:
 # left untracked
 
 def tracked_grad_dual(F, p, shape=()):
-    n = p.size
+    n = len(p)
     eye = np.eye(n)
     coords = [HyperDual(p[c], eye[c], 0.0, 0.0) for c in range(n)]
     f0, f1, _ = diffops._dual_slots(F(coords), shape, n)

@@ -265,3 +265,71 @@ class TestStackedValidation:
         x = np.array([0.3, -0.2])
         G = sphere2.check_at(x)
         assert G.dtype == float and np.array_equal(G, sphere2.matrix(x))
+
+
+def _deliberate(x):
+    raise ArithmeticError("deliberate")
+
+
+# what a rule computes at its point: Python numbers raise the first two where
+# NumPy scalars gave inf or NaN; a bare ArithmeticError is a fault of the rule
+FAULTS = {
+    "zero-division": lambda x: 1 + 0 / (x - x),
+    "overflow": lambda x: 1 + 0 * (1e200 + 0 * x) ** 2,
+    "arithmetic": _deliberate,
+}
+
+
+def _one_point_evaluations(fault):
+    """Every evaluation that hands a rule one point's Python numbers, by
+    name, each on a rule whose one entry is ``fault`` of the first
+    coordinate."""
+    from projcurv import diffops
+    from projcurv.fields import ScalarField
+    from projcurv.maps import ChartedMap
+    chart = ComplexChart(dim=1, radius=[1.0])
+    real_chart = RealChart(dim=1, radius=[1.0])
+    h = HermitianMetricField(chart, lambda z: [[fault(z[0])]], name="h",
+                             validate_on_init=False)
+    g = RiemannianMetricField(real_chart, lambda x: [[fault(x[0])]], name="g",
+                              validate_on_init=False)
+    f = ChartedMap(chart, chart, lambda z: (fault(z[0]),), name="f", validate_on_init=False)
+    z, x = np.array([0.3 + 0.1j]), np.array([0.3])
+    return {
+        "matrix": lambda: h.matrix(z),
+        "real matrix": lambda: g.matrix(x),
+        "matrices": lambda: h.matrices(np.stack([z, z])),
+        "value": lambda: f.value(z),
+        "scalar field": lambda: ScalarField(chart, lambda q: fault(q[0]))(z),
+        "dual gradient": lambda: diffops.matrix_jet(h, z, backend="dual", order=1),
+        "dual jet": lambda: diffops.matrix_jet(g, x, backend="dual"),
+        "jacobians": lambda: f.jacobians(z),
+    }
+
+
+EVALUATIONS = list(_one_point_evaluations(None))
+
+
+class TestPythonNumberErrors:
+    """One-point evaluations run on Python numbers; a division by zero or
+    an overflow there gives non-finite values, as NumPy scalars did, and
+    any other exception escapes."""
+
+    @pytest.mark.parametrize("fault", ["zero-division", "overflow"])
+    @pytest.mark.parametrize("what", EVALUATIONS)
+    def test_a_pole_or_overflow_gives_nan(self, what, fault):
+        out = _one_point_evaluations(FAULTS[fault])[what]()
+        parts = out if isinstance(out, tuple) else (out,)
+        assert all(np.isnan(part).all() for part in parts if part is not None)
+
+    @pytest.mark.parametrize("what", EVALUATIONS)
+    def test_any_other_arithmetic_error_escapes(self, what):
+        with pytest.raises(ArithmeticError, match="deliberate"):
+            _one_point_evaluations(FAULTS["arithmetic"])[what]()
+
+    @pytest.mark.parametrize("fault", ["zero-division", "overflow"])
+    def test_the_metric_check_names_the_point(self, fault):
+        chart = ComplexChart(dim=1, radius=[1.0])
+        with pytest.raises(ValidationError,
+                           match=r"metric 'pole' has non-finite entries at \[0\.\+0\.j\]"):
+            HermitianMetricField(chart, lambda z: [[FAULTS[fault](z[0])]], name="pole")

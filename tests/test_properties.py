@@ -15,7 +15,7 @@ from projcurv.charts import ComplexChart, RealChart  # noqa: E402
 from projcurv.dual import HyperDual  # noqa: E402
 from projcurv.fields import HermitianMetricField  # noqa: E402
 
-from conftest import assert_within_ulps, fs_rule  # noqa: E402
+from conftest import assert_within_ulps, fs_rule, nan_off_centre, pole_at  # noqa: E402
 
 
 def _complex(bound):
@@ -372,3 +372,40 @@ def test_a_nan_in_a_rule_at_one_probe_point_is_an_error(name, part, entry, where
     assert named in str(raised.value)
     assert rep.status == "error" and named in rep.message
     assert "y_max" not in rep.worst
+
+
+@pytest.mark.parametrize("name", ("fs-to-poincare", "fs2-to-ball", "flat-identity"))
+@settings(max_examples=8, deadline=None)
+@given(part=st.sampled_from(["h", "g"]), where=st.floats(0, 1, exclude_max=True))
+def test_a_division_by_zero_in_a_metric_rule_at_one_probe_point_is_an_error(name, part, where):
+    # the lattice's plain metric calls run on Python numbers, which raise
+    # ZeroDivisionError where NumPy scalars gave inf or NaN; the point gets
+    # NaN values, and the probe names it as it names a NaN
+    p = _zoo_pair(name)
+    zs, Ws = verify._probe_grid(p)
+    z = zs[int(where * len(zs))]
+    metric = getattr(p, part)
+    point = z if part == "h" else p.f.value(z)
+    p = dataclasses.replace(p, **{part: dataclasses.replace(
+        metric, validate_on_init=False, rule=pole_at(metric.rule, point))})
+    named = f"Y is not finite at probe point z = {z.tolist()}, "
+    with pytest.raises(mp.ValidationError) as raised:
+        verify.maximum_principle_probe(p.f, p.h, p.g, zs, Ws)
+    [rep] = verify.run_suite(p, ["S5_probe"], samples=1, seed=0)
+    assert named in str(raised.value)
+    assert rep.status == "error" and named in rep.message
+
+
+@pytest.mark.parametrize("name", ("fs-to-poincare", "fs2-to-ball"))
+@settings(max_examples=10, deadline=None)
+@given(suite=st.sampled_from(["S1", "S01", "S2", "exact_holo"]),
+       seed=st.integers(0, 2 ** 16), samples=st.integers(1, 4))
+def test_a_nan_beside_the_target_curvature_jet_centre_never_passes(name, suite, seed,
+                                                                   samples):
+    # g's value at f(z) is the jet's stencil centre and passes its check;
+    # every derivative of g is NaN, and the suite must not pass on them
+    p = _zoo_pair(name)
+    p = dataclasses.replace(p, g=dataclasses.replace(p.g, rule=nan_off_centre(p.g.rule)))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        [rep] = verify.run_suite(p, [suite], samples=samples, seed=seed)
+    assert rep.status == "error", (rep.status, rep.message)

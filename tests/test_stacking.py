@@ -119,6 +119,22 @@ def test_stacked_jets_equal_per_point_jets(name):
                               tautological_curvature(TautologicalMetric(h), P).matrix)
 
 
+@pytest.mark.parametrize("name", PAIRS)
+def test_a_metric_matrix_is_its_stack_of_one(name):
+    # plain values are one rule call per point on Python numbers, so a
+    # point's matrix is its row of any stack, bit for bit
+    p = build_pair(name)
+    zs = p.h.chart.sample(np.random.default_rng(9), count=STACK)
+    fzs = np.array([p.f.value(z) for z in zs])
+    for metric, points in ((p.h, zs), (p.g, fzs)):
+        stack = metric.matrices(points)
+        dtype = complex if isinstance(metric, HermitianMetricField) else float
+        assert stack.dtype == metric.matrix(points[0]).dtype == dtype
+        for k, x in enumerate(points):
+            assert np.array_equal(metric.matrix(x), stack[k])
+            assert np.array_equal(metric.matrix(x), metric.matrices(x[None])[0])
+
+
 def alone(field):
     """The density of a joint field as a field of its own."""
     return ScalarField(field.chart, field.rule, field.name)

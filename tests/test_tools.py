@@ -158,3 +158,16 @@ def test_a_file_without_both_sections_is_rejected(tmp_path, capsys):
     paths[1].write_text(json.dumps(BASE))
     assert zoo_compare.main([str(p) for p in paths]) == 2
     assert "old.json: not a zoo_digest.py --values output" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["{", "", "[1, 2]", "7"],
+                         ids=["truncated", "empty", "list", "number"])
+def test_a_file_that_is_not_a_values_output_is_exit_two(tmp_path, capsys, text):
+    # CI's drift log fails only on exit 2, so a broken file must not read as
+    # a drift (exit 1) or a traceback
+    paths = [tmp_path / "old.json", tmp_path / "new.json"]
+    paths[0].write_text(text)
+    paths[1].write_text(json.dumps(BASE))
+    assert zoo_compare.main([str(p) for p in paths]) == 2
+    assert "old.json: not a zoo_digest.py --values output" in capsys.readouterr().err
+    assert zoo_compare.main([str(tmp_path / "missing.json"), str(paths[1])]) == 2

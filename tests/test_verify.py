@@ -9,6 +9,7 @@ import pytest
 
 from projcurv import dual as gm
 from projcurv import verify as V
+from projcurv import maps as maps_mod
 from projcurv import zoo
 from projcurv.bundle import BundlePoint, TautologicalMetric
 from projcurv.charts import ComplexChart
@@ -16,7 +17,8 @@ from projcurv.errors import ChartDomainError, NotApplicable, ValidationError
 from projcurv.fields import HermitianMetricField
 from projcurv.maps import ChartedMap, covector_metric_field, generalized_Y
 
-from conftest import fs_rule, identity_map, nan_off_centre, nan_on_arrays, nan_on_right_half
+from conftest import (fs_rule, identity_map, nan_off_centre, nan_on_arrays, nan_on_right_half,
+                      pole_at)
 
 
 def pair(name):
@@ -678,6 +680,37 @@ class TestFailClosed:
         assert f"at sample {bad[0]}, point {rep.points[bad[0]]}" in rep.message
         assert rep.points == clean.points
         assert rep.worst["residual"] in rep.residuals
+
+    def test_a_pole_at_the_point_of_a_dual_pass_names_the_point(self):
+        # the W form's Chern Christoffels take one hyper-dual pass of g at
+        # f(z) on Python numbers: a pole of g there is a ZeroDivisionError,
+        # which gives NaN slots, and the connection's metric check names f(z)
+        base = pair("fs2-to-ball")
+        rng = np.random.default_rng([0, V.SUITE_TAGS.index("W_psd")])
+        [P] = V._draw_points("W_psd", base, rng, 1)
+        [(_, fz)] = V._map_jets(base.f, [P.z])
+        p = dataclasses.replace(base, g=dataclasses.replace(
+            base.g, rule=pole_at(base.g.rule, fz), validate_on_init=False))
+        named = f"metric 'poincare-ball' has non-finite entries at {fz}"
+        with pytest.raises(ValidationError) as raised:
+            maps_mod.target_christoffels(p.g, fz)
+        assert str(raised.value) == named
+        [rep] = V.run_suite(p, ["W_psd"], samples=1, seed=0)
+        assert rep.status == "error"
+        assert rep.message.startswith(f"ValidationError: {named} at sample 0, point ")
+
+    @pytest.mark.parametrize("suite", ["S1", "W_psd", "S5_probe"])
+    def test_a_rule_raising_an_arithmetic_error_escapes(self, suite):
+        # only a division by zero or an overflow becomes a NaN value; any
+        # other ArithmeticError of a rule is a fault that escapes run_suite
+        def broken(zs):
+            raise ArithmeticError("deliberate")
+
+        base = pair("fs-to-poincare")
+        p = dataclasses.replace(base, g=dataclasses.replace(base.g, rule=broken,
+                                                            validate_on_init=False))
+        with pytest.raises(ArithmeticError, match="deliberate"):
+            V.run_suite(p, [suite], samples=2, seed=3)
 
 
 class TestCovectorBundle:

@@ -23,7 +23,9 @@ drift changed: a status, a message (it carries the S5 probe's pattern), the
 worst point (the argmax of the residuals), a non-numeric entry of
 ``worst`` (the probe's pattern and conclusion), the number of residuals, a
 pushforward base point, a NaN that appeared or went, or the set of pairs,
-reports and base points.  Exits 0 otherwise.
+reports and base points.  Exits 0 otherwise, and 2 when the arguments
+or a file are not two ``--values`` outputs (missing, not JSON, or without
+both sections).
 """
 
 from __future__ import annotations
@@ -146,8 +148,16 @@ def main(argv=None) -> int:
         return 2
     docs = []
     for path in argv:
-        with open(path) as fh:
-            docs.append(json.load(fh))
+        try:
+            with open(path) as fh:
+                doc = json.load(fh)
+        except (OSError, ValueError) as exc:     # JSONDecodeError is a ValueError
+            doc = exc
+        if not isinstance(doc, dict):
+            why = doc if isinstance(doc, Exception) else f"a JSON {type(doc).__name__}"
+            print(f"{path}: not a zoo_digest.py --values output ({why})", file=sys.stderr)
+            return 2
+        docs.append(doc)
     for path, doc in zip(argv, docs):
         if sorted(doc) != sorted(name for name, _ in SECTIONS):
             print(f"{path}: not a zoo_digest.py --values output (its keys are "
