@@ -46,7 +46,7 @@ class BundlePoint:
     def make(z, W, chart_index: int | None = None) -> "BundlePoint":
         z = np.asarray(z, complex)
         W = np.asarray(W, complex)
-        if np.max(np.abs(W)) == 0:
+        if np.abs(W).max() == 0:
             raise ValidationError("fiber coordinates must be a nonzero vector")
         idx = int(np.argmax(np.abs(W))) if chart_index is None else int(chart_index)
         if W[idx] == 0:
@@ -65,10 +65,16 @@ class BundlePoint:
     @property
     def w(self) -> np.ndarray:
         """Affine fiber coordinates (the chart coordinate removed)."""
-        return np.delete(self.W_affine, self.chart_index)
+        return _without(self.W_affine, self.chart_index)
 
     def combined(self) -> np.ndarray:
         return np.concatenate([self.z, self.w])
+
+
+def _without(v: np.ndarray, i: int) -> np.ndarray:
+    """The vector v with its entry i removed: ``np.delete`` without its
+    fixed cost."""
+    return np.concatenate([v[:i], v[i + 1:]])
 
 
 def affine_rows(Ws: np.ndarray) -> np.ndarray:
@@ -178,7 +184,7 @@ def tautological_curvature(tm: TautologicalMetric, P):
 def _check_base_normal(tm: TautologicalMetric, z):
     H = tm.h.matrix(z)
     m = tm.m
-    if not float(np.max(np.abs(H - np.eye(m)))) <= 1e-6:     # a NaN H fails too
+    if not float(np.abs(H - np.eye(m)).max()) <= 1e-6:     # a NaN H fails too
         raise ValidationError(
             "horizontal curvature value needs base-normal coordinates "
             "(metric must be the identity at the base point); "

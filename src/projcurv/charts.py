@@ -20,7 +20,10 @@ from .errors import ChartDomainError
 class _Box:
     """What the complex and real charts share: a per-coordinate box about
     the center, its normalization and its boundary margin.  Subclasses set
-    the coordinate ``_dtype`` and draw their own samples."""
+    the coordinate ``_dtype`` and draw their own samples.
+
+    ``scale``, the largest radius, is computed once here: every jet reads
+    it for its fd step."""
 
     dim: int
     center: np.ndarray = None
@@ -34,18 +37,18 @@ class _Box:
             else np.asarray(self.center, self._dtype)
         r = np.ones(self.dim) if self.radius is None \
             else np.broadcast_to(np.asarray(self.radius, float), (self.dim,)).copy()
-        if np.any(r <= 0):
-            raise ValueError("chart radii must be positive")
+        # a NaN radius fails the comparison too
+        if not (r > 0).all() or not np.isfinite(r).all():
+            raise ValueError("chart radii must be positive and finite")
+        if not np.isfinite(c).all():
+            raise ValueError("chart center must be finite")
         object.__setattr__(self, "center", c)
         object.__setattr__(self, "radius", r)
+        object.__setattr__(self, "scale", float(r.max()))
         # the radius of each float of a point's float view: (r_i, r_i) for
         # the (Re, Im) of a complex coordinate, r_i for a real one
         object.__setattr__(self, "_view_radius",
                            np.repeat(r, 2 if self._dtype is complex else 1))
-
-    @property
-    def scale(self) -> float:
-        return float(np.max(self.radius))
 
     def margin(self, z):
         """Distance from z to the chart boundary (negative when outside, NaN

@@ -76,12 +76,12 @@ class ChernCurvatureTensor:
 
     def hermitian_defect(self) -> float:
         # R_{k lbar i jbar} = conj(R_{l kbar j ibar})
-        return float(np.max(np.abs(
-            self.array - self.array.conj().transpose(1, 0, 3, 2))))
+        return float(np.abs(
+            self.array - self.array.conj().transpose(1, 0, 3, 2)).max())
 
     def kahler_defect(self) -> float:
         # symmetry under swapping the two holomorphic indices (k <-> i)
-        return float(np.max(np.abs(self.array - self.array.transpose(2, 1, 0, 3))))
+        return float(np.abs(self.array - self.array.transpose(2, 1, 0, 3)).max())
 
     def contract(self, u1, u2, v1, v2) -> complex:
         return np.einsum("klij,k,l,i,j->", self.array,
@@ -109,7 +109,7 @@ def _chern_tensor(H, dz, mixed, z) -> ChernCurvatureTensor:
     second = np.einsum("qp,kiq,ljp->klij", Hinv, dz, dz.conj())
     R = -mixed + second
     tensor = ChernCurvatureTensor(array=R, metric_value=H)
-    scale = max(1.0, float(np.max(np.abs(R))))
+    scale = max(1.0, float(np.abs(R).max()))
     if not tensor.hermitian_defect() <= 1e-6 * scale:     # a NaN defect fails too
         raise ValidationError(
             f"Chern curvature Hermitian-symmetry defect "
@@ -124,7 +124,7 @@ def _hermitian_norm_sq(H: np.ndarray, v: np.ndarray) -> float:
 def holomorphic_sectional_curvature(metric: HermitianMetricField, z, v) -> float:
     """HSC(v) = R(v, vbar, v, vbar) / |v|_h^4; invariant under v -> lambda v."""
     v = np.asarray(v, complex)
-    if np.max(np.abs(v)) == 0:
+    if np.abs(v).max() == 0:
         raise ValidationError("holomorphic sectional curvature of the zero vector")
     t = chern_curvature(metric, z)
     norm4 = _hermitian_norm_sq(t.metric_value, v) ** 2
@@ -138,7 +138,7 @@ def _bracket(d):
     """b[..., l, j, k] = d[..., j, l, k] + d[..., k, l, j] - d[..., l, j, k]
     on the last three axes, where d[..., a, i, j] = d_a g_{ij}: the bracket
     d_j g_{lk} + d_k g_{lj} - d_l g_{jk} of the Christoffel symbols."""
-    return np.swapaxes(d, -3, -2) + np.moveaxis(d, -3, -1) - d
+    return d.swapaxes(-3, -2) + d.swapaxes(-3, -2).swapaxes(-2, -1) - d
 
 
 def _christoffels_from_jets(Ginv, d1):
@@ -161,9 +161,9 @@ def levi_civita_christoffels(metric: RiemannianMetricField, x,
             # nabla_k g_{ij} = d_k g_{ij} - Gamma^s_{ki} g_{sj} - Gamma^s_{kj} g_{is}
             nabla = (d1 - np.einsum("ski,sj->kij", Gamma, G)
                      - np.einsum("skj,is->kij", Gamma, G))
-            defect = float(np.max(np.abs(nabla)))
+            defect = float(np.abs(nabla).max())
             # a NaN defect fails too
-            if not defect <= 1e-6 * max(1.0, float(np.max(np.abs(d1)))):
+            if not defect <= 1e-6 * max(1.0, float(np.abs(d1).max())):
                 raise ValidationError(f"metric compatibility defect {defect:.3e} at {xk}")
         out.append((G, Gamma))
     return out if stacked else out[0]
@@ -197,17 +197,17 @@ class RiemannCurvatureTensor:
         return self.array.shape[0]
 
     def antisymmetry_defect(self) -> float:
-        d1 = np.max(np.abs(self.array + self.array.transpose(1, 0, 2, 3)))
-        d2 = np.max(np.abs(self.array + self.array.transpose(0, 1, 3, 2)))
+        d1 = np.abs(self.array + self.array.transpose(1, 0, 2, 3)).max()
+        d2 = np.abs(self.array + self.array.transpose(0, 1, 3, 2)).max()
         return float(max(d1, d2))
 
     def pair_symmetry_defect(self) -> float:
-        return float(np.max(np.abs(self.array - self.array.transpose(2, 3, 0, 1))))
+        return float(np.abs(self.array - self.array.transpose(2, 3, 0, 1)).max())
 
     def bianchi_defect(self) -> float:
         s = (self.array + self.array.transpose(1, 2, 0, 3)
              + self.array.transpose(2, 0, 1, 3))
-        return float(np.max(np.abs(s)))
+        return float(np.abs(s).max())
 
     def contract(self, X, Y, Z, W) -> complex:
         return np.einsum("ijkl,i,j,k,l->", self.array,
@@ -252,7 +252,7 @@ def complex_sectional_curvature(metric: RiemannianMetricField, x, Z, W) -> float
     """R(Z, Wbar, W, Zbar) with the Riemann tensor extended C-multilinearly."""
     Z = np.asarray(Z, complex)
     W = np.asarray(W, complex)
-    if np.max(np.abs(Z)) == 0 and np.max(np.abs(W)) == 0:
+    if np.abs(Z).max() == 0 and np.abs(W).max() == 0:
         raise ValidationError("complex sectional curvature of two zero vectors")
     t = riemann_curvature(metric, x)
     val = t.contract(Z, W.conj(), W, Z.conj())
@@ -275,16 +275,16 @@ def key3_check(metric: RiemannianMetricField, x) -> float:
     x = np.asarray(x, float)
     G, d1, d2, Gamma, dGamma = _christoffel_jets(metric, x)
     n = metric.dim
-    if float(np.max(np.abs(G - np.eye(n)))) > KEY3_PRECONDITION_TOL:
+    if float(np.abs(G - np.eye(n)).max()) > KEY3_PRECONDITION_TOL:
         raise ValidationError(
             f"key3 preconditions: metric is not the identity at {x}")
-    if float(np.max(np.abs(d1))) > KEY3_PRECONDITION_TOL:
+    if float(np.abs(d1).max()) > KEY3_PRECONDITION_TOL:
         raise ValidationError(
             f"key3 preconditions: first metric derivatives do not vanish at {x}")
     R = _riemann_from_jets(G, Gamma, dGamma)
     lhs = d2 - dGamma.transpose(2, 3, 0, 1) - dGamma.transpose(2, 3, 1, 0)
     rhs = -(R.transpose(0, 3, 2, 1) + R.transpose(0, 3, 1, 2))
-    return float(np.max(np.abs(lhs - rhs)))
+    return float(np.abs(lhs - rhs).max())
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +378,7 @@ def _normal_frame(metric, p, A, b):
     new_metric = type(metric)(chart, _pullback_rule(metric, p, A, b),
                               name=f"{metric.name or 'metric'}@normal",
                               validate_on_init=False)
-    identity_defect = np.max(np.abs(new_metric.matrix(np.zeros(n)) - np.eye(n)))
+    identity_defect = np.abs(new_metric.matrix(np.zeros(n)) - np.eye(n)).max()
     if not float(identity_defect) <= NORMAL_POST_TOL:   # a NaN defect fails too
         raise ValidationError("normal coordinates: metric not identity at center")
     _, jet, _ = diffops.matrix_jet(new_metric, np.zeros(n), backend="dual", order=1)
@@ -397,7 +397,7 @@ def hermitian_normal_coordinates(metric: HermitianMetricField, p) -> NormalFrame
     # b[d, a, g] = -(c[g, a, d] + c[a, g, d]) / 2
     b = -0.5 * (c.transpose(2, 1, 0) + c.transpose(2, 0, 1))
     frame, d_new = _normal_frame(metric, p, A, b)
-    defect = float(np.max(np.abs(d_new + d_new.transpose(1, 0, 2))))
+    defect = float(np.abs(d_new + d_new.transpose(1, 0, 2)).max())
     if not defect <= NORMAL_POST_TOL:
         raise ValidationError(
             f"normal coordinates: antisymmetry defect {defect:.3e} "
@@ -411,6 +411,6 @@ def riemannian_normal_coordinates(metric: RiemannianMetricField, x0) -> NormalFr
     A, d1 = _linear_stage(metric, x0)
     # the linear stage makes the metric delta at 0, so Gamma = bracket / 2
     frame, d_new = _normal_frame(metric, x0, A, -0.5 * _bracket(np.real(d1)))
-    if not float(np.max(np.abs(np.real(d_new)))) <= NORMAL_POST_TOL:
+    if not float(np.abs(np.real(d_new)).max()) <= NORMAL_POST_TOL:
         raise ValidationError("normal coordinates: first derivatives do not vanish")
     return frame

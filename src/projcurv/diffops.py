@@ -51,6 +51,16 @@ their arrays.  Where a NumPy scalar gives inf or NaN, Python raises
 ``ZeroDivisionError`` or ``OverflowError``; those two are turned into NaN
 values (``fields.NUMBER_ERRORS``), so the checks that follow still fail.
 
+A jet pays for its arithmetic, not for its set-up.  What does not depend
+on the point is built once: the chart's scale (its fd step), the seed
+slots of a dual pass, complex coordinates included (``_dual_seeds``),
+and the index tables the fd and dual assemblies read by.  A dual pass
+reads each kind of slot of all output entries in one conversion
+(``_dual_slots``), and the fd assembly divides and extrapolates all its
+difference quotients, gradient and Hessian alike, in one array operation
+each (``_real_jet2_fd``).  Each entry goes through the operations it
+went through one at a time, so every number is the same bit for bit.
+
 One stencil per chart and point.  A density and the metric it divides by
 live on the same chart at the same points, so a joint density field
 (``ScalarField.joint``) returns both from one rule call and
@@ -100,15 +110,16 @@ def step_for(chart) -> float:
 
 # real-jet primitives ------------------------------------------------------
 #
-# ``F`` maps a sequence of n real coordinates to a rule output of shape
-# ``shape``: a scalar, or nested sequences for vector and matrix rules.  It
-# only indexes or iterates over its argument.  The fd primitives take an
-# (N, n) stack of points and pass one (n, N*K) array whose columns are the
-# N Richardson stencils of K points each, and the dual primitives pass n
-# HyperDuals whose derivative slots hold one entry per seeded direction, so
-# every jet costs a single rule call.  fd derivative arrays put the sample
-# axis first and the direction axes next: grad[k, a, ...] and
-# hess[k, a, b, ...]; dual ones omit the sample axis.
+# A rule output has shape ``shape``: a scalar, or nested sequences for
+# vector and matrix rules.  The fd primitives take ``F``, which maps a
+# sequence of n real coordinates to a rule output and only indexes or
+# iterates over it, and an (N, n) stack of points, and pass F one (n, N*K)
+# array whose columns are the N Richardson stencils of K points each.  The
+# dual primitives take the rule and one point, and pass the rule its chart
+# coordinates as HyperDuals whose derivative slots hold one entry per
+# seeded real direction.  Every jet costs a single rule call.  fd
+# derivative arrays put the sample axis first and the direction axes next:
+# grad[k, a, ...] and hess[k, a, b, ...]; dual ones omit the sample axis.
 
 def _eval_stencil(F, p, offsets, shape):
     """Values of F at the stencils p + offsets (n, K) of the N points p
@@ -147,69 +158,127 @@ def _unit_stencils(n):
     return full, A, B
 
 
-def _axis_grad(V, s):
-    """Richardson gradient from the axis block of stencil values (N, 4n, ...)."""
-    N, n = V.shape[0], V.shape[1] // 4
-    Vs = V.reshape((N, n, 4) + V.shape[2:])
-    vps, vms, vph, vmh = Vs[:, :, 0], Vs[:, :, 1], Vs[:, :, 2], Vs[:, :, 3]
-    d1 = (vps - vms) / (2 * s)
-    d2 = (vph - vmh) / s
-    return (4.0 * d2 - d1) / 3.0, (vps, vms, vph, vmh)
+@functools.lru_cache(maxsize=None)
+def _fd_tables(n, r):
+    """Index tables of the fd assembly for n real directions and rule
+    outputs of r axes, read-only: (rows, hess).
+
+    The difference quotients are stacked as the gradient's along each axis,
+    the Hessian's on each axis, then the Hessian's of each pair a < b
+    (``_unit_stencils``), each at step s and s/2.  rows[q, k] picks the
+    divisor of quotient q at step k from ``_fd_divisors``, with r axes of
+    length 1 appended to broadcast over the output; hess[a, b] is the
+    quotient that gives Hessian entry (a, b)."""
+    _, A, B = _unit_stencils(n)
+    diag = np.arange(n)
+    rows = np.array([[0, 1]] * n + [[2, 3]] * n + [[4, 5]] * A.size)
+    hess = np.empty((n, n), int)
+    hess[diag, diag] = n + diag
+    hess[A, B] = hess[B, A] = 2 * n + np.arange(A.size)
+    out = (rows.reshape(rows.shape + (1,) * r), hess)
+    for arr in out:
+        arr.setflags(write=False)
+    return out
+
+
+def _fd_divisors(s):
+    """The divisors of the difference quotients at step s, by stencil:
+    the gradient's (2s, s), the Hessian diagonal's (s^2, s^2/4) and the
+    mixed pairs' (4s^2, 4(s/2)^2)."""
+    h = 0.5 * s
+    return np.array([2 * s, s, s * s, 0.25 * s * s, 4 * s * s, 4 * h * h])
+
+
+def _richardson(Q):
+    """(4 Q(s/2) - Q(s)) / 3 of the difference quotients Q[:, :, k] at step
+    s (k = 0) and s/2 (k = 1)."""
+    return (4.0 * Q[:, :, 1] - Q[:, :, 0]) / 3.0
+
+
+def _axis_block(V, n, shape):
+    """The values at +h and -h along each axis, h = s and s/2: plus[:, a, k]
+    and minus[:, a, k], from the axis block of stencil values (N, 4n, ...)."""
+    Vs = V.reshape((V.shape[0], n, 4) + shape)
+    return Vs[:, :, 0::2], Vs[:, :, 1::2]
 
 
 def _real_grad_fd(F, p, s, shape=()):
-    full, _, _ = _unit_stencils(p.shape[1])
+    n = p.shape[1]
+    full, _, _ = _unit_stencils(n)
     # the centre and the axis block: the Hessian stencil's first 1 + 4n columns
-    V = _eval_stencil(F, p, s * full[:, :1 + 4 * p.shape[1]], shape)
-    grad, _ = _axis_grad(V[:, 1:], s)
-    return V[:, 0], grad
+    V = _eval_stencil(F, p, s * full[:, :1 + 4 * n], shape)
+    plus, minus = _axis_block(V[:, 1:], n, shape)
+    rows, _ = _fd_tables(n, len(shape))
+    return V[:, 0], _richardson((plus - minus) / _fd_divisors(s)[rows[:n]])
 
 
 def _real_jet2_fd(F, p, s, shape=()):
+    """Value, gradient and Hessian at each of the N points p from one
+    stencil evaluation.  The quotients are (f(+h) - f(-h)) / 2h,
+    (f(+h) - 2 f + f(-h)) / h^2 and (f(++) - f(+-) - f(-+) + f(--)) / 4h^2
+    entry by entry; all of them, gradient and Hessian alike, are divided
+    and extrapolated (``_richardson``) in one array operation each."""
     N, n = p.shape
     full, A, B = _unit_stencils(n)
     V = _eval_stencil(F, p, s * full, shape)
     f0 = V[:, 0]
-    grad, (vps, vms, vph, vmh) = _axis_grad(V[:, 1:1 + 4 * n], s)
-    hess = np.empty((N, n, n) + shape, complex)
-    c0 = f0[:, None]
-    h1 = (vps - 2 * c0 + vms) / (s * s)
-    h2 = (vph - 2 * c0 + vmh) / (0.25 * s * s)
-    diag = np.arange(n)
-    hess[:, diag, diag] = (4.0 * h2 - h1) / 3.0
+    plus, minus = _axis_block(V[:, 1:1 + 4 * n], n, shape)
     Vc = V[:, 1 + 4 * n:].reshape((N, A.size, 2, 4) + shape)
-
-    def cross_diff(k, h):
-        return (Vc[:, :, k, 0] - Vc[:, :, k, 1] - Vc[:, :, k, 2]
-                + Vc[:, :, k, 3]) / (4 * h * h)
-
-    mixed = (4.0 * cross_diff(1, 0.5 * s) - cross_diff(0, s)) / 3.0
-    hess[:, A, B] = mixed
-    hess[:, B, A] = mixed
-    return f0, grad, hess
+    quotients = np.concatenate([
+        plus - minus,
+        plus - 2 * f0[:, None, None] + minus,
+        Vc[:, :, :, 0] - Vc[:, :, :, 1] - Vc[:, :, :, 2] + Vc[:, :, :, 3]], axis=1)
+    rows, hess = _fd_tables(n, len(shape))
+    R = _richardson(quotients / _fd_divisors(s)[rows])
+    return f0, R[:, :n], R[:, hess]
 
 
 def _dual_value(v):
     return v.f0 if isinstance(v, HyperDual) else v
 
 
+def _flat_entries(out, shape) -> list:
+    """The entries of a nested rule output of shape ``shape`` as one flat
+    list in row-major order."""
+    entries = [out]
+    for _ in shape:
+        entries = [v for row in entries for v in row]
+    if len(entries) != math.prod(shape):
+        raise ValueError(f"rule output does not have shape {shape}")
+    return entries
+
+
+def _slot_rows(slots, K) -> np.ndarray:
+    """The derivative slots of E entries as one (E, K) complex array, from
+    one conversion.  A slot the rule left a scalar (a constant entry, or a
+    mixed slot seeded 0 that only linear operations reached) is the same
+    along every direction, and is repeated K times."""
+    return np.array([s if isinstance(s, np.ndarray) else (s,) * K for s in slots],
+                    complex)
+
+
 def _dual_slots(out, shape, K, mixed=True):
     """Value, first and mixed slots of a rule output over K seeded directions,
     as complex arrays of shape ``shape``, ``(K,) + shape``, ``(K,) + shape``.
-    The mixed slot is None when it was seeded untracked (``mixed`` false)."""
-    f0 = np.empty(shape, complex)
-    f1 = np.zeros((K,) + shape, complex)
-    f12 = np.zeros((K,) + shape, complex) if mixed else None
-    for idx in np.ndindex(*shape):
-        v = _entry(out, idx)
+    The mixed slot is None when it was seeded untracked (``mixed`` false).
+
+    Each kind of slot is read from all entries in one conversion; entry by
+    entry, the numbers are those of assigning each slot into its place."""
+    values, firsts, mixeds = [], [], []
+    for v in _flat_entries(out, shape):
         if isinstance(v, HyperDual):
-            f0[idx] = _dual_value(v.f0)
-            f1[(slice(None),) + idx] = _dual_value(v.f1)
-            if mixed:
-                f12[(slice(None),) + idx] = _dual_value(v.f12)
+            values.append(v.f0)
+            firsts.append(v.f1)
+            mixeds.append(v.f12)
         else:       # the rule ignored the seeds: constant along every direction
-            f0[idx] = v
-    return f0, f1, f12
+            values.append(v)
+            firsts.append(0.0)
+            mixeds.append(0.0)
+    f0 = np.array(values, complex).reshape(shape)
+    f1 = np.ascontiguousarray(_slot_rows(firsts, K).T).reshape((K,) + shape)
+    if not mixed:
+        return f0, f1, None
+    return f0, f1, np.ascontiguousarray(_slot_rows(mixeds, K).T).reshape((K,) + shape)
 
 
 @functools.lru_cache(maxsize=None)
@@ -227,47 +296,72 @@ def _pair_seeds(n):
     return out
 
 
-def _entry(out, idx):
-    """The entry at the index tuple idx of a nested rule output."""
-    for i in idx:
-        out = out[i]
-    return out
+@functools.lru_cache(maxsize=None)
+def _dual_seeds(d, complex_chart, order):
+    """What a dual pass at a point of d chart coordinates reuses, built once
+    and read-only: (seeds, diag, pairs).
+
+    seeds holds the derivative slots (f1, f2, f12) each coordinate is
+    seeded with.  Order 2 seeds every pair a <= b of the n real directions
+    at once (``_pair_seeds``), and diag and pairs read the jet off the
+    slots: the positions of the pairs a == b, and the (n, n) table of the
+    position of the pair (min(a, b), max(a, b)).  Order 1 seeds every
+    direction in the first slot, leaves the others untracked, and has no
+    tables.  On a complex chart coordinate a is x^a + i y^a, and its slots
+    are the ones that sum gives from the seeds of x^a and y^a, computed
+    here once by the same operations instead of in every pass.
+    """
+    n = 2 * d if complex_chart else d
+    if order >= 2:
+        A, B, diag, first, second = _pair_seeds(n)
+        real = [HyperDual(0.0, first[c], second[c], 0.0) for c in range(n)]
+        pairs = np.empty((n, n), int)
+        pairs[A, B] = pairs[B, A] = np.arange(A.size)
+    else:
+        real = [HyperDual(0.0, row, None, None) for row in np.eye(n)]
+        diag = pairs = None
+    coords = _complex_coords(real, d) if complex_chart else real
+    seeds = tuple((v.f1, v.f2, v.f12) for v in coords)
+    for arr in [pairs] + [slot for slots in seeds for slot in slots]:
+        if isinstance(arr, np.ndarray):
+            arr.setflags(write=False)
+    return seeds, diag, pairs
 
 
-def _dual_pass(F, coords, shape, K, mixed=True):
-    """``_dual_slots`` of F at one point's seeded coordinates, whose value
-    slots hold Python numbers.  A rule that raises one of
+def _dual_pass(rule, x, seeds, shape, complex_chart):
+    """``_dual_slots`` of rule at the point x from one hyper-dual pass with
+    the seeds of ``_dual_seeds``.  x is a list of Python numbers: the
+    point's real coordinates, or its complex ones on a complex chart, whose
+    value slots are x^a + i y^a computed from their parts as the sum of
+    two real coordinates gives it.  A rule that raises one of
     ``fields.NUMBER_ERRORS`` there (a pole at the point) gets NaN slots."""
+    mixed = seeds[0][2] is not None
+    K = seeds[0][0].size
+    values = [c.real + c.imag * 1j for c in x] if complex_chart else x
+    coords = tuple(HyperDual(v, s1, s2, s12) for v, (s1, s2, s12) in zip(values, seeds))
     try:
-        out = F(coords)
+        out = rule(coords)
     except NUMBER_ERRORS:
         nan = np.full((K,) + shape, np.nan, complex)
         return np.full(shape, np.nan, complex), nan, nan if mixed else None
     return _dual_slots(out, shape, K, mixed)
 
 
-def _real_jet2_dual(F, p, shape=()):
-    """Full real jet at the point p (a list of Python floats) from one
-    hyper-dual evaluation seeded with every direction pair a <= b at
-    once."""
-    n = len(p)
-    A, B, diag, first, second = _pair_seeds(n)
-    coords = [HyperDual(p[c], first[c], second[c], 0.0) for c in range(n)]
-    f0, f1, f12 = _dual_pass(F, coords, shape, A.size)
-    hess = np.empty((n, n) + shape, complex)
-    hess[A, B] = f12
-    hess[B, A] = f12
-    return f0[()], f1[diag], hess
+def _real_jet2_dual(rule, x, shape=(), complex_chart=False):
+    """Value, real gradient and real Hessian at the point x (``_dual_pass``)
+    from one hyper-dual evaluation seeded with every direction pair
+    a <= b at once."""
+    seeds, diag, pairs = _dual_seeds(len(x), complex_chart, 2)
+    f0, f1, f12 = _dual_pass(rule, x, seeds, shape, complex_chart)
+    return f0, f1[diag], f12[pairs]
 
 
-def _real_grad_dual(F, p, shape=()):
-    """Value and real gradient at the point p (a list of Python floats)
-    from one hyper-dual evaluation seeded with every direction in the
-    first slot; the second and mixed slots are untracked."""
-    n = len(p)
-    eye = np.eye(n)
-    coords = [HyperDual(p[c], eye[c], None, None) for c in range(n)]
-    f0, f1, _ = _dual_pass(F, coords, shape, n, mixed=False)
+def _real_grad_dual(rule, x, shape=(), complex_chart=False):
+    """Value and real gradient at the point x (``_dual_pass``) from one
+    hyper-dual evaluation seeded with every direction in the first slot;
+    the second and mixed slots are untracked."""
+    seeds, _, _ = _dual_seeds(len(x), complex_chart, 1)
+    f0, f1, _ = _dual_pass(rule, x, seeds, shape, complex_chart)
     return f0, f1
 
 
@@ -331,12 +425,13 @@ def _real_jet(rule, chart, z, backend: str, order: int = 2, shape=()):
 
     The one dispatch point of the engine.  It enforces the chart margin the
     order's stencil needs at every point (naming the first that fails), on
-    complex and real charts alike, splits complex points into real
-    coordinates ordered (x^0.., y^0..), and runs the fd or dual primitive:
-    the fd backend evaluates the stencils of all N points in one rule call,
-    the dual backend takes one hyper-dual pass per point, seeded with
-    Python numbers.  ``rule`` takes a tuple of chart coordinates and
-    returns an output of shape ``shape``.
+    complex and real charts alike, and runs the fd or dual primitive.  The
+    fd backend splits complex points into real coordinates ordered (x^0..,
+    y^0..) and evaluates the stencils of all N points in one rule call; the
+    dual backend takes one hyper-dual pass per point, on Python numbers,
+    with the chart coordinates seeded directly (``_dual_seeds``).
+    ``rule`` takes a tuple of chart coordinates and returns an output of
+    shape ``shape``.
     """
     if backend not in ("fd", "dual"):
         raise ValueError(f"unknown backend {backend!r}")
@@ -345,6 +440,13 @@ def _real_jet(rule, chart, z, backend: str, order: int = 2, shape=()):
     is_complex = isinstance(chart, ComplexChart)
     zs, _ = point_stack(z, complex if is_complex else float)
     chart.require_margin(zs, steps * s)
+    if backend == "dual":
+        jet = _real_jet2_dual if order >= 2 else _real_grad_dual
+        jets = [jet(rule, x, shape, is_complex) for x in zs.tolist()]
+        # a single point (the common case) is its jet with a sample axis of one
+        parts = tuple(part[None] for part in jets[0]) if len(jets) == 1 \
+            else tuple(np.stack(part) for part in zip(*jets))
+        return parts if order >= 2 else parts + (None,)
     if is_complex:
         p = _split_real(zs)
         d = chart.dim
@@ -356,13 +458,9 @@ def _real_jet(rule, chart, z, backend: str, order: int = 2, shape=()):
 
         def F(q):
             return rule(tuple(q))
-    if backend == "fd":
-        if order >= 2:
-            return _real_jet2_fd(F, p, s, shape)
-        return _real_grad_fd(F, p, s, shape) + (None,)
-    jet = _real_jet2_dual if order >= 2 else _real_grad_dual
-    parts = tuple(np.stack(part) for part in zip(*[jet(F, q, shape) for q in p.tolist()]))
-    return parts if order >= 2 else parts + (None,)
+    if order >= 2:
+        return _real_jet2_fd(F, p, s, shape)
+    return _real_grad_fd(F, p, s, shape) + (None,)
 
 
 # public operations --------------------------------------------------------
@@ -420,7 +518,7 @@ def _flat_joint(joint_rule, shape):
     the rider's entries in row-major order."""
     def rule(zs):
         density, rider = joint_rule(zs)
-        return [density] + [_entry(rider, idx) for idx in np.ndindex(*shape)]
+        return [density] + _flat_entries(rider, shape)
 
     return rule
 
@@ -444,8 +542,8 @@ def cross_check(field: ScalarField, z, rtol: float = CROSS_CHECK_RTOL) -> float:
     """
     _, gf, Hf = _real_jet(field.rule, field.chart, z, "fd")
     _, gd, Hd = _real_jet(field.rule, field.chart, z, "dual")
-    scale = max(1.0, float(np.max(np.abs(gd))), float(np.max(np.abs(Hd))))
-    defect = max(float(np.max(np.abs(gf - gd))), float(np.max(np.abs(Hf - Hd)))) / scale
+    scale = max(1.0, float(np.abs(gd).max()), float(np.abs(Hd).max()))
+    defect = max(float(np.abs(gf - gd).max()), float(np.abs(Hf - Hd).max())) / scale
     if not defect <= rtol:      # a NaN defect fails too
         raise BackendMismatchError(
             f"backends disagree on {field.name or 'field'} at {z}: "
@@ -567,5 +665,5 @@ def map_jet2(rule, chart, z, n_out: int):
     and holo2[i, a, b] = d^2 f^i / dz^a dz^b."""
     _, _, H = _real_jet(rule, chart, z, "dual", shape=(n_out,))
     d = chart.dim
-    return tuple(np.ascontiguousarray(np.moveaxis(wirt(H, d)[0], -1, 0))
+    return tuple(np.ascontiguousarray(wirt(H, d)[0].transpose(2, 0, 1))
                  for wirt in (_wirt_mixed_from_real, _wirt_holo2_from_real))

@@ -259,6 +259,14 @@ class Form11:
     The sqrt(-1) factor is kept out of the stored matrix, so positivity of the
     form is exactly positive semidefiniteness of A.  The matrix is Hermitian
     by construction: the constructor symmetrizes (A + A^dagger)/2.
+
+    Sums, differences and real multiples of forms are not symmetrized
+    again.  Their operands are exactly Hermitian: the real parts of entries
+    (a, b) and (b, a) come from equal numbers and the imaginary parts from
+    negated ones, by operations that round a negated result to the negated
+    number, so the result is exactly Hermitian too.  A symmetrization would
+    leave every part that is not zero as it is; only the sign of a zero part
+    may differ, as it may when a symmetrized matrix is symmetrized again.
     """
 
     __slots__ = ("matrix", "dim")
@@ -270,14 +278,27 @@ class Form11:
         self.matrix = 0.5 * (A + A.conj().T)
         self.dim = A.shape[0]
 
+    @classmethod
+    def _of_hermitian(cls, matrix: np.ndarray) -> "Form11":
+        """The form of a square complex matrix that is exactly Hermitian
+        already, taken as it is."""
+        form = cls.__new__(cls)
+        form.matrix = matrix
+        form.dim = matrix.shape[0]
+        return form
+
     def __add__(self, other):
-        return Form11(self.matrix + other.matrix)
+        return Form11._of_hermitian(self.matrix + other.matrix)
 
     def __sub__(self, other):
-        return Form11(self.matrix - other.matrix)
+        return Form11._of_hermitian(self.matrix - other.matrix)
 
     def scaled(self, c: float) -> "Form11":
-        return Form11(self.matrix * c)
+        """The form times the real number c; a complex c is refused, since
+        it would not give a real form."""
+        if isinstance(c, (complex, np.complexfloating)):
+            raise TypeError(f"a Form11 scales by a real number, not {c!r}")
+        return Form11._of_hermitian(self.matrix * c)
 
     def evaluate(self, u) -> float:
         """Pairing with (u, ubar): sum A[a, b] u^a conj(u^b).
@@ -307,7 +328,7 @@ class Form11:
         return float(self._spectrum()[-1])
 
     def max_abs(self) -> float:
-        return float(np.max(np.abs(self.matrix)))
+        return float(np.abs(self.matrix).max())
 
     @staticmethod
     def embed(sub: np.ndarray, index_map, dim: int) -> "Form11":

@@ -56,7 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import diffops, dual as gm
-from .bundle import BundlePoint, TautologicalMetric, reconstruct_W
+from .bundle import BundlePoint, TautologicalMetric, _without, reconstruct_W
 from .charts import ComplexChart, fiber_chart
 from .curvature import levi_civita_christoffels, riemann_curvature
 from .errors import ValidationError
@@ -97,7 +97,7 @@ class ChartedMap:
                     (anti - holo.conj(), "into a real chart is not "
                      "real-valued: max |df/dzbar - conj(df/dz)|")]
             for gap, what in gaps:
-                defect = float(np.max(np.abs(gap)))
+                defect = float(np.abs(gap).max())
                 if not defect <= HOLO_FLAG_TOL:     # a NaN defect fails too
                     raise ValidationError(
                         f"map {self.name!r} {what} = {defect:.3e} at {z}")
@@ -238,7 +238,7 @@ class NestedBundlePoint:
     def make(z, W, X) -> "NestedBundlePoint":
         P = BundlePoint.make(z, W)
         X = np.asarray(X, complex)
-        if np.max(np.abs(X)) == 0:
+        if np.abs(X).max() == 0:
             raise ValidationError("nested fiber coordinates must be nonzero")
         return NestedBundlePoint(P=P, X=X, x_chart_index=int(np.argmax(np.abs(X))))
 
@@ -248,7 +248,7 @@ class NestedBundlePoint:
 
     @property
     def x(self) -> np.ndarray:
-        return np.delete(self.X_affine, self.x_chart_index)
+        return _without(self.X_affine, self.x_chart_index)
 
     def combined(self) -> np.ndarray:
         return np.concatenate([self.P.combined(), self.x])
@@ -509,7 +509,7 @@ def hermitian_harmonic_residual(f: ChartedMap, h: HermitianMetricField, g, z) ->
 def _pluriharmonic_defect(f: ChartedMap, g, z) -> float:
     """max |pluriharmonic_residual| at z; a non-finite residual is a
     ValidationError, not a map that fails to be pluri-harmonic."""
-    defect = float(np.max(np.abs(pluriharmonic_residual(f, g, z))))
+    defect = float(np.abs(pluriharmonic_residual(f, g, z)).max())
     if not np.isfinite(defect):
         raise ValidationError(
             f"pluri-harmonic residual of map {f.name!r} is not finite at {z}: {defect}")
@@ -534,7 +534,7 @@ def constraint_D_check(f: ChartedMap, g: RiemannianMetricField, z) -> dict:
     R = riemann_curvature(g, fz).array
     eqn = np.einsum("ikjl,ia,jb,kg->abgl", R, holo, anti, holo)
     return {"applicable": True, "pluriharmonic_residual": pluri,
-            "max_residual": float(np.max(np.abs(eqn)))}
+            "max_residual": float(np.abs(eqn).max())}
 
 
 def hatC_value(f: ChartedMap, h: HermitianMetricField,

@@ -329,6 +329,104 @@ class TestBatchedEngine:
                                    np.linalg.inv(mats[0]).conj(), rtol=1e-12)
 
 
+def per_entry_dual_jet(rule, z, shape, order):
+    """The dual jet at one point of a complex chart as the engine once built
+    it: real coordinates seeded one HyperDual each and combined into complex
+    ones in the pass, and every slot of every entry assigned into its
+    place on its own."""
+    d = len(z)
+    p = [c.real for c in z] + [c.imag for c in z]
+    n = 2 * d
+    A, B, diag, first, second = diffops._pair_seeds(n)
+    if order == 2:
+        K = A.size
+        real = [HyperDual(p[c], first[c], second[c], 0.0) for c in range(n)]
+    else:
+        K = n
+        real = [HyperDual(p[c], np.eye(n)[c], None, None) for c in range(n)]
+    out = rule(diffops._complex_coords(real, d))
+    f0 = np.empty(shape, complex)
+    f1 = np.zeros((K,) + shape, complex)
+    f12 = np.zeros((K,) + shape, complex)
+    for idx in np.ndindex(*shape):
+        v = out
+        for i in idx:
+            v = v[i]
+        if isinstance(v, HyperDual):
+            f0[idx] = v.f0
+            f1[(slice(None),) + idx] = v.f1
+            if order == 2:
+                f12[(slice(None),) + idx] = v.f12
+        else:
+            f0[idx] = v
+    if order == 1:
+        return f0, f1
+    hess = np.empty((n, n) + shape, complex)
+    hess[A, B] = f12
+    hess[B, A] = f12
+    return f0, f1[diag], hess
+
+
+def mixed_kinds_rule(z):
+    """Three kinds of entry in one output: a HyperDual whose slots are all
+    arrays, a HyperDual whose mixed slot is still the scalar it was seeded
+    with (only linear operations reached it), and a plain constant."""
+    return [[z[0] * z[1] + gm.conj(z[0]), 2.0 * z[0] - z[1], 0.5 + 0.25j],
+            [-z[1], 3.0, gm.exp(z[0]) * gm.conj(z[1])]]
+
+
+class TestDualSlotRead:
+    """The slots of all entries are read in one conversion per kind; the
+    result is the per-entry assignment bit for bit."""
+
+    CHART = ComplexChart(dim=2, radius=[1.0, 1.0])
+    POINTS = ([0.3 - 0.2j, -0.1 + 0.45j], [-0.0, 0.25 - 0.0j])
+
+    @staticmethod
+    def bits(arrays):
+        return [np.ascontiguousarray(a).tobytes() for a in arrays]
+
+    def test_the_rule_mixes_the_three_kinds(self):
+        A, _, _, first, second = diffops._pair_seeds(4)
+        real = [HyperDual(0.1 * c, first[c], second[c], 0.0) for c in range(4)]
+        out = mixed_kinds_rule(diffops._complex_coords(real, 2))
+        assert isinstance(out[0][0].f12, np.ndarray) and out[0][0].f12.shape == (A.size,)
+        assert isinstance(out[0][1], HyperDual) and not isinstance(out[0][1].f12, np.ndarray)
+        assert not isinstance(out[0][2], HyperDual) and not isinstance(out[1][1], HyperDual)
+
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("shape,rule", [
+        ((2, 3), mixed_kinds_rule),
+        ((3,), lambda z: mixed_kinds_rule(z)[0]),
+        ((), lambda z: mixed_kinds_rule(z)[0][1]),
+        ((), lambda z: 0.5 + 0.25j)])
+    def test_a_dual_jet_is_the_per_entry_read(self, order, shape, rule):
+        for z in self.POINTS:
+            got = diffops._real_jet(rule, self.CHART, z, "dual", order, shape)
+            want = per_entry_dual_jet(rule, z, shape, order)
+            assert self.bits(part[0] for part in got[:1 + order]) == self.bits(want), z
+
+    def test_map_second_derivatives_of_mixed_kinds(self):
+        # two outputs over ten seeded pairs: the mixed slot of the linear
+        # component is a scalar, which the read repeats along the pairs
+        def rule(z):
+            return mixed_kinds_rule(z)[0][:2]
+
+        for z in self.POINTS:
+            mixed, holo2 = diffops.map_jet2(rule, self.CHART, z, 2)
+            _, _, hess = per_entry_dual_jet(rule, z, (2,), 2)
+            H = hess[None]
+            want = [np.moveaxis(wirt(H, 2)[0], -1, 0) for wirt in
+                    (diffops._wirt_mixed_from_real, diffops._wirt_holo2_from_real)]
+            assert self.bits([mixed, holo2]) == self.bits(want), z
+            assert np.array_equal(mixed[1], np.zeros((2, 2)))
+
+    def test_an_output_of_the_wrong_shape_is_refused(self):
+        with pytest.raises(ValueError, match="does not have shape"):
+            diffops._real_jet(lambda z: [z[0], z[1]], self.CHART, [0.1, 0.2], "dual",
+                              shape=(3,))
+
+
 class TestBackendAgreementM3:
     def test_y_field_m3(self):
         f, h, g = fs3_to_ball3()

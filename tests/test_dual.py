@@ -123,11 +123,14 @@ class TestUntrackedSlots:
 # fully tracked references: the engine's seeds before the unread slots were
 # left untracked
 
-def tracked_grad_dual(F, p, shape=()):
+def tracked_grad_dual(rule, x, shape=(), complex_chart=False):
+    # real coordinates seeded one by one, combined into complex ones per pass
+    p = [c.real for c in x] + [c.imag for c in x] if complex_chart else list(x)
     n = len(p)
     eye = np.eye(n)
     coords = [HyperDual(p[c], eye[c], 0.0, 0.0) for c in range(n)]
-    f0, f1, _ = diffops._dual_slots(F(coords), shape, n)
+    coords = diffops._complex_coords(coords, len(x)) if complex_chart else tuple(coords)
+    f0, f1, _ = diffops._dual_slots(rule(coords), shape, n)
     return f0, f1
 
 

@@ -13,7 +13,7 @@ from projcurv import diffops, maps as mp, verify, zoo  # noqa: E402
 from projcurv.bundle import BundlePoint, TautologicalMetric, affine_rows  # noqa: E402
 from projcurv.charts import ComplexChart, RealChart  # noqa: E402
 from projcurv.dual import HyperDual  # noqa: E402
-from projcurv.fields import HermitianMetricField  # noqa: E402
+from projcurv.fields import Form11, HermitianMetricField  # noqa: E402
 
 from conftest import assert_within_ulps, fs_rule, nan_off_centre, pole_at  # noqa: E402
 
@@ -409,3 +409,54 @@ def test_a_nan_beside_the_target_curvature_jet_centre_never_passes(name, suite, 
     with np.errstate(invalid="ignore", divide="ignore"):
         [rep] = verify.run_suite(p, [suite], samples=samples, seed=seed)
     assert rep.status == "error", (rep.status, rep.message)
+
+
+# Entries up to 1e150 keep every sum and product below 1e300: re-symmetrizing
+# doubles each entry first, which overflows to inf above 2**1023 where the
+# sum itself does not.  Signed zeros and subnormals are drawn.
+_ENTRY = st.floats(-1e150, 1e150, allow_nan=False)
+
+
+@st.composite
+def hermitian_pairs(draw):
+    """Two forms of one dimension, built by the symmetrizing constructor
+    from arbitrary square matrices, and a real factor."""
+    d = draw(st.integers(1, 4))
+
+    def form():
+        parts = draw(st.lists(_ENTRY, min_size=2 * d * d, max_size=2 * d * d))
+        entries = [complex(re, im) for re, im in zip(parts[::2], parts[1::2])]
+        return Form11(np.array(entries).reshape(d, d))
+
+    return form(), form(), draw(_ENTRY)
+
+
+def _same_form(fast, resymmetrized):
+    """fast is exactly Hermitian, and equals the re-symmetrized matrix bit
+    for bit in every part that is not zero; a zero part may differ only in
+    its sign, as the symmetrization of a symmetrized matrix may too."""
+    M, R = fast.matrix, resymmetrized.matrix
+    assert np.array_equal(M, M.conj().T)
+    assert np.array_equal(M, R)
+    F, G = M.view(float), R.view(float)
+    assert F[G != 0].tobytes() == G[G != 0].tobytes()
+    assert fast.dim == resymmetrized.dim
+
+
+@settings(max_examples=300, deadline=None)
+@given(hermitian_pairs())
+@example((Form11(np.array([[-1.0, -0.0 + 1j], [0.0 - 1j, 0.3]])),
+          Form11(np.array([[1e-300, 0.5j], [-0.5j, -3.0]])), -0.7))
+def test_form_sums_differences_and_real_multiples_are_exactly_hermitian(case):
+    a, b, c = case
+    _same_form(a + b, Form11(a.matrix + b.matrix))
+    _same_form(a - b, Form11(a.matrix - b.matrix))
+    _same_form(a.scaled(c), Form11(a.matrix * c))
+    resymmetrized = Form11(Form11(a.matrix + b.matrix).matrix * c)
+    _same_form((a + b).scaled(c) - a, Form11(resymmetrized.matrix - a.matrix))
+
+
+@pytest.mark.parametrize("c", [1j, 0.5 + 0j, np.complex128(2.0), np.complex64(1.0)])
+def test_a_form_is_not_scaled_by_a_complex_number(c):
+    with pytest.raises(TypeError, match="real number"):
+        Form11(np.eye(2)).scaled(c)

@@ -363,6 +363,21 @@ class TestRunSuite:
         assert reports[0].status == "not_applicable"
         assert reports[1].status == "pass"
 
+    @pytest.mark.parametrize("name,routed_out,suite", [
+        ("pluri-poincare", ["S1", "S01", "S5_probe", "exact_holo"], "S11"),
+        ("fs-to-poincare", ["S11", "hessian", "exact_pluri"], "S1"),
+        ("realpart-flat", ["S1", "S2", "S03"], "W_psd")])
+    def test_routing_draws_no_randomness(self, name, routed_out, suite):
+        # an applicable suite's report is byte for byte the same alone and
+        # after suites routed not applicable in the same call
+        p = pair(name)
+        alone = V.run_suite(p, [suite], samples=3, seed=9)
+        after = V.run_suite(p, routed_out + [suite], samples=3, seed=9)
+        assert [r.status for r in after[:-1]] == ["not_applicable"] * len(routed_out)
+        assert alone[0].status in ("pass", "fail")
+        assert json.dumps(after[-1].to_dict(), sort_keys=True) == \
+            json.dumps(alone[0].to_dict(), sort_keys=True)
+
     def test_unknown_suite_rejected(self):
         p = pair("flat-identity")
         with pytest.raises(ValidationError):
