@@ -41,16 +41,27 @@ depends only on ``f0``, ``f1`` only on ``f0`` and ``f1``, ``f2`` only on
 ``f0`` and ``f2``, and each is computed by the same operations on the same
 operands either way.  What goes is the arithmetic of the slots thrown away,
 so a NaN or inf (and its warning) can no longer appear in one of them.
+
+Lanes.  A ``Lanes`` holds one Python number per point of a stack, and a
+rule called on Lanes coordinates evaluates every point of the stack in one
+call.  Its operators and the generic functions act lane by lane through
+the scalar code a call at that point alone runs, so each lane is that
+call's value bit for bit.  What cannot act lane by lane raises
+``TypeError``: comparisons, truth values, conversion to an array, NumPy
+ufuncs, and array or HyperDual operands, whose values would mix points.
+A caller that meets any exception evaluates the points one by one
+(``fields.plain_values``).
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 
 import numpy as np
 
-__all__ = ["HyperDual", "exp", "log", "sqrt", "conj", "real", "imag", "abs2",
+__all__ = ["HyperDual", "Lanes", "exp", "log", "sqrt", "conj", "real", "imag", "abs2",
            "pairing"]
 
 
@@ -191,8 +202,110 @@ class HyperDual:
     __le__ = __gt__ = __ge__ = __lt__
 
 
+class Lanes:
+    """One Python number per point of a stack, in the list ``values``.
+
+    Each operation runs lane by lane, the Lanes operand on the side where
+    it stands, as the scalar operation at one point does; a NumPy scalar
+    constant defers to the reflected methods (``__array_ufunc__``).
+    Everything whose result would not be a lane-by-lane scalar result
+    raises ``TypeError``: comparisons (``==`` included), truth values,
+    ``np.asarray``, NumPy ufuncs, and an ndarray or HyperDual operand.
+    """
+
+    __slots__ = ("values",)
+
+    __array_ufunc__ = None
+
+    def __init__(self, values):
+        self.values = values
+
+    def __repr__(self):
+        return f"Lanes({self.values!r})"
+
+    def _operand(self, other):
+        """The lanes of an operand: a Lanes' own, a constant repeated."""
+        if type(other) is Lanes:
+            return other.values
+        if isinstance(other, (np.ndarray, HyperDual)):
+            raise TypeError(f"Lanes do not combine with {type(other).__name__}")
+        return itertools.repeat(other)
+
+    def __add__(self, other):
+        return Lanes([a + b for a, b in zip(self.values, self._operand(other))])
+
+    def __radd__(self, other):
+        return Lanes([b + a for a, b in zip(self.values, self._operand(other))])
+
+    def __sub__(self, other):
+        return Lanes([a - b for a, b in zip(self.values, self._operand(other))])
+
+    def __rsub__(self, other):
+        return Lanes([b - a for a, b in zip(self.values, self._operand(other))])
+
+    def __mul__(self, other):
+        return Lanes([a * b for a, b in zip(self.values, self._operand(other))])
+
+    def __rmul__(self, other):
+        return Lanes([b * a for a, b in zip(self.values, self._operand(other))])
+
+    def __truediv__(self, other):
+        return Lanes([a / b for a, b in zip(self.values, self._operand(other))])
+
+    def __rtruediv__(self, other):
+        return Lanes([b / a for a, b in zip(self.values, self._operand(other))])
+
+    def __pow__(self, other):
+        return Lanes([a ** b for a, b in zip(self.values, self._operand(other))])
+
+    def __rpow__(self, other):
+        return Lanes([b ** a for a, b in zip(self.values, self._operand(other))])
+
+    def __neg__(self):
+        return Lanes([-a for a in self.values])
+
+    def _map(self, fn):
+        return Lanes([fn(a) for a in self.values])
+
+    def exp(self):
+        return self._map(exp)
+
+    def log(self):
+        return self._map(log)
+
+    def sqrt(self):
+        return self._map(sqrt)
+
+    # complex and float lanes take the branch of the generic function
+    # directly; any other number goes through the function
+
+    def conjugate(self):
+        return Lanes([a.conjugate() if type(a) is complex else
+                      a if type(a) is float else conj(a) for a in self.values])
+
+    @property
+    def real(self):
+        return Lanes([a.real if type(a) is complex else
+                      a if type(a) is float else real(a) for a in self.values])
+
+    @property
+    def imag(self):
+        return self._map(imag)
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("Lanes hold one value per point: they are not compared, "
+                        "tested for truth or converted to an array")
+
+    __eq__ = __ne__ = __lt__ = __le__ = __gt__ = __ge__ = __bool__ = __array__ = _refuse
+    __hash__ = None
+
+
+# the number types with methods of their own for the generic functions
+_LIFTED = (HyperDual, Lanes)
+
+
 def exp(x):
-    if isinstance(x, HyperDual):
+    if isinstance(x, _LIFTED):
         return x.exp()
     if isinstance(x, np.ndarray):
         return np.exp(x)
@@ -202,7 +315,7 @@ def exp(x):
 
 
 def log(x):
-    if isinstance(x, HyperDual):
+    if isinstance(x, _LIFTED):
         return x.log()
     if isinstance(x, np.ndarray):
         # the scalar functions raise on these arguments; so do arrays
@@ -216,7 +329,7 @@ def log(x):
 
 
 def sqrt(x):
-    if isinstance(x, HyperDual):
+    if isinstance(x, _LIFTED):
         return x.sqrt()
     if isinstance(x, np.ndarray):
         if not np.iscomplexobj(x) and np.any(x < 0):
@@ -228,19 +341,19 @@ def sqrt(x):
 
 
 def conj(x):
-    if isinstance(x, (HyperDual, complex, np.ndarray)):
+    if isinstance(x, (HyperDual, Lanes, complex, np.ndarray)):
         return x.conjugate()
     return x
 
 
 def real(x):
-    if isinstance(x, (HyperDual, complex, np.ndarray)):
+    if isinstance(x, (HyperDual, Lanes, complex, np.ndarray)):
         return x.real
     return x
 
 
 def imag(x):
-    if isinstance(x, (HyperDual, complex, np.ndarray)):
+    if isinstance(x, (HyperDual, Lanes, complex, np.ndarray)):
         return x.imag
     return 0.0 * x
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import dual as gm
 from .charts import ComplexChart, RealChart
 from .errors import ValidationError
 
@@ -58,22 +59,73 @@ class ScalarField:
 NUMBER_ERRORS = (ZeroDivisionError, OverflowError)
 
 
+# The points one Lanes call evaluates at most: it bounds the Python numbers
+# alive at once (a lattice of 25^m base points has 390,625 at m = 4).
+LANES_CHUNK = 128
+
+
 def plain_values(rule, points, shape) -> np.ndarray:
     """Plain rule values at each row of an (N, d) stack of points, as one
-    complex array ``(N,) + shape``.
+    complex array ``(N,) + shape``, bit for bit the values of N calls at
+    one point each.
 
-    One rule call per point, on Python numbers (``points.tolist()``),
-    whose arithmetic is much cheaper than NumPy scalars', and one
-    conversion at the end.  A point where the rule raises one of
-    ``NUMBER_ERRORS`` gets NaN values.
+    A single point is one rule call on Python numbers (``points.tolist()``),
+    whose arithmetic is much cheaper than NumPy scalars'.  Two or more
+    points are evaluated ``LANES_CHUNK`` at a time, with one rule call per
+    chunk on ``dual.Lanes`` coordinates, which run every point's scalar
+    arithmetic.  A chunk whose call raises, or whose output is not nested
+    as ``shape``, is evaluated point by point, where a point whose rule
+    raises one of ``NUMBER_ERRORS`` gets NaN values and any other
+    exception escapes from the point that raises it.
     """
+    rows = points.tolist()
+    if len(rows) < 2:
+        return _pointwise(rule, rows, shape)
+    return np.concatenate([_lanes_values(rule, rows[k:k + LANES_CHUNK], shape)
+                           for k in range(0, len(rows), LANES_CHUNK)])
+
+
+def _pointwise(rule, rows, shape) -> np.ndarray:
+    """``plain_values`` of a list of points, one rule call per point."""
     out = []
-    for p in points.tolist():
+    for p in rows:
         try:
             out.append(rule(tuple(p)))
         except NUMBER_ERRORS:
             out.append(np.full(shape, np.nan))
     return np.array(out, complex)
+
+
+def _lanes_values(rule, rows, shape) -> np.ndarray:
+    """``plain_values`` of a list of points from one rule call on Lanes
+    coordinates, or point by point where that call does not serve."""
+    n = len(rows)
+    try:
+        columns = _lane_columns(rule(tuple(gm.Lanes(list(c)) for c in zip(*rows))),
+                                shape, n)
+        vals = np.array(columns, complex)
+        if vals.shape == (len(columns), n):
+            return np.moveaxis(vals.reshape(shape + (n,)), -1, 0)
+    except Exception:       # a fault of the rule raises again at its point
+        pass
+    return _pointwise(rule, rows, shape)
+
+
+_NUMBERS = (int, float, complex, np.number)
+
+
+def _lane_columns(out, shape, n) -> list:
+    """The entries of a rule output nested as ``shape``, in C order, each as
+    a list of its n point values: a Lanes entry's lanes, a number repeated.
+    Any other output is a ``ValueError``."""
+    if not shape:
+        if type(out) is gm.Lanes:
+            return [out.values]
+        if isinstance(out, _NUMBERS):
+            return [[out] * n]
+    if not shape or not isinstance(out, (list, tuple)) or len(out) != shape[0]:
+        raise ValueError(f"rule output is not nested as {shape}")
+    return [column for entry in out for column in _lane_columns(entry, shape[1:], n)]
 
 
 def rule_values(out, shape, N):
@@ -129,7 +181,7 @@ class _MetricBase:
 
     def _raw_matrices(self, points) -> np.ndarray:
         """The rule's complex values at each row of an (N, d) stack of
-        points, from N plain calls (``plain_values``)."""
+        points (``plain_values``)."""
         return plain_values(self.rule, np.asarray(points, self._coordinate_type),
                             (self.dim, self.dim))
 
@@ -220,7 +272,8 @@ class HermitianMetricField(_MetricBase):
 
     def matrices(self, points) -> np.ndarray:
         """The (N, d, d) matrices at each row of an (N, m) stack of points,
-        one plain rule call per point (``plain_values``)."""
+        from one plain rule call per chunk of points (``plain_values``);
+        each is the point's ``matrix`` bit for bit."""
         return self._raw_matrices(points)
 
     def inverse_up(self, z) -> np.ndarray:
@@ -243,7 +296,8 @@ class RiemannianMetricField(_MetricBase):
 
     def matrices(self, points) -> np.ndarray:
         """The (N, n, n) matrices at each row of an (N, n) stack of points,
-        one plain rule call per point (``plain_values``)."""
+        from one plain rule call per chunk of points (``plain_values``);
+        each is the point's ``matrix`` bit for bit."""
         return self._raw_matrices(points).real
 
     def _symmetry_defects(self, G):

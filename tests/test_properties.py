@@ -396,14 +396,24 @@ def test_a_division_by_zero_in_a_metric_rule_at_one_probe_point_is_an_error(name
     assert rep.status == "error" and named in rep.message
 
 
-@pytest.mark.parametrize("name", ("fs-to-poincare", "fs2-to-ball"))
+# the suites that read g's jets at f(z): the Chern side on a Hermitian
+# target, the Riemann side (and the pluri-harmonic routing) on a Riemannian one
+_TARGET_JET_SUITES = {
+    **dict.fromkeys(("fs-to-poincare", "fs2-to-ball"), ("S1", "S01", "S2", "exact_holo")),
+    **dict.fromkeys(("realpart-flat", "pluri-flat3", "pluri-poincare", "pluri-m2-flat",
+                     "pluri-sphere-slice"),
+                    ("S11", "hessian", "hessian2", "exact_pluri", "W_psd")),
+}
+
+
+@pytest.mark.parametrize("name", _TARGET_JET_SUITES)
 @settings(max_examples=10, deadline=None)
-@given(suite=st.sampled_from(["S1", "S01", "S2", "exact_holo"]),
-       seed=st.integers(0, 2 ** 16), samples=st.integers(1, 4))
-def test_a_nan_beside_the_target_curvature_jet_centre_never_passes(name, suite, seed,
+@given(data=st.data(), seed=st.integers(0, 2 ** 16), samples=st.integers(1, 4))
+def test_a_nan_beside_the_target_curvature_jet_centre_never_passes(name, data, seed,
                                                                    samples):
     # g's value at f(z) is the jet's stencil centre and passes its check;
     # every derivative of g is NaN, and the suite must not pass on them
+    suite = data.draw(st.sampled_from(_TARGET_JET_SUITES[name]), label="suite")
     p = _zoo_pair(name)
     p = dataclasses.replace(p, g=dataclasses.replace(p.g, rule=nan_off_centre(p.g.rule)))
     with np.errstate(invalid="ignore", divide="ignore"):
