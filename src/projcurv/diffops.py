@@ -48,11 +48,11 @@ evaluation (a plain call through ``fields.plain_values``, a dual pass of
 ``_real_jet``, the single-point ``jacobian_pair``) hands the rule Python
 numbers, whose arithmetic is cheaper than NumPy scalars'; fd stencils keep
 their arrays.  Plain values at a stack of points (the S5 probe's lattice)
-run the same Python-number arithmetic with one rule call per chunk of
-points, on ``dual.Lanes``.  Where a NumPy scalar gives inf or NaN, Python
-raises ``ZeroDivisionError`` or ``OverflowError``; those two are turned
-into NaN values (``fields.NUMBER_ERRORS``), so the checks that follow
-still fail.
+take one rule call per chunk of points, on ``dual.Lanes``: float64 arrays
+whose operations repeat the Python-number arithmetic step by step.  Where a
+NumPy scalar gives inf or NaN, Python raises ``ZeroDivisionError`` or
+``OverflowError``; those two are turned into NaN values
+(``fields.NUMBER_ERRORS``), so the checks that follow still fail.
 
 A jet pays for its arithmetic, not for its set-up.  What does not depend
 on the point is built once: the chart's scale (its fd step), the seed

@@ -42,15 +42,18 @@ depends only on ``f0``, ``f1`` only on ``f0`` and ``f1``, ``f2`` only on
 operands either way.  What goes is the arithmetic of the slots thrown away,
 so a NaN or inf (and its warning) can no longer appear in one of them.
 
-Lanes.  A ``Lanes`` holds one Python number per point of a stack, and a
-rule called on Lanes coordinates evaluates every point of the stack in one
-call.  Its operators and the generic functions act lane by lane through
-the scalar code a call at that point alone runs, so each lane is that
-call's value bit for bit.  What cannot act lane by lane raises
-``TypeError``: comparisons, truth values, conversion to an array, NumPy
-ufuncs, and array or HyperDual operands, whose values would mix points.
-A caller that meets any exception evaluates the points one by one
-(``fields.plain_values``).
+Lanes.  A ``Lanes`` holds one number per point of a stack, and a rule
+called on Lanes coordinates evaluates every point of the stack in one call.
+``ARRAY_LANES`` or more lanes of Python floats, or of Python complexes,
+are float64 arrays, whose ``+ - * /``, ``conj``, ``real`` and ``imag``
+repeat CPython's own float and complex arithmetic in float64 array
+operations (never NumPy's complex128 ufuncs, which may fuse a product and a
+sum); everything else runs lane by lane through the scalar code.  Either
+way each lane is the value of a call at that point alone, bit for bit.
+What cannot act lane by lane raises ``TypeError``: comparisons, truth
+values, conversion to an array, NumPy ufuncs, and array or HyperDual
+operands, whose values would mix points.  A caller that meets any
+exception evaluates the points one by one (``fields.plain_values``).
 """
 
 from __future__ import annotations
@@ -58,6 +61,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import operator
 
 import numpy as np
 
@@ -202,23 +206,82 @@ class HyperDual:
     __le__ = __gt__ = __ge__ = __lt__
 
 
-class Lanes:
-    """One Python number per point of a stack, in the list ``values``.
+# The fewest lanes held as arrays: below it, the fixed cost of an array
+# operation exceeds the scalar loop's.
+ARRAY_LANES = 64
 
-    Each operation runs lane by lane, the Lanes operand on the side where
-    it stands, as the scalar operation at one point does; a NumPy scalar
-    constant defers to the reflected methods (``__array_ufunc__``).
+
+class Lanes:
+    """One number per point of a stack.
+
+    ``ARRAY_LANES`` or more lanes that are all Python floats, or all Python
+    complexes, are held as float64 arrays: the real parts, and the
+    imaginary parts for complexes.  Any other lanes are held as a list.
+    ``values`` is the list of lanes either way.
+
+    On arrays, ``+ - * /`` with array lanes or a Python float, int or
+    complex constant, unary minus, ``conj``, ``real`` and ``imag`` are
+    float64 array operations in CPython's own steps (``_sum``,
+    ``_difference``, ``_product``, ``_quotient``), each rounding as the
+    scalar step does; a lane with a NaN part takes the scalar operation,
+    since which of two NaN operands comes out is the loop's choice.
+    Everything else runs lane by lane through the scalar operation, the
+    Lanes operand on the side where it stands, and its result is held as
+    arrays again where it is homogeneous.  A NumPy scalar constant defers
+    to the reflected methods (``__array_ufunc__``) and runs lane by lane.
     Everything whose result would not be a lane-by-lane scalar result
     raises ``TypeError``: comparisons (``==`` included), truth values,
     ``np.asarray``, NumPy ufuncs, and an ndarray or HyperDual operand.
     """
 
-    __slots__ = ("values",)
+    __slots__ = ("_list", "_re", "_im")
 
     __array_ufunc__ = None
 
     def __init__(self, values):
-        self.values = values
+        self._list = self._re = self._im = None
+        kinds = set(map(type, values)) if len(values) >= ARRAY_LANES else None
+        if kinds == {float}:
+            self._re = np.array(values, float)
+        elif kinds == {complex}:
+            both = np.array(values, complex)
+            self._re, self._im = both.real.copy(), both.imag.copy()
+        else:
+            self._list = values
+
+    @classmethod
+    def _of_arrays(cls, re, im=None):
+        lanes = cls.__new__(cls)
+        lanes._list, lanes._re, lanes._im = None, re, im
+        return lanes
+
+    @classmethod
+    def of_array(cls, column):
+        """The lanes of a 1-D array's entries, as ``Lanes(column.tolist())``
+        holds them, with no list in between for float64 and complex128."""
+        if len(column) < ARRAY_LANES or column.dtype not in (np.float64, np.complex128):
+            return cls(column.tolist())
+        if column.dtype == np.complex128:
+            return cls._of_arrays(column.real.copy(), column.imag.copy())
+        return cls._of_arrays(np.array(column, np.float64))
+
+    @property
+    def values(self):
+        """The lanes as a list of Python numbers."""
+        if self._re is None:
+            return self._list
+        if self._im is None:
+            return self._re.tolist()
+        return self.as_complex().tolist()
+
+    def as_complex(self):
+        """The lanes as a complex array, each lane as ``complex(lane)``."""
+        if self._re is None:
+            return np.array(self._list, complex)
+        out = self._re.astype(complex)
+        if self._im is not None:
+            out.imag = self._im
+        return out
 
     def __repr__(self):
         return f"Lanes({self.values!r})"
@@ -231,38 +294,67 @@ class Lanes:
             raise TypeError(f"Lanes do not combine with {type(other).__name__}")
         return itertools.repeat(other)
 
+    def _lanewise(self, other, op, reflected):
+        pairs = zip(self.values, self._operand(other))
+        return Lanes([op(b, a) for a, b in pairs] if reflected else
+                     [op(a, b) for a, b in pairs])
+
+    def _binary(self, other, array_op, op, reflected=False):
+        """self op other (other op self if ``reflected``): ``array_op`` on
+        the parts where both operands have them, else lane by lane."""
+        b = None if self._re is None else _parts(other)
+        if b is None:
+            return self._lanewise(other, op, reflected)
+        a = self._re, self._im
+        if reflected:
+            a, b = b, a
+        with np.errstate(all="ignore"):
+            re, im = array_op(a, b)
+            # a sum of squares is NaN exactly when a lane is
+            squares = re.dot(re) + (0.0 if im is None else im.dot(im))
+        if math.isnan(squares):
+            nan = np.isnan(re) if im is None else np.isnan(re) | np.isnan(im)
+            for k in np.flatnonzero(nan):
+                lane = op(_lane(a, k), _lane(b, k))
+                re[k] = lane.real
+                if im is not None:
+                    im[k] = lane.imag
+        return Lanes._of_arrays(re, im)
+
     def __add__(self, other):
-        return Lanes([a + b for a, b in zip(self.values, self._operand(other))])
+        return self._binary(other, _sum, operator.add)
 
     def __radd__(self, other):
-        return Lanes([b + a for a, b in zip(self.values, self._operand(other))])
+        return self._binary(other, _sum, operator.add, True)
 
     def __sub__(self, other):
-        return Lanes([a - b for a, b in zip(self.values, self._operand(other))])
+        return self._binary(other, _difference, operator.sub)
 
     def __rsub__(self, other):
-        return Lanes([b - a for a, b in zip(self.values, self._operand(other))])
+        return self._binary(other, _difference, operator.sub, True)
 
     def __mul__(self, other):
-        return Lanes([a * b for a, b in zip(self.values, self._operand(other))])
+        return self._binary(other, _product, operator.mul)
 
     def __rmul__(self, other):
-        return Lanes([b * a for a, b in zip(self.values, self._operand(other))])
+        return self._binary(other, _product, operator.mul, True)
 
     def __truediv__(self, other):
-        return Lanes([a / b for a, b in zip(self.values, self._operand(other))])
+        return self._binary(other, _quotient, operator.truediv)
 
     def __rtruediv__(self, other):
-        return Lanes([b / a for a, b in zip(self.values, self._operand(other))])
+        return self._binary(other, _quotient, operator.truediv, True)
 
     def __pow__(self, other):
-        return Lanes([a ** b for a, b in zip(self.values, self._operand(other))])
+        return self._lanewise(other, operator.pow, False)
 
     def __rpow__(self, other):
-        return Lanes([b ** a for a, b in zip(self.values, self._operand(other))])
+        return self._lanewise(other, operator.pow, True)
 
     def __neg__(self):
-        return Lanes([-a for a in self.values])
+        if self._re is None:
+            return self._map(operator.neg)
+        return Lanes._of_arrays(-self._re, None if self._im is None else -self._im)
 
     def _map(self, fn):
         return Lanes([fn(a) for a in self.values])
@@ -276,21 +368,25 @@ class Lanes:
     def sqrt(self):
         return self._map(sqrt)
 
-    # complex and float lanes take the branch of the generic function
-    # directly; any other number goes through the function
+    # on arrays: a float is its own conjugate and real part, and its
+    # imaginary part is 0.0 * x, as ``imag`` gives it
 
     def conjugate(self):
-        return Lanes([a.conjugate() if type(a) is complex else
-                      a if type(a) is float else conj(a) for a in self.values])
+        if self._re is None:
+            return self._map(conj)
+        return self if self._im is None else Lanes._of_arrays(self._re, -self._im)
 
     @property
     def real(self):
-        return Lanes([a.real if type(a) is complex else
-                      a if type(a) is float else real(a) for a in self.values])
+        if self._re is None:
+            return self._map(real)
+        return self if self._im is None else Lanes._of_arrays(self._re)
 
     @property
     def imag(self):
-        return self._map(imag)
+        if self._re is None:
+            return self._map(imag)
+        return 0.0 * self if self._im is None else Lanes._of_arrays(self._im)
 
     def _refuse(self, *args, **kwargs):
         raise TypeError("Lanes hold one value per point: they are not compared, "
@@ -298,6 +394,101 @@ class Lanes:
 
     __eq__ = __ne__ = __lt__ = __le__ = __gt__ = __ge__ = __bool__ = __array__ = _refuse
     __hash__ = None
+
+
+# The array arithmetic of Lanes, in the steps of CPython 3.11's float and
+# complex objects.  An operand is a pair of parts (re, im), float64 arrays
+# or Python floats, with im None for a real operand; a real operand of a
+# complex operation is complex(x, 0.0), as CPython converts it.  Each
+# step is one float64 operation on the same operands in the same order as
+# in C, so each lane rounds as the scalar does; NumPy's complex128
+# ufuncs would not (they may fuse a product and a sum).
+
+def _parts(x):
+    """The parts of an operand of the array arithmetic, None for any other:
+    array Lanes, or a Python float, int or complex constant (an int as
+    ``float(x)``, which raises where the scalar operation raises)."""
+    t = type(x)
+    if t is Lanes:
+        return None if x._re is None else (x._re, x._im)
+    if t is float:
+        return x, None
+    if t is int:
+        return float(x), None
+    if t is complex:
+        return x.real, x.imag
+    return None
+
+
+def _lane(parts, k):
+    """The Python number in lane k of an operand's parts."""
+    re, im = (p.item(k) if type(p) is np.ndarray else p for p in parts)
+    return re if im is None else complex(re, im)
+
+
+def _im(part):
+    return 0.0 if part is None else part
+
+
+def _componentwise(op):
+    """A sum or a difference: ``op`` of the real parts and of the imaginary
+    parts, two constants' imaginary parts repeated over the lanes."""
+    def parts(a, b):
+        (ar, ai), (br, bi) = a, b
+        re = op(ar, br)
+        if ai is None and bi is None:
+            return re, None
+        im = op(_im(ai), _im(bi))
+        return re, im if type(im) is np.ndarray else np.full(re.shape, im)
+    return parts
+
+
+_sum, _difference = _componentwise(operator.add), _componentwise(operator.sub)
+
+
+def _product(a, b):
+    """(ac - bd, ad + bc)."""
+    (ar, ai), (br, bi) = a, b
+    if ai is None and bi is None:
+        return ar * br, None
+    ai, bi = _im(ai), _im(bi)
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _quotient(a, b):
+    """A float quotient, or Smith's method (CACM Algorithm 116) as CPython's
+    ``_Py_c_quot`` runs it: divide by the divisor's part of larger modulus.
+    A divisor with a NaN part gives NaN parts, which ``Lanes._binary``
+    redoes by the scalar division (its (nan, nan) branch).  A divisor that
+    is zero in any lane raises ``ZeroDivisionError``, as that lane's scalar
+    division does."""
+    (ar, ai), (br, bi) = a, b
+    if ai is None and bi is None:
+        if np.any(br == 0):
+            raise ZeroDivisionError("float division by zero")
+        return ar / br, None
+    ai = _im(ai)
+    # 0-d arrays, so that a constant divisor divides by zero quietly, as C does
+    br, bi = np.asarray(br), np.asarray(_im(bi))
+    if np.any((br == 0) & (bi == 0)):
+        raise ZeroDivisionError("complex division by zero")
+    by_imag = np.abs(bi) > np.abs(br)
+
+    def divided_by_real():
+        ratio = bi / br
+        denom = br + bi * ratio
+        return (ar + ai * ratio) / denom, (ai - ar * ratio) / denom
+
+    def divided_by_imag():
+        ratio = br / bi
+        denom = br * ratio + bi
+        return (ar * ratio + ai) / denom, (ai * ratio - ar) / denom
+
+    if not by_imag.any():
+        return divided_by_real()
+    if by_imag.all():
+        return divided_by_imag()
+    return tuple(np.where(by_imag, i, r) for r, i in zip(divided_by_real(), divided_by_imag()))
 
 
 # the number types with methods of their own for the generic functions
@@ -340,20 +531,25 @@ def sqrt(x):
     return math.sqrt(x) if x >= 0 else cmath.sqrt(x)
 
 
+# the types with a conjugate and parts of their own; a NumPy complex
+# scalar is not always a ``complex`` (np.complex64, np.clongdouble)
+_COMPLEX_LIKE = (HyperDual, Lanes, complex, np.complexfloating, np.ndarray)
+
+
 def conj(x):
-    if isinstance(x, (HyperDual, Lanes, complex, np.ndarray)):
+    if isinstance(x, _COMPLEX_LIKE):
         return x.conjugate()
     return x
 
 
 def real(x):
-    if isinstance(x, (HyperDual, Lanes, complex, np.ndarray)):
+    if isinstance(x, _COMPLEX_LIKE):
         return x.real
     return x
 
 
 def imag(x):
-    if isinstance(x, (HyperDual, Lanes, complex, np.ndarray)):
+    if isinstance(x, _COMPLEX_LIKE):
         return x.imag
     return 0.0 * x
 

@@ -59,9 +59,14 @@ class ScalarField:
 NUMBER_ERRORS = (ZeroDivisionError, OverflowError)
 
 
-# The points one Lanes call evaluates at most: it bounds the Python numbers
-# alive at once (a lattice of 25^m base points has 390,625 at m = 4).
-LANES_CHUNK = 128
+# The points one Lanes call evaluates at most: it bounds the memory of the
+# float64 arrays alive at once (the S5 lattice of 25^m base points has
+# 15,625 at m = 3 and 390,625 at m = 4), and a 625-point lattice (m = 2) is
+# one call.  Measured on fs3-to-ball3's 15,625-point h: 12 ms a call at
+# 1,024 points a chunk, 6-7 ms at 4,096 and about 7 ms at 16,384, whose
+# arrays no longer fit the cache; the working arrays of a 4,096-point call
+# take under 2.3 MB.
+LANES_CHUNK = 4096
 
 
 def plain_values(rule, points, shape) -> np.ndarray:
@@ -72,17 +77,18 @@ def plain_values(rule, points, shape) -> np.ndarray:
     A single point is one rule call on Python numbers (``points.tolist()``),
     whose arithmetic is much cheaper than NumPy scalars'.  Two or more
     points are evaluated ``LANES_CHUNK`` at a time, with one rule call per
-    chunk on ``dual.Lanes`` coordinates, which run every point's scalar
-    arithmetic.  A chunk whose call raises, or whose output is not nested
-    as ``shape``, is evaluated point by point, where a point whose rule
-    raises one of ``NUMBER_ERRORS`` gets NaN values and any other
+    chunk on ``dual.Lanes`` coordinates (float64 arrays from
+    ``dual.ARRAY_LANES`` points up), whose arithmetic repeats each point's
+    scalar arithmetic.  A chunk whose call raises, or whose output is not
+    nested as ``shape``, is evaluated point by point, where a point whose
+    rule raises one of ``NUMBER_ERRORS`` gets NaN values and any other
     exception escapes from the point that raises it.
     """
-    rows = points.tolist()
-    if len(rows) < 2:
-        return _pointwise(rule, rows, shape)
-    return np.concatenate([_lanes_values(rule, rows[k:k + LANES_CHUNK], shape)
-                           for k in range(0, len(rows), LANES_CHUNK)])
+    if len(points) < 2:
+        return _pointwise(rule, points.tolist(), shape)
+    chunks = [_lanes_values(rule, points[k:k + LANES_CHUNK], shape)
+              for k in range(0, len(points), LANES_CHUNK)]
+    return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
 
 
 def _pointwise(rule, rows, shape) -> np.ndarray:
@@ -96,36 +102,37 @@ def _pointwise(rule, rows, shape) -> np.ndarray:
     return np.array(out, complex)
 
 
-def _lanes_values(rule, rows, shape) -> np.ndarray:
-    """``plain_values`` of a list of points from one rule call on Lanes
-    coordinates, or point by point where that call does not serve."""
-    n = len(rows)
-    try:
-        columns = _lane_columns(rule(tuple(gm.Lanes(list(c)) for c in zip(*rows))),
-                                shape, n)
-        vals = np.array(columns, complex)
-        if vals.shape == (len(columns), n):
-            return np.moveaxis(vals.reshape(shape + (n,)), -1, 0)
-    except Exception:       # a fault of the rule raises again at its point
-        pass
-    return _pointwise(rule, rows, shape)
-
-
 _NUMBERS = (int, float, complex, np.number)
 
 
-def _lane_columns(out, shape, n) -> list:
-    """The entries of a rule output nested as ``shape``, in C order, each as
-    a list of its n point values: a Lanes entry's lanes, a number repeated.
-    Any other output is a ``ValueError``."""
+def _lanes_values(rule, points, shape) -> np.ndarray:
+    """``plain_values`` of an (n, d) stack of points from one rule call on
+    Lanes coordinates, each output entry written into its column of the
+    values, or point by point where that call does not serve."""
+    n = len(points)
+    try:
+        entries = _entries(rule(tuple(gm.Lanes.of_array(c) for c in points.T)), shape)
+        vals = np.empty((n, len(entries)), complex)
+        for k, entry in enumerate(entries):
+            if type(entry) is gm.Lanes:
+                vals[:, k] = entry.as_complex()
+            elif isinstance(entry, _NUMBERS):
+                vals[:, k] = entry
+            else:
+                raise ValueError(f"rule output entry {entry!r} is not a number")
+        return vals.reshape((n,) + shape)
+    except Exception:       # a fault of the rule raises again at its point
+        return _pointwise(rule, points.tolist(), shape)
+
+
+def _entries(out, shape) -> list:
+    """The entries of a rule output nested as ``shape``, in C order; any
+    other nesting is a ``ValueError``."""
     if not shape:
-        if type(out) is gm.Lanes:
-            return [out.values]
-        if isinstance(out, _NUMBERS):
-            return [[out] * n]
-    if not shape or not isinstance(out, (list, tuple)) or len(out) != shape[0]:
+        return [out]
+    if not isinstance(out, (list, tuple)) or len(out) != shape[0]:
         raise ValueError(f"rule output is not nested as {shape}")
-    return [column for entry in out for column in _lane_columns(entry, shape[1:], n)]
+    return [entry for part in out for entry in _entries(part, shape[1:])]
 
 
 def rule_values(out, shape, N):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from projcurv import dual as gm
+from projcurv import dual as gm, exprs, zoo
 from projcurv.charts import ComplexChart, RealChart
 from projcurv.dual import HyperDual
 from projcurv.fields import HermitianMetricField, RiemannianMetricField
@@ -154,3 +154,22 @@ def pole_at(rule, point):
         return out
 
     return wrapped
+
+
+def inline_metric():
+    """A Hermitian metric from inline expressions (``exprs``), with every
+    generic function and ``**`` in its entries."""
+    entries = [["1 + abs2(z1) + exp(re(z2)) / 4", "0.1 * conj(z1) * z2 + im(z1) ** 2"],
+               ["0.1 * z1 * conj(z2) + im(z1) ** 2", "log(2 + abs2(z2)) + sqrt(1 + re(z1))"]]
+    chart = ComplexChart(dim=2, radius=[0.5, 0.5], name="inline")
+    return HermitianMetricField(chart, exprs.matrix_rule(entries, ["z1", "z2"]),
+                                name="inline")
+
+
+# every zoo metric and the inline one, as (kind, name) for ``stack_metric``
+STACK_METRICS = ([("zoo", n) for n in zoo.HERMITIAN_METRICS + zoo.RIEMANNIAN_METRICS]
+                 + [("inline", "exprs")])
+
+
+def stack_metric(kind, name):
+    return zoo.build_entry(name).obj if kind == "zoo" else inline_metric()

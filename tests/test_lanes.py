@@ -1,33 +1,48 @@
-"""Lanes: one rule call evaluates a stack of points, lane by lane through the
+"""Lanes: one rule call evaluates a stack of points, lane by lane as the
 scalar code a call at each point alone runs.
 
-Every comparison is of bits (``.view(np.uint64)``), so a signed zero or a
-NaN in another place counts as a difference."""
+``ARRAY_LANES`` or more lanes of Python floats only, or of Python complexes
+only, are held as float64 arrays; any other lanes as a list.  Every test of
+an operation runs on both storages.  Every comparison is of bits
+(``.view(np.uint64)``), so a signed zero or a NaN in another place counts as
+a difference."""
 
+import contextlib
 import math
 import operator
 import re
+import warnings
 
 import numpy as np
 import pytest
 
-from projcurv import exprs, zoo
 from projcurv import dual as gm
 from projcurv.charts import ComplexChart
-from projcurv.dual import HyperDual, Lanes
-from projcurv.fields import LANES_CHUNK, HermitianMetricField, plain_values
+from projcurv.dual import ARRAY_LANES, HyperDual, Lanes
+from projcurv.fields import LANES_CHUNK, plain_values
 
-from conftest import fs_rule, pole_at
+from conftest import STACK_METRICS, fs_rule, pole_at, stack_metric
+
+
+def _tiled(values):
+    """The values repeated to at least ARRAY_LANES lanes."""
+    return values * -(-ARRAY_LANES // len(values))
+
 
 INF, NAN = math.inf, math.nan
-FLOATS = [0.0, -0.0, 1.5, -2.25, INF, -INF, NAN, 1e300, 5e-324]
-COMPLEXES = [complex(0.0, -0.0), complex(-0.0, 0.0), 0.3 + 0.4j, -1.5 + 2j,
-             complex(INF, 1.0), complex(NAN, 0.0), 1e300 + 1e300j, complex(-0.0, -0.0),
-             0.5 - 0.5j]
-MIXED = [0.25, 2j, -0.0, complex(0.0, -0.0), NAN, -3.0 + 0j, 7, 1e-310, -INF]
-LANE_SETS = {"floats": FLOATS, "complexes": COMPLEXES, "mixed": MIXED}
-CONSTANTS = [2.5, -0.0, 3, 0, 0.5 - 1j, complex(-0.0, 0.0), np.float64(-1.25),
-             np.complex128(2 + 0.5j), np.int64(2), np.float64(NAN), INF]
+FLOATS = _tiled([0.0, -0.0, 1.5, -2.25, INF, -INF, NAN, 1e300, 5e-324])
+COMPLEXES = _tiled([complex(0.0, -0.0), complex(-0.0, 0.0), 0.3 + 0.4j, -1.5 + 2j,
+                    complex(INF, 1.0), complex(NAN, 0.0), 1e300 + 1e300j,
+                    complex(-0.0, -0.0), 0.5 - 0.5j])
+MIXED = _tiled([0.25, 2j, -0.0, complex(0.0, -0.0), NAN, -3.0 + 0j, 7, 1e-310, -INF])
+NUMPY = _tiled([np.float64(-0.5), np.complex128(complex(-0.0, 1.0)), np.float64(NAN),
+                np.complex128(2 - 1j), np.float64(0.0), np.float64(1e300),
+                np.complex128(complex(INF, 0.0)), np.float64(-2.0), np.complex128(0.5j)])
+LANE_SETS = {"floats": FLOATS, "complexes": COMPLEXES, "mixed": MIXED, "numpy": NUMPY}
+ON_ARRAYS = {"floats": True, "complexes": True, "mixed": False, "numpy": False}
+CONSTANTS = [2.5, -0.0, 3, 0, 0.5 - 1j, complex(-0.0, 0.0), INF, NAN, 1e-310,
+             complex(NAN, 0.0), complex(1.0, NAN), np.float64(-1.25),
+             np.complex128(2 + 0.5j), np.int64(2), np.float64(NAN)]
 BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
           "/": operator.truediv, "**": operator.pow}
 UNARY = {"neg": operator.neg, "exp": gm.exp, "log": gm.log, "sqrt": gm.sqrt,
@@ -36,6 +51,26 @@ UNARY = {"neg": operator.neg, "exp": gm.exp, "log": gm.log, "sqrt": gm.sqrt,
 
 def _bits(x):
     return np.array([x], complex).view(np.uint64).tolist()
+
+
+def _on_arrays(lanes):
+    return lanes._re is not None
+
+
+def _nonzero(values):
+    """The lanes with each zero replaced by a 2.5 of its type, so that a
+    division by them divides every lane."""
+    return [type(v)(2.5) if v == 0 else v for v in values]
+
+
+@contextlib.contextmanager
+def _warnings_fail(numpy_scalars):
+    """Any warning is an error.  NumPy scalars warn where Python numbers
+    raise or stay quiet, on their own; those operations run quietly."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(all="ignore") if numpy_scalars else contextlib.nullcontext():
+            yield
 
 
 def _scalar(fn, *args):
@@ -49,7 +84,9 @@ def _scalar(fn, *args):
 def _assert_lanes(fn, lanes_args, scalar_args):
     """fn on Lanes arguments gives, lane by lane, what fn gives on the
     scalars of that lane: the same type and bits, or the exception of the
-    first lane that raises."""
+    first lane that raises; and the result is held as arrays exactly when
+    it has ARRAY_LANES or more lanes, all Python floats or all Python
+    complexes."""
     want = [_scalar(fn, *args) for args in scalar_args]
     raised = [w for w in want if isinstance(w, type)]
     if raised:
@@ -61,16 +98,43 @@ def _assert_lanes(fn, lanes_args, scalar_args):
     for g, w in zip(got.values, want):
         assert type(g) is type(w), (g, w)
         assert _bits(g) == _bits(w), (g, w)
+    assert _on_arrays(got) == (len(want) >= ARRAY_LANES
+                               and set(map(type, want)) in ({float}, {complex}))
+
+
+@pytest.mark.parametrize("lanes", LANE_SETS)
+def test_python_floats_or_complexes_are_held_as_arrays(lanes):
+    values = LANE_SETS[lanes]
+    got = Lanes(values)
+    assert _on_arrays(got) == ON_ARRAYS[lanes]
+    assert [(type(v), _bits(v)) for v in got.values] == [(type(v), _bits(v)) for v in values]
+    # too few lanes for an array operation to pay
+    assert not _on_arrays(Lanes(values[:ARRAY_LANES - 1]))
+    assert not _on_arrays(Lanes.of_array(np.array(values[:ARRAY_LANES - 1])))
+
+
+@pytest.mark.parametrize("column", [np.array(FLOATS), np.array(COMPLEXES),
+                                    np.array(_tiled([0.3 + 0.4j, complex(-0.0, NAN)]), np.complex64),
+                                    np.arange(ARRAY_LANES) - 3])
+def test_the_lanes_of_an_array_are_its_entries_as_python_numbers(column):
+    column = np.stack([column, column], axis=1)[:, 0]       # strided
+    got = Lanes.of_array(column)
+    want = column.tolist()
+    assert _on_arrays(got) == (set(map(type, want)) in ({float}, {complex}))
+    assert [(type(v), _bits(v)) for v in got.values] == [(type(v), _bits(v)) for v in want]
 
 
 @pytest.mark.parametrize("op", BINARY)
 @pytest.mark.parametrize("lanes", LANE_SETS)
 def test_an_operator_acts_lane_by_lane(op, lanes):
     fn, values = BINARY[op], LANE_SETS[lanes]
-    with np.errstate(all="ignore"):
-        for other in LANE_SETS.values():
-            _assert_lanes(fn, (Lanes(values), Lanes(other)), zip(values, other))
-        for c in CONSTANTS:
+    for name, other in LANE_SETS.items():
+        # and lanes without a zero, so that a quotient gives values
+        for o in (other, _nonzero(other)):
+            with _warnings_fail("numpy" in (lanes, name)):
+                _assert_lanes(fn, (Lanes(values), Lanes(o)), zip(values, o))
+    for c in CONSTANTS:
+        with _warnings_fail(lanes == "numpy" or isinstance(c, np.generic)):
             _assert_lanes(fn, (Lanes(values), c), [(a, c) for a in values])
             _assert_lanes(fn, (c, Lanes(values)), [(c, a) for a in values])
 
@@ -78,11 +142,55 @@ def test_an_operator_acts_lane_by_lane(op, lanes):
 @pytest.mark.parametrize("name", UNARY)
 @pytest.mark.parametrize("lanes", LANE_SETS)
 def test_a_generic_function_acts_lane_by_lane(name, lanes):
-    values = LANE_SETS[lanes] + [np.float64(-0.5), np.complex128(complex(-0.0, 1.0))]
-    with np.errstate(all="ignore"):
+    values = LANE_SETS[lanes]
+    with _warnings_fail(lanes == "numpy"):
         # log and sqrt of the lanes that are in their domain, too
-        for vals in (values, [v for v in values if _scalar(gm.log, v) is not ValueError]):
+        for vals in (values, _tiled([v for v in values if _scalar(gm.log, v) is not ValueError])):
             _assert_lanes(UNARY[name], (Lanes(vals),), [(v,) for v in vals])
+
+
+DIVISORS = [complex(NAN, 0.0), complex(0.0, NAN), complex(NAN, NAN), complex(INF, NAN),
+            complex(NAN, -INF)]
+
+
+@pytest.mark.parametrize("lanes", ["floats", "complexes"])
+def test_a_nan_divisor_gives_cpythons_nan(lanes):
+    # both parts of a quotient by a divisor with a NaN part are CPython's NaN
+    values = _nonzero(LANE_SETS[lanes])
+    for d in DIVISORS:
+        _assert_lanes(operator.truediv, (Lanes(values), d), [(v, d) for v in values])
+        # beside lanes of both of Smith's branches, and of the real one only
+        for others in (_nonzero(COMPLEXES), [2.5 - 0.5j] * len(values)):
+            divisors = Lanes(([d] + others)[:len(values)])
+            _assert_lanes(operator.truediv, (Lanes(values), divisors),
+                          zip(values, divisors.values))
+
+
+@pytest.mark.parametrize("lanes", ["floats", "complexes"])
+@pytest.mark.parametrize("zero", [0, 0.0, -0.0, 0j, complex(-0.0, -0.0)])
+def test_a_zero_divisor_in_any_lane_raises_zero_division_error(lanes, zero):
+    values = _nonzero(LANE_SETS[lanes])
+    with pytest.raises(ZeroDivisionError):
+        Lanes(values) / zero
+    divisors = _nonzero(COMPLEXES if type(zero) is complex else FLOATS)
+    divisors[3] = zero if type(zero) is complex else float(zero)
+    assert _on_arrays(Lanes(divisors))
+    with pytest.raises(ZeroDivisionError):
+        Lanes(values) / Lanes(divisors)
+
+
+@pytest.mark.parametrize("x", [np.complex64(1 + 2j), np.clongdouble(-0.5 - 3j)])
+def test_a_numpy_complex_that_is_not_a_complex_is_conjugated(x):
+    # np.complex64 and np.clongdouble do not subclass complex
+    want = {gm.conj: np.conj(x), gm.real: np.real(x), gm.imag: np.imag(x)}
+    jet = HyperDual(x, x, None, x)
+    for fn, w in want.items():
+        assert type(fn(x)) is type(w) and fn(x) == w
+        got = fn(jet)
+        assert [got.f0, got.f1, got.f2, got.f12] == [w, w, None, w]
+        # list storage, and array storage of the same values as Python complexes
+        assert fn(Lanes([x, x])).values == [w, w]
+        assert fn(Lanes([complex(x)] * ARRAY_LANES)).values == [fn(complex(x))] * ARRAY_LANES
 
 
 REFUSED = {
@@ -107,18 +215,23 @@ REFUSED = {
 }
 
 
+@pytest.mark.parametrize("values", [[0.5, -0.25], [0.5, -1j], [0.5, -1], [0.5]])
 @pytest.mark.parametrize("what", REFUSED)
-def test_what_would_mix_points_raises_a_type_error(what):
+def test_what_would_mix_points_raises_a_type_error(what, values):
     with pytest.raises(TypeError):
-        REFUSED[what](Lanes([0.5, -0.25]))
+        REFUSED[what](Lanes(_tiled(values)))
 
 
 # ---------------------------------------------------------------------------
 # metric values of a stack against the points one by one
 
-def _counted(rule, seen):
+def _counted(rule, seen, on_arrays=None):
+    """The rule, recording the type of each call's first coordinate, and
+    in ``on_arrays`` whether Lanes coordinates are held as arrays."""
     def counted(z):
         seen.append(type(z[0]))
+        if on_arrays is not None and type(z[0]) is Lanes:
+            on_arrays.append(all(map(_on_arrays, z)))
         return rule(z)
     return counted
 
@@ -135,29 +248,19 @@ def _with_signed_zeros(points, center):
     return points
 
 
-def _inline_metric():
-    entries = [["1 + abs2(z1) + exp(re(z2)) / 4", "0.1 * conj(z1) * z2 + im(z1) ** 2"],
-               ["0.1 * z1 * conj(z2) + im(z1) ** 2", "log(2 + abs2(z2)) + sqrt(1 + re(z1))"]]
-    chart = ComplexChart(dim=2, radius=[0.5, 0.5], name="inline")
-    return HermitianMetricField(chart, exprs.matrix_rule(entries, ["z1", "z2"]),
-                                name="inline")
-
-
-METRICS = ([("zoo", n) for n in zoo.HERMITIAN_METRICS + zoo.RIEMANNIAN_METRICS]
-           + [("inline", "exprs")])
-
-
-@pytest.mark.parametrize("count", [2, LANES_CHUNK, LANES_CHUNK + 1])
-@pytest.mark.parametrize("kind,name", METRICS)
+@pytest.mark.parametrize("count", [2, ARRAY_LANES, LANES_CHUNK, LANES_CHUNK + 1])
+@pytest.mark.parametrize("kind,name", STACK_METRICS)
 def test_the_matrices_of_a_stack_are_the_matrices_of_its_points(kind, name, count):
-    metric = zoo.build_entry(name).obj if kind == "zoo" else _inline_metric()
-    seen = []
-    counted = type(metric)(metric.chart, _counted(metric.rule, seen), metric.name,
-                           validate_on_init=False)
+    metric = stack_metric(kind, name)
+    seen, on_arrays = [], []
+    counted = type(metric)(metric.chart, _counted(metric.rule, seen, on_arrays),
+                           metric.name, validate_on_init=False)
     points = _with_signed_zeros(metric.chart.sample(np.random.default_rng(count), count=count),
                                 metric.chart.center)
     stack = np.ascontiguousarray(counted.matrices(points))
-    assert seen == [Lanes] * -(-count // LANES_CHUNK)     # one call per chunk
+    sizes = [min(LANES_CHUNK, count - k) for k in range(0, count, LANES_CHUNK)]
+    assert seen == [Lanes] * len(sizes)     # one call per chunk
+    assert on_arrays == [n >= ARRAY_LANES for n in sizes]
     if count == LANES_CHUNK + 1:    # a stack of one keeps its direct call
         seen.clear()
         counted.matrices(points[-1:])
@@ -207,6 +310,23 @@ def test_a_pole_is_nan_at_its_point_only(count, where):
     assert np.flatnonzero(nan_rows).tolist() == [count - 1 if where else 0]
     assert np.isnan(got[where]).all()
     assert _same_bits(got, _one_by_one(rule, points, (2, 2)))
+
+
+@pytest.mark.parametrize("count", [ARRAY_LANES, LANES_CHUNK + 1])
+def test_a_nan_at_one_point_is_that_points_nan(count):
+    # inf - inf at the first point only, in one call per chunk
+    points = _stack(count, seed=count)
+    centre = complex(points[0, 0])
+
+    def rule(z):
+        x = 1 / (gm.abs2(z[0] - centre) + 1e-300)
+        return [[1 + (x * x - x * x), gm.conj(z[1]) * (x * x - x * x)]]
+
+    seen, on_arrays = [], []
+    got = plain_values(_counted(rule, seen, on_arrays), points, (1, 2))
+    assert seen == [Lanes] * -(-count // LANES_CHUNK) and on_arrays[0]
+    assert np.isnan(got[0]).all() and not np.isnan(got[1:]).any()
+    assert _same_bits(got, _one_by_one(rule, points, (1, 2)))
 
 
 @pytest.mark.parametrize("count", [2, LANES_CHUNK + 1])

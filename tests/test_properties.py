@@ -12,10 +12,11 @@ from hypothesis import assume, example, given, settings, strategies as st  # noq
 from projcurv import diffops, maps as mp, verify, zoo  # noqa: E402
 from projcurv.bundle import BundlePoint, TautologicalMetric, affine_rows  # noqa: E402
 from projcurv.charts import ComplexChart, RealChart  # noqa: E402
-from projcurv.dual import HyperDual  # noqa: E402
+from projcurv.dual import ARRAY_LANES, HyperDual  # noqa: E402
 from projcurv.fields import Form11, HermitianMetricField  # noqa: E402
 
-from conftest import assert_within_ulps, fs_rule, nan_off_centre, pole_at  # noqa: E402
+from conftest import (STACK_METRICS, assert_within_ulps, fs_rule,  # noqa: E402
+                      nan_off_centre, pole_at, stack_metric)
 
 
 def _complex(bound):
@@ -470,3 +471,71 @@ def test_form_sums_differences_and_real_multiples_are_exactly_hermitian(case):
 def test_a_form_is_not_scaled_by_a_complex_number(c):
     with pytest.raises(TypeError, match="real number"):
         Form11(np.eye(2)).scaled(c)
+
+
+# ---------------------------------------------------------------------------
+# a metric at a stack of points is the metric at each point, bit for bit
+
+# parts a stack's coordinates may take besides drawn ones: signed zeros,
+# subnormals and the smallest normal
+_SPECIAL_PARTS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308]
+
+
+@st.composite
+def metric_stacks(draw, chart):
+    """An (N, d) stack of chart points, complex on a complex chart, N on
+    either side of ``ARRAY_LANES``: each part drawn in the chart's box or
+    one of ``_SPECIAL_PARTS``."""
+    center = np.asarray(chart.center, complex)
+    is_complex = isinstance(chart, ComplexChart)
+
+    def part(c, r):
+        return st.one_of(st.floats(-1, 1).map(lambda u: c + r * u),
+                         st.sampled_from(_SPECIAL_PARTS))
+
+    parts = [part(c.real, r) for c, r in zip(center, chart.radius)]
+    if is_complex:
+        parts += [part(c.imag, r) for c, r in zip(center, chart.radius)]
+    count = draw(st.integers(max(2, ARRAY_LANES - 8), ARRAY_LANES + 24))
+    rows = np.array(draw(st.lists(st.tuples(*parts), min_size=count, max_size=count)))
+    d = chart.dim
+    return rows[:, :d] + 1j * rows[:, d:] if is_complex else rows
+
+
+def _bits_of(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@functools.cache
+def _stack_metric(kind, name):
+    return stack_metric(kind, name)
+
+
+@pytest.mark.parametrize("kind,name", STACK_METRICS)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_the_matrices_of_a_drawn_stack_are_the_matrices_of_its_points(kind, name, data):
+    # on Lanes held as float64 arrays; with a pole at one point (a division
+    # by zero there) the stack falls back to its points one by one
+    metric = _stack_metric(kind, name)
+    points = data.draw(metric_stacks(metric.chart))
+    pole = data.draw(st.one_of(st.none(), st.integers(0, len(points) - 1)))
+    if pole is not None:
+        metric = dataclasses.replace(metric, rule=pole_at(metric.rule, points[pole]),
+                                     validate_on_init=False)
+    stack = metric.matrices(points)
+    alone = np.stack([metric.matrix(p) for p in points])
+    assert stack.shape == alone.shape and stack.dtype == alone.dtype
+    assert np.array_equal(_bits_of(stack), _bits_of(alone))
+
+
+@pytest.mark.parametrize("name,radius", [("fubini-study", 0.9), ("poincare-ball", 0.38)])
+def test_the_matrices_of_the_m3_probe_lattice_are_the_matrices_of_its_points(name, radius):
+    # the S5 probe's lattice at m = 3: 15,625 base points in several chunks
+    metric = zoo.build_entry(name, {"dim": 3, "radius": radius}).obj
+    pair = verify.PairContext(f=zoo.build_map("identity", {}, metric.chart, metric.chart),
+                              h=metric, g=metric, name="m3")
+    zs, _ = verify._probe_grid(pair)
+    assert len(zs) == 15_625
+    alone = np.stack([metric.matrix(z) for z in zs])
+    assert np.array_equal(_bits_of(metric.matrices(zs)), _bits_of(alone))
