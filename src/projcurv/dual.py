@@ -44,16 +44,17 @@ so a NaN or inf (and its warning) can no longer appear in one of them.
 
 Lanes.  A ``Lanes`` holds one number per point of a stack, and a rule
 called on Lanes coordinates evaluates every point of the stack in one call.
-``ARRAY_LANES`` or more lanes of Python floats, or of Python complexes,
-are float64 arrays, whose ``+ - * /``, ``conj``, ``real`` and ``imag``
-repeat CPython's own float and complex arithmetic in float64 array
-operations (never NumPy's complex128 ufuncs, which may fuse a product and a
-sum); everything else runs lane by lane through the scalar code.  Either
+The lanes are Python floats or Python complexes, held as float64 arrays,
+whose ``+ - * /``, ``conj``, ``real`` and ``imag`` repeat CPython's own
+float and complex arithmetic in float64 array operations (never NumPy's
+complex128 ufuncs, which may fuse a product and a sum); ``**``, ``exp``,
+``log`` and ``sqrt`` run lane by lane through the scalar code.  Either
 way each lane is the value of a call at that point alone, bit for bit.
-What cannot act lane by lane raises ``TypeError``: comparisons, truth
-values, conversion to an array, NumPy ufuncs, and array or HyperDual
-operands, whose values would mix points.  A caller that meets any
-exception evaluates the points one by one (``fields.plain_values``).
+What cannot act so raises ``TypeError``: lanes that are not all floats or
+all complexes (ints, NumPy scalars, or a mix), comparisons, truth values,
+conversion to an array, NumPy ufuncs, Lanes of another length, and NumPy
+or HyperDual operands, whose values would mix points.  A caller that meets
+any exception evaluates the points one by one (``fields.plain_values``).
 """
 
 from __future__ import annotations
@@ -206,78 +207,67 @@ class HyperDual:
     __le__ = __gt__ = __ge__ = __lt__
 
 
-# The fewest lanes held as arrays: below it, the fixed cost of an array
-# operation exceeds the scalar loop's.
-ARRAY_LANES = 64
-
-
 class Lanes:
-    """One number per point of a stack.
+    """One number per point of a stack, held as float64 arrays: the real
+    parts, and the imaginary parts where the lanes are complex.
 
-    ``ARRAY_LANES`` or more lanes that are all Python floats, or all Python
-    complexes, are held as float64 arrays: the real parts, and the
-    imaginary parts for complexes.  Any other lanes are held as a list.
-    ``values`` is the list of lanes either way.
+    The lanes are all Python floats or all Python complexes; any other
+    lanes (ints, NumPy scalars, floats beside complexes) raise
+    ``TypeError``.  ``values`` is the list of lanes as Python numbers.
 
-    On arrays, ``+ - * /`` with array lanes or a Python float, int or
+    ``+ - * /`` with Lanes of as many lanes or a Python float, int or
     complex constant, unary minus, ``conj``, ``real`` and ``imag`` are
     float64 array operations in CPython's own steps (``_sum``,
     ``_difference``, ``_product``, ``_quotient``), each rounding as the
     scalar step does; a lane with a NaN part takes the scalar operation,
     since which of two NaN operands comes out is the loop's choice.
-    Everything else runs lane by lane through the scalar operation, the
-    Lanes operand on the side where it stands, and its result is held as
-    arrays again where it is homogeneous.  A NumPy scalar constant defers
-    to the reflected methods (``__array_ufunc__``) and runs lane by lane.
+    ``**``, ``exp``, ``log`` and ``sqrt`` run lane by lane through the
+    scalar operation, and their lanes are held as arrays again; lanes that
+    turn mixed (``sqrt`` of negative floats) raise ``TypeError``.
     Everything whose result would not be a lane-by-lane scalar result
     raises ``TypeError``: comparisons (``==`` included), truth values,
-    ``np.asarray``, NumPy ufuncs, and an ndarray or HyperDual operand.
+    ``np.asarray``, NumPy ufuncs, Lanes of another length, and any other
+    operand (a NumPy scalar, an ndarray, a HyperDual).
     """
 
-    __slots__ = ("_list", "_re", "_im")
+    __slots__ = ("_re", "_im")
 
     __array_ufunc__ = None
 
     def __init__(self, values):
-        self._list = self._re = self._im = None
-        kinds = set(map(type, values)) if len(values) >= ARRAY_LANES else None
+        kinds = set(map(type, values))
         if kinds == {float}:
-            self._re = np.array(values, float)
+            self._re, self._im = np.array(values, float), None
         elif kinds == {complex}:
             both = np.array(values, complex)
             self._re, self._im = both.real.copy(), both.imag.copy()
         else:
-            self._list = values
+            raise TypeError("Lanes hold Python floats only or Python complexes only, "
+                            f"not {sorted(t.__name__ for t in kinds)}")
 
     @classmethod
     def _of_arrays(cls, re, im=None):
         lanes = cls.__new__(cls)
-        lanes._list, lanes._re, lanes._im = None, re, im
+        lanes._re, lanes._im = re, im
         return lanes
 
     @classmethod
     def of_array(cls, column):
-        """The lanes of a 1-D array's entries, as ``Lanes(column.tolist())``
-        holds them, with no list in between for float64 and complex128."""
-        if len(column) < ARRAY_LANES or column.dtype not in (np.float64, np.complex128):
-            return cls(column.tolist())
+        """The lanes of a float64 or complex128 1-D array's entries, as
+        ``Lanes(column.tolist())`` holds them, with no list in between."""
         if column.dtype == np.complex128:
             return cls._of_arrays(column.real.copy(), column.imag.copy())
-        return cls._of_arrays(np.array(column, np.float64))
+        if column.dtype == np.float64:
+            return cls._of_arrays(np.array(column, np.float64))
+        raise TypeError(f"Lanes are float64 or complex128, not {column.dtype}")
 
     @property
     def values(self):
         """The lanes as a list of Python numbers."""
-        if self._re is None:
-            return self._list
-        if self._im is None:
-            return self._re.tolist()
-        return self.as_complex().tolist()
+        return (self._re if self._im is None else self.as_complex()).tolist()
 
     def as_complex(self):
         """The lanes as a complex array, each lane as ``complex(lane)``."""
-        if self._re is None:
-            return np.array(self._list, complex)
         out = self._re.astype(complex)
         if self._im is not None:
             out.imag = self._im
@@ -286,26 +276,10 @@ class Lanes:
     def __repr__(self):
         return f"Lanes({self.values!r})"
 
-    def _operand(self, other):
-        """The lanes of an operand: a Lanes' own, a constant repeated."""
-        if type(other) is Lanes:
-            return other.values
-        if isinstance(other, (np.ndarray, HyperDual)):
-            raise TypeError(f"Lanes do not combine with {type(other).__name__}")
-        return itertools.repeat(other)
-
-    def _lanewise(self, other, op, reflected):
-        pairs = zip(self.values, self._operand(other))
-        return Lanes([op(b, a) for a, b in pairs] if reflected else
-                     [op(a, b) for a, b in pairs])
-
     def _binary(self, other, array_op, op, reflected=False):
-        """self op other (other op self if ``reflected``): ``array_op`` on
-        the parts where both operands have them, else lane by lane."""
-        b = None if self._re is None else _parts(other)
-        if b is None:
-            return self._lanewise(other, op, reflected)
-        a = self._re, self._im
+        """self op other (other op self if ``reflected``) by ``array_op`` on
+        the parts, a lane with a NaN part by the scalar ``op``."""
+        a, b = (self._re, self._im), _parts(other, len(self._re))
         if reflected:
             a, b = b, a
         with np.errstate(all="ignore"):
@@ -351,9 +325,16 @@ class Lanes:
     def __rpow__(self, other):
         return self._lanewise(other, operator.pow, True)
 
+    def _lanewise(self, other, op, reflected):
+        """self op other (other op self if ``reflected``), lane by lane
+        through the scalar ``op``."""
+        _parts(other, len(self._re))     # refuses what the array operations refuse
+        others = other.values if type(other) is Lanes else itertools.repeat(other)
+        pairs = zip(self.values, others)
+        return Lanes([op(b, a) for a, b in pairs] if reflected else
+                     [op(a, b) for a, b in pairs])
+
     def __neg__(self):
-        if self._re is None:
-            return self._map(operator.neg)
         return Lanes._of_arrays(-self._re, None if self._im is None else -self._im)
 
     def _map(self, fn):
@@ -368,24 +349,18 @@ class Lanes:
     def sqrt(self):
         return self._map(sqrt)
 
-    # on arrays: a float is its own conjugate and real part, and its
-    # imaginary part is 0.0 * x, as ``imag`` gives it
+    # a float is its own conjugate and real part, and its imaginary part
+    # is 0.0 * x, as ``imag`` gives it
 
     def conjugate(self):
-        if self._re is None:
-            return self._map(conj)
         return self if self._im is None else Lanes._of_arrays(self._re, -self._im)
 
     @property
     def real(self):
-        if self._re is None:
-            return self._map(real)
         return self if self._im is None else Lanes._of_arrays(self._re)
 
     @property
     def imag(self):
-        if self._re is None:
-            return self._map(imag)
         return 0.0 * self if self._im is None else Lanes._of_arrays(self._im)
 
     def _refuse(self, *args, **kwargs):
@@ -404,20 +379,23 @@ class Lanes:
 # in C, so each lane rounds as the scalar does; NumPy's complex128
 # ufuncs would not (they may fuse a product and a sum).
 
-def _parts(x):
-    """The parts of an operand of the array arithmetic, None for any other:
-    array Lanes, or a Python float, int or complex constant (an int as
-    ``float(x)``, which raises where the scalar operation raises)."""
+def _parts(x, n):
+    """The parts of an operand of the arithmetic of n lanes: Lanes of n
+    lanes, or a Python float, int or complex constant (an int as
+    ``float(x)``, which raises where the scalar operation raises).  Any
+    other operand raises ``TypeError``: its values would mix points."""
     t = type(x)
     if t is Lanes:
-        return None if x._re is None else (x._re, x._im)
+        if len(x._re) != n:
+            raise TypeError(f"Lanes of {len(x._re)} lanes do not combine with {n} lanes")
+        return x._re, x._im
     if t is float:
         return x, None
     if t is int:
         return float(x), None
     if t is complex:
         return x.real, x.imag
-    return None
+    raise TypeError(f"Lanes do not combine with {t.__name__}")
 
 
 def _lane(parts, k):

@@ -77,12 +77,13 @@ def plain_values(rule, points, shape) -> np.ndarray:
     A single point is one rule call on Python numbers (``points.tolist()``),
     whose arithmetic is much cheaper than NumPy scalars'.  Two or more
     points are evaluated ``LANES_CHUNK`` at a time, with one rule call per
-    chunk on ``dual.Lanes`` coordinates (float64 arrays from
-    ``dual.ARRAY_LANES`` points up), whose arithmetic repeats each point's
-    scalar arithmetic.  A chunk whose call raises, or whose output is not
-    nested as ``shape``, is evaluated point by point, where a point whose
-    rule raises one of ``NUMBER_ERRORS`` gets NaN values and any other
-    exception escapes from the point that raises it.
+    chunk on ``dual.Lanes`` coordinates (float64 arrays), whose arithmetic
+    repeats each point's scalar arithmetic.  A chunk whose call raises (a
+    NumPy scalar constant, or lanes that turn into a mix of floats and
+    complexes, raise ``TypeError``), or whose output is not nested as
+    ``shape``, is evaluated point by point, where a point whose rule raises
+    one of ``NUMBER_ERRORS`` gets NaN values and any other exception
+    escapes from the point that raises it.
     """
     if len(points) < 2:
         return _pointwise(rule, points.tolist(), shape)

@@ -1,11 +1,10 @@
 """Lanes: one rule call evaluates a stack of points, lane by lane as the
 scalar code a call at each point alone runs.
 
-``ARRAY_LANES`` or more lanes of Python floats only, or of Python complexes
-only, are held as float64 arrays; any other lanes as a list.  Every test of
-an operation runs on both storages.  Every comparison is of bits
-(``.view(np.uint64)``), so a signed zero or a NaN in another place counts as
-a difference."""
+Lanes are Python floats only or Python complexes only, held as float64
+arrays; any other lanes, and any operation whose values would mix points,
+raise ``TypeError``.  Every comparison is of bits (``.view(np.uint64)``),
+so a signed zero or a NaN in another place counts as a difference."""
 
 import contextlib
 import math
@@ -18,31 +17,20 @@ import pytest
 
 from projcurv import dual as gm
 from projcurv.charts import ComplexChart
-from projcurv.dual import ARRAY_LANES, HyperDual, Lanes
+from projcurv.dual import HyperDual, Lanes
 from projcurv.fields import LANES_CHUNK, plain_values
 
 from conftest import STACK_METRICS, fs_rule, pole_at, stack_metric
 
 
-def _tiled(values):
-    """The values repeated to at least ARRAY_LANES lanes."""
-    return values * -(-ARRAY_LANES // len(values))
-
-
 INF, NAN = math.inf, math.nan
-FLOATS = _tiled([0.0, -0.0, 1.5, -2.25, INF, -INF, NAN, 1e300, 5e-324])
-COMPLEXES = _tiled([complex(0.0, -0.0), complex(-0.0, 0.0), 0.3 + 0.4j, -1.5 + 2j,
-                    complex(INF, 1.0), complex(NAN, 0.0), 1e300 + 1e300j,
-                    complex(-0.0, -0.0), 0.5 - 0.5j])
-MIXED = _tiled([0.25, 2j, -0.0, complex(0.0, -0.0), NAN, -3.0 + 0j, 7, 1e-310, -INF])
-NUMPY = _tiled([np.float64(-0.5), np.complex128(complex(-0.0, 1.0)), np.float64(NAN),
-                np.complex128(2 - 1j), np.float64(0.0), np.float64(1e300),
-                np.complex128(complex(INF, 0.0)), np.float64(-2.0), np.complex128(0.5j)])
-LANE_SETS = {"floats": FLOATS, "complexes": COMPLEXES, "mixed": MIXED, "numpy": NUMPY}
-ON_ARRAYS = {"floats": True, "complexes": True, "mixed": False, "numpy": False}
+FLOATS = [0.0, -0.0, 1.5, -2.25, INF, -INF, NAN, 1e300, 5e-324]
+COMPLEXES = [complex(0.0, -0.0), complex(-0.0, 0.0), 0.3 + 0.4j, -1.5 + 2j,
+             complex(INF, 1.0), complex(NAN, 0.0), 1e300 + 1e300j,
+             complex(-0.0, -0.0), 0.5 - 0.5j]
+LANE_SETS = {"floats": FLOATS, "complexes": COMPLEXES}
 CONSTANTS = [2.5, -0.0, 3, 0, 0.5 - 1j, complex(-0.0, 0.0), INF, NAN, 1e-310,
-             complex(NAN, 0.0), complex(1.0, NAN), np.float64(-1.25),
-             np.complex128(2 + 0.5j), np.int64(2), np.float64(NAN)]
+             complex(NAN, 0.0), complex(1.0, NAN)]
 BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
           "/": operator.truediv, "**": operator.pow}
 UNARY = {"neg": operator.neg, "exp": gm.exp, "log": gm.log, "sqrt": gm.sqrt,
@@ -53,10 +41,6 @@ def _bits(x):
     return np.array([x], complex).view(np.uint64).tolist()
 
 
-def _on_arrays(lanes):
-    return lanes._re is not None
-
-
 def _nonzero(values):
     """The lanes with each zero replaced by a 2.5 of its type, so that a
     division by them divides every lane."""
@@ -64,13 +48,11 @@ def _nonzero(values):
 
 
 @contextlib.contextmanager
-def _warnings_fail(numpy_scalars):
-    """Any warning is an error.  NumPy scalars warn where Python numbers
-    raise or stay quiet, on their own; those operations run quietly."""
+def _warnings_fail():
+    """Any warning is an error."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with np.errstate(all="ignore") if numpy_scalars else contextlib.nullcontext():
-            yield
+        yield
 
 
 def _scalar(fn, *args):
@@ -83,14 +65,13 @@ def _scalar(fn, *args):
 
 def _assert_lanes(fn, lanes_args, scalar_args):
     """fn on Lanes arguments gives, lane by lane, what fn gives on the
-    scalars of that lane: the same type and bits, or the exception of the
-    first lane that raises; and the result is held as arrays exactly when
-    it has ARRAY_LANES or more lanes, all Python floats or all Python
-    complexes."""
+    scalars of that lane: the same type and bits, the exception of the
+    first lane that raises, or ``TypeError`` where the lanes' results are
+    not all floats or all complexes."""
     want = [_scalar(fn, *args) for args in scalar_args]
     raised = [w for w in want if isinstance(w, type)]
-    if raised:
-        with pytest.raises(raised[0]):
+    if raised or set(map(type, want)) not in ({float}, {complex}):
+        with pytest.raises(raised[0] if raised else TypeError):
             fn(*lanes_args)
         return
     got = fn(*lanes_args)
@@ -98,30 +79,23 @@ def _assert_lanes(fn, lanes_args, scalar_args):
     for g, w in zip(got.values, want):
         assert type(g) is type(w), (g, w)
         assert _bits(g) == _bits(w), (g, w)
-    assert _on_arrays(got) == (len(want) >= ARRAY_LANES
-                               and set(map(type, want)) in ({float}, {complex}))
+
+
+def _typed_bits(values):
+    return [(type(v), _bits(v)) for v in values]
 
 
 @pytest.mark.parametrize("lanes", LANE_SETS)
-def test_python_floats_or_complexes_are_held_as_arrays(lanes):
+def test_the_lanes_of_python_floats_or_complexes_are_their_values(lanes):
     values = LANE_SETS[lanes]
-    got = Lanes(values)
-    assert _on_arrays(got) == ON_ARRAYS[lanes]
-    assert [(type(v), _bits(v)) for v in got.values] == [(type(v), _bits(v)) for v in values]
-    # too few lanes for an array operation to pay
-    assert not _on_arrays(Lanes(values[:ARRAY_LANES - 1]))
-    assert not _on_arrays(Lanes.of_array(np.array(values[:ARRAY_LANES - 1])))
+    for count in (1, 2, len(values)):
+        assert _typed_bits(Lanes(values[:count]).values) == _typed_bits(values[:count])
 
 
-@pytest.mark.parametrize("column", [np.array(FLOATS), np.array(COMPLEXES),
-                                    np.array(_tiled([0.3 + 0.4j, complex(-0.0, NAN)]), np.complex64),
-                                    np.arange(ARRAY_LANES) - 3])
+@pytest.mark.parametrize("column", [np.array(FLOATS), np.array(COMPLEXES)])
 def test_the_lanes_of_an_array_are_its_entries_as_python_numbers(column):
     column = np.stack([column, column], axis=1)[:, 0]       # strided
-    got = Lanes.of_array(column)
-    want = column.tolist()
-    assert _on_arrays(got) == (set(map(type, want)) in ({float}, {complex}))
-    assert [(type(v), _bits(v)) for v in got.values] == [(type(v), _bits(v)) for v in want]
+    assert _typed_bits(Lanes.of_array(column).values) == _typed_bits(column.tolist())
 
 
 @pytest.mark.parametrize("op", BINARY)
@@ -131,10 +105,10 @@ def test_an_operator_acts_lane_by_lane(op, lanes):
     for name, other in LANE_SETS.items():
         # and lanes without a zero, so that a quotient gives values
         for o in (other, _nonzero(other)):
-            with _warnings_fail("numpy" in (lanes, name)):
+            with _warnings_fail():
                 _assert_lanes(fn, (Lanes(values), Lanes(o)), zip(values, o))
     for c in CONSTANTS:
-        with _warnings_fail(lanes == "numpy" or isinstance(c, np.generic)):
+        with _warnings_fail():
             _assert_lanes(fn, (Lanes(values), c), [(a, c) for a in values])
             _assert_lanes(fn, (c, Lanes(values)), [(c, a) for a in values])
 
@@ -143,9 +117,9 @@ def test_an_operator_acts_lane_by_lane(op, lanes):
 @pytest.mark.parametrize("lanes", LANE_SETS)
 def test_a_generic_function_acts_lane_by_lane(name, lanes):
     values = LANE_SETS[lanes]
-    with _warnings_fail(lanes == "numpy"):
+    with _warnings_fail():
         # log and sqrt of the lanes that are in their domain, too
-        for vals in (values, _tiled([v for v in values if _scalar(gm.log, v) is not ValueError])):
+        for vals in (values, [v for v in values if _scalar(gm.log, v) is not ValueError]):
             _assert_lanes(UNARY[name], (Lanes(vals),), [(v,) for v in vals])
 
 
@@ -174,7 +148,6 @@ def test_a_zero_divisor_in_any_lane_raises_zero_division_error(lanes, zero):
         Lanes(values) / zero
     divisors = _nonzero(COMPLEXES if type(zero) is complex else FLOATS)
     divisors[3] = zero if type(zero) is complex else float(zero)
-    assert _on_arrays(Lanes(divisors))
     with pytest.raises(ZeroDivisionError):
         Lanes(values) / Lanes(divisors)
 
@@ -188,9 +161,8 @@ def test_a_numpy_complex_that_is_not_a_complex_is_conjugated(x):
         assert type(fn(x)) is type(w) and fn(x) == w
         got = fn(jet)
         assert [got.f0, got.f1, got.f2, got.f12] == [w, w, None, w]
-        # list storage, and array storage of the same values as Python complexes
-        assert fn(Lanes([x, x])).values == [w, w]
-        assert fn(Lanes([complex(x)] * ARRAY_LANES)).values == [fn(complex(x))] * ARRAY_LANES
+        # Lanes of the same values as Python complexes (Lanes of x raise)
+        assert fn(Lanes([complex(x)] * 2)).values == [fn(complex(x))] * 2
 
 
 REFUSED = {
@@ -212,26 +184,49 @@ REFUSED = {
     "math": math.exp,
     "float": float,
     "hash": hash,
+    "NumPy float": lambda x: x * np.float64(-1.25),
+    "NumPy complex left": lambda x: np.complex128(2 + 0.5j) + x,
+    "NumPy int power": lambda x: x ** np.int64(2),
+    "NumPy NaN left": lambda x: np.float64(NAN) / x,
+    "a bool": lambda x: x - True,
+    # Lanes of another length, which would truncate or broadcast
+    "more lanes": lambda x: x + Lanes(x.values * 3),
+    "more lanes left": lambda x: Lanes(x.values * 64) * x,
+    "one lane": lambda x: Lanes(x.values * 64) - Lanes(x.values[:1]),
+    "more lanes power": lambda x: x ** Lanes(x.values * 64),
+    "fewer lanes power": lambda x: Lanes(x.values * 3) ** x,
+    # lanes that are not all Python floats or all Python complexes
+    "an int lane": lambda x: Lanes(x.values + [7]),
+    "ints": lambda x: Lanes([1, 2]),
+    "a bool lane": lambda x: Lanes(x.values + [True]),
+    "a NumPy float lane": lambda x: Lanes(x.values + [np.float64(0.5)]),
+    "a NumPy complex64 lane": lambda x: Lanes(x.values + [np.complex64(1 + 2j)]),
+    "floats beside complexes": lambda x: Lanes(x.values + [0.5, 0.5j]),
+    "mixed": lambda x: Lanes([0.25, 2j, -0.0, complex(0.0, -0.0), NAN, -3.0 + 0j, 7, -INF]),
+    "NumPy lanes": lambda x: Lanes([np.float64(-0.5), np.complex128(complex(-0.0, 1.0)),
+                                    np.float64(NAN), np.complex128(2 - 1j)]),
+    "NumPy complexes": lambda x: Lanes([np.complex128(v) for v in x.as_complex()]),
+    "no lanes": lambda x: Lanes(x.values[:0]),
+    "a complex64 column": lambda x: Lanes.of_array(x.as_complex().astype(np.complex64)),
+    "a float32 column": lambda x: Lanes.of_array(x.as_complex().real.astype(np.float32)),
+    "an int column": lambda x: Lanes.of_array(np.arange(len(x.values))),
 }
 
 
-@pytest.mark.parametrize("values", [[0.5, -0.25], [0.5, -1j], [0.5, -1], [0.5]])
+@pytest.mark.parametrize("values", [[0.5, -0.25], [0.5j, -1j], [0.5]])
 @pytest.mark.parametrize("what", REFUSED)
 def test_what_would_mix_points_raises_a_type_error(what, values):
     with pytest.raises(TypeError):
-        REFUSED[what](Lanes(_tiled(values)))
+        REFUSED[what](Lanes(values))
 
 
 # ---------------------------------------------------------------------------
 # metric values of a stack against the points one by one
 
-def _counted(rule, seen, on_arrays=None):
-    """The rule, recording the type of each call's first coordinate, and
-    in ``on_arrays`` whether Lanes coordinates are held as arrays."""
+def _counted(rule, seen):
+    """The rule, recording the type of each call's first coordinate."""
     def counted(z):
         seen.append(type(z[0]))
-        if on_arrays is not None and type(z[0]) is Lanes:
-            on_arrays.append(all(map(_on_arrays, z)))
         return rule(z)
     return counted
 
@@ -248,19 +243,19 @@ def _with_signed_zeros(points, center):
     return points
 
 
-@pytest.mark.parametrize("count", [2, ARRAY_LANES, LANES_CHUNK, LANES_CHUNK + 1])
+# 25: the S5 probe's lattice at m = 1
+@pytest.mark.parametrize("count", [2, 25, LANES_CHUNK, LANES_CHUNK + 1])
 @pytest.mark.parametrize("kind,name", STACK_METRICS)
 def test_the_matrices_of_a_stack_are_the_matrices_of_its_points(kind, name, count):
     metric = stack_metric(kind, name)
-    seen, on_arrays = [], []
-    counted = type(metric)(metric.chart, _counted(metric.rule, seen, on_arrays),
+    seen = []
+    counted = type(metric)(metric.chart, _counted(metric.rule, seen),
                            metric.name, validate_on_init=False)
     points = _with_signed_zeros(metric.chart.sample(np.random.default_rng(count), count=count),
                                 metric.chart.center)
     stack = np.ascontiguousarray(counted.matrices(points))
     sizes = [min(LANES_CHUNK, count - k) for k in range(0, count, LANES_CHUNK)]
     assert seen == [Lanes] * len(sizes)     # one call per chunk
-    assert on_arrays == [n >= ARRAY_LANES for n in sizes]
     if count == LANES_CHUNK + 1:    # a stack of one keeps its direct call
         seen.clear()
         counted.matrices(points[-1:])
@@ -287,13 +282,22 @@ def _same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
-@pytest.mark.parametrize("count", [2, LANES_CHUNK + 1])
-def test_a_rule_that_branches_on_a_coordinate_is_evaluated_point_by_point(count):
-    def rule(z):
-        return [[1.5 if gm.real(z[0]) > 0 else 2.5 + gm.abs2(z[1])]]
+REFUSED_RULES = {
+    "branches on a coordinate": lambda z: [[1.5 if gm.real(z[0]) > 0 else 2.5 + gm.abs2(z[1])]],
+    "a NumPy scalar constant": lambda z: [[np.float64(1.5) + gm.abs2(z[1])]],
+    # the square root of a negative float is a complex
+    "lanes that turn mixed": lambda z: [[gm.sqrt(gm.real(z[0])) * z[1]]],
+}
 
+
+@pytest.mark.parametrize("count", [2, LANES_CHUNK + 2])
+@pytest.mark.parametrize("what", REFUSED_RULES)
+def test_a_rule_the_lanes_refuse_is_evaluated_point_by_point(what, count):
+    rule = REFUSED_RULES[what]
     seen = []
     points = _stack(count)
+    # real parts of both signs in each chunk
+    points[1, 0], points[-1, 0] = -points[0, 0].conjugate(), -points[-2, 0].conjugate()
     got = plain_values(_counted(rule, seen), points, (1, 1))
     assert seen[0] is Lanes and seen.count(Lanes) == -(-count // LANES_CHUNK)
     assert seen.count(complex) == count
@@ -312,7 +316,7 @@ def test_a_pole_is_nan_at_its_point_only(count, where):
     assert _same_bits(got, _one_by_one(rule, points, (2, 2)))
 
 
-@pytest.mark.parametrize("count", [ARRAY_LANES, LANES_CHUNK + 1])
+@pytest.mark.parametrize("count", [2, 25, LANES_CHUNK + 1])
 def test_a_nan_at_one_point_is_that_points_nan(count):
     # inf - inf at the first point only, in one call per chunk
     points = _stack(count, seed=count)
@@ -322,9 +326,9 @@ def test_a_nan_at_one_point_is_that_points_nan(count):
         x = 1 / (gm.abs2(z[0] - centre) + 1e-300)
         return [[1 + (x * x - x * x), gm.conj(z[1]) * (x * x - x * x)]]
 
-    seen, on_arrays = [], []
-    got = plain_values(_counted(rule, seen, on_arrays), points, (1, 2))
-    assert seen == [Lanes] * -(-count // LANES_CHUNK) and on_arrays[0]
+    seen = []
+    got = plain_values(_counted(rule, seen), points, (1, 2))
+    assert seen == [Lanes] * -(-count // LANES_CHUNK)
     assert np.isnan(got[0]).all() and not np.isnan(got[1:]).any()
     assert _same_bits(got, _one_by_one(rule, points, (1, 2)))
 
@@ -351,6 +355,7 @@ OUTPUTS = {
     "a None entry": lambda z: [[None if isinstance(z[0], Lanes) else z[0]]],
     "a constant": lambda z: [[0.5]],
     "an int": lambda z: [[3 + 0 * z[1]]],
+    "a NumPy scalar": lambda z: [[np.complex128(0.5 - 1j)]],
 }
 
 

@@ -12,7 +12,7 @@ from hypothesis import assume, example, given, settings, strategies as st  # noq
 from projcurv import diffops, maps as mp, verify, zoo  # noqa: E402
 from projcurv.bundle import BundlePoint, TautologicalMetric, affine_rows  # noqa: E402
 from projcurv.charts import ComplexChart, RealChart  # noqa: E402
-from projcurv.dual import ARRAY_LANES, HyperDual  # noqa: E402
+from projcurv.dual import HyperDual  # noqa: E402
 from projcurv.fields import Form11, HermitianMetricField  # noqa: E402
 
 from conftest import (STACK_METRICS, assert_within_ulps, fs_rule,  # noqa: E402
@@ -483,9 +483,9 @@ _SPECIAL_PARTS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308]
 
 @st.composite
 def metric_stacks(draw, chart):
-    """An (N, d) stack of chart points, complex on a complex chart, N on
-    either side of ``ARRAY_LANES``: each part drawn in the chart's box or
-    one of ``_SPECIAL_PARTS``."""
+    """An (N, d) stack of chart points, complex on a complex chart, N from
+    2 to 88: each part drawn in the chart's box or one of
+    ``_SPECIAL_PARTS``."""
     center = np.asarray(chart.center, complex)
     is_complex = isinstance(chart, ComplexChart)
 
@@ -496,7 +496,7 @@ def metric_stacks(draw, chart):
     parts = [part(c.real, r) for c, r in zip(center, chart.radius)]
     if is_complex:
         parts += [part(c.imag, r) for c, r in zip(center, chart.radius)]
-    count = draw(st.integers(max(2, ARRAY_LANES - 8), ARRAY_LANES + 24))
+    count = draw(st.integers(2, 88))
     rows = np.array(draw(st.lists(st.tuples(*parts), min_size=count, max_size=count)))
     d = chart.dim
     return rows[:, :d] + 1j * rows[:, d:] if is_complex else rows
@@ -515,7 +515,7 @@ def _stack_metric(kind, name):
 @settings(max_examples=10, deadline=None)
 @given(data=st.data())
 def test_the_matrices_of_a_drawn_stack_are_the_matrices_of_its_points(kind, name, data):
-    # on Lanes held as float64 arrays; with a pole at one point (a division
+    # on Lanes, in one rule call; with a pole at one point (a division
     # by zero there) the stack falls back to its points one by one
     metric = _stack_metric(kind, name)
     points = data.draw(metric_stacks(metric.chart))
