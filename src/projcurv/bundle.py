@@ -31,7 +31,7 @@ import numpy as np
 from . import diffops, dual
 from .charts import ComplexChart, fiber_chart
 from .errors import QuadratureError, ValidationError
-from .fields import Form11, HermitianMetricField, ScalarField
+from .fields import HermitianMetricField, ScalarField
 
 
 @dataclass(frozen=True)
@@ -177,7 +177,7 @@ def tautological_curvature(tm: TautologicalMetric, P):
     field = tm.log_H_field(idx)
     hess = diffops.wirtinger_hessian(field, np.array([Q.combined() for Q in Ps]),
                                      backend="fd")
-    forms = [Form11(-H.matrix) for H in hess]
+    forms = [H.scaled(-1.0) for H in hess]
     return forms if isinstance(P, list) else forms[0]
 
 

@@ -43,14 +43,13 @@ on the density's value for its T D term, so no check or density evaluates
 the rule at the point again.  The centre column
 is array arithmetic, so it may differ from a scalar call by an ulp.
 
-Python numbers at one point, NumPy arrays on stencils.  A one-point
+Python numbers at one point, NumPy arrays on stacks.  A one-point
 evaluation (a plain call through ``fields.plain_values``, a dual pass of
 ``_real_jet``, the single-point ``jacobian_pair``) hands the rule Python
 numbers, whose arithmetic is cheaper than NumPy scalars'; fd stencils keep
-their arrays.  Plain values at a stack of points (the S5 probe's lattice)
-take one rule call per chunk of points, on ``dual.Lanes``: float64 arrays
-whose operations repeat the Python-number arithmetic step by step.  Where a
-NumPy scalar gives inf or NaN, Python raises ``ZeroDivisionError`` or
+their arrays, and so do plain values at a stack of points (the S5 probe's
+lattice, validation), one rule call per chunk of points.  Where a NumPy
+scalar gives inf or NaN, Python raises ``ZeroDivisionError`` or
 ``OverflowError``; those two are turned into NaN values
 (``fields.NUMBER_ERRORS``), so the checks that follow still fail.
 

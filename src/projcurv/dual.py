@@ -13,10 +13,12 @@ HyperDual, which nests the construction for higher derivative orders.
 The module also provides generic elementary functions (``exp``, ``log``,
 ``conj``, ``abs2``, ...) that dispatch on plain numbers, NumPy arrays and
 HyperDuals alike.  Field and map rules written with these primitives
-evaluate unchanged under either differentiation backend: the
-finite-difference backend passes each coordinate as an array over the points
-of a stencil, and the dual backend passes HyperDuals whose derivative slots
-are arrays over the seeded directions.
+evaluate unchanged under either differentiation backend and in plain
+evaluation: the finite-difference backend passes each coordinate as an
+array over the points of a stencil, plain evaluation passes Python numbers
+at one point and arrays over a stack of points (``fields.plain_values``),
+and the dual backend passes HyperDuals whose derivative slots are arrays
+over the seeded directions.
 
 The perturbation directions are always *real* chart directions, so complex
 conjugation acts componentwise, which is what makes Wirtinger calculus on
@@ -41,32 +43,16 @@ depends only on ``f0``, ``f1`` only on ``f0`` and ``f1``, ``f2`` only on
 ``f0`` and ``f2``, and each is computed by the same operations on the same
 operands either way.  What goes is the arithmetic of the slots thrown away,
 so a NaN or inf (and its warning) can no longer appear in one of them.
-
-Lanes.  A ``Lanes`` holds one number per point of a stack, and a rule
-called on Lanes coordinates evaluates every point of the stack in one call.
-The lanes are Python floats or Python complexes, held as float64 arrays,
-whose ``+ - * /``, ``conj``, ``real`` and ``imag`` repeat CPython's own
-float and complex arithmetic in float64 array operations (never NumPy's
-complex128 ufuncs, which may fuse a product and a sum); ``**``, ``exp``,
-``log`` and ``sqrt`` run lane by lane through the scalar code.  Either
-way each lane is the value of a call at that point alone, bit for bit.
-What cannot act so raises ``TypeError``: lanes that are not all floats or
-all complexes (ints, NumPy scalars, or a mix), comparisons, truth values,
-conversion to an array, NumPy ufuncs, Lanes of another length, and NumPy
-or HyperDual operands, whose values would mix points.  A caller that meets
-any exception evaluates the points one by one (``fields.plain_values``).
 """
 
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
-import operator
 
 import numpy as np
 
-__all__ = ["HyperDual", "Lanes", "exp", "log", "sqrt", "conj", "real", "imag", "abs2",
+__all__ = ["HyperDual", "exp", "log", "sqrt", "conj", "real", "imag", "abs2",
            "pairing"]
 
 
@@ -207,274 +193,8 @@ class HyperDual:
     __le__ = __gt__ = __ge__ = __lt__
 
 
-class Lanes:
-    """One number per point of a stack, held as float64 arrays: the real
-    parts, and the imaginary parts where the lanes are complex.
-
-    The lanes are all Python floats or all Python complexes; any other
-    lanes (ints, NumPy scalars, floats beside complexes) raise
-    ``TypeError``.  ``values`` is the list of lanes as Python numbers.
-
-    ``+ - * /`` with Lanes of as many lanes or a Python float, int or
-    complex constant, unary minus, ``conj``, ``real`` and ``imag`` are
-    float64 array operations in CPython's own steps (``_sum``,
-    ``_difference``, ``_product``, ``_quotient``), each rounding as the
-    scalar step does; a lane with a NaN part takes the scalar operation,
-    since which of two NaN operands comes out is the loop's choice.
-    ``**``, ``exp``, ``log`` and ``sqrt`` run lane by lane through the
-    scalar operation, and their lanes are held as arrays again; lanes that
-    turn mixed (``sqrt`` of negative floats) raise ``TypeError``.
-    Everything whose result would not be a lane-by-lane scalar result
-    raises ``TypeError``: comparisons (``==`` included), truth values,
-    ``np.asarray``, NumPy ufuncs, Lanes of another length, and any other
-    operand (a NumPy scalar, an ndarray, a HyperDual).
-    """
-
-    __slots__ = ("_re", "_im")
-
-    __array_ufunc__ = None
-
-    def __init__(self, values):
-        kinds = set(map(type, values))
-        if kinds == {float}:
-            self._re, self._im = np.array(values, float), None
-        elif kinds == {complex}:
-            both = np.array(values, complex)
-            self._re, self._im = both.real.copy(), both.imag.copy()
-        else:
-            raise TypeError("Lanes hold Python floats only or Python complexes only, "
-                            f"not {sorted(t.__name__ for t in kinds)}")
-
-    @classmethod
-    def _of_arrays(cls, re, im=None):
-        lanes = cls.__new__(cls)
-        lanes._re, lanes._im = re, im
-        return lanes
-
-    @classmethod
-    def of_array(cls, column):
-        """The lanes of a float64 or complex128 1-D array's entries, as
-        ``Lanes(column.tolist())`` holds them, with no list in between."""
-        if column.dtype == np.complex128:
-            return cls._of_arrays(column.real.copy(), column.imag.copy())
-        if column.dtype == np.float64:
-            return cls._of_arrays(np.array(column, np.float64))
-        raise TypeError(f"Lanes are float64 or complex128, not {column.dtype}")
-
-    @property
-    def values(self):
-        """The lanes as a list of Python numbers."""
-        return (self._re if self._im is None else self.as_complex()).tolist()
-
-    def as_complex(self):
-        """The lanes as a complex array, each lane as ``complex(lane)``."""
-        out = self._re.astype(complex)
-        if self._im is not None:
-            out.imag = self._im
-        return out
-
-    def __repr__(self):
-        return f"Lanes({self.values!r})"
-
-    def _binary(self, other, array_op, op, reflected=False):
-        """self op other (other op self if ``reflected``) by ``array_op`` on
-        the parts, a lane with a NaN part by the scalar ``op``."""
-        a, b = (self._re, self._im), _parts(other, len(self._re))
-        if reflected:
-            a, b = b, a
-        with np.errstate(all="ignore"):
-            re, im = array_op(a, b)
-            # a sum of squares is NaN exactly when a lane is
-            squares = re.dot(re) + (0.0 if im is None else im.dot(im))
-        if math.isnan(squares):
-            nan = np.isnan(re) if im is None else np.isnan(re) | np.isnan(im)
-            for k in np.flatnonzero(nan):
-                lane = op(_lane(a, k), _lane(b, k))
-                re[k] = lane.real
-                if im is not None:
-                    im[k] = lane.imag
-        return Lanes._of_arrays(re, im)
-
-    def __add__(self, other):
-        return self._binary(other, _sum, operator.add)
-
-    def __radd__(self, other):
-        return self._binary(other, _sum, operator.add, True)
-
-    def __sub__(self, other):
-        return self._binary(other, _difference, operator.sub)
-
-    def __rsub__(self, other):
-        return self._binary(other, _difference, operator.sub, True)
-
-    def __mul__(self, other):
-        return self._binary(other, _product, operator.mul)
-
-    def __rmul__(self, other):
-        return self._binary(other, _product, operator.mul, True)
-
-    def __truediv__(self, other):
-        return self._binary(other, _quotient, operator.truediv)
-
-    def __rtruediv__(self, other):
-        return self._binary(other, _quotient, operator.truediv, True)
-
-    def __pow__(self, other):
-        return self._lanewise(other, operator.pow, False)
-
-    def __rpow__(self, other):
-        return self._lanewise(other, operator.pow, True)
-
-    def _lanewise(self, other, op, reflected):
-        """self op other (other op self if ``reflected``), lane by lane
-        through the scalar ``op``."""
-        _parts(other, len(self._re))     # refuses what the array operations refuse
-        others = other.values if type(other) is Lanes else itertools.repeat(other)
-        pairs = zip(self.values, others)
-        return Lanes([op(b, a) for a, b in pairs] if reflected else
-                     [op(a, b) for a, b in pairs])
-
-    def __neg__(self):
-        return Lanes._of_arrays(-self._re, None if self._im is None else -self._im)
-
-    def _map(self, fn):
-        return Lanes([fn(a) for a in self.values])
-
-    def exp(self):
-        return self._map(exp)
-
-    def log(self):
-        return self._map(log)
-
-    def sqrt(self):
-        return self._map(sqrt)
-
-    # a float is its own conjugate and real part, and its imaginary part
-    # is 0.0 * x, as ``imag`` gives it
-
-    def conjugate(self):
-        return self if self._im is None else Lanes._of_arrays(self._re, -self._im)
-
-    @property
-    def real(self):
-        return self if self._im is None else Lanes._of_arrays(self._re)
-
-    @property
-    def imag(self):
-        return 0.0 * self if self._im is None else Lanes._of_arrays(self._im)
-
-    def _refuse(self, *args, **kwargs):
-        raise TypeError("Lanes hold one value per point: they are not compared, "
-                        "tested for truth or converted to an array")
-
-    __eq__ = __ne__ = __lt__ = __le__ = __gt__ = __ge__ = __bool__ = __array__ = _refuse
-    __hash__ = None
-
-
-# The array arithmetic of Lanes, in the steps of CPython 3.11's float and
-# complex objects.  An operand is a pair of parts (re, im), float64 arrays
-# or Python floats, with im None for a real operand; a real operand of a
-# complex operation is complex(x, 0.0), as CPython converts it.  Each
-# step is one float64 operation on the same operands in the same order as
-# in C, so each lane rounds as the scalar does; NumPy's complex128
-# ufuncs would not (they may fuse a product and a sum).
-
-def _parts(x, n):
-    """The parts of an operand of the arithmetic of n lanes: Lanes of n
-    lanes, or a Python float, int or complex constant (an int as
-    ``float(x)``, which raises where the scalar operation raises).  Any
-    other operand raises ``TypeError``: its values would mix points."""
-    t = type(x)
-    if t is Lanes:
-        if len(x._re) != n:
-            raise TypeError(f"Lanes of {len(x._re)} lanes do not combine with {n} lanes")
-        return x._re, x._im
-    if t is float:
-        return x, None
-    if t is int:
-        return float(x), None
-    if t is complex:
-        return x.real, x.imag
-    raise TypeError(f"Lanes do not combine with {t.__name__}")
-
-
-def _lane(parts, k):
-    """The Python number in lane k of an operand's parts."""
-    re, im = (p.item(k) if type(p) is np.ndarray else p for p in parts)
-    return re if im is None else complex(re, im)
-
-
-def _im(part):
-    return 0.0 if part is None else part
-
-
-def _componentwise(op):
-    """A sum or a difference: ``op`` of the real parts and of the imaginary
-    parts, two constants' imaginary parts repeated over the lanes."""
-    def parts(a, b):
-        (ar, ai), (br, bi) = a, b
-        re = op(ar, br)
-        if ai is None and bi is None:
-            return re, None
-        im = op(_im(ai), _im(bi))
-        return re, im if type(im) is np.ndarray else np.full(re.shape, im)
-    return parts
-
-
-_sum, _difference = _componentwise(operator.add), _componentwise(operator.sub)
-
-
-def _product(a, b):
-    """(ac - bd, ad + bc)."""
-    (ar, ai), (br, bi) = a, b
-    if ai is None and bi is None:
-        return ar * br, None
-    ai, bi = _im(ai), _im(bi)
-    return ar * br - ai * bi, ar * bi + ai * br
-
-
-def _quotient(a, b):
-    """A float quotient, or Smith's method (CACM Algorithm 116) as CPython's
-    ``_Py_c_quot`` runs it: divide by the divisor's part of larger modulus.
-    A divisor with a NaN part gives NaN parts, which ``Lanes._binary``
-    redoes by the scalar division (its (nan, nan) branch).  A divisor that
-    is zero in any lane raises ``ZeroDivisionError``, as that lane's scalar
-    division does."""
-    (ar, ai), (br, bi) = a, b
-    if ai is None and bi is None:
-        if np.any(br == 0):
-            raise ZeroDivisionError("float division by zero")
-        return ar / br, None
-    ai = _im(ai)
-    # 0-d arrays, so that a constant divisor divides by zero quietly, as C does
-    br, bi = np.asarray(br), np.asarray(_im(bi))
-    if np.any((br == 0) & (bi == 0)):
-        raise ZeroDivisionError("complex division by zero")
-    by_imag = np.abs(bi) > np.abs(br)
-
-    def divided_by_real():
-        ratio = bi / br
-        denom = br + bi * ratio
-        return (ar + ai * ratio) / denom, (ai - ar * ratio) / denom
-
-    def divided_by_imag():
-        ratio = br / bi
-        denom = br * ratio + bi
-        return (ar * ratio + ai) / denom, (ai * ratio - ar) / denom
-
-    if not by_imag.any():
-        return divided_by_real()
-    if by_imag.all():
-        return divided_by_imag()
-    return tuple(np.where(by_imag, i, r) for r, i in zip(divided_by_real(), divided_by_imag()))
-
-
-# the number types with methods of their own for the generic functions
-_LIFTED = (HyperDual, Lanes)
-
-
 def exp(x):
-    if isinstance(x, _LIFTED):
+    if isinstance(x, HyperDual):
         return x.exp()
     if isinstance(x, np.ndarray):
         return np.exp(x)
@@ -484,7 +204,7 @@ def exp(x):
 
 
 def log(x):
-    if isinstance(x, _LIFTED):
+    if isinstance(x, HyperDual):
         return x.log()
     if isinstance(x, np.ndarray):
         # the scalar functions raise on these arguments; so do arrays
@@ -498,7 +218,7 @@ def log(x):
 
 
 def sqrt(x):
-    if isinstance(x, _LIFTED):
+    if isinstance(x, HyperDual):
         return x.sqrt()
     if isinstance(x, np.ndarray):
         if not np.iscomplexobj(x) and np.any(x < 0):
@@ -511,7 +231,7 @@ def sqrt(x):
 
 # the types with a conjugate and parts of their own; a NumPy complex
 # scalar is not always a ``complex`` (np.complex64, np.clongdouble)
-_COMPLEX_LIKE = (HyperDual, Lanes, complex, np.complexfloating, np.ndarray)
+_COMPLEX_LIKE = (HyperDual, complex, np.complexfloating, np.ndarray)
 
 
 def conj(x):

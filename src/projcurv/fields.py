@@ -3,7 +3,9 @@
 Field rules are plain callables written against the generic scalar math in
 :mod:`projcurv.dual` (operators plus ``exp``/``log``/``conj``/``abs2``), so a
 single rule serves the finite-difference backend (arrays over stencil
-points), the dual-number backend (HyperDual points), and direct evaluation.
+points), the dual-number backend (HyperDual points), and plain evaluation
+(Python numbers at one point, arrays over a stack of points:
+``plain_values``).
 
 All fields are immutable after construction and all methods are pure, so
 concurrent evaluation needs no synchronization.
@@ -15,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import dual as gm
 from .charts import ComplexChart, RealChart
 from .errors import ValidationError
 
@@ -59,36 +60,45 @@ class ScalarField:
 NUMBER_ERRORS = (ZeroDivisionError, OverflowError)
 
 
-# The points one Lanes call evaluates at most: it bounds the memory of the
-# float64 arrays alive at once (the S5 lattice of 25^m base points has
+# The points one stacked rule call evaluates at most: it bounds the memory
+# of the arrays alive at once (the S5 lattice of 25^m base points has
 # 15,625 at m = 3 and 390,625 at m = 4), and a 625-point lattice (m = 2) is
-# one call.  Measured on fs3-to-ball3's 15,625-point h: 12 ms a call at
-# 1,024 points a chunk, 6-7 ms at 4,096 and about 7 ms at 16,384, whose
-# arrays no longer fit the cache; the working arrays of a 4,096-point call
-# take under 2.3 MB.
-LANES_CHUNK = 4096
+# one call.  Measured on fs3-to-ball3's 15,625-point h and g (2 cores, best
+# of 7 x 5 lattices): 4.4-6.8 ms a lattice at 4,096 points a chunk,
+# 2.6-3.9 ms at 1,024 and 5.9-7.1 ms at 16,384.  No benchmark workload has
+# a stack of more than 625 points, so the size is not tuned to it.
+STACK_CHUNK = 4096
+
+
+class RuleShapeError(ValueError):
+    """A rule output over a stack of points that is not nested as the shape
+    asked for; ``shape`` is one point's shape in it."""
+
+    def __init__(self, shape):
+        super().__init__(f"rule output of shape {shape} at a point")
+        self.shape = shape
 
 
 def plain_values(rule, points, shape) -> np.ndarray:
     """Plain rule values at each row of an (N, d) stack of points, as one
-    complex array ``(N,) + shape``, bit for bit the values of N calls at
-    one point each.
+    complex array ``(N,) + shape``.
 
     A single point is one rule call on Python numbers (``points.tolist()``),
-    whose arithmetic is much cheaper than NumPy scalars'.  Two or more
-    points are evaluated ``LANES_CHUNK`` at a time, with one rule call per
-    chunk on ``dual.Lanes`` coordinates (float64 arrays), whose arithmetic
-    repeats each point's scalar arithmetic.  A chunk whose call raises (a
-    NumPy scalar constant, or lanes that turn into a mix of floats and
-    complexes, raise ``TypeError``), or whose output is not nested as
-    ``shape``, is evaluated point by point, where a point whose rule raises
-    one of ``NUMBER_ERRORS`` gets NaN values and any other exception
-    escapes from the point that raises it.
+    whose arithmetic is much cheaper than NumPy scalars'; where the rule
+    raises one of ``NUMBER_ERRORS`` the point gets NaN values.  Two or more
+    points are evaluated ``STACK_CHUNK`` at a time, with one rule call per
+    chunk on the columns of the chunk as NumPy arrays, as the fd stencils
+    are, under ``np.errstate(all="ignore")``: a pole at one point gives
+    non-finite values at that point, which the checks that follow reject.
+    Array arithmetic may round differently from Python's, so a point's
+    value in a stack may differ from its value alone by a few ulps.  An
+    output that ``rule_values`` cannot read as ``shape`` raises
+    ``RuleShapeError``; any exception of the rule escapes.
     """
     if len(points) < 2:
         return _pointwise(rule, points.tolist(), shape)
-    chunks = [_lanes_values(rule, points[k:k + LANES_CHUNK], shape)
-              for k in range(0, len(points), LANES_CHUNK)]
+    chunks = [_stacked(rule, points[k:k + STACK_CHUNK], shape)
+              for k in range(0, len(points), STACK_CHUNK)]
     return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
 
 
@@ -103,37 +113,17 @@ def _pointwise(rule, rows, shape) -> np.ndarray:
     return np.array(out, complex)
 
 
-_NUMBERS = (int, float, complex, np.number)
-
-
-def _lanes_values(rule, points, shape) -> np.ndarray:
+def _stacked(rule, points, shape) -> np.ndarray:
     """``plain_values`` of an (n, d) stack of points from one rule call on
-    Lanes coordinates, each output entry written into its column of the
-    values, or point by point where that call does not serve."""
+    its columns."""
     n = len(points)
-    try:
-        entries = _entries(rule(tuple(gm.Lanes.of_array(c) for c in points.T)), shape)
-        vals = np.empty((n, len(entries)), complex)
-        for k, entry in enumerate(entries):
-            if type(entry) is gm.Lanes:
-                vals[:, k] = entry.as_complex()
-            elif isinstance(entry, _NUMBERS):
-                vals[:, k] = entry
-            else:
-                raise ValueError(f"rule output entry {entry!r} is not a number")
-        return vals.reshape((n,) + shape)
-    except Exception:       # a fault of the rule raises again at its point
-        return _pointwise(rule, points.tolist(), shape)
-
-
-def _entries(out, shape) -> list:
-    """The entries of a rule output nested as ``shape``, in C order; any
-    other nesting is a ``ValueError``."""
-    if not shape:
-        return [out]
-    if not isinstance(out, (list, tuple)) or len(out) != shape[0]:
-        raise ValueError(f"rule output is not nested as {shape}")
-    return [entry for part in out for entry in _entries(part, shape[1:])]
+    with np.errstate(all="ignore"):
+        out = rule(tuple(np.ascontiguousarray(points.T)))
+        try:
+            vals = rule_values(out, shape, n)
+        except ValueError:
+            raise RuleShapeError(_point_shape(out, n)) from None
+    return np.ascontiguousarray(np.moveaxis(vals, -1, 0))
 
 
 def rule_values(out, shape, N):
@@ -216,7 +206,9 @@ class _MetricBase:
         """
         if M.shape[1:] != (self.dim, self.dim):
             raise self._shape_error(M.shape[1:])
-        A, defects = self._symmetry_defects(M)
+        # inf - inf in a defect is NaN, quietly: the checks name it
+        with np.errstate(all="ignore"):
+            A, defects = self._symmetry_defects(M)
         # a NaN or inf entry makes its defect NaN or inf, so the first test
         # also keeps non-finite stacks away from eigvalsh
         if (all(defect.max(initial=0.0) <= HERMITIAN_DEFECT_TOL for _, defect in defects)
@@ -241,15 +233,14 @@ class _MetricBase:
 
     def validate(self, rng, count: int = 100):
         """Validate at ``count`` chart points drawn as ``count`` calls to
-        ``chart.sample(rng)`` would draw them, with one rule evaluation."""
+        ``chart.sample(rng)`` would draw them, with one rule evaluation
+        (``plain_values``)."""
         points = self.chart.sample(rng, count=count)
-        d = self.dim
-        out = self.rule(tuple(np.ascontiguousarray(points.T)))
         try:
-            vals = rule_values(out, (d, d), count)
-        except ValueError:
-            raise self._shape_error(_point_shape(out, count)) from None
-        self.check_stack(np.moveaxis(vals, -1, 0), points)
+            M = self._raw_matrices(points)
+        except RuleShapeError as err:
+            raise self._shape_error(err.shape) from None
+        self.check_stack(M, points)
 
 
 @dataclass(frozen=True)
@@ -281,7 +272,7 @@ class HermitianMetricField(_MetricBase):
     def matrices(self, points) -> np.ndarray:
         """The (N, d, d) matrices at each row of an (N, m) stack of points,
         from one plain rule call per chunk of points (``plain_values``);
-        each is the point's ``matrix`` bit for bit."""
+        each is within a few ulps of the point's ``matrix``."""
         return self._raw_matrices(points)
 
     def inverse_up(self, z) -> np.ndarray:
@@ -305,7 +296,7 @@ class RiemannianMetricField(_MetricBase):
     def matrices(self, points) -> np.ndarray:
         """The (N, n, n) matrices at each row of an (N, n) stack of points,
         from one plain rule call per chunk of points (``plain_values``);
-        each is the point's ``matrix`` bit for bit."""
+        each is within a few ulps of the point's ``matrix``."""
         return self._raw_matrices(points).real
 
     def _symmetry_defects(self, G):

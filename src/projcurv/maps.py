@@ -31,15 +31,12 @@ the coordinates (a hyper-dual quotient multiplies by the reciprocal).
 
 ``Y_on_fiber`` evaluates Y over an (N, m) stack of base points, as the S5
 probe's lattice needs.  Stacked: df and f(z), from the m dual passes of one
-point with length-N arrays in the slots, and the two matrix products of
-the density.  h(z) and g(f(z)) come from the metrics' ``matrices``: one
-plain rule call per chunk of points on ``dual.Lanes``, float64 arrays
-whose operations repeat each point's Python-number arithmetic step by
-step, so they are the values of the point alone bit for bit.  The
-products' array arithmetic may round differently from scalar arithmetic,
-and the products group their sums by the shapes, so a value of the
-density may differ from the point alone by a few ulps (tests/conftest.py's
-ULP_BUDGET).
+point with length-N arrays in the slots, h(z) and g(f(z)), from the
+metrics' ``matrices`` (one plain rule call per chunk of points, on NumPy
+arrays), and the two matrix products of the density.  Array arithmetic
+may round differently from scalar arithmetic, and the products group
+their sums by the shapes, so a value of the density may differ from the
+point alone by a few ulps (tests/conftest.py's ULP_BUDGET).
 
 Residual operators for the harmonic-map side:
 
@@ -172,10 +169,9 @@ def _base_values(f: ChartedMap, h: HermitianMetricField, g, z):
     df and f(z) at all N points come from one set of m dual passes of the
     map rule (``ChartedMap.jacobians`` on the stack), f(z) from the first
     pass's value slot.  g(f(z)) and h(z) come from ``matrices``: one plain
-    rule call per chunk of points on Lanes, float64 arrays that repeat
-    Python's number arithmetic, so each point's value is bit for bit that
-    of a call at the point alone.  A base point where df, f, g or h is not
-    finite gets NaN g entries, so its densities are NaN, also where the
+    rule call per chunk of points, on NumPy arrays (``plain_values``).  A
+    base point where df, f, g or h is not finite (a pole of a rule there,
+    say) gets NaN g entries, so its densities are NaN, also where the
     contraction would drop the bad entry (g constant, say).
     """
     zs, _ = diffops.point_stack(z)

@@ -16,11 +16,14 @@ from projcurv.maps import ChartedMap
 ULP_BUDGET = 16
 
 
-def assert_within_ulps(got, want, budget=ULP_BUDGET):
-    """|got - want| <= budget ulps of the larger modulus, entrywise."""
+def assert_within_ulps(got, want, budget=ULP_BUDGET, axes=None):
+    """|got - want| <= budget ulps of the larger modulus, entrywise, or of
+    the largest modulus over ``axes``: a metric's matrix is compared in
+    ulps of its largest entry, since an entry may cancel to near 0."""
     got, want = np.asarray(got), np.asarray(want)
     assert got.shape == want.shape
-    ulp = np.spacing(np.maximum(np.abs(got), np.abs(want)))
+    larger = np.maximum(np.abs(got), np.abs(want))
+    ulp = np.spacing(larger if axes is None else larger.max(axis=axes, keepdims=True))
     gap = np.abs(got - want)
     assert np.all(gap <= budget * ulp), f"{np.max(gap / ulp)} ulps"
 
@@ -112,26 +115,35 @@ def nan_on_right_half(x):
     return np.where(np.real(x) < 0, 1.0, np.nan)
 
 
-def nan_on_arrays(rule):
+def _on_stencil(z, spare):
+    """Whether the coordinates z are arrays (an fd stencil) other than the
+    columns of the (N, d) stack of points ``spare``."""
+    if not any(isinstance(c, np.ndarray) and c.ndim for c in z):
+        return False
+    return spare is None or not np.array_equal(np.stack(z, axis=1), spare)
+
+
+def nan_on_arrays(rule, spare=None):
     """``rule`` with every entry NaN when its coordinates are arrays (the fd
-    stencils), and unchanged on numbers and jets."""
+    stencils), and unchanged on numbers, jets and the stack of points
+    ``spare`` (the S5 probe's lattice, say)."""
     def wrapped(z):
         out = rule(z)
-        if not any(isinstance(c, np.ndarray) and c.ndim for c in z):
+        if not _on_stencil(z, spare):
             return out
         return [[entry * np.nan for entry in row] for row in out]
 
     return wrapped
 
 
-def nan_off_centre(rule):
+def nan_off_centre(rule, spare=None):
     """``rule`` with every entry NaN at the stencil points of a single
-    point's fd jet but its centre (column 0), and unchanged on numbers and
-    jets: the metric value a jet hands on passes its check, and every
-    derivative is NaN."""
+    point's fd jet but its centre (column 0), and unchanged on numbers,
+    jets and the stack of points ``spare``: the metric value a jet hands
+    on passes its check, and every derivative is NaN."""
     def wrapped(z):
         out = rule(z)
-        if not any(isinstance(c, np.ndarray) and c.ndim for c in z):
+        if not _on_stencil(z, spare):
             return out
         off = np.where(np.arange(np.size(z[0])) == 0, 1.0, np.nan)
         return [[entry * off for entry in row] for row in out]
@@ -142,7 +154,9 @@ def nan_off_centre(rule):
 def pole_at(rule, point):
     """The metric ``rule`` with 0 / |z - point|^2 added to its first entry:
     a division by zero at ``point``, where Python numbers raise
-    ZeroDivisionError and NumPy gives NaN, and an exact 0 elsewhere."""
+    ZeroDivisionError and NumPy gives NaN, and an exact 0 elsewhere.  The
+    divisor is real: NumPy divides by a complex number of subnormal modulus
+    through its overflowing reciprocal, which gives NaN where Python gives 0."""
     point = np.asarray(point).tolist()
 
     def wrapped(z):
@@ -150,7 +164,7 @@ def pole_at(rule, point):
         for x, c in zip(z, point):
             d2 = d2 + gm.abs2(x - c)
         out = [list(row) for row in rule(z)]
-        out[0][0] = out[0][0] + 0 / d2
+        out[0][0] = out[0][0] + 0 / gm.real(d2)
         return out
 
     return wrapped

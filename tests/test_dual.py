@@ -120,6 +120,17 @@ class TestUntrackedSlots:
         assert_slots(gm.pairing(M, u, v), ref, ())
 
 
+@pytest.mark.parametrize("x", [np.complex64(1 + 2j), np.clongdouble(-0.5 - 3j)])
+def test_a_numpy_complex_that_is_not_a_complex_is_conjugated(x):
+    # np.complex64 and np.clongdouble do not subclass complex
+    want = {gm.conj: np.conj(x), gm.real: np.real(x), gm.imag: np.imag(x)}
+    jet = HyperDual(x, x, None, x)
+    for fn, w in want.items():
+        assert type(fn(x)) is type(w) and fn(x) == w
+        got = fn(jet)
+        assert [got.f0, got.f1, got.f2, got.f12] == [w, w, None, w]
+
+
 # fully tracked references: the engine's seeds before the unread slots were
 # left untracked
 

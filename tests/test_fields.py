@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,8 +8,10 @@ from projcurv import config, zoo
 from projcurv import dual as gm
 from projcurv.charts import ComplexChart, RealChart
 from projcurv.errors import ValidationError
-from projcurv.fields import (Form11, HermitianMetricField, RiemannianMetricField,
-                             rule_values)
+from projcurv.fields import (STACK_CHUNK, Form11, HermitianMetricField,
+                             RiemannianMetricField, plain_values, rule_values)
+
+from conftest import STACK_METRICS, assert_within_ulps, fs_rule, pole_at, stack_metric
 
 
 class TestForm11:
@@ -93,7 +98,13 @@ class TestMetricValidation:
 
 
 def _non_finite_case(kind):
-    """(metric, a point where it is non-finite) for the three regression cases."""
+    """(metric, a point where it is non-finite) for the four regression cases."""
+    if kind == "steep":
+        # finite at the centre; exp overflows where Re z > 0.071
+        chart = ComplexChart(dim=1, radius=[0.9])
+        field = HermitianMetricField(
+            chart, lambda z: [[1 + gm.exp(1e4 * gm.real(z[0]))]], name="steep")
+        return field, np.array([0.5 + 0.1j])
     if kind == "half-nan":
         chart = ComplexChart(dim=1, radius=[1.0])
         field = HermitianMetricField(
@@ -113,17 +124,26 @@ def _non_finite_case(kind):
     return field, np.array([0.1j, 0.2])
 
 
-NON_FINITE_CASES = ["half-nan", "all-nan", "inf-entry"]
+NON_FINITE_CASES = ["steep", "half-nan", "all-nan", "inf-entry"]
 
 
 class TestNonFiniteMetrics:
     """A NaN or inf metric entry used to pass both checks: a NaN defect or
-    eigenvalue compares False with the tolerance."""
+    eigenvalue compares False with the tolerance.  Every warning is an
+    error here, as under ``python -W error``: an overflow in the rule or
+    inf - inf in a Hermitian defect must still fail as the ValidationError
+    that names the metric and the point."""
+
+    @pytest.fixture(autouse=True)
+    def _warnings_are_errors(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            yield
 
     @pytest.mark.parametrize("kind", NON_FINITE_CASES)
     def test_check_at_rejects(self, kind):
         field, z = _non_finite_case(kind)
-        with np.errstate(invalid="ignore"), pytest.raises(ValidationError) as err:
+        with pytest.raises(ValidationError) as err:
             field.check_at(z)
         assert str(err.value) == f"metric {kind!r} has non-finite entries at {z}"
 
@@ -131,11 +151,10 @@ class TestNonFiniteMetrics:
     def test_validate_rejects_naming_the_first_bad_point(self, kind):
         field, _ = _non_finite_case(kind)
         rng = np.random.default_rng(5)
-        with np.errstate(invalid="ignore"):
-            bad = [z for z in (field.chart.sample(rng) for _ in range(100))
-                   if not np.isfinite(field.matrix(z)).all()]
-            with pytest.raises(ValidationError) as err:
-                field.validate(np.random.default_rng(5), count=100)
+        bad = [z for z in (field.chart.sample(rng) for _ in range(100))
+               if not np.isfinite(field.matrix(z)).all()]
+        with pytest.raises(ValidationError) as err:
+            field.validate(np.random.default_rng(5), count=100)
         assert str(err.value) == f"metric {kind!r} has non-finite entries at {bad[0]}"
 
 
@@ -333,3 +352,80 @@ class TestPythonNumberErrors:
         with pytest.raises(ValidationError,
                            match=r"metric 'pole' has non-finite entries at \[0\.\+0\.j\]"):
             HermitianMetricField(chart, lambda z: [[FAULTS[fault](z[0])]], name="pole")
+
+
+# ---------------------------------------------------------------------------
+# plain values at a stack of points: one rule call per chunk of STACK_CHUNK
+# points on NumPy arrays, within ULP_BUDGET of each point's own call on
+# Python numbers
+
+def _counted(rule, seen):
+    """The rule, recording the type of each call's first coordinate."""
+    def counted(z):
+        seen.append(type(z[0]))
+        return rule(z)
+    return counted
+
+
+def _with_signed_zeros(points, center):
+    """The stack with its first rows the chart centre and the centre with
+    every zero part negated."""
+    points = np.array(points)
+    negated = np.array([complex(math.copysign(0.0, -1) if c.real == 0 else c.real,
+                                math.copysign(0.0, -1) if c.imag == 0 else c.imag)
+                        for c in np.asarray(center, complex)])
+    points[0] = center
+    points[1] = negated if np.iscomplexobj(points) else negated.real
+    return points
+
+
+def _stack(count, seed=0):
+    return ComplexChart(dim=2, radius=[0.9, 0.9]).sample(np.random.default_rng(seed),
+                                                          count=count)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+class TestStackedValues:
+    # 25: the S5 probe's lattice at m = 1
+    @pytest.mark.parametrize("count", [2, 25, STACK_CHUNK, STACK_CHUNK + 1])
+    @pytest.mark.parametrize("kind,name", STACK_METRICS)
+    def test_the_matrices_of_a_stack_are_the_matrices_of_its_points(self, kind, name, count):
+        metric = stack_metric(kind, name)
+        seen = []
+        counted = type(metric)(metric.chart, _counted(metric.rule, seen),
+                               metric.name, validate_on_init=False)
+        points = _with_signed_zeros(
+            metric.chart.sample(np.random.default_rng(count), count=count), metric.chart.center)
+        stack = counted.matrices(points)
+        assert seen == [np.ndarray] * -(-count // STACK_CHUNK)     # one call per chunk
+        alone = np.stack([metric.matrix(x) for x in points])
+        assert stack.dtype == alone.dtype
+        assert_within_ulps(stack, alone, axes=(-2, -1))
+        # a stack of one is the point's own call on Python numbers
+        seen.clear()
+        x = points[-1]
+        assert np.array_equal(_bits(counted.matrices(x[None])[0]), _bits(metric.matrix(x)))
+        assert seen in ([complex], [float])
+
+    @pytest.mark.parametrize("count", [2, STACK_CHUNK, STACK_CHUNK + 1])
+    @pytest.mark.parametrize("where", [0, -1])
+    def test_a_pole_is_not_finite_at_its_point_only(self, count, where):
+        points = _stack(count, seed=count)
+        got = plain_values(pole_at(fs_rule(2), points[where]), points, (2, 2))
+        finite = np.isfinite(got).all(axis=(1, 2))
+        assert np.flatnonzero(~finite).tolist() == [count - 1 if where else 0]
+        plain = plain_values(fs_rule(2), points, (2, 2))
+        assert_within_ulps(got[finite], plain[finite], axes=(-2, -1))
+
+    @pytest.mark.parametrize("count", [2, STACK_CHUNK + 1])
+    def test_a_log_domain_error_escapes_as_a_value_error(self, count):
+        # gm.log refuses an argument outside its domain on arrays, as
+        # math.log does at one point
+        points = _stack(count)
+        points[-1, 0] = -abs(points[-1, 0].real) + 1j * points[-1, 0].imag
+        with pytest.raises(ValueError, match="math domain error") as err:
+            plain_values(lambda z: [[gm.log(gm.real(z[0]))]], points, (1, 1))
+        assert type(err.value) is ValueError

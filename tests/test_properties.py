@@ -474,7 +474,7 @@ def test_a_form_is_not_scaled_by_a_complex_number(c):
 
 
 # ---------------------------------------------------------------------------
-# a metric at a stack of points is the metric at each point, bit for bit
+# a metric at a stack of points is the metric at each point, within ULP_BUDGET
 
 # parts a stack's coordinates may take besides drawn ones: signed zeros,
 # subnormals and the smallest normal
@@ -502,10 +502,6 @@ def metric_stacks(draw, chart):
     return rows[:, :d] + 1j * rows[:, d:] if is_complex else rows
 
 
-def _bits_of(a):
-    return np.ascontiguousarray(a).view(np.uint64)
-
-
 @functools.cache
 def _stack_metric(kind, name):
     return stack_metric(kind, name)
@@ -515,8 +511,10 @@ def _stack_metric(kind, name):
 @settings(max_examples=10, deadline=None)
 @given(data=st.data())
 def test_the_matrices_of_a_drawn_stack_are_the_matrices_of_its_points(kind, name, data):
-    # on Lanes, in one rule call; with a pole at one point (a division
-    # by zero there) the stack falls back to its points one by one
+    # one rule call on arrays: the points where the matrix alone is not
+    # finite (a pole added at one point, a drawn point on the metric's own
+    # singular set) are the points where the stack is not, and the others
+    # are within ULP_BUDGET of it
     metric = _stack_metric(kind, name)
     points = data.draw(metric_stacks(metric.chart))
     pole = data.draw(st.one_of(st.none(), st.integers(0, len(points) - 1)))
@@ -526,7 +524,10 @@ def test_the_matrices_of_a_drawn_stack_are_the_matrices_of_its_points(kind, name
     stack = metric.matrices(points)
     alone = np.stack([metric.matrix(p) for p in points])
     assert stack.shape == alone.shape and stack.dtype == alone.dtype
-    assert np.array_equal(_bits_of(stack), _bits_of(alone))
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    assert np.array_equal(finite, np.isfinite(alone).all(axis=(1, 2)))
+    assert pole is None or not finite[pole]
+    assert_within_ulps(stack[finite], alone[finite], axes=(-2, -1))
 
 
 @pytest.mark.parametrize("name,radius", [("fubini-study", 0.9), ("poincare-ball", 0.38)])
@@ -538,4 +539,4 @@ def test_the_matrices_of_the_m3_probe_lattice_are_the_matrices_of_its_points(nam
     zs, _ = verify._probe_grid(pair)
     assert len(zs) == 15_625
     alone = np.stack([metric.matrix(z) for z in zs])
-    assert np.array_equal(_bits_of(metric.matrices(zs)), _bits_of(alone))
+    assert_within_ulps(metric.matrices(zs), alone, axes=(-2, -1))

@@ -632,11 +632,15 @@ class TestFailClosed:
         # f(argmax), both from stencil arrays; a NaN term compared False with
         # both signs and the probe passed as "consistent".  g's value at
         # f(argmax) is the stencil centre and is checked, and a NaN Chern
-        # tensor fails its own symmetry check, before term2 is formed
+        # tensor fails its own symmetry check, before term2 is formed.  The
+        # metric keeps its values on the probe lattice (h at zs, g at f(zs)),
+        # whose NaN would stop the probe before either term
         base = pair("fs-to-poincare")
         metric = getattr(base, side)
+        zs, _ = V._probe_grid(base)
+        lattice = zs if side == "h" else base.f.jacobians(zs)[2]
         p = dataclasses.replace(base, **{side: dataclasses.replace(
-            metric, rule=wrap(metric.rule))})
+            metric, rule=wrap(metric.rule, spare=lattice))})
         with pytest.raises(ValidationError, match=error):
             V.maximum_principle_probe(p.f, p.h, p.g, *V._probe_grid(p))
         rep = V.run_suite(p, ["S5_probe"], samples=1, seed=0)[0]
