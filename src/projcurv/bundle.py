@@ -304,7 +304,7 @@ def _order_sum(order: int, ws, Ws, vals) -> float:
         raise QuadratureError(
             f"fiber density is not finite at order {order}, node {k} "
             f"(W = {Ws[k].tolist()}): {vals[k]}")
-    return math.fsum(ws * vals)
+    return math.fsum((ws * vals).tolist())
 
 
 def pushforward_energy_check(f, h: HermitianMetricField, g, z,

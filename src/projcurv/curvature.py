@@ -295,7 +295,15 @@ def _pullback_rule(metric, p, A, b=None):
     q^d = b[d, a, g] new^a new^g / 2, in generic arithmetic: the matrix
     J^T M(old) conj(J) with J = A (I + b new).  The linear stage passes no
     ``b`` (J = A): b = 0 through the quadratic sums would add exact zeros in
-    another order and move the Hermitian frame's ``quadratic`` by 5e-20."""
+    another order and move the Hermitian frame's ``quadratic`` by 5e-20.
+
+    Each shared sub-expression is computed once: the inner factor
+    D[d][a] = delta_da + sum_g b[d, a, g] new^g, each entry of J and of
+    conj(J), and each product J[r][a] M[r][s].  Every entry still goes
+    through the operations of the per-entry formula
+    sum_{r, s} J[r][a] M[r][s] conj(J[s][c]) on the same operands, so the
+    rule is bit for bit the same on Python numbers, stencil arrays and
+    hyper-duals."""
     idx = range(metric.dim)
 
     def rule(zs):
@@ -305,9 +313,9 @@ def _pullback_rule(metric, p, A, b=None):
             q = [0.5 * sum(b[d, a, g] * zs[a] * zs[g] for a in idx for g in idx)
                  for d in idx]
             vec = [zs[d] + q[d] for d in idx]
-            J = [[sum(A[r, d] * ((1.0 if d == a else 0.0)
-                                 + sum(b[d, a, g] * zs[g] for g in idx))
-                      for d in idx) for a in idx] for r in idx]
+            D = [[(1.0 if d == a else 0.0) + sum(b[d, a, g] * zs[g] for g in idx)
+                  for a in idx] for d in idx]
+            J = [[sum(A[r, d] * D[d][a] for d in idx) for a in idx] for r in idx]
         old = []                # p + A vec, summed left to right
         for r in idx:
             acc = p[r]
@@ -315,8 +323,13 @@ def _pullback_rule(metric, p, A, b=None):
                 acc = acc + A[r, c] * vec[c]
             old.append(acc)
         M = metric.matrix_generic(old)
-        return [[sum(J[r][a] * M[r][s] * gm.conj(J[s][c]) for r in idx for s in idx)
-                 for c in idx] for a in idx]
+        Jbar = [[gm.conj(J[s][c]) for c in idx] for s in idx]
+        out = []
+        for a in idx:
+            JM = [[J[r][a] * M[r][s] for s in idx] for r in idx]
+            out.append([sum(JM[r][s] * Jbar[s][c] for r in idx for s in idx)
+                        for c in idx])
+        return out
 
     return rule
 
@@ -368,8 +381,9 @@ def _linear_stage(metric, p):
 def _normal_frame(metric, p, A, b):
     """The frame with linear part A and quadratic part b at p, its metric
     checked to be the identity at 0, and that metric's exact first jet
-    at 0.  The new chart's radius is 0.45 times the old chart's margin at p
-    over the norm of A, at most the old chart's scale and at least 1e-3."""
+    at 0; the check reads the metric at 0 from the jet's value slot.  The
+    new chart's radius is 0.45 times the old chart's margin at p over the
+    norm of A, at most the old chart's scale and at least 1e-3."""
     n = metric.dim
     opnorm = float(np.linalg.norm(A, 2))
     margin = metric.chart.margin(p)
@@ -378,10 +392,10 @@ def _normal_frame(metric, p, A, b):
     new_metric = type(metric)(chart, _pullback_rule(metric, p, A, b),
                               name=f"{metric.name or 'metric'}@normal",
                               validate_on_init=False)
-    identity_defect = np.abs(new_metric.matrix(np.zeros(n)) - np.eye(n)).max()
+    M0, jet, _ = diffops.matrix_jet(new_metric, np.zeros(n), backend="dual", order=1)
+    identity_defect = np.abs(M0 - np.eye(n)).max()
     if not float(identity_defect) <= NORMAL_POST_TOL:   # a NaN defect fails too
         raise ValidationError("normal coordinates: metric not identity at center")
-    _, jet, _ = diffops.matrix_jet(new_metric, np.zeros(n), backend="dual", order=1)
     return NormalFrame(center=p, linear=A, quadratic=b, metric=new_metric), jet
 
 

@@ -204,7 +204,9 @@ def _axis_block(V, n, shape):
     return Vs[:, :, 0::2], Vs[:, :, 1::2]
 
 
+@np.errstate(all="ignore")
 def _real_grad_fd(F, p, s, shape=()):
+    """Value and gradient at the N points p, quietly as ``_real_jet2_fd``."""
     n = p.shape[1]
     full, _, _ = _unit_stencils(n)
     # the centre and the axis block: the Hessian stencil's first 1 + 4n columns
@@ -214,12 +216,17 @@ def _real_grad_fd(F, p, s, shape=()):
     return V[:, 0], _richardson((plus - minus) / _fd_divisors(s)[rows[:n]])
 
 
+@np.errstate(all="ignore")
 def _real_jet2_fd(F, p, s, shape=()):
     """Value, gradient and Hessian at each of the N points p from one
     stencil evaluation.  The quotients are (f(+h) - f(-h)) / 2h,
     (f(+h) - 2 f + f(-h)) / h^2 and (f(++) - f(+-) - f(-+) + f(--)) / 4h^2
     entry by entry; all of them, gradient and Hessian alike, are divided
-    and extrapolated (``_richardson``) in one array operation each."""
+    and extrapolated (``_richardson``) in one array operation each.
+
+    The rule call and the assembly run quietly (``np.errstate``): a stencil
+    point where the rule overflows gives a non-finite jet, which the checks
+    that follow reject, also where warnings are errors."""
     N, n = p.shape
     full, A, B = _unit_stencils(n)
     V = _eval_stencil(F, p, s * full, shape)

@@ -63,10 +63,10 @@ NUMBER_ERRORS = (ZeroDivisionError, OverflowError)
 # The points one stacked rule call evaluates at most: it bounds the memory
 # of the arrays alive at once (the S5 lattice of 25^m base points has
 # 15,625 at m = 3 and 390,625 at m = 4), and a 625-point lattice (m = 2) is
-# one call.  Measured on fs3-to-ball3's 15,625-point h and g (2 cores, best
-# of 7 x 5 lattices): 4.4-6.8 ms a lattice at 4,096 points a chunk,
-# 2.6-3.9 ms at 1,024 and 5.9-7.1 ms at 16,384.  No benchmark workload has
-# a stack of more than 625 points, so the size is not tuned to it.
+# one call.  fs3-to-ball3's S5 probe on its 15,625-point lattice took
+# 29.4-30.5 ms at 1,024, 2,048 and 4,096 points a chunk alike, and its h
+# 3.5, 3.5 and 4.0 ms (2-core VM, best of 15 shuffled rounds, two runs).
+# No benchmark workload has a stack of more than 625 points.
 STACK_CHUNK = 4096
 
 

@@ -181,10 +181,11 @@ def _base_values(f: ChartedMap, h: HermitianMetricField, g, z):
     G = g.matrices(fz)
     Hm = h.matrices(zs)
     parts = (holo, fz, G, Hm)
-    if not np.isfinite(np.concatenate([x.ravel() for x in parts])).all():
+    finite = [np.isfinite(x) for x in parts]
+    # no concatenated copy; count_nonzero costs less than all() on small parts
+    if not all(np.count_nonzero(ok) == ok.size for ok in finite):
         # NaN entries of g reach every value at their point
-        G[~np.logical_and.reduce(
-            [np.isfinite(x).reshape(N, -1).all(axis=1) for x in parts])] = np.nan
+        G[~np.logical_and.reduce([ok.reshape(N, -1).all(axis=1) for ok in finite])] = np.nan
     return holo, G, Hm
 
 

@@ -89,6 +89,15 @@ class PairContext:
         zs = self.f.source.sample(np.random.default_rng(0), 0.5, count=3)
         return all(maps_mod.is_pluriharmonic(self.f, self.g, z) for z in zs)
 
+    @functools.cached_property
+    def probe_grid(self) -> tuple[np.ndarray, np.ndarray]:
+        """The S5 probe's (zs, Ws) (``_probe_grid``): built on first use and
+        kept for the pair, read-only."""
+        grid = _probe_grid(self)
+        for arr in grid:
+            arr.setflags(write=False)
+        return grid
+
 
 def suite_applicable(suite: str, pair: PairContext) -> tuple[bool, str]:
     """Routing: which suites make sense for which map/metric types."""
@@ -483,9 +492,8 @@ def maximum_principle_probe(f: ChartedMap, h: HermitianMetricField,
         raise ValidationError("probe fiber directions must be nonzero vectors")
     # one evaluator for all base points, on one stack of affine rows
     vals = maps_mod.Y_on_fiber(f, h, g, zs)(affine_rows(Ws))
-    bad = np.argwhere(~np.isfinite(vals))
-    if bad.size:
-        i, j = bad[0]
+    if not np.isfinite(vals).all():
+        i, j = np.argwhere(~np.isfinite(vals))[0]
         raise ValidationError(
             f"Y is not finite at probe point z = {zs[i].tolist()}, "
             f"W = {Ws[j].tolist()}: {vals[i, j]}")
@@ -788,7 +796,7 @@ def _evaluate_group(suite, pair, pts, weight, tol_relative, tol_exact) -> list:
 
 def _run_one_suite(rep, suite, pair, rng, samples, tol_relative, tol_exact):
     if suite == "S5_probe":
-        out = maximum_principle_probe(pair.f, pair.h, pair.g, *_probe_grid(pair),
+        out = maximum_principle_probe(pair.f, pair.h, pair.g, *pair.probe_grid,
                                       compact=pair.compact)
         rep.residuals = [out.get("term1", 0.0), out.get("term2", 0.0)]
         rep.message = f"pattern={out['pattern']}"

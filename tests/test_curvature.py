@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from projcurv import dual as gm
 from projcurv import curvature as cv
 from projcurv import zoo
 from projcurv.charts import ComplexChart, RealChart
+from projcurv.dual import HyperDual
 from projcurv.errors import ValidationError
 from projcurv.fields import HermitianMetricField, RiemannianMetricField
 
@@ -368,6 +370,20 @@ class TestCurvatureChecksFailClosed:
         with pytest.raises(ValidationError, match="Hermitian-symmetry defect nan"):
             cv.chern_curvature(metric, [0.2 + 0.1j])
 
+    def test_overflowing_stencil_where_warnings_are_errors(self):
+        # finite at the point, overflowing at a stencil point beside it: the
+        # fd jet is quietly non-finite and the symmetry check names it, also
+        # where warnings are errors (no np.errstate in this test)
+        chart = ComplexChart(dim=1, radius=[0.9])
+        metric = HermitianMetricField(
+            chart, lambda z: [[1 + gm.exp(1e4 * gm.real(z[0]))]], name="steep",
+            validate_on_init=False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isfinite(metric.check_at([0.0709781])).all()
+            with pytest.raises(ValidationError, match="Hermitian-symmetry defect nan"):
+                cv.chern_curvature(metric, [0.0709781])
+
     def test_nan_levi_civita_compatibility(self, sphere2):
         metric = RiemannianMetricField(sphere2.chart, nan_off_centre(sphere2.rule),
                                        name="nan-jet", validate_on_init=False)
@@ -380,23 +396,24 @@ class TestCurvatureChecksFailClosed:
 class TestNormalFrameChecksFailClosed:
     """A NaN defect compares False with NORMAL_POST_TOL; each post-check of
     the normal-frame construction must raise on it all the same.  The NaN
-    is put into the new chart's metric value or first jet alone."""
+    is put into the new chart's metric value or first jet alone: part 0 or
+    part 1 of its ``matrix_jet``, from which both checks read."""
 
     @staticmethod
-    def nan_on_normal_chart(original):
+    def nan_on_normal_chart(original, part=1):
         def patched(metric, *args, **kwargs):
             out = original(metric, *args, **kwargs)
             if metric.chart.name != "normal":
                 return out
-            if isinstance(out, tuple):      # matrix_jet's (M, jet, None)
-                return (out[0], np.full_like(out[1], np.nan)) + out[2:]
-            return np.full_like(out, np.nan)
+            out = list(out)                 # matrix_jet's (M, jet, None)
+            out[part] = np.full_like(out[part], np.nan)
+            return tuple(out)
 
         return patched
 
     def test_identity_check(self, monkeypatch, fs2):
-        monkeypatch.setattr(HermitianMetricField, "matrix",
-                            self.nan_on_normal_chart(HermitianMetricField.matrix))
+        monkeypatch.setattr(cv.diffops, "matrix_jet",
+                            self.nan_on_normal_chart(cv.diffops.matrix_jet, part=0))
         with pytest.raises(ValidationError, match="not identity at center"):
             cv.hermitian_normal_coordinates(fs2, [0.1, 0.2j])
 
@@ -411,6 +428,114 @@ class TestNormalFrameChecksFailClosed:
                 cv.hermitian_normal_coordinates(fs2, [0.1, 0.2j])
             else:
                 cv.riemannian_normal_coordinates(sphere2, [0.2, -0.1])
+
+
+def _pullback_per_entry(metric, p, A, b=None):
+    """The reference pullback rule: the per-entry formula, with every entry
+    of J, conj(J) and J M recomputed in each term it appears in."""
+    idx = range(metric.dim)
+
+    def rule(zs):
+        if b is None:
+            vec, J = zs, A
+        else:
+            q = [0.5 * sum(b[d, a, g] * zs[a] * zs[g] for a in idx for g in idx)
+                 for d in idx]
+            vec = [zs[d] + q[d] for d in idx]
+            J = [[sum(A[r, d] * ((1.0 if d == a else 0.0)
+                                 + sum(b[d, a, g] * zs[g] for g in idx))
+                      for d in idx) for a in idx] for r in idx]
+        old = []
+        for r in idx:
+            acc = p[r]
+            for c in idx:
+                acc = acc + A[r, c] * vec[c]
+            old.append(acc)
+        M = metric.matrix_generic(old)
+        return [[sum(J[r][a] * M[r][s] * gm.conj(J[s][c]) for r in idx for s in idx)
+                 for c in idx] for a in idx]
+
+    return rule
+
+
+def _bits(entries):
+    return np.asarray(entries, complex).view(np.uint64)
+
+
+class TestPullbackRule:
+    """The pullback rule computes each shared sub-expression once and is bit
+    for bit the per-entry formula on Python numbers, stencil arrays and
+    hyper-duals, for the linear stage (b = None) and the normal frame's b."""
+
+    CASES = [("fubini-study", 1), ("fubini-study", 2), ("fubini-study", 3),
+             ("poincare-ball", 1), ("poincare-ball", 2), ("poincare-ball", 3),
+             ("round-sphere", 2), ("round-sphere", 3)]
+
+    @staticmethod
+    def rules(name, n, quadratic):
+        metric = zoo.build_entry(name, {"dim": n}).obj
+        rng = np.random.default_rng(n)
+        p = metric.chart.sample(rng, 0.5)
+        normal = (cv.riemannian_normal_coordinates if name == "round-sphere"
+                  else cv.hermitian_normal_coordinates)
+        frame = normal(metric, p)
+        b = frame.quadratic if quadratic else None
+        points = frame.metric.chart.sample(rng, 0.8, count=7)
+        return (cv._pullback_rule(metric, frame.center, frame.linear, b),
+                _pullback_per_entry(metric, frame.center, frame.linear, b), points)
+
+    @pytest.mark.parametrize("quadratic", [False, True], ids=["linear", "normal"])
+    @pytest.mark.parametrize("name,n", CASES)
+    def test_numbers_and_arrays(self, name, n, quadratic):
+        new, old, points = self.rules(name, n, quadratic)
+        for x in points.tolist():
+            np.testing.assert_array_equal(_bits(new(tuple(x))), _bits(old(tuple(x))))
+        cols = tuple(np.ascontiguousarray(points.T))
+        np.testing.assert_array_equal(_bits(new(cols)), _bits(old(cols)))
+
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("quadratic", [False, True], ids=["linear", "normal"])
+    @pytest.mark.parametrize("name,n", CASES)
+    def test_hyper_duals(self, name, n, quadratic, order):
+        new, old, points = self.rules(name, n, quadratic)
+        is_complex = name != "round-sphere"
+        seeds, _, _ = cv.diffops._dual_seeds(n, is_complex, order)
+        coords = tuple(HyperDual(v, *slots) for v, slots in zip(points[0].tolist(), seeds))
+        got, want = (cv.diffops._flat_entries(rule(coords), (n, n)) for rule in (new, old))
+        K = seeds[0][0].size          # the seeded directions
+        for slot in ("f0", "f1", "f2", "f12"):
+            if getattr(want[0], slot) is None:
+                continue
+            np.testing.assert_array_equal(
+                _bits([np.broadcast_to(getattr(v, slot), K) for v in got]),
+                _bits([np.broadcast_to(getattr(v, slot), K) for v in want]))
+
+    @pytest.mark.parametrize("n,bound", [(2, 62), (3, 228)])
+    def test_dual_pass_multiplications(self, monkeypatch, n, bound):
+        # one order-1 dual jet of the pullback with b on a constant metric:
+        # the per-entry formula made 78 (n = 2) and 336 (n = 3)
+        metric = zoo.build_entry("flat", {"dim": n}).obj
+        rng = np.random.default_rng(n)
+        A = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        b = rng.normal(size=(n, n, n)) + 1j * rng.normal(size=(n, n, n))
+        b = b + b.transpose(0, 2, 1)
+        stage = HermitianMetricField(
+            ComplexChart(dim=n), cv._pullback_rule(metric, np.zeros(n, complex), A, b),
+            validate_on_init=False)
+        # the pass itself: the dual seeds are built on the first jet and kept
+        cv.diffops.matrix_jet(stage, np.zeros(n), backend="dual", order=1)
+        count = 0
+        mul = HyperDual.__mul__
+
+        def counted(self, other):
+            nonlocal count
+            count += 1
+            return mul(self, other)
+
+        monkeypatch.setattr(HyperDual, "__mul__", counted)
+        monkeypatch.setattr(HyperDual, "__rmul__", counted)
+        cv.diffops.matrix_jet(stage, np.zeros(n), backend="dual", order=1)
+        assert count <= bound
 
 
 class TestRCPositiveRiemannian:

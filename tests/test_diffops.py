@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +20,15 @@ def field(rule, dim=1, radius=2.0):
 
 
 class TestWirtingerGradient:
+    def test_overflowing_stencil_where_warnings_are_errors(self):
+        # the gradient stencil overflows beside a finite point: a non-finite
+        # gradient, not a RuntimeWarning (no np.errstate in this test)
+        F = field(lambda z: gm.exp(1e4 * gm.real(z[0])), radius=0.9)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g = diffops.wirtinger_gradient(F, [0.0709781])
+        assert not np.isfinite(g).all()
+
     def test_abs_squared(self):
         F = field(lambda z: gm.abs2(z[0]))
         g = diffops.wirtinger_gradient(F, [1.0])

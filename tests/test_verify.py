@@ -339,6 +339,37 @@ class TestProbe:
         assert zs.dtype == expected.dtype and zs.shape == expected.shape
         assert zs.tobytes() == expected.tobytes()
 
+    def test_grid_is_kept_on_the_pair(self):
+        # built once per pair, read-only, and equal to _probe_grid's arrays
+        p = pair("fs2-to-ball")
+        grid = p.probe_grid
+        assert p.probe_grid is grid
+        for kept, built in zip(grid, V._probe_grid(p)):
+            assert not kept.flags.writeable
+            assert kept.tobytes() == built.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            grid[0][0] = 0
+        # a pair made from it builds its own grid, for its own source chart
+        same = dataclasses.replace(p, f=dataclasses.replace(p.f))
+        assert same.probe_grid is not grid
+        assert same.probe_grid[0].tobytes() == grid[0].tobytes()
+        chart = ComplexChart(dim=2, center=[0.1, -0.1j], radius=[0.3, 0.2])
+        other = dataclasses.replace(
+            p, f=ChartedMap(chart, p.f.target, p.f.rule, holomorphic=True),
+            h=HermitianMetricField(chart, p.h.rule, name="fs2-moved"))
+        assert other.probe_grid[0].tobytes() == V._probe_grid(other)[0].tobytes()
+        assert not np.array_equal(other.probe_grid[0], grid[0])
+
+    def test_runner_builds_the_grid_once_per_pair(self, monkeypatch):
+        built = []
+        probe_grid = V._probe_grid
+        monkeypatch.setattr(V, "_probe_grid", lambda p: built.append(p) or probe_grid(p))
+        p = pair("fs-to-poincare")
+        for seed in (0, 1):
+            [rep] = V.run_suite(p, ["S5_probe"], seed=seed)
+            assert rep.status == "pass"
+        assert built == [p]
+
 
 class TestRunSuite:
     def test_empty_suite_list(self):
