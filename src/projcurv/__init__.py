@@ -24,7 +24,7 @@ from .verify import (PairContext, VerificationReport, assemble_W_form,
                      verify_form_inequality, verify_trace_inequality)
 from .zoo import ZooEntry, build_entry, catalog_facts, catalog_names
 from .errors import (BackendMismatchError, ChartDomainError, ConfigError,
-                     GeometryError, NotApplicable, QuadratureError,
+                     DomainError, GeometryError, NotApplicable, QuadratureError,
                      ValidationError)
 
 __version__ = "0.1.0"

@@ -298,9 +298,9 @@ def fiber_integrate(H, density, order: int = 8, tol: float = 1e-6):
 def _order_sum(order: int, ws, Ws, vals) -> float:
     """One quadrature order's sum of its node values ``vals`` at the rows
     ``Ws``; a non-finite value raises QuadratureError naming its node."""
-    bad = np.flatnonzero(~np.isfinite(vals))
-    if bad.size:
-        k = int(bad[0])
+    finite = np.isfinite(vals)
+    if np.count_nonzero(finite) != finite.size:    # a count is cheaper than a scan
+        k = int(np.flatnonzero(~finite)[0])
         raise QuadratureError(
             f"fiber density is not finite at order {order}, node {k} "
             f"(W = {Ws[k].tolist()}): {vals[k]}")

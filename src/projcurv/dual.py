@@ -52,6 +52,8 @@ import math
 
 import numpy as np
 
+from .errors import DomainError
+
 __all__ = ["HyperDual", "exp", "log", "sqrt", "conj", "real", "imag", "abs2",
            "pairing"]
 
@@ -207,13 +209,18 @@ def log(x):
     if isinstance(x, HyperDual):
         return x.log()
     if isinstance(x, np.ndarray):
-        # the scalar functions raise on these arguments; so do arrays
+        # where a point raises DomainError, its entry of a stack is NaN
         bad = (x == 0) if np.iscomplexobj(x) else (x <= 0)
-        if np.any(bad):
-            raise ValueError("math domain error")
-        return np.log(x)
+        if not bad.any():
+            return np.log(x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(bad, np.nan, np.log(x))
     if isinstance(x, complex):
+        if x == 0:
+            raise DomainError("math domain error")
         return cmath.log(x)
+    if x <= 0:
+        raise DomainError("math domain error")
     return math.log(x)
 
 

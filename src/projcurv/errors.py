@@ -32,6 +32,12 @@ class NotApplicable(GeometryError):
     """
 
 
+class DomainError(ValueError):
+    """A number outside the domain of an elementary function at a point: the
+    log of a real number <= 0 or of a complex 0.  Like a pole, it makes the
+    point's value NaN (``fields.NUMBER_ERRORS``)."""
+
+
 class ConfigError(GeometryError):
     """Run configuration is malformed, references unknown names, or is out of range."""
 

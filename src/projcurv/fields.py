@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charts import ComplexChart, RealChart
-from .errors import ValidationError
+from .errors import DomainError, ValidationError
 
 HERMITIAN_DEFECT_TOL = 1e-12
 
@@ -53,11 +53,11 @@ class ScalarField:
 
 
 # What Python numbers raise where NumPy scalars return inf or NaN: a
-# division by zero, and an overflow in ``**``.  The one-point evaluations
-# (``plain_values`` and the dual passes of ``diffops``) turn exactly these
-# into non-finite values, so the checks that follow fail as they would on
-# NumPy scalars; any other exception escapes.
-NUMBER_ERRORS = (ZeroDivisionError, OverflowError)
+# division by zero, an overflow in ``**`` and ``dual.log`` outside its
+# domain.  The one-point evaluations (``plain_values`` and the dual passes of
+# ``diffops``) turn exactly these into non-finite values, so the checks that
+# follow fail as they would on NumPy scalars; any other exception escapes.
+NUMBER_ERRORS = (ZeroDivisionError, OverflowError, DomainError)
 
 
 # The points one stacked rule call evaluates at most: it bounds the memory
@@ -367,8 +367,9 @@ class Form11:
 
     def _spectrum(self):
         # eigvalsh may return finite eigenvalues for a matrix with a NaN
-        # entry, or raise LinAlgError; a form that is not finite has none
-        if not np.isfinite(self.matrix).all():
+        # entry, or raise LinAlgError; a form that is not finite has none.
+        # Counting is cheaper than ndarray.all() on a few entries
+        if np.count_nonzero(np.isfinite(self.matrix)) != self.matrix.size:
             return (np.nan, np.nan)
         return np.linalg.eigvalsh(self.matrix)
 

@@ -5,22 +5,24 @@ for the trace variants) and certifies the verdict spectrally: a form
 inequality LHS >= RHS passes at a point when the smallest eigenvalue of
 LHS - RHS clears -tol * scale with scale = max(1, ||LHS||).
 
-Suite catalog (applicability in parentheses):
+Suite catalog.  ``SUITES`` holds one row per suite, the one place a suite
+is defined: the pairs it applies to, its sample points, its evaluation and
+its band.
 
-    S1        ddbar Y  >=  (ddbar log H^{-1}) Y - [target curvature]/H   (holomorphic)
-    S_minus1  ddbar Y  >=  (ddbar log H^{-1}) Y                          (holomorphic function, n = 1)
-    S01       Chern-Lu form inequality for ddbar u on the base           (holomorphic)
-    S02       trace of S01 against h^{a bbar}                            (holomorphic)
-    S2        covector-bundle estimate for Y1 with source curvature      (holomorphic)
-    S3        nested-bundle estimate for Y2                              (holomorphic)
-    S03       conformal variant of S1 for Y_phi and H_phi                (holomorphic)
-    S11       pluri-harmonic analogue of S1 with Riemann curvature       (pluri-harmonic)
-    hessian   pluri-harmonic analogue of S01                             (pluri-harmonic)
-    hessian2  trace of hessian                                           (pluri-harmonic)
-    exact_holo   the full identity behind S1, both routes compared       (holomorphic)
-    exact_pluri  the full identity behind S11                            (pluri-harmonic)
-    W_psd     semi-positivity of the assembled (1,1)-form W              (either)
-    S5_probe  maximum-principle sign pattern at the grid argmax of Y     (holomorphic)
+    S1        ddbar Y  >=  (ddbar log H^{-1}) Y - [target curvature]/H
+    S_minus1  ddbar Y  >=  (ddbar log H^{-1}) Y for a function to C
+    S01       Chern-Lu form inequality for ddbar u on the base
+    S02       trace of S01 against h^{a bbar}
+    S2        covector-bundle estimate for Y1 with source curvature
+    S3        nested-bundle estimate for Y2
+    S03       conformal variant of S1 for Y_phi and H_phi
+    S11       pluri-harmonic analogue of S1 with Riemann curvature
+    hessian   pluri-harmonic analogue of S01
+    hessian2  trace of hessian
+    exact_holo   the full identity behind S1, both routes compared
+    exact_pluri  the full identity behind S11
+    W_psd     semi-positivity of the assembled (1,1)-form W
+    S5_probe  maximum-principle sign pattern at the grid argmax of Y
 
 The difference of the two sides of S1/S11 is the Gram-type form W divided by
 H, which is why the identities decompose and why the inequality residuals are
@@ -32,6 +34,7 @@ from __future__ import annotations
 import functools
 import math
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,14 +48,6 @@ from .curvature import (_chern_tensor, chern_curvature, hermitian_normal_coordin
 from .errors import GeometryError, NotApplicable, ValidationError
 from .fields import Form11, HermitianMetricField
 from .maps import ChartedMap, NestedBundlePoint
-
-SUITE_TAGS = ("S1", "S_minus1", "S01", "S02", "S2", "S3", "S03", "S11",
-              "hessian", "hessian2", "exact_holo", "exact_pluri",
-              "W_psd", "S5_probe")
-
-FORM_SUITES = ("S1", "S_minus1", "S01", "S2", "S3", "S03", "S11", "hessian")
-TRACE_SUITES = ("S02", "hessian2")
-EXACT_VARIANTS = ("exact_holo", "exact_pluri")
 
 DEFAULT_SAMPLES = 50
 DEFAULT_SEED = 7
@@ -97,36 +92,6 @@ class PairContext:
         for arr in grid:
             arr.setflags(write=False)
         return grid
-
-
-def suite_applicable(suite: str, pair: PairContext) -> tuple[bool, str]:
-    """Routing: which suites make sense for which map/metric types."""
-    f = pair.f
-    if suite in ("S1", "S01", "S02", "S2", "S3", "S03", "exact_holo", "S5_probe"):
-        if not f.holomorphic:
-            return False, "requires a holomorphic map"
-        if not pair.target_is_complex:
-            return False, "requires a complex target"
-        return True, ""
-    if suite == "S_minus1":
-        if not f.holomorphic or not f.target_is_complex or f.n != 1:
-            return False, "requires a holomorphic function to C"
-        return True, ""
-    if suite in ("S11", "hessian", "hessian2", "exact_pluri"):
-        if pair.target_is_complex:
-            return False, "requires a Riemannian target"
-        if not pair.pluriharmonic:
-            return False, "map is not pluri-harmonic"
-        return True, ""
-    if suite == "W_psd":
-        if f.holomorphic and pair.target_is_complex:
-            return True, ""
-        if not pair.target_is_complex:
-            if pair.pluriharmonic:
-                return True, ""
-            return False, "map is neither holomorphic nor pluri-harmonic"
-        return False, "requires holomorphic or pluri-harmonic input"
-    raise ValidationError(f"unknown suite {suite!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +248,11 @@ def _w_forms(f: ChartedMap, h: HermitianMetricField, g, Ps, weight=None,
             for P, jet, connection in zip(Ps, jets, connections)]
 
 
+def _w_psd(f, h, g, Ps, weight=None) -> list:
+    """W_psd's evaluator: the smallest eigenvalue of the W form at each of Ps."""
+    return [{"min_eigenvalue": W.min_eigenvalue()} for W in _w_forms(f, h, g, Ps, weight)]
+
+
 # ---------------------------------------------------------------------------
 # exact identities
 
@@ -295,17 +265,18 @@ def verify_exact_identity(variant: str, f: ChartedMap, h: HermitianMetricField,
     tautological curvature, the W form and a curvature contraction.
     Returns the entrywise residual relative to max(1, ||LHS||).
     """
-    return _exact_identities(variant, f, h, g, [P], weight)[0]
+    row = _row(variant, f"unknown exact-identity variant {variant!r}", _EXACT)
+    return row.evaluate(f, h, g, [P], weight)[0]
 
 
-def _exact_identities(variant, f, h, g, Ps, weight=None) -> list:
-    """``verify_exact_identity`` at bundle points Ps on one fiber chart."""
-    if variant not in EXACT_VARIANTS:
-        raise ValidationError(f"unknown exact-identity variant {variant!r}")
+def _exact_identities(f, h, g, Ps, weight=None, *, holomorphic: bool) -> list:
+    """The exact identities' evaluator: ``verify_exact_identity`` at bundle
+    points Ps on one fiber chart, exact_holo's when ``holomorphic`` and
+    exact_pluri's when not."""
     complex_target = isinstance(g, HermitianMetricField)
-    if variant == "exact_holo" and not (f.holomorphic and complex_target):
+    if holomorphic and not (f.holomorphic and complex_target):
         raise NotApplicable("exact_holo needs a holomorphic map into a complex target")
-    if variant == "exact_pluri" and complex_target:
+    if not holomorphic and complex_target:
         raise NotApplicable("exact_pluri needs a Riemannian target")
 
     sides = _s1_sides(f, h, g, Ps, weight)
@@ -372,61 +343,12 @@ def verify_form_inequality(suite: str, f: ChartedMap, h: HermitianMetricField,
 def _form_inequalities(suite, f, h, g, pts, phi=None) -> list:
     """``verify_form_inequality`` at points of one kind that share their
     fiber charts, each fd field taking one stencil evaluation for all."""
-    if suite not in FORM_SUITES:
-        raise ValidationError(f"{suite!r} is not a form-inequality suite")
+    row = _row(suite, f"{suite!r} is not a form-inequality suite", _EIGEN)
+    return row.evaluate(f, h, g, pts, phi if row.weighted else None)
 
-    if suite == "S_minus1":
-        sides, _ = _density_hessian_sides(f, h, _flat_scalar_target(), pts)
 
-    elif suite in ("S1", "S03", "S11"):
-        sides = [(lhs, taut + minus_C) for lhs, taut, minus_C, _, _
-                 in _s1_sides(f, h, g, pts, phi if suite == "S03" else None)]
-
-    elif suite in ("S01", "hessian"):
-        zs = [pt.z if isinstance(pt, BundlePoint) else pt for pt in pts]
-        sides = [(lhs, Form11(rhs_mat)) for lhs, rhs_mat, _ in _s01_sides(f, h, g, zs)]
-
-    elif suite == "S2":
-        Qs: list[BundlePoint] = pts     # fiber coordinates are the covector X
-        tm1 = _covector_tautological(f, g)
-        y1_sides = _hessian_sides(maps_mod.Y1_field(f, h, g, Qs[0].chart_index),
-                                  [Q.combined() for Q in Qs])
-        source = chern_curvature(h, np.array([Q.z for Q in Qs]))
-        dim = f.m + max(f.n - 1, 0)
-        sides = []
-        for Q, (L, T), Rh in zip(Qs, y1_sides, source):
-            holo = f.jacobians(Q.z)[0]
-            X = Q.W_affine
-            hup = np.linalg.inv(Rh.metric_value).conj()
-            C = np.einsum("abgd,gn,md,km,ln,k,l->ab", Rh.array, hup, hup,
-                          holo, holo.conj(), X, X.conj())
-            _require_hermitian(C, "source curvature term")
-            H1_val = tm1.H_raw(Q)
-            sides.append((L, T + _embed_base_block(C, f.m, dim).scaled(1.0 / H1_val)))
-
-    elif suite == "S3":
-        Rs: list[NestedBundlePoint] = pts
-        m, n = f.m, f.n
-        dim = m + max(m - 1, 0) + max(n - 1, 0)
-        zw_idx = list(range(m + max(m - 1, 0)))
-        zx_idx = list(range(m)) + list(range(m + max(m - 1, 0), dim))
-
-        # the two tautological curvatures keep their own stencils: they live
-        # on the (z, w) and (z, x) sub-charts, whose fd steps are those of
-        # the nested chart only when m, n > 1
-        y2 = maps_mod.Y2_field(f, h, g, Rs[0].P.chart_index, Rs[0].x_chart_index)
-        lhs = diffops.wirtinger_hessian(y2, np.array([R.combined() for R in Rs]),
-                                        backend="fd")
-        curv = tautological_curvature(TautologicalMetric(h), [R.P for R in Rs])
-        Qs = [BundlePoint.make(R.P.z, R.X, R.x_chart_index) for R in Rs]   # (z, [X])
-        curv1 = tautological_curvature(_covector_tautological(f, g), Qs)
-        sides = [(L, (Form11.embed(T.matrix, zw_idx, dim) + Form11.embed(T1.matrix, zx_idx, dim))
-                  .scaled(float(D)))
-                 for (L, D, _), T, T1 in zip(lhs, curv, curv1)]
-
-    else:
-        raise ValidationError(f"unhandled suite {suite!r}")
-
+def _forms(sides) -> list:
+    """The outputs of ``verify_form_inequality`` for [(LHS, RHS)] Form11 pairs."""
     out = []
     for lhs, rhs in sides:
         residual = lhs - rhs
@@ -440,6 +362,66 @@ def _form_inequalities(suite, f, h, g, pts, phi=None) -> list:
     return out
 
 
+def _s_minus1(f, h, g, Ps, weight=None) -> list:
+    """S_minus1's evaluator: the density of f into the flat C, whatever g is."""
+    return _forms(_density_hessian_sides(f, h, _flat_scalar_target(), Ps)[0])
+
+
+def _s1_family(f, h, g, Ps, weight=None) -> list:
+    """The evaluator of S1 and S11, and of S03 with the conformal weight."""
+    return _forms([(lhs, taut + minus_C) for lhs, taut, minus_C, _, _
+                   in _s1_sides(f, h, g, Ps, weight)])
+
+
+def _s01_family(f, h, g, pts, weight=None) -> list:
+    """The evaluator of S01 and hessian, at base points or at the base
+    points of bundle points."""
+    zs = [pt.z if isinstance(pt, BundlePoint) else pt for pt in pts]
+    return _forms([(lhs, Form11(rhs_mat)) for lhs, rhs_mat, _ in _s01_sides(f, h, g, zs)])
+
+
+def _s2(f, h, g, Qs, weight=None) -> list:
+    """S2's evaluator at covector points Qs, whose fiber coordinates are the
+    covector X."""
+    tm1 = _covector_tautological(f, g)
+    y1_sides = _hessian_sides(maps_mod.Y1_field(f, h, g, Qs[0].chart_index),
+                              [Q.combined() for Q in Qs])
+    source = chern_curvature(h, np.array([Q.z for Q in Qs]))
+    dim = f.m + max(f.n - 1, 0)
+    sides = []
+    for Q, (L, T), Rh in zip(Qs, y1_sides, source):
+        holo = f.jacobians(Q.z)[0]
+        X = Q.W_affine
+        hup = np.linalg.inv(Rh.metric_value).conj()
+        C = np.einsum("abgd,gn,md,km,ln,k,l->ab", Rh.array, hup, hup,
+                      holo, holo.conj(), X, X.conj())
+        _require_hermitian(C, "source curvature term")
+        H1_val = tm1.H_raw(Q)
+        sides.append((L, T + _embed_base_block(C, f.m, dim).scaled(1.0 / H1_val)))
+    return _forms(sides)
+
+
+def _s3(f, h, g, Rs, weight=None) -> list:
+    """S3's evaluator at nested points Rs (z, [W], [X])."""
+    m, n = f.m, f.n
+    dim = m + max(m - 1, 0) + max(n - 1, 0)
+    zw_idx = list(range(m + max(m - 1, 0)))
+    zx_idx = list(range(m)) + list(range(m + max(m - 1, 0), dim))
+
+    # the two tautological curvatures keep their own stencils: they live
+    # on the (z, w) and (z, x) sub-charts, whose fd steps are those of
+    # the nested chart only when m, n > 1
+    y2 = maps_mod.Y2_field(f, h, g, Rs[0].P.chart_index, Rs[0].x_chart_index)
+    lhs = diffops.wirtinger_hessian(y2, np.array([R.combined() for R in Rs]),
+                                    backend="fd")
+    curv = tautological_curvature(TautologicalMetric(h), [R.P for R in Rs])
+    Qs = [BundlePoint.make(R.P.z, R.X, R.x_chart_index) for R in Rs]   # (z, [X])
+    curv1 = tautological_curvature(_covector_tautological(f, g), Qs)
+    return _forms([(L, (Form11.embed(T.matrix, zw_idx, dim)
+                        + Form11.embed(T1.matrix, zx_idx, dim)).scaled(float(D)))
+                   for (L, D, _), T, T1 in zip(lhs, curv, curv1)])
+
+
 def _covector_tautological(f: ChartedMap, g: HermitianMetricField) -> TautologicalMetric:
     """H1 through the same machinery as H, with g^{k lbar}(f(z)) as the input."""
     return TautologicalMetric(maps_mod.covector_metric_field(f, g))
@@ -451,13 +433,12 @@ def _covector_tautological(f: ChartedMap, g: HermitianMetricField) -> Tautologic
 def verify_trace_inequality(suite: str, f: ChartedMap, h: HermitianMetricField,
                             g, z) -> dict:
     """Signed scalar residual tr(LHS) - tr(RHS) for the trace suites."""
-    return _trace_inequalities(suite, f, h, g, [z])[0]
+    return _row(suite, f"{suite!r} is not a trace suite", _TRACE).evaluate(f, h, g, [z])[0]
 
 
-def _trace_inequalities(suite, f, h, g, zs) -> list:
-    """``verify_trace_inequality`` at each of the base points zs."""
-    if suite not in TRACE_SUITES:
-        raise ValidationError(f"{suite!r} is not a trace suite")
+def _trace_inequalities(f, h, g, zs, weight=None) -> list:
+    """The trace suites' evaluator: ``verify_trace_inequality`` at each of
+    the base points zs."""
     out = []
     for lhs_form, rhs_mat, hup in _s01_sides(f, h, g, zs):
         lhs = float(np.real(np.einsum("ab,ab->", hup, lhs_form.matrix)))
@@ -537,6 +518,138 @@ def maximum_principle_probe(f: ChartedMap, h: HermitianMetricField,
     return {"status": "evaluated", "argmax": q, "y_max": best_val,
             "term1": term1, "term2": term2, "pattern": pattern,
             "compact": compact, "conclusion": conclusion}
+
+
+# ---------------------------------------------------------------------------
+# the suite table
+
+# routing: why a suite does not apply to a pair, "" when it does
+
+def _holomorphic(pair: PairContext) -> str:
+    """A holomorphic map into a complex target."""
+    if not pair.f.holomorphic:
+        return "requires a holomorphic map"
+    return "" if pair.target_is_complex else "requires a complex target"
+
+
+def _function_to_c(pair: PairContext) -> str:
+    """A holomorphic function to C."""
+    f = pair.f
+    ok = f.holomorphic and f.target_is_complex and f.n == 1
+    return "" if ok else "requires a holomorphic function to C"
+
+
+def _pluriharmonic(pair: PairContext) -> str:
+    """A pluri-harmonic map into a Riemannian target."""
+    if pair.target_is_complex:
+        return "requires a Riemannian target"
+    return "" if pair.pluriharmonic else "map is not pluri-harmonic"
+
+
+def _either(pair: PairContext) -> str:
+    """The pair of a holomorphic suite or of a pluri-harmonic one."""
+    if pair.target_is_complex:
+        return _holomorphic(pair) and "requires holomorphic or pluri-harmonic input"
+    return _pluriharmonic(pair) and "map is neither holomorphic nor pluri-harmonic"
+
+
+# sample points, each drawn base point first
+
+def _fiber_direction(rng, k: int) -> np.ndarray:
+    """Gaussian complex k-vector, redrawn until its norm is at least 0.3."""
+    V = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+    while np.linalg.norm(V) < 0.3:
+        V = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+    return V
+
+
+def _base_point(f: ChartedMap, rng):
+    return f.source.sample(rng, 0.5)
+
+
+def _bundle_point(f: ChartedMap, rng) -> BundlePoint:
+    """(z, [W])."""
+    return BundlePoint.make(_base_point(f, rng), _fiber_direction(rng, f.m))
+
+
+def _covector_point(f: ChartedMap, rng) -> BundlePoint:
+    """(z, [X]) with X in the target's dimension: S2's point."""
+    return BundlePoint.make(_base_point(f, rng), _fiber_direction(rng, f.n))
+
+
+def _nested_point(f: ChartedMap, rng) -> NestedBundlePoint:
+    """(z, [W], [X]): S3's point."""
+    return NestedBundlePoint.make(_base_point(f, rng), _fiber_direction(rng, f.m),
+                                  _fiber_direction(rng, f.n))
+
+
+@dataclass(frozen=True)
+class _Band:
+    """sign * out[key] <= tol(tol_relative, tol_exact, out) for the output
+    of each sample: a lower bound when sign is -1, an upper one when +1.
+    The worst sample has the largest sign * out[key]."""
+    key: str
+    sign: float
+    tol: Callable
+
+
+_EIGEN = _Band("min_eigenvalue", -1.0, lambda relative, exact, out: relative * out["scale"])
+_TRACE = _Band("residual", -1.0, lambda relative, exact, out: relative * out["scale"])
+_EXACT = _Band("residual", 1.0, lambda relative, exact, out: exact)
+_W_PSD = _Band("min_eigenvalue", -1.0, lambda relative, exact, out: W_PSD_TOL)
+
+
+@dataclass(frozen=True)
+class _Suite:
+    """One suite: all that routing, the runner and the entry points know of
+    it.  The S5 probe has neither point kind nor band: its evaluation is
+    ``maximum_principle_probe`` on ``PairContext.probe_grid``."""
+    applies: Callable           # routing: (pair) -> why it does not apply, or ""
+    point: Callable | None      # (f, rng) -> one sample point
+    evaluate: Callable          # (f, h, g, pts, weight) -> an output dict per point
+    band: _Band | None
+    weighted: bool = False      # whether evaluate gets the run's conformal weight
+
+
+SUITES = {
+    "S1": _Suite(_holomorphic, _bundle_point, _s1_family, _EIGEN),
+    "S_minus1": _Suite(_function_to_c, _bundle_point, _s_minus1, _EIGEN),
+    "S01": _Suite(_holomorphic, _base_point, _s01_family, _EIGEN),
+    "S02": _Suite(_holomorphic, _base_point, _trace_inequalities, _TRACE),
+    "S2": _Suite(_holomorphic, _covector_point, _s2, _EIGEN),
+    "S3": _Suite(_holomorphic, _nested_point, _s3, _EIGEN),
+    "S03": _Suite(_holomorphic, _bundle_point, _s1_family, _EIGEN, weighted=True),
+    "S11": _Suite(_pluriharmonic, _bundle_point, _s1_family, _EIGEN),
+    "hessian": _Suite(_pluriharmonic, _base_point, _s01_family, _EIGEN),
+    "hessian2": _Suite(_pluriharmonic, _base_point, _trace_inequalities, _TRACE),
+    "exact_holo": _Suite(_holomorphic, _bundle_point,
+                         functools.partial(_exact_identities, holomorphic=True), _EXACT),
+    "exact_pluri": _Suite(_pluriharmonic, _bundle_point,
+                          functools.partial(_exact_identities, holomorphic=False), _EXACT),
+    "W_psd": _Suite(_either, _bundle_point, _w_psd, _W_PSD),
+    "S5_probe": _Suite(_holomorphic, None, maximum_principle_probe, None),
+}
+
+# run_suite seeds each suite's generator with its index here
+SUITE_TAGS = tuple(SUITES)
+FORM_SUITES = tuple(tag for tag, row in SUITES.items() if row.band is _EIGEN)
+TRACE_SUITES = tuple(tag for tag, row in SUITES.items() if row.band is _TRACE)
+EXACT_VARIANTS = tuple(tag for tag, row in SUITES.items() if row.band is _EXACT)
+
+
+def _row(suite, message: str, band: _Band | None = None) -> _Suite:
+    """The row of ``suite``, of the given band when one is given; anything
+    else raises ValidationError(message)."""
+    row = SUITES.get(suite) if isinstance(suite, str) else None
+    if row is None or band is not None and row.band is not band:
+        raise ValidationError(message)
+    return row
+
+
+def suite_applicable(suite: str, pair: PairContext) -> tuple[bool, str]:
+    """Routing: which suites make sense for which map/metric types."""
+    why = _row(suite, f"unknown suite {suite!r}").applies(pair)
+    return not why, why
 
 
 # ---------------------------------------------------------------------------
@@ -679,32 +792,11 @@ def run_suite(pair: PairContext, suites, samples: int = DEFAULT_SAMPLES,
     return reports
 
 
-def _fiber_direction(rng, k: int) -> np.ndarray:
-    """Gaussian complex k-vector, redrawn until its norm is at least 0.3."""
-    V = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-    while np.linalg.norm(V) < 0.3:
-        V = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-    return V
-
-
 def _draw_points(suite, pair, rng, samples):
-    """Sample points of the kind the suite evaluates: a base point, a
-    bundle point (z, [W]), a covector point (z, [X]) for S2 or a nested
-    point (z, [W], [X]) for S3.  Draw order per sample: z, then W, then X."""
-    f = pair.f
-    pts = []
-    for _ in range(samples):
-        z = f.source.sample(rng, 0.5)
-        if suite in ("S01", "hessian") or suite in TRACE_SUITES:
-            pts.append(z)
-        elif suite == "S2":
-            pts.append(BundlePoint.make(z, _fiber_direction(rng, f.n)))
-        elif suite == "S3":
-            W = _fiber_direction(rng, f.m)
-            pts.append(NestedBundlePoint.make(z, W, _fiber_direction(rng, f.n)))
-        else:
-            pts.append(BundlePoint.make(z, _fiber_direction(rng, f.m)))
-    return pts
+    """``samples`` sample points of the kind the suite evaluates, drawn one
+    after another by its row's ``point``."""
+    point = SUITES[suite].point
+    return [point(pair.f, rng) for _ in range(samples)]
 
 
 def _record_sample(rep, k: int, pt, value: float, violated: bool,
@@ -735,21 +827,11 @@ def _record_sample(rep, k: int, pt, value: float, violated: bool,
 def _evaluate(suite, pair, pts, weight, tol_relative, tol_exact) -> list:
     """Samples of a sampled suite that share their fiber charts, in one
     pass: per sample (residual, band violated, residual form or None)."""
-    f, h, g = pair.f, pair.h, pair.g
-    if suite in FORM_SUITES:
-        outs = _form_inequalities(suite, f, h, g, pts,
-                                  phi=weight if suite == "S03" else None)
-        return [(o["min_eigenvalue"], o["min_eigenvalue"] < -tol_relative * o["scale"],
-                 o["residual_form"]) for o in outs]
-    if suite in TRACE_SUITES:
-        outs = _trace_inequalities(suite, f, h, g, pts)
-        return [(o["residual"], o["residual"] < -tol_relative * o["scale"], None)
-                for o in outs]
-    if suite in EXACT_VARIANTS:
-        outs = _exact_identities(suite, f, h, g, pts)
-        return [(o["residual"], o["residual"] > tol_exact, None) for o in outs]
-    values = [W.min_eigenvalue() for W in _w_forms(f, h, g, pts)]       # W_psd
-    return [(value, value < -W_PSD_TOL, None) for value in values]
+    row = SUITES[suite]
+    band = row.band
+    outs = row.evaluate(pair.f, pair.h, pair.g, pts, weight if row.weighted else None)
+    return [(out[band.key], band.sign * out[band.key] > band.tol(tol_relative, tol_exact, out),
+             out.get("residual_form")) for out in outs]
 
 
 def _fiber_charts(pt):
@@ -795,9 +877,9 @@ def _evaluate_group(suite, pair, pts, weight, tol_relative, tol_exact) -> list:
 
 
 def _run_one_suite(rep, suite, pair, rng, samples, tol_relative, tol_exact):
-    if suite == "S5_probe":
-        out = maximum_principle_probe(pair.f, pair.h, pair.g, *pair.probe_grid,
-                                      compact=pair.compact)
+    row = SUITES[suite]
+    if row.point is None:       # the S5 probe, once on the pair's grid
+        out = row.evaluate(pair.f, pair.h, pair.g, *pair.probe_grid, compact=pair.compact)
         rep.residuals = [out.get("term1", 0.0), out.get("term2", 0.0)]
         rep.message = f"pattern={out['pattern']}"
         rep.worst = {k: v for k, v in out.items()
@@ -815,9 +897,7 @@ def _run_one_suite(rep, suite, pair, rng, samples, tol_relative, tol_exact):
                                   tol_relative, tol_exact)
         for k, out in zip(group, results):
             outs[k] = out
-    # the worst sample has the largest residual for the exact identities and
-    # the smallest for every lower-bound suite
-    sign = 1.0 if suite in EXACT_VARIANTS else -1.0
+    sign = row.band.sign
     worst = None
     for k, (value, violated, form, error) in enumerate(outs):
         finite = _record_sample(rep, k, pts[k], value, violated, error)

@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import json
 import re
@@ -280,10 +281,32 @@ tol_exact: 1.0e-30
         code = cli.main(["verify", "--config", str(plan)])
         assert code == 1
 
-    def test_unexpected_exception_exit_two(self, tmp_path):
-        # log of a negative real raises ValueError outside GeometryError; it
-        # used to escape as a traceback with exit code 1, the code of a
-        # violated band
+    def test_unexpected_exception_exit_two(self, tmp_path, monkeypatch):
+        # an exception outside GeometryError used to escape as a traceback
+        # with exit code 1, the code of a violated band: a target rule that
+        # raises ArithmeticError is exit 2 naming the type
+        plan = tmp_path / "plan.yaml"
+        report = tmp_path / "report.json"
+        plan.write_text(MINIMAL + f"report: {report}\n")
+        resolved = config.RunConfig.resolved_pair
+
+        def broken(zs):
+            raise ArithmeticError("deliberate")
+
+        def with_broken_target(cfg):
+            pair = resolved(cfg)
+            return dataclasses.replace(pair, g=dataclasses.replace(
+                pair.g, rule=broken, validate_on_init=False))
+
+        monkeypatch.setattr(config.RunConfig, "resolved_pair", with_broken_target)
+        assert cli.main(["verify", "--config", str(plan)]) == 2
+        doc = json.loads(report.read_text())
+        assert doc["verdict"] == "error"
+        assert doc["error"] == "ArithmeticError: deliberate"
+
+    def test_log_of_a_negative_real_map_exit_two(self, tmp_path):
+        # log of a negative real is a NaN value (DomainError at a point), and
+        # the map's real-valuedness check rejects it naming the map
         plan = tmp_path / "plan.yaml"
         report = tmp_path / "report.json"
         plan.write_text(f"""
@@ -298,7 +321,7 @@ report: {report}
         assert cli.main(["verify", "--config", str(plan)]) == 2
         doc = json.loads(report.read_text())
         assert doc["verdict"] == "error"
-        assert doc["error"].startswith("ValueError: ")
+        assert doc["error"].startswith("map 'inline-map' into a real chart is not real-valued")
 
     def test_non_numeric_plan_value_exit_two(self, tmp_path, capsys):
         # used to escape main as a ValueError traceback, exit code 1

@@ -10,7 +10,7 @@ from projcurv import diffops, zoo
 from projcurv.bundle import BundlePoint
 from projcurv.charts import ComplexChart
 from projcurv.dual import HyperDual
-from projcurv.errors import BackendMismatchError, ChartDomainError
+from projcurv.errors import BackendMismatchError, ChartDomainError, DomainError
 from projcurv.fields import HermitianMetricField, ScalarField
 from projcurv.maps import ChartedMap, Y_field, _generic_inverse_up
 
@@ -224,13 +224,18 @@ class TestArrayAwareDual:
         np.testing.assert_allclose(gm.sqrt(np.array([4.0, -4.0])),
                                    [gm.sqrt(4.0), gm.sqrt(-4.0)], rtol=1e-15)
 
-    def test_log_domain_errors_raise_like_scalars(self):
-        for bad in (0.0, -2.0, 0j):
-            with pytest.raises(ValueError):
+    def test_log_domain_errors_raise_at_a_point_and_are_nan_in_arrays(self):
+        # a point outside the domain raises DomainError, a ValueError as
+        # math.log's; in an array only its own entry is NaN, with no warning
+        for bad in (0.0, -2.0, 0, 0j):
+            with pytest.raises(DomainError, match="math domain error"):
                 gm.log(bad)
         for bad in (np.array([1.0, 0.0]), np.array([1.0, -2.0]), np.array([1j, 0j])):
-            with pytest.raises(ValueError):
-                gm.log(bad)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = gm.log(bad)
+            assert got.dtype == bad.dtype
+            assert np.isnan(got[1]) and got[0] == np.log(bad[0])
 
 
 class TestBatchedEngine:

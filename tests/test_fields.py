@@ -421,11 +421,18 @@ class TestStackedValues:
         assert_within_ulps(got[finite], plain[finite], axes=(-2, -1))
 
     @pytest.mark.parametrize("count", [2, STACK_CHUNK + 1])
-    def test_a_log_domain_error_escapes_as_a_value_error(self, count):
-        # gm.log refuses an argument outside its domain on arrays, as
-        # math.log does at one point
+    def test_a_log_domain_error_is_not_finite_at_its_point_only(self, count):
+        # gm.log outside its domain raises DomainError at one point, which
+        # makes that point NaN; in a stack only that point's entry is NaN
         points = _stack(count)
-        points[-1, 0] = -abs(points[-1, 0].real) + 1j * points[-1, 0].imag
-        with pytest.raises(ValueError, match="math domain error") as err:
-            plain_values(lambda z: [[gm.log(gm.real(z[0]))]], points, (1, 1))
-        assert type(err.value) is ValueError
+        points[:, 0] = abs(points[:, 0].real) + 0.1 + 1j * points[:, 0].imag
+        points[-1, 0] = -points[-1, 0].real + 1j * points[-1, 0].imag
+
+        def rule(z):
+            return [[gm.log(gm.real(z[0]))]]
+
+        got = plain_values(rule, points, (1, 1))
+        finite = np.isfinite(got).all(axis=(1, 2))
+        assert np.flatnonzero(~finite).tolist() == [count - 1]
+        assert np.isnan(plain_values(rule, points[-1:], (1, 1))).all()
+        np.testing.assert_array_equal(got[:-1, 0, 0], np.log(points[:-1, 0].real))

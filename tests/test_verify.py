@@ -29,6 +29,70 @@ def sample_points(p, seed, count):
     return V._draw_points("S1", p, np.random.default_rng(seed), count)
 
 
+OK, HOLO, FN, RIEM = ("", "requires a holomorphic map", "requires a holomorphic function to C",
+                      "requires a Riemannian target")
+# why each suite of V.SUITE_TAGS does not apply to each zoo pair ("" where it
+# does), recorded before the suites became rows of V.SUITES
+ZOO_ROUTING = {
+    "flat-identity": (OK, FN, OK, OK, OK, OK, OK, RIEM, RIEM, RIEM, OK, RIEM, OK, OK),
+    "flat-torus-identity": (OK, OK, OK, OK, OK, OK, OK, RIEM, RIEM, RIEM, OK, RIEM, OK, OK),
+    "fs-to-poincare": (OK, OK, OK, OK, OK, OK, OK, RIEM, RIEM, RIEM, OK, RIEM, OK, OK),
+    "disc-square-to-poincare": (OK, OK, OK, OK, OK, OK, OK, RIEM, RIEM, RIEM, OK, RIEM, OK, OK),
+    "fs2-to-ball": (OK, FN, OK, OK, OK, OK, OK, RIEM, RIEM, RIEM, OK, RIEM, OK, OK),
+    "hopf-function": (OK, OK, OK, OK, OK, OK, OK, RIEM, RIEM, RIEM, OK, RIEM, OK, OK),
+    "fs-line-in-plane": (OK, FN, OK, OK, OK, OK, OK, RIEM, RIEM, RIEM, OK, RIEM, OK, OK),
+    "realpart-flat": (HOLO, FN, HOLO, HOLO, HOLO, HOLO, HOLO, OK, OK, OK, HOLO, OK, OK, HOLO),
+    "pluri-flat3": (HOLO, FN, HOLO, HOLO, HOLO, HOLO, HOLO, OK, OK, OK, HOLO, OK, OK, HOLO),
+    "pluri-poincare": (HOLO, FN, HOLO, HOLO, HOLO, HOLO, HOLO, OK, OK, OK, HOLO, OK, OK, HOLO),
+    "pluri-m2-flat": (HOLO, FN, HOLO, HOLO, HOLO, HOLO, HOLO, OK, OK, OK, HOLO, OK, OK, HOLO),
+    "pluri-sphere-slice": (HOLO, FN, HOLO, HOLO, HOLO, HOLO, HOLO, OK, OK, OK, HOLO, OK, OK,
+                           HOLO),
+}
+
+
+class TestSuiteTable:
+    def test_suite_tags_keep_their_order(self):
+        # run_suite seeds each suite's samples with its index in SUITE_TAGS:
+        # a reordered table would silently redraw every suite's samples
+        assert V.SUITE_TAGS == ("S1", "S_minus1", "S01", "S02", "S2", "S3", "S03", "S11",
+                                "hessian", "hessian2", "exact_holo", "exact_pluri",
+                                "W_psd", "S5_probe")
+        assert V.FORM_SUITES == ("S1", "S_minus1", "S01", "S2", "S3", "S03", "S11",
+                                 "hessian")
+        assert V.TRACE_SUITES == ("S02", "hessian2")
+        assert V.EXACT_VARIANTS == ("exact_holo", "exact_pluri")
+
+    def test_zoo_routing(self):
+        # a changed routing predicate fails here by pair and suite
+        assert set(ZOO_ROUTING) == set(zoo.catalog_names()["map-pair"])
+        applies = []
+        for name, reasons in ZOO_ROUTING.items():
+            p = pair(name)
+            for suite, why in zip(V.SUITE_TAGS, reasons, strict=True):
+                assert V.suite_applicable(suite, p) == (not why, why), (name, suite)
+                applies.append(not why)
+        assert (applies.count(True), applies.count(False)) == (92, 76)
+
+    def test_routing_reasons_no_zoo_pair_gives(self, fs1, poincare1):
+        # a holomorphic constant into a Riemannian target, and a map into a
+        # complex target that is not holomorphic
+        riemannian = pair("pluri-poincare")
+        const = dataclasses.replace(riemannian, f=ChartedMap(
+            riemannian.h.chart, riemannian.g.chart, lambda z: (0.1, 0.2), holomorphic=True,
+            name="const"))
+        conj = V.PairContext(ChartedMap(fs1.chart, poincare1.chart,
+                                        lambda z: (0.5 * gm.conj(z[0]),), name="conj"),
+                             fs1, poincare1)
+        for p, suite, why in ((const, "S1", "requires a complex target"),
+                              (const, "W_psd", OK),
+                              (conj, "S11", RIEM),
+                              (conj, "W_psd", "requires holomorphic or pluri-harmonic input")):
+            assert V.suite_applicable(suite, p) == (not why, why), (p.f.name, suite)
+        for bad in ("S99", ["S1"], None):
+            with pytest.raises(ValidationError, match="unknown suite"):
+                V.suite_applicable(bad, const)
+
+
 class TestWForm:
     def test_constant_map_zero_form(self, fs1, poincare1):
         f = ChartedMap(fs1.chart, poincare1.chart, lambda z: (0.2 + 0j,),
@@ -761,6 +825,24 @@ class TestFailClosed:
                                                             validate_on_init=False))
         with pytest.raises(ArithmeticError, match="deliberate"):
             V.run_suite(p, [suite], samples=2, seed=3)
+
+    def test_a_log_domain_error_is_the_error_of_its_samples_only(self):
+        # log(0.05 - re z) is outside its domain where re z >= 0.05: math.log's
+        # ValueError used to end the whole run_suite call and lose every
+        # finite sample.  Now such a sample is a NaN error, the others keep
+        # their residuals, and W_psd reads the same alone and beside S1
+        base = pair("fs-to-poincare")
+        f = dataclasses.replace(
+            base.f, rule=lambda z: (0.5 * z[0] + 0 * gm.log(0.05 - gm.real(z[0])),),
+            validate_on_init=False)
+        p = dataclasses.replace(base, f=f)
+        w_psd, s1 = V.run_suite(p, ["W_psd", "S1"], samples=6, seed=0)
+        [alone] = V.run_suite(p, ["W_psd"], samples=6, seed=0)
+        for rep, kept in ((w_psd, [0, 1]), (s1, [2, 5]), (alone, [0, 1])):
+            assert rep.status == "error"
+            assert [k for k, r in enumerate(rep.residuals) if np.isfinite(r)] == kept
+            assert rep.message.startswith("ChartDomainError: ")
+        np.testing.assert_array_equal(alone.residuals, w_psd.residuals)
 
 
 class TestCovectorBundle:
