@@ -31,7 +31,7 @@ import numpy as np
 from . import diffops, dual
 from .charts import ComplexChart, fiber_chart
 from .errors import QuadratureError, ValidationError
-from .fields import HermitianMetricField, ScalarField
+from .fields import Form11, HermitianMetricField, ScalarField
 
 
 @dataclass(frozen=True)
@@ -168,17 +168,22 @@ def tautological_H(tm: TautologicalMetric, P: BundlePoint) -> float:
 def tautological_curvature(tm: TautologicalMetric, P):
     """Curvature -ddbar log(H e^{-phi}) on the combined (z, w) chart at P,
     or the list of forms at a list of points on one fiber chart, from one
-    stencil evaluation."""
+    stencil evaluation (``curvature_matrices``)."""
     Ps = P if isinstance(P, list) else [P]
+    forms = [Form11._of_hermitian(A) for A in curvature_matrices(tm, Ps)]
+    return forms if isinstance(P, list) else forms[0]
+
+
+def curvature_matrices(tm: TautologicalMetric, Ps) -> np.ndarray:
+    """The matrices of ``tautological_curvature`` at the points Ps, which
+    share their fiber chart, as one (N, d, d) stack from one stencil
+    evaluation."""
     idx = Ps[0].chart_index
     if any(Q.chart_index != idx for Q in Ps):
         raise ValidationError("a stacked tautological curvature needs points "
                               "on one fiber chart")
     field = tm.log_H_field(idx)
-    hess = diffops.wirtinger_hessian(field, np.array([Q.combined() for Q in Ps]),
-                                     backend="fd")
-    forms = [H.scaled(-1.0) for H in hess]
-    return forms if isinstance(P, list) else forms[0]
+    return diffops.mixed_hessians(field, np.array([Q.combined() for Q in Ps])) * -1.0
 
 
 def _check_base_normal(tm: TautologicalMetric, z):

@@ -91,30 +91,50 @@ class ChernCurvatureTensor:
 
 def chern_curvature(metric: HermitianMetricField, z):
     """Chern curvature tensor of a Hermitian metric at a point, or the list
-    of tensors at an (N, m) stack of points.  A stack takes one metric jet
-    for all its points, and one ``check_stack`` of the jet's values; the
-    contractions run point by point."""
+    of tensors at an (N, m) stack of points; a point is the stack of one.
+    A stack takes one metric jet, one ``check_stack`` of the jet's values,
+    one inverse and one contraction for all its points (``chern_arrays``)."""
     zs, stacked = diffops.point_stack(z)
     # dz[k, g, a, b] = d h_{a bbar}/dz^g and
     # mixed[k, g, d, a, b] = d^2 h_{a bbar}/dz^g dzbar^d at the k-th point
     M, dz, mixed = diffops.matrix_jet(metric, zs, backend="fd")
-    tensors = [_chern_tensor(*args)
-               for args in zip(metric.check_stack(M, zs), dz, mixed, zs)]
+    H = metric.check_stack(M, zs)
+    tensors = [ChernCurvatureTensor(array=R, metric_value=Hk)
+               for R, Hk in zip(chern_arrays(H, dz, mixed, zs), H)]
     return tensors if stacked else tensors[0]
 
 
-def _chern_tensor(H, dz, mixed, z) -> ChernCurvatureTensor:
+def chern_arrays(H, dz, mixed, zs) -> np.ndarray:
+    """The (N, m, m, m, m) stack of R[k, l, i, j] = R_{k lbar i jbar} at
+    the points zs from the checked metric values H there and the jets dz
+    and mixed of its entries (``matrix_jet``'s parts, sample axis first).
+    Each tensor is checked for Hermitian symmetry; the first point that
+    fails raises, as it would alone."""
     Hinv = np.linalg.inv(H)
     # g^{p qbar} = Hinv[q, p]
-    second = np.einsum("qp,kiq,ljp->klij", Hinv, dz, dz.conj())
-    R = -mixed + second
-    tensor = ChernCurvatureTensor(array=R, metric_value=H)
-    scale = max(1.0, float(np.abs(R).max()))
-    if not tensor.hermitian_defect() <= 1e-6 * scale:     # a NaN defect fails too
+    R = -mixed + np.einsum("Zqp,Zkiq,Zljp->Zklij", Hinv, dz, dz.conj())
+    k, defect = first_failing(sample_max(R - R.conj().transpose(0, 2, 1, 4, 3)),
+                              sample_max(R), 1e-6)
+    if k is not None:
         raise ValidationError(
-            f"Chern curvature Hermitian-symmetry defect "
-            f"{tensor.hermitian_defect():.3e} at {z}")
-    return tensor
+            f"Chern curvature Hermitian-symmetry defect {defect:.3e} at {zs[k]}")
+    return R
+
+
+def sample_max(A: np.ndarray) -> np.ndarray:
+    """max |A[k]| of each sample of a stack."""
+    return np.abs(A).max(axis=tuple(range(1, A.ndim)))
+
+
+def first_failing(defect: np.ndarray, size: np.ndarray, rel_tol: float):
+    """(k, defect[k]) of the first sample whose defect exceeds rel_tol *
+    max(1, size[k]), or (None, None); a NaN defect fails too."""
+    # fmax(nan, 1) is 1, as Python's max(1.0, nan) is
+    ok = defect <= rel_tol * np.fmax(size, 1.0)
+    if np.count_nonzero(ok) == len(ok):
+        return None, None
+    k = int(np.argmin(ok))
+    return k, float(defect[k])
 
 
 def _hermitian_norm_sq(H: np.ndarray, v: np.ndarray) -> float:
@@ -143,46 +163,42 @@ def _bracket(d):
 
 def _christoffels_from_jets(Ginv, d1):
     # Gamma^i_{jk} = 1/2 g^{il} (d_j g_{lk} + d_k g_{lj} - d_l g_{jk})
-    return 0.5 * np.einsum("il,ljk->ijk", Ginv, _bracket(d1))
+    return 0.5 * np.einsum("Zil,Zljk->Zijk", Ginv, _bracket(d1))
 
 
 def levi_civita_christoffels(metric: RiemannianMetricField, x,
                              check_compatibility: bool = False):
-    """(G, Gamma) at a point, or the list of them at an (N, n) stack of
-    points (one metric jet for the stack): the metric matrix the jet holds
-    (the checked stencil centre) and the Christoffel symbols
+    """(G, Gamma) at a point, or at an (N, n) stack of points with a leading
+    sample axis on both (one metric jet, one inverse and one contraction
+    for the stack; a point is the stack of one): the metric matrix the jet
+    holds (the checked stencil centre) and the Christoffel symbols
     Gamma[i, j, k] = Gamma^i_{jk} of the Levi-Civita connection."""
     xs, stacked = diffops.point_stack(x, float)
-    Gs, d1s, _ = _riemannian_entry_jets(metric, xs, order=1)
-    out = []
-    for xk, G, d1 in zip(xs, Gs, d1s):
-        Gamma = _christoffels_from_jets(np.linalg.inv(G), d1)
-        if check_compatibility:
-            # nabla_k g_{ij} = d_k g_{ij} - Gamma^s_{ki} g_{sj} - Gamma^s_{kj} g_{is}
-            nabla = (d1 - np.einsum("ski,sj->kij", Gamma, G)
-                     - np.einsum("skj,is->kij", Gamma, G))
-            defect = float(np.abs(nabla).max())
-            # a NaN defect fails too
-            if not defect <= 1e-6 * max(1.0, float(np.abs(d1).max())):
-                raise ValidationError(f"metric compatibility defect {defect:.3e} at {xk}")
-        out.append((G, Gamma))
-    return out if stacked else out[0]
+    G, d1, _ = _riemannian_entry_jets(metric, xs, order=1)
+    Gamma = _christoffels_from_jets(np.linalg.inv(G), d1)
+    if check_compatibility:
+        # nabla_k g_{ij} = d_k g_{ij} - Gamma^s_{ki} g_{sj} - Gamma^s_{kj} g_{is}
+        nabla = (d1 - np.einsum("Zski,Zsj->Zkij", Gamma, G)
+                 - np.einsum("Zskj,Zis->Zkij", Gamma, G))
+        k, defect = first_failing(sample_max(nabla), sample_max(d1), 1e-6)
+        if k is not None:
+            raise ValidationError(f"metric compatibility defect {defect:.3e} at {xs[k]}")
+    return (G, Gamma) if stacked else (G[0], Gamma[0])
 
 
 def _christoffel_jets(metric: RiemannianMetricField, x):
-    """(G, dG, d2G, Gamma, dGamma) at a point, or the list of them at an
-    (N, n) stack of points: the metric jets, and Gamma and its first
-    coordinate derivatives assembled from them."""
+    """(G, dG, d2G, Gamma, dGamma) at a point, or at an (N, n) stack of
+    points with a leading sample axis on each: the metric jets, and Gamma
+    and its first coordinate derivatives assembled from them."""
     xs, stacked = diffops.point_stack(x, float)
-    out = []
-    for G, d1, d2 in zip(*_riemannian_entry_jets(metric, xs, order=2)):
-        Ginv = np.linalg.inv(G)
-        Gamma = _christoffels_from_jets(Ginv, d1)
-        dGinv = -np.einsum("ip,apq,ql->ail", Ginv, d1, Ginv)
-        dGamma = 0.5 * (np.einsum("ail,ljk->aijk", dGinv, _bracket(d1))
-                        + np.einsum("il,aljk->aijk", Ginv, _bracket(d2)))
-        out.append((G, d1, d2, Gamma, dGamma))
-    return out if stacked else out[0]
+    G, d1, d2 = _riemannian_entry_jets(metric, xs, order=2)
+    Ginv = np.linalg.inv(G)
+    Gamma = _christoffels_from_jets(Ginv, d1)
+    dGinv = -np.einsum("Zip,Zapq,Zql->Zail", Ginv, d1, Ginv)
+    dGamma = 0.5 * (np.einsum("Zail,Zljk->Zaijk", dGinv, _bracket(d1))
+                    + np.einsum("Zil,Zaljk->Zaijk", Ginv, _bracket(d2)))
+    out = (G, d1, d2, Gamma, dGamma)
+    return out if stacked else tuple(part[0] for part in out)
 
 
 @dataclass(frozen=True)
@@ -216,23 +232,25 @@ class RiemannCurvatureTensor:
 
 
 def _riemann_from_jets(G, Gamma, dGamma):
-    """R_{ijkl} from the metric, Gamma and its first derivatives."""
+    """R_{ijkl} from the metric, Gamma and its first derivatives, each with
+    a leading sample axis."""
     # R^l_{ijk} = d_i Gamma^l_{kj} - d_j Gamma^l_{ki}
     #             + Gamma^p_{kj} Gamma^l_{pi} - Gamma^p_{ki} Gamma^l_{pj}
-    R_up = (np.einsum("ilkj->lijk", dGamma)
-            - np.einsum("jlki->lijk", dGamma)
-            + np.einsum("pkj,lpi->lijk", Gamma, Gamma)
-            - np.einsum("pki,lpj->lijk", Gamma, Gamma))
-    return np.einsum("sl,sijk->ijkl", G, R_up)
+    R_up = (np.einsum("Zilkj->Zlijk", dGamma)
+            - np.einsum("Zjlki->Zlijk", dGamma)
+            + np.einsum("Zpkj,Zlpi->Zlijk", Gamma, Gamma)
+            - np.einsum("Zpki,Zlpj->Zlijk", Gamma, Gamma))
+    return np.einsum("Zsl,Zsijk->Zijkl", G, R_up)
 
 
 def riemann_curvature(metric: RiemannianMetricField, x):
     """Riemann curvature tensor (all indices down) at a point, or the list of
-    tensors at an (N, n) stack of points (one metric jet for the stack)."""
+    tensors at an (N, n) stack of points (one metric jet and one assembly
+    for the stack; a point is the stack of one)."""
     xs, stacked = diffops.point_stack(x, float)
-    tensors = [RiemannCurvatureTensor(array=_riemann_from_jets(G, Gamma, dGamma),
-                                      metric_value=G)
-               for G, _, _, Gamma, dGamma in _christoffel_jets(metric, xs)]
+    G, _, _, Gamma, dGamma = _christoffel_jets(metric, xs)
+    tensors = [RiemannCurvatureTensor(array=R, metric_value=Gk)
+               for R, Gk in zip(_riemann_from_jets(G, Gamma, dGamma), G)]
     return tensors if stacked else tensors[0]
 
 
@@ -273,7 +291,9 @@ def key3_check(metric: RiemannianMetricField, x) -> float:
     enforced to KEY3_PRECONDITION_TOL, not assumed.
     """
     x = np.asarray(x, float)
-    G, d1, d2, Gamma, dGamma = _christoffel_jets(metric, x)
+    G, d1, d2, Gamma, dGamma = _christoffel_jets(metric, x[None])
+    R = _riemann_from_jets(G, Gamma, dGamma)[0]
+    G, d1, d2, dGamma = G[0], d1[0], d2[0], dGamma[0]
     n = metric.dim
     if float(np.abs(G - np.eye(n)).max()) > KEY3_PRECONDITION_TOL:
         raise ValidationError(
@@ -281,7 +301,6 @@ def key3_check(metric: RiemannianMetricField, x) -> float:
     if float(np.abs(d1).max()) > KEY3_PRECONDITION_TOL:
         raise ValidationError(
             f"key3 preconditions: first metric derivatives do not vanish at {x}")
-    R = _riemann_from_jets(G, Gamma, dGamma)
     lhs = d2 - dGamma.transpose(2, 3, 0, 1) - dGamma.transpose(2, 3, 1, 0)
     rhs = -(R.transpose(0, 3, 2, 1) + R.transpose(0, 3, 1, 2))
     return float(np.abs(lhs - rhs).max())

@@ -23,14 +23,16 @@ every value, gradient and Hessian with elementwise operations over the
 leading sample axis.  Elementwise arithmetic rounds each entry the same way
 whatever the array around it, so the k-th result of a stack is bit for bit
 the result at its point alone; a single point is the stack of one.  What
-is stacked: the density and log-H Hessians (``wirtinger_hessian``) and the
-metric jets (``matrix_jet``) behind the Chern and Riemann tensors and the
-Levi-Civita Christoffels.  What stays per sample, by design: the dual
-backend (one hyper-dual pass per point), every contraction after the jet
-(``einsum`` and matmul may group their sums differently for a stack than
-for one point, which would move results by an ulp), ``Form11`` and its
-eigenvalues, and the Hermitian defects of the assembled tensors.  The
-checks of a stack (the chart margin, and the metric at the points through
+is stacked here: the density and log-H Hessians (``wirtinger_hessian``, and
+``mixed_hessians`` for the stacked arrays) and the metric jets
+(``matrix_jet``) behind the Chern and Riemann tensors and the Levi-Civita
+Christoffels.  The callers keep the sample axis through the assembly: the
+tensors, contractions, Hermitian checks and eigenvalues after the jets take
+one call per stack, with each contraction summing in an order that does not
+depend on the stack's size.  What stays per point, by design: the dual
+backend (one hyper-dual pass per point), and with it the map jets and
+f(z), the W form's second derivatives and its dlog H.  The checks of a
+stack (the chart margin, and the metric at the points through
 ``check_stack``) run once for the whole stack and name its first failing
 point, with the message that point alone would give.
 
@@ -98,7 +100,7 @@ import numpy as np
 from .charts import ComplexChart
 from .dual import HyperDual
 from .errors import BackendMismatchError
-from .fields import NUMBER_ERRORS, Form11, ScalarField, rule_values
+from .fields import NUMBER_ERRORS, Form11, ScalarField, hermitian_part, rule_values
 
 REL_STEP = 1e-3
 CROSS_CHECK_RTOL = 1e-5
@@ -494,7 +496,7 @@ def wirtinger_hessian(field: ScalarField, z, backend: str = "fd"):
     list of them at a stack of points.
 
     Intended for real-valued fields, whose mixed Hessian is Hermitian; the
-    Form11 constructor symmetrizes away the numerical skew part.
+    Form11 holds its Hermitian part, which drops the numerical skew part.
 
     A joint density field (``ScalarField.joint``) is differentiated through
     its joint rule, so one stencil serves the density and its rider, and
@@ -502,24 +504,36 @@ def wirtinger_hessian(field: ScalarField, z, backend: str = "fd"):
     dz, mixed) of the rider) with dz[g, ...] = d R / dz^g and
     mixed[k, l, ...] = d^2 R / dz^k dzbar^l over the rider's shape, as
     ``matrix_jet`` gives them for a metric.  Both values are the stencil's
-    centre column.
+    centre column.  ``mixed_hessians`` gives the same as stacked arrays.
     """
+    out = mixed_hessians(field, z, backend)
+    if field.joint_rule is None:
+        forms = [Form11._of_hermitian(A) for A in out]
+    else:
+        A, D, rider = out
+        forms = [(Form11._of_hermitian(M), v, jet)
+                 for M, v, jet in zip(A, D, zip(*rider))]
+    return forms if np.ndim(z) == 2 else forms[0]
+
+
+def mixed_hessians(field: ScalarField, z, backend: str = "fd"):
+    """``wirtinger_hessian`` at one point or an (N, d) stack of points as
+    arrays with a leading sample axis: the (N, d, d) stack of the matrices
+    its Form11s hold, and for a joint density field (that stack, the
+    density's values, (value, dz, mixed) of the rider)."""
     d = field.chart.dim
     if field.joint_rule is None:
         _, _, H = _real_jet(field.rule, field.chart, z, backend)
-        out = [Form11(M) for M in _wirt_mixed_from_real(H, d)]
-    else:
-        shape = field.rider
-        f0, grad, H = _real_jet(_flat_joint(field.joint_rule, shape), field.chart, z,
-                                backend, shape=(1 + math.prod(shape),))
-        mixed = _wirt_mixed_from_real(H, d)
-        N = len(mixed)
-        rider = (f0[:, 1:].reshape((N,) + shape),
-                 _wirt_grad_from_real(grad, d)[..., 1:].reshape((N, d) + shape),
-                 mixed[..., 1:].reshape((N, d, d) + shape))
-        out = [(Form11(M[..., 0]), D, jet)
-               for M, D, jet in zip(mixed, f0[:, 0].real, zip(*rider))]
-    return out if np.ndim(z) == 2 else out[0]
+        return hermitian_part(_wirt_mixed_from_real(H, d))
+    shape = field.rider
+    f0, grad, H = _real_jet(_flat_joint(field.joint_rule, shape), field.chart, z,
+                            backend, shape=(1 + math.prod(shape),))
+    mixed = _wirt_mixed_from_real(H, d)
+    N = len(mixed)
+    rider = (f0[:, 1:].reshape((N,) + shape),
+             _wirt_grad_from_real(grad, d)[..., 1:].reshape((N, d) + shape),
+             mixed[..., 1:].reshape((N, d, d) + shape))
+    return hermitian_part(mixed[..., 0]), f0[:, 0].real, rider
 
 
 def _flat_joint(joint_rule, shape):

@@ -328,7 +328,7 @@ class Form11:
         A = np.asarray(matrix, complex)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ValidationError(f"Form11 expects a square matrix, got {A.shape}")
-        self.matrix = 0.5 * (A + A.conj().T)
+        self.matrix = hermitian_part(A)
         self.dim = A.shape[0]
 
     @classmethod
@@ -365,32 +365,47 @@ class Form11:
                 f"vector of length {u.shape} against form of dimension {self.dim}")
         return float(np.real(u @ self.matrix @ u.conj()))
 
-    def _spectrum(self):
-        # eigvalsh may return finite eigenvalues for a matrix with a NaN
-        # entry, or raise LinAlgError; a form that is not finite has none.
-        # Counting is cheaper than ndarray.all() on a few entries
-        if np.count_nonzero(np.isfinite(self.matrix)) != self.matrix.size:
-            return (np.nan, np.nan)
-        return np.linalg.eigvalsh(self.matrix)
-
     def min_eigenvalue(self) -> float:
         """Smallest eigenvalue, NaN when an entry is not finite."""
-        return float(self._spectrum()[0])
+        return float(eigenvalues(self.matrix)[0])
 
     def max_eigenvalue(self) -> float:
         """Largest eigenvalue, NaN when an entry is not finite."""
-        return float(self._spectrum()[-1])
-
-    def max_abs(self) -> float:
-        return float(np.abs(self.matrix).max())
-
-    @staticmethod
-    def embed(sub: np.ndarray, index_map, dim: int) -> "Form11":
-        """Place a sub-block into an otherwise zero form of size ``dim``."""
-        A = np.zeros((dim, dim), complex)
-        idx = np.asarray(index_map, int)
-        A[np.ix_(idx, idx)] = sub
-        return Form11(A)
+        return float(eigenvalues(self.matrix)[-1])
 
     def __repr__(self):
         return f"Form11(dim={self.dim}, min_eig={self.min_eigenvalue():.3e})"
+
+
+# ---------------------------------------------------------------------------
+# stacks of (1,1)-form matrices, sample axis first
+
+def hermitian_part(A: np.ndarray) -> np.ndarray:
+    """(A + A^dagger) / 2 of a square matrix, or of each matrix of a stack:
+    the matrix a ``Form11`` holds."""
+    return 0.5 * (A + np.swapaxes(A, -1, -2).conj())
+
+
+def embedded(sub: np.ndarray, index_map, dim: int) -> np.ndarray:
+    """The Hermitian part of each matrix of a stack ``sub`` placed at the
+    rows and columns ``index_map`` of an otherwise zero dim x dim matrix."""
+    A = np.zeros(sub.shape[:-2] + (dim, dim), complex)
+    idx = np.asarray(index_map, int)
+    A[..., idx[:, None], idx] = sub
+    return hermitian_part(A)
+
+
+def eigenvalues(A: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian matrix, or of each matrix of a
+    stack, from one ``eigvalsh``.  A matrix with an entry that is not
+    finite has NaN eigenvalues and the others keep theirs: eigvalsh may
+    return finite eigenvalues for a matrix with a NaN entry, or raise
+    LinAlgError, so such a matrix goes in as the identity."""
+    finite = np.isfinite(A)
+    # counting is cheaper than ndarray.all() on a few entries
+    if np.count_nonzero(finite) == finite.size:
+        return np.linalg.eigvalsh(A)
+    ok = finite.all(axis=(-2, -1))
+    lam = np.linalg.eigvalsh(np.where(ok[..., None, None], A, np.eye(A.shape[-1])))
+    lam[~ok] = np.nan
+    return lam

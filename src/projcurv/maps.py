@@ -80,13 +80,19 @@ class ChartedMap:
         # a map flagged holomorphic needs df/dzbar = 0, and a map into a real
         # chart must be real-valued, Im f = 0 and df/dzbar = conj(df/dz): the
         # assembly pairs conj(df) with the target curvature for both target
-        # types, and ``value`` would drop an imaginary part silently
+        # types, and ``value`` would drop an imaginary part silently.  A
+        # value or derivative that is not finite is named as such first: a
+        # NaN defect would otherwise read as a gap in one of these
         real = not self.target_is_complex
         if not (self.validate_on_init and (self.holomorphic or real)):
             return
         rng = np.random.default_rng(20250809)
         for z in [self.source.center] + [self.source.sample(rng) for _ in range(4)]:
-            holo, anti, _ = self.jacobians(z)
+            holo, anti, fz = self.jacobians(z)
+            for part, what in ((fz, "f(z)"), (holo, "df/dz"), (anti, "df/dzbar")):
+                if not np.isfinite(part).all():
+                    raise ValidationError(f"map {self.name!r} is not finite at {z}: "
+                                          f"{what} = {part.tolist()}")
             gaps = [(anti, "flagged holomorphic but max |df/dzbar|")] \
                 if self.holomorphic else []
             if real:
@@ -476,26 +482,21 @@ def target_christoffels(g, p):
     a Hermitian g, the Levi-Civita one of a Riemannian g, with G the metric
     matrix its jet holds (the dual value slot, or the fd stencil's checked
     centre) and Gamma[i, j, k] = Gamma^i_{jk}.  An (N, n) stack of points
-    gives the list of them; the Levi-Civita symbols take one fd metric jet
-    for the stack, the Chern ones (exact dual jets) are taken point by
-    point.  A Chern value that is not finite (a pole of g at the point
-    gives NaN slots) fails the metric check there, naming the point."""
+    gives both with a leading sample axis, from one inverse and one
+    contraction; the Levi-Civita symbols take one fd metric jet for the
+    stack, the Chern ones an exact dual jet per point.  A Chern value that
+    is not finite (a pole of g at the point gives NaN slots) fails the
+    metric check there, naming the point."""
     if not isinstance(g, HermitianMetricField):
         return levi_civita_christoffels(g, p)
     ps, stacked = diffops.point_stack(p)
-    out = [_chern_christoffels(g, q) for q in ps]
-    Ms = np.array([M for M, _ in out])
-    if not np.isfinite(Ms).all():
-        g.check_stack(Ms, ps)
-    return out if stacked else out[0]
-
-
-def _chern_christoffels(g: HermitianMetricField, z):
-    """(g, Gamma) with Gamma^i_{jk} = g^{i lbar} d g_{k lbar} / dz^j of the
-    Chern connection, and g at z read from the jet's value slot."""
-    M, dz, _ = diffops.matrix_jet(g, z, backend="dual", order=1)
+    M, dz, _ = diffops.matrix_jet(g, ps, backend="dual", order=1)
+    if not np.isfinite(M).all():
+        g.check_stack(M, ps)
     gup = np.linalg.inv(M).conj()   # g^{i lbar} = conj(inv)[i, l]
-    return M, np.einsum("il,jkl->ijk", gup, dz)
+    # Gamma^i_{jk} = g^{i lbar} d g_{k lbar} / dz^j
+    Gamma = np.einsum("Zil,Zjkl->Zijk", gup, dz)
+    return (M, Gamma) if stacked else (M[0], Gamma[0])
 
 
 def hermitian_harmonic_residual(f: ChartedMap, h: HermitianMetricField, g, z) -> np.ndarray:

@@ -5,6 +5,16 @@ for the trace variants) and certifies the verdict spectrally: a form
 inequality LHS >= RHS passes at a point when the smallest eigenvalue of
 LHS - RHS clears -tol * scale with scale = max(1, ||LHS||).
 
+The sample axis.  The runner evaluates the samples of a suite call that
+share their fiber charts as one group, and every evaluator keeps the group
+as a stack from the jets to the verdict: one stencil evaluation per field,
+one curvature tensor, one contraction and one Hermitian check per term,
+and one eigvalsh per side.  Each output is still a per-sample Form11 or
+number, and each sample's numbers are those of its stack of one, which is
+what the single-point entry points evaluate.  The map jets (f(z) centres
+the target's stencils) and the W form's dual passes are taken point by
+point.
+
 Suite catalog.  ``SUITES`` holds one row per suite, the one place a suite
 is defined: the pairs it applies to, its sample points, its evaluation and
 its band.
@@ -41,12 +51,11 @@ import numpy as np
 
 from . import diffops, maps as maps_mod
 from .bundle import (BundlePoint, TautologicalMetric, affine_rows,
-                     horizontal_curvature_value, tautological_H,
-                     tautological_curvature)
-from .curvature import (_chern_tensor, chern_curvature, hermitian_normal_coordinates,
-                        riemann_curvature)
+                     curvature_matrices, horizontal_curvature_value, tautological_H)
+from .curvature import (chern_arrays, chern_curvature, first_failing,
+                        hermitian_normal_coordinates, riemann_curvature, sample_max)
 from .errors import GeometryError, NotApplicable, ValidationError
-from .fields import Form11, HermitianMetricField
+from .fields import Form11, HermitianMetricField, eigenvalues, embedded, hermitian_part
 from .maps import ChartedMap, NestedBundlePoint
 
 DEFAULT_SAMPLES = 50
@@ -96,6 +105,13 @@ class PairContext:
 
 # ---------------------------------------------------------------------------
 # shared assembly pieces
+#
+# The evaluators take the sample points of one group (one fiber chart) and
+# assemble each side as an (N, d, d) stack with the sample axis first: one
+# contraction, one Hermitian check and one eigvalsh per stack.  Each
+# sample's numbers are those of its stack of one, whatever stack it is in.
+# Sums, differences and real multiples of the Hermitian stacks stay exactly
+# Hermitian, as those of Form11s do, so they are not symmetrized again.
 
 def _combined_dim(m: int) -> int:
     return m + max(m - 1, 0)
@@ -103,81 +119,94 @@ def _combined_dim(m: int) -> int:
 
 def _density_hessian_sides(f: ChartedMap, h: HermitianMetricField, g, Ps,
                            weight=None):
-    """[(ddbar Y, (ddbar log H^{-1}) Y)] at the bundle points Ps, which share
-    their fiber chart, and the tautological metric.  Y and log H take one
-    stencil evaluation for all of Ps.
+    """(ddbar Y, (ddbar log H^{-1}) Y) at the bundle points Ps, which share
+    their fiber chart, as two stacks.  Y and log H take one stencil
+    evaluation for all of Ps.
 
     Y is the generalized density, or Y_phi = e^phi Y when ``weight`` is given.
     """
     field = maps_mod.Y_field(f, h, g, Ps[0].chart_index, weight)
-    return _hessian_sides(field, [P.combined() for P in Ps]), \
-        TautologicalMetric(h, weight=weight)
+    return _hessian_sides(field, [P.combined() for P in Ps])
 
 
-def _hessian_sides(density, coords) -> list:
-    """[(ddbar D, T D)] for the joint density field D at each row of coords,
-    with T = -ddbar log of the metric D divides by.  Both, and D itself,
-    come from one stencil evaluation for all rows."""
-    jets = diffops.wirtinger_hessian(density, np.array(coords), backend="fd")
-    return [(L, Form11(-mixed).scaled(float(D))) for L, D, (_, _, mixed) in jets]
+def _hessian_sides(density, coords):
+    """(ddbar D, T D) for the joint density field D at the rows of coords,
+    with T = -ddbar log of the metric D divides by, as two stacks.  Both,
+    and D itself, come from one stencil evaluation for all rows."""
+    L, D, (_, _, mixed) = diffops.mixed_hessians(density, np.array(coords))
+    return L, hermitian_part(-mixed) * D[:, None, None]
 
 
-def _map_jets(f: ChartedMap, zs) -> list:
-    """(df, f(z)) at each base point, f(z) from the Jacobian's dual pass."""
-    return [(holo, fz) for holo, _, fz in map(f.jacobians, zs)]
+def _map_jets(f: ChartedMap, zs):
+    """(df, f(z)) at the base points zs as (N, n, m) and (N, n) stacks, from
+    one Jacobian dual pass per point: f(z) is the point's own dual value,
+    which centres the target's fd stencils."""
+    jets = [f.jacobians(z) for z in zs]
+    return np.array([holo for holo, _, _ in jets]), np.array([fz for _, _, fz in jets])
 
 
 def _s1_sides(f: ChartedMap, h: HermitianMetricField, g, Ps, weight=None):
-    """What the S1 family and the exact identities share, at each of the
-    bundle points Ps on one fiber chart: (ddbar Y, (ddbar log H^{-1}) Y,
-    -C/H, H, (df, f(z))), with C the target curvature term embedded in the
-    base block of the combined chart."""
-    sides, tm = _density_hessian_sides(f, h, g, Ps, weight)
-    jets = _map_jets(f, [P.z for P in Ps])
-    curvatures = _target_curvature(g, np.array([fz for _, fz in jets]))
-    out = []
-    for P, (lhs, taut), jet, (K, _) in zip(Ps, sides, jets, curvatures):
-        H_val = tm.H_value(P)
-        C = _embed_base_block(_target_curvature_term(K, jet[0], P.W_affine), f.m,
-                              _combined_dim(f.m))
-        out.append((lhs, taut, C.scaled(-1.0 / H_val), H_val, jet))
-    return out
+    """What the S1 family and the exact identities share, at the bundle
+    points Ps on one fiber chart, as stacks: ddbar Y, (ddbar log H^{-1}) Y,
+    -C/H, H and the map jets (df, f(z)), with C the target curvature term
+    embedded in the base block of the combined chart."""
+    L, T = _density_hessian_sides(f, h, g, Ps, weight)
+    holo, fz = jets = _map_jets(f, [P.z for P in Ps])
+    K, _ = _target_curvature(g, fz)
+    tm = TautologicalMetric(h, weight=weight)
+    H = np.array([tm.H_value(P) for P in Ps])
+    C = _target_curvature_term(K, holo, np.array([P.W_affine for P in Ps]))
+    minus_C = embedded(C, range(f.m), _combined_dim(f.m)) * (-1.0 / H)[:, None, None]
+    return L, T, minus_C, H, jets
 
 
-def _embed_base_block(C: np.ndarray, m: int, dim: int) -> Form11:
-    return Form11.embed(C, list(range(m)), dim)
-
-
-def _target_curvature(g, ps) -> list:
-    """(K, g) at each point of the stack ps: the target curvature as
-    K[k, l, i, j], with (k, l) paired with df and conj(df) and (i, j) with F
-    and conj(F), and the checked metric matrix there.  K is the Chern tensor
-    of a Hermitian g, the Riemann tensor R_{kjil} of a Riemannian one.  One
-    metric jet serves the whole stack."""
+def _target_curvature(g, ps):
+    """(K, g) at the stack of points ps, sample axis first: the target
+    curvature as K[k, l, i, j], with (k, l) paired with df and conj(df) and
+    (i, j) with F and conj(F), and the checked metric matrix there.  K is
+    the Chern tensor of a Hermitian g, the Riemann tensor R_{kjil} of a
+    Riemannian one.  One metric jet serves the whole stack."""
     if isinstance(g, HermitianMetricField):
-        return [(t.array, t.metric_value) for t in chern_curvature(g, ps)]
-    return [(t.array.transpose(0, 3, 2, 1), t.metric_value)
-            for t in riemann_curvature(g, ps)]
+        tensors = chern_curvature(g, ps)
+        K = np.array([t.array for t in tensors])
+    else:
+        tensors = riemann_curvature(g, ps)
+        K = np.array([t.array for t in tensors]).transpose(0, 1, 4, 3, 2)
+    return K, np.array([t.metric_value for t in tensors])
 
 
 def _target_curvature_term(K: np.ndarray, holo: np.ndarray, W: np.ndarray) -> np.ndarray:
     """The target curvature K (as ``_target_curvature`` gives it) contracted
-    with df and F = df W,
+    with df and F = df W at each sample,
 
         C_{a bbar} = K_{k lbar i jbar} f^k_a conj(f^l_b) F^i conj(F^j).
 
     For a map into a real chart conj(f^l_b) is f^l_{bbar}.
     """
-    F = holo @ W
-    C = np.einsum("klij,ka,lb,i,j->ab", K, holo, holo.conj(), F, F.conj())
+    F = (holo @ W[..., None])[..., 0]
+    C = np.einsum("Zklij,Zka,Zlb,Zi,Zj->Zab", K, holo, holo.conj(), F, F.conj())
     _require_hermitian(C, "target curvature term")
     return C
 
 
+def _pairing(G: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """G_{ij} A^i_a conj(A^j_b) at each sample of the stacks G (N, n, n) and
+    A (N, n, d), from one einsum.  einsum groups the two sums of a 1 x 1
+    result (d = 1) by the size of the stack, so A gets a zero column, which
+    makes no result 1 x 1 and adds no term to any sum: each sample's
+    result is then that of its stack of one."""
+    d = A.shape[-1]
+    padded = np.zeros(A.shape[:-1] + (d + 1,), complex)
+    padded[..., :d] = A
+    return np.einsum("Zij,Zia,Zjb->Zab", G, padded, padded.conj())[:, :d, :d]
+
+
 def _require_hermitian(C: np.ndarray, what: str):
-    scale = max(1.0, float(np.abs(C).max()))
-    defect = float(np.abs(C - C.conj().T).max())
-    if not defect <= 1e-8 * scale:      # a NaN defect fails too
+    """Each matrix of the stack C is Hermitian to 1e-8 of max(1, max |C|);
+    the first that is not raises."""
+    k, defect = first_failing(sample_max(C - np.swapaxes(C, 1, 2).conj()),
+                              sample_max(C), 1e-8)
+    if k is not None:
         raise ValidationError(f"{what} is not Hermitian: defect {defect:.3e}")
 
 
@@ -193,7 +222,7 @@ def _flat_scalar_target():
 # the W form
 
 def assemble_W_form(f: ChartedMap, h: HermitianMetricField, g, P: BundlePoint,
-                    weight=None, *, jet=None, connection=None) -> Form11:
+                    weight=None) -> Form11:
     """The semi-positive (1,1)-form W on P(T_M),
 
         W = g_{ij} (dF^i + F^i dlog H^{-1} + T^i) wedge conj( ... )
@@ -201,56 +230,49 @@ def assemble_W_form(f: ChartedMap, h: HermitianMetricField, g, P: BundlePoint,
     with F^i = f^i_a W^a and the connection correction T^i built from the
     target's connection (``maps.target_christoffels``): Chern for a complex
     target, which needs a holomorphic map, Levi-Civita for a Riemannian one.
-    ``jet`` is (df, f(z)) at P.z and ``connection`` the target's (g,
-    Christoffel symbols) at f(z) (``maps.target_christoffels``), when the
-    caller has them already; g(f(z)) is the matrix the connection's jet
-    holds, not a rule call of its own.
+    The W form of the stack of one, P (``_w_forms``).
     Positive semidefinite by construction; certified spectrally by callers.
     """
+    return Form11._of_hermitian(_w_forms(f, h, g, [P], weight)[0])
+
+
+def _w_forms(f: ChartedMap, h: HermitianMetricField, g, Ps, weight=None,
+             jets=None) -> np.ndarray:
+    """The matrices of the W form at the bundle points Ps, which share
+    their fiber chart, as one stack.  ``jets`` are the map jets (df, f(z))
+    at the Ps (``_map_jets``) when the caller has them already.  The
+    target's connection at every f(z) comes from one stacked call, with
+    g(f(z)) the matrix its jet holds; the second derivatives of f and
+    dlog H are dual passes, one per point."""
     if isinstance(g, HermitianMetricField) and not f.holomorphic:
         raise ValidationError("the W form into a complex target needs a "
                               "holomorphic map")
 
     m, n = f.m, f.n
     dim = _combined_dim(m)
-    holo, fz = jet if jet is not None else _map_jets(f, [P.z])[0]
-    sec = f.second_holo(P.z)
-    W_aff = P.W_affine
-    F = holo @ W_aff
-    G, gamma = connection if connection is not None \
-        else maps_mod.target_christoffels(g, fz)
-    T_base = np.einsum("ipk,k,pa->ia", gamma, F, holo)
+    holo, fz = jets if jets is not None else _map_jets(f, [P.z for P in Ps])
+    sec = np.array([f.second_holo(P.z) for P in Ps])
+    W = np.array([P.W_affine for P in Ps])
+    F = (holo @ W[..., None])[..., 0]
+    G, gamma = maps_mod.target_christoffels(g, fz)
+    T_base = np.einsum("Zipk,Zk,Zpa->Zia", gamma, F, holo)
 
-    tm = TautologicalMetric(h, weight=weight)
-    logH = tm.log_H_field(P.chart_index)
-    dlogH = diffops.wirtinger_gradient(logH, P.combined(), backend="dual")
+    logH = TautologicalMetric(h, weight=weight).log_H_field(Ps[0].chart_index)
+    dlogH = diffops.wirtinger_gradient(logH, np.array([P.combined() for P in Ps]),
+                                       backend="dual")
 
-    fiber_idx = [a for a in range(m) if a != P.chart_index]
-    V = np.zeros((n, dim), complex)
-    for i in range(n):
-        V[i, :m] = sec[i] @ W_aff + T_base[i]
-        for s, a in enumerate(fiber_idx):
-            V[i, m + s] = holo[i, a]
-        V[i, :] += F[i] * (-dlogH)
-    Wmat = np.einsum("ij,iA,jB->AB", G, V, V.conj())
-    return Form11(Wmat)
-
-
-def _w_forms(f: ChartedMap, h: HermitianMetricField, g, Ps, weight=None,
-             jets=None) -> list:
-    """The W form at each of the bundle points Ps; the target's Christoffel
-    symbols at every f(z) come from one stacked call.  ``jets`` are the
-    (df, f(z)) at the Ps when the caller has them already."""
-    if jets is None:
-        jets = _map_jets(f, [P.z for P in Ps])
-    connections = maps_mod.target_christoffels(g, np.array([fz for _, fz in jets]))
-    return [assemble_W_form(f, h, g, P, weight, jet=jet, connection=connection)
-            for P, jet, connection in zip(Ps, jets, connections)]
+    fiber_idx = [a for a in range(m) if a != Ps[0].chart_index]
+    V = np.empty((len(Ps), n, dim), complex)
+    V[:, :, :m] = (sec @ W[:, None, :, None])[..., 0] + T_base
+    V[:, :, m:] = holo[:, :, fiber_idx]
+    V += F[:, :, None] * (-dlogH)[:, None, :]
+    return hermitian_part(_pairing(G, V))       # g_{ij} V^i_A conj(V^j_B)
 
 
 def _w_psd(f, h, g, Ps, weight=None) -> list:
     """W_psd's evaluator: the smallest eigenvalue of the W form at each of Ps."""
-    return [{"min_eigenvalue": W.min_eigenvalue()} for W in _w_forms(f, h, g, Ps, weight)]
+    return [{"min_eigenvalue": float(lam)}
+            for lam in eigenvalues(_w_forms(f, h, g, Ps, weight))[:, 0]]
 
 
 # ---------------------------------------------------------------------------
@@ -279,30 +301,30 @@ def _exact_identities(f, h, g, Ps, weight=None, *, holomorphic: bool) -> list:
     if not holomorphic and complex_target:
         raise NotApplicable("exact_pluri needs a Riemannian target")
 
-    sides = _s1_sides(f, h, g, Ps, weight)
-    Wforms = _w_forms(f, h, g, Ps, weight, jets=[jet for *_, jet in sides])
-    out = []
-    for (lhs, taut, minus_C, H_val, _), Wform in zip(sides, Wforms):
-        rhs = taut + Wform.scaled(1.0 / H_val) + minus_C
-        scale = max(1.0, lhs.max_abs())
-        resid = float(np.abs(lhs.matrix - rhs.matrix).max()) / scale
-        out.append({
-            "residual": resid,
-            "scale": scale,
-            "lhs": lhs,
-            "rhs": rhs,
-            "w_min_eigenvalue": Wform.min_eigenvalue(),
-        })
-    return out
+    L, T, minus_C, H, jets = _s1_sides(f, h, g, Ps, weight)
+    Wm = _w_forms(f, h, g, Ps, weight, jets=jets)
+    rhs = T + Wm * (1.0 / H)[:, None, None] + minus_C
+    scale = _scales(L)
+    resid = sample_max(L - rhs) / scale
+    w_min = eigenvalues(Wm)[:, 0]
+    return [{"residual": float(resid[k]), "scale": float(scale[k]),
+             "lhs": Form11._of_hermitian(L[k]), "rhs": Form11._of_hermitian(rhs[k]),
+             "w_min_eigenvalue": float(w_min[k])} for k in range(len(Ps))]
+
+
+def _scales(lhs: np.ndarray) -> np.ndarray:
+    """max(1, max |LHS|) of each sample."""
+    # fmax(nan, 1) is 1, as Python's max(1.0, nan) is
+    return np.fmax(sample_max(lhs), 1.0)
 
 
 # ---------------------------------------------------------------------------
 # form inequalities
 
-def _s01_sides(f: ChartedMap, h: HermitianMetricField, g, zs) -> list:
-    """[(ddbar u, RHS matrix, h^{a bbar})] of the base-chart Hessian
-    estimates at each of the base points zs: S01 for a complex target, its
-    pluri-harmonic analogue (hessian) for a Riemannian one.  The trace
+def _s01_sides(f: ChartedMap, h: HermitianMetricField, g, zs):
+    """(ddbar u, RHS matrix, h^{a bbar}) of the base-chart Hessian
+    estimates at the base points zs, as stacks: S01 for a complex target,
+    its pluri-harmonic analogue (hessian) for a Riemannian one.  The trace
     suites contract both sides with the returned h^{a bbar}.  The RHS is
 
         R^h_{a bbar g dbar} h^{m dbar} h^{g nbar} g_{ij} f^i_m conj(f^j_n)
@@ -310,24 +332,20 @@ def _s01_sides(f: ChartedMap, h: HermitianMetricField, g, zs) -> list:
     """
     zs = np.asarray(zs, complex)
     # one stencil gives ddbar u and the jet of h behind the source Chern tensor
-    u_jets = diffops.wirtinger_hessian(maps_mod.u_field(f, h, g), zs, backend="fd")
-    Hs = h.check_stack(np.array([H for _, _, (H, _, _) in u_jets]), zs)
-    source = [_chern_tensor(H, dz, mixed, z)
-              for H, (_, _, (_, dz, mixed)), z in zip(Hs, u_jets, zs)]
-    jets = _map_jets(f, zs)
-    target = _target_curvature(g, np.array([fz for _, fz in jets]))
-    out = []
-    for (L, _, _), H, Rh, (holo, _), (K, G) in zip(u_jets, Hs, source, jets, target):
-        holo_bar = holo.conj()
-        hup = np.linalg.inv(H).conj()
-        P_mat = np.einsum("ij,im,jn->mn", G, holo, holo_bar)
-        E = np.einsum("mn,km,ln->kl", hup, holo, holo_bar)
-        second = np.einsum("ijkl,ia,jb,kl->ab", K, holo, holo_bar, E)
-        first = np.einsum("abgd,md,gn,mn->ab", Rh.array, hup, hup, P_mat)
-        _require_hermitian(first, "source curvature term")
-        _require_hermitian(second, "target curvature term")
-        out.append((L, first - second, hup))
-    return out
+    L, _, (M, dz, mixed) = diffops.mixed_hessians(maps_mod.u_field(f, h, g), zs)
+    H = h.check_stack(M, zs)
+    Rh = chern_arrays(H, dz, mixed, zs)
+    holo, fz = _map_jets(f, zs)
+    K, G = _target_curvature(g, fz)
+    holo_bar = holo.conj()
+    hup = np.linalg.inv(H).conj()
+    P = _pairing(G, holo)                       # g_{ij} f^i_m conj(f^j_n)
+    E = _pairing(hup, holo.swapaxes(1, 2))      # h^{m nbar} f^k_m conj(f^l_n)
+    second = np.einsum("Zijkl,Zia,Zjb,Zkl->Zab", K, holo, holo_bar, E)
+    first = np.einsum("Zabgd,Zmd,Zgn,Zmn->Zab", Rh, hup, hup, P)
+    _require_hermitian(first, "source curvature term")
+    _require_hermitian(second, "target curvature term")
+    return L, first - second, hup
 
 
 def verify_form_inequality(suite: str, f: ChartedMap, h: HermitianMetricField,
@@ -347,58 +365,62 @@ def _form_inequalities(suite, f, h, g, pts, phi=None) -> list:
     return row.evaluate(f, h, g, pts, phi if row.weighted else None)
 
 
-def _forms(sides) -> list:
-    """The outputs of ``verify_form_inequality`` for [(LHS, RHS)] Form11 pairs."""
-    out = []
-    for lhs, rhs in sides:
-        residual = lhs - rhs
-        out.append({
-            "min_eigenvalue": residual.min_eigenvalue(),
-            "scale": max(1.0, lhs.max_abs()),
-            "lhs": lhs,
-            "rhs": rhs,
-            "residual_form": residual,
-        })
-    return out
+def _forms(lhs: np.ndarray, rhs: np.ndarray) -> list:
+    """The outputs of ``verify_form_inequality`` for the stacks of the two
+    sides, with one eigvalsh for the stack of their differences."""
+    residual = lhs - rhs
+    lam = eigenvalues(residual)[:, 0]
+    scale = _scales(lhs)
+    return [{"min_eigenvalue": float(lam[k]),
+             "scale": float(scale[k]),
+             "lhs": Form11._of_hermitian(lhs[k]),
+             "rhs": Form11._of_hermitian(rhs[k]),
+             "residual_form": Form11._of_hermitian(residual[k])}
+            for k in range(len(lhs))]
 
 
 def _s_minus1(f, h, g, Ps, weight=None) -> list:
     """S_minus1's evaluator: the density of f into the flat C, whatever g is."""
-    return _forms(_density_hessian_sides(f, h, _flat_scalar_target(), Ps)[0])
+    return _forms(*_density_hessian_sides(f, h, _flat_scalar_target(), Ps))
 
 
 def _s1_family(f, h, g, Ps, weight=None) -> list:
     """The evaluator of S1 and S11, and of S03 with the conformal weight."""
-    return _forms([(lhs, taut + minus_C) for lhs, taut, minus_C, _, _
-                   in _s1_sides(f, h, g, Ps, weight)])
+    L, T, minus_C, _, _ = _s1_sides(f, h, g, Ps, weight)
+    return _forms(L, T + minus_C)
 
 
 def _s01_family(f, h, g, pts, weight=None) -> list:
     """The evaluator of S01 and hessian, at base points or at the base
     points of bundle points."""
     zs = [pt.z if isinstance(pt, BundlePoint) else pt for pt in pts]
-    return _forms([(lhs, Form11(rhs_mat)) for lhs, rhs_mat, _ in _s01_sides(f, h, g, zs)])
+    L, rhs, _ = _s01_sides(f, h, g, zs)
+    return _forms(L, hermitian_part(rhs))
 
 
 def _s2(f, h, g, Qs, weight=None) -> list:
     """S2's evaluator at covector points Qs, whose fiber coordinates are the
-    covector X."""
+    covector X.  The source curvature term
+
+        C_{a bbar} = R^h_{a bbar g dbar} h^{g nbar} conj(v_n) h^{m dbar} v_m
+
+    with v_m = X^k f^k_m is contracted one index at a time."""
     tm1 = _covector_tautological(f, g)
-    y1_sides = _hessian_sides(maps_mod.Y1_field(f, h, g, Qs[0].chart_index),
-                              [Q.combined() for Q in Qs])
+    L, T = _hessian_sides(maps_mod.Y1_field(f, h, g, Qs[0].chart_index),
+                          [Q.combined() for Q in Qs])
     source = chern_curvature(h, np.array([Q.z for Q in Qs]))
+    holo, _ = _map_jets(f, [Q.z for Q in Qs])
+    X = np.array([Q.W_affine for Q in Qs])
+    Rh = np.array([t.array for t in source])
+    hup = np.linalg.inv(np.array([t.metric_value for t in source])).conj()
+    v = np.einsum("Zk,Zkm->Zm", X, holo)
+    s = np.einsum("Zm,Zmd->Zd", v, hup)
+    t = np.einsum("Zgn,Zn->Zg", hup, v.conj())
+    C = np.einsum("Zabg,Zg->Zab", np.einsum("Zabgd,Zd->Zabg", Rh, s), t)
+    _require_hermitian(C, "source curvature term")
+    H1 = np.array([tm1.H_raw(Q) for Q in Qs])
     dim = f.m + max(f.n - 1, 0)
-    sides = []
-    for Q, (L, T), Rh in zip(Qs, y1_sides, source):
-        holo = f.jacobians(Q.z)[0]
-        X = Q.W_affine
-        hup = np.linalg.inv(Rh.metric_value).conj()
-        C = np.einsum("abgd,gn,md,km,ln,k,l->ab", Rh.array, hup, hup,
-                      holo, holo.conj(), X, X.conj())
-        _require_hermitian(C, "source curvature term")
-        H1_val = tm1.H_raw(Q)
-        sides.append((L, T + _embed_base_block(C, f.m, dim).scaled(1.0 / H1_val)))
-    return _forms(sides)
+    return _forms(L, T + embedded(C, range(f.m), dim) * (1.0 / H1)[:, None, None])
 
 
 def _s3(f, h, g, Rs, weight=None) -> list:
@@ -412,14 +434,12 @@ def _s3(f, h, g, Rs, weight=None) -> list:
     # on the (z, w) and (z, x) sub-charts, whose fd steps are those of
     # the nested chart only when m, n > 1
     y2 = maps_mod.Y2_field(f, h, g, Rs[0].P.chart_index, Rs[0].x_chart_index)
-    lhs = diffops.wirtinger_hessian(y2, np.array([R.combined() for R in Rs]),
-                                    backend="fd")
-    curv = tautological_curvature(TautologicalMetric(h), [R.P for R in Rs])
+    L, D, _ = diffops.mixed_hessians(y2, np.array([R.combined() for R in Rs]))
+    T = curvature_matrices(TautologicalMetric(h), [R.P for R in Rs])
     Qs = [BundlePoint.make(R.P.z, R.X, R.x_chart_index) for R in Rs]   # (z, [X])
-    curv1 = tautological_curvature(_covector_tautological(f, g), Qs)
-    return _forms([(L, (Form11.embed(T.matrix, zw_idx, dim)
-                        + Form11.embed(T1.matrix, zx_idx, dim)).scaled(float(D)))
-                   for (L, D, _), T, T1 in zip(lhs, curv, curv1)])
+    T1 = curvature_matrices(_covector_tautological(f, g), Qs)
+    return _forms(L, (embedded(T, zw_idx, dim) + embedded(T1, zx_idx, dim))
+                  * D[:, None, None])
 
 
 def _covector_tautological(f: ChartedMap, g: HermitianMetricField) -> TautologicalMetric:
@@ -439,13 +459,15 @@ def verify_trace_inequality(suite: str, f: ChartedMap, h: HermitianMetricField,
 def _trace_inequalities(f, h, g, zs, weight=None) -> list:
     """The trace suites' evaluator: ``verify_trace_inequality`` at each of
     the base points zs."""
-    out = []
-    for lhs_form, rhs_mat, hup in _s01_sides(f, h, g, zs):
-        lhs = float(np.real(np.einsum("ab,ab->", hup, lhs_form.matrix)))
-        rhs = float(np.real(np.einsum("ab,ab->", hup, rhs_mat)))
-        scale = max(1.0, abs(lhs), abs(rhs))
-        out.append({"residual": lhs - rhs, "lhs": lhs, "rhs": rhs, "scale": scale})
-    return out
+    L, R, hup = _s01_sides(f, h, g, zs)
+    # h^{a bbar} A_{a bbar} over one flattened index: two summed indices
+    # with a 1 x 1 result are grouped by the stack's size (see _pairing)
+    N, m = len(hup), f.m
+    flat = hup.reshape(N, m * m)
+    lhs = np.einsum("Zk,Zk->Z", flat, L.reshape(N, m * m)).real.tolist()
+    rhs = np.einsum("Zk,Zk->Z", flat, R.reshape(N, m * m)).real.tolist()
+    return [{"residual": l - r, "lhs": l, "rhs": r, "scale": max(1.0, abs(l), abs(r))}
+            for l, r in zip(lhs, rhs)]
 
 
 # ---------------------------------------------------------------------------

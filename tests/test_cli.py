@@ -306,7 +306,7 @@ tol_exact: 1.0e-30
 
     def test_log_of_a_negative_real_map_exit_two(self, tmp_path):
         # log of a negative real is a NaN value (DomainError at a point), and
-        # the map's real-valuedness check rejects it naming the map
+        # the map's check rejects it as not finite, naming the map and point
         plan = tmp_path / "plan.yaml"
         report = tmp_path / "report.json"
         plan.write_text(f"""
@@ -321,7 +321,7 @@ report: {report}
         assert cli.main(["verify", "--config", str(plan)]) == 2
         doc = json.loads(report.read_text())
         assert doc["verdict"] == "error"
-        assert doc["error"].startswith("map 'inline-map' into a real chart is not real-valued")
+        assert doc["error"].startswith("map 'inline-map' is not finite at [0.+0.j]: f(z) = ")
 
     def test_non_numeric_plan_value_exit_two(self, tmp_path, capsys):
         # used to escape main as a ValueError traceback, exit code 1

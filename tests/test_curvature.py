@@ -360,7 +360,7 @@ class TestCurvatureChecksFailClosed:
         H, dz = np.eye(2, dtype=complex), np.zeros((2, 2, 2), complex)
         mixed = np.full((2, 2, 2, 2), np.nan, complex)
         with pytest.raises(ValidationError, match="Hermitian-symmetry defect nan"):
-            cv._chern_tensor(H, dz, mixed, np.zeros(2))
+            cv.chern_arrays(H[None], dz[None], mixed[None], np.zeros((1, 2)))
 
     def test_nan_chern_jet(self):
         # g checks out at the point (the stencil centre), its jet is NaN

@@ -8,8 +8,8 @@ from projcurv import config, zoo
 from projcurv import dual as gm
 from projcurv.charts import ComplexChart, RealChart
 from projcurv.errors import ValidationError
-from projcurv.fields import (STACK_CHUNK, Form11, HermitianMetricField,
-                             RiemannianMetricField, plain_values, rule_values)
+from projcurv.fields import (STACK_CHUNK, Form11, HermitianMetricField, RiemannianMetricField,
+                             eigenvalues, embedded, plain_values, rule_values)
 
 from conftest import STACK_METRICS, assert_within_ulps, fs_rule, pole_at, stack_metric
 
@@ -49,15 +49,30 @@ class TestForm11:
         assert Form11(np.zeros((2, 2))).min_eigenvalue() == pytest.approx(0.0)
         assert Form11(np.diag([2.0, -3.0])).min_eigenvalue() == pytest.approx(-3.0)
 
+    def test_eigenvalues_of_a_stack_are_nan_only_where_not_finite(self):
+        # eigvalsh reads one triangle, so a NaN in the other one alone would
+        # give finite eigenvalues; such a matrix has NaN ones, and the other
+        # matrices of its stack keep theirs
+        A = np.array([np.diag([1.0, 2.0]), [[1.0, np.nan], [0.0, 1.0]],
+                      [[0.0, np.inf], [np.inf, 0.0]], np.diag([-3.0, 4.0])], complex)
+        lam = eigenvalues(A)
+        assert np.isnan(lam[1:3]).all()
+        assert np.array_equal(lam[[0, 3]], np.linalg.eigvalsh(A[[0, 3]]))
+        for k, M in enumerate(A):
+            assert np.array_equal(eigenvalues(M), lam[k], equal_nan=True)
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValidationError):
             Form11(np.eye(2)).evaluate([1, 0, 0])
 
     def test_embed(self):
         sub = np.array([[2.0]])
-        form = Form11.embed(sub, [1], 3)
-        assert form.matrix[1, 1] == 2.0
-        assert np.count_nonzero(form.matrix) == 1
+        A = embedded(sub, [1], 3)
+        assert A[1, 1] == 2.0
+        assert np.count_nonzero(A) == 1
+        # each matrix of a stack in its own place
+        stack = embedded(np.array([[[2.0]], [[3.0]]]), [1], 3)
+        assert np.array_equal(stack, np.stack([A, 1.5 * A]))
 
 
 class TestMetricValidation:

@@ -18,6 +18,7 @@ import pytest
 
 from projcurv import dual as gm
 from projcurv.charts import ComplexChart
+from projcurv.errors import DomainError
 from projcurv.fields import (NUMBER_ERRORS, STACK_CHUNK, HermitianMetricField,
                              RuleShapeError, plain_values)
 
@@ -151,7 +152,8 @@ def test_a_power_acts_entry_by_entry(entries, exponent):
 
 
 def _in_log_domain(values):
-    return [v for v in values if _scalar(gm.log, v) is not ValueError]
+    """The values at which ``dual.log`` raises no DomainError."""
+    return [v for v in values if _scalar(gm.log, v) is not DomainError]
 
 
 @pytest.mark.parametrize("domain", ["all entries", "log's domain"])
@@ -161,11 +163,7 @@ def test_a_generic_function_acts_entry_by_entry(name, entries, domain):
     fn, values = UNARY[name], ENTRY_SETS[entries]
     if domain == "log's domain":
         values = _in_log_domain(values)
-    if any(_scalar(fn, v) is ValueError for v in values):
-        # a domain error at any point is one for the whole array
-        with np.errstate(all="ignore"), pytest.raises(ValueError, match="math domain error"):
-            fn(np.array(values))
-        return
+        assert values
     _assert_entries(fn, (np.array(values),), [(v,) for v in values])
 
 

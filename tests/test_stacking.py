@@ -17,24 +17,37 @@ from projcurv.bundle import (BundlePoint, TautologicalMetric, affine_rows,
                              tautological_curvature)
 from projcurv.charts import ComplexChart, RealChart
 from projcurv.errors import ChartDomainError
-from projcurv.curvature import (_chern_tensor, chern_curvature,
+from projcurv.curvature import (chern_arrays, chern_curvature,
                                 levi_civita_christoffels, riemann_curvature)
 from projcurv.fields import (Form11, HermitianMetricField, RiemannianMetricField,
                              ScalarField)
 from projcurv.maps import ChartedMap, NestedBundlePoint
 
-from conftest import ULP_BUDGET, assert_within_ulps, nan_on_right_half
+from conftest import (STACK_METRICS, ULP_BUDGET, assert_within_ulps, nan_on_right_half,
+                      stack_metric)
 
 STACK = 7
 
 
+# pairs built from zoo entries: (source dim, target, map matrix).  The zoo
+# has no m = 3 pair, and its m = 1, n = 2 and m = 2, n = 1 pairs have flat
+# or diagonal metrics there, whose exact zeros hide how a contraction
+# groups its sums
+LINEAR_PAIRS = {"fs3-to-ball3": (3, ("poincare-ball", {"dim": 3, "radius": 0.38}),
+                                 0.4 * np.eye(3)),
+                "line-in-ball": (1, ("poincare-ball", {"dim": 2, "radius": 0.38}),
+                                 [[0.3], [0.2]]),
+                "ball-to-disc": (2, ("poincare-disc", {}), [[0.3, 0.2]])}
+
+
 @functools.cache
 def build_pair(name):
-    if name != "fs3-to-ball3":
+    if name not in LINEAR_PAIRS:
         return zoo.build_entry(name).obj
-    h = zoo.build_entry("fubini-study", {"dim": 3, "radius": 0.9}).obj
-    g = zoo.build_entry("poincare-ball", {"dim": 3, "radius": 0.38}).obj
-    f = zoo.build_map("linear", {"matrix": (0.4 * np.eye(3)).tolist()}, h.chart, g.chart)
+    m, target, matrix = LINEAR_PAIRS[name]
+    h = zoo.build_entry("fubini-study", {"dim": m, "radius": 0.9}).obj
+    g = zoo.build_entry(*target).obj
+    f = zoo.build_map("linear", {"matrix": np.asarray(matrix).tolist()}, h.chart, g.chart)
     return V.PairContext(f=f, h=h, g=g, name=name)
 
 
@@ -112,9 +125,10 @@ def test_stacked_jets_equal_per_point_jets(name):
         else:
             for got, x in zip(riemann_curvature(metric, points), points):
                 assert np.array_equal(got.array, riemann_curvature(metric, x).array)
-            for (G, Gamma), x in zip(levi_civita_christoffels(metric, points), points):
+            G, Gamma = levi_civita_christoffels(metric, points)
+            for k, x in enumerate(points):
                 want_G, want_Gamma = levi_civita_christoffels(metric, x)
-                assert np.array_equal(G, want_G) and np.array_equal(Gamma, want_Gamma)
+                assert np.array_equal(G[k], want_G) and np.array_equal(Gamma[k], want_Gamma)
     for got, P in zip(tautological_curvature(TautologicalMetric(h), Ps), Ps):
         assert np.array_equal(got.matrix,
                               tautological_curvature(TautologicalMetric(h), P).matrix)
@@ -134,6 +148,40 @@ def test_a_metric_matrix_is_its_stack_of_one(name):
         for k, x in enumerate(points):
             assert_within_ulps(stack[k], metric.matrix(x), axes=(-2, -1))
             assert np.array_equal(metric.matrix(x), metric.matrices(x[None])[0])
+
+
+def curvature_parts(metric, points):
+    """What the curvature entry points give at a stack of points, as lists
+    of arrays, one per point: the Chern tensor and its metric value, or the
+    Riemann tensor, its metric value and the checked Christoffel symbols."""
+    if isinstance(metric, HermitianMetricField):
+        return [[t.array, t.metric_value] for t in chern_curvature(metric, points)]
+    G, Gamma = levi_civita_christoffels(metric, points, check_compatibility=True)
+    return [[t.array, t.metric_value, G[k], Gamma[k]]
+            for k, t in enumerate(riemann_curvature(metric, points))]
+
+
+@pytest.mark.parametrize("kind,name", STACK_METRICS + [("fs3-to-ball3", "h"),
+                                                       ("fs3-to-ball3", "g")])
+def test_curvature_tensors_of_a_stack_are_those_of_stacks_of_one(kind, name):
+    # one inverse and one contraction for a stack of 7 points give each
+    # point's tensors bit for bit as its stack of one and the point alone do
+    metric = getattr(build_pair(kind), name) if kind == "fs3-to-ball3" \
+        else stack_metric(kind, name)
+    points = metric.chart.sample(np.random.default_rng(21), 0.6, count=STACK)
+    stacked = curvature_parts(metric, points)
+    assert len(stacked) == STACK
+    for k, x in enumerate(points):
+        [one] = curvature_parts(metric, points[k:k + 1])
+        if isinstance(metric, HermitianMetricField):
+            t = chern_curvature(metric, x)
+            alone = [t.array, t.metric_value]
+        else:
+            t = riemann_curvature(metric, x)
+            alone = [t.array, t.metric_value,
+                     *levi_civita_christoffels(metric, x, check_compatibility=True)]
+        for got, want, point in zip(stacked[k], one, alone):
+            assert np.array_equal(got, want) and np.array_equal(got, point), (name, k)
 
 
 def alone(field):
@@ -183,7 +231,8 @@ def test_joint_jets_equal_the_separate_calls(name, count):
     for k, (z, (L, _, jet)) in enumerate(zip(zs, joint)):
         assert np.array_equal(L.matrix, density[k].matrix)
         assert all(np.array_equal(a, b[k]) for a, b in zip(jet, (M, dz, mixed)))
-        assert np.array_equal(_chern_tensor(*jet, z).array, chern_curvature(h, z).array)
+        assert np.array_equal(chern_arrays(*(part[None] for part in jet), z[None])[0],
+                              chern_curvature(h, z).array)
 
 
 def test_a_map_off_the_source_metric_chart_is_rejected():
@@ -219,7 +268,9 @@ def report_json(reports):
 
 
 @pytest.mark.parametrize("name,seed", [("fs-to-poincare", 0), ("pluri-poincare", 1),
-                                       ("fs2-to-ball", 2), ("pluri-m2-flat", 3)])
+                                       ("fs2-to-ball", 2), ("pluri-m2-flat", 3),
+                                       ("fs3-to-ball3", 4), ("line-in-ball", 0),
+                                       ("ball-to-disc", 1)])
 def test_grouped_runs_equal_one_sample_evaluations(monkeypatch, name, seed):
     p = build_pair(name)
     p.pluriharmonic
@@ -237,7 +288,9 @@ def test_grouped_runs_equal_one_sample_evaluations(monkeypatch, name, seed):
     alone = V.run_suite(p, V.SUITE_TAGS, samples=5, seed=seed)
     assert report_json(grouped) == report_json(alone)
     assert any(rep.status == "pass" for rep in grouped)
-    if p.f.m == 1:
+    # a bundle point has m fiber charts, and a covector point (S2 and S3,
+    # whose maps go into a complex target) n
+    if max(p.f.m, p.f.n if p.target_is_complex else 1) == 1:
         # one group of every sample
         assert sizes and all(s == [5] for s in sizes)
     else:
@@ -279,26 +332,44 @@ def test_a_failing_sample_is_its_own_error(monkeypatch, make, suites):
         assert f"at sample {bad[0]}, point {rep.points[bad[0]]}" in rep.message
 
 
-def test_nan_inside_a_stacked_pass_stays_with_its_sample():
+# the point of each suite at a base point z of the m = n = 1 half-NaN pair,
+# and whether the suite takes an fd stencil of f around z: the W form
+# reads f by dual passes at z alone
+NAN_SUITE_POINTS = {
+    "S1": (lambda z: BundlePoint.make(z, [1.0]), True),
+    "S01": (lambda z: z, True),
+    "S2": (lambda z: BundlePoint.make(z, [1.0]), True),
+    "S3": (lambda z: NestedBundlePoint.make(z, [1.0], [1.0]), True),
+    "exact_holo": (lambda z: BundlePoint.make(z, [1.0]), True),
+    "W_psd": (lambda z: BundlePoint.make(z, [1.0]), False),
+}
+
+
+@pytest.mark.parametrize("suite", NAN_SUITE_POINTS)
+def test_nan_inside_a_stacked_pass_stays_with_its_sample(suite):
     # the middle point lies left of the NaN half-plane, so no check sees a
     # NaN at it, but its stencil reaches across: only its Hessian is NaN,
-    # and the pass raises nothing
+    # and the pass raises nothing; every sample's value is its value alone
     p = half_nan_pair()
+    point, stencil = NAN_SUITE_POINTS[suite]
     step = diffops.step_for(p.f.source)
     zs = [np.array([-0.2 + 0.1j]), np.array([-0.5 * step + 0.05j]), np.array([-0.1 - 0.2j])]
-    Ps = [BundlePoint.make(z, [1.0]) for z in zs]
+    pts = [point(z) for z in zs]
     with np.errstate(invalid="ignore", divide="ignore"):
-        stacked = V._evaluate("S1", p, Ps, V._default_phi, 1e-6, 1e-4)
-        alone = [V._evaluate("S1", p, [P], V._default_phi, 1e-6, 1e-4)[0] for P in Ps]
+        stacked = V._evaluate(suite, p, pts, V._default_phi, 1e-6, 1e-4)
+        alone = [V._evaluate(suite, p, [pt], V._default_phi, 1e-6, 1e-4)[0] for pt in pts]
     values = [out[0] for out in stacked]
-    assert np.isnan(values[1])
     assert np.isfinite(values[0]) and np.isfinite(values[2])
-    assert [out[0] for out in alone][::2] == values[::2]
+    assert np.isnan(values[1]) == stencil
+    # NaN where alone it is NaN, and the same number everywhere else
+    assert np.array_equal(values, [out[0] for out in alone], equal_nan=True)
+    if not stencil:
+        return
     assert not stacked[1][1]            # a NaN never violates a band...
-    rep = V.VerificationReport(suite="S1", pair=p.name, status="pass", seed=0,
+    rep = V.VerificationReport(suite=suite, pair=p.name, status="pass", seed=0,
                                samples=3, tolerances={})
     for k, (value, violated, _) in enumerate(stacked):
-        V._record_sample(rep, k, Ps[k], value, violated)
+        V._record_sample(rep, k, pts[k], value, violated)
     assert rep.status == "error"        # ...and never passes
     assert rep.message.startswith("non-finite residual nan at sample 1")
 

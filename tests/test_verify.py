@@ -632,15 +632,16 @@ class TestRunSuite:
 
         counting(ChartedMap, "jacobians", "jacobians")
         counting(ChartedMap, "value", "value")
-        counting(V, "assemble_W_form", "w_form")
+        counting(V, "_w_forms", "w_form")
         for suite in suites:
             for key in calls:
                 calls[key] = 0
             [rep] = V.run_suite(p, [suite], samples=2, seed=0)
             assert rep.status == "pass"
             assert (calls["jacobians"], calls["value"]) == (2, 0), suite
-            # the exact identities still reach the W form through the module
-            assert calls["w_form"] == (2 if suite.startswith("exact") else 0)
+            # the exact identities take the W forms of both samples (m = 1:
+            # one fiber chart, one group) in one stacked pass
+            assert calls["w_form"] == (1 if suite.startswith("exact") else 0)
 
     def test_trace_suites_invert_h_once_per_sample(self, monkeypatch):
         # the trace used to invert h again after the RHS had (4 inverse_up
@@ -761,7 +762,7 @@ class TestFailClosed:
     def test_nan_curvature_term_is_not_hermitian(self):
         C = np.array([[1.0, np.nan], [0.0, 1.0]])
         with pytest.raises(ValidationError, match="target curvature term is not Hermitian"):
-            V._require_hermitian(C, "target curvature term")
+            V._require_hermitian(C[None], "target curvature term")
 
     def test_error_is_not_downgraded_by_later_samples(self):
         rep = V.VerificationReport(suite="S1", pair="p", status="pass", seed=0,
@@ -802,7 +803,7 @@ class TestFailClosed:
         base = pair("fs2-to-ball")
         rng = np.random.default_rng([0, V.SUITE_TAGS.index("W_psd")])
         [P] = V._draw_points("W_psd", base, rng, 1)
-        [(_, fz)] = V._map_jets(base.f, [P.z])
+        _, [fz] = V._map_jets(base.f, [P.z])
         p = dataclasses.replace(base, g=dataclasses.replace(
             base.g, rule=pole_at(base.g.rule, fz), validate_on_init=False))
         named = f"metric 'poincare-ball' has non-finite entries at {fz}"
