@@ -69,10 +69,15 @@ One stencil per chart and point.  A density and the metric it divides by
 live on the same chart at the same points, so a joint density field
 (``ScalarField.joint``) returns both from one rule call and
 ``wirtinger_hessian`` takes their jets from one stencil: Y and Y_phi with
-log H, Y1 with log H1, and u with the entries h_{a bbar} behind the source
-Chern tensor.  The rule computes the shared pairing once, and each output
-is assembled elementwise as it would be alone, so it is bit for bit the
-jet a separate call gives.
+log H, Y1 with log H1, Y2 with log H and log H1, and u with the entries
+h_{a bbar} behind the source Chern tensor.  The rule computes the shared
+pairing once, and each output is assembled elementwise as it would be
+alone, so it is bit for bit the jet a separate call gives.  Y2 lives on
+the (z, w, x) chart and log H and log H1 on its (z, w) and (z, x)
+sub-charts: a sub-chart's block of the Hessian is its own jet bit for bit
+when the two charts have one scale, and so one fd step, since the
+sub-chart's stencil is then the nested stencil's points with the other
+coordinates at the centre.
 
 Conventions.  On a complex chart with coordinates zeta^a = x^a + i y^a the
 real directions are ordered (x^0..x^{d-1}, y^0..y^{d-1}) and

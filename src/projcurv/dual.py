@@ -54,8 +54,8 @@ import numpy as np
 
 from .errors import DomainError
 
-__all__ = ["HyperDual", "exp", "log", "sqrt", "conj", "real", "imag", "abs2",
-           "pairing"]
+__all__ = ["HyperDual", "exp", "log", "sqrt", "power", "conj", "real", "imag",
+           "abs2", "pairing"]
 
 
 class HyperDual:
@@ -234,6 +234,18 @@ def sqrt(x):
     if isinstance(x, complex):
         return cmath.sqrt(x)
     return math.sqrt(x) if x >= 0 else cmath.sqrt(x)
+
+
+def power(x, p):
+    """x ** p, and on an array NaN where x is 0 and p has a nonzero
+    imaginary part: 0 to such a power raises ZeroDivisionError at a point,
+    where NumPy gives 0."""
+    out = x ** p
+    if isinstance(x, np.ndarray):
+        bad = (x == 0) & (np.imag(p) != 0)
+        if bad.any():
+            out = np.where(bad, np.nan, out)
+    return out
 
 
 # the types with a conjugate and parts of their own; a NumPy complex

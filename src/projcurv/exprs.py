@@ -5,7 +5,8 @@ charts, x1..xn on real charts, w1.. for fiber slots when present), the binary
 operators + - * / **, unary minus, and the calls exp, log, sqrt, conj, re,
 im, abs2.  Expressions are parsed with :mod:`ast` against a strict node
 whitelist and compiled to closures over the generic scalar math, so parsed
-rules evaluate under both differentiation backends.
+rules evaluate under both differentiation backends.  ``**`` is
+``dual.power``: 0 to a complex power is NaN on a stack, as at a point.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ _BINOPS = {
     ast.Sub: lambda a, b: a - b,
     ast.Mult: lambda a, b: a * b,
     ast.Div: lambda a, b: a / b,
-    ast.Pow: lambda a, b: a ** b,
+    ast.Pow: gm.power,
 }
 
 

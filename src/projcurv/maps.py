@@ -342,9 +342,12 @@ def Y1_field(f: ChartedMap, h: HermitianMetricField, g: HermitianMetricField,
 def Y2_field(f: ChartedMap, h: HermitianMetricField, g: HermitianMetricField,
              w_chart_index: int, x_chart_index: int) -> ScalarField:
     """Y2 as a joint field on the (z, w, x) chart of the nested bundle, with
-    the product H H1 it divides by as its rider, so that its Hessian hands
-    on Y2's value for S3's T D term.  S3 takes the curvatures of H and H1
-    from their own sub-chart stencils, not from this rider."""
+    (log H, log H1) as its rider, both from the H and H1 it divides by:
+    its Hessian hands on Y2's value for S3's T D term and the mixed jets
+    behind S3's curvatures T of H and T1 of H1.  log H takes the operations
+    of ``TautologicalMetric.log_H_field``, and log H1 those of the same
+    field over ``covector_metric_field``, except that f(z) is the
+    Jacobian's value slot, as for Y1."""
     m, n = f.m, f.n
 
     def rule(zs):
@@ -362,15 +365,14 @@ def Y2_field(f: ChartedMap, h: HermitianMetricField, g: HermitianMetricField,
         H = gm.pairing(h.matrix_generic(z), W, W)
         gup = _generic_inverse_up(g.matrix_generic(fz), n)
         H1 = gm.pairing(gup, X, X)
-        HH1 = gm.real(H) * gm.real(H1)
-        return gm.real(num) / HH1, HH1
+        return gm.real(num) / (gm.real(H) * gm.real(H1)), (gm.log(H), gm.log(H1))
 
     chart = f.source
     if m > 1:
         chart = chart.product(fiber_chart(m - 1))
     if n > 1:
         chart = chart.product(fiber_chart(n - 1))
-    return ScalarField.joint(chart, rule, "nested_density")
+    return ScalarField.joint(chart, rule, "nested_density", (2,))
 
 
 def u_field(f: ChartedMap, h: HermitianMetricField, g) -> ScalarField:

@@ -424,22 +424,35 @@ def _s2(f, h, g, Qs, weight=None) -> list:
 
 
 def _s3(f, h, g, Rs, weight=None) -> list:
-    """S3's evaluator at nested points Rs (z, [W], [X])."""
+    """S3's evaluator at nested points Rs (z, [W], [X]).
+
+    One stencil gives ddbar Y2 and both tautological curvatures: T of H
+    and T1 of H1 are -ddbar of the rider's log H and log H1, on the (z, w)
+    and (z, x) blocks.  Such a block is bit for bit the sub-chart's own
+    ``curvature_matrices`` when the sub-chart's scale, and so its fd step,
+    is the nested chart's: the sub-chart's stencil is then the nested
+    stencil's points with the other coordinates held at the centre.  The
+    scales differ only where the nested chart has fiber coordinates
+    (radius 1.1) that the sub-chart lacks and the source radius is below
+    1.1: the (z, w) chart for m = 1 < n, the (z, x) chart for n = 1 < m.
+    Such a sub-chart keeps its own stencil."""
     m, n = f.m, f.n
     dim = m + max(m - 1, 0) + max(n - 1, 0)
     zw_idx = list(range(m + max(m - 1, 0)))
     zx_idx = list(range(m)) + list(range(m + max(m - 1, 0), dim))
-
-    # the two tautological curvatures keep their own stencils: they live
-    # on the (z, w) and (z, x) sub-charts, whose fd steps are those of
-    # the nested chart only when m, n > 1
     y2 = maps_mod.Y2_field(f, h, g, Rs[0].P.chart_index, Rs[0].x_chart_index)
-    L, D, _ = diffops.mixed_hessians(y2, np.array([R.combined() for R in Rs]))
-    T = curvature_matrices(TautologicalMetric(h), [R.P for R in Rs])
-    Qs = [BundlePoint.make(R.P.z, R.X, R.x_chart_index) for R in Rs]   # (z, [X])
-    T1 = curvature_matrices(_covector_tautological(f, g), Qs)
-    return _forms(L, (embedded(T, zw_idx, dim) + embedded(T1, zx_idx, dim))
-                  * D[:, None, None])
+    L, D, (_, _, mixed) = diffops.mixed_hessians(y2, np.array([R.combined() for R in Rs]))
+    sides = ((TautologicalMetric(h), zw_idx, lambda: [R.P for R in Rs]),
+             (_covector_tautological(f, g), zx_idx,     # the points (z, [X])
+              lambda: [BundlePoint.make(R.P.z, R.X, R.x_chart_index) for R in Rs]))
+    blocks = []
+    for k, (tm, idx, points) in enumerate(sides):
+        if tm.combined_chart().scale == y2.chart.scale:
+            A = -hermitian_part(mixed[:, idx][:, :, idx, k])
+        else:
+            A = curvature_matrices(tm, points())
+        blocks.append(embedded(A, idx, dim))
+    return _forms(L, (blocks[0] + blocks[1]) * D[:, None, None])
 
 
 def _covector_tautological(f: ChartedMap, g: HermitianMetricField) -> TautologicalMetric:

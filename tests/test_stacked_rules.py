@@ -16,7 +16,7 @@ import re
 import numpy as np
 import pytest
 
-from projcurv import dual as gm
+from projcurv import dual as gm, exprs
 from projcurv.charts import ComplexChart
 from projcurv.errors import DomainError
 from projcurv.fields import (NUMBER_ERRORS, STACK_CHUNK, HermitianMetricField,
@@ -37,6 +37,8 @@ FIELD_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
              "/": operator.truediv}
 # the exponents of the zoo's and the tests' rules, and a few beside them
 EXPONENTS = [2, 3, -1, -3, 0, 1, 0.5, -0.5, 2.5, 2.0]
+# complex exponents, which an inline ``**`` raises to through ``dual.power``
+COMPLEX_EXPONENTS = [0.5 - 1j, 1j, -0.5 + 2j, 2 + 0j, -1 + 0j, 0.5 + 0j]
 UNARY = {"neg": operator.neg, "exp": gm.exp, "log": gm.log, "sqrt": gm.sqrt,
          "conj": gm.conj, "real": gm.real, "imag": gm.imag, "abs2": gm.abs2}
 TINY = np.finfo(float).tiny
@@ -80,7 +82,9 @@ def _named_gap(fn, args, want, got):
       the point's value is not: the imaginary part of a non-finite float
       (0.0 on a float array, 0.0 * x on a Python float), and a negative
       integer power of a complex infinity (0 on an array, where Python's
-      repeated product meets 0 * inf).
+      repeated product meets 0 * inf), and an infinity to a complex power
+      with a negative real part through ``dual.power`` (0 on an array,
+      where Python raises ZeroDivisionError).
     """
     if fn is operator.truediv:
         a, b = args
@@ -91,6 +95,9 @@ def _named_gap(fn, args, want, got):
         if isinstance(a, float):
             return a < 0 and isinstance(want, complex) and p != int(p) and np.isnan(got)
         return not _finite(a) and p == int(p) < 0 and got == 0
+    if fn is gm.power:
+        a, p = args
+        return not _finite(a) and p.real < 0 and want is ZeroDivisionError and got == 0
     if fn is gm.imag:
         return isinstance(args[0], float) and not _finite(args[0]) and got == 0
     return False
@@ -98,12 +105,13 @@ def _named_gap(fn, args, want, got):
 
 def _budget(fn, args):
     """The ulps an entry may differ from its point's value: ULP_BUDGET, and
-    for a complex number to a non-integer power that many ulps of its
-    exponent p log z.  NumPy takes exp(p log z), whose rounding of
-    p log|z| grows with it (158 ulps at (1e300 + 1e300j) ** -0.5), where
-    Python raises |z| to the power p."""
-    z, p = args if fn is operator.pow else (None, 0)
-    if isinstance(z, complex) and z != 0 and p != int(p):
+    for a complex number to a non-integer power, or any number to a
+    complex one, that many ulps of its exponent p log z.  NumPy takes
+    exp(p log z), whose rounding of p log|z| grows with it (158 ulps at
+    (1e300 + 1e300j) ** -0.5), where Python raises |z| to the power p."""
+    z, p = args if fn in (operator.pow, gm.power) else (None, 0)
+    if (isinstance(z, complex) or isinstance(p, complex)) and z != 0 \
+            and p != int(p.real):
         return ULP_BUDGET * max(1.0, abs(p * math.log(abs(z))))
     return ULP_BUDGET
 
@@ -120,7 +128,8 @@ def _assert_entries(fn, array_args, point_args):
         got = np.broadcast_to(fn(*array_args), (len(want),))
     for g, w, args in zip(got, want, point_args):
         if isinstance(w, type):
-            assert issubclass(w, NUMBER_ERRORS) and not _finite(g), (args, w, g)
+            assert issubclass(w, NUMBER_ERRORS), (args, w, g)
+            assert not _finite(g) or _named_gap(fn, args, w, g), (args, w, g)
         elif _named_gap(fn, args, w, g):
             continue
         elif not _finite(w):
@@ -149,6 +158,30 @@ def test_a_power_acts_entry_by_entry(entries, exponent):
     values = ENTRY_SETS[entries]
     _assert_entries(operator.pow, (np.array(values), exponent),
                     [(v, exponent) for v in values])
+
+
+@pytest.mark.parametrize("exponent", COMPLEX_EXPONENTS)
+@pytest.mark.parametrize("entries", ENTRY_SETS)
+def test_a_complex_power_acts_entry_by_entry(entries, exponent):
+    # 0 to a power with a nonzero imaginary part raises at a point and is
+    # NaN on an array (NumPy's own 0 there is replaced)
+    values = ENTRY_SETS[entries]
+    _assert_entries(gm.power, (np.array(values), exponent),
+                    [(v, exponent) for v in values])
+
+
+def test_an_inline_complex_power_of_zero_is_nan_in_a_stack_as_at_its_point():
+    # ``exprs`` compiles ``**`` to ``dual.power``: the stack's entry at the
+    # zero is NaN, the value the point's ZeroDivisionError becomes, and
+    # every other entry is its point's value
+    rule = exprs.vector_rule(["z1 ** (0.5 - 1j) + z2"], ["z1", "z2"])
+    points = _stack(3)
+    points[1, 0] = 0.0
+    got = plain_values(rule, points, (1,))
+    want = _one_by_one(rule, points, (1,))
+    assert np.isnan(got[1]).all() and np.isnan(want[1]).all()
+    assert np.isfinite(got[[0, 2]]).all()
+    assert_within_ulps(got[[0, 2]], want[[0, 2]])
 
 
 def _in_log_domain(values):

@@ -20,7 +20,7 @@ from projcurv.errors import ChartDomainError
 from projcurv.curvature import (chern_arrays, chern_curvature,
                                 levi_civita_christoffels, riemann_curvature)
 from projcurv.fields import (Form11, HermitianMetricField, RiemannianMetricField,
-                             ScalarField)
+                             ScalarField, embedded)
 from projcurv.maps import ChartedMap, NestedBundlePoint
 
 from conftest import (STACK_METRICS, ULP_BUDGET, assert_within_ulps, nan_on_right_half,
@@ -233,6 +233,57 @@ def test_joint_jets_equal_the_separate_calls(name, count):
         assert all(np.array_equal(a, b[k]) for a, b in zip(jet, (M, dz, mixed)))
         assert np.array_equal(chern_arrays(*(part[None] for part in jet), z[None])[0],
                               chern_curvature(h, z).array)
+
+
+# the pairs S3 applies to: holomorphic maps into complex targets
+S3_PAIRS = [name for name in PAIRS if not V._holomorphic(build_pair(name))]
+# S3's sub-charts whose fd step is not the nested chart's, and so keep a
+# stencil of their own: the (z, w) chart of a line (m = 1 < n) and the
+# (z, x) chart of a function (n = 1 < m), both on a source radius below
+# the fiber chart's 1.1
+OWN_STENCIL_S3 = {"fs-line-in-plane": 1, "hopf-function": 1}
+
+
+@pytest.mark.parametrize("name", S3_PAIRS)
+def test_s3_takes_both_curvatures_from_the_nested_stencil(monkeypatch, name):
+    # S3 reads T and T1 from Y2's rider where the steps agree: its outputs
+    # are, bit for bit, those of Y2's stencil beside the curvature stencils
+    # of the (z, w) and (z, x) sub-charts, on every pair of fiber charts
+    p = build_pair(name)
+    f, h, g = p.f, p.h, p.g
+    m, n = f.m, f.n
+    dim = m + max(m - 1, 0) + max(n - 1, 0)
+    zw_idx = list(range(m + max(m - 1, 0)))
+    zx_idx = list(range(m)) + list(range(m + max(m - 1, 0), dim))
+    rng = np.random.default_rng(17)
+    calls = []
+    counted = V.curvature_matrices
+
+    def counting(tm, pts):
+        calls.append(len(pts))
+        return counted(tm, pts)
+
+    monkeypatch.setattr(V, "curvature_matrices", counting)
+    for w_idx in range(m):
+        for x_idx in range(n):
+            zs = f.source.sample(rng, 0.5, count=3)
+            Rs = [NestedBundlePoint.make(z, fiber_vector(rng, m, w_idx),
+                                         fiber_vector(rng, n, x_idx)) for z in zs]
+            Qs = [BundlePoint.make(R.P.z, R.X, R.x_chart_index) for R in Rs]
+            calls.clear()
+            got = V._s3(f, h, g, Rs)
+            assert len(calls) == OWN_STENCIL_S3.get(name, 0)
+            y2 = mp.Y2_field(f, h, g, w_idx, x_idx)
+            L, D, _ = diffops.mixed_hessians(y2, np.array([R.combined() for R in Rs]))
+            T = bundle.curvature_matrices(TautologicalMetric(h), [R.P for R in Rs])
+            T1 = bundle.curvature_matrices(V._covector_tautological(f, g), Qs)
+            rhs = (embedded(T, zw_idx, dim) + embedded(T1, zx_idx, dim)) * D[:, None, None]
+            assert len(got) == len(Rs)
+            for k, out in enumerate(got):
+                assert np.array_equal(out["lhs"].matrix, L[k])
+                assert np.array_equal(out["rhs"].matrix, rhs[k]), (w_idx, x_idx, k)
+            assert [out["min_eigenvalue"] for out in got] == \
+                [out["min_eigenvalue"] for out in V._forms(L, rhs)]
 
 
 def test_a_map_off_the_source_metric_chart_is_rejected():
