@@ -65,43 +65,43 @@ def _riemannian_entry_jets(metric: RiemannianMetricField, xs, order=2):
 
 @dataclass(frozen=True)
 class ChernCurvatureTensor:
-    """R[k, l, i, j] = R_{k lbar i jbar}; derivative pair first, metric pair second."""
+    """R[k, l, i, j] = R_{k lbar i jbar}; derivative pair first, metric pair
+    second.  At a stack of points every array puts the sample axis first."""
 
     array: np.ndarray
     metric_value: np.ndarray
 
     @property
     def dim(self) -> int:
-        return self.array.shape[0]
+        return self.array.shape[-1]
 
     def hermitian_defect(self) -> float:
         # R_{k lbar i jbar} = conj(R_{l kbar j ibar})
         return float(np.abs(
-            self.array - self.array.conj().transpose(1, 0, 3, 2)).max())
+            self.array - self.array.conj().swapaxes(-4, -3).swapaxes(-2, -1)).max())
 
     def kahler_defect(self) -> float:
         # symmetry under swapping the two holomorphic indices (k <-> i)
-        return float(np.abs(self.array - self.array.transpose(2, 1, 0, 3)).max())
+        return float(np.abs(self.array - self.array.swapaxes(-4, -2)).max())
 
     def contract(self, u1, u2, v1, v2) -> complex:
-        return np.einsum("klij,k,l,i,j->", self.array,
+        return np.einsum("...klij,k,l,i,j->...", self.array,
                          np.asarray(u1, complex), np.conj(u2),
                          np.asarray(v1, complex), np.conj(v2))
 
 
 def chern_curvature(metric: HermitianMetricField, z):
-    """Chern curvature tensor of a Hermitian metric at a point, or the list
-    of tensors at an (N, m) stack of points; a point is the stack of one.
-    A stack takes one metric jet, one ``check_stack`` of the jet's values,
-    one inverse and one contraction for all its points (``chern_arrays``)."""
+    """Chern curvature tensor of a Hermitian metric at a point or at an
+    (N, m) stack of points; a point is the stack of one.  A stack takes one
+    metric jet, one ``check_stack`` of the jet's values, one inverse and
+    one contraction for all its points (``chern_arrays``)."""
     zs, stacked = diffops.point_stack(z)
     # dz[k, g, a, b] = d h_{a bbar}/dz^g and
     # mixed[k, g, d, a, b] = d^2 h_{a bbar}/dz^g dzbar^d at the k-th point
     M, dz, mixed = diffops.matrix_jet(metric, zs, backend="fd")
     H = metric.check_stack(M, zs)
-    tensors = [ChernCurvatureTensor(array=R, metric_value=Hk)
-               for R, Hk in zip(chern_arrays(H, dz, mixed, zs), H)]
-    return tensors if stacked else tensors[0]
+    R = chern_arrays(H, dz, mixed, zs)
+    return ChernCurvatureTensor(*((R, H) if stacked else (R[0], H[0])))
 
 
 def chern_arrays(H, dz, mixed, zs) -> np.ndarray:
@@ -203,30 +203,30 @@ def _christoffel_jets(metric: RiemannianMetricField, x):
 
 @dataclass(frozen=True)
 class RiemannCurvatureTensor:
-    """R[i, j, k, l] = R_{ijkl}."""
+    """R[i, j, k, l] = R_{ijkl}; a stack as in ``ChernCurvatureTensor``."""
 
     array: np.ndarray
     metric_value: np.ndarray
 
     @property
     def dim(self) -> int:
-        return self.array.shape[0]
+        return self.array.shape[-1]
 
     def antisymmetry_defect(self) -> float:
-        d1 = np.abs(self.array + self.array.transpose(1, 0, 2, 3)).max()
-        d2 = np.abs(self.array + self.array.transpose(0, 1, 3, 2)).max()
+        d1 = np.abs(self.array + self.array.swapaxes(-4, -3)).max()
+        d2 = np.abs(self.array + self.array.swapaxes(-2, -1)).max()
         return float(max(d1, d2))
 
     def pair_symmetry_defect(self) -> float:
-        return float(np.abs(self.array - self.array.transpose(2, 3, 0, 1)).max())
+        return float(np.abs(self.array - np.moveaxis(self.array, (-4, -3), (-2, -1))).max())
 
     def bianchi_defect(self) -> float:
-        s = (self.array + self.array.transpose(1, 2, 0, 3)
-             + self.array.transpose(2, 0, 1, 3))
+        s = (self.array + np.moveaxis(self.array, -4, -2)
+             + np.moveaxis(self.array, -2, -4))
         return float(np.abs(s).max())
 
     def contract(self, X, Y, Z, W) -> complex:
-        return np.einsum("ijkl,i,j,k,l->", self.array,
+        return np.einsum("...ijkl,i,j,k,l->...", self.array,
                          np.asarray(X, complex), np.asarray(Y, complex),
                          np.asarray(Z, complex), np.asarray(W, complex))
 
@@ -244,14 +244,13 @@ def _riemann_from_jets(G, Gamma, dGamma):
 
 
 def riemann_curvature(metric: RiemannianMetricField, x):
-    """Riemann curvature tensor (all indices down) at a point, or the list of
-    tensors at an (N, n) stack of points (one metric jet and one assembly
-    for the stack; a point is the stack of one)."""
+    """Riemann curvature tensor (all indices down) at a point or at an
+    (N, n) stack of points (one metric jet and one assembly for the stack;
+    a point is the stack of one)."""
     xs, stacked = diffops.point_stack(x, float)
     G, _, _, Gamma, dGamma = _christoffel_jets(metric, xs)
-    tensors = [RiemannCurvatureTensor(array=R, metric_value=Gk)
-               for R, Gk in zip(_riemann_from_jets(G, Gamma, dGamma), G)]
-    return tensors if stacked else tensors[0]
+    R = _riemann_from_jets(G, Gamma, dGamma)
+    return RiemannCurvatureTensor(*((R, G) if stacked else (R[0], G[0])))
 
 
 def riemannian_sectional_curvature(metric: RiemannianMetricField, x, X, Y) -> float:

@@ -62,7 +62,7 @@ and the index tables the fd and dual assemblies read by.  A dual pass
 reads each kind of slot of all output entries in one conversion
 (``_dual_slots``), and the fd assembly divides and extrapolates all its
 difference quotients, gradient and Hessian alike, in one array operation
-each (``_real_jet2_fd``).  Each entry goes through the operations it
+each (``_real_jet_fd``).  Each entry goes through the operations it
 went through one at a time, so every number is the same bit for bit.
 
 One stencil per chart and point.  A density and the metric it divides by
@@ -120,15 +120,17 @@ def step_for(chart) -> float:
 # real-jet primitives ------------------------------------------------------
 #
 # A rule output has shape ``shape``: a scalar, or nested sequences for
-# vector and matrix rules.  The fd primitives take ``F``, which maps a
-# sequence of n real coordinates to a rule output and only indexes or
-# iterates over it, and an (N, n) stack of points, and pass F one (n, N*K)
-# array whose columns are the N Richardson stencils of K points each.  The
-# dual primitives take the rule and one point, and pass the rule its chart
-# coordinates as HyperDuals whose derivative slots hold one entry per
-# seeded real direction.  Every jet costs a single rule call.  fd
-# derivative arrays put the sample axis first and the direction axes next:
-# grad[k, a, ...] and hess[k, a, b, ...]; dual ones omit the sample axis.
+# vector and matrix rules.  One primitive per backend gives the jet of
+# order 1 or 2, whose value and gradient are the same bit for bit at both.
+# The fd one takes ``F``, which maps a sequence of n real coordinates to a
+# rule output and only indexes or iterates over it, and an (N, n) stack of
+# points, and passes F one (n, N*K) array whose columns are the N
+# Richardson stencils of K points each.  The dual one takes the rule and
+# one point, and passes the rule its chart coordinates as HyperDuals whose
+# derivative slots hold one entry per seeded real direction.  Every jet
+# costs a single rule call.  fd derivative arrays put the sample axis first
+# and the direction axes next: grad[k, a, ...] and hess[k, a, b, ...];
+# dual ones omit the sample axis.
 
 def _eval_stencil(F, p, offsets, shape):
     """Values of F at the stencils p + offsets (n, K) of the N points p
@@ -212,45 +214,32 @@ def _axis_block(V, n, shape):
 
 
 @np.errstate(all="ignore")
-def _real_grad_fd(F, p, s, shape=()):
-    """Value and gradient at the N points p, quietly as ``_real_jet2_fd``."""
-    n = p.shape[1]
-    full, _, _ = _unit_stencils(n)
-    # the centre and the axis block: the Hessian stencil's first 1 + 4n columns
-    V = _eval_stencil(F, p, s * full[:, :1 + 4 * n], shape)
-    plus, minus = _axis_block(V[:, 1:], n, shape)
-    rows, _ = _fd_tables(n, len(shape))
-    return V[:, 0], _richardson((plus - minus) / _fd_divisors(s)[rows[:n]])
-
-
-@np.errstate(all="ignore")
-def _real_jet2_fd(F, p, s, shape=()):
-    """Value, gradient and Hessian at each of the N points p from one
+def _real_jet_fd(F, p, s, shape=(), order=2):
+    """Value, gradient and Hessian (None at order 1, whose stencil is the
+    centre and axis columns only) at each of the N points p from one
     stencil evaluation.  The quotients are (f(+h) - f(-h)) / 2h,
     (f(+h) - 2 f + f(-h)) / h^2 and (f(++) - f(+-) - f(-+) + f(--)) / 4h^2
-    entry by entry; all of them, gradient and Hessian alike, are divided
-    and extrapolated (``_richardson``) in one array operation each.
+    entry by entry; all of them are divided and extrapolated
+    (``_richardson``) in one array operation each.
 
     The rule call and the assembly run quietly (``np.errstate``): a stencil
     point where the rule overflows gives a non-finite jet, which the checks
     that follow reject, also where warnings are errors."""
     N, n = p.shape
     full, A, B = _unit_stencils(n)
-    V = _eval_stencil(F, p, s * full, shape)
+    V = _eval_stencil(F, p, s * (full if order >= 2 else full[:, :1 + 4 * n]), shape)
     f0 = V[:, 0]
     plus, minus = _axis_block(V[:, 1:1 + 4 * n], n, shape)
+    rows, hess = _fd_tables(n, len(shape))
+    if order < 2:
+        return f0, _richardson((plus - minus) / _fd_divisors(s)[rows[:n]]), None
     Vc = V[:, 1 + 4 * n:].reshape((N, A.size, 2, 4) + shape)
     quotients = np.concatenate([
         plus - minus,
         plus - 2 * f0[:, None, None] + minus,
         Vc[:, :, :, 0] - Vc[:, :, :, 1] - Vc[:, :, :, 2] + Vc[:, :, :, 3]], axis=1)
-    rows, hess = _fd_tables(n, len(shape))
     R = _richardson(quotients / _fd_divisors(s)[rows])
     return f0, R[:, :n], R[:, hess]
-
-
-def _dual_value(v):
-    return v.f0 if isinstance(v, HyperDual) else v
 
 
 def _flat_entries(out, shape) -> list:
@@ -363,22 +352,16 @@ def _dual_pass(rule, x, seeds, shape, complex_chart):
     return _dual_slots(out, shape, K, mixed)
 
 
-def _real_jet2_dual(rule, x, shape=(), complex_chart=False):
-    """Value, real gradient and real Hessian at the point x (``_dual_pass``)
-    from one hyper-dual evaluation seeded with every direction pair
-    a <= b at once."""
-    seeds, diag, pairs = _dual_seeds(len(x), complex_chart, 2)
+def _real_jet_dual(rule, x, shape=(), complex_chart=False, order=2):
+    """Value, real gradient and real Hessian (None at order 1) at the point
+    x from one hyper-dual pass (``_dual_pass``) with the seeds of
+    ``_dual_seeds``: every direction pair a <= b at order 2, every
+    direction in the first slot at order 1."""
+    seeds, diag, pairs = _dual_seeds(len(x), complex_chart, order)
     f0, f1, f12 = _dual_pass(rule, x, seeds, shape, complex_chart)
+    if order < 2:
+        return f0, f1, None
     return f0, f1[diag], f12[pairs]
-
-
-def _real_grad_dual(rule, x, shape=(), complex_chart=False):
-    """Value and real gradient at the point x (``_dual_pass``) from one
-    hyper-dual evaluation seeded with every direction in the first slot;
-    the second and mixed slots are untracked."""
-    seeds, _, _ = _dual_seeds(len(x), complex_chart, 1)
-    f0, f1, _ = _dual_pass(rule, x, seeds, shape, complex_chart)
-    return f0, f1
 
 
 # complex-point wrappers ---------------------------------------------------
@@ -409,10 +392,6 @@ def _split_real(z) -> np.ndarray:
 
 def _wirt_grad_from_real(grad: np.ndarray, d: int) -> np.ndarray:
     return 0.5 * (grad[:, :d] - 1j * grad[:, d:])
-
-
-def _wirt_gradbar_from_real(grad: np.ndarray, d: int) -> np.ndarray:
-    return 0.5 * (grad[:, :d] + 1j * grad[:, d:])
 
 
 def _wirt_mixed_from_real(H: np.ndarray, d: int) -> np.ndarray:
@@ -457,12 +436,11 @@ def _real_jet(rule, chart, z, backend: str, order: int = 2, shape=()):
     zs, _ = point_stack(z, complex if is_complex else float)
     chart.require_margin(zs, steps * s)
     if backend == "dual":
-        jet = _real_jet2_dual if order >= 2 else _real_grad_dual
-        jets = [jet(rule, x, shape, is_complex) for x in zs.tolist()]
+        jets = [_real_jet_dual(rule, x, shape, is_complex, order) for x in zs.tolist()]
         # a single point (the common case) is its jet with a sample axis of one
-        parts = tuple(part[None] for part in jets[0]) if len(jets) == 1 \
-            else tuple(np.stack(part) for part in zip(*jets))
-        return parts if order >= 2 else parts + (None,)
+        return tuple(None if parts[0] is None else
+                     parts[0][None] if len(parts) == 1 else np.stack(parts)
+                     for parts in zip(*jets))
     if is_complex:
         p = _split_real(zs)
         d = chart.dim
@@ -474,9 +452,7 @@ def _real_jet(rule, chart, z, backend: str, order: int = 2, shape=()):
 
         def F(q):
             return rule(tuple(q))
-    if order >= 2:
-        return _real_jet2_fd(F, p, s, shape)
-    return _real_grad_fd(F, p, s, shape) + (None,)
+    return _real_jet_fd(F, p, s, shape, order)
 
 
 # public operations --------------------------------------------------------
@@ -489,7 +465,7 @@ def wirtinger_gradient(field: ScalarField, z, backend: str = "fd") -> np.ndarray
     """Holomorphic Wirtinger gradient (dF/dzeta^a).
 
     Antiholomorphic derivatives follow from the conjugate rule
-    dbar F = conj(d conj(F)); ``complex_jet2`` returns both.
+    dbar F = conj(d conj(F)).
     """
     _, g, _ = _real_jet(field.rule, field.chart, z, backend, order=1)
     out = _wirt_grad_from_real(g, field.chart.dim)
@@ -549,18 +525,6 @@ def _flat_joint(joint_rule, shape):
         return [density] + _flat_entries(rider, shape)
 
     return rule
-
-
-def complex_jet2(field: ScalarField, z, backend: str = "fd"):
-    """Value, d-gradient, dbar-gradient, mixed and pure-holomorphic Hessians."""
-    d = field.chart.dim
-    f0, g, H = _real_jet(field.rule, field.chart, z, backend)
-    out = (f0,
-           _wirt_grad_from_real(g, d),
-           _wirt_gradbar_from_real(g, d),
-           _wirt_mixed_from_real(H, d),
-           _wirt_holo2_from_real(H, d))
-    return out if np.ndim(z) == 2 else tuple(part[0] for part in out)
 
 
 def cross_check(field: ScalarField, z, rtol: float = CROSS_CHECK_RTOL) -> float:
@@ -640,7 +604,8 @@ def jacobian_pair_generic(rule, z, dim: int, n_out: int):
         q[a] = HyperDual(z[a], 1.0, 1j, None)
         out = rule(tuple(q))
         if value is None:
-            value = [_dual_value(out[i]) for i in range(n_out)]
+            value = [out[i].f0 if isinstance(out[i], HyperDual) else out[i]
+                     for i in range(n_out)]
         for i in range(n_out):
             v = out[i]
             if isinstance(v, HyperDual):

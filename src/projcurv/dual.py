@@ -29,14 +29,14 @@ not computed, and every operation with an untracked operand slot gives an
 untracked result slot.  A tracked mixed slot needs both first slots
 tracked.  The engine seeds untracked whatever its caller does not read:
 
-* ``diffops._real_grad_dual`` (the dual gradient behind the Chern
-  Christoffels, the W-form's dlog H and the normal frames) reads only
-  ``f0`` and ``f1`` and seeds ``f2`` and ``f12`` untracked;
+* ``diffops._real_jet_dual`` at order 1 (the dual gradient behind the
+  Chern Christoffels, the W-form's dlog H and the normal frames) reads
+  only ``f0`` and ``f1`` and seeds ``f2`` and ``f12`` untracked;
 * ``diffops.jacobian_pair_generic`` reads ``f1`` and ``f2`` (and ``f0``
   of its first pass, the rule's value) and seeds ``f12`` untracked, also
   when it nests inside an outer jet;
-* ``diffops._real_jet2_dual`` reads ``f1`` and ``f12`` and tracks all
-  slots, since ``f12`` needs ``f1`` and ``f2``.
+* ``diffops._real_jet_dual`` at order 2 reads ``f1`` and ``f12`` and
+  tracks all slots, since ``f12`` needs ``f1`` and ``f2``.
 
 The slots that are read round exactly as with every slot tracked: ``f0``
 depends only on ``f0``, ``f1`` only on ``f0`` and ``f1``, ``f2`` only on

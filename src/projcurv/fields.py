@@ -311,24 +311,24 @@ class Form11:
 
     The sqrt(-1) factor is kept out of the stored matrix, so positivity of the
     form is exactly positive semidefiniteness of A.  The matrix is Hermitian
-    by construction: the constructor symmetrizes (A + A^dagger)/2.
+    by construction: the constructor keeps a matrix equal to its conjugate
+    transpose as it is and symmetrizes any other to (A + A^dagger)/2, so a
+    form of a form's matrix holds that matrix bit for bit, signed zeros too.
 
     Sums, differences and real multiples of forms are not symmetrized
     again.  Their operands are exactly Hermitian: the real parts of entries
     (a, b) and (b, a) come from equal numbers and the imaginary parts from
     negated ones, by operations that round a negated result to the negated
-    number, so the result is exactly Hermitian too.  A symmetrization would
-    leave every part that is not zero as it is; only the sign of a zero part
-    may differ, as it may when a symmetrized matrix is symmetrized again.
+    number, so the result is exactly Hermitian too.
     """
 
     __slots__ = ("matrix", "dim")
 
     def __init__(self, matrix):
-        A = np.asarray(matrix, complex)
+        A = np.array(matrix, complex)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ValidationError(f"Form11 expects a square matrix, got {A.shape}")
-        self.matrix = hermitian_part(A)
+        self.matrix = A if np.array_equal(A, A.conj().T) else hermitian_part(A)
         self.dim = A.shape[0]
 
     @classmethod

@@ -167,12 +167,10 @@ def _target_curvature(g, ps):
     the Chern tensor of a Hermitian g, the Riemann tensor R_{kjil} of a
     Riemannian one.  One metric jet serves the whole stack."""
     if isinstance(g, HermitianMetricField):
-        tensors = chern_curvature(g, ps)
-        K = np.array([t.array for t in tensors])
-    else:
-        tensors = riemann_curvature(g, ps)
-        K = np.array([t.array for t in tensors]).transpose(0, 1, 4, 3, 2)
-    return K, np.array([t.metric_value for t in tensors])
+        t = chern_curvature(g, ps)
+        return t.array, t.metric_value
+    t = riemann_curvature(g, ps)
+    return t.array.transpose(0, 1, 4, 3, 2), t.metric_value
 
 
 def _target_curvature_term(K: np.ndarray, holo: np.ndarray, W: np.ndarray) -> np.ndarray:
@@ -411,12 +409,11 @@ def _s2(f, h, g, Qs, weight=None) -> list:
     source = chern_curvature(h, np.array([Q.z for Q in Qs]))
     holo, _ = _map_jets(f, [Q.z for Q in Qs])
     X = np.array([Q.W_affine for Q in Qs])
-    Rh = np.array([t.array for t in source])
-    hup = np.linalg.inv(np.array([t.metric_value for t in source])).conj()
+    hup = np.linalg.inv(source.metric_value).conj()
     v = np.einsum("Zk,Zkm->Zm", X, holo)
     s = np.einsum("Zm,Zmd->Zd", v, hup)
     t = np.einsum("Zgn,Zn->Zg", hup, v.conj())
-    C = np.einsum("Zabg,Zg->Zab", np.einsum("Zabgd,Zd->Zabg", Rh, s), t)
+    C = np.einsum("Zabg,Zg->Zab", np.einsum("Zabgd,Zd->Zabg", source.array, s), t)
     _require_hermitian(C, "source curvature term")
     H1 = np.array([tm1.H_raw(Q) for Q in Qs])
     dim = f.m + max(f.n - 1, 0)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from projcurv import dual as gm, exprs, zoo
+from projcurv import diffops, dual as gm, exprs, zoo
 from projcurv.charts import ComplexChart, RealChart
 from projcurv.dual import HyperDual
 from projcurv.fields import HermitianMetricField, RiemannianMetricField
@@ -187,3 +187,20 @@ STACK_METRICS = ([("zoo", n) for n in zoo.HERMITIAN_METRICS + zoo.RIEMANNIAN_MET
 
 def stack_metric(kind, name):
     return zoo.build_entry(name).obj if kind == "zoo" else inline_metric()
+
+
+def fiber_vector(rng, k, idx):
+    """A direction in C^k whose largest coordinate is the idx-th."""
+    W = 0.6 * (rng.uniform(-1, 1, k) + 1j * rng.uniform(-1, 1, k))
+    W[idx] = 1.0
+    return W
+
+
+def complex_jets(field, z, backend="fd"):
+    """(d F, d dbar F, d d F) of a scalar field at one point: its real jet
+    through the engine's Wirtinger conversions, with no symmetrization."""
+    d = field.chart.dim
+    _, grad, hess = diffops._real_jet(field.rule, field.chart, z, backend)
+    return (diffops._wirt_grad_from_real(grad, d)[0],
+            diffops._wirt_mixed_from_real(hess, d)[0],
+            diffops._wirt_holo2_from_real(hess, d)[0])

@@ -10,7 +10,9 @@ from projcurv import diffops, zoo
 from projcurv import dual as gm
 from projcurv.bundle import BundlePoint
 from projcurv.dual import HyperDual
-from projcurv.maps import Y_field
+from projcurv.maps import Y1_field, Y_field, u_field
+
+from conftest import STACK_METRICS, fiber_vector, stack_metric
 
 SLOTS = ("f1", "f2", "f12")
 # an untracked first-order slot leaves the mixed slot nothing to track
@@ -134,15 +136,17 @@ def test_a_numpy_complex_that_is_not_a_complex_is_conjugated(x):
 # fully tracked references: the engine's seeds before the unread slots were
 # left untracked
 
-def tracked_grad_dual(rule, x, shape=(), complex_chart=False):
-    # real coordinates seeded one by one, combined into complex ones per pass
+def tracked_jet_dual(rule, x, shape=(), complex_chart=False, order=1):
+    # the order-1 jet: real coordinates seeded one by one, combined into
+    # complex ones per pass
+    assert order == 1
     p = [c.real for c in x] + [c.imag for c in x] if complex_chart else list(x)
     n = len(p)
     eye = np.eye(n)
     coords = [HyperDual(p[c], eye[c], 0.0, 0.0) for c in range(n)]
     coords = diffops._complex_coords(coords, len(x)) if complex_chart else tuple(coords)
     f0, f1, _ = diffops._dual_slots(rule(coords), shape, n)
-    return f0, f1
+    return f0, f1, None
 
 
 def tracked_jacobian_pair_generic(rule, z, dim, n_out):
@@ -186,7 +190,7 @@ class TestUntrackedSeedsAreBitwiseTracked:
         rng = np.random.default_rng(5)
         points = [metric.chart.sample(rng) for _ in range(5)]
         got = [diffops.matrix_jet(metric, z, backend="dual", order=1)[:2] for z in points]
-        monkeypatch.setattr(diffops, "_real_grad_dual", tracked_grad_dual)
+        monkeypatch.setattr(diffops, "_real_jet_dual", tracked_jet_dual)
         for z, jet in zip(points, got):
             want = diffops.matrix_jet(metric, z, backend="dual", order=1)[:2]
             assert all(np.array_equal(a, b) for a, b in zip(jet, want)), z
@@ -218,3 +222,48 @@ class TestUntrackedSeedsAreBitwiseTracked:
         ref = diffops._real_jet(field.rule, field.chart, P.combined(), "dual")
         for g, r in zip(got, ref):
             assert np.array_equal(g, r)
+
+    @staticmethod
+    def first_order_parts(jet):
+        """The value and gradient of a jet as bytes, and whether the jet
+        has a Hessian."""
+        return [np.ascontiguousarray(a).tobytes() for a in jet[:2]], jet[2] is not None
+
+    def assert_order_1_is_order_2(self, rule, chart, points, shape, backend):
+        # on the fd backend at a stack of points and at one point; the dual
+        # backend takes one pass per point either way
+        for z in (points, points[0]):
+            one = self.first_order_parts(diffops._real_jet(rule, chart, z, backend, 1, shape))
+            two = self.first_order_parts(diffops._real_jet(rule, chart, z, backend, 2, shape))
+            assert one == (two[0], False) and two[1]
+
+    @pytest.mark.parametrize("backend", ["fd", "dual"])
+    @pytest.mark.parametrize("kind,name", STACK_METRICS)
+    def test_an_order_1_metric_jet_is_the_order_2_jets_value_and_gradient(self, kind, name,
+                                                                          backend):
+        # one primitive per backend serves both orders: the order-1 jet's
+        # value and gradient are the order-2 jet's bit for bit
+        metric = stack_metric(kind, name)
+        points = metric.chart.sample(np.random.default_rng(11), 0.6, count=4)
+        self.assert_order_1_is_order_2(metric.rule, metric.chart, points,
+                                       (metric.dim, metric.dim), backend)
+
+    @pytest.mark.parametrize("backend", ["fd", "dual"])
+    @pytest.mark.parametrize("name", zoo.catalog_names()["map-pair"])
+    def test_an_order_1_joint_jet_is_the_order_2_jets_value_and_gradient(self, name,
+                                                                         backend):
+        # the Y, Y1 and u joint fields, density and rider in one output
+        pair = zoo.build_entry(name).obj
+        f, h, g = pair.f, pair.h, pair.g
+        rng = np.random.default_rng(12)
+        zs = f.source.sample(rng, 0.5, count=4)
+        Ps = [BundlePoint.make(z, fiber_vector(rng, f.m, f.m - 1), f.m - 1) for z in zs]
+        cases = [(Y_field(f, h, g, f.m - 1), [P.combined() for P in Ps]),
+                 (u_field(f, h, g), zs)]
+        if f.holomorphic and pair.target_is_complex:
+            Qs = [BundlePoint.make(z, fiber_vector(rng, f.n, f.n - 1), f.n - 1) for z in zs]
+            cases.append((Y1_field(f, h, g, f.n - 1), [Q.combined() for Q in Qs]))
+        for field, points in cases:
+            shape = (1 + int(np.prod(field.rider)),)
+            self.assert_order_1_is_order_2(diffops._flat_joint(field.joint_rule, field.rider),
+                                           field.chart, np.array(points), shape, backend)

@@ -65,6 +65,27 @@ class TestForm11:
         with pytest.raises(ValidationError):
             Form11(np.eye(2)).evaluate([1, 0, 0])
 
+    def test_the_constructor_is_idempotent(self):
+        # 20,000 random forms of dimension 1-3 whose real and imaginary parts
+        # are signed zeros, tiny (subnormal or near it) or ordinary numbers:
+        # a form built from a form's matrix holds that matrix bit for bit
+        rng = np.random.default_rng(29)
+        zeros = np.array([0.0, -0.0])
+        tiny = np.array([5e-324, 1.5e-323, 2.5e-323, 1e-310, 3e-309, 2.2250738585072014e-308])
+        failures = 0
+        for _ in range(20000):
+            d = int(rng.integers(1, 4))
+            shape = (2, d, d)
+            parts = np.select([rng.integers(0, 3, shape) == k for k in range(3)],
+                              [rng.choice(zeros, shape),
+                               rng.choice(tiny, shape) * rng.choice([-1.0, 1.0], shape),
+                               rng.standard_normal(shape)])
+            A = np.empty((d, d), complex)
+            A.real, A.imag = parts
+            once = Form11(A).matrix
+            failures += Form11(once).matrix.tobytes() != once.tobytes()
+        assert failures == 0
+
     def test_embed(self):
         sub = np.array([[2.0]])
         A = embedded(sub, [1], 3)

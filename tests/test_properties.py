@@ -189,6 +189,52 @@ def _zoo_pair(name):
     return zoo.build_entry(name).obj
 
 
+# the pairs S1 applies to whose fibers have two charts or more (m >= 2):
+# the zoo's, and fs3 into the ball by z -> 0.4 z, since the zoo has no m = 3
+_S1_FIBER_CHART_PAIRS = ("flat-identity", "fs2-to-ball", "hopf-function", "fs3-to-ball3")
+
+
+@functools.cache
+def _s1_pair(name):
+    if name != "fs3-to-ball3":
+        return _zoo_pair(name)
+    h = zoo.build_entry("fubini-study", {"dim": 3, "radius": 0.9}).obj
+    g = zoo.build_entry("poincare-ball", {"dim": 3, "radius": 0.38}).obj
+    f = zoo.build_map("linear", {"matrix": (0.4 * np.eye(3)).tolist()}, h.chart, g.chart)
+    return verify.PairContext(f=f, h=h, g=g, name=name)
+
+
+@pytest.mark.parametrize("name", _S1_FIBER_CHART_PAIRS)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_the_S1_residual_is_the_same_form_in_two_fiber_charts(name, data):
+    # at a point (z, [W]) with two admissible fiber charts i != j, the S1
+    # residual forms satisfy A_i = J^T A_j conj(J), with J[c, a] = dv_c/du_a
+    # the Jacobian of the chart change from the affine coordinates u of
+    # chart i to v of chart j (the identity on z), within the fd noise of
+    # the forms (1e-10 to 2e-8)
+    p = _s1_pair(name)
+    m = p.f.m
+    i, j = data.draw(st.permutations(range(m)), label="charts")[:2]
+    z = data.draw(bundle_points(p.f.source)).z
+    # W_i and W_j of modulus 0.95-1 and the rest at most 0.85: every affine
+    # coordinate of both charts is inside the fiber chart's radius 1.1
+    W = np.array(data.draw(st.lists(_complex(0.6), min_size=m, max_size=m)))
+    for k in (i, j):
+        W[k] = data.draw(st.floats(0.95, 1.0)) * np.exp(1j * data.draw(st.floats(0, 6.3)))
+    A_i, A_j = (verify.verify_form_inequality(
+        "S1", p.f, p.h, p.g, BundlePoint.make(z, W, k))["residual_form"].matrix
+        for k in (i, j))
+    # D[k, l] = d(W_k / W_j) / dW_l with W scaled so that W_i = 1; v drops
+    # index j and u drops index i
+    Wi = W / W[i]
+    D = np.eye(m) / Wi[j] - np.outer(Wi, np.eye(m)[j]) / Wi[j] ** 2
+    J = np.eye(2 * m - 1, dtype=complex)
+    J[m:, m:] = np.delete(np.delete(D, j, axis=0), i, axis=1)
+    gap = float(np.abs(A_i - J.T @ A_j @ J.conj()).max())
+    assert gap <= 1e-6 * max(1.0, float(np.abs(A_i).max())), (i, j, gap)
+
+
 @st.composite
 def bundle_points(draw, chart):
     """A point of P(T_M) over the source chart shrunk by 1/2, as the suites
@@ -443,14 +489,12 @@ def hermitian_pairs(draw):
 
 
 def _same_form(fast, resymmetrized):
-    """fast is exactly Hermitian, and equals the re-symmetrized matrix bit
-    for bit in every part that is not zero; a zero part may differ only in
-    its sign, as the symmetrization of a symmetrized matrix may too."""
+    """fast is exactly Hermitian, and equals the form the constructor builds
+    of the same matrix bit for bit, signed zeros included: the constructor
+    keeps a matrix that equals its conjugate transpose as it is."""
     M, R = fast.matrix, resymmetrized.matrix
     assert np.array_equal(M, M.conj().T)
-    assert np.array_equal(M, R)
-    F, G = M.view(float), R.view(float)
-    assert F[G != 0].tobytes() == G[G != 0].tobytes()
+    assert M.tobytes() == R.tobytes()
     assert fast.dim == resymmetrized.dim
 
 

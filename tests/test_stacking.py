@@ -23,8 +23,8 @@ from projcurv.fields import (Form11, HermitianMetricField, RiemannianMetricField
                              ScalarField, embedded)
 from projcurv.maps import ChartedMap, NestedBundlePoint
 
-from conftest import (STACK_METRICS, ULP_BUDGET, assert_within_ulps, nan_on_right_half,
-                      stack_metric)
+from conftest import (STACK_METRICS, ULP_BUDGET, assert_within_ulps, fiber_vector,
+                      nan_on_right_half, stack_metric)
 
 STACK = 7
 
@@ -52,13 +52,6 @@ def build_pair(name):
 
 
 PAIRS = list(zoo.catalog_names()["map-pair"]) + ["fs3-to-ball3"]
-
-
-def fiber_vector(rng, k, idx):
-    """A direction in C^k whose largest coordinate is the idx-th."""
-    W = 0.6 * (rng.uniform(-1, 1, k) + 1j * rng.uniform(-1, 1, k))
-    W[idx] = 1.0
-    return W
 
 
 def same_jets(stacked, single):
@@ -119,12 +112,12 @@ def test_stacked_jets_equal_per_point_jets(name):
         for order in (1, 2):
             same_jets(diffops.matrix_jet(metric, points, order=order),
                       [diffops.matrix_jet(metric, x, order=order) for x in points])
-        if isinstance(metric, HermitianMetricField):
-            for got, x in zip(chern_curvature(metric, points), points):
-                assert np.array_equal(got.array, chern_curvature(metric, x).array)
-        else:
-            for got, x in zip(riemann_curvature(metric, points), points):
-                assert np.array_equal(got.array, riemann_curvature(metric, x).array)
+        hermitian = isinstance(metric, HermitianMetricField)
+        curvature = chern_curvature if hermitian else riemann_curvature
+        stacked = curvature(metric, points)
+        for k, x in enumerate(points):
+            assert np.array_equal(stacked.array[k], curvature(metric, x).array)
+        if not hermitian:
             G, Gamma = levi_civita_christoffels(metric, points)
             for k, x in enumerate(points):
                 want_G, want_Gamma = levi_civita_christoffels(metric, x)
@@ -151,14 +144,16 @@ def test_a_metric_matrix_is_its_stack_of_one(name):
 
 
 def curvature_parts(metric, points):
-    """What the curvature entry points give at a stack of points, as lists
-    of arrays, one per point: the Chern tensor and its metric value, or the
-    Riemann tensor, its metric value and the checked Christoffel symbols."""
+    """What the curvature entry points give at a stack of points, split
+    along the sample axis into one tuple of arrays per point: the Chern
+    tensor and its metric value, or the Riemann tensor, its metric value
+    and the checked Christoffel symbols."""
     if isinstance(metric, HermitianMetricField):
-        return [[t.array, t.metric_value] for t in chern_curvature(metric, points)]
+        t = chern_curvature(metric, points)
+        return list(zip(t.array, t.metric_value))
     G, Gamma = levi_civita_christoffels(metric, points, check_compatibility=True)
-    return [[t.array, t.metric_value, G[k], Gamma[k]]
-            for k, t in enumerate(riemann_curvature(metric, points))]
+    t = riemann_curvature(metric, points)
+    return list(zip(t.array, t.metric_value, G, Gamma))
 
 
 @pytest.mark.parametrize("kind,name", STACK_METRICS + [("fs3-to-ball3", "h"),
@@ -182,6 +177,28 @@ def test_curvature_tensors_of_a_stack_are_those_of_stacks_of_one(kind, name):
                      *levi_civita_christoffels(metric, x, check_compatibility=True)]
         for got, want, point in zip(stacked[k], one, alone):
             assert np.array_equal(got, want) and np.array_equal(got, point), (name, k)
+
+
+@pytest.mark.parametrize("kind,name", STACK_METRICS)
+def test_a_stacked_tensors_checks_and_contraction_are_its_points(kind, name):
+    # a stack is one tensor: its dimension is the metric's, each symmetry
+    # defect is the largest of its points' and its contraction gives each
+    # point's value
+    metric = stack_metric(kind, name)
+    points = metric.chart.sample(np.random.default_rng(22), 0.6, count=STACK)
+    hermitian = isinstance(metric, HermitianMetricField)
+    curvature = chern_curvature if hermitian else riemann_curvature
+    checks = (("hermitian_defect", "kahler_defect") if hermitian
+              else ("antisymmetry_defect", "pair_symmetry_defect", "bianchi_defect"))
+    rng = np.random.default_rng(23)
+    vectors = rng.standard_normal((4, metric.dim)) + 1j * rng.standard_normal((4, metric.dim))
+    stack = curvature(metric, points)
+    alone = [curvature(metric, x) for x in points]
+    assert stack.dim == metric.dim
+    for check in checks:
+        assert getattr(stack, check)() == max(getattr(t, check)() for t in alone), check
+    np.testing.assert_allclose(stack.contract(*vectors),
+                               [t.contract(*vectors) for t in alone], rtol=1e-13)
 
 
 def alone(field):
