@@ -165,19 +165,21 @@ def tautological_H(tm: TautologicalMetric, P: BundlePoint) -> float:
     return v
 
 
-def tautological_curvature(tm: TautologicalMetric, P):
-    """Curvature -ddbar log(H e^{-phi}) on the combined (z, w) chart at P,
-    or the list of forms at a list of points on one fiber chart, from one
-    stencil evaluation (``curvature_matrices``)."""
-    Ps = P if isinstance(P, list) else [P]
-    forms = [Form11._of_hermitian(A) for A in curvature_matrices(tm, Ps)]
-    return forms if isinstance(P, list) else forms[0]
+def tautological_curvature(tm: TautologicalMetric, P: BundlePoint) -> Form11:
+    """Curvature -ddbar log(H e^{-phi}) on the combined (z, w) chart at the
+    point P as a Form11: the one-point view of ``curvature_matrices``, read
+    from its stack of one.  A list of points raises ValidationError:
+    ``curvature_matrices`` takes it."""
+    if not isinstance(P, BundlePoint):
+        raise ValidationError("tautological_curvature takes one BundlePoint; "
+                              "use curvature_matrices for a list of points")
+    return Form11._of_hermitian(curvature_matrices(tm, [P])[0])
 
 
 def curvature_matrices(tm: TautologicalMetric, Ps) -> np.ndarray:
-    """The matrices of ``tautological_curvature`` at the points Ps, which
-    share their fiber chart, as one (N, d, d) stack from one stencil
-    evaluation."""
+    """The curvature -ddbar log(H e^{-phi}) on the combined (z, w) chart at
+    the points Ps, which share their fiber chart, as one (N, d, d) stack of
+    Hermitian matrices from one stencil evaluation."""
     idx = Ps[0].chart_index
     if any(Q.chart_index != idx for Q in Ps):
         raise ValidationError("a stacked tautological curvature needs points "

@@ -166,8 +166,7 @@ def _christoffels_from_jets(Ginv, d1):
     return 0.5 * np.einsum("Zil,Zljk->Zijk", Ginv, _bracket(d1))
 
 
-def levi_civita_christoffels(metric: RiemannianMetricField, x,
-                             check_compatibility: bool = False):
+def levi_civita_christoffels(metric: RiemannianMetricField, x):
     """(G, Gamma) at a point, or at an (N, n) stack of points with a leading
     sample axis on both (one metric jet, one inverse and one contraction
     for the stack; a point is the stack of one): the metric matrix the jet
@@ -176,13 +175,6 @@ def levi_civita_christoffels(metric: RiemannianMetricField, x,
     xs, stacked = diffops.point_stack(x, float)
     G, d1, _ = _riemannian_entry_jets(metric, xs, order=1)
     Gamma = _christoffels_from_jets(np.linalg.inv(G), d1)
-    if check_compatibility:
-        # nabla_k g_{ij} = d_k g_{ij} - Gamma^s_{ki} g_{sj} - Gamma^s_{kj} g_{is}
-        nabla = (d1 - np.einsum("Zski,Zsj->Zkij", Gamma, G)
-                 - np.einsum("Zskj,Zis->Zkij", Gamma, G))
-        k, defect = first_failing(sample_max(nabla), sample_max(d1), 1e-6)
-        if k is not None:
-            raise ValidationError(f"metric compatibility defect {defect:.3e} at {xs[k]}")
     return (G, Gamma) if stacked else (G[0], Gamma[0])
 
 

@@ -16,15 +16,15 @@ constructions, where exactness keeps nested differentiation honest.
 ``cross_check`` compares the two on any field.  Every jet goes through
 ``_real_jet``, which also enforces the chart margin its stencil needs.
 
-The sample axis.  Every operation takes one point or an (N, d) stack of
-points.  For a stack the fd backend builds the N Richardson stencils as one
-(n, N*K) array of real coordinates, calls the rule once, and assembles
-every value, gradient and Hessian with elementwise operations over the
-leading sample axis.  Elementwise arithmetic rounds each entry the same way
-whatever the array around it, so the k-th result of a stack is bit for bit
-the result at its point alone; a single point is the stack of one.  What
-is stacked here: the density and log-H Hessians (``wirtinger_hessian``, and
-``mixed_hessians`` for the stacked arrays) and the metric jets
+The sample axis.  Every operation but the one-point view
+``wirtinger_hessian`` takes one point or an (N, d) stack of points.  For a
+stack the fd backend builds the N Richardson stencils as one (n, N*K) array
+of real coordinates, calls the rule once, and assembles every value,
+gradient and Hessian with elementwise operations over the leading sample
+axis.  Elementwise arithmetic rounds each entry the same way whatever the
+array around it, so the k-th result of a stack is bit for bit the result at
+its point alone; a single point is the stack of one.  What is stacked here:
+the density and log-H Hessians (``mixed_hessians``) and the metric jets
 (``matrix_jet``) behind the Chern and Riemann tensors and the Levi-Civita
 Christoffels.  The callers keep the sample axis through the assembly: the
 tensors, contractions, Hermitian checks and eigenvalues after the jets take
@@ -68,7 +68,7 @@ went through one at a time, so every number is the same bit for bit.
 One stencil per chart and point.  A density and the metric it divides by
 live on the same chart at the same points, so a joint density field
 (``ScalarField.joint``) returns both from one rule call and
-``wirtinger_hessian`` takes their jets from one stencil: Y and Y_phi with
+``mixed_hessians`` takes their jets from one stencil: Y and Y_phi with
 log H, Y1 with log H1, Y2 with log H and log H1, and u with the entries
 h_{a bbar} behind the source Chern tensor.  The rule computes the shared
 pairing once, and each output is assembled elementwise as it would be
@@ -91,8 +91,8 @@ so for a real jet (grad, hess) of a field F,
     (d dbar F)_{ab}  = (H[xa,xb] + H[ya,yb] + i (H[xa,yb] - H[ya,xb])) / 4
     (d d F)_{ab}     = (H[xa,xb] - H[ya,yb] - i (H[xa,yb] + H[ya,xb])) / 4
 
-The mixed matrix of a real-valued field is Hermitian; ``wirtinger_hessian``
-symmetrizes it into a :class:`~projcurv.fields.Form11`.
+The mixed matrix of a real-valued field is Hermitian; ``mixed_hessians``
+keeps its Hermitian part, which drops the numerical skew part.
 """
 
 from __future__ import annotations
@@ -104,7 +104,7 @@ import numpy as np
 
 from .charts import ComplexChart
 from .dual import HyperDual
-from .errors import BackendMismatchError
+from .errors import BackendMismatchError, ValidationError
 from .fields import NUMBER_ERRORS, Form11, ScalarField, hermitian_part, rule_values
 
 REL_STEP = 1e-3
@@ -457,9 +457,9 @@ def _real_jet(rule, chart, z, backend: str, order: int = 2, shape=()):
 
 # public operations --------------------------------------------------------
 #
-# Each takes one point or an (N, d) stack of points.  A stack gives the
-# per-point results in order, with a leading sample axis for arrays and as
-# a list for Form11s, from one fd stencil evaluation for the whole stack.
+# Each but ``wirtinger_hessian`` takes one point or an (N, d) stack of
+# points, and gives a stack's per-point results in order along a leading
+# sample axis, from one fd stencil evaluation for the whole stack.
 
 def wirtinger_gradient(field: ScalarField, z, backend: str = "fd") -> np.ndarray:
     """Holomorphic Wirtinger gradient (dF/dzeta^a).
@@ -472,36 +472,29 @@ def wirtinger_gradient(field: ScalarField, z, backend: str = "fd") -> np.ndarray
     return out if np.ndim(z) == 2 else out[0]
 
 
-def wirtinger_hessian(field: ScalarField, z, backend: str = "fd"):
-    """Mixed complex Hessian (d^2 F / dzeta^a dzetabar^b) as a Form11, or a
-    list of them at a stack of points.
-
-    Intended for real-valued fields, whose mixed Hessian is Hermitian; the
-    Form11 holds its Hermitian part, which drops the numerical skew part.
-
-    A joint density field (``ScalarField.joint``) is differentiated through
-    its joint rule, so one stencil serves the density and its rider, and
-    each point gives (Form11 of the density, the density's value, (value,
-    dz, mixed) of the rider) with dz[g, ...] = d R / dz^g and
-    mixed[k, l, ...] = d^2 R / dz^k dzbar^l over the rider's shape, as
-    ``matrix_jet`` gives them for a metric.  Both values are the stencil's
-    centre column.  ``mixed_hessians`` gives the same as stacked arrays.
-    """
-    out = mixed_hessians(field, z, backend)
-    if field.joint_rule is None:
-        forms = [Form11._of_hermitian(A) for A in out]
-    else:
-        A, D, rider = out
-        forms = [(Form11._of_hermitian(M), v, jet)
-                 for M, v, jet in zip(A, D, zip(*rider))]
-    return forms if np.ndim(z) == 2 else forms[0]
+def wirtinger_hessian(field: ScalarField, z, backend: str = "fd") -> Form11:
+    """Mixed complex Hessian (d^2 F / dzeta^a dzetabar^b) at one point as a
+    Form11 (the density's, for a joint field): the one-point view of
+    ``mixed_hessians``, read from its stack of one.  A stack of points
+    raises ValidationError, since ``mixed_hessians`` takes stacks."""
+    if np.ndim(z) > 1:
+        raise ValidationError("wirtinger_hessian takes one point; "
+                              "use mixed_hessians for a stack of points")
+    out = mixed_hessians(field, [z], backend)
+    return Form11._of_hermitian((out if field.joint_rule is None else out[0])[0])
 
 
 def mixed_hessians(field: ScalarField, z, backend: str = "fd"):
-    """``wirtinger_hessian`` at one point or an (N, d) stack of points as
-    arrays with a leading sample axis: the (N, d, d) stack of the matrices
-    its Form11s hold, and for a joint density field (that stack, the
-    density's values, (value, dz, mixed) of the rider)."""
+    """The Hermitian parts of the mixed Hessians of a real-valued field at
+    one point or an (N, d) stack of points, as one (N, d, d) array.
+
+    A joint density field (``ScalarField.joint``) is differentiated through
+    its joint rule, so one stencil serves the density and its rider, and
+    gives (that stack, the density's values, (value, dz, mixed) of the
+    rider) with dz[k, g, ...] = d R / dz^g and mixed[k, a, b, ...] =
+    d^2 R / dz^a dzbar^b at sample k over the rider's shape, as
+    ``matrix_jet`` gives them for a metric.  Both values are the stencil's
+    centre column."""
     d = field.chart.dim
     if field.joint_rule is None:
         _, _, H = _real_jet(field.rule, field.chart, z, backend)

@@ -33,7 +33,7 @@ class ScalarField:
     A density field built by :meth:`joint` also carries ``joint_rule``,
     which returns the density and a rider of shape ``rider`` from one pass:
     the rider is the metric the density divides by, so one stencil serves
-    both (``diffops.wirtinger_hessian``).  Its ``rule`` is the density
+    both (``diffops.mixed_hessians``).  Its ``rule`` is the density
     alone.
     """
 

@@ -722,10 +722,10 @@ class VerificationReport:
         }
 
 
-def _histogram(values, bins: int = 10) -> tuple[list, list]:
-    """(counts, edges) of ``bins`` equal bins over the range of a nonempty
-    list of finite floats, equal bit for bit to ``np.histogram(values,
-    bins)`` without its fixed cost on the few residuals of a report.
+def _histogram(values) -> tuple[list, list]:
+    """(counts, edges) of 10 equal bins over the range of a nonempty list of
+    finite floats, equal bit for bit to ``np.histogram(values)`` without its
+    fixed cost on the few residuals of a report.
 
     The edges are lo + i * step with the last one set to hi, as
     ``np.linspace`` makes them (with its own rule when step underflows to
@@ -735,6 +735,7 @@ def _histogram(values, bins: int = 10) -> tuple[list, list]:
     right.  The range hi - lo must not overflow.  A range too narrow for
     distinct edges, which NumPy refuses with a ValueError, is counted too.
     """
+    bins = 10
     lo, hi = min(values), max(values)
     if hi == 0:
         # which signed zero is the maximum shows in the last edge, and

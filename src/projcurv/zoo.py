@@ -23,6 +23,12 @@ and whether it is ``compact``.  Any other parameter is a ConfigError.  One
 guard serves every bounded metric: the chart box's farthest point from its
 centre, r sqrt(2m) on a complex chart and r sqrt(n) on a real one, must stay
 short of ``reach``.
+
+Each map is one row of ``_MAPS``: the parameters it ``reads``, its ``rule``
+as a function of (params, the "<name>." prefix of its ConfigErrors, source
+dimension, target dimension), which reads and checks its parameters once
+and returns the component rule, and its ``holomorphic`` flag (None: when
+its target is complex).  Any other parameter is a ConfigError.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ from . import dual as gm
 from .charts import ComplexChart, RealChart
 from .errors import ConfigError, chart_params, number
 from .fields import HermitianMetricField, RiemannianMetricField
-from .maps import ChartedMap
+from .maps import ChartedMap, _sum_terms
 from .verify import PairContext
 
 
@@ -205,10 +211,8 @@ def _build_metric(name, row: _Metric, params, chart_type, field_type, reals):
     return field_type(chart, rule, name=name), meta
 
 
-# the parameters each map reads; any other is a ConfigError
-_MAP_PARAMS = {"constant": ("value",), "linear": ("matrix",),
-               "power": ("exponent", "scale"), "realify-slice": ("offset",)}
-
+# ---------------------------------------------------------------------------
+# map rules and the map table
 
 def _complex_array(params, key, default, where) -> np.ndarray:
     """``params[key]`` (or the default) as a complex array, each entry read
@@ -218,71 +222,60 @@ def _complex_array(params, key, default, where) -> np.ndarray:
                     complex).reshape(raw.shape)
 
 
-def _build_map(name, params, source_chart, target_chart):
-    m, n = source_chart.dim, target_chart.dim
-    where, reads = f"{name}.", _MAP_PARAMS.get(name, ())
-    for key in params:
-        if key not in reads:
-            raise ConfigError(f"{where}{key}: {name} has no parameter {key!r} "
-                              f"(it reads {', '.join(reads) or 'no parameters'})")
-    if name == "constant":
-        vals = tuple(complex(v) for v in
-                     np.atleast_1d(_complex_array(params, "value", [0.0] * n, where)))
-        if len(vals) != n:
-            raise ConfigError(f"{where}value: expected {n} coordinates, got {len(vals)}")
-        return ChartedMap(source_chart, target_chart, lambda z: vals,
-                          holomorphic=isinstance(target_chart, ComplexChart),
-                          name=name)
-    if name == "identity":
-        return ChartedMap(source_chart, target_chart, lambda z: tuple(z),
-                          holomorphic=True, name=name)
-    if name == "linear":
-        if "matrix" not in params:
-            raise ConfigError(f"{where}matrix: required parameter is missing")
-        A = _complex_array(params, "matrix", None, where)
-        if A.shape != (n, m):
-            raise ConfigError(f"{where}matrix: expected a {n} x {m} array, "
-                              f"got shape {A.shape}")
-        return ChartedMap(
-            source_chart, target_chart,
-            lambda z: tuple(sum(A[i, a] * z[a] for a in range(m))
-                            for i in range(A.shape[0])),
-            holomorphic=True, name=name)
-    if name == "power":
-        k = number(params, "exponent", 2, int, where)
-        scale = number(params, "scale", 1.0, complex, where)
-        return ChartedMap(source_chart, target_chart,
-                          lambda z: (scale * z[0] ** k,), holomorphic=True,
-                          name=name)
-    if name == "line-inclusion":
-        pad = target_chart.dim - m
-        return ChartedMap(source_chart, target_chart,
-                          lambda z: tuple(z) + (0.0,) * pad, holomorphic=True,
-                          name=name)
-    if name == "factor-projection":
-        return ChartedMap(source_chart, target_chart, lambda z: (z[0],),
-                          holomorphic=True, name=name)
-    if name == "real-part":
-        return ChartedMap(source_chart, target_chart,
-                          lambda z: (gm.real(z[0]),), name=name)
-    if name == "realify":
-        return ChartedMap(source_chart, target_chart,
-                          lambda z: (gm.real(z[0]), gm.imag(z[0])), name=name)
-    if name == "holo-parts":
-        return ChartedMap(source_chart, target_chart,
-                          lambda z: (gm.real(z[0] ** 2), gm.imag(z[0] ** 2),
-                                     gm.real(z[0])), name=name)
-    if name == "pluri-m2":
-        return ChartedMap(source_chart, target_chart,
-                          lambda z: (gm.real(z[0] * z[1]), gm.imag(z[0] * z[1]),
-                                     gm.real(z[0])), name=name)
-    if name == "realify-slice":
-        # realified identity followed by the totally geodesic slice x3 = c
-        c = number(params, "offset", 0.3, float, where)
-        return ChartedMap(source_chart, target_chart,
-                          lambda z: (gm.real(z[0]), gm.imag(z[0]),
-                                     c + 0 * gm.real(z[0])), name=name)
-    raise ConfigError(f"unknown map {name!r}")
+def _constant_rule(params, where, m, n):
+    vals = tuple(complex(v) for v in
+                 np.atleast_1d(_complex_array(params, "value", [0.0] * n, where)))
+    if len(vals) != n:
+        raise ConfigError(f"{where}value: expected {n} coordinates, got {len(vals)}")
+    return lambda z: vals
+
+
+def _linear_rule(params, where, m, n):
+    if "matrix" not in params:
+        raise ConfigError(f"{where}matrix: required parameter is missing")
+    A = _complex_array(params, "matrix", None, where)
+    if A.shape != (n, m):
+        raise ConfigError(f"{where}matrix: expected a {n} x {m} array, "
+                          f"got shape {A.shape}")
+    rows = [list(row) for row in A]         # the NumPy scalars A[i, a], read once
+    return lambda z: tuple(_sum_terms(row[a] * z[a] for a in range(m)) for row in rows)
+
+
+def _power_rule(params, where, m, n):
+    k = number(params, "exponent", 2, int, where)
+    scale = number(params, "scale", 1.0, complex, where)
+    return lambda z: (scale * z[0] ** k,)
+
+
+def _slice_rule(params, where, m, n):
+    # realified identity followed by the totally geodesic slice x3 = c
+    c = number(params, "offset", 0.3, float, where)
+    return lambda z: (gm.real(z[0]), gm.imag(z[0]), c + 0 * gm.real(z[0]))
+
+
+@dataclass(frozen=True)
+class _Map:
+    """One row of ``_MAPS``; the module docstring describes the columns."""
+    reads: tuple
+    rule: Callable
+    holomorphic: bool | None = True
+
+
+_MAPS = {
+    "constant": _Map(("value",), _constant_rule, None),
+    "identity": _Map((), lambda *_: lambda z: tuple(z)),
+    "linear": _Map(("matrix",), _linear_rule),
+    "power": _Map(("exponent", "scale"), _power_rule),
+    "line-inclusion": _Map((), lambda _p, _w, m, n: lambda z: tuple(z) + (0.0,) * (n - m)),
+    "factor-projection": _Map((), lambda *_: lambda z: (z[0],)),
+    "real-part": _Map((), lambda *_: lambda z: (gm.real(z[0]),), False),
+    "realify": _Map((), lambda *_: lambda z: (gm.real(z[0]), gm.imag(z[0])), False),
+    "holo-parts": _Map((), lambda *_: lambda z: (gm.real(z[0] ** 2), gm.imag(z[0] ** 2),
+                                                 gm.real(z[0])), False),
+    "pluri-m2": _Map((), lambda *_: lambda z: (gm.real(z[0] * z[1]), gm.imag(z[0] * z[1]),
+                                               gm.real(z[0])), False),
+    "realify-slice": _Map(("offset",), _slice_rule, False),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -290,9 +283,6 @@ def _build_map(name, params, source_chart, target_chart):
 
 HERMITIAN_METRICS = tuple(_HERMITIAN)
 RIEMANNIAN_METRICS = tuple(_RIEMANNIAN)
-MAPS = ("constant", "identity", "linear", "power", "line-inclusion",
-        "factor-projection", "real-part", "realify", "holo-parts", "pluri-m2",
-        "realify-slice")
 
 _FACTS = {
     "flat": ({"fact": "chern_zero", "tol": 1e-10, "oracle": "constant entries"},
@@ -380,7 +370,7 @@ def catalog_names():
     return {
         "hermitian-metric": HERMITIAN_METRICS,
         "riemannian-metric": RIEMANNIAN_METRICS,
-        "map": MAPS,
+        "map": tuple(_MAPS),
         "map-pair": tuple(_PAIRS),
     }
 
@@ -403,7 +393,7 @@ def build_entry(name: str, params: dict | None = None) -> ZooEntry:
         tp = {**tp, **params.get("target", {})}
         h = build_entry(src, sp).obj
         g = build_entry(tgt, tp).obj
-        f = _build_map(mp, mparams, h.chart, g.chart)
+        f = build_map(mp, mparams, h.chart, g.chart)
         pair = PairContext(f=f, h=h, g=g, name=name, compact=compact)
         return ZooEntry(name, "map-pair", params, pair, _PAIR_FACTS.get(name, ()),
                         {"compact": compact})
@@ -411,9 +401,20 @@ def build_entry(name: str, params: dict | None = None) -> ZooEntry:
 
 
 def build_map(name: str, params: dict, source_chart, target_chart) -> ChartedMap:
-    if name not in MAPS:
+    """The zoo map ``name`` between two charts; unknown names and bad
+    parameters raise ConfigError."""
+    if name not in _MAPS:
         raise ConfigError(f"unknown zoo map {name!r}")
-    return _build_map(name, params or {}, source_chart, target_chart)
+    row, where, params = _MAPS[name], f"{name}.", params or {}
+    for key in params:
+        if key not in row.reads:
+            raise ConfigError(f"{where}{key}: {name} has no parameter {key!r} "
+                              f"(it reads {', '.join(row.reads) or 'no parameters'})")
+    holomorphic = isinstance(target_chart, ComplexChart) if row.holomorphic is None \
+        else row.holomorphic
+    return ChartedMap(source_chart, target_chart,
+                      row.rule(params, where, source_chart.dim, target_chart.dim),
+                      holomorphic=holomorphic, name=name)
 
 
 def catalog_facts(name: str):

@@ -3,6 +3,7 @@ import pytest
 
 from projcurv import diffops, dual as gm, exprs, zoo
 from projcurv.charts import ComplexChart, RealChart
+from projcurv.curvature import levi_civita_christoffels
 from projcurv.dual import HyperDual
 from projcurv.fields import HermitianMetricField, RiemannianMetricField
 from projcurv.maps import ChartedMap
@@ -204,3 +205,21 @@ def complex_jets(field, z, backend="fd"):
     return (diffops._wirt_grad_from_real(grad, d)[0],
             diffops._wirt_mixed_from_real(hess, d)[0],
             diffops._wirt_holo2_from_real(hess, d)[0])
+
+
+def compatible_christoffels(metric, x, scale=1.0):
+    """``levi_civita_christoffels(metric, x)``, asserted metric-compatible
+    at every point: nabla_k g_ij = d_k g_ij - Gamma^s_ki g_sj - Gamma^s_kj g_is
+    with d g from an fd ``matrix_jet`` must be at most 1e-6 of max(1, |d g|)
+    at each point (a NaN defect fails too).  ``scale`` multiplies Gamma in
+    the check only, so that a wrong connection can be shown to fail it."""
+    xs, stacked = diffops.point_stack(x, float)
+    G, Gamma = levi_civita_christoffels(metric, xs)
+    d1 = diffops.matrix_jet(metric, xs, order=1)[1].real
+    nabla = (d1 - np.einsum("Zski,Zsj->Zkij", scale * Gamma, G)
+             - np.einsum("Zskj,Zis->Zkij", scale * Gamma, G))
+    for k, point in enumerate(xs):
+        defect = np.abs(nabla[k]).max()
+        assert defect <= 1e-6 * max(1.0, np.abs(d1[k]).max()), \
+            f"metric compatibility defect {defect:.3e} at {point}"
+    return (G, Gamma) if stacked else (G[0], Gamma[0])

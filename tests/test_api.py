@@ -21,8 +21,8 @@ KEEP = {
     "verify_exact_identity": "entry point: single-point exact identity (README library API)",
     "assemble_W_form": "entry point: the W form at one bundle point (README library API), "
                        "the stack of one of the suites' stacked W forms",
-    "wirtinger_hessian": "entry point: mixed Hessians as Form11s (README library API); "
-                         "the library takes them as stacked arrays (mixed_hessians)",
+    "wirtinger_hessian": "entry point: the mixed Hessian at one point as a Form11 (README "
+                         "library API), the one-point view of the stacked mixed_hessians",
     "verify_form_inequality": "entry point: single-point form inequality (README library API)",
     "verify_trace_inequality": "entry point: single-point trace inequality (README library API)",
     "cross_check": "ROADMAP item 3: the fd/dual defect a suite report records",

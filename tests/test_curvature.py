@@ -12,7 +12,7 @@ from projcurv.dual import HyperDual
 from projcurv.errors import ValidationError
 from projcurv.fields import HermitianMetricField, RiemannianMetricField
 
-from conftest import conformal_real_rule, fs_rule, nan_off_centre
+from conftest import compatible_christoffels, conformal_real_rule, fs_rule, nan_off_centre
 
 
 class TestChernCurvature:
@@ -106,8 +106,7 @@ class TestChristoffels:
     def test_sphere_conformal_oracle(self, sphere2):
         # conformal metric e^{2p} delta: Gamma^i_jk = d_ij p_k + d_ik p_j - d_jk p_i
         # with p = log 2 - log(1+r^2): p_i = -2 x_i / (1+r^2)
-        _, G = cv.levi_civita_christoffels(sphere2, [0.2, 0.0],
-                                           check_compatibility=True)
+        _, G = compatible_christoffels(sphere2, [0.2, 0.0])
         p1 = -0.4 / 1.04
         assert G[0, 0, 0] == pytest.approx(p1, abs=1e-9)
         assert G[0, 1, 1] == pytest.approx(-p1, abs=1e-9)
@@ -385,12 +384,20 @@ class TestCurvatureChecksFailClosed:
                 cv.chern_curvature(metric, [0.0709781])
 
     def test_nan_levi_civita_compatibility(self, sphere2):
+        # the symbols of a NaN jet are NaN, and the compatibility oracle
+        # fails on them
         metric = RiemannianMetricField(sphere2.chart, nan_off_centre(sphere2.rule),
                                        name="nan-jet", validate_on_init=False)
-        with pytest.raises(ValidationError, match="metric compatibility defect nan"):
-            cv.levi_civita_christoffels(metric, [0.2, -0.1], check_compatibility=True)
-        # unchecked, the symbols are NaN and it is the caller's to see
         assert np.isnan(cv.levi_civita_christoffels(metric, [0.2, -0.1])[1]).all()
+        with pytest.raises(AssertionError, match="metric compatibility defect nan"):
+            compatible_christoffels(metric, [0.2, -0.1])
+
+    @pytest.mark.parametrize("x", [[0.2, -0.1], [[0.2, -0.1], [-0.4, 0.3]]])
+    def test_a_wrong_connection_fails_the_compatibility_oracle(self, sphere2, x):
+        # the oracle passes the Levi-Civita symbols and fails them scaled by 1.01
+        compatible_christoffels(sphere2, x)
+        with pytest.raises(AssertionError, match="metric compatibility defect"):
+            compatible_christoffels(sphere2, x, scale=1.01)
 
 
 class TestNormalFrameChecksFailClosed:
@@ -602,7 +609,7 @@ class TestMetricEvaluatedOnce:
 
     @pytest.mark.parametrize("call", [
         lambda g, x: cv.riemann_curvature(g, x),
-        lambda g, x: cv.levi_civita_christoffels(g, x, check_compatibility=True),
+        lambda g, x: cv.levi_civita_christoffels(g, x),
     ], ids=["riemann", "levi_civita"])
     def test_riemannian(self, call):
         chart = RealChart(dim=2, radius=[0.9, 0.9])

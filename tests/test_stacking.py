@@ -14,7 +14,7 @@ import pytest
 from projcurv import bundle, diffops, dual as gm, verify as V, zoo
 from projcurv import maps as mp
 from projcurv.bundle import (BundlePoint, TautologicalMetric, affine_rows,
-                             tautological_curvature)
+                             curvature_matrices, tautological_curvature)
 from projcurv.charts import ComplexChart, RealChart
 from projcurv.errors import ChartDomainError
 from projcurv.curvature import (chern_arrays, chern_curvature,
@@ -23,8 +23,9 @@ from projcurv.fields import (Form11, HermitianMetricField, RiemannianMetricField
                              ScalarField, embedded)
 from projcurv.maps import ChartedMap, NestedBundlePoint
 
-from conftest import (STACK_METRICS, ULP_BUDGET, assert_within_ulps, fiber_vector,
-                      nan_on_right_half, stack_metric)
+from conftest import (STACK_METRICS, ULP_BUDGET, assert_within_ulps,
+                      compatible_christoffels, fiber_vector, nan_on_right_half,
+                      stack_metric)
 
 STACK = 7
 
@@ -65,13 +66,13 @@ def same_jets(stacked, single):
 
 
 def hessian_parts(out):
-    """The arrays of a wirtinger_hessian result at one point: the Form11's
-    matrix, and for a joint field the density's value and the rider's
-    value, dz and mixed jets."""
+    """The arrays of a mixed_hessians result: the Hessians, and for a joint
+    field the density's values and the rider's value, dz and mixed jets,
+    each with its sample axis first."""
     if isinstance(out, tuple):
-        form, D, (R, dz, mixed) = out
-        return [form.matrix, D, R, dz, mixed]
-    return [out.matrix]
+        L, D, rider = out
+        return [L, D, *rider]
+    return [out]
 
 
 @pytest.mark.parametrize("name", PAIRS)
@@ -101,10 +102,10 @@ def test_stacked_jets_equal_per_point_jets(name):
         same_jets(diffops._real_jet(field.rule, field.chart, stack, "fd"),
                   [[part[0] for part in diffops._real_jet(field.rule, field.chart, x, "fd")]
                    for x in points])
-        for got, x in zip(diffops.wirtinger_hessian(field, stack), points):
-            for a, b in zip(hessian_parts(got),
-                            hessian_parts(diffops.wirtinger_hessian(field, x))):
-                assert np.array_equal(a, b), field.name
+        stacked = hessian_parts(diffops.mixed_hessians(field, stack))
+        for k in range(len(stack)):
+            one = hessian_parts(diffops.mixed_hessians(field, stack[k:k + 1]))
+            assert all(np.array_equal(a[k], b[0]) for a, b in zip(stacked, one)), field.name
 
     # the metric jets, at the base points and at their images
     fzs = np.array([f.value(z) for z in zs])
@@ -122,9 +123,9 @@ def test_stacked_jets_equal_per_point_jets(name):
             for k, x in enumerate(points):
                 want_G, want_Gamma = levi_civita_christoffels(metric, x)
                 assert np.array_equal(G[k], want_G) and np.array_equal(Gamma[k], want_Gamma)
-    for got, P in zip(tautological_curvature(TautologicalMetric(h), Ps), Ps):
-        assert np.array_equal(got.matrix,
-                              tautological_curvature(TautologicalMetric(h), P).matrix)
+    stacked = curvature_matrices(TautologicalMetric(h), Ps)
+    for k, P in enumerate(Ps):
+        assert np.array_equal(stacked[k], curvature_matrices(TautologicalMetric(h), [P])[0])
 
 
 @pytest.mark.parametrize("name", PAIRS)
@@ -151,7 +152,7 @@ def curvature_parts(metric, points):
     if isinstance(metric, HermitianMetricField):
         t = chern_curvature(metric, points)
         return list(zip(t.array, t.metric_value))
-    G, Gamma = levi_civita_christoffels(metric, points, check_compatibility=True)
+    G, Gamma = compatible_christoffels(metric, points)
     t = riemann_curvature(metric, points)
     return list(zip(t.array, t.metric_value, G, Gamma))
 
@@ -174,7 +175,7 @@ def test_curvature_tensors_of_a_stack_are_those_of_stacks_of_one(kind, name):
         else:
             t = riemann_curvature(metric, x)
             alone = [t.array, t.metric_value,
-                     *levi_civita_christoffels(metric, x, check_compatibility=True)]
+                     *compatible_christoffels(metric, x)]
         for got, want, point in zip(stacked[k], one, alone):
             assert np.array_equal(got, want) and np.array_equal(got, point), (name, k)
 
@@ -228,27 +229,23 @@ def test_joint_jets_equal_the_separate_calls(name, count):
         cases.append((mp.Y1_field(f, h, g, n - 1), Qs, V._covector_tautological(f, g)))
     for field, pts, tm in cases:
         coords = np.array([P.combined() for P in pts])
-        joint = diffops.wirtinger_hessian(field, coords)
-        density = diffops.wirtinger_hessian(alone(field), coords)
+        L, D, (_, _, mixed) = diffops.mixed_hessians(field, coords)
         # the density's value is its own stencil's centre column
         values = diffops._real_jet(field.rule, field.chart, coords, "fd")[0].real
-        taut = tautological_curvature(tm, pts)
-        assert len(joint) == len(density) == len(taut) == count
-        for (L, D, (_, _, mixed)), want_L, want_D, want_T in zip(joint, density, values,
-                                                                 taut):
-            assert np.array_equal(L.matrix, want_L.matrix), field.name
-            assert D == want_D, field.name
-            assert np.array_equal(Form11(-Form11(mixed).matrix).matrix,
-                                  want_T.matrix), field.name
+        taut = curvature_matrices(tm, pts)
+        assert len(L) == len(D) == len(taut) == count
+        assert np.array_equal(L, diffops.mixed_hessians(alone(field), coords)), field.name
+        assert np.array_equal(D, values), field.name
+        for k in range(count):
+            assert np.array_equal(Form11(-Form11(mixed[k]).matrix).matrix,
+                                  taut[k]), field.name
 
     u = mp.u_field(f, h, g)
-    joint = diffops.wirtinger_hessian(u, zs)
-    density = diffops.wirtinger_hessian(alone(u), zs)
-    M, dz, mixed = diffops.matrix_jet(h, zs)
-    for k, (z, (L, _, jet)) in enumerate(zip(zs, joint)):
-        assert np.array_equal(L.matrix, density[k].matrix)
-        assert all(np.array_equal(a, b[k]) for a, b in zip(jet, (M, dz, mixed)))
-        assert np.array_equal(chern_arrays(*(part[None] for part in jet), z[None])[0],
+    L, _, jet = diffops.mixed_hessians(u, zs)
+    assert np.array_equal(L, diffops.mixed_hessians(alone(u), zs))
+    assert all(np.array_equal(a, b) for a, b in zip(jet, diffops.matrix_jet(h, zs)))
+    for k, z in enumerate(zs):
+        assert np.array_equal(chern_arrays(*(part[k:k + 1] for part in jet), z[None])[0],
                               chern_curvature(h, z).array)
 
 
@@ -323,7 +320,33 @@ def test_a_stack_must_share_its_fiber_chart():
     z = p.f.source.center
     Ps = [BundlePoint.make(z, [1.0, 0.5]), BundlePoint.make(z, [0.5, 1.0])]
     with pytest.raises(V.ValidationError, match="one fiber chart"):
-        tautological_curvature(TautologicalMetric(p.h), Ps)
+        curvature_matrices(TautologicalMetric(p.h), Ps)
+
+
+@pytest.mark.parametrize("name", ["fs-to-poincare", "fs2-to-ball", "fs3-to-ball3"])
+def test_the_one_point_views_are_stacks_of_one(name):
+    # wirtinger_hessian and tautological_curvature are Form11s of the
+    # stacked functions at the stack of one, bit for bit, and refuse a stack
+    p = build_pair(name)
+    f, h, g = p.f, p.h, p.g
+    rng = np.random.default_rng(19)
+    z = f.source.sample(rng, 0.5)
+    P = BundlePoint.make(z, fiber_vector(rng, f.m, f.m - 1))
+    tm = TautologicalMetric(h)
+    for field, x in ((mp.u_field(f, h, g), z),
+                     (mp.Y_field(f, h, g, P.chart_index), P.combined()),
+                     (tm.log_H_field(P.chart_index), P.combined())):
+        out = diffops.mixed_hessians(field, x[None])
+        form = diffops.wirtinger_hessian(field, x)
+        assert isinstance(form, Form11)
+        assert np.array_equal(form.matrix, (out if field.joint_rule is None else out[0])[0])
+        with pytest.raises(V.ValidationError, match="use mixed_hessians"):
+            diffops.wirtinger_hessian(field, x[None])
+    form = tautological_curvature(tm, P)
+    assert isinstance(form, Form11)
+    assert np.array_equal(form.matrix, curvature_matrices(tm, [P])[0])
+    with pytest.raises(V.ValidationError, match="use curvature_matrices"):
+        tautological_curvature(tm, [P])
 
 
 def one_at_a_time(monkeypatch):

@@ -1,6 +1,7 @@
 """tools/zoo_compare.py on synthetic ``zoo_digest.py --values`` outputs: a
 drift at or below 1e-12 passes, anything else that moved fails, for the
-suite reports and the pushforward values alike."""
+suite reports and the pushforward values alike; and tools/code_lines.py,
+which counts the package's code lines."""
 
 import copy
 import importlib.util
@@ -11,9 +12,17 @@ from pathlib import Path
 import pytest
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
-_spec = importlib.util.spec_from_file_location("zoo_compare", TOOLS / "zoo_compare.py")
-zoo_compare = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(zoo_compare)
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+zoo_compare = _load("zoo_compare")
+code_lines = _load("code_lines")
 
 POINT = {"z": [[0.1, 0.2]], "W": [[1.0, 0.0]]}
 REPORTS = {
@@ -171,3 +180,34 @@ def test_a_file_that_is_not_a_values_output_is_exit_two(tmp_path, capsys, text):
     assert zoo_compare.main([str(p) for p in paths]) == 2
     assert "old.json: not a zoo_digest.py --values output" in capsys.readouterr().err
     assert zoo_compare.main([str(tmp_path / "missing.json"), str(paths[1])]) == 2
+
+
+SOURCE = '''"""Module docstring,
+over two lines."""
+
+import math  # a comment on a code line
+
+
+def f(x,
+      y):
+    """A docstring."""
+    # a comment line
+
+    s = """a string that is
+    not a docstring"""
+    return math.hypot(x, y), s
+'''
+
+
+def test_code_lines_leave_out_docstrings_comments_and_blank_lines():
+    # import, def (two lines), s = (two lines), return
+    assert code_lines.code_lines(SOURCE) == 6
+
+
+def test_code_lines_prints_each_module_and_the_total(capsys):
+    assert code_lines.main() == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    counts = {name: int(count) for count, name in rows}
+    modules = sorted(path.name for path in code_lines.SRC.glob("*.py"))
+    assert [name for _, name in rows] == modules + ["total"]
+    assert counts["total"] == sum(counts[name] for name in modules) > 0

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -195,6 +197,16 @@ class TestBuilders:
         flat2 = zoo.build_entry("flat", {"dim": 2}).obj
         with pytest.raises(ConfigError, match=message):
             zoo.build_map(name, params, flat2.chart, flat2.chart)
+
+    @pytest.mark.parametrize("name", zoo.catalog_names()["map"])
+    def test_every_map_names_an_unknown_parameter(self, name):
+        # one read-check serves every row of the map table, before any
+        # parameter is read
+        flat2 = zoo.build_entry("flat", {"dim": 2}).obj
+        reads = ", ".join(zoo._MAPS[name].reads) or "no parameters"
+        with pytest.raises(ConfigError, match=re.escape(
+                f"{name}.bogus: {name} has no parameter 'bogus' (it reads {reads})")):
+            zoo.build_map(name, {"bogus": 1}, flat2.chart, flat2.chart)
 
     def test_map_parameters_are_read(self):
         flat = zoo.build_entry("flat", {"dim": 1}).obj
