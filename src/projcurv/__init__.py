@@ -20,8 +20,7 @@ from .maps import (ChartedMap, NestedBundlePoint, classical_energy_density,
                    constraint_D_check, generalized_Y, hatC_value,
                    hermitian_harmonic_residual, pluriharmonic_residual)
 from .verify import (PairContext, VerificationReport, assemble_W_form,
-                     maximum_principle_probe, run_suite, verify_exact_identity,
-                     verify_form_inequality, verify_trace_inequality)
+                     evaluate_suite, maximum_principle_probe, run_suite)
 from .zoo import ZooEntry, build_entry, catalog_facts, catalog_names
 from .errors import (BackendMismatchError, ChartDomainError, ConfigError,
                      DomainError, GeometryError, NotApplicable, QuadratureError,

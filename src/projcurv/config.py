@@ -20,7 +20,7 @@ Semantic errors name the offending key, e.g. "suites[2]: unknown suite 'S99'".
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 import yaml
@@ -152,7 +152,7 @@ def _require_boolean(table: dict, key: str, where: str):
         raise ConfigError(f"{where}{key}: expected true or false, got {table[key]!r}")
 
 
-def _resolve_metric(spec: dict, key: str, kind_hint: str):
+def _resolve_metric(spec: dict, key: str):
     if "zoo" in spec:
         params = {k: v for k, v in spec.items() if k != "zoo"}
         return zoo.build_entry(spec["zoo"], params).obj
@@ -160,12 +160,12 @@ def _resolve_metric(spec: dict, key: str, kind_hint: str):
         if k not in ("dim", "radius", "metric", "real"):
             raise ConfigError(f"pair.{key}.{k}: an inline metric has no parameter {k!r} "
                               "(it reads dim, radius, metric, real)")
+    _require_boolean(spec, "real", f"pair.{key}.")
     dim, radius = chart_params(spec, f"pair.{key}.", None, 0.9)
     entries = spec["metric"]
     if len(entries) != dim or any(len(row) != dim for row in entries):
         raise ConfigError(f"pair.{key}.metric: expected a {dim} x {dim} array")
-    real = bool(spec.get("real", kind_hint == "riemannian"))
-    if real:
+    if spec.get("real"):
         names = exprs.coordinate_names("x", dim)
         chart = RealChart(dim=dim, radius=np.full(dim, radius))
         field = RiemannianMetricField(chart, exprs.matrix_rule(entries, names),
@@ -183,15 +183,10 @@ def _resolve_pair(spec, phi_text=None) -> PairContext:
     if isinstance(spec, str):
         pair = zoo.build_entry(spec).obj
     else:
-        h = _resolve_metric(spec["source"], "source", "hermitian")
+        h = _resolve_metric(spec["source"], "source")
         if not isinstance(h, HermitianMetricField):
             raise ConfigError("pair.source: source metric must be Hermitian")
-        tgt_spec = dict(spec["target"])
-        if "zoo" in tgt_spec:
-            g = zoo.build_entry(tgt_spec.pop("zoo"), tgt_spec).obj
-        else:
-            g = _resolve_metric(tgt_spec, "target",
-                                "riemannian" if tgt_spec.get("real") else "hermitian")
+        g = _resolve_metric(spec["target"], "target")
         mp = spec["map"]
         if "zoo" in mp:
             params = {k: v for k, v in mp.items() if k != "zoo"}
@@ -216,6 +211,5 @@ def _resolve_pair(spec, phi_text=None) -> PairContext:
             from . import dual as gm
             return gm.real(_c(tuple(zs) + tuple(Ws)))
 
-        pair = PairContext(f=pair.f, h=pair.h, g=pair.g, name=pair.name,
-                           compact=pair.compact, phi=phi)
+        pair = replace(pair, phi=phi)
     return pair

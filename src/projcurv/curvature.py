@@ -178,19 +178,17 @@ def levi_civita_christoffels(metric: RiemannianMetricField, x):
     return (G, Gamma) if stacked else (G[0], Gamma[0])
 
 
-def _christoffel_jets(metric: RiemannianMetricField, x):
-    """(G, dG, d2G, Gamma, dGamma) at a point, or at an (N, n) stack of
-    points with a leading sample axis on each: the metric jets, and Gamma
-    and its first coordinate derivatives assembled from them."""
-    xs, stacked = diffops.point_stack(x, float)
+def _christoffel_jets(metric: RiemannianMetricField, xs: np.ndarray):
+    """(G, dG, d2G, Gamma, dGamma) at an (N, n) stack of points, with a
+    leading sample axis on each: the metric jets, and Gamma and its first
+    coordinate derivatives assembled from them."""
     G, d1, d2 = _riemannian_entry_jets(metric, xs, order=2)
     Ginv = np.linalg.inv(G)
     Gamma = _christoffels_from_jets(Ginv, d1)
     dGinv = -np.einsum("Zip,Zapq,Zql->Zail", Ginv, d1, Ginv)
     dGamma = 0.5 * (np.einsum("Zail,Zljk->Zaijk", dGinv, _bracket(d1))
                     + np.einsum("Zil,Zaljk->Zaijk", Ginv, _bracket(d2)))
-    out = (G, d1, d2, Gamma, dGamma)
-    return out if stacked else tuple(part[0] for part in out)
+    return G, d1, d2, Gamma, dGamma
 
 
 @dataclass(frozen=True)

@@ -10,14 +10,14 @@ share their fiber charts as one group, and every evaluator keeps the group
 as a stack from the jets to the verdict: one stencil evaluation per field,
 one curvature tensor, one contraction and one Hermitian check per term,
 and one eigvalsh per side.  Each output is still a per-sample Form11 or
-number, and each sample's numbers are those of its stack of one, which is
-what the single-point entry points evaluate.  The map jets (f(z) centres
-the target's stencils) and the W form's dual passes are taken point by
-point.
+number, and each sample's numbers are those of its stack of one.  The map
+jets (f(z) centres the target's stencils) and the W form's dual passes are
+taken point by point.
 
 Suite catalog.  ``SUITES`` holds one row per suite, the one place a suite
 is defined: the pairs it applies to, its sample points, its evaluation and
-its band.
+its band.  ``evaluate_suite`` evaluates a row at given points, for the
+runner and library callers alike; one point is the list of one.
 
     S1        ddbar Y  >=  (ddbar log H^{-1}) Y - [target curvature]/H
     S_minus1  ddbar Y  >=  (ddbar log H^{-1}) Y for a function to C
@@ -276,23 +276,14 @@ def _w_psd(f, h, g, Ps, weight=None) -> list:
 # ---------------------------------------------------------------------------
 # exact identities
 
-def verify_exact_identity(variant: str, f: ChartedMap, h: HermitianMetricField,
-                          g, P: BundlePoint, weight=None) -> dict:
-    """Two-route comparison of the full Hessian identity for the density.
+def _exact_identities(f, h, g, Ps, weight=None, *, holomorphic: bool) -> list:
+    """The exact identities' evaluator at bundle points Ps on one fiber
+    chart, exact_holo's when ``holomorphic`` and exact_pluri's when not.
 
     LHS: black-box mixed Hessian of Y (or Y_phi) on the (z, w) chart.
     RHS: (ddbar log H^{-1}) Y + W/H - [curvature term]/H, assembled from the
-    tautological curvature, the W form and a curvature contraction.
-    Returns the entrywise residual relative to max(1, ||LHS||).
-    """
-    row = _row(variant, f"unknown exact-identity variant {variant!r}", _EXACT)
-    return row.evaluate(f, h, g, [P], weight)[0]
-
-
-def _exact_identities(f, h, g, Ps, weight=None, *, holomorphic: bool) -> list:
-    """The exact identities' evaluator: ``verify_exact_identity`` at bundle
-    points Ps on one fiber chart, exact_holo's when ``holomorphic`` and
-    exact_pluri's when not."""
+    tautological curvature, the W form and a curvature contraction.  The
+    residual is entrywise, relative to max(1, ||LHS||)."""
     complex_target = isinstance(g, HermitianMetricField)
     if holomorphic and not (f.holomorphic and complex_target):
         raise NotApplicable("exact_holo needs a holomorphic map into a complex target")
@@ -346,26 +337,10 @@ def _s01_sides(f: ChartedMap, h: HermitianMetricField, g, zs):
     return L, first - second, hup
 
 
-def verify_form_inequality(suite: str, f: ChartedMap, h: HermitianMetricField,
-                           g, point, phi=None) -> dict:
-    """Min eigenvalue of LHS - RHS for one of the form-inequality suites.
-
-    ``point`` is a BundlePoint for the projective-bundle suites (S1 family), a
-    NestedBundlePoint for S3 and a base point for S01/hessian.
-    """
-    return _form_inequalities(suite, f, h, g, [point], phi)[0]
-
-
-def _form_inequalities(suite, f, h, g, pts, phi=None) -> list:
-    """``verify_form_inequality`` at points of one kind that share their
-    fiber charts, each fd field taking one stencil evaluation for all."""
-    row = _row(suite, f"{suite!r} is not a form-inequality suite", _EIGEN)
-    return row.evaluate(f, h, g, pts, phi if row.weighted else None)
-
-
 def _forms(lhs: np.ndarray, rhs: np.ndarray) -> list:
-    """The outputs of ``verify_form_inequality`` for the stacks of the two
-    sides, with one eigvalsh for the stack of their differences."""
+    """The outputs of a form inequality LHS >= RHS for the stacks of the two
+    sides: the smallest eigenvalue of LHS - RHS, the scale, both sides and
+    their difference, with one eigvalsh for the stack of differences."""
     residual = lhs - rhs
     lam = eigenvalues(residual)[:, 0]
     scale = _scales(lhs)
@@ -460,15 +435,9 @@ def _covector_tautological(f: ChartedMap, g: HermitianMetricField) -> Tautologic
 # ---------------------------------------------------------------------------
 # trace inequalities
 
-def verify_trace_inequality(suite: str, f: ChartedMap, h: HermitianMetricField,
-                            g, z) -> dict:
-    """Signed scalar residual tr(LHS) - tr(RHS) for the trace suites."""
-    return _row(suite, f"{suite!r} is not a trace suite", _TRACE).evaluate(f, h, g, [z])[0]
-
-
 def _trace_inequalities(f, h, g, zs, weight=None) -> list:
-    """The trace suites' evaluator: ``verify_trace_inequality`` at each of
-    the base points zs."""
+    """The trace suites' evaluator at each of the base points zs: the signed
+    scalar residual tr(LHS) - tr(RHS)."""
     L, R, hup = _s01_sides(f, h, g, zs)
     # h^{a bbar} A_{a bbar} over one flattened index: two summed indices
     # with a 1 x 1 result are grouped by the stack's size (see _pairing)
@@ -633,8 +602,8 @@ _W_PSD = _Band("min_eigenvalue", -1.0, lambda relative, exact, out: W_PSD_TOL)
 
 @dataclass(frozen=True)
 class _Suite:
-    """One suite: all that routing, the runner and the entry points know of
-    it.  The S5 probe has neither point kind nor band: its evaluation is
+    """One suite: all that routing, the runner and ``evaluate_suite`` know
+    of it.  The S5 probe has neither point kind nor band: its evaluation is
     ``maximum_principle_probe`` on ``PairContext.probe_grid``."""
     applies: Callable           # routing: (pair) -> why it does not apply, or ""
     point: Callable | None      # (f, rng) -> one sample point
@@ -669,19 +638,41 @@ TRACE_SUITES = tuple(tag for tag, row in SUITES.items() if row.band is _TRACE)
 EXACT_VARIANTS = tuple(tag for tag, row in SUITES.items() if row.band is _EXACT)
 
 
-def _row(suite, message: str, band: _Band | None = None) -> _Suite:
-    """The row of ``suite``, of the given band when one is given; anything
-    else raises ValidationError(message)."""
+def _row(suite) -> _Suite:
+    """The row of ``suite``; anything else raises ValidationError."""
     row = SUITES.get(suite) if isinstance(suite, str) else None
-    if row is None or band is not None and row.band is not band:
-        raise ValidationError(message)
+    if row is None:
+        raise ValidationError(f"unknown suite {suite!r}")
     return row
 
 
 def suite_applicable(suite: str, pair: PairContext) -> tuple[bool, str]:
     """Routing: which suites make sense for which map/metric types."""
-    why = _row(suite, f"unknown suite {suite!r}").applies(pair)
+    why = _row(suite).applies(pair)
     return not why, why
+
+
+def evaluate_suite(suite: str, f: ChartedMap, h: HermitianMetricField, g, points,
+                   weight=None) -> list:
+    """The ``SUITES`` row of ``suite`` evaluated at ``points``: one output
+    dict per point, each that of its stack of one.
+
+    ``points`` is a list of points of the row's kind (its ``point``: bundle
+    points, base points, covector points for S2, nested points for S3) that
+    share one fiber chart.  ``weight`` is the conformal weight phi(z, W),
+    passed to the row as given.  An unknown suite, the S5 probe (it has no
+    sample points: call ``maximum_principle_probe``) and points on more
+    than one fiber chart, or none, raise ValidationError.
+    """
+    row = _row(suite)
+    if row.point is None:
+        raise ValidationError(f"{suite} has no sample points; call "
+                              "maximum_principle_probe")
+    charts = {_fiber_charts(pt) for pt in points}
+    if len(charts) != 1:
+        raise ValidationError(f"{suite} evaluates points on one fiber chart, "
+                              f"got {len(points)} points on {len(charts)}")
+    return row.evaluate(f, h, g, points, weight)
 
 
 # ---------------------------------------------------------------------------
@@ -800,8 +791,7 @@ def run_suite(pair: PairContext, suites, samples: int = DEFAULT_SAMPLES,
         raise ValidationError("sample count must be >= 1")
     reports = []
     for suite in suites:
-        if suite not in SUITE_TAGS:
-            raise ValidationError(f"unknown suite {suite!r}")
+        _row(suite)             # an unknown suite raises
         t0 = time.perf_counter()
         tolerances = {"tol_relative": tol_relative, "tol_exact": tol_exact,
                       "w_psd_tol": W_PSD_TOL}
@@ -862,7 +852,8 @@ def _evaluate(suite, pair, pts, weight, tol_relative, tol_exact) -> list:
     pass: per sample (residual, band violated, residual form or None)."""
     row = SUITES[suite]
     band = row.band
-    outs = row.evaluate(pair.f, pair.h, pair.g, pts, weight if row.weighted else None)
+    outs = evaluate_suite(suite, pair.f, pair.h, pair.g, pts,
+                          weight if row.weighted else None)
     return [(out[band.key], band.sign * out[band.key] > band.tol(tol_relative, tol_exact, out),
              out.get("residual_form")) for out in outs]
 

@@ -18,11 +18,11 @@ Each metric is one row of ``_HERMITIAN`` or ``_RIEMANNIAN``: its ``rule`` as
 a function of the dimension (round-sphere's also of its scale), the default
 ``dim`` and ``radius``, ``reach``, the distance from the chart centre to the
 singular set as a function of the centre (None: there is none), the allowed
-``dims``, the ``extras`` it reads beyond dim and radius with their defaults,
-and whether it is ``compact``.  Any other parameter is a ConfigError.  One
-guard serves every bounded metric: the chart box's farthest point from its
-centre, r sqrt(2m) on a complex chart and r sqrt(n) on a real one, must stay
-short of ``reach``.
+``dims``, and the ``extras`` it reads beyond dim and radius with their
+defaults.  Any other parameter is a ConfigError.  One guard serves every
+bounded metric: the chart box's farthest point from its centre, r sqrt(2m)
+on a complex chart and r sqrt(n) on a real one, must stay short of
+``reach``.
 
 Each map is one row of ``_MAPS``: the parameters it ``reads``, its ``rule``
 as a function of (params, the "<name>." prefix of its ConfigErrors, source
@@ -50,11 +50,8 @@ from .verify import PairContext
 @dataclass(frozen=True)
 class ZooEntry:
     name: str
-    kind: str            # hermitian-metric | riemannian-metric | holo-map | smooth-map | map-pair
-    params: dict
-    obj: object
-    facts: tuple = ()
-    meta: dict = field(default_factory=dict)
+    obj: object          # the metric field or the PairContext
+    facts: tuple
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +135,6 @@ class _Metric:
     reach: Callable | None = None
     dims: tuple = (1, None)
     extras: dict = field(default_factory=dict)
-    compact: bool = False
 
 
 def _ball(radius):
@@ -151,8 +147,7 @@ _HERMITIAN = {
     "fubini-study": _Metric(_fs_rule, 1, 0.9),
     "poincare-disc": _Metric(_poincare_rule, 1, 0.55, _ball(1.0), dims=(1, 1)),
     "poincare-ball": _Metric(_poincare_rule, 1, 0.38, _ball(1.0)),
-    "flat-torus": _Metric(_delta_rule, 1, 0.45, extras={"fundamental_domain": 1.0},
-                          compact=True),
+    "flat-torus": _Metric(_delta_rule, 1, 0.45),
     # the singular set is the puncture at z = 0
     "hopf": _Metric(_hopf_rule, 2, 0.25, lambda c: float(np.linalg.norm(c)),
                     dims=(2, None), extras={"center": lambda m: [1.0] + [0.3] * (m - 1)}),
@@ -174,13 +169,13 @@ _RIEMANNIAN = {
     "sphere-line-product": _Metric(_sphere_line_rule, 3, 0.9, dims=(3, 3)),
 }
 
-# per kind: table, chart type, field type, real coordinates per chart coordinate
-_KINDS = {"hermitian-metric": (_HERMITIAN, ComplexChart, HermitianMetricField, 2),
-          "riemannian-metric": (_RIEMANNIAN, RealChart, RiemannianMetricField, 1)}
+# per metric kind: table, chart type, field type, real coordinates per chart coordinate
+_KINDS = ((_HERMITIAN, ComplexChart, HermitianMetricField, 2),
+          (_RIEMANNIAN, RealChart, RiemannianMetricField, 1))
 
 
 def _build_metric(name, row: _Metric, params, chart_type, field_type, reals):
-    """The metric field of a table row and its entry metadata."""
+    """The metric field of a table row."""
     where, reads = f"{name}.", ("dim", "radius", *row.extras)
     for key in params:
         if key not in reads:
@@ -203,12 +198,8 @@ def _build_metric(name, row: _Metric, params, chart_type, field_type, reals):
                           f"from its centre, past the singular set of {name}")
     rule = row.rule(m, number(params, "scale", row.extras["scale"], float, where)) \
         if "scale" in row.extras else row.rule(m)
-    meta = {"compact": row.compact}
-    if "fundamental_domain" in row.extras:
-        meta["fundamental_domain"] = number(params, "fundamental_domain",
-                                            row.extras["fundamental_domain"], float, where)
     chart = chart_type(dim=m, center=center, radius=np.full(m, radius), name=name)
-    return field_type(chart, rule, name=name), meta
+    return field_type(chart, rule, name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -381,12 +372,11 @@ def build_entry(name: str, params: dict | None = None) -> ZooEntry:
     Metric entries are probe-validated at 100 seeded points before release.
     """
     params = dict(params or {})
-    for kind, (table, chart_type, field_type, reals) in _KINDS.items():
+    for table, chart_type, field_type, reals in _KINDS:
         if name in table:
-            obj, meta = _build_metric(name, table[name], params, chart_type,
-                                      field_type, reals)
+            obj = _build_metric(name, table[name], params, chart_type, field_type, reals)
             obj.validate(np.random.default_rng(20250809), count=100)
-            return ZooEntry(name, kind, params, obj, _FACTS.get(name, ()), meta)
+            return ZooEntry(name, obj, _FACTS.get(name, ()))
     if name in _PAIRS:
         src, sp, tgt, tp, mp, mparams, compact = _PAIRS[name]
         sp = {**sp, **params.get("source", {})}
@@ -395,8 +385,7 @@ def build_entry(name: str, params: dict | None = None) -> ZooEntry:
         g = build_entry(tgt, tp).obj
         f = build_map(mp, mparams, h.chart, g.chart)
         pair = PairContext(f=f, h=h, g=g, name=name, compact=compact)
-        return ZooEntry(name, "map-pair", params, pair, _PAIR_FACTS.get(name, ()),
-                        {"compact": compact})
+        return ZooEntry(name, pair, _PAIR_FACTS.get(name, ()))
     raise ConfigError(f"unknown zoo entry {name!r}")
 
 

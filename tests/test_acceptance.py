@@ -119,7 +119,7 @@ def test_criterion_05_exact_identity_holomorphic():
     for name in triples:
         p = _pair(name)
         for P in _bundle_points(p, 5, 50):
-            out = V.verify_exact_identity("exact_holo", p.f, p.h, p.g, P)
+            out = V.evaluate_suite("exact_holo", p.f, p.h, p.g, [P])[0]
             worst = max(worst, out["residual"])
             assert out["residual"] <= 1e-4, (name, out["residual"])
     elapsed = time.perf_counter() - t0
@@ -133,7 +133,7 @@ def test_criterion_06_exact_identity_pluriharmonic():
     for name in ("pluri-flat3", "pluri-poincare", "pluri-m2-flat"):
         p = _pair(name)
         for P in _bundle_points(p, 6, 50):
-            out = V.verify_exact_identity("exact_pluri", p.f, p.h, p.g, P)
+            out = V.evaluate_suite("exact_pluri", p.f, p.h, p.g, [P])[0]
             worst = max(worst, out["residual"])
             assert out["residual"] <= 1e-4, (name, out["residual"])
     _report(6, f"pluri-harmonic identity residual <= 1e-4 on 3 maps x 50 points "
@@ -181,9 +181,8 @@ def test_criterion_08_inequality_suites():
     # the conformal variant with zero weight reproduces the base suite
     p = _pair("fs-to-poincare")
     for P in _bundle_points(p, 88, 5):
-        a = V.verify_form_inequality("S1", p.f, p.h, p.g, P)
-        b = V.verify_form_inequality("S03", p.f, p.h, p.g, P,
-                                     phi=lambda zs, Ws: 0.0)
+        a = V.evaluate_suite("S1", p.f, p.h, p.g, [P])[0]
+        b = V.evaluate_suite("S03", p.f, p.h, p.g, [P], weight=lambda zs, Ws: 0.0)[0]
         assert np.max(np.abs(a["residual_form"].matrix
                              - b["residual_form"].matrix)) < 1e-10
     _report(8, "all ten inequality suites PSD within -1e-6 x scale at 50 points; "

@@ -2,13 +2,15 @@
 exports is referenced somewhere in ``src/projcurv`` outside its own
 definition, unless it is on the short keep-list below, each entry with its
 reason.  A function that no suite, probe, CLI path or other library code
-calls is dead weight; this test keeps such code from growing back.
+calls is dead weight; this test keeps such code from growing back.  The
+README's library example runs as written.
 """
 
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "projcurv"
+README = SRC.parent.parent / "README.md"
 
 # name -> why it is exported with no caller in src/: an entry point, the
 # ROADMAP item that will call it, or the test oracle it serves as
@@ -18,13 +20,10 @@ KEEP = {
                                 "pushforward_energy_check's u equals it bit for bit",
     "pushforward_energy_check": "entry point: |df|^2 = m pi_*(Y) at one base point; "
                                 "the fiber_density benchmark workload calls it",
-    "verify_exact_identity": "entry point: single-point exact identity (README library API)",
     "assemble_W_form": "entry point: the W form at one bundle point (README library API), "
                        "the stack of one of the suites' stacked W forms",
     "wirtinger_hessian": "entry point: the mixed Hessian at one point as a Form11 (README "
                          "library API), the one-point view of the stacked mixed_hessians",
-    "verify_form_inequality": "entry point: single-point form inequality (README library API)",
-    "verify_trace_inequality": "entry point: single-point trace inequality (README library API)",
     "cross_check": "ROADMAP item 3: the fd/dual defect a suite report records",
     "holomorphic_sectional_curvature": "ROADMAP item 9: the hypotheses block; "
                                        "oracle of the zoo curvature tests",
@@ -77,3 +76,17 @@ def test_keep_list_is_not_stale():
     # an entry that gained a caller, or is no longer exported, leaves the list
     stale = sorted(set(KEEP) - _unreferenced())
     assert not stale, f"KEEP entries that are referenced or not exported: {stale}"
+
+
+def test_readme_library_example_runs(capsys):
+    # the first Python block under "## Library example", executed as is
+    section = README.read_text().split("## Library example", 1)[1]
+    code = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    exec(compile(code, str(README), "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    y, residual = map(float, lines[0].split())
+    assert y > 0 and abs(residual) <= 1e-4      # exact_holo's band
+    assert lines[1:3] == ["True", "True"]       # S1's band at both points
+    # the stack's witnesses, printed by NumPy to 8 digits: the first is P's
+    witnesses = [float(v) for v in lines[4].strip("[]").split()]
+    assert len(witnesses) == 2 and abs(witnesses[0] - float(lines[3])) <= 1e-8

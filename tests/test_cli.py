@@ -140,16 +140,21 @@ samples: 2
         ("target", "{zoo: poincare-disc, dim: 1.5}", r"poincare-disc\.dim: expected an integer"),
         ("target", "{zoo: poincare-disc, radius: 0.8}",
          r"poincare-disc\.radius: .* past the singular set"),
+        ("target", "{zoo: flat-torus, fundamental_domain: 1.0}",
+         r"flat-torus\.fundamental_domain: flat-torus has no parameter 'fundamental_domain'"),
         ("source", '{dim: 1.9, metric: [["1"]]}',
          r"pair\.source\.dim: expected an integer, got 1\.9"),
         ("source", '{dim: true, metric: [["1"]]}', r"pair\.source\.dim: expected a number"),
         ("source", '{dim: 1, metric: [["1"]], radus: 0.5}',
          r"pair\.source\.radus: an inline metric has no parameter 'radus'"),
         ("target", '{dim: 1, radius: .nan, metric: [["1"]]}',
-         r"pair\.target\.radius: must be positive and finite")])
+         r"pair\.target\.radius: must be positive and finite"),
+        ("target", '{dim: 1, metric: [["1"]], real: "false"}',
+         r"pair\.target\.real: expected true or false, got 'false'")])
     def test_metric_parameters_pass_the_plan_checks(self, part, spec, message):
         # dim: 1.5 ran at dim 1, dim: 1.9 inline truncated to 1, an unknown key
-        # was ignored, and the Poincare guard let a chart corner leave the disc
+        # was ignored, the Poincare guard let a chart corner leave the disc,
+        # and real: "false" made a Riemannian metric
         specs = {"source": "{zoo: flat, dim: 1}", "target": "{zoo: flat, dim: 1}", part: spec}
         cfg = config.parse_config(
             f"pair:\n  source: {specs['source']}\n  target: {specs['target']}\n"

@@ -222,8 +222,8 @@ def test_the_S1_residual_is_the_same_form_in_two_fiber_charts(name, data):
     W = np.array(data.draw(st.lists(_complex(0.6), min_size=m, max_size=m)))
     for k in (i, j):
         W[k] = data.draw(st.floats(0.95, 1.0)) * np.exp(1j * data.draw(st.floats(0, 6.3)))
-    A_i, A_j = (verify.verify_form_inequality(
-        "S1", p.f, p.h, p.g, BundlePoint.make(z, W, k))["residual_form"].matrix
+    A_i, A_j = (verify.evaluate_suite(
+        "S1", p.f, p.h, p.g, [BundlePoint.make(z, W, k)])[0]["residual_form"].matrix
         for k in (i, j))
     # D[k, l] = d(W_k / W_j) / dW_l with W scaled so that W_i = 1; v drops
     # index j and u drops index i

@@ -309,7 +309,7 @@ def test_a_map_off_the_source_metric_chart_is_rejected():
         with pytest.raises(V.ValidationError, match="not the chart of the source metric"):
             V.PairContext(f=f, h=p.h, g=p.g)
         with pytest.raises(V.ValidationError, match="not the chart of the source metric"):
-            V.verify_form_inequality("S01", f, p.h, p.g, chart.center)
+            V.evaluate_suite("S01", f, p.h, p.g, [chart.center])
     same = ComplexChart(dim=1, radius=p.h.chart.radius, name="copy")
     V.PairContext(f=ChartedMap(same, p.g.chart, p.f.rule, holomorphic=True),
                   h=p.h, g=p.g)
@@ -321,6 +321,15 @@ def test_a_stack_must_share_its_fiber_chart():
     Ps = [BundlePoint.make(z, [1.0, 0.5]), BundlePoint.make(z, [0.5, 1.0])]
     with pytest.raises(V.ValidationError, match="one fiber chart"):
         curvature_matrices(TautologicalMetric(p.h), Ps)
+    # so must the points of a suite evaluation, on the W chart or the X chart
+    Rs = [NestedBundlePoint.make(z, [1.0, 0.5], X) for X in ([1.0, 0.5], [0.5, 1.0])]
+    for suite, pts in (("S1", Ps), ("W_psd", Ps), ("S3", Rs)):
+        with pytest.raises(V.ValidationError,
+                           match=f"{suite} evaluates points on one fiber chart, "
+                                 "got 2 points on 2"):
+            V.evaluate_suite(suite, p.f, p.h, p.g, pts)
+        for pt in pts:
+            V.evaluate_suite(suite, p.f, p.h, p.g, [pt])
 
 
 @pytest.mark.parametrize("name", ["fs-to-poincare", "fs2-to-ball", "fs3-to-ball3"])
@@ -651,7 +660,7 @@ def test_a_stack_fails_the_metric_check_at_its_first_failing_row(entry, kind, wh
                        name="half", validate_on_init=False)
 
         def call(zs):
-            return V._form_inequalities("S01", f, metric, flat, list(np.atleast_2d(zs)))
+            return V.evaluate_suite("S01", f, metric, flat, list(np.atleast_2d(zs)))
     with np.errstate(invalid="ignore"):
         with pytest.raises(V.ValidationError) as alone:
             call(points[1])

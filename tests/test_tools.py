@@ -1,7 +1,8 @@
 """tools/zoo_compare.py on synthetic ``zoo_digest.py --values`` outputs: a
 drift at or below 1e-12 passes, anything else that moved fails, for the
 suite reports and the pushforward values alike; and tools/code_lines.py,
-which counts the package's code lines."""
+which counts the package's code lines, exported names and parameters with
+a default."""
 
 import copy
 import importlib.util
@@ -206,8 +207,54 @@ def test_code_lines_leave_out_docstrings_comments_and_blank_lines():
 
 def test_code_lines_prints_each_module_and_the_total(capsys):
     assert code_lines.main() == 0
-    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    lines = capsys.readouterr().out.splitlines()
+    rows = [line.split() for line in lines[:-2]]
     counts = {name: int(count) for count, name in rows}
     modules = sorted(path.name for path in code_lines.SRC.glob("*.py"))
     assert [name for _, name in rows] == modules + ["total"]
     assert counts["total"] == sum(counts[name] for name in modules) > 0
+    # then the package's exported names and parameters with a default
+    init = (code_lines.SRC / "__init__.py").read_text()
+    defaults = sum(code_lines.defaulted_parameters(path.read_text())
+                   for path in code_lines.SRC.glob("*.py"))
+    assert lines[-2:] == [f"{code_lines.exported_names(init):6d}  names exported by __init__.py",
+                          f"{defaults:6d}  parameters with a default value"]
+
+
+PACKAGE_INIT = '''"""A package."""
+
+from .a import f, g as h
+from .b import (C,
+                D)
+import numpy as np
+__version__ = "1"
+'''
+
+DEFAULTS = '''
+def f(x, y=1, *args, z, w=None, **kw):
+    def inner(a=2):
+        return a
+    return lambda u, v=3: u
+
+
+class C:
+    def method(self, p, q=(), *, r=0.5, s):
+        pass
+
+    async def later(self, t=None):
+        pass
+
+    size: int = 4       # a class attribute, not a parameter
+'''
+
+
+def test_exported_names_count_the_from_imports():
+    # f, h (g renamed), C and D; a plain import and an assignment bind no export
+    assert code_lines.exported_names(PACKAGE_INIT) == 4
+
+
+def test_defaulted_parameters_count_every_function_and_lambda():
+    # f: y, w; inner: a; the lambda: v; method: q, r; later: t.  Parameters
+    # without a default (x, z, p, s) and *args, **kw are not counted
+    assert code_lines.defaulted_parameters(DEFAULTS) == 7
+    assert code_lines.defaulted_parameters(SOURCE) == 0

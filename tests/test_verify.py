@@ -29,6 +29,9 @@ def sample_points(p, seed, count):
     return V._draw_points("S1", p, np.random.default_rng(seed), count)
 
 
+# the suites with sample points: all but the S5 probe
+SAMPLED = [tag for tag, row in V.SUITES.items() if row.point is not None]
+
 OK, HOLO, FN, RIEM = ("", "requires a holomorphic map", "requires a holomorphic function to C",
                       "requires a Riemannian target")
 # why each suite of V.SUITE_TAGS does not apply to each zoo pair ("" where it
@@ -130,6 +133,9 @@ class TestWForm:
             for P in sample_points(p, 31, 5):
                 form = V.assemble_W_form(p.f, p.h, p.g, P)
                 assert form.min_eigenvalue() >= -1e-8, name
+                # W_psd's residual is the smallest eigenvalue of that form
+                out = V.evaluate_suite("W_psd", p.f, p.h, p.g, [P])[0]
+                assert out["min_eigenvalue"] == form.min_eigenvalue(), name
 
 
 class TestExactIdentity:
@@ -139,7 +145,7 @@ class TestExactIdentity:
     def test_holomorphic_catalog(self, name):
         p = pair(name)
         for P in sample_points(p, 17, 6):
-            out = V.verify_exact_identity("exact_holo", p.f, p.h, p.g, P)
+            out = V.evaluate_suite("exact_holo", p.f, p.h, p.g, [P])[0]
             assert out["residual"] <= 1e-4, (name, out["residual"])
 
     @pytest.mark.parametrize("name", ["pluri-flat3", "pluri-poincare",
@@ -147,7 +153,7 @@ class TestExactIdentity:
     def test_pluriharmonic_catalog(self, name):
         p = pair(name)
         for P in sample_points(p, 19, 6):
-            out = V.verify_exact_identity("exact_pluri", p.f, p.h, p.g, P)
+            out = V.evaluate_suite("exact_pluri", p.f, p.h, p.g, [P])[0]
             assert out["residual"] <= 1e-4, (name, out["residual"])
 
     def test_weighted_identity(self):
@@ -157,15 +163,14 @@ class TestExactIdentity:
             return 0.3 * gm.real(zs[0]) + 0.1 * gm.abs2(zs[0])
 
         for P in sample_points(p, 23, 3):
-            out = V.verify_exact_identity("exact_holo", p.f, p.h, p.g, P,
-                                          weight=phi)
+            out = V.evaluate_suite("exact_holo", p.f, p.h, p.g, [P], weight=phi)[0]
             assert out["residual"] <= 1e-4
 
     def test_type_routing(self):
         p = pair("pluri-poincare")
         P = sample_points(p, 29, 1)[0]
         with pytest.raises(NotApplicable):
-            V.verify_exact_identity("exact_holo", p.f, p.h, p.g, P)
+            V.evaluate_suite("exact_holo", p.f, p.h, p.g, [P])
 
     def test_exact_holo_on_riemannian_target_not_applicable(self):
         # a constant map is holomorphic; the Riemannian target alone rules
@@ -176,7 +181,7 @@ class TestExactIdentity:
                        holomorphic=True, name="const")
         P = sample_points(p, 29, 1)[0]
         with pytest.raises(NotApplicable, match="complex target"):
-            V.verify_exact_identity("exact_holo", f, p.h, p.g, P)
+            V.evaluate_suite("exact_holo", f, p.h, p.g, [P])
 
 
 class TestFormInequalities:
@@ -196,16 +201,15 @@ class TestFormInequalities:
         rng = np.random.default_rng(41)
         for _ in range(5):
             pt = V._draw_points(suite, p, rng, 1)[0]
-            out = V.verify_form_inequality(suite, p.f, p.h, p.g, pt,
-                                           phi=V._default_phi if suite == "S03"
-                                           else None)
+            out = V.evaluate_suite(suite, p.f, p.h, p.g, [pt],
+                                   V._default_phi if suite == "S03" else None)[0]
             assert out["min_eigenvalue"] >= -1e-6 * out["scale"], (suite, name)
 
     def test_s1_flat_identity_equality(self, flat2):
         # both sides coincide with the tautological term; residual is zero
         f = identity_map(flat2, flat2)
         P = BundlePoint.make([0.1, -0.2j], [1.0, 0.5 + 0.2j])
-        out = V.verify_form_inequality("S1", f, flat2, flat2, P)
+        out = V.evaluate_suite("S1", f, flat2, flat2, [P])[0]
         assert abs(out["min_eigenvalue"]) < 1e-8
 
     def test_constant_map_all_zero(self, fs1, poincare1):
@@ -213,16 +217,15 @@ class TestFormInequalities:
                        holomorphic=True)
         P = BundlePoint.make([0.2], [1.0])
         for suite in ("S1", "S03"):
-            out = V.verify_form_inequality(suite, f, fs1, poincare1, P,
-                                           phi=V._default_phi if suite == "S03"
-                                           else None)
+            out = V.evaluate_suite(suite, f, fs1, poincare1, [P],
+                                   V._default_phi if suite == "S03" else None)[0]
             assert out["min_eigenvalue"] >= -1e-10
 
     def test_decomposition_matches_curvature_term(self):
         # LHS - (taut term) - W/H reproduces exactly the curvature term
         p = pair("fs-to-poincare")
         for P in sample_points(p, 43, 4):
-            out = V.verify_form_inequality("S1", p.f, p.h, p.g, P)
+            out = V.evaluate_suite("S1", p.f, p.h, p.g, [P])[0]
             Wform = V.assemble_W_form(p.f, p.h, p.g, P)
             H = TautologicalMetric(p.h).H_value(P)
             resid = out["residual_form"].matrix - Wform.matrix / H
@@ -231,9 +234,8 @@ class TestFormInequalities:
     def test_s03_zero_weight_matches_s1(self):
         p = pair("fs-to-poincare")
         for P in sample_points(p, 47, 3):
-            a = V.verify_form_inequality("S1", p.f, p.h, p.g, P)
-            b = V.verify_form_inequality("S03", p.f, p.h, p.g, P,
-                                         phi=lambda zs, Ws: 0.0)
+            a = V.evaluate_suite("S1", p.f, p.h, p.g, [P])[0]
+            b = V.evaluate_suite("S03", p.f, p.h, p.g, [P], weight=lambda zs, Ws: 0.0)[0]
             diff = np.max(np.abs(a["residual_form"].matrix
                                  - b["residual_form"].matrix))
             assert diff < 1e-10
@@ -252,8 +254,8 @@ class TestFormInequalities:
             ya = generalized_Y(cplx.f, cplx.h, cplx.g, P)
             yb = generalized_Y(real.f, real.h, real.g, P)
             assert ya == pytest.approx(yb, rel=1e-10)
-            a = V.verify_form_inequality("S1", cplx.f, cplx.h, cplx.g, P)
-            b = V.verify_form_inequality("S11", real.f, real.h, real.g, P)
+            a = V.evaluate_suite("S1", cplx.f, cplx.h, cplx.g, [P])[0]
+            b = V.evaluate_suite("S11", real.f, real.h, real.g, [P])[0]
             diff = np.max(np.abs(a["residual_form"].matrix
                                  - b["residual_form"].matrix))
             assert diff < 1e-5
@@ -306,9 +308,9 @@ class TestHigherDimension:
         for _ in range(2):
             P = BundlePoint.make(fs3.chart.sample(rng, 0.4),
                                  rng.standard_normal(3) + 1j * rng.standard_normal(3))
-            out = V.verify_exact_identity("exact_holo", f, fs3, flat3, P)
+            out = V.evaluate_suite("exact_holo", f, fs3, flat3, [P])[0]
             assert out["residual"] <= 1e-4
-            ineq = V.verify_form_inequality("S1", f, fs3, flat3, P)
+            ineq = V.evaluate_suite("S1", f, fs3, flat3, [P])[0]
             assert ineq["min_eigenvalue"] >= -1e-6 * ineq["scale"]
             assert ineq["residual_form"].dim == 5   # combined (z, w) chart
 
@@ -323,12 +325,12 @@ class TestTraceInequalities:
         rng = np.random.default_rng(59)
         for _ in range(5):
             z = p.f.source.sample(rng, 0.5)
-            out = V.verify_trace_inequality(suite, p.f, p.h, p.g, z)
+            out = V.evaluate_suite(suite, p.f, p.h, p.g, [z])[0]
             assert out["residual"] >= -1e-6 * out["scale"]
 
     def test_flat_identity_zero(self, flat2):
         f = identity_map(flat2, flat2)
-        out = V.verify_trace_inequality("S02", f, flat2, flat2, [0.1, 0.2])
+        out = V.evaluate_suite("S02", f, flat2, flat2, [[0.1, 0.2]])[0]
         assert out["residual"] == pytest.approx(0.0, abs=1e-10)
 
 
@@ -495,36 +497,42 @@ class TestRunSuite:
             with pytest.raises(ValidationError, match="workers"):
                 V.run_suite(p, ["S1"], samples=4, seed=11, workers=workers)
 
-    @pytest.mark.parametrize("suite", ["S1", "S2", "S3", "S02", "exact_holo", "W_psd"])
+    @pytest.mark.parametrize("suite", SAMPLED)
     def test_residuals_equal_direct_evaluation(self, suite):
-        # one suite per family: the runner's residuals, worst sample and worst
-        # eigenvector are those of the public evaluator on the same points
-        p = pair("fs2-to-ball")
+        # every sampled suite, on the first of three pairs it applies to: the
+        # runner's residuals, worst sample and worst eigenvector are those of
+        # evaluate_suite at each point alone
+        p = next(p for p in map(pair, ("fs2-to-ball", "hopf-function", "pluri-m2-flat"))
+                 if V.suite_applicable(suite, p)[0])
+        row = V.SUITES[suite]
         rep = V.run_suite(p, [suite], samples=3, seed=4)[0]
         rng = np.random.default_rng([4, V.SUITE_TAGS.index(suite)])
-        forms = {}
-        direct = []
-        for k, pt in enumerate(V._draw_points(suite, p, rng, 3)):
-            if suite in V.FORM_SUITES:
-                out = V.verify_form_inequality(suite, p.f, p.h, p.g, pt)
-                forms[k] = out["residual_form"]
-                direct.append(out["min_eigenvalue"])
-            elif suite in V.TRACE_SUITES:
-                direct.append(V.verify_trace_inequality(suite, p.f, p.h, p.g, pt)["residual"])
-            elif suite in V.EXACT_VARIANTS:
-                direct.append(V.verify_exact_identity(suite, p.f, p.h, p.g, pt)["residual"])
-            else:
-                direct.append(V.assemble_W_form(p.f, p.h, p.g, pt).min_eigenvalue())
+        weight = V._default_phi if row.weighted else None
+        outs = [V.evaluate_suite(suite, p.f, p.h, p.g, [pt], weight)[0]
+                for pt in V._draw_points(suite, p, rng, 3)]
+        direct = [out[row.band.key] for out in outs]
         assert rep.status == "pass"
         assert rep.residuals == direct
-        worst = (max if suite in V.EXACT_VARIANTS else min)(range(3), key=direct.__getitem__)
+        worst = max(range(3), key=lambda k: row.band.sign * direct[k])
         assert rep.worst["residual"] == direct[worst]
         assert rep.worst["point"] == rep.points[worst]
-        if forms:
-            vec = np.linalg.eigh(forms[worst].matrix)[1][:, 0]
+        if "residual_form" in outs[worst]:
+            vec = np.linalg.eigh(outs[worst]["residual_form"].matrix)[1][:, 0]
             assert rep.worst["eigenvector"] == V._c2l(vec)
         else:
             assert "eigenvector" not in rep.worst
+
+    def test_evaluate_suite_refuses_the_probe_unknown_tags_and_no_points(self):
+        p = pair("fs-to-poincare")
+        P = sample_points(p, 5, 1)[0]
+        for suite, points, match in (
+                ("S5_probe", [P], "S5_probe has no sample points; call "
+                                  "maximum_principle_probe"),
+                ("S99", [P], "unknown suite 'S99'"),
+                (["S1"], [P], r"unknown suite \['S1'\]"),
+                ("S1", [], "S1 evaluates points on one fiber chart, got 0 points on 0")):
+            with pytest.raises(ValidationError, match=match):
+                V.evaluate_suite(suite, p.f, p.h, p.g, points)
 
     def test_suite_error_does_not_erase_other_suites(self):
         # 3 z leaves the target chart: a ChartDomainError used to abort the

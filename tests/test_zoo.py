@@ -129,8 +129,7 @@ class TestBuilders:
     @pytest.mark.parametrize("name, params", [
         ("fubini-study", {"dim": 1.5}), ("fubini-study", {"dim": True}),
         ("euclidean", {"dim": 2.5}), ("hopf", {"dim": False}),
-        ("poincare-disc", {"radius": True}), ("round-sphere", {"scale": "big"}),
-        ("flat-torus", {"fundamental_domain": True})])
+        ("poincare-disc", {"radius": True}), ("round-sphere", {"scale": "big"})])
     def test_parameters_follow_the_numeric_rule(self, name, params):
         # dim: 1.5 used to run at dim 1 and dim: true at dim 1
         (key, value), = params.items()
@@ -140,7 +139,7 @@ class TestBuilders:
     @pytest.mark.parametrize("name, key", [
         ("fubini-study", "dimension"), ("euclidean", "radius_"),
         ("fubini-study", "center"), ("hopf", "scale"), ("round-sphere", "center"),
-        ("flat", "fundamental_domain")])
+        ("flat", "fundamental_domain"), ("flat-torus", "fundamental_domain")])
     def test_unread_parameters_rejected(self, name, key):
         # a key the metric does not read used to be ignored
         with pytest.raises(ConfigError, match=f"{name}.{key}: {name} has no parameter"):
@@ -151,8 +150,6 @@ class TestBuilders:
         assert np.allclose(sphere.matrix([0.0, 0.0]), 16 * np.eye(2))
         hopf = zoo.build_entry("hopf", {"center": [0.0, 2.0]}).obj
         assert hopf.chart.center.tolist() == [0, 2]
-        torus = zoo.build_entry("flat-torus", {"fundamental_domain": 2})
-        assert torus.meta["fundamental_domain"] == 2.0
         with pytest.raises(ConfigError, match="hopf.center: expected 2 coordinates"):
             zoo.build_entry("hopf", {"center": [1.0]})
 
@@ -163,10 +160,13 @@ class TestBuilders:
         with pytest.raises(ConfigError, match=f"{name}.dim: "):
             zoo.build_entry(name, {"dim": dim})
 
-    def test_torus_metadata(self):
+    def test_torus_compactness_is_a_pair_fact(self):
+        # the S5 probe reads the pair's compact flag; the torus metric row
+        # has no metadata, and its fundamental_domain, which nothing read, is
+        # an unread key (test_unread_parameters_rejected)
+        assert zoo.build_entry("flat-torus-identity").obj.compact is True
         entry = zoo.build_entry("flat-torus", {"dim": 1})
-        assert entry.meta["compact"] is True
-        assert "fundamental_domain" in entry.meta
+        assert (entry.name, entry.facts) == ("flat-torus", tuple(zoo.catalog_facts("flat-torus")))
 
     def test_pair_objects_wired(self):
         p = zoo.build_entry("fs-to-poincare").obj

@@ -1,4 +1,6 @@
-"""Code lines of the projcurv package, per module and in total.
+"""Code lines of the projcurv package, per module and in total, and two
+counts of its surface: the names ``__init__.py`` exports and the
+parameters with a default value.
 
     python3 tools/code_lines.py
 
@@ -8,7 +10,10 @@ module, class or function body, found with ``ast``) are not counted, and a
 statement split over several lines counts each line that holds one of its
 tokens (found with ``tokenize``).  This is the count ROADMAP aim 2 quotes
 beside ``wc -l src/projcurv/*.py``.  It prints one line per module, then
-the total, and exits 0 whatever the numbers are.
+the total, then the number of exported names (each name a ``from .module
+import`` of ``__init__.py`` binds) and the number of parameters with a
+default value (of every function and lambda of the package; a default is
+an option a caller may set), and exits 0 whatever the numbers are.
 """
 
 from __future__ import annotations
@@ -47,11 +52,30 @@ def code_lines(source: str) -> int:
     return len(lines)
 
 
+def exported_names(source: str) -> int:
+    """The number of names a package ``__init__`` source binds by
+    ``from ... import``."""
+    return sum(len(node.names) for node in ast.parse(source).body
+               if isinstance(node, ast.ImportFrom))
+
+
+def defaulted_parameters(source: str) -> int:
+    """The number of parameters with a default value, positional or
+    keyword-only, of the functions and lambdas of a module's source."""
+    return sum(len(node.args.defaults) + sum(d is not None for d in node.args.kw_defaults)
+               for node in ast.walk(ast.parse(source))
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)))
+
+
 def main() -> int:
-    counts = {path.name: code_lines(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    counts = {name: code_lines(source) for name, source in sources.items()}
     for name, count in counts.items():
         print(f"{count:6d}  {name}")
     print(f"{sum(counts.values()):6d}  total")
+    print(f"{exported_names(sources['__init__.py']):6d}  names exported by __init__.py")
+    print(f"{sum(map(defaulted_parameters, sources.values())):6d}  "
+          "parameters with a default value")
     return 0
 
 
