@@ -165,16 +165,12 @@ def _resolve_metric(spec: dict, key: str):
     entries = spec["metric"]
     if len(entries) != dim or any(len(row) != dim for row in entries):
         raise ConfigError(f"pair.{key}.metric: expected a {dim} x {dim} array")
-    if spec.get("real"):
-        names = exprs.coordinate_names("x", dim)
-        chart = RealChart(dim=dim, radius=np.full(dim, radius))
-        field = RiemannianMetricField(chart, exprs.matrix_rule(entries, names),
-                                      name=f"inline-{key}")
-    else:
-        names = exprs.coordinate_names("z", dim)
-        chart = ComplexChart(dim=dim, radius=np.full(dim, radius))
-        field = HermitianMetricField(chart, exprs.matrix_rule(entries, names),
-                                     name=f"inline-{key}")
+    letter, chart_type, field_type = (
+        ("x", RealChart, RiemannianMetricField) if spec.get("real")
+        else ("z", ComplexChart, HermitianMetricField))
+    field = field_type(chart_type(dim=dim, radius=np.full(dim, radius)),
+                       exprs.matrix_rule(entries, exprs.coordinate_names(letter, dim)),
+                       name=f"inline-{key}")
     field.validate(np.random.default_rng(20250809), count=100)
     return field
 

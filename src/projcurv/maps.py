@@ -55,7 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import diffops, dual as gm
-from .bundle import BundlePoint, TautologicalMetric, _without, reconstruct_W
+from .bundle import BundlePoint, TautologicalMetric, reconstruct_W
 from .charts import ComplexChart, fiber_chart
 from .curvature import levi_civita_christoffels, riemann_curvature
 from .errors import ValidationError
@@ -233,30 +233,19 @@ def generalized_Y(f: ChartedMap, h: HermitianMetricField, g, P: BundlePoint) -> 
 
 @dataclass(frozen=True)
 class NestedBundlePoint:
-    """Point of the bundle over P(T_M) carrying both [W] and [X] fibers."""
+    """Point of the nested bundle over P(T_M) and P(f*T*_N): the bundle point
+    P = (z, [W]) and the covector point Q = (z, [X]) over one z, each in
+    the affine chart of its largest coordinate."""
 
     P: BundlePoint
-    X: np.ndarray
-    x_chart_index: int
+    Q: BundlePoint
 
     @staticmethod
     def make(z, W, X) -> "NestedBundlePoint":
-        P = BundlePoint.make(z, W)
-        X = np.asarray(X, complex)
-        if np.abs(X).max() == 0:
-            raise ValidationError("nested fiber coordinates must be nonzero")
-        return NestedBundlePoint(P=P, X=X, x_chart_index=int(np.argmax(np.abs(X))))
-
-    @property
-    def X_affine(self) -> np.ndarray:
-        return self.X / self.X[self.x_chart_index]
-
-    @property
-    def x(self) -> np.ndarray:
-        return _without(self.X_affine, self.x_chart_index)
+        return NestedBundlePoint(P=BundlePoint.make(z, W), Q=BundlePoint.make(z, X))
 
     def combined(self) -> np.ndarray:
-        return np.concatenate([self.P.combined(), self.x])
+        return np.concatenate([self.P.combined(), self.Q.w])
 
 
 def covector_metric_field(f: ChartedMap, g: HermitianMetricField) -> HermitianMetricField:
@@ -380,7 +369,7 @@ def u_field(f: ChartedMap, h: HermitianMetricField, g) -> ScalarField:
     the entries h_{a bbar} it raises its indices with: one stencil gives
     ddbar u and the metric jet behind the source Chern tensor.  The map's
     source chart must be h's chart, where that jet is taken."""
-    require_source_chart(f, h)
+    require_chart(f, "source", h)
     m, n = f.m, f.n
 
     def rule(zs):
@@ -400,18 +389,19 @@ def u_field(f: ChartedMap, h: HermitianMetricField, g) -> ScalarField:
     return ScalarField.joint(f.source, rule, "classical_density", (m, m))
 
 
-def require_source_chart(f: ChartedMap, h: HermitianMetricField):
-    """The densities read h and f at the same stencil points, so the map's
-    source chart must be h's chart: the same dimension, centre and radii."""
-    a, b = f.source, h.chart
+def require_chart(f: ChartedMap, end: str, metric):
+    """The map's ``end`` chart ("source" or "target") must be the chart of
+    ``metric``: the same type, dimension, centre and radii.  The densities
+    read h and f at the same stencil points, and g at f's values, taken in
+    f's target chart."""
+    a, b = getattr(f, end), metric.chart
     if not (type(a) is type(b) and a.dim == b.dim and np.array_equal(a.center, b.center)
             and np.array_equal(a.radius, b.radius)):
         raise ValidationError(
-            f"map {f.name!r} has source chart {f.source.name or 'box'} (dim "
-            f"{f.source.dim}, centre {f.source.center.tolist()}, radius "
-            f"{f.source.radius.tolist()}), not the chart of the source metric "
-            f"{h.name!r} (dim {h.chart.dim}, centre {h.chart.center.tolist()}, "
-            f"radius {h.chart.radius.tolist()})")
+            f"map {f.name!r} has {end} chart {a.name or 'box'} ({type(a).__name__}, "
+            f"dim {a.dim}, centre {a.center.tolist()}, radius {a.radius.tolist()}), "
+            f"not the chart of the {end} metric {metric.name!r} ({type(b).__name__}, "
+            f"dim {b.dim}, centre {b.center.tolist()}, radius {b.radius.tolist()})")
 
 
 def _sum_terms(terms):

@@ -5,14 +5,15 @@ for the trace variants) and certifies the verdict spectrally: a form
 inequality LHS >= RHS passes at a point when the smallest eigenvalue of
 LHS - RHS clears -tol * scale with scale = max(1, ||LHS||).
 
-The sample axis.  The runner evaluates the samples of a suite call that
-share their fiber charts as one group, and every evaluator keeps the group
-as a stack from the jets to the verdict: one stencil evaluation per field,
-one curvature tensor, one contraction and one Hermitian check per term,
-and one eigvalsh per side.  Each output is still a per-sample Form11 or
-number, and each sample's numbers are those of its stack of one.  The map
-jets (f(z) centres the target's stencils) and the W form's dual passes are
-taken point by point.
+The sample axis.  The runner hands every sample of a suite call to
+``evaluate_suite``, which takes points on any fiber charts and evaluates
+those that share their fiber charts as one group.  Every evaluator keeps
+the group as a stack from the jets to the verdict: one stencil evaluation
+per field, one curvature tensor, one contraction and one Hermitian check
+per term, and one eigvalsh per side.  Each output is still a per-sample
+Form11 or number, and each sample's numbers are those of its stack of
+one.  The map jets (f(z) centres the target's stencils) and the W form's
+dual passes are taken point by point.
 
 Suite catalog.  ``SUITES`` holds one row per suite, the one place a suite
 is defined: the pairs it applies to, its sample points, its evaluation and
@@ -45,7 +46,7 @@ import functools
 import math
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -79,7 +80,8 @@ class PairContext:
     phi: object = None           # optional conformal weight phi(z, W)
 
     def __post_init__(self):
-        maps_mod.require_source_chart(self.f, self.h)
+        maps_mod.require_chart(self.f, "source", self.h)
+        maps_mod.require_chart(self.f, "target", self.g)
 
     @property
     def target_is_complex(self) -> bool:
@@ -396,7 +398,8 @@ def _s2(f, h, g, Qs, weight=None) -> list:
 
 
 def _s3(f, h, g, Rs, weight=None) -> list:
-    """S3's evaluator at nested points Rs (z, [W], [X]).
+    """S3's evaluator at nested points Rs, each the bundle point P = (z, [W])
+    and the covector point Q = (z, [X]) over one z.
 
     One stencil gives ddbar Y2 and both tautological curvatures: T of H
     and T1 of H1 are -ddbar of the rider's log H and log H1, on the (z, w)
@@ -412,17 +415,16 @@ def _s3(f, h, g, Rs, weight=None) -> list:
     dim = m + max(m - 1, 0) + max(n - 1, 0)
     zw_idx = list(range(m + max(m - 1, 0)))
     zx_idx = list(range(m)) + list(range(m + max(m - 1, 0), dim))
-    y2 = maps_mod.Y2_field(f, h, g, Rs[0].P.chart_index, Rs[0].x_chart_index)
+    y2 = maps_mod.Y2_field(f, h, g, Rs[0].P.chart_index, Rs[0].Q.chart_index)
     L, D, (_, _, mixed) = diffops.mixed_hessians(y2, np.array([R.combined() for R in Rs]))
-    sides = ((TautologicalMetric(h), zw_idx, lambda: [R.P for R in Rs]),
-             (_covector_tautological(f, g), zx_idx,     # the points (z, [X])
-              lambda: [BundlePoint.make(R.P.z, R.X, R.x_chart_index) for R in Rs]))
+    sides = ((TautologicalMetric(h), zw_idx, [R.P for R in Rs]),
+             (_covector_tautological(f, g), zx_idx, [R.Q for R in Rs]))
     blocks = []
     for k, (tm, idx, points) in enumerate(sides):
         if tm.combined_chart().scale == y2.chart.scale:
             A = -hermitian_part(mixed[:, idx][:, :, idx, k])
         else:
-            A = curvature_matrices(tm, points())
+            A = curvature_matrices(tm, points)
         blocks.append(embedded(A, idx, dim))
     return _forms(L, (blocks[0] + blocks[1]) * D[:, None, None])
 
@@ -633,9 +635,6 @@ SUITES = {
 
 # run_suite seeds each suite's generator with its index here
 SUITE_TAGS = tuple(SUITES)
-FORM_SUITES = tuple(tag for tag, row in SUITES.items() if row.band is _EIGEN)
-TRACE_SUITES = tuple(tag for tag, row in SUITES.items() if row.band is _TRACE)
-EXACT_VARIANTS = tuple(tag for tag, row in SUITES.items() if row.band is _EXACT)
 
 
 def _row(suite) -> _Suite:
@@ -652,27 +651,48 @@ def suite_applicable(suite: str, pair: PairContext) -> tuple[bool, str]:
     return not why, why
 
 
+def _fiber_charts(pt):
+    """The fiber chart indices the fd fields of a sample are built on:
+    samples with equal keys share every stencil field."""
+    if isinstance(pt, BundlePoint):
+        return pt.chart_index
+    if isinstance(pt, NestedBundlePoint):
+        return pt.P.chart_index, pt.Q.chart_index
+    return None                 # a base point
+
+
+def _sample_groups(pts) -> list:
+    """Indices of the samples, grouped by their fiber charts in order of
+    first appearance; one group when m = n = 1."""
+    groups = {}
+    for k, pt in enumerate(pts):
+        groups.setdefault(_fiber_charts(pt), []).append(k)
+    return list(groups.values())
+
+
 def evaluate_suite(suite: str, f: ChartedMap, h: HermitianMetricField, g, points,
                    weight=None) -> list:
     """The ``SUITES`` row of ``suite`` evaluated at ``points``: one output
-    dict per point, each that of its stack of one.
+    dict per point, in the order of ``points``, each that of its stack of
+    one.
 
     ``points`` is a list of points of the row's kind (its ``point``: bundle
-    points, base points, covector points for S2, nested points for S3) that
-    share one fiber chart.  ``weight`` is the conformal weight phi(z, W),
-    passed to the row as given.  An unknown suite, the S5 probe (it has no
-    sample points: call ``maximum_principle_probe``) and points on more
-    than one fiber chart, or none, raise ValidationError.
+    points, base points, covector points for S2, nested points for S3) on
+    any fiber charts; the points that share their fiber charts are
+    evaluated as one stack (``_sample_groups``), and no points give [].
+    ``weight`` is the conformal weight phi(z, W), passed to the row as
+    given.  An unknown suite and the S5 probe (it has no sample points:
+    call ``maximum_principle_probe``) raise ValidationError.
     """
     row = _row(suite)
     if row.point is None:
         raise ValidationError(f"{suite} has no sample points; call "
                               "maximum_principle_probe")
-    charts = {_fiber_charts(pt) for pt in points}
-    if len(charts) != 1:
-        raise ValidationError(f"{suite} evaluates points on one fiber chart, "
-                              f"got {len(points)} points on {len(charts)}")
-    return row.evaluate(f, h, g, points, weight)
+    outs = [None] * len(points)
+    for group in _sample_groups(points):
+        for k, out in zip(group, row.evaluate(f, h, g, [points[k] for k in group], weight)):
+            outs[k] = out
+    return outs
 
 
 # ---------------------------------------------------------------------------
@@ -693,24 +713,13 @@ class VerificationReport:
     runtime_s: float = 0.0
 
     def to_dict(self) -> dict:
-        finite = [float(r) for r in self.residuals if math.isfinite(r)]
-        hist = {}
-        if finite:
-            counts, edges = _histogram(finite)
-            hist = {"counts": counts, "edges": edges}
-        return {
-            "suite": self.suite,
-            "pair": self.pair,
-            "status": self.status,
-            "seed": self.seed,
-            "samples": self.samples,
-            "tolerances": self.tolerances,
-            "residuals": [float(r) for r in self.residuals],
-            "points": self.points,
-            "histogram": hist,
-            "worst": self.worst,
-            "message": self.message,
-        }
+        """The fields but the run time, with the residuals as floats and the
+        histogram of the finite ones."""
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "runtime_s"}
+        out["residuals"] = [float(r) for r in self.residuals]
+        finite = [r for r in out["residuals"] if math.isfinite(r)]
+        out["histogram"] = dict(zip(("counts", "edges"), _histogram(finite))) if finite else {}
+        return out
 
 
 def _histogram(values) -> tuple[list, list]:
@@ -756,7 +765,7 @@ def _point_coords(pt) -> list:
     if isinstance(pt, BundlePoint):
         return {"z": _c2l(pt.z), "W": _c2l(pt.W)}
     if isinstance(pt, NestedBundlePoint):
-        return {"z": _c2l(pt.P.z), "W": _c2l(pt.P.W), "X": _c2l(pt.X)}
+        return {"z": _c2l(pt.P.z), "W": _c2l(pt.P.W), "X": _c2l(pt.Q.W)}
     return {"z": _c2l(pt)}
 
 
@@ -847,56 +856,28 @@ def _record_sample(rep, k: int, pt, value: float, violated: bool,
     return True
 
 
-def _evaluate(suite, pair, pts, weight, tol_relative, tol_exact) -> list:
-    """Samples of a sampled suite that share their fiber charts, in one
-    pass: per sample (residual, band violated, residual form or None)."""
-    row = SUITES[suite]
-    band = row.band
-    outs = evaluate_suite(suite, pair.f, pair.h, pair.g, pts,
-                          weight if row.weighted else None)
-    return [(out[band.key], band.sign * out[band.key] > band.tol(tol_relative, tol_exact, out),
-             out.get("residual_form")) for out in outs]
+def _sample_outputs(suite, pair, pts, weight) -> list:
+    """(output dict, None) or (None, GeometryError) per sample, in draw order.
 
+    Every sample goes to one ``evaluate_suite`` call.  If it raises, each
+    sample is evaluated again alone, so every sample ends as it would
+    alone: a GeometryError is the error of its own sample, recorded as a
+    NaN residual, and any other exception propagates from the sample that
+    raises it."""
+    def evaluate(points):
+        return evaluate_suite(suite, pair.f, pair.h, pair.g, points, weight)
 
-def _fiber_charts(pt):
-    """The fiber chart indices the fd fields of a sample are built on:
-    samples with equal keys share every stencil field."""
-    if isinstance(pt, BundlePoint):
-        return pt.chart_index
-    if isinstance(pt, NestedBundlePoint):
-        return pt.P.chart_index, pt.x_chart_index
-    return None                 # a base point
-
-
-def _sample_groups(pts) -> list:
-    """Indices of the samples, grouped by their fiber charts in order of
-    first appearance; one group when m = n = 1."""
-    groups = {}
-    for k, pt in enumerate(pts):
-        groups.setdefault(_fiber_charts(pt), []).append(k)
-    return list(groups.values())
-
-
-def _evaluate_group(suite, pair, pts, weight, tol_relative, tol_exact) -> list:
-    """_evaluate plus each sample's error: (residual, violated, form, error).
-
-    A group that raises is evaluated again one sample at a time, so every
-    sample ends as it would alone: a GeometryError is the error of its own
-    sample, recorded as a NaN residual, and any other exception propagates
-    from the sample that raises it."""
     if len(pts) > 1:
         try:
-            return [out + (None,) for out in
-                    _evaluate(suite, pair, pts, weight, tol_relative, tol_exact)]
+            return [(out, None) for out in evaluate(pts)]
         except Exception:       # decided below, sample by sample
             pass
     outs = []
     for pt in pts:
         try:
-            [out] = _evaluate(suite, pair, [pt], weight, tol_relative, tol_exact)
-            outs.append(out + (None,))
+            outs.append((evaluate([pt])[0], None))
         except GeometryError as exc:
-            outs.append((math.nan, False, None, exc))
+            outs.append((None, exc))
     return outs
 
 
@@ -911,22 +892,17 @@ def _run_one_suite(rep, suite, pair, rng, samples, tol_relative, tol_exact):
                               "status")}
         return
 
-    weight = pair.phi or _default_phi
+    weight = (pair.phi or _default_phi) if row.weighted else None
     pts = _draw_points(suite, pair, rng, samples)
-    # each group of samples on the same fiber charts is evaluated in one
-    # pass, and the results go back in draw order
-    outs = [None] * len(pts)
-    for group in _sample_groups(pts):
-        results = _evaluate_group(suite, pair, [pts[k] for k in group], weight,
-                                  tol_relative, tol_exact)
-        for k, out in zip(group, results):
-            outs[k] = out
-    sign = row.band.sign
+    band = row.band
     worst = None
-    for k, (value, violated, form, error) in enumerate(outs):
+    for k, (out, error) in enumerate(_sample_outputs(suite, pair, pts, weight)):
+        value = math.nan if out is None else out[band.key]
+        violated = (out is not None
+                    and band.sign * value > band.tol(tol_relative, tol_exact, out))
         finite = _record_sample(rep, k, pts[k], value, violated, error)
-        if finite and (worst is None or sign * value > sign * worst[0]):
-            worst = (value, k, form)
+        if finite and (worst is None or band.sign * value > band.sign * worst[0]):
+            worst = (value, k, out.get("residual_form"))
     if worst:
         value, k, form = worst
         rep.worst = {"residual": value, "point": rep.points[k]}

@@ -367,7 +367,8 @@ def catalog_names():
 
 
 def build_entry(name: str, params: dict | None = None) -> ZooEntry:
-    """Construct a catalog entry; unknown names and bad parameters raise.
+    """Construct a catalog entry; unknown names and bad parameters raise
+    (a map pair reads none).
 
     Metric entries are probe-validated at 100 seeded points before release.
     """
@@ -378,9 +379,11 @@ def build_entry(name: str, params: dict | None = None) -> ZooEntry:
             obj.validate(np.random.default_rng(20250809), count=100)
             return ZooEntry(name, obj, _FACTS.get(name, ()))
     if name in _PAIRS:
+        if params:
+            key = next(iter(params))
+            raise ConfigError(f"{name}.{key}: {name} has no parameter {key!r} "
+                              "(it reads no parameters)")
         src, sp, tgt, tp, mp, mparams, compact = _PAIRS[name]
-        sp = {**sp, **params.get("source", {})}
-        tp = {**tp, **params.get("target", {})}
         h = build_entry(src, sp).obj
         g = build_entry(tgt, tp).obj
         f = build_map(mp, mparams, h.chart, g.chart)

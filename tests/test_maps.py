@@ -277,7 +277,7 @@ def y1(f, h, g, Q):
 
 def y2(f, h, g, R):
     """Y2 at R = (z, [W], [X]) through the field the S3 suite differentiates."""
-    return np.real(mp.Y2_field(f, h, g, R.P.chart_index, R.x_chart_index)(R.combined()))
+    return np.real(mp.Y2_field(f, h, g, R.P.chart_index, R.Q.chart_index)(R.combined()))
 
 
 class TestY1Y2:

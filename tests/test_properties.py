@@ -270,7 +270,7 @@ def test_backends_agree_on_the_density_fields(name, data):
         Q = BundlePoint.make(P.z, X)
         R = mp.NestedBundlePoint.make(P.z, P.W, X)
         fields += [(mp.Y1_field(p.f, p.h, p.g, Q.chart_index), Q.combined()),
-                   (mp.Y2_field(p.f, p.h, p.g, R.P.chart_index, R.x_chart_index),
+                   (mp.Y2_field(p.f, p.h, p.g, R.P.chart_index, R.Q.chart_index),
                     R.combined())]
     for field, x in fields:
         assert diffops.cross_check(field, x) <= diffops.CROSS_CHECK_RTOL, field.name

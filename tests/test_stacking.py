@@ -283,7 +283,7 @@ def test_s3_takes_both_curvatures_from_the_nested_stencil(monkeypatch, name):
             zs = f.source.sample(rng, 0.5, count=3)
             Rs = [NestedBundlePoint.make(z, fiber_vector(rng, m, w_idx),
                                          fiber_vector(rng, n, x_idx)) for z in zs]
-            Qs = [BundlePoint.make(R.P.z, R.X, R.x_chart_index) for R in Rs]
+            Qs = [BundlePoint.make(R.P.z, R.Q.W, x_idx) for R in Rs]
             calls.clear()
             got = V._s3(f, h, g, Rs)
             assert len(calls) == OWN_STENCIL_S3.get(name, 0)
@@ -315,21 +315,77 @@ def test_a_map_off_the_source_metric_chart_is_rejected():
                   h=p.h, g=p.g)
 
 
-def test_a_stack_must_share_its_fiber_chart():
+def test_a_map_off_the_target_metric_chart_is_rejected():
+    # g is read at f's values, which are coordinates of f's target chart: a
+    # complex-valued map into a complex chart of the Riemannian target's
+    # dimension passed every pluri-harmonic suite, with Im f dropped
+    flat = zoo.build_entry("flat", {"dim": 1}).obj
+    euclidean = zoo.build_entry("euclidean", {"dim": 2}).obj
+    wrong = ComplexChart(dim=2, radius=euclidean.chart.radius)
+    f = ChartedMap(flat.chart, wrong, lambda z: (z[0], 1j * z[0]), holomorphic=True,
+                   name="(z, iz)")
+    with pytest.raises(V.ValidationError,
+                       match=r"map '\(z, iz\)' has target chart box \(ComplexChart, dim 2.* "
+                             r"not the chart of the target metric 'euclidean' \(RealChart"):
+        V.PairContext(f=f, h=flat, g=euclidean)
+    # and so is a target chart of the right type with another centre or radii
+    p = build_pair("fs-to-poincare")
+    for chart in (ComplexChart(dim=1, radius=p.g.chart.radius * 0.5),
+                  ComplexChart(dim=1, center=[0.05], radius=p.g.chart.radius)):
+        f = ChartedMap(p.h.chart, chart, p.f.rule, holomorphic=True, name="moved")
+        with pytest.raises(V.ValidationError, match="not the chart of the target metric"):
+            V.PairContext(f=f, h=p.h, g=p.g)
+    same = ComplexChart(dim=1, radius=p.g.chart.radius, name="copy")
+    V.PairContext(f=ChartedMap(p.h.chart, same, p.f.rule, holomorphic=True), h=p.h, g=p.g)
+
+
+def test_a_curvature_stack_must_share_its_fiber_chart():
     p = build_pair("fs2-to-ball")
     z = p.f.source.center
     Ps = [BundlePoint.make(z, [1.0, 0.5]), BundlePoint.make(z, [0.5, 1.0])]
     with pytest.raises(V.ValidationError, match="one fiber chart"):
         curvature_matrices(TautologicalMetric(p.h), Ps)
-    # so must the points of a suite evaluation, on the W chart or the X chart
+    # a suite evaluation takes points on any fiber charts, on the W chart or
+    # the X chart, and gives each point's output alone
     Rs = [NestedBundlePoint.make(z, [1.0, 0.5], X) for X in ([1.0, 0.5], [0.5, 1.0])]
     for suite, pts in (("S1", Ps), ("W_psd", Ps), ("S3", Rs)):
-        with pytest.raises(V.ValidationError,
-                           match=f"{suite} evaluates points on one fiber chart, "
-                                 "got 2 points on 2"):
-            V.evaluate_suite(suite, p.f, p.h, p.g, pts)
-        for pt in pts:
-            V.evaluate_suite(suite, p.f, p.h, p.g, [pt])
+        both = V.evaluate_suite(suite, p.f, p.h, p.g, pts)
+        for pt, out in zip(pts, both, strict=True):
+            assert same_output(out, V.evaluate_suite(suite, p.f, p.h, p.g, [pt])[0])
+
+
+def same_output(a: dict, b: dict) -> bool:
+    """Two output dicts of a suite hold the same numbers, bit for bit: its
+    Form11s by their matrices, NaN equal to NaN."""
+    def arrays(out):
+        return [np.asarray(v.matrix if isinstance(v, Form11) else v) for v in out.values()]
+    return a.keys() == b.keys() and all(
+        np.array_equal(x, y, equal_nan=True) for x, y in zip(arrays(a), arrays(b)))
+
+
+# every sampled suite on the m = 2 and m = 3 pairs it applies to, where its
+# bundle, covector and nested points fall on several fiber charts: the
+# holomorphic suites at m = 2 and m = 3, the function to C at m = 2 and the
+# pluri-harmonic suites at m = 2
+SEVERAL_CHARTS = [(name, tag) for name in ("fs2-to-ball", "fs3-to-ball3", "hopf-function",
+                                           "pluri-m2-flat")
+                  for tag, row in V.SUITES.items()
+                  if row.point and V.suite_applicable(tag, build_pair(name))[0]]
+
+
+@pytest.mark.parametrize("name,suite", SEVERAL_CHARTS)
+def test_evaluate_suite_gives_each_point_its_output_alone(name, suite):
+    p = build_pair(name)
+    row = V.SUITES[suite]
+    weight = V._default_phi if row.weighted else None
+    pts = V._draw_points(suite, p, np.random.default_rng(23), 6)
+    # a base point has no fiber chart, and a covector point n of them
+    several = {V._base_point: False, V._covector_point: p.f.n > 1}.get(row.point, True)
+    assert (len(V._sample_groups(pts)) > 1) == several
+    outs = V.evaluate_suite(suite, p.f, p.h, p.g, pts, weight)
+    assert len(outs) == len(pts)
+    for pt, out in zip(pts, outs):
+        assert same_output(out, V.evaluate_suite(suite, p.f, p.h, p.g, [pt], weight)[0])
 
 
 @pytest.mark.parametrize("name", ["fs-to-poincare", "fs2-to-ball", "fs3-to-ball3"])
@@ -455,9 +511,18 @@ def test_nan_inside_a_stacked_pass_stays_with_its_sample(suite):
     step = diffops.step_for(p.f.source)
     zs = [np.array([-0.2 + 0.1j]), np.array([-0.5 * step + 0.05j]), np.array([-0.1 - 0.2j])]
     pts = [point(z) for z in zs]
+    band = V.SUITES[suite].band
+
+    def verdicts(points):
+        """(residual, band violated) of each point, as the runner reads them."""
+        outs = V.evaluate_suite(suite, p.f, p.h, p.g, points,
+                                V._default_phi if V.SUITES[suite].weighted else None)
+        return [(out[band.key], band.sign * out[band.key] > band.tol(1e-6, 1e-4, out))
+                for out in outs]
+
     with np.errstate(invalid="ignore", divide="ignore"):
-        stacked = V._evaluate(suite, p, pts, V._default_phi, 1e-6, 1e-4)
-        alone = [V._evaluate(suite, p, [pt], V._default_phi, 1e-6, 1e-4)[0] for pt in pts]
+        stacked = verdicts(pts)
+        alone = [verdicts([pt])[0] for pt in pts]
     values = [out[0] for out in stacked]
     assert np.isfinite(values[0]) and np.isfinite(values[2])
     assert np.isnan(values[1]) == stencil
@@ -468,7 +533,7 @@ def test_nan_inside_a_stacked_pass_stays_with_its_sample(suite):
     assert not stacked[1][1]            # a NaN never violates a band...
     rep = V.VerificationReport(suite=suite, pair=p.name, status="pass", seed=0,
                                samples=3, tolerances={})
-    for k, (value, violated, _) in enumerate(stacked):
+    for k, (value, violated) in enumerate(stacked):
         V._record_sample(rep, k, pts[k], value, violated)
     assert rep.status == "error"        # ...and never passes
     assert rep.message.startswith("non-finite residual nan at sample 1")

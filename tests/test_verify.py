@@ -60,10 +60,13 @@ class TestSuiteTable:
         assert V.SUITE_TAGS == ("S1", "S_minus1", "S01", "S02", "S2", "S3", "S03", "S11",
                                 "hessian", "hessian2", "exact_holo", "exact_pluri",
                                 "W_psd", "S5_probe")
-        assert V.FORM_SUITES == ("S1", "S_minus1", "S01", "S2", "S3", "S03", "S11",
-                                 "hessian")
-        assert V.TRACE_SUITES == ("S02", "hessian2")
-        assert V.EXACT_VARIANTS == ("exact_holo", "exact_pluri")
+        # and each row keeps its band
+        bands = {tag: row.band for tag, row in V.SUITES.items()}
+        assert [tag for tag, band in bands.items() if band is V._EIGEN] == \
+            ["S1", "S_minus1", "S01", "S2", "S3", "S03", "S11", "hessian"]
+        assert [tag for tag, band in bands.items() if band is V._TRACE] == ["S02", "hessian2"]
+        assert [tag for tag, band in bands.items() if band is V._EXACT] == \
+            ["exact_holo", "exact_pluri"]
 
     def test_zoo_routing(self):
         # a changed routing predicate fails here by pair and suite
@@ -522,17 +525,18 @@ class TestRunSuite:
         else:
             assert "eigenvector" not in rep.worst
 
-    def test_evaluate_suite_refuses_the_probe_unknown_tags_and_no_points(self):
+    def test_evaluate_suite_refuses_the_probe_and_unknown_tags(self):
         p = pair("fs-to-poincare")
         P = sample_points(p, 5, 1)[0]
         for suite, points, match in (
                 ("S5_probe", [P], "S5_probe has no sample points; call "
                                   "maximum_principle_probe"),
                 ("S99", [P], "unknown suite 'S99'"),
-                (["S1"], [P], r"unknown suite \['S1'\]"),
-                ("S1", [], "S1 evaluates points on one fiber chart, got 0 points on 0")):
+                (["S1"], [P], r"unknown suite \['S1'\]")):
             with pytest.raises(ValidationError, match=match):
                 V.evaluate_suite(suite, p.f, p.h, p.g, points)
+        # no points give no outputs
+        assert V.evaluate_suite("S1", p.f, p.h, p.g, []) == []
 
     def test_suite_error_does_not_erase_other_suites(self):
         # 3 z leaves the target chart: a ChartDomainError used to abort the

@@ -208,6 +208,15 @@ class TestBuilders:
                 f"{name}.bogus: {name} has no parameter 'bogus' (it reads {reads})")):
             zoo.build_map(name, {"bogus": 1}, flat2.chart, flat2.chart)
 
+    @pytest.mark.parametrize("name", zoo.catalog_names()["map-pair"])
+    @pytest.mark.parametrize("key", ["bogus", "source", "target"])
+    def test_a_pair_takes_no_parameters(self, name, key):
+        # any key used to be ignored, and source/target merged into the
+        # metrics' parameters
+        with pytest.raises(ConfigError, match=re.escape(
+                f"{name}.{key}: {name} has no parameter {key!r} (it reads no parameters)")):
+            zoo.build_entry(name, {key: {"dim": 2}})
+
     def test_map_parameters_are_read(self):
         flat = zoo.build_entry("flat", {"dim": 1}).obj
         f = zoo.build_map("power", {"exponent": 3, "scale": 2}, flat.chart, flat.chart)
