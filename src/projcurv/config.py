@@ -10,7 +10,7 @@ A plan is a YAML key/value tree.  Example:
     #   source: {zoo: fubini-study, dim: 1, radius: 0.9}
     #   target: {dim: 1, radius: 0.55, metric: [["1/(1-abs2(z1))**2"]]}
     #   map: {components: ["z1"], holomorphic: true}
-    phi: "0.2*re(z1)"               # optional weight for S03
+    phi: "0.2*re(z1)"               # optional weight for S03, in z1..zm, W1..Wm
     report: report.json
     format: structured              # or text
 
@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import yaml
 
-from . import exprs, zoo
+from . import dual as gm, exprs, zoo
 from .charts import ComplexChart, RealChart
 from .errors import ConfigError, chart_params, number
 from .fields import HermitianMetricField, RiemannianMetricField
@@ -169,7 +169,7 @@ def _resolve_metric(spec: dict, key: str):
         ("x", RealChart, RiemannianMetricField) if spec.get("real")
         else ("z", ComplexChart, HermitianMetricField))
     field = field_type(chart_type(dim=dim, radius=np.full(dim, radius)),
-                       exprs.matrix_rule(entries, exprs.coordinate_names(letter, dim)),
+                       exprs.compile_rule(list(entries), exprs.coordinate_names(letter, dim)),
                        name=f"inline-{key}")
     field.validate(np.random.default_rng(20250809), count=100)
     return field
@@ -189,7 +189,7 @@ def _resolve_pair(spec, phi_text=None) -> PairContext:
             f = zoo.build_map(mp["zoo"], params, h.chart, g.chart)
         else:
             names = exprs.coordinate_names("z", h.chart.dim)
-            rule = exprs.vector_rule(list(mp["components"]), names)
+            rule = exprs.compile_rule(tuple(mp["components"]), names)
             if len(mp["components"]) != g.chart.dim:
                 raise ConfigError("pair.map.components: arity does not match "
                                   "the target dimension")
@@ -201,11 +201,10 @@ def _resolve_pair(spec, phi_text=None) -> PairContext:
     if phi_text:
         names = exprs.coordinate_names("z", pair.f.m) \
             + exprs.coordinate_names("W", pair.f.m)
-        compiled = exprs.parse_expression(phi_text, names)
+        compiled = exprs.compile_rule(phi_text, names)
 
-        def phi(zs, Ws, _c=compiled):
-            from . import dual as gm
-            return gm.real(_c(tuple(zs) + tuple(Ws)))
+        def phi(zs, Ws):
+            return gm.real(compiled(tuple(zs) + tuple(Ws)))
 
         pair = replace(pair, phi=phi)
     return pair

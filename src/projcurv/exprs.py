@@ -1,12 +1,20 @@
 """A small arithmetic expression grammar for inline metrics and maps.
 
-Grammar: numeric literals (including 1j), coordinate names (z1..zm on complex
-charts, x1..xn on real charts, w1.. for fiber slots when present), the binary
-operators + - * / **, unary minus, and the calls exp, log, sqrt, conj, re,
-im, abs2.  Expressions are parsed with :mod:`ast` against a strict node
-whitelist and compiled to closures over the generic scalar math, so parsed
-rules evaluate under both differentiation backends.  ``**`` is
-``dual.power``: 0 to a complex power is NaN on a stack, as at a point.
+Grammar: numeric literals (including 1j; booleans are not numbers), the
+coordinate names (z1..zm on complex charts and x1..xn on real ones; a
+weight phi reads z1..zm and the fiber coordinates W1..Wm), the binary
+operators + - * / **, unary minus and plus, and the calls exp, log, sqrt,
+conj, re, im, abs2.
+
+``compile_rule`` parses each expression with :mod:`ast` and walks it once
+against a strict node whitelist.  The checked tree reads each coordinate
+from the rule's argument tuple and calls ``dual.power`` for ``**``, and the
+whole rule (a scalar, a vector or a matrix of expressions) compiles to one
+function, which runs with no builtins and only the grammar's functions in
+scope.  Each entry keeps its expression's operations in their order, so a
+rule evaluates as the expression reads under both differentiation backends,
+on Python numbers and on NumPy stacks.  ``**`` is ``dual.power``: 0 to a
+complex power is NaN on a stack, as at a point.
 """
 
 from __future__ import annotations
@@ -26,88 +34,79 @@ _FUNCS = {
     "abs2": gm.abs2,
 }
 
-_BINOPS = {
-    ast.Add: lambda a, b: a + b,
-    ast.Sub: lambda a, b: a - b,
-    ast.Mult: lambda a, b: a * b,
-    ast.Div: lambda a, b: a / b,
-    ast.Pow: gm.power,
-}
+_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
+
+# the compiled rules' globals; ``power`` and ``args`` are no grammar names,
+# so an expression reaches them only as ``**`` and as its coordinates
+_SCOPE = {"__builtins__": {}, "power": gm.power, **_FUNCS}
+_ARGS = "args"
 
 
-def parse_expression(text: str, names: list[str]):
-    """Compile an expression into rule(scalars) with ``names`` bound in order."""
-    try:
-        tree = ast.parse(text, mode="eval")
-    except SyntaxError as exc:
-        raise ConfigError(f"expression {text!r}: {exc.msg} at column {exc.offset}")
-    index = {name: k for k, name in enumerate(names)}
+def _checked(node, text: str, names: list[str]):
+    """``node`` with each coordinate read from the argument tuple and ``**``
+    a call of ``power``; the first node outside the grammar, in evaluation
+    order, raises a ConfigError naming ``text``."""
+    def fail(message):
+        raise ConfigError(f"expression {text!r}: {message}")
 
-    def compile_node(node):
-        if isinstance(node, ast.Expression):
-            return compile_node(node.body)
+    def check(node):
         if isinstance(node, ast.Constant):
-            if isinstance(node.value, (int, float, complex)):
-                v = node.value
-                return lambda env: v
-            raise ConfigError(f"expression {text!r}: literal {node.value!r} "
-                              "is not a number")
+            if isinstance(node.value, (int, float, complex)) \
+                    and not isinstance(node.value, bool):
+                return node
+            fail(f"literal {node.value!r} is not a number")
         if isinstance(node, ast.Name):
-            if node.id not in index:
-                raise ConfigError(f"expression {text!r}: unknown name "
-                                  f"{node.id!r} (coordinates: {', '.join(names)})")
-            k = index[node.id]
-            return lambda env: env[k]
+            if node.id not in names:
+                fail(f"unknown name {node.id!r} (coordinates: {', '.join(names)})")
+            return ast.Subscript(ast.Name(_ARGS, ast.Load()),
+                                 ast.Constant(names.index(node.id)), ast.Load())
         if isinstance(node, ast.BinOp):
-            op = _BINOPS.get(type(node.op))
-            if op is None:
-                raise ConfigError(f"expression {text!r}: operator "
-                                  f"{type(node.op).__name__} not allowed")
-            lhs = compile_node(node.left)
-            rhs = compile_node(node.right)
-            return lambda env: op(lhs(env), rhs(env))
+            if not isinstance(node.op, _BINOPS):
+                fail(f"operator {type(node.op).__name__} not allowed")
+            lhs, rhs = check(node.left), check(node.right)
+            if isinstance(node.op, ast.Pow):
+                return ast.Call(ast.Name("power", ast.Load()), [lhs, rhs], [])
+            return ast.BinOp(lhs, node.op, rhs)
         if isinstance(node, ast.UnaryOp):
             if isinstance(node.op, ast.USub):
-                sub = compile_node(node.operand)
-                return lambda env: -sub(env)
+                return ast.UnaryOp(ast.USub(), check(node.operand))
             if isinstance(node.op, ast.UAdd):
-                return compile_node(node.operand)
-            raise ConfigError(f"expression {text!r}: unary operator "
-                              f"{type(node.op).__name__} not allowed")
+                return check(node.operand)
+            fail(f"unary operator {type(node.op).__name__} not allowed")
         if isinstance(node, ast.Call):
             if not isinstance(node.func, ast.Name) or node.func.id not in _FUNCS:
-                raise ConfigError(f"expression {text!r}: only "
-                                  f"{', '.join(sorted(_FUNCS))} may be called")
+                fail(f"only {', '.join(sorted(_FUNCS))} may be called")
             if node.keywords or len(node.args) != 1:
-                raise ConfigError(f"expression {text!r}: {node.func.id} takes "
-                                  "exactly one positional argument")
-            fn = _FUNCS[node.func.id]
-            arg = compile_node(node.args[0])
-            return lambda env: fn(arg(env))
-        raise ConfigError(f"expression {text!r}: syntax element "
-                          f"{type(node).__name__} not allowed")
+                fail(f"{node.func.id} takes exactly one positional argument")
+            return ast.Call(ast.Name(node.func.id, ast.Load()), [check(node.args[0])], [])
+        fail(f"syntax element {type(node).__name__} not allowed")
 
-    return compile_node(tree)
+    return check(node)
+
+
+def compile_rule(entries, names: list[str]):
+    """Compile ``entries`` (an expression, a tuple of expressions or a list of
+    rows of expressions) into one function rule(args) that returns a value,
+    a tuple or a list of lists, with ``names`` bound in order to ``args``."""
+    def expression(text):
+        try:
+            tree = ast.parse(text, mode="eval")
+        except SyntaxError as exc:
+            raise ConfigError(f"expression {text!r}: {exc.msg} at column {exc.offset}")
+        return _checked(tree.body, text, names)
+
+    if isinstance(entries, tuple):
+        body = ast.Tuple([expression(e) for e in entries], ast.Load())
+    elif isinstance(entries, list):
+        body = ast.List([ast.List([expression(e) for e in row], ast.Load())
+                         for row in entries], ast.Load())
+    else:
+        body = expression(entries)
+    signature = ast.arguments(posonlyargs=[], args=[ast.arg(_ARGS)], kwonlyargs=[],
+                              kw_defaults=[], defaults=[])
+    tree = ast.fix_missing_locations(ast.Expression(ast.Lambda(signature, body)))
+    return eval(compile(tree, "<rule>", "eval"), _SCOPE)
 
 
 def coordinate_names(prefix: str, dim: int) -> list[str]:
     return [f"{prefix}{k + 1}" for k in range(dim)]
-
-
-def matrix_rule(entries: list[list[str]], names: list[str]):
-    """Rule returning a matrix of expression values; used for inline metrics."""
-    compiled = [[parse_expression(e, names) for e in row] for row in entries]
-
-    def rule(scalars):
-        return [[c(scalars) for c in row] for row in compiled]
-
-    return rule
-
-
-def vector_rule(entries: list[str], names: list[str]):
-    compiled = [parse_expression(e, names) for e in entries]
-
-    def rule(scalars):
-        return tuple(c(scalars) for c in compiled)
-
-    return rule

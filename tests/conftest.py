@@ -177,7 +177,7 @@ def inline_metric():
     entries = [["1 + abs2(z1) + exp(re(z2)) / 4", "0.1 * conj(z1) * z2 + im(z1) ** 2"],
                ["0.1 * z1 * conj(z2) + im(z1) ** 2", "log(2 + abs2(z2)) + sqrt(1 + re(z1))"]]
     chart = ComplexChart(dim=2, radius=[0.5, 0.5], name="inline")
-    return HermitianMetricField(chart, exprs.matrix_rule(entries, ["z1", "z2"]),
+    return HermitianMetricField(chart, exprs.compile_rule(entries, ["z1", "z2"]),
                                 name="inline")
 
 

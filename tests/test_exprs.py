@@ -1,6 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
+import exprs_reference
 from projcurv import diffops, exprs
 from projcurv.charts import ComplexChart
 from projcurv.errors import ConfigError
@@ -9,47 +12,46 @@ from projcurv.fields import ScalarField
 
 class TestGrammar:
     def test_arithmetic_and_calls(self):
-        rule = exprs.parse_expression("2*z1**2 - z2/4 + exp(log(1.5))", ["z1", "z2"])
+        rule = exprs.compile_rule("2*z1**2 - z2/4 + exp(log(1.5))", ["z1", "z2"])
         assert rule((2.0, 4.0)) == pytest.approx(8.0 - 1.0 + 1.5)
 
     def test_complex_literals(self):
-        rule = exprs.parse_expression("1j*z1 + (2+3j)", ["z1"])
+        rule = exprs.compile_rule("1j*z1 + (2+3j)", ["z1"])
         assert rule((2.0,)) == pytest.approx(2 + 5j)
 
     def test_conj_abs2_re_im(self):
-        rule = exprs.parse_expression("abs2(z1) + re(z1) - im(z1) + conj(z1)",
-                                      ["z1"])
+        rule = exprs.compile_rule("abs2(z1) + re(z1) - im(z1) + conj(z1)", ["z1"])
         z = 0.3 + 0.4j
         assert rule((z,)) == pytest.approx(0.25 + 0.3 - 0.4 + np.conj(z))
 
     def test_unknown_name_reports_coordinates(self):
         with pytest.raises(ConfigError, match="unknown name 'q'"):
-            exprs.parse_expression("q + 1", ["z1"])
+            exprs.compile_rule("q + 1", ["z1"])
 
     def test_attribute_access_rejected(self):
         with pytest.raises(ConfigError):
-            exprs.parse_expression("z1.real", ["z1"])
+            exprs.compile_rule("z1.real", ["z1"])
 
     def test_dunder_call_rejected(self):
         with pytest.raises(ConfigError):
-            exprs.parse_expression("__import__('os').system('true')", ["z1"])
+            exprs.compile_rule("__import__('os').system('true')", ["z1"])
 
     def test_unlisted_function_rejected(self):
         with pytest.raises(ConfigError):
-            exprs.parse_expression("sin(z1)", ["z1"])
+            exprs.compile_rule("sin(z1)", ["z1"])
 
     def test_comparison_rejected(self):
         with pytest.raises(ConfigError):
-            exprs.parse_expression("z1 if 1 else 0", ["z1"])
+            exprs.compile_rule("z1 if 1 else 0", ["z1"])
 
     def test_syntax_error_position(self):
         with pytest.raises(ConfigError, match="column"):
-            exprs.parse_expression("z1 + ", ["z1"])
+            exprs.compile_rule("z1 + ", ["z1"])
 
 
 class TestBackendCompatibility:
     def test_parsed_field_differentiates_both_ways(self):
-        rule = exprs.parse_expression("log(1 + abs2(z1))", ["z1"])
+        rule = exprs.compile_rule("log(1 + abs2(z1))", ["z1"])
         chart = ComplexChart(dim=1, radius=[2.0])
         F = ScalarField(chart, rule)
         z = [0.3 - 0.2j]
@@ -60,12 +62,60 @@ class TestBackendCompatibility:
         assert g_dual[0] == pytest.approx(expected, abs=1e-12)
 
     def test_matrix_rule(self):
-        rule = exprs.matrix_rule([["1/(1-abs2(z1))**2"]], ["z1"])
+        rule = exprs.compile_rule([["1/(1-abs2(z1))**2"]], ["z1"])
         out = rule((0.5,))
         assert out[0][0] == pytest.approx(1 / 0.75 ** 2)
 
     def test_vector_rule(self):
-        rule = exprs.vector_rule(["z1**2", "re(z1)"], ["z1"])
+        rule = exprs.compile_rule(("z1**2", "re(z1)"), ["z1"])
         out = rule((2.0 + 1j,))
         assert out[0] == pytest.approx((2 + 1j) ** 2)
         assert out[1] == pytest.approx(2.0)
+
+
+# inputs outside the grammar, each of which must fail closed with a
+# ConfigError that names the expression
+REJECTED = [
+    "z1.real", "z1[0]", "z1[0:1]",                             # attributes, subscripts
+    "lambda: z1", "(lambda: z1)()",                            # lambdas
+    "[z1 for q in ()]", "exp(z1 for q in ())", "{q: z1 for q in ()}",
+    "exp(x=z1)", "exp(**z1)", "exp(*z1)", "exp(z1, z1)",       # keyword, starred
+    "f'{z1}'", "(q := z1)",                                    # f-strings, walrus
+    "exp", "exp + 1", "__import__", "__import__('os')",        # bare names
+    "'z1'", "b'1'", "None", "...", "z1 + ...",                 # non-numeric constants
+    "True", "False", "z1 + True",                              # booleans
+    "z1 // 2", "z1 % 2", "~z1", "not z1", "z1 < 1", "z1 and 1", "z1 if 1 else 0",
+]
+
+
+class TestFailClosed:
+    @pytest.mark.parametrize("text", REJECTED)
+    def test_rejected_naming_the_expression(self, text):
+        with pytest.raises(ConfigError, match=re.escape(f"expression {text!r}: ")):
+            exprs.compile_rule(text, ["z1"])
+
+    @pytest.mark.parametrize("text", [t for t in REJECTED if "True" not in t
+                                      and "False" not in t])
+    def test_the_message_is_the_reference_interpreters(self, text):
+        with pytest.raises(ConfigError) as want:
+            exprs_reference.parse_expression(text, ["z1"])
+        with pytest.raises(ConfigError) as got:
+            exprs.compile_rule(text, ["z1"])
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("text,value", [("True", True), ("False", False),
+                                            ("z1 + True", True)])
+    def test_booleans_are_not_numbers(self, text, value):
+        # the reference interpreter takes them as 1 and 0
+        with pytest.raises(ConfigError, match=f"literal {value!r} is not a number"):
+            exprs.compile_rule(text, ["z1"])
+
+    def test_a_rejected_entry_of_a_matrix_is_named(self):
+        with pytest.raises(ConfigError, match=re.escape("expression 'z1.imag': ")):
+            exprs.compile_rule([["1", "0"], ["0", "z1.imag"]], ["z1"])
+
+    def test_a_rule_runs_without_builtins(self):
+        scope = exprs.compile_rule([["z1 ** 2"]], ["z1"]).__globals__
+        assert scope["__builtins__"] == {}
+        assert set(scope) == {"__builtins__", "power", "exp", "log", "sqrt", "conj",
+                              "re", "im", "abs2"}

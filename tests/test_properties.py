@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
-from projcurv import diffops, maps as mp, verify, zoo  # noqa: E402
+import exprs_reference  # noqa: E402
+from projcurv import diffops, exprs, maps as mp, verify, zoo  # noqa: E402
 from projcurv.bundle import BundlePoint, TautologicalMetric, affine_rows  # noqa: E402
 from projcurv.charts import ComplexChart, RealChart  # noqa: E402
 from projcurv.dual import HyperDual  # noqa: E402
@@ -584,3 +586,91 @@ def test_the_matrices_of_the_m3_probe_lattice_are_the_matrices_of_its_points(nam
     assert len(zs) == 15_625
     alone = np.stack([metric.matrix(z) for z in zs])
     assert_within_ulps(metric.matrices(zs), alone, axes=(-2, -1))
+
+
+# inline expressions over two coordinates (``exprs``): literals (an inf
+# among them), the operators and the grammar's calls.  An exponent is a
+# leaf of at most 3, so nested integer powers stay small enough to compute
+_EXPR_FUNCS = ["exp", "log", "sqrt", "conj", "re", "im", "abs2"]
+_exponents = st.sampled_from(["z1", "z2", "0", "2", "3", "-1", "0.5", "-0.0", "1e999",
+                              "1j", "(0.5 - 1j)"])
+_expr_leaves = st.one_of(
+    st.sampled_from(["z1", "z2"]),
+    st.integers(0, 9).map(str),
+    st.floats(-10, 10).map(repr),
+    st.sampled_from(["-0.0", "1e999", "5e-324", "1j", "(2 - 3j)"]))
+
+
+def _expr_nodes(sub):
+    return st.one_of(
+        st.builds("({} {} {})".format, sub, st.sampled_from("+-*/"), sub),
+        st.builds("({} ** {})".format, sub, _exponents),
+        st.builds("(-{})".format, sub),
+        st.builds("(+{})".format, sub),
+        st.builds("{}({})".format, st.sampled_from(_EXPR_FUNCS), sub))
+
+
+_expressions = st.recursive(_expr_leaves, _expr_nodes, max_leaves=10)
+_special_floats = st.one_of(st.floats(-3, 3),
+                            st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf]))
+_special_numbers = st.one_of(_special_floats, st.builds(complex, _special_floats,
+                                                        _special_floats))
+
+
+@st.composite
+def _expr_arguments(draw):
+    """Two coordinates: Python numbers, NumPy stacks (float or complex, with
+    NaN, inf and -0.0 among their entries) or HyperDuals whose derivative
+    slots are arrays over two directions, the mixed slot perhaps untracked."""
+    kind = draw(st.sampled_from(["python", "numpy", "dual"]))
+    if kind == "python":
+        return tuple(draw(_special_numbers) for _ in range(2))
+    if kind == "numpy":
+        size = draw(st.integers(1, 4))
+        entries = draw(st.sampled_from([_special_floats, _special_numbers]))
+        return tuple(np.array(draw(st.lists(entries, min_size=size, max_size=size)))
+                     for _ in range(2))
+    slots = st.lists(_special_numbers, min_size=2, max_size=2).map(
+        lambda v: np.array(v, dtype=complex))
+    return tuple(HyperDual(draw(_special_numbers), draw(slots), draw(slots),
+                           draw(st.one_of(st.none(), slots))) for _ in range(2))
+
+
+def _bits(value):
+    """A value's type and bytes, slot by slot for a HyperDual and entry by
+    entry for a tuple."""
+    if isinstance(value, tuple):
+        return tuple(map(_bits, value))
+    if isinstance(value, HyperDual):
+        return ("HyperDual",) + tuple(_bits(s) for s in (value.f0, value.f1, value.f2,
+                                                        value.f12))
+    array = np.asarray(value)
+    if array.dtype == object:                  # an int beyond int64
+        return type(value).__name__, repr(value)
+    return type(value).__name__, array.dtype.str, array.shape, array.tobytes()
+
+
+def _outcome(rule, args):
+    """The rule's value at ``args`` as bits, or the type of what it raised."""
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.simplefilter("ignore")
+        try:
+            return _bits(rule(args))
+        except Exception as exc:               # noqa: BLE001 - compared below
+            return type(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_expressions, _expressions, _expr_arguments())
+@example("(-0.0 - z1)", "(z1 ** (0.5 - 1j))", (np.array([0j, 1j]), np.array([-0.0, 2.0])))
+@example("(1e999 * 0)", "log(z2)", (np.array([np.nan, -0.0]), np.array([0.0, np.inf])))
+def test_a_compiled_rule_is_the_reference_interpreter_bit_for_bit(first, second, args):
+    # each entry of a vector rule keeps its expression's operations in
+    # their order: the same value, bit for bit, on every number type, and
+    # the same exception type where the closure interpreter raises
+    names = ["z1", "z2"]
+    refs = [exprs_reference.parse_expression(e, names) for e in (first, second)]
+    want = _outcome(lambda z: tuple(ref(z) for ref in refs), args)
+    assert _outcome(exprs.compile_rule((first, second), names), args) == want
+    assert _outcome(exprs.compile_rule(first, names), args) \
+        == _outcome(refs[0], args)

@@ -174,7 +174,7 @@ def test_an_inline_complex_power_of_zero_is_nan_in_a_stack_as_at_its_point():
     # ``exprs`` compiles ``**`` to ``dual.power``: the stack's entry at the
     # zero is NaN, the value the point's ZeroDivisionError becomes, and
     # every other entry is its point's value
-    rule = exprs.vector_rule(["z1 ** (0.5 - 1j) + z2"], ["z1", "z2"])
+    rule = exprs.compile_rule(("z1 ** (0.5 - 1j) + z2",), ["z1", "z2"])
     points = _stack(3)
     points[1, 0] = 0.0
     got = plain_values(rule, points, (1,))
