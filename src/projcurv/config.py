@@ -14,7 +14,13 @@ A plan is a YAML key/value tree.  Example:
     report: report.json
     format: structured              # or text
 
-Semantic errors name the offending key, e.g. "suites[2]: unknown suite 'S99'".
+Errors are ConfigErrors that name the offending key, e.g. "suites[2]:
+unknown suite 'S99'".  ``parse_config`` checks the plan's own keys (``report``
+a file path, ``phi`` an expression string, ``pair`` a zoo pair name or a
+table) before anything runs.  ``RunConfig.resolved_pair`` is the one walk
+over ``pair``: it checks each key of the pair where it reads it and builds
+the metrics, the map and the weight as it goes, so a mistake in a pair is
+raised while the run resolves it.  Every expression entry must be a string.
 """
 
 from __future__ import annotations
@@ -47,11 +53,66 @@ class RunConfig:
     format: str = "structured"
 
     def resolved_pair(self) -> PairContext:
-        return _resolve_pair(self.pair_spec, self.phi)
+        """The plan's pair: a zoo pair, or the inline table's source and
+        target metrics and map, each key checked as it is read; with the
+        plan's weight ``phi`` compiled in z1..zm, W1..Wm."""
+        spec = self.pair_spec
+        if isinstance(spec, str):
+            if spec not in zoo.catalog_names()["map-pair"]:
+                raise ConfigError(f"pair: unknown zoo pair {spec!r}")
+            pair = zoo.build_entry(spec).obj
+        else:
+            _require_known(spec, "pair", "an inline pair has no key",
+                           ("source", "target", "map", "name", "compact"))
+            for part in ("source", "target", "map"):
+                if not isinstance(spec.get(part), dict):
+                    raise ConfigError(f"pair.{part}: " + ("must be a table" if part in spec
+                                                          else "required key is missing"))
+            compact = _flag(spec, "compact", "pair.")
+            name = spec.get("name", "inline")
+            if not isinstance(name, str):
+                raise ConfigError(f"pair.name: expected a string, got {name!r}")
+            h = _metric(spec["source"], "source")
+            if not isinstance(h, HermitianMetricField):
+                raise ConfigError("pair.source: source metric must be Hermitian")
+            g = _metric(spec["target"], "target")
+            mp = spec["map"]
+            if "zoo" in mp:
+                if mp["zoo"] not in zoo.catalog_names()["map"]:
+                    raise ConfigError(f"pair.map.zoo: unknown map {mp['zoo']!r}")
+                params = {k: v for k, v in mp.items() if k != "zoo"}
+                f = zoo.build_map(mp["zoo"], params, h.chart, g.chart)
+            elif "components" not in mp:
+                raise ConfigError("pair.map: needs either zoo: <name> or components: [...]")
+            else:
+                _require_known(mp, "pair.map", "an inline map has no key",
+                               ("components", "holomorphic"))
+                holomorphic = _flag(mp, "holomorphic", "pair.map.")
+                components = mp["components"]
+                if not isinstance(components, list):
+                    raise ConfigError("pair.map.components: expected a list of "
+                                      f"expressions, got {components!r}")
+                rule = _compiled(tuple(components), "z", h.chart.dim, "pair.map.components")
+                if len(components) != g.chart.dim:
+                    raise ConfigError("pair.map.components: arity does not match "
+                                      "the target dimension")
+                f = ChartedMap(h.chart, g.chart, rule, holomorphic=holomorphic,
+                               name=spec.get("name", "inline-map"))
+            pair = PairContext(f=f, h=h, g=g, name=name, compact=compact)
+        if self.phi:
+            compiled = _compiled(self.phi, "zW", pair.f.m, "phi")
+
+            def phi(zs, Ws):
+                return gm.real(compiled(tuple(zs) + tuple(Ws)))
+
+            pair = replace(pair, phi=phi)
+        return pair
 
 
 def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
-    """Parse and validate a YAML plan; malformed input and unknown names raise.
+    """Parse and validate a YAML plan's own keys; malformed input and
+    unknown names raise.  The keys of ``pair`` are checked as
+    :meth:`RunConfig.resolved_pair` reads them.
 
     ``overrides`` (plan key -> value, e.g. from command-line flags) replace
     the plan's values before validation, so they pass the same checks.
@@ -72,6 +133,8 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
 
     if "pair" not in raw:
         raise ConfigError("pair: required key is missing")
+    if not isinstance(raw["pair"], (str, dict)):
+        raise ConfigError("pair: must be a zoo pair name or a table")
     suites = raw.get("suites", [])
     if not isinstance(suites, list):
         raise ConfigError("suites: must be an array of suite names")
@@ -92,119 +155,65 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
     fmt = raw.get("format", "structured")
     if fmt not in ("structured", "text"):
         raise ConfigError(f"format: must be 'structured' or 'text', got {fmt!r}")
+    for key, what in (("phi", "an expression string"), ("report", "a file path")):
+        if raw.get(key) is not None and not isinstance(raw[key], str):
+            raise ConfigError(f"{key}: expected {what}, got {raw[key]!r}")
 
-    pair_spec = raw["pair"]
-    _validate_pair_spec(pair_spec)
-
-    return RunConfig(pair_spec=pair_spec, suites=list(suites), samples=samples,
+    return RunConfig(pair_spec=raw["pair"], suites=list(suites), samples=samples,
                      seed=seed, tol_relative=tol_relative,
                      tol_exact=tol_exact, phi=raw.get("phi"),
                      report=raw.get("report"), format=fmt)
 
 
-def _validate_pair_spec(spec):
-    if isinstance(spec, str):
-        if spec not in zoo.catalog_names()["map-pair"]:
-            raise ConfigError(f"pair: unknown zoo pair {spec!r}")
-        return
-    if not isinstance(spec, dict):
-        raise ConfigError("pair: must be a zoo pair name or a table")
-    _require_known(spec, "pair", "an inline pair", ("source", "target", "map", "name",
-                                                    "compact"))
-    for part in ("source", "target", "map"):
-        if part not in spec:
-            raise ConfigError(f"pair.{part}: required key is missing")
-    _require_boolean(spec, "compact", "pair.")
-    for part in ("source", "target"):
-        sub = spec[part]
-        if not isinstance(sub, dict):
-            raise ConfigError(f"pair.{part}: must be a table")
-        if "zoo" in sub:
-            name = sub["zoo"]
-            names = zoo.catalog_names()
-            if name not in names["hermitian-metric"] + names["riemannian-metric"]:
-                raise ConfigError(f"pair.{part}.zoo: unknown metric {name!r}")
-        elif "metric" not in sub or "dim" not in sub:
-            raise ConfigError(f"pair.{part}: needs either zoo: <name> or "
-                              "dim: + metric: [[...]]")
-    mp = spec["map"]
-    if not isinstance(mp, dict):
-        raise ConfigError("pair.map: must be a table")
-    if "zoo" in mp:
-        if mp["zoo"] not in zoo.catalog_names()["map"]:
-            raise ConfigError(f"pair.map.zoo: unknown map {mp['zoo']!r}")
-    elif "components" not in mp:
-        raise ConfigError("pair.map: needs either zoo: <name> or components: [...]")
-    else:
-        _require_known(mp, "pair.map", "an inline map", ("components", "holomorphic"))
-        _require_boolean(mp, "holomorphic", "pair.map.")
-
-
 def _require_known(table: dict, where: str, what: str, keys: tuple):
     for key in table:
         if key not in keys:
-            raise ConfigError(f"{where}.{key}: {what} has no key {key!r} "
+            raise ConfigError(f"{where}.{key}: {what} {key!r} "
                               f"(it reads {', '.join(keys)})")
 
 
-def _require_boolean(table: dict, key: str, where: str):
-    if key in table and not isinstance(table[key], bool):
-        raise ConfigError(f"{where}{key}: expected true or false, got {table[key]!r}")
+def _flag(table: dict, key: str, where: str) -> bool:
+    """``table[key]``, false when absent; anything but a boolean raises."""
+    value = table.get(key, False)
+    if not isinstance(value, bool):
+        raise ConfigError(f"{where}{key}: expected true or false, got {value!r}")
+    return value
 
 
-def _resolve_metric(spec: dict, key: str):
+def _compiled(entries, letters: str, dim: int, where: str):
+    """``exprs.compile_rule`` of ``entries`` in each letter's coordinates
+    1..dim, its ConfigError prefixed with the key ``where``."""
+    names = [name for letter in letters for name in exprs.coordinate_names(letter, dim)]
+    try:
+        return exprs.compile_rule(entries, names)
+    except ConfigError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+
+
+def _metric(spec: dict, key: str):
+    """The metric ``pair.<key>`` names: a zoo metric with its parameters, or
+    an inline one (dim, radius, metric, real) probe-validated at 100 points."""
     if "zoo" in spec:
+        names = zoo.catalog_names()
+        if spec["zoo"] not in names["hermitian-metric"] + names["riemannian-metric"]:
+            raise ConfigError(f"pair.{key}.zoo: unknown metric {spec['zoo']!r}")
         params = {k: v for k, v in spec.items() if k != "zoo"}
         return zoo.build_entry(spec["zoo"], params).obj
-    for k in spec:
-        if k not in ("dim", "radius", "metric", "real"):
-            raise ConfigError(f"pair.{key}.{k}: an inline metric has no parameter {k!r} "
-                              "(it reads dim, radius, metric, real)")
-    _require_boolean(spec, "real", f"pair.{key}.")
+    if "metric" not in spec or "dim" not in spec:
+        raise ConfigError(f"pair.{key}: needs either zoo: <name> or "
+                          "dim: + metric: [[...]]")
+    _require_known(spec, f"pair.{key}", "an inline metric has no parameter",
+                   ("dim", "radius", "metric", "real"))
+    real = _flag(spec, "real", f"pair.{key}.")
     dim, radius = chart_params(spec, f"pair.{key}.", None, 0.9)
     entries = spec["metric"]
-    if len(entries) != dim or any(len(row) != dim for row in entries):
+    if not (isinstance(entries, list) and len(entries) == dim
+            and all(isinstance(row, list) and len(row) == dim for row in entries)):
         raise ConfigError(f"pair.{key}.metric: expected a {dim} x {dim} array")
-    letter, chart_type, field_type = (
-        ("x", RealChart, RiemannianMetricField) if spec.get("real")
-        else ("z", ComplexChart, HermitianMetricField))
+    letter, chart_type, field_type = (("x", RealChart, RiemannianMetricField) if real
+                                      else ("z", ComplexChart, HermitianMetricField))
     field = field_type(chart_type(dim=dim, radius=np.full(dim, radius)),
-                       exprs.compile_rule(list(entries), exprs.coordinate_names(letter, dim)),
+                       _compiled(entries, letter, dim, f"pair.{key}.metric"),
                        name=f"inline-{key}")
     field.validate(np.random.default_rng(20250809), count=100)
     return field
-
-
-def _resolve_pair(spec, phi_text=None) -> PairContext:
-    if isinstance(spec, str):
-        pair = zoo.build_entry(spec).obj
-    else:
-        h = _resolve_metric(spec["source"], "source")
-        if not isinstance(h, HermitianMetricField):
-            raise ConfigError("pair.source: source metric must be Hermitian")
-        g = _resolve_metric(spec["target"], "target")
-        mp = spec["map"]
-        if "zoo" in mp:
-            params = {k: v for k, v in mp.items() if k != "zoo"}
-            f = zoo.build_map(mp["zoo"], params, h.chart, g.chart)
-        else:
-            names = exprs.coordinate_names("z", h.chart.dim)
-            rule = exprs.compile_rule(tuple(mp["components"]), names)
-            if len(mp["components"]) != g.chart.dim:
-                raise ConfigError("pair.map.components: arity does not match "
-                                  "the target dimension")
-            f = ChartedMap(h.chart, g.chart, rule,
-                           holomorphic=mp.get("holomorphic", False),
-                           name=str(spec.get("name", "inline-map")))
-        pair = PairContext(f=f, h=h, g=g, name=str(spec.get("name", "inline")),
-                           compact=spec.get("compact", False))
-    if phi_text:
-        names = exprs.coordinate_names("z", pair.f.m) \
-            + exprs.coordinate_names("W", pair.f.m)
-        compiled = exprs.compile_rule(phi_text, names)
-
-        def phi(zs, Ws):
-            return gm.real(compiled(tuple(zs) + tuple(Ws)))
-
-        pair = replace(pair, phi=phi)
-    return pair

@@ -87,8 +87,11 @@ def _checked(node, text: str, names: list[str]):
 def compile_rule(entries, names: list[str]):
     """Compile ``entries`` (an expression, a tuple of expressions or a list of
     rows of expressions) into one function rule(args) that returns a value,
-    a tuple or a list of lists, with ``names`` bound in order to ``args``."""
+    a tuple or a list of lists, with ``names`` bound in order to ``args``.
+    An entry that is not a string is a ConfigError naming it."""
     def expression(text):
+        if not isinstance(text, str):
+            raise ConfigError(f"expression {text!r}: not a string")
         try:
             tree = ast.parse(text, mode="eval")
         except SyntaxError as exc:

@@ -1,6 +1,7 @@
 import dataclasses
 import inspect
 import json
+import os
 import re
 
 import numpy as np
@@ -41,10 +42,6 @@ class TestParseConfig:
     def test_unknown_suite_names_key(self):
         with pytest.raises(ConfigError, match=r"suites\[1\]"):
             config.parse_config("pair: flat-identity\nsuites: [S1, S99]\n")
-
-    def test_unknown_pair(self):
-        with pytest.raises(ConfigError, match="unknown zoo pair"):
-            config.parse_config("pair: no-such-pair\nsuites: [S1]\n")
 
     def test_unknown_key(self):
         with pytest.raises(ConfigError, match="frobnicate"):
@@ -130,75 +127,153 @@ samples: 2
         assert pair.f.holomorphic
         assert pair.h.dim == 1
 
-    @pytest.mark.parametrize("part, spec, message", [
-        ("source", "{zoo: fubini-study, dim: 1.5}",
-         r"fubini-study\.dim: expected an integer, got 1\.5"),
-        ("source", "{zoo: fubini-study, dim: true}",
-         r"fubini-study\.dim: expected a number, got True"),
-        ("source", "{zoo: fubini-study, dimension: 2}",
-         r"fubini-study\.dimension: fubini-study has no parameter 'dimension'"),
-        ("target", "{zoo: poincare-disc, dim: 1.5}", r"poincare-disc\.dim: expected an integer"),
-        ("target", "{zoo: poincare-disc, radius: 0.8}",
-         r"poincare-disc\.radius: .* past the singular set"),
-        ("target", "{zoo: flat-torus, fundamental_domain: 1.0}",
-         r"flat-torus\.fundamental_domain: flat-torus has no parameter 'fundamental_domain'"),
-        ("source", '{dim: 1.9, metric: [["1"]]}',
-         r"pair\.source\.dim: expected an integer, got 1\.9"),
-        ("source", '{dim: true, metric: [["1"]]}', r"pair\.source\.dim: expected a number"),
-        ("source", '{dim: 1, metric: [["1"]], radus: 0.5}',
-         r"pair\.source\.radus: an inline metric has no parameter 'radus'"),
-        ("target", '{dim: 1, radius: .nan, metric: [["1"]]}',
-         r"pair\.target\.radius: must be positive and finite"),
-        ("target", '{dim: 1, metric: [["1"]], real: "false"}',
-         r"pair\.target\.real: expected true or false, got 'false'")])
-    def test_metric_parameters_pass_the_plan_checks(self, part, spec, message):
-        # dim: 1.5 ran at dim 1, dim: 1.9 inline truncated to 1, an unknown key
-        # was ignored, the Poincare guard let a chart corner leave the disc,
-        # and real: "false" made a Riemannian metric
-        specs = {"source": "{zoo: flat, dim: 1}", "target": "{zoo: flat, dim: 1}", part: spec}
-        cfg = config.parse_config(
-            f"pair:\n  source: {specs['source']}\n  target: {specs['target']}\n"
-            "  map: {zoo: identity}\nsuites: [S1]\nsamples: 2\n")
-        with pytest.raises(ConfigError, match=message):
-            cfg.resolved_pair()
-
-    @pytest.mark.parametrize("pair_spec, message", [
-        ("source: {zoo: flat, dim: 1}\n  target: {zoo: flat, dim: 1}\n"
-         "  map: {zoo: identity}\n  compcat: true",
-         r"pair\.compcat: an inline pair has no key 'compcat' \(it reads source, "
-         r"target, map, name, compact\)"),
-        ("source: {zoo: flat, dim: 1}\n  target: {zoo: flat, dim: 1}\n"
-         "  map: {zoo: identity}\n  compact: 'yes'",
-         r"pair\.compact: expected true or false, got 'yes'"),
-        ("source: {zoo: flat, dim: 1}\n  target: {zoo: flat, dim: 1}\n"
-         "  map: {components: ['z1*z1'], holomorfic: true}",
-         r"pair\.map\.holomorfic: an inline map has no key 'holomorfic' \(it reads "
-         r"components, holomorphic\)"),
-        ("source: {zoo: flat, dim: 1}\n  target: {zoo: flat, dim: 1}\n"
-         "  map: {components: ['z1*z1'], holomorphic: 1}",
-         r"pair\.map\.holomorphic: expected true or false, got 1")])
-    def test_inline_pair_keys_fail_closed(self, pair_spec, message):
-        # compcat: true resolved to a pair with compact False, and
-        # holomorfic: true to a map flagged non-holomorphic, without a word
-        with pytest.raises(ConfigError, match=message):
-            config.parse_config(f"pair:\n  {pair_spec}\nsuites: [S1]\nsamples: 2\n")
-
-    @pytest.mark.parametrize("map_spec, message", [
-        ("{zoo: power, exponent: 2.5}", r"power\.exponent: expected an integer, got 2\.5"),
-        ("{zoo: power, exponet: 3}", r"power\.exponet: power has no parameter 'exponet'")])
-    def test_inline_zoo_map_parameters_fail_closed(self, map_spec, message):
-        # both used to run exponent 2
-        cfg = config.parse_config(
-            "pair:\n  source: {zoo: flat, dim: 1}\n  target: {zoo: flat, dim: 1}\n"
-            f"  map: {map_spec}\nsuites: [S1]\nsamples: 2\n")
-        with pytest.raises(ConfigError, match=message):
-            cfg.resolved_pair()
-
     def test_phi_expression(self):
         cfg = config.parse_config(MINIMAL + 'phi: "0.2*re(z1)"\n')
         pair = cfg.resolved_pair()
         assert pair.phi is not None
         assert pair.phi((0.5,), (1.0,)) == pytest.approx(0.1)
+
+
+def inline(**parts):
+    """A plan of S1 at 2 samples on an inline pair, flat to flat by the
+    identity, with ``parts`` (pair key -> YAML flow value) replacing or
+    adding pair keys; a part None drops the key."""
+    keys = {"source": "{zoo: flat, dim: 1}", "target": "{zoo: flat, dim: 1}",
+            "map": "{zoo: identity}", **parts}
+    return "suites: [S1]\nsamples: 2\npair:\n" + "".join(
+        f"  {key}: {value}\n" for key, value in keys.items() if value is not None)
+
+
+# Every kind of plan mistake: (where it is caught, plan, the key path that
+# the message begins with, a pattern of the message).  "plan" rows are
+# refused by parse_config, before anything runs; "pair" rows pass
+# parse_config and are refused by resolved_pair, which walks the pair.
+PLAN_MISTAKES = [
+    # report: 1 or true opened file descriptor 1, wrote the report over
+    # stdout, closed it and exited 1 on the summary's print; [1] exited 1
+    # with a TypeError
+    ("plan", MINIMAL + "report: 1\n", "report", r"expected a file path, got 1$"),
+    ("plan", MINIMAL + "report: true\n", "report", r"expected a file path, got True$"),
+    ("plan", MINIMAL + "report: [1]\n", "report", r"expected a file path, got \[1\]$"),
+    # a weight that is not a string ended in a TypeError
+    ("plan", MINIMAL + "phi: 0.5\n", "phi", r"expected an expression string, got 0\.5"),
+    ("plan", MINIMAL + "phi: [1]\n", "phi", r"expected an expression string, got \[1\]"),
+    ("plan", "suites: [S1]\npair: [1]\n", "pair", "must be a zoo pair name or a table"),
+    ("pair", MINIMAL + 'phi: "q1"\n', "phi", "expression 'q1': unknown name 'q1'"),
+    ("pair", "pair: no-such-pair\nsuites: [S1]\n", "pair", "unknown zoo pair"),
+    ("pair", "pair: fubini-study\nsuites: [S1]\n", "pair",
+     "unknown zoo pair 'fubini-study'"),
+    # dim: 1.5 ran at dim 1, dim: 1.9 inline truncated to 1, an unknown key
+    # was ignored, the Poincare guard let a chart corner leave the disc,
+    # and real: "false" made a Riemannian metric
+    ("pair", inline(source="{zoo: fubini-study, dim: 1.5}"), "fubini-study.dim",
+     r"fubini-study\.dim: expected an integer, got 1\.5"),
+    ("pair", inline(source="{zoo: fubini-study, dim: true}"), "fubini-study.dim",
+     r"fubini-study\.dim: expected a number, got True"),
+    ("pair", inline(source="{zoo: fubini-study, dimension: 2}"), "fubini-study.dimension",
+     r"fubini-study\.dimension: fubini-study has no parameter 'dimension'"),
+    ("pair", inline(target="{zoo: poincare-disc, dim: 1.5}"), "poincare-disc.dim",
+     r"poincare-disc\.dim: expected an integer"),
+    ("pair", inline(target="{zoo: poincare-disc, radius: 0.8}"), "poincare-disc.radius",
+     r"poincare-disc\.radius: .* past the singular set"),
+    ("pair", inline(target="{zoo: flat-torus, fundamental_domain: 1.0}"),
+     "flat-torus.fundamental_domain",
+     r"flat-torus\.fundamental_domain: flat-torus has no parameter 'fundamental_domain'"),
+    ("pair", inline(source='{dim: 1.9, metric: [["1"]]}'), "pair.source.dim",
+     r"pair\.source\.dim: expected an integer, got 1\.9"),
+    ("pair", inline(source='{dim: true, metric: [["1"]]}'), "pair.source.dim",
+     r"pair\.source\.dim: expected a number"),
+    ("pair", inline(source='{dim: 1, metric: [["1"]], radus: 0.5}'), "pair.source.radus",
+     r"pair\.source\.radus: an inline metric has no parameter 'radus'"),
+    ("pair", inline(target='{dim: 1, radius: .nan, metric: [["1"]]}'), "pair.target.radius",
+     r"pair\.target\.radius: must be positive and finite"),
+    ("pair", inline(target='{dim: 1, metric: [["1"]], real: "false"}'), "pair.target.real",
+     r"pair\.target\.real: expected true or false, got 'false'"),
+    # compcat: true resolved to a pair with compact False, and holomorfic:
+    # true to a map flagged non-holomorphic, without a word
+    ("pair", inline(compcat="true"), "pair.compcat",
+     r"pair\.compcat: an inline pair has no key 'compcat' \(it reads source, "
+     r"target, map, name, compact\)"),
+    ("pair", inline(compact="'yes'"), "pair.compact",
+     r"pair\.compact: expected true or false, got 'yes'"),
+    ("pair", inline(map="{components: ['z1*z1'], holomorfic: true}"), "pair.map.holomorfic",
+     r"pair\.map\.holomorfic: an inline map has no key 'holomorfic' \(it reads "
+     r"components, holomorphic\)"),
+    ("pair", inline(map="{components: ['z1*z1'], holomorphic: 1}"), "pair.map.holomorphic",
+     r"pair\.map\.holomorphic: expected true or false, got 1"),
+    # both used to run exponent 2
+    ("pair", inline(map="{zoo: power, exponent: 2.5}"), "power.exponent",
+     r"power\.exponent: expected an integer, got 2\.5"),
+    ("pair", inline(map="{zoo: power, exponet: 3}"), "power.exponet",
+     r"power\.exponet: power has no parameter 'exponet'"),
+    # a number for an expression ended in a TypeError, a string for the
+    # component list was read letter by letter, a matrix of the wrong
+    # shape ended in a TypeError or was read letter by letter, and a list
+    # for the name named the pair "[1, 2]"
+    ("pair", inline(map="{components: [0.5]}"), "pair.map.components",
+     "expression 0.5: not a string"),
+    ("pair", inline(map="{components: z1}"), "pair.map.components",
+     "expected a list of expressions, got 'z1'"),
+    ("pair", inline(source="{dim: 1, metric: [[1]]}"), "pair.source.metric",
+     "expression 1: not a string"),
+    ("pair", inline(source="{dim: 1, metric: 5}"), "pair.source.metric",
+     "expected a 1 x 1 array"),
+    ("pair", inline(source='{dim: 1, metric: ["z1"]}'), "pair.source.metric",
+     "expected a 1 x 1 array"),
+    ("pair", inline(source='{dim: 1, metric: ["z"]}'), "pair.source.metric",
+     "expected a 1 x 1 array"),
+    ("pair", inline(name="[1, 2]"), "pair.name", r"expected a string, got \[1, 2\]"),
+    ("pair", inline(source=None), "pair.source", "required key is missing"),
+    ("pair", inline(target="5"), "pair.target", "must be a table"),
+    ("pair", inline(source="{zoo: no-such-metric}"), "pair.source.zoo",
+     "unknown metric 'no-such-metric'"),
+    ("pair", inline(source='{metric: [["1"]]}'), "pair.source",
+     r"needs either zoo: <name> or dim: \+ metric"),
+    ("pair", inline(source="{zoo: euclidean, dim: 1}"), "pair.source",
+     "source metric must be Hermitian"),
+    ("pair", inline(map="{zoo: no-such-map}"), "pair.map.zoo", "unknown map 'no-such-map'"),
+    ("pair", inline(map="{holomorphic: true}"), "pair.map",
+     r"needs either zoo: <name> or components"),
+    ("pair", inline(map="{components: [z1, z1]}"), "pair.map.components",
+     "arity does not match the target dimension"),
+]
+
+
+MISTAKE_IDS = [key for where, plan, key, message in PLAN_MISTAKES]
+
+
+class TestPlanMistakes:
+    @pytest.mark.parametrize("where, plan, key, message", PLAN_MISTAKES, ids=MISTAKE_IDS)
+    def test_the_check_names_the_key(self, where, plan, key, message):
+        # a pair row's plan passes parse_config, outside the raises block
+        check = (lambda: config.parse_config(plan)) if where == "plan" \
+            else config.parse_config(plan).resolved_pair
+        with pytest.raises(ConfigError, match=message) as exc:
+            check()
+        assert str(exc.value).startswith(f"{key}: ")
+
+    @pytest.mark.parametrize("where, plan, key, message", PLAN_MISTAKES, ids=MISTAKE_IDS)
+    def test_the_run_exits_two_naming_the_key(self, tmp_path, capfd, where, plan, key,
+                                              message):
+        report = tmp_path / "report.json"
+        if key != "report":
+            plan += f"report: {report}\n"
+        path = tmp_path / "plan.yaml"
+        path.write_text(plan)
+        assert cli.main(["verify", "--config", str(path)]) == 2
+        captured = capfd.readouterr()
+        os.fstat(1)                  # stdout is still open
+        assert "Traceback" not in captured.out + captured.err
+        if where == "plan":
+            # refused before the run: no summary, no report
+            assert captured.err.startswith(f"configuration error: {key}: ")
+            assert captured.out == ""
+            assert not report.exists()
+        else:
+            doc = json.loads(report.read_text())
+            assert doc["verdict"] == "error"
+            assert doc["error"].startswith(f"{key}: ")
+            assert f"error: {key}: " in captured.out
 
 
 class TestCliScenarios:

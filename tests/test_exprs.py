@@ -110,6 +110,14 @@ class TestFailClosed:
         with pytest.raises(ConfigError, match=f"literal {value!r} is not a number"):
             exprs.compile_rule(text, ["z1"])
 
+    @pytest.mark.parametrize("entries, named", [
+        (0.5, "0.5"), (None, "None"), (True, "True"), ([[None]], "None"),
+        (("z1", 2), "2"), ([["1", 0.5]], "0.5")])
+    def test_an_entry_that_is_not_a_string_is_refused(self, entries, named):
+        # a number used to reach ast.parse and end in a TypeError
+        with pytest.raises(ConfigError, match=re.escape(f"expression {named}: not a string")):
+            exprs.compile_rule(entries, ["z1"])
+
     def test_a_rejected_entry_of_a_matrix_is_named(self):
         with pytest.raises(ConfigError, match=re.escape("expression 'z1.imag': ")):
             exprs.compile_rule([["1", "0"], ["0", "z1.imag"]], ["z1"])
