@@ -103,9 +103,8 @@ class TautologicalMetric:
     ``weight``, when present, is a callable phi(z_scalars, W_scalars) -> real,
     invariant under W -> lambda W; the metric becomes H e^{-phi}.
 
-    The same machinery serves the covector bundle P(f*T*_N): feed it the
-    pulled-back inverse target metric (whose matrix dimension differs from
-    the base chart dimension) and W plays the role of the covector X.
+    The suites read H itself from the stencil of the density that divides
+    by it (``maps.Y_field``'s rider), not from this class.
     """
 
     h: HermitianMetricField
@@ -113,41 +112,23 @@ class TautologicalMetric:
 
     @property
     def m(self) -> int:
-        """Homogeneous fiber dimension (the pairing-matrix size)."""
+        """Homogeneous fiber dimension, the base chart's dimension."""
         return self.h.dim
-
-    @property
-    def base_dim(self) -> int:
-        return self.h.chart.dim
 
     def combined_chart(self) -> ComplexChart:
         if self.m == 1:
             return self.h.chart
         return self.h.chart.product(fiber_chart(self.m - 1))
 
-    def H_raw(self, P: BundlePoint) -> float:
-        H = self.h.matrix(P.z)
-        W = P.W_affine
-        val = np.einsum("gd,g,d->", H, W, W.conj())
-        return float(val.real)
-
-    def H_value(self, P: BundlePoint) -> float:
-        """Metric of the tautological bundle at P (weight applied)."""
-        v = self.H_raw(P)
-        if self.weight is not None:
-            v *= math.exp(-float(np.real(self.weight(tuple(P.z), tuple(P.W_affine)))))
-        return v
-
     def log_H_field(self, chart_index: int) -> ScalarField:
         """log of the (weighted) metric as a field on the combined (z, w) chart."""
         m = self.m
-        base_d = self.base_dim
         h = self.h
         weight = self.weight
 
-        def rule(zs, _m=m, _d=base_d, _idx=chart_index):
-            z = zs[:_d]
-            W = reconstruct_W(zs[_d:], _idx, _m)
+        def rule(zs, _m=m, _idx=chart_index):
+            z = zs[:_m]
+            W = reconstruct_W(zs[_m:], _idx, _m)
             out = dual.log(dual.pairing(h.matrix_generic(z), W, W))
             if weight is not None:
                 out = out - weight(z, tuple(W))
@@ -159,7 +140,8 @@ class TautologicalMetric:
 
 def tautological_H(tm: TautologicalMetric, P: BundlePoint) -> float:
     """The pairing h_{g dbar} W^g Wbar^d for the affine representative at P."""
-    v = tm.H_raw(P)
+    W = P.W_affine
+    v = float(np.einsum("gd,g,d->", tm.h.matrix(P.z), W, W.conj()).real)
     if v <= 0:
         raise ValidationError(f"tautological metric not positive at {P}")
     return v

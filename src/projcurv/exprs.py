@@ -47,7 +47,7 @@ def _checked(node, text: str, names: list[str]):
     a call of ``power``; the first node outside the grammar, in evaluation
     order, raises a ConfigError naming ``text``."""
     def fail(message):
-        raise ConfigError(f"expression {text!r}: {message}")
+        raise ConfigError(f"expression {_echo(text)}: {message}")
 
     def check(node):
         if isinstance(node, ast.Constant):
@@ -88,15 +88,18 @@ def compile_rule(entries, names: list[str]):
     """Compile ``entries`` (an expression, a tuple of expressions or a list of
     rows of expressions) into one function rule(args) that returns a value,
     a tuple or a list of lists, with ``names`` bound in order to ``args``.
-    An entry that is not a string is a ConfigError naming it."""
+    An entry that is not a string, and one nested past the depth that the
+    parser, the check or the compiler recurse to, is a ConfigError naming
+    it (the whole rule, past the compiler's depth)."""
     def expression(text):
         if not isinstance(text, str):
             raise ConfigError(f"expression {text!r}: not a string")
         try:
-            tree = ast.parse(text, mode="eval")
+            return _checked(ast.parse(text, mode="eval").body, text, names)
         except SyntaxError as exc:
-            raise ConfigError(f"expression {text!r}: {exc.msg} at column {exc.offset}")
-        return _checked(tree.body, text, names)
+            raise ConfigError(f"expression {_echo(text)}: {exc.msg} at column {exc.offset}")
+        except RecursionError:
+            raise _too_deep(text) from None
 
     if isinstance(entries, tuple):
         body = ast.Tuple([expression(e) for e in entries], ast.Load())
@@ -107,8 +110,22 @@ def compile_rule(entries, names: list[str]):
         body = expression(entries)
     signature = ast.arguments(posonlyargs=[], args=[ast.arg(_ARGS)], kwonlyargs=[],
                               kw_defaults=[], defaults=[])
-    tree = ast.fix_missing_locations(ast.Expression(ast.Lambda(signature, body)))
-    return eval(compile(tree, "<rule>", "eval"), _SCOPE)
+    try:
+        tree = ast.fix_missing_locations(ast.Expression(ast.Lambda(signature, body)))
+        code = compile(tree, "<rule>", "eval")
+    except RecursionError:
+        raise _too_deep(entries) from None
+    return eval(code, _SCOPE)
+
+
+def _too_deep(text) -> ConfigError:
+    return ConfigError(f"expression {_echo(text)}: nested too deeply")
+
+
+def _echo(text) -> str:
+    """``repr`` of an expression for a message, cut to a prefix when long."""
+    text = str(text)
+    return repr(text) if len(text) <= 60 else f"{text[:40]!r}... ({len(text):,} characters)"
 
 
 def coordinate_names(prefix: str, dim: int) -> list[str]:

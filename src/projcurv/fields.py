@@ -174,6 +174,11 @@ class _MetricBase:
         if self.validate_on_init:
             self.check_at(self.chart.center)
 
+    @property
+    def dim(self) -> int:
+        """The matrix size, the chart's dimension."""
+        return self.chart.dim
+
     def matrix_generic(self, scalars):
         return self.rule(tuple(scalars))
 
@@ -250,24 +255,9 @@ class HermitianMetricField(_MetricBase):
     ``rule`` returns an m x m nested sequence; entry [a][b] is the pairing of
     dz^a with dzbar^b.  Construction runs a light validation at the chart
     center; ``validate`` runs the full probe-point check.
-
-    ``matrix_dim`` defaults to the chart dimension; pairing fields that live
-    over a different base (the pulled-back inverse target metric on a
-    covector bundle) set it explicitly.
     """
 
-    matrix_dim: int = None
-
     _coordinate_type = complex
-
-    def __post_init__(self):
-        if self.matrix_dim is None:
-            object.__setattr__(self, "matrix_dim", self.chart.dim)
-        super().__post_init__()
-
-    @property
-    def dim(self) -> int:
-        return self.matrix_dim
 
     def matrices(self, points) -> np.ndarray:
         """The (N, d, d) matrices at each row of an (N, m) stack of points,
@@ -288,10 +278,6 @@ class RiemannianMetricField(_MetricBase):
     """Matrix field x -> g_{ij}(x), symmetric positive definite."""
 
     _coordinate_type = float
-
-    @property
-    def dim(self) -> int:
-        return self.chart.dim
 
     def matrices(self, points) -> np.ndarray:
         """The (N, n, n) matrices at each row of an (N, n) stack of points,

@@ -248,25 +248,6 @@ class NestedBundlePoint:
         return np.concatenate([self.P.combined(), self.Q.w])
 
 
-def covector_metric_field(f: ChartedMap, g: HermitianMetricField) -> HermitianMetricField:
-    """The pairing matrix g^{k lbar}(f(z)) as a metric field on the source chart.
-
-    Feeding this to TautologicalMetric realizes the covector-bundle metric H1
-    with the same machinery as H; the algebra is identical.
-    """
-    if not f.target_is_complex:
-        raise ValidationError("covector metric needs a complex target")
-    n = f.n
-
-    def rule(zs):
-        G = g.matrix_generic(f.rule(zs))
-        return _generic_inverse_up(G, n)
-
-    return HermitianMetricField(f.source, rule,
-                                name=f"inverse-{g.name or 'target'}-pullback",
-                                validate_on_init=False, matrix_dim=n)
-
-
 # ---------------------------------------------------------------------------
 # density fields on combined charts (for black-box Hessians)
 
@@ -334,9 +315,7 @@ def Y2_field(f: ChartedMap, h: HermitianMetricField, g: HermitianMetricField,
     (log H, log H1) as its rider, both from the H and H1 it divides by:
     its Hessian hands on Y2's value for S3's T D term and the mixed jets
     behind S3's curvatures T of H and T1 of H1.  log H takes the operations
-    of ``TautologicalMetric.log_H_field``, and log H1 those of the same
-    field over ``covector_metric_field``, except that f(z) is the
-    Jacobian's value slot, as for Y1."""
+    of ``Y_field``'s rider, and log H1 those of ``Y1_field``'s."""
     m, n = f.m, f.n
 
     def rule(zs):

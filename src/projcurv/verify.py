@@ -52,7 +52,7 @@ import numpy as np
 
 from . import diffops, maps as maps_mod
 from .bundle import (BundlePoint, TautologicalMetric, affine_rows,
-                     curvature_matrices, horizontal_curvature_value, tautological_H)
+                     horizontal_curvature_value, tautological_H)
 from .curvature import (chern_arrays, chern_curvature, first_failing,
                         hermitian_normal_coordinates, riemann_curvature, sample_max)
 from .errors import GeometryError, NotApplicable, ValidationError
@@ -121,8 +121,8 @@ def _combined_dim(m: int) -> int:
 
 def _density_hessian_sides(f: ChartedMap, h: HermitianMetricField, g, Ps,
                            weight=None):
-    """(ddbar Y, (ddbar log H^{-1}) Y) at the bundle points Ps, which share
-    their fiber chart, as two stacks.  Y and log H take one stencil
+    """(ddbar Y, (ddbar log H^{-1}) Y, H) at the bundle points Ps, which
+    share their fiber chart, as three stacks.  Y and log H take one stencil
     evaluation for all of Ps.
 
     Y is the generalized density, or Y_phi = e^phi Y when ``weight`` is given.
@@ -132,11 +132,13 @@ def _density_hessian_sides(f: ChartedMap, h: HermitianMetricField, g, Ps,
 
 
 def _hessian_sides(density, coords):
-    """(ddbar D, T D) for the joint density field D at the rows of coords,
-    with T = -ddbar log of the metric D divides by, as two stacks.  Both,
-    and D itself, come from one stencil evaluation for all rows."""
-    L, D, (_, _, mixed) = diffops.mixed_hessians(density, np.array(coords))
-    return L, hermitian_part(-mixed) * D[:, None, None]
+    """(ddbar D, T D, H) for the joint density field D at the rows of
+    coords, with H the metric D divides by and T = -ddbar log H, as three
+    stacks.  All three, and D itself, come from one stencil evaluation for
+    all rows: H is exp of the rider's centre value (log H, or log H - phi
+    for Y_phi, which gives H e^{-Re phi})."""
+    L, D, (value, _, mixed) = diffops.mixed_hessians(density, np.array(coords))
+    return L, hermitian_part(-mixed) * D[:, None, None], np.exp(value.real)
 
 
 def _map_jets(f: ChartedMap, zs):
@@ -152,11 +154,9 @@ def _s1_sides(f: ChartedMap, h: HermitianMetricField, g, Ps, weight=None):
     points Ps on one fiber chart, as stacks: ddbar Y, (ddbar log H^{-1}) Y,
     -C/H, H and the map jets (df, f(z)), with C the target curvature term
     embedded in the base block of the combined chart."""
-    L, T = _density_hessian_sides(f, h, g, Ps, weight)
+    L, T, H = _density_hessian_sides(f, h, g, Ps, weight)
     holo, fz = jets = _map_jets(f, [P.z for P in Ps])
     K, _ = _target_curvature(g, fz)
-    tm = TautologicalMetric(h, weight=weight)
-    H = np.array([tm.H_value(P) for P in Ps])
     C = _target_curvature_term(K, holo, np.array([P.W_affine for P in Ps]))
     minus_C = embedded(C, range(f.m), _combined_dim(f.m)) * (-1.0 / H)[:, None, None]
     return L, T, minus_C, H, jets
@@ -356,7 +356,8 @@ def _forms(lhs: np.ndarray, rhs: np.ndarray) -> list:
 
 def _s_minus1(f, h, g, Ps, weight=None) -> list:
     """S_minus1's evaluator: the density of f into the flat C, whatever g is."""
-    return _forms(*_density_hessian_sides(f, h, _flat_scalar_target(), Ps))
+    L, T, _ = _density_hessian_sides(f, h, _flat_scalar_target(), Ps)
+    return _forms(L, T)
 
 
 def _s1_family(f, h, g, Ps, weight=None) -> list:
@@ -379,10 +380,10 @@ def _s2(f, h, g, Qs, weight=None) -> list:
 
         C_{a bbar} = R^h_{a bbar g dbar} h^{g nbar} conj(v_n) h^{m dbar} v_m
 
-    with v_m = X^k f^k_m is contracted one index at a time."""
-    tm1 = _covector_tautological(f, g)
-    L, T = _hessian_sides(maps_mod.Y1_field(f, h, g, Qs[0].chart_index),
-                          [Q.combined() for Q in Qs])
+    with v_m = X^k f^k_m is contracted one index at a time.  H1, the
+    metric the term divides by, is read from Y1's stencil."""
+    L, T, H1 = _hessian_sides(maps_mod.Y1_field(f, h, g, Qs[0].chart_index),
+                              [Q.combined() for Q in Qs])
     source = chern_curvature(h, np.array([Q.z for Q in Qs]))
     holo, _ = _map_jets(f, [Q.z for Q in Qs])
     X = np.array([Q.W_affine for Q in Qs])
@@ -392,7 +393,6 @@ def _s2(f, h, g, Qs, weight=None) -> list:
     t = np.einsum("Zgn,Zn->Zg", hup, v.conj())
     C = np.einsum("Zabg,Zg->Zab", np.einsum("Zabgd,Zd->Zabg", source.array, s), t)
     _require_hermitian(C, "source curvature term")
-    H1 = np.array([tm1.H_raw(Q) for Q in Qs])
     dim = f.m + max(f.n - 1, 0)
     return _forms(L, T + embedded(C, range(f.m), dim) * (1.0 / H1)[:, None, None])
 
@@ -403,35 +403,32 @@ def _s3(f, h, g, Rs, weight=None) -> list:
 
     One stencil gives ddbar Y2 and both tautological curvatures: T of H
     and T1 of H1 are -ddbar of the rider's log H and log H1, on the (z, w)
-    and (z, x) blocks.  Such a block is bit for bit the sub-chart's own
-    ``curvature_matrices`` when the sub-chart's scale, and so its fd step,
-    is the nested chart's: the sub-chart's stencil is then the nested
+    and (z, x) blocks.  Such a block is bit for bit what the sub-chart's
+    own stencil gives when the sub-chart's scale, and so its fd step, is
+    the nested chart's: the sub-chart's stencil is then the nested
     stencil's points with the other coordinates held at the centre.  The
     scales differ only where the nested chart has fiber coordinates
     (radius 1.1) that the sub-chart lacks and the source radius is below
     1.1: the (z, w) chart for m = 1 < n, the (z, x) chart for n = 1 < m.
-    Such a sub-chart keeps its own stencil."""
+    Such a sub-chart keeps its own stencil, that of the density field
+    which divides by the metric there (Y for H, Y1 for H1), and reads its
+    rider."""
     m, n = f.m, f.n
     dim = m + max(m - 1, 0) + max(n - 1, 0)
     zw_idx = list(range(m + max(m - 1, 0)))
     zx_idx = list(range(m)) + list(range(m + max(m - 1, 0), dim))
     y2 = maps_mod.Y2_field(f, h, g, Rs[0].P.chart_index, Rs[0].Q.chart_index)
     L, D, (_, _, mixed) = diffops.mixed_hessians(y2, np.array([R.combined() for R in Rs]))
-    sides = ((TautologicalMetric(h), zw_idx, [R.P for R in Rs]),
-             (_covector_tautological(f, g), zx_idx, [R.Q for R in Rs]))
+    sides = ((maps_mod.Y_field(f, h, g, Rs[0].P.chart_index), zw_idx, [R.P for R in Rs]),
+             (maps_mod.Y1_field(f, h, g, Rs[0].Q.chart_index), zx_idx, [R.Q for R in Rs]))
     blocks = []
-    for k, (tm, idx, points) in enumerate(sides):
-        if tm.combined_chart().scale == y2.chart.scale:
-            A = -hermitian_part(mixed[:, idx][:, :, idx, k])
+    for k, (field, idx, points) in enumerate(sides):
+        if field.chart.scale == y2.chart.scale:
+            rider = mixed[:, idx][:, :, idx, k]
         else:
-            A = curvature_matrices(tm, points)
-        blocks.append(embedded(A, idx, dim))
+            rider = diffops.mixed_hessians(field, np.array([p.combined() for p in points]))[2][2]
+        blocks.append(embedded(-hermitian_part(rider), idx, dim))
     return _forms(L, (blocks[0] + blocks[1]) * D[:, None, None])
-
-
-def _covector_tautological(f: ChartedMap, g: HermitianMetricField) -> TautologicalMetric:
-    """H1 through the same machinery as H, with g^{k lbar}(f(z)) as the input."""
-    return TautologicalMetric(maps_mod.covector_metric_field(f, g))
 
 
 # ---------------------------------------------------------------------------

@@ -188,10 +188,13 @@ def _build_metric(name, row: _Metric, params, chart_type, field_type, reals):
                           f"{lo if lo == hi else f'>= {lo}'}, got {m}")
     center = np.zeros(m)
     if "center" in row.extras:
-        center = np.asarray(params.get("center", row.extras["center"](m)), complex)
+        center = _complex_array(params, "center", row.extras["center"](m), where)
         if center.shape != (m,):
             raise ConfigError(f"{where}center: expected {m} coordinates")
-    # the guard; a NaN reach (from a NaN centre) fails it too
+        if not np.isfinite(center).all():
+            raise ConfigError(f"{where}center: expected finite coordinates, "
+                              f"got {center.tolist()}")
+    # the guard; a NaN reach fails it too
     corner = radius * np.sqrt(reals * m)
     if row.reach is not None and not corner < row.reach(center):
         raise ConfigError(f"{where}radius: a chart of radius {radius} reaches {corner:.4g} "

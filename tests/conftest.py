@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from projcurv import diffops, dual as gm, exprs, zoo
-from projcurv.charts import ComplexChart, RealChart
+from projcurv.bundle import reconstruct_W
+from projcurv.charts import ComplexChart, RealChart, fiber_chart
 from projcurv.curvature import levi_civita_christoffels
 from projcurv.dual import HyperDual
-from projcurv.fields import HermitianMetricField, RiemannianMetricField
-from projcurv.maps import ChartedMap
+from projcurv.fields import HermitianMetricField, RiemannianMetricField, ScalarField
+from projcurv.maps import ChartedMap, _generic_inverse_up
 
 
 # ulps a fiber density value may differ from another evaluation of it: a
@@ -223,3 +224,25 @@ def compatible_christoffels(metric, x, scale=1.0):
         assert defect <= 1e-6 * max(1.0, np.abs(d1[k]).max()), \
             f"metric compatibility defect {defect:.3e} at {point}"
     return (G, Gamma) if stacked else (G[0], Gamma[0])
+
+
+def log_H1_field(f, g, x_chart_index):
+    """log H1 = log g^{k lbar}(f(z)) X_k Xbar_l as a field of its own on the
+    (z, x) chart of P(f*T*_N), with f(z) from a plain call of the map rule:
+    an oracle for the rider of ``maps.Y1_field``, which reads f(z) from the
+    Jacobian's value slot."""
+    m, n = f.m, f.n
+
+    def rule(zs):
+        X = reconstruct_W(zs[m:], x_chart_index, n)
+        gup = _generic_inverse_up(g.matrix_generic(f.rule(zs[:m])), n)
+        return gm.log(gm.pairing(gup, X, X))
+
+    chart = f.source if n == 1 else f.source.product(fiber_chart(n - 1))
+    return ScalarField(chart, rule, name="log_covector_metric")
+
+
+def log_metric_curvature(field, points):
+    """-ddbar of a log-metric field at bundle points, as the (N, d, d) stack
+    ``bundle.curvature_matrices`` gives for the tautological metric."""
+    return diffops.mixed_hessians(field, np.array([P.combined() for P in points])) * -1.0

@@ -144,6 +144,10 @@ def inline(**parts):
         f"  {key}: {value}\n" for key, value in keys.items() if value is not None)
 
 
+# expressions nested past the depth Python's parser recurses to
+DEEP_MINUS = "-" * 3000 + "z1"
+LONG_CHAIN = "+".join(["z1"] * 20000)
+
 # Every kind of plan mistake: (where it is caught, plan, the key path that
 # the message begins with, a pattern of the message).  "plan" rows are
 # refused by parse_config, before anything runs; "pair" rows pass
@@ -236,6 +240,32 @@ PLAN_MISTAKES = [
      r"needs either zoo: <name> or components"),
     ("pair", inline(map="{components: [z1, z1]}"), "pair.map.components",
      "arity does not match the target dimension"),
+    # a centre that is not numbers ended in a ValueError or a TypeError
+    # naming no key, and a NaN one in the radius guard's message
+    ("pair", inline(source="{zoo: hopf, center: abc}"), "hopf.center",
+     r"hopf\.center: expected a number, got 'abc'"),
+    ("pair", inline(source="{zoo: hopf, center: {a: 1}}"), "hopf.center",
+     r"expected a number, got \{'a': 1\}"),
+    ("pair", inline(source="{zoo: hopf, center: [z1, 0]}"), "hopf.center",
+     "expected a number, got 'z1'"),
+    ("pair", inline(source="{zoo: hopf, center: ''}"), "hopf.center",
+     "expected a number, got ''"),
+    ("pair", inline(source="{zoo: hopf, center: [.nan, 0.3]}"), "hopf.center",
+     r"expected finite coordinates, got \[\(nan\+0j\), \(0\.3\+0j\)\]"),
+    ("pair", inline(source="{zoo: hopf, center: [1, .inf]}"), "hopf.center",
+     "expected finite coordinates"),
+    ("pair", inline(source="{zoo: hopf, center: [1]}"), "hopf.center",
+     "expected 2 coordinates"),
+    # an expression nested past the parser's depth ended in a RecursionError
+    # naming no key; the message echoes a prefix of it
+    ("pair", MINIMAL + f'phi: "{DEEP_MINUS}"\n', "phi",
+     r"phi: expression '-{40}'\.\.\. \(3,002 characters\): nested too deeply$"),
+    ("pair", MINIMAL + f'phi: "{LONG_CHAIN}"\n', "phi",
+     r"expression '(z1\+){13}z'\.\.\. \(59,999 characters\): nested too deeply$"),
+    ("pair", inline(map=f"{{components: ['{DEEP_MINUS}']}}"), "pair.map.components",
+     r"expression '-{40}'\.\.\. \(3,002 characters\): nested too deeply$"),
+    ("pair", inline(map=f"{{components: ['{LONG_CHAIN}']}}"),
+     "pair.map.components", r"\(59,999 characters\): nested too deeply$"),
 ]
 
 

@@ -1,4 +1,5 @@
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -117,6 +118,39 @@ class TestFailClosed:
         # a number used to reach ast.parse and end in a TypeError
         with pytest.raises(ConfigError, match=re.escape(f"expression {named}: not a string")):
             exprs.compile_rule(entries, ["z1"])
+
+    @pytest.mark.parametrize("text", [
+        "-" * 3000 + "z1",                  # past the parser's depth
+        "+".join(["z1"] * 20000),           # likewise
+        "+".join(["z1"] * 2000)],           # parses; past the check's depth
+        ids=["minus-3000", "chain-20000", "chain-2000"])
+    @pytest.mark.parametrize("shape", ["scalar", "vector", "matrix"])
+    def test_an_expression_nested_too_deeply_is_refused(self, text, shape):
+        # it used to end in a RecursionError naming no expression; the
+        # message echoes its first 40 characters and its length
+        entries = {"scalar": text, "vector": ("z1", text), "matrix": [["z1", text]]}[shape]
+        echo = f"expression {text[:40]!r}... ({len(text):,} characters): nested too deeply"
+        with pytest.raises(ConfigError, match=re.escape(echo) + "$"):
+            exprs.compile_rule(entries, ["z1"])
+
+    @pytest.mark.parametrize("shape", ["scalar", "matrix"])
+    def test_no_depth_ends_in_a_recursion_error(self, shape):
+        # about the recursion limit, the check could pass an expression that
+        # the compile step's location walk could not: every depth compiles
+        # or is refused by name
+        limit = sys.getrecursionlimit()
+        for depth in range(limit - 150, limit + 10):
+            text = "-" * depth + "z1"
+            try:
+                exprs.compile_rule(text if shape == "scalar" else [[text]], ["z1"])
+            except ConfigError as exc:
+                assert str(exc).endswith("nested too deeply"), depth
+
+    def test_a_long_expression_is_echoed_as_a_prefix(self):
+        text = "z1 + " * 30 + "q1"
+        with pytest.raises(ConfigError, match=re.escape(
+                f"expression {text[:40]!r}... (152 characters): unknown name 'q1'")):
+            exprs.compile_rule(text, ["z1"])
 
     def test_a_rejected_entry_of_a_matrix_is_named(self):
         with pytest.raises(ConfigError, match=re.escape("expression 'z1.imag': ")):

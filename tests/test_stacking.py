@@ -24,8 +24,8 @@ from projcurv.fields import (Form11, HermitianMetricField, RiemannianMetricField
 from projcurv.maps import ChartedMap, NestedBundlePoint
 
 from conftest import (STACK_METRICS, ULP_BUDGET, assert_within_ulps,
-                      compatible_christoffels, fiber_vector, nan_on_right_half,
-                      stack_metric)
+                      compatible_christoffels, fiber_vector, log_H1_field,
+                      log_metric_curvature, nan_on_right_half, stack_metric)
 
 STACK = 7
 
@@ -223,16 +223,16 @@ def test_joint_jets_equal_the_separate_calls(name, count):
         field = mp.Y_field(f, h, g, m - 1, weight)
         assert field.name == ("generalized_density" if weight is None
                               else "weighted_generalized_density")
-        cases.append((field, Ps, TautologicalMetric(h, weight=weight)))
+        cases.append((field, Ps, TautologicalMetric(h, weight=weight).log_H_field(m - 1)))
     if f.holomorphic and p.target_is_complex:
         Qs = [BundlePoint.make(z, fiber_vector(rng, n, n - 1)) for z in zs]
-        cases.append((mp.Y1_field(f, h, g, n - 1), Qs, V._covector_tautological(f, g)))
-    for field, pts, tm in cases:
+        cases.append((mp.Y1_field(f, h, g, n - 1), Qs, log_H1_field(f, g, n - 1)))
+    for field, pts, log_metric in cases:
         coords = np.array([P.combined() for P in pts])
         L, D, (_, _, mixed) = diffops.mixed_hessians(field, coords)
         # the density's value is its own stencil's centre column
         values = diffops._real_jet(field.rule, field.chart, coords, "fd")[0].real
-        taut = curvature_matrices(tm, pts)
+        taut = log_metric_curvature(log_metric, pts)
         assert len(L) == len(D) == len(taut) == count
         assert np.array_equal(L, diffops.mixed_hessians(alone(field), coords)), field.name
         assert np.array_equal(D, values), field.name
@@ -247,6 +247,44 @@ def test_joint_jets_equal_the_separate_calls(name, count):
     for k, z in enumerate(zs):
         assert np.array_equal(chern_arrays(*(part[k:k + 1] for part in jet), z[None])[0],
                               chern_curvature(h, z).array)
+
+
+@pytest.mark.parametrize("count", [1, 5])
+@pytest.mark.parametrize("name", ["fs2-to-ball", "hopf-function", "fs3-to-ball3"])
+def test_the_metric_a_suite_divides_by_is_the_pairing_at_the_point(monkeypatch, name,
+                                                                   count):
+    # S1, S03 and S2 read H, H e^{-Re phi} and H1 from the density's own
+    # stencil, as exp of its rider's centre value; at every sample each is
+    # within ULP_BUDGET of the pairing at the point
+    p = build_pair(name)
+    f, h, g = p.f, p.h, p.g
+    read = []
+    sides = V._hessian_sides
+
+    def reading(density, coords):
+        read.append(sides(density, coords))
+        return read[-1]
+
+    monkeypatch.setattr(V, "_hessian_sides", reading)
+    rng = np.random.default_rng(29)
+    zs = f.source.sample(rng, 0.5, count=count)
+    Ps = [BundlePoint.make(z, fiber_vector(rng, f.m, f.m - 1)) for z in zs]
+    Qs = [BundlePoint.make(z, fiber_vector(rng, f.n, f.n - 1)) for z in zs]
+
+    def pairing(G, V):
+        return np.einsum("kl,k,l->", G, V, V.conj()).real
+
+    H = np.array([pairing(h.matrix(P.z), P.W_affine) for P in Ps])
+    phi = np.array([np.real(V._default_phi(tuple(P.z), tuple(P.W_affine))) for P in Ps])
+    H1 = np.array([pairing(np.linalg.inv(g.matrix(f.value(Q.z))).conj(), Q.W_affine)
+                   for Q in Qs])
+    for suite, pts, weight, want in (("S1", Ps, None, H),
+                                     ("S03", Ps, V._default_phi, H * np.exp(-phi)),
+                                     ("S2", Qs, None, H1)):
+        read.clear()
+        V.evaluate_suite(suite, f, h, g, pts, weight)
+        [(_, _, got)] = read
+        assert_within_ulps(got, want)
 
 
 # the pairs S3 applies to: holomorphic maps into complex targets
@@ -271,13 +309,13 @@ def test_s3_takes_both_curvatures_from_the_nested_stencil(monkeypatch, name):
     zx_idx = list(range(m)) + list(range(m + max(m - 1, 0), dim))
     rng = np.random.default_rng(17)
     calls = []
-    counted = V.curvature_matrices
+    counted = diffops.mixed_hessians
 
-    def counting(tm, pts):
-        calls.append(len(pts))
-        return counted(tm, pts)
+    def counting(field, coords, *args):
+        calls.append(field.name)
+        return counted(field, coords, *args)
 
-    monkeypatch.setattr(V, "curvature_matrices", counting)
+    monkeypatch.setattr(diffops, "mixed_hessians", counting)
     for w_idx in range(m):
         for x_idx in range(n):
             zs = f.source.sample(rng, 0.5, count=3)
@@ -286,11 +324,13 @@ def test_s3_takes_both_curvatures_from_the_nested_stencil(monkeypatch, name):
             Qs = [BundlePoint.make(R.P.z, R.Q.W, x_idx) for R in Rs]
             calls.clear()
             got = V._s3(f, h, g, Rs)
-            assert len(calls) == OWN_STENCIL_S3.get(name, 0)
+            assert len(calls) == 1 + OWN_STENCIL_S3.get(name, 0)
+            assert calls[0] == "nested_density"
+            assert set(calls[1:]) <= {"generalized_density", "covector_density"}
             y2 = mp.Y2_field(f, h, g, w_idx, x_idx)
-            L, D, _ = diffops.mixed_hessians(y2, np.array([R.combined() for R in Rs]))
+            L, D, _ = counted(y2, np.array([R.combined() for R in Rs]))
             T = bundle.curvature_matrices(TautologicalMetric(h), [R.P for R in Rs])
-            T1 = bundle.curvature_matrices(V._covector_tautological(f, g), Qs)
+            T1 = log_metric_curvature(log_H1_field(f, g, x_idx), Qs)
             rhs = (embedded(T, zw_idx, dim) + embedded(T1, zx_idx, dim)) * D[:, None, None]
             assert len(got) == len(Rs)
             for k, out in enumerate(got):

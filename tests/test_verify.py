@@ -11,11 +11,11 @@ from projcurv import dual as gm
 from projcurv import verify as V
 from projcurv import maps as maps_mod
 from projcurv import zoo
-from projcurv.bundle import BundlePoint, TautologicalMetric
+from projcurv.bundle import BundlePoint, TautologicalMetric, tautological_H
 from projcurv.charts import ComplexChart
 from projcurv.errors import ChartDomainError, NotApplicable, ValidationError
 from projcurv.fields import HermitianMetricField
-from projcurv.maps import ChartedMap, covector_metric_field, generalized_Y
+from projcurv.maps import ChartedMap, generalized_Y
 
 from conftest import (fs_rule, identity_map, nan_off_centre, nan_on_arrays, nan_on_right_half,
                       pole_at)
@@ -230,7 +230,7 @@ class TestFormInequalities:
         for P in sample_points(p, 43, 4):
             out = V.evaluate_suite("S1", p.f, p.h, p.g, [P])[0]
             Wform = V.assemble_W_form(p.f, p.h, p.g, P)
-            H = TautologicalMetric(p.h).H_value(P)
+            H = tautological_H(TautologicalMetric(p.h), P)
             resid = out["residual_form"].matrix - Wform.matrix / H
             assert np.max(np.abs(resid)) < 1e-5
 
@@ -860,11 +860,17 @@ class TestFailClosed:
 
 class TestCovectorBundle:
     def test_pairing_matrix_sized_by_target(self):
+        # Y1 lives on the (z, x) chart, x of the target's dimension, and
+        # its rider is log H1 of the n x n inverse target metric at f(z)
         p = pair("fs-line-in-plane")
-        field = covector_metric_field(p.f, p.g)
-        assert field.dim == p.f.n == 2
-        tm = TautologicalMetric(field)
-        assert tm.combined_chart().dim == p.f.m + p.f.n - 1
+        assert p.f.m == 1 and p.f.n == 2
+        field = maps_mod.Y1_field(p.f, p.h, p.g, 1)
+        assert field.chart.dim == p.f.m + p.f.n - 1
+        z, X = np.array([0.2 + 0.1j]), np.array([0.3 - 0.4j, 1.0])
+        _, _, (log_H1, _, _) = V.diffops.mixed_hessians(field, np.concatenate([z, X[:1]])[None])
+        gup = np.linalg.inv(p.g.matrix(p.f.value(z))).conj()
+        H1 = np.einsum("kl,k,l->", gup, X, X.conj()).real
+        assert np.exp(log_H1.real[0]) == pytest.approx(H1, rel=1e-14)
 
     def test_s2_s3_on_line_in_plane(self):
         # m = 1 source, n = 2 target: sizing the covector pairing by the base
